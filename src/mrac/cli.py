@@ -174,6 +174,12 @@ def expand_batch_spec(spec: dict) -> list[dict]:
     raise ConfigError(["batch spec needs 'configs' or 'base'"])
 
 
+def worker_count(jobs: int, members: int) -> int:
+    """Pool size for a batch: never more workers than members or CPUs,
+    since the fork start method launches every worker up front."""
+    return max(1, min(jobs, members, os.cpu_count() or 1))
+
+
 def cmd_batch(args) -> int:
     try:
         with open(args.spec, "r", encoding="utf-8") as fh:
@@ -189,8 +195,9 @@ def cmd_batch(args) -> int:
         return 1
     payloads = [(i, data, args.out) for i, data in enumerate(members)]
     rows: list[dict] = [None] * len(payloads)
-    if args.jobs > 1 and len(payloads) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    jobs = worker_count(args.jobs, len(payloads))
+    if jobs > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             for idx, row in pool.map(_batch_one, payloads):
                 rows[idx] = row
     else:

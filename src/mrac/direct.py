@@ -342,33 +342,10 @@ def _run_direct_discrete(plant, ref, signal, gains, init, horizon):
         P[:, n:] *= np.eye(M)
     r_all = signal.sample(np.arange(horizon + 1, dtype=float))
 
-    # imported here so that start-up never compiles the kernels' module
-    from . import _fastpath
-    kernels = (_fastpath.get_kernels()
-               if horizon >= _fastpath.MIN_HORIZON else None)
-    if kernels is None:
-        records = _direct_loop(A, B, Am, Bm, gains, enforce, P, rho0, x0,
-                               xm0, r_all)
-        return _finish_direct_trace(plant, ref, gains, horizon, 1.0,
-                                    DISCRETE, *records)
-
-    # fold the sign priors into one block-diagonal gain acting on the
-    # stacked gradient, so the update is a single mat-vec per step
-    Gbd = np.zeros((M * C, M * C))
-    for j in range(M):
-        Gbd[j * C:(j + 1) * C, j * C:(j + 1) * C] = gains.sign_k2[j] * gains.Gamma[j]
-    T1 = horizon + 1
-    rec_x = np.empty((T1, n)); rec_xm = np.empty((T1, n)); rec_e = np.empty((T1, n))
-    rec_u = np.empty((T1, M)); rec_eps = np.empty((T1, n)); rec_m = np.empty(T1)
-    rec_th = np.empty((T1, C, M)); rec_rho = np.empty((T1, M))
-    info = np.zeros(2, dtype=np.int64)
-    kernels[0](A, B, Am, Bm, P, rho0.copy(), Gbd, gains.gamma, x0.copy(),
-               xm0.copy(), r_all, bool(enforce), n, M, C, rec_x, rec_xm, rec_e,
-               rec_u, rec_eps, rec_m, rec_th, rec_rho, info)
-    diverged_at = int(info[1]) if info[0] == _fastpath.DIVERGED else None
+    records = _direct_loop(A, B, Am, Bm, gains, enforce, P, rho0, x0, xm0,
+                           r_all)
     return _finish_direct_trace(plant, ref, gains, horizon, 1.0, DISCRETE,
-                                diverged_at, rec_x, rec_xm, rec_e, rec_u,
-                                rec_eps, rec_m, rec_th, rec_rho)
+                                *records)
 
 
 def _direct_loop(A, B, Am, Bm, gains, enforce, P, rho, x0, xm0, r_all):
@@ -553,22 +530,23 @@ def _run_direct_ct(plant, ref, signal, gains, init, horizon, h, method):
     rec_u = np.empty((T1, M)); rec_eps = np.empty((T1, n)); rec_m = np.empty(T1)
     rec_th = np.empty((T1, C, M)); rec_rho = np.empty((T1, M))
     diverged_at = None
-    for k in range(T1):
-        tau = k * h
-        x, xm, u, eps, m2, *_ , P, rho, _r = readout(tau, z)
-        if not math.isfinite(m2 + float(np.dot(x, x)) + float(np.dot(u, u))):
-            diverged_at = k
-            break
-        rec_x[k] = x; rec_xm[k] = xm; rec_e[k] = x - xm; rec_u[k] = u
-        rec_eps[k] = eps; rec_m[k] = math.sqrt(m2)
-        rec_th[k] = P.T; rec_rho[k] = rho
-        if k == horizon:
-            break
-        try:
-            z = integrate_ct(rhs, z, h, t=tau, method=method)
-        except NumericsError:
-            diverged_at = k + 1
-            break
+    with np.errstate(all="ignore"):
+        for k in range(T1):
+            tau = k * h
+            x, xm, u, eps, m2, *_, P, rho, _r = readout(tau, z)
+            if not math.isfinite(m2 + float(np.dot(x, x)) + float(np.dot(u, u))):
+                diverged_at = k
+                break
+            rec_x[k] = x; rec_xm[k] = xm; rec_e[k] = x - xm; rec_u[k] = u
+            rec_eps[k] = eps; rec_m[k] = math.sqrt(m2)
+            rec_th[k] = P.T; rec_rho[k] = rho
+            if k == horizon:
+                break
+            try:
+                z = integrate_ct(rhs, z, h, t=tau, method=method)
+            except NumericsError:
+                diverged_at = k + 1
+                break
 
     return _finish_direct_trace(plant, ref, gains, horizon, h, CONTINUOUS,
                                 diverged_at, rec_x, rec_xm, rec_e, rec_u,

@@ -341,16 +341,17 @@ def update_indirect_ct(state: IndirectControllerState, gains: IndirectGainConfig
     y1 = integrate_ct(rhs, state.theta.ravel(), h, method=method)
     theta = y1.reshape(n_w, M)
     if projection is not None and projection.enabled:
-        _clamp_to_bound(theta, projection, n, M)
+        _clamp_theta2(theta[n:], projection)
     return IndirectControllerState(theta=theta, x_hat=state.x_hat, bank=state.bank)
 
 
-def _clamp_to_bound(theta, projection, n, M):
-    # integration can land a hair inside the bound; snap back onto it
-    for j in range(M):
-        t2 = theta[n + j, j]
-        if projection.signs[j] * t2 < projection.theta2_lower[j]:
-            theta[n + j, j] = projection.signs[j] * projection.theta2_lower[j]
+def _clamp_theta2(block, projection: ProjectionConfig):
+    """Snap the theta2 diagonal of a writeable (M, M) view back onto the
+    signed bound where integration landed a hair inside it."""
+    theta2 = np.einsum("ii->i", block)  # a writeable view of the diagonal
+    for j in range(theta2.shape[0]):
+        if projection.signs[j] * theta2[j] < projection.theta2_lower[j]:
+            theta2[j] = projection.signs[j] * projection.theta2_lower[j]
 
 
 def run_indirect_scenario(plant: PlantModel, ref: ReferenceModel,
@@ -386,44 +387,11 @@ def _run_indirect_discrete(plant, ref, signal, gains, projection, init, horizon)
              else np.full(M, 1e-12))
     r_all = signal.sample(np.arange(horizon + 1, dtype=float))
 
-    # imported here so that start-up never compiles the kernels' module
-    from . import _fastpath
-    kernels = (_fastpath.get_kernels()
-               if horizon >= _fastpath.MIN_HORIZON else None)
-    if kernels is None:
-        records = _indirect_loop(A, B, Am, Bm, gains,
-                                 projection if proj_on else None, floor, P,
-                                 x0, xm0, xhat0, r_all)
-        return _finish_indirect_trace(plant, ref, gains, horizon, 1.0,
-                                      DISCRETE, *records)
-
-    Gbd = np.zeros((M * C, M * C))
-    for j in range(M):
-        Gbd[j * C:(j + 1) * C, j * C:(j + 1) * C] = gains.Gamma[j]
-    T1 = horizon + 1
-    rec_x = np.empty((T1, n)); rec_xm = np.empty((T1, n)); rec_e = np.empty((T1, n))
-    rec_u = np.empty((T1, M)); rec_eps = np.empty((T1, n)); rec_m = np.empty(T1)
-    rec_th = np.empty((T1, C, M)); rec_xh = np.empty((T1, n))
-    rec_g2 = np.zeros((T1, M)); rec_f2 = np.zeros((T1, M))
-    rec_fired = np.zeros(T1, dtype=bool)
-    info = np.zeros(2, dtype=np.int64)
-    signs_arr = (projection.signs if projection is not None
-                 else np.ones(M))
-    t2a_arr = (projection.theta2_lower if projection is not None
-               else np.zeros(M))
-    kernels[1](A, B, Am, Bm, P, Gbd, x0.copy(), xm0.copy(), xhat0.copy(),
-               r_all, bool(proj_on), signs_arr, t2a_arr, floor, M > 1, n, M,
-               C, rec_x, rec_xm, rec_e, rec_u, rec_eps, rec_m, rec_th,
-               rec_xh, rec_g2, rec_f2, rec_fired, info)
-    if info[0] == _fastpath.SINGULAR:
-        raise SingularGainError(
-            f"theta2 diagonal below the invertibility threshold at step {info[1]}"
-        )
-    diverged_at = int(info[1]) if info[0] == _fastpath.DIVERGED else None
-    return _finish_indirect_trace(plant, ref, gains, horizon, 1.0,
-                                  DISCRETE, diverged_at, rec_x, rec_xm,
-                                  rec_e, rec_u, rec_eps, rec_m, rec_th,
-                                  rec_xh, rec_g2, rec_f2, rec_fired)
+    records = _indirect_loop(A, B, Am, Bm, gains,
+                             projection if proj_on else None, floor, P, x0,
+                             xm0, xhat0, r_all)
+    return _finish_indirect_trace(plant, ref, gains, horizon, 1.0, DISCRETE,
+                                  *records)
 
 
 def _indirect_loop(A, B, Am, Bm, gains, projection, floor, P, x0, xm0, xhat0,
@@ -681,34 +649,30 @@ def _run_indirect_ct(plant, ref, signal, gains, projection, init, horizon,
     rec_g2 = np.zeros((T1, M)); rec_f2 = np.zeros((T1, M))
     rec_fired = np.zeros(T1, dtype=bool)
     diverged_at = None
-    for k in range(T1):
-        tau = k * h
-        x, xm, xh, S, q, P, r, Xi, eps, m2, theta2, u = readout(tau, z)
-        if not math.isfinite(m2 + float(np.dot(x, x)) + float(np.dot(u, u))):
-            diverged_at = k
-            break
-        rec_x[k] = x; rec_xm[k] = xm; rec_e[k] = x - xm; rec_u[k] = u
-        rec_eps[k] = eps; rec_m[k] = math.sqrt(m2)
-        rec_th[k] = P.T; rec_xh[k] = xh
-        if proj_on:
-            g2 = (-(Gbd @ (S.T @ eps)).reshape(M, C) / m2).ravel()[diag_flat]
-            f2 = _ct_projection_rate(theta2, g2, projection)
-            rec_g2[k] = g2; rec_f2[k] = f2
-            rec_fired[k] = bool(np.any(f2 != 0.0))
-        if k == horizon:
-            break
-        try:
-            z = integrate_ct(rhs, z, h, t=tau, method=method)
-        except NumericsError:
-            diverged_at = k + 1
-            break
-        if proj_on:
-            P = z[sl_P].reshape(M, C)
-            flat = P.ravel()
-            for j in range(M):
-                t2 = flat[diag_flat[j]]
-                if projection.signs[j] * t2 < projection.theta2_lower[j]:
-                    flat[diag_flat[j]] = projection.signs[j] * projection.theta2_lower[j]
+    with np.errstate(all="ignore"):
+        for k in range(T1):
+            tau = k * h
+            x, xm, xh, S, q, P, r, Xi, eps, m2, theta2, u = readout(tau, z)
+            if not math.isfinite(m2 + float(np.dot(x, x)) + float(np.dot(u, u))):
+                diverged_at = k
+                break
+            rec_x[k] = x; rec_xm[k] = xm; rec_e[k] = x - xm; rec_u[k] = u
+            rec_eps[k] = eps; rec_m[k] = math.sqrt(m2)
+            rec_th[k] = P.T; rec_xh[k] = xh
+            if proj_on:
+                g2 = (-(Gbd @ (S.T @ eps)).reshape(M, C) / m2).ravel()[diag_flat]
+                f2 = _ct_projection_rate(theta2, g2, projection)
+                rec_g2[k] = g2; rec_f2[k] = f2
+                rec_fired[k] = bool(np.any(f2 != 0.0))
+            if k == horizon:
+                break
+            try:
+                z = integrate_ct(rhs, z, h, t=tau, method=method)
+            except NumericsError:
+                diverged_at = k + 1
+                break
+            if proj_on:
+                _clamp_theta2(z[sl_P].reshape(M, C)[:, n:], projection)
 
     return _finish_indirect_trace(plant, ref, gains, horizon, h, CONTINUOUS,
                                   diverged_at, rec_x, rec_xm, rec_e, rec_u,

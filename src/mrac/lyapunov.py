@@ -18,7 +18,7 @@ import numpy as np
 from .diagnostics import SimulationTrace
 from .direct import InitialConditions, stack_controller_gains
 from .errors import GainError, ModelError, NumericsError
-from .indirect import (ProjectionConfig, _ct_projection_rate,
+from .indirect import (ProjectionConfig, _clamp_theta2, _ct_projection_rate,
                        check_projection_start, stack_plant_estimate,
                        theta_star_indirect)
 from .systems import (CONTINUOUS, PlantModel, ReferenceModel, ReferenceSignal,
@@ -208,10 +208,7 @@ def update_lyapunov_indirect_ct(Theta1, Theta2, e_x, x, u, P, B_m,
     T1n = np.asarray(Theta1, float).reshape(dT1.shape) + h * dT1
     T2n = np.atleast_2d(np.asarray(Theta2, float)) + h * dT2
     if projection is not None and projection.enabled:
-        M = T2n.shape[0]
-        for j in range(M):
-            if projection.signs[j] * T2n[j, j] < projection.theta2_lower[j]:
-                T2n[j, j] = projection.signs[j] * projection.theta2_lower[j]
+        _clamp_theta2(T2n, projection)
     if not (np.all(np.isfinite(T1n)) and np.all(np.isfinite(T2n))):
         raise NumericsError("non-finite estimate update")
     return T1n, T2n
@@ -405,38 +402,36 @@ def run_lyapunov_scenario(plant: PlantModel, ref: ReferenceModel,
     rec_V = np.full(T1, np.nan)
     diverged_at = None
 
-    for k in range(T1):
-        tau = k * h
-        if mode == "direct":
-            x, xm, K1, K2 = loop.unpack(z)
-            r = signal.at(tau)
-            u = K1.T @ x + K2 @ r
-            theta_now = stack_controller_gains(K1, K2)
-        else:
-            x, xm, xh, Tb1, Tb2 = loop.unpack(z)
-            r = signal.at(tau)
-            u = (Tb1.T @ x + r) / np.diag(Tb2)
-            theta_now = stack_plant_estimate(Tb1, Tb2)
-            rec_xh[k] = xh
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(u))):
-            diverged_at = k
-            break
-        rec_x[k] = x; rec_xm[k] = xm; rec_e[k] = x - xm; rec_u[k] = u
-        rec_th[k] = theta_now
-        if loop.V is not None:
-            rec_V[k] = loop.V(z)
-        if k == horizon:
-            break
-        try:
-            z = integrate_ct(loop.rhs, z, h, t=tau, method=method)
-        except NumericsError:
-            diverged_at = k + 1
-            break
-        if mode == "indirect" and projection is not None and projection.enabled:
-            Tb2 = z[3 * n + n * M:].reshape(M, M)
-            for j in range(M):
-                if projection.signs[j] * Tb2[j, j] < projection.theta2_lower[j]:
-                    Tb2[j, j] = projection.signs[j] * projection.theta2_lower[j]
+    with np.errstate(all="ignore"):
+        for k in range(T1):
+            tau = k * h
+            if mode == "direct":
+                x, xm, K1, K2 = loop.unpack(z)
+                r = signal.at(tau)
+                u = K1.T @ x + K2 @ r
+                theta_now = stack_controller_gains(K1, K2)
+            else:
+                x, xm, xh, Tb1, Tb2 = loop.unpack(z)
+                r = signal.at(tau)
+                u = (Tb1.T @ x + r) / np.diag(Tb2)
+                theta_now = stack_plant_estimate(Tb1, Tb2)
+                rec_xh[k] = xh
+            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(u))):
+                diverged_at = k
+                break
+            rec_x[k] = x; rec_xm[k] = xm; rec_e[k] = x - xm; rec_u[k] = u
+            rec_th[k] = theta_now
+            if loop.V is not None:
+                rec_V[k] = loop.V(z)
+            if k == horizon:
+                break
+            try:
+                z = integrate_ct(loop.rhs, z, h, t=tau, method=method)
+            except NumericsError:
+                diverged_at = k + 1
+                break
+            if mode == "indirect" and projection is not None and projection.enabled:
+                _clamp_theta2(z[3 * n + n * M:].reshape(M, M), projection)
 
     steps = (horizon + 1) if diverged_at is None else diverged_at
     sl = slice(0, steps)

@@ -12,7 +12,6 @@ from mrac import (DirectGainConfig, GainError,
                   stack_controller_gains, step_plant_discrete,
                   step_reference_discrete, update_direct_ct,
                   update_direct_discrete)
-import mrac._fastpath as fastpath
 from conftest import K1_TRUE, K2_TRUE, ct_instance, mimo_direct_case
 
 
@@ -310,37 +309,6 @@ class TestScenario:
         assert trace.diverged and trace.diverged_at == diverged_at
         assert trace.steps == diverged_at
         assert np.all(np.isfinite(trace.x))
-
-    def test_fastpath_matches_numpy_loop(self, bench_plant, bench_ref,
-                                         bench_signal, bench_gains,
-                                         monkeypatch):
-        if fastpath.get_kernels() is None:
-            pytest.skip("numba unavailable")
-        init = InitialConditions(theta0=1.25 * np.array([*K1_TRUE, K2_TRUE]).reshape(3, 1),
-                                 rho0=1.25 / K2_TRUE)
-        slow = run_direct_scenario(bench_plant, bench_ref, bench_signal,
-                                   bench_gains, init, 400)
-        monkeypatch.setattr(fastpath, "MIN_HORIZON", 0)
-        fast = run_direct_scenario(bench_plant, bench_ref, bench_signal,
-                                   bench_gains, init, 400)
-        assert np.max(np.abs(fast.theta - slow.theta)) <= 1e-12
-        assert np.max(np.abs(fast.e - slow.e)) <= 1e-12
-        assert np.max(np.abs(fast.m - slow.m)) <= 1e-12
-
-    def test_fastpath_matches_numpy_loop_mimo(self, monkeypatch):
-        if fastpath.get_kernels() is None:
-            pytest.skip("numba unavailable")
-        case = mimo_direct_case(2)
-        args = (case["plant"], case["ref"], case["signal"], case["gains"],
-                case["init"], 400)
-        slow = run_direct_scenario(*args)
-        monkeypatch.setattr(fastpath, "MIN_HORIZON", 0)
-        fast = run_direct_scenario(*args)
-        assert np.max(np.abs(fast.theta - slow.theta)) <= 1e-12
-        assert np.max(np.abs(fast.rho - slow.rho)) <= 1e-12
-        assert np.max(np.abs(fast.e - slow.e)) <= 1e-12
-        assert np.max(np.abs(fast.eps - slow.eps)) <= 1e-12
-        assert np.max(np.abs(fast.m - slow.m)) <= 1e-12
 
     def test_mimo_diagonal_enforcement(self):
         case = mimo_direct_case(0)

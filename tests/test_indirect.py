@@ -14,7 +14,6 @@ from mrac import (GainError, IndirectGainConfig,
                   theta_star_indirect, update_indirect_ct,
                   update_indirect_discrete)
 from mrac.indirect import IndirectControllerState, indirect_step_values
-import mrac._fastpath as fastpath
 from conftest import K1_TRUE, K2_TRUE, mimo_indirect_case
 
 THETA1_TRUE = np.array([-0.95, -2.2])  # k1*/k2*
@@ -389,38 +388,6 @@ class TestScenario:
         assert singular_at is not None
         with pytest.raises(SingularGainError, match=f"at step {singular_at}$"):
             run_indirect_scenario(*args)
-
-    def test_fastpath_matches_numpy_loop(self, monkeypatch):
-        if fastpath.get_kernels() is None:
-            pytest.skip("numba unavailable")
-        plant, ref, sig = self._setup()
-        gains = IndirectGainConfig(Gamma=np.diag([1.5, 1.5, 1.5]),
-                                   time_domain="discrete")
-        proj = ProjectionConfig.from_k2_upper(0.5, 1.0)
-        init = InitialConditions(theta0=np.array([[-0.5], [-1.0], [2.05]]))
-        slow = run_indirect_scenario(plant, ref, sig, gains, proj, init, 500)
-        monkeypatch.setattr(fastpath, "MIN_HORIZON", 0)
-        fast = run_indirect_scenario(plant, ref, sig, gains, proj, init, 500)
-        assert np.max(np.abs(fast.theta - slow.theta)) <= 1e-12
-        assert np.max(np.abs(fast.e - slow.e)) <= 1e-12
-        assert np.array_equal(fast.proj_fired, slow.proj_fired)
-        assert np.max(np.abs(fast.proj_f2 - slow.proj_f2)) <= 1e-14
-
-    def test_fastpath_matches_numpy_loop_mimo(self, monkeypatch):
-        if fastpath.get_kernels() is None:
-            pytest.skip("numba unavailable")
-        case = mimo_indirect_case(2)
-        args = (case["plant"], case["ref"], case["signal"], case["gains"],
-                case["projection"], case["init"], 400)
-        slow = run_indirect_scenario(*args)
-        monkeypatch.setattr(fastpath, "MIN_HORIZON", 0)
-        fast = run_indirect_scenario(*args)
-        assert np.max(np.abs(fast.theta - slow.theta)) <= 1e-12
-        assert np.max(np.abs(fast.e - slow.e)) <= 1e-12
-        assert np.max(np.abs(fast.eps - slow.eps)) <= 1e-12
-        assert np.max(np.abs(fast.m - slow.m)) <= 1e-12
-        assert np.max(np.abs(fast.x_hat - slow.x_hat)) <= 1e-12
-        assert np.array_equal(fast.proj_fired, slow.proj_fired)
 
     def test_mimo_theta2_stays_diagonal(self):
         case = mimo_indirect_case(1)

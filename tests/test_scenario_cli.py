@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from mrac import ConfigError
-from mrac.cli import main, trace_header
+from mrac import ConfigError, random_matchable_instance
+from mrac.cli import main, trace_header, worker_count
 from mrac.scenario import (benchmark_config, config_from_dict, load_config,
                            run_scenario, serialize_config, summary_dict)
 
@@ -142,6 +142,32 @@ class TestRunScenario:
         theta2 = run.trace.theta[:, 2, 0]
         assert np.all(theta2 >= 1.0 - 1e-12)
 
+    def test_ct_gradient_runs_pass_their_invariants(self):
+        # continuous time guarantees only V non-increase; the discrete
+        # per-step bound with its (2 - gamma0) factor does not apply
+        data = self._ct_dict("indirect_gradient", {"Gamma": 1.0},
+                             projection={"k2_upper": 1.0, "signs": 1.0})
+        runs = [run_scenario(config_from_dict(data))]
+        plant, ref, _, K2 = random_matchable_instance(3, 2, 1, "continuous")
+        k2 = np.diag(K2)
+        data = bench_dict(time_domain="continuous", horizon=400,
+                          ct_step=0.01)
+        data["plant"] = {"A": plant.A.tolist(), "B": plant.B.tolist()}
+        data["reference"] = {"A_m": ref.A_m.tolist(), "B_m": ref.B_m.tolist()}
+        data["signal"] = {"kind": "sum_of_sinusoids",
+                          "amplitudes": [[1.0], [0.8]],
+                          "frequencies": [[0.13], [0.29]]}
+        data["gains"] = {"Gamma": 0.5, "gamma": 1.2,
+                         "sign_k2": np.sign(k2).tolist(),
+                         "k2_lower": (0.5 * np.abs(k2)).tolist()}
+        data["init"] = {"theta_scale": 1.15, "rho_scale": 1.15}
+        runs.append(run_scenario(config_from_dict(data)))
+        for run in runs:
+            assert run.exit_status == 0
+            assert run.invariants["v_nonincreasing_ok"] is True
+            assert "delta_v_ok" not in run.invariants
+            assert run.trace.V[-1] < run.trace.V[0]
+
     def test_constant_and_custom_signals_through_config(self):
         data = bench_dict(horizon=5)
         data["signal"] = {"kind": "constant", "level": [0.5]}
@@ -223,6 +249,13 @@ class TestCli:
         assert main(["validate", str(bad)]) == 1
         assert main(["run", str(bad)]) == 1
         assert "B_m" in capsys.readouterr().err
+        # JSON true loads as a bool, which Python would count as the int 1
+        for field in ("horizon", "seed", "ct_step"):
+            bad.write_text(json.dumps(bench_dict(**{field: True})))
+            assert main(["validate", str(bad)]) == 1
+            [err] = capsys.readouterr().err.splitlines()
+            assert err.startswith(f"invalid: {field}: ")
+            assert err.endswith(", got True")
 
     def test_divergence_exit_code(self, tmp_path, capsys):
         # a continuous-time run with an absurd step size blows up
@@ -317,6 +350,16 @@ class TestBatch:
         assert main(["batch", str(spec), "--jobs", "2"]) == 0
         par = json.loads(capsys.readouterr().out)
         assert par == seq
+
+    def test_worker_count_is_clamped(self, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
+        assert worker_count(10**6, 3) == 3
+        assert worker_count(10**6, 100) == 4
+        assert worker_count(2, 100) == 2
+        assert worker_count(0, 5) == 1
+        assert worker_count(8, 0) == 1
+        monkeypatch.setattr("os.cpu_count", lambda: None)
+        assert worker_count(10**6, 100) == 1
 
     def test_example_needs_the_flag(self, capsys):
         assert main(["example"]) == 1
