@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 validation error, 2 runtime divergence,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import itertools
 import json
 import os
@@ -197,6 +196,8 @@ def cmd_batch(args) -> int:
     rows: list[dict] = [None] * len(payloads)
     jobs = worker_count(args.jobs, len(payloads))
     if jobs > 1:
+        # imported here: it costs every other invocation several ms
+        import concurrent.futures
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             for idx, row in pool.map(_batch_one, payloads):
                 rows[idx] = row

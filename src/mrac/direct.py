@@ -22,6 +22,8 @@ from typing import Optional
 
 import numpy as np
 
+from . import _ctloop
+from ._ctloop import Field
 from ._rows import RowBuffer, block, first_nonfinite
 from .diagnostics import SimulationTrace, direct_V_series
 from .errors import GainError, ModelError, NumericsError
@@ -479,78 +481,143 @@ def _direct_loop(A, B, Am, Bm, gains, enforce, P, rho, x0, xm0, r_all):
 def _run_direct_ct(plant, ref, signal, gains, init, horizon, h, method):
     n, M = plant.n, plant.n_inputs
     C = n + M
-    A, B, Am, Bm = plant.A, plant.B, ref.A_m, ref.B_m
     x0, xm0, theta0, rho0, _ = init.resolved(n, C, M)
     enforce = gains.enforce_diagonal_k2 and M > 1
     P0 = theta0.T.copy()
     if enforce:
         P0[:, n:] *= np.eye(M)
-    Gbd = np.zeros((M * C, M * C))
+    field, z, store, records = _direct_ct_field(
+        plant.A, plant.B, ref.A_m, ref.B_m, gains, enforce, P0, rho0, x0,
+        xm0, horizon)
+    diverged_at = _ctloop.run(field, z, signal, horizon, h, method,
+                              integrate_ct, store)
+    return _finish_direct_trace(plant, ref, gains, horizon, h, CONTINUOUS,
+                                diverged_at, *records)
+
+
+def _direct_ct_field(A, B, Am, Bm, gains, enforce, P, rho, x0, xm0, horizon):
+    """The continuous direct law as one field (see ``_ctloop``).
+
+    z holds the linear states as the columns of an n-row matrix F, in
+    column-major order [S_(j,c), q_1..q_M, x_m, x], then P (row j is
+    theta_j) and rho. The work row holds eps and Xi_1..Xi_M as n-vectors,
+    then a copy of F, r and u, so that [x, r] = omega and [Xi, S] (the
+    normalizer's terms) are contiguous, then m^2. Row 0 of W^T reads eps =
+    x - x_m + sum_j rho_j Xi_j off F and row 1 + j reads Xi_j = S_j
+    theta_j - q_j. Returns the field, the initial z, the chunk store and
+    the record arrays ``_finish_direct_trace`` takes after the divergence
+    step.
+    """
+    n, M = B.shape
+    C = n + M
+    MC = M * C
+    K = MC + M + 2  # F columns
+    cxm, cx = MC + M, MC + M + 1
+    nK = n * K
+    N = nK + MC + M
+    F0 = n * (M + 1)
+    R0 = F0 + nK
+    U0 = R0 + M
+    width = U0 + M + 1
+
+    # one constant map advances every linear state, given r and u
+    L = np.zeros((nK, nK + 2 * M))
     for j in range(M):
-        Gbd[j * C:(j + 1) * C, j * C:(j + 1) * C] = gains.sign_k2[j] * gains.Gamma[j]
-    gam = gains.gamma
-    eyeM = np.eye(M)
+        for c in range(C):
+            k = j * C + c
+            block(L, n, k, k, Am)
+            L[k * n:(k + 1) * n, cx * n + c if c < n else nK + c - n] = Bm[:, j]
+        block(L, n, MC + j, MC + j, Am)
+        L[(MC + j) * n:(MC + j + 1) * n, nK + M + j] = Bm[:, j]
+    block(L, n, cxm, cxm, Am)
+    L[cxm * n:(cxm + 1) * n, nK:nK + M] = Bm
+    block(L, n, cx, cx, A)
+    L[cx * n:, nK + M:] = B
 
-    # joint state: [x, xm, S, q, P, rho]
-    sl_x = slice(0, n)
-    sl_xm = slice(n, 2 * n)
-    sl_S = slice(2 * n, 2 * n + n * M * C)
-    sl_q = slice(sl_S.stop, sl_S.stop + n * M)
-    sl_P = slice(sl_q.stop, sl_q.stop + M * C)
-    sl_rho = slice(sl_P.stop, sl_P.stop + M)
+    # [Xi^T eps, S^T eps] -> [dP, drho], with the sign priors, the
+    # diagonal-K2 mask and gamma folded in
+    G = np.zeros((MC + M, M + MC))
+    for j in range(M):
+        Gj = gains.sign_k2[j] * gains.Gamma[j]
+        for c in range(C):
+            if not (enforce and c >= n and c - n != j):
+                G[j * C + c, M + j * C:M + (j + 1) * C] = Gj[c]
+        G[MC + j, j] = gains.gamma[j]
 
-    def readout(tau, z):
-        x = z[sl_x]; xm = z[sl_xm]
-        S = z[sl_S].reshape(n, M * C); q = z[sl_q].reshape(n, M)
-        P = z[sl_P].reshape(M, C); rho = z[sl_rho]
-        r = signal.at(tau)
-        om = np.concatenate([x, r])
-        u = P @ om
-        Xi = np.einsum("kjc,jc->kj", S.reshape(n, M, C), P) - q
-        eps = (x - xm) + Xi @ rho
-        m2 = 1.0 + float(np.dot(S.ravel(), S.ravel())) + float(np.dot(Xi.ravel(), Xi.ravel()))
-        return x, xm, u, eps, m2, om, Xi, S, P, rho, r
+    # W^T is shared scratch; its theta_j blocks are a strided (M, C) view
+    WTbuf = np.zeros((M + 1) * K + MC)
+    WT = WTbuf[:(M + 1) * K].reshape(M + 1, K)
+    WTP = WTbuf[K:K + M * (K + C)].reshape(M, K + C)[:, :C]
+    for j in range(M):
+        WT[1 + j, MC + j] = -1.0
+    base = np.zeros(K)
+    base[cxm], base[cx] = -1.0, 1.0
+    WT0, WTXi = WT[0], WT[1:]
+    epsb = np.empty(n)
+    ab = np.empty(M + MC)
 
-    def rhs(tau, z):
-        x, xm, u, eps, m2, om, Xi, S, P, rho, r = readout(tau, z)
-        dP = -(Gbd @ (S.T @ eps)).reshape(M, C) / m2
-        drho = -gam * (eps @ Xi) / m2
-        if enforce:
-            dP[:, n:] *= eyeM
-        dS = Am @ S + (Bm[:, :, None] * om[None, None, :]).reshape(n, M * C)
-        dq = Am @ z[sl_q].reshape(n, M) + Bm * u[None, :]
-        dx = A @ x + B @ u
-        dxm = Am @ xm + Bm @ r
-        return np.concatenate([dx, dxm, dS.ravel(), dq.ravel(), dP.ravel(), drho])
+    def views(row):
+        H = row[n:F0 + n * MC]
+        return (row[F0:R0], row[R0:U0], row[U0:U0 + M],
+                row[F0 + n * (K - 1):U0], row[F0:U0 + M],
+                row[:F0].reshape(M + 1, n), row[F0:R0].reshape(K, n), H.dot,
+                H, H.reshape(M + MC, n).dot, row[:n], row[U0 + M:],
+                row[F0 + n * cx:R0])
 
-    z = np.concatenate([x0, xm0, np.zeros(n * M * C), np.zeros(n * M),
-                        P0.ravel(), rho0])
+    # bound .dot methods skip the __array_function__ dispatch of np.dot
+    Ldot, Gdot, WTdot, scale, add, empty = (L.dot, G.dot, WT.dot,
+                                            np.multiply, np.add, np.empty)
+
+    def f(y, r, v):
+        Fw, rw, u, om, lin, XE, FT, Hdot, H, HTdot, eps, m2w, _ = v
+        Fw[...] = y[:nK]
+        rw[...] = r
+        Py = y[nK:nK + MC].reshape(M, C)
+        Py.dot(om, u)
+        WTP[...] = Py
+        y[nK + MC:].dot(WTXi, WT0)
+        add(WT0, base, WT0)
+        WTdot(FT, XE)
+        m2 = 1.0 + float(Hdot(H))
+        m2w[0] = m2
+        scale(eps, -1.0 / m2, epsb)
+        HTdot(epsb, ab)
+        dz = empty(N)
+        Gdot(ab, dz[nK:])
+        Ldot(lin, dz[:nK])
+        return dz
+
+    def probe(v):
+        u, m2w, x = v[2], v[11], v[12]
+        return math.isfinite(float(m2w[0]) + float(x.dot(x))
+                             + float(u.dot(u)))
+
+    z = np.zeros(N)
+    z[cxm * n:(cxm + 1) * n] = xm0
+    z[cx * n:nK] = x0
+    z[nK:nK + MC] = P.ravel()
+    z[nK + MC:] = rho
+
     T1 = horizon + 1
     rec_x = np.empty((T1, n)); rec_xm = np.empty((T1, n)); rec_e = np.empty((T1, n))
     rec_u = np.empty((T1, M)); rec_eps = np.empty((T1, n)); rec_m = np.empty(T1)
     rec_th = np.empty((T1, C, M)); rec_rho = np.empty((T1, M))
-    diverged_at = None
-    with np.errstate(all="ignore"):
-        for k in range(T1):
-            tau = k * h
-            x, xm, u, eps, m2, *_, P, rho, _r = readout(tau, z)
-            if not math.isfinite(m2 + float(np.dot(x, x)) + float(np.dot(u, u))):
-                diverged_at = k
-                break
-            rec_x[k] = x; rec_xm[k] = xm; rec_e[k] = x - xm; rec_u[k] = u
-            rec_eps[k] = eps; rec_m[k] = math.sqrt(m2)
-            rec_th[k] = P.T; rec_rho[k] = rho
-            if k == horizon:
-                break
-            try:
-                z = integrate_ct(rhs, z, h, t=tau, method=method)
-            except NumericsError:
-                diverged_at = k + 1
-                break
+    th_at = width + nK + np.array([[j * C + c for j in range(M)]
+                                   for c in range(C)])
 
-    return _finish_direct_trace(plant, ref, gains, horizon, h, CONTINUOUS,
-                                diverged_at, rec_x, rec_xm, rec_e, rec_u,
-                                rec_eps, rec_m, rec_th, rec_rho)
+    def store(rows, t0):
+        sl = slice(t0, t0 + rows.shape[0])
+        rec_x[sl] = rows[:, F0 + cx * n:R0]
+        rec_xm[sl] = rows[:, F0 + cxm * n:F0 + cx * n]
+        np.subtract(rec_x[sl], rec_xm[sl], out=rec_e[sl])
+        rec_u[sl] = rows[:, U0:U0 + M]
+        rec_eps[sl] = rows[:, :n]
+        np.sqrt(rows[:, U0 + M], out=rec_m[sl])
+        rec_th[sl] = rows[:, th_at]
+        rec_rho[sl] = rows[:, width + nK + MC:]
+
+    return Field(f, views, width, probe), z, store, (
+        rec_x, rec_xm, rec_e, rec_u, rec_eps, rec_m, rec_th, rec_rho)
 
 
 def _finish_direct_trace(plant, ref, gains, horizon, dt, domain, diverged_at,

@@ -27,6 +27,8 @@ from operator import lt, mul
 
 import numpy as np
 
+from . import _ctloop
+from ._ctloop import Field
 from ._rows import RowBuffer, block, first_nonfinite
 from .diagnostics import SimulationTrace, indirect_V_series
 from .direct import InitialConditions, _check_run_args, _shape_theta
@@ -575,109 +577,195 @@ def _run_indirect_ct(plant, ref, signal, gains, projection, init, horizon,
                      h, method):
     n, M = plant.n, plant.n_inputs
     C = n + M
-    A, B, Am, Bm = plant.A, plant.B, ref.A_m, ref.B_m
     x0, xm0, theta0, _, xhat0 = init.resolved(n, C, M)
-    include_xi_in_m = M > 1
     P0 = theta0.T.copy()
     if M > 1:
         P0[:, n:] *= np.eye(M)
     proj_on = projection is not None and projection.enabled
     if proj_on:
         check_projection_start(P0.T, projection)
-    Gbd = np.zeros((M * C, M * C))
-    for j in range(M):
-        Gbd[j * C:(j + 1) * C, j * C:(j + 1) * C] = gains.Gamma[j]
-    eyeM = np.eye(M)
-    diag_flat = np.array([j * C + n + j for j in range(M)])
     # integration stages may sit a hair inside the projected region, so the
     # stage guard only protects the division, not the boundary itself
     floor = (0.5 * projection.theta2_lower if proj_on
              else (projection.theta2_lower if projection is not None
                    else np.full(M, 1e-12)))
+    field, z, store, records = _indirect_ct_field(
+        plant.A, plant.B, ref.A_m, ref.B_m, gains,
+        projection if proj_on else None, floor, P0, x0, xm0, xhat0, horizon)
+    after_step = None
+    if proj_on:
+        def after_step(z):
+            _clamp_theta2(z[-M * C:].reshape(M, C)[:, n:], projection)
+    diverged_at = _ctloop.run(field, z, signal, horizon, h, method,
+                              integrate_ct, store, after_step)
+    return _finish_indirect_trace(plant, ref, gains, horizon, h, CONTINUOUS,
+                                  diverged_at, *records)
 
-    sl_x = slice(0, n)
-    sl_xm = slice(n, 2 * n)
-    sl_xh = slice(2 * n, 3 * n)
-    sl_S = slice(3 * n, 3 * n + n * M * C)
-    sl_q = slice(sl_S.stop, sl_S.stop + n * M)
-    sl_P = slice(sl_q.stop, sl_q.stop + M * C)
 
-    def readout(tau, z):
-        x = z[sl_x]; xm = z[sl_xm]; xh = z[sl_xh]
-        S = z[sl_S].reshape(n, M * C); q = z[sl_q].reshape(n, M)
-        P = z[sl_P].reshape(M, C)
-        r = signal.at(tau)
-        Xi = np.einsum("kjc,jc->kj", S.reshape(n, M, C), P) - q
-        eps = (xh - x) + np.sum(Xi, axis=1)
-        m2 = 1.0 + float(np.dot(S.ravel(), S.ravel()))
-        if include_xi_in_m:
-            m2 += float(np.dot(Xi.ravel(), Xi.ravel()))
-        theta2 = P.ravel()[diag_flat]
-        if np.any(np.abs(theta2) < floor - 1e-15):
-            raise SingularGainError(
-                f"theta2 diagonal {theta2} below the invertibility threshold"
-            )
-        u = (P[:, :n] @ x + r) / theta2
-        return x, xm, xh, S, q, P, r, Xi, eps, m2, theta2, u
+def _indirect_ct_field(A, B, Am, Bm, gains, projection, floor, P, x0, xm0,
+                       xhat0, horizon):
+    """The continuous indirect law as one field (see ``_ctloop``).
 
-    def rhs(tau, z):
-        x, xm, xh, S, q, P, r, Xi, eps, m2, theta2, u = readout(tau, z)
-        om = np.concatenate([-x, u])
-        v = P @ om
-        g = -(Gbd @ (S.T @ eps)).reshape(M, C) / m2
-        if M > 1:
-            g[:, n:] *= eyeM
-        if proj_on:
-            g2 = g.ravel()[diag_flat]
-            f2 = _ct_projection_rate(theta2, g2, projection)
-            gflat = g.ravel()
-            gflat[diag_flat] += f2
-            g = gflat.reshape(M, C)
-        dS = Am @ S + (Bm[:, :, None] * om[None, None, :]).reshape(n, M * C)
-        dq = Am @ q + Bm * v[None, :]
-        dxh = Am @ xh + Bm @ v
-        dx = A @ x + B @ u
-        dxm = Am @ xm + Bm @ r
-        return np.concatenate([dx, dxm, dxh, dS.ravel(), dq.ravel(), g.ravel()])
+    z holds the linear states as the columns of an n-row matrix F, in
+    column-major order [S_(j,c), q_1..q_M, x_m, xhat, x], then P (row j is
+    theta_j). The work row holds eps and Xi_1..Xi_M as n-vectors, then a
+    copy of F, r and u, so that [x, r] and [Xi, S] are contiguous, then m^2
+    and the raw theta2 rates g2. Row 0 of W^T reads eps = xhat - x +
+    sum_j Xi_j off F, row 1 + j reads Xi_j. The control u = Theta2^{-1}
+    (Theta1^T x + r) makes the estimator input v = Theta2 u - Theta1^T x
+    equal r up to rounding, so q and xhat are driven by r. ``projection``
+    is None when it is off. Returns the field, the initial z, the chunk
+    store and the record arrays ``_finish_indirect_trace`` takes after the
+    divergence step.
+    """
+    n, M = B.shape
+    C = n + M
+    MC = M * C
+    K = MC + M + 3  # F columns
+    cxm, cxh, cx = MC + M, MC + M + 1, MC + M + 2
+    nK = n * K
+    N = nK + MC
+    F0 = n * (M + 1)
+    R0 = F0 + nK
+    U0 = R0 + M
+    width = U0 + 2 * M + 1
 
-    z = np.concatenate([x0, xm0, xhat0, np.zeros(n * M * C), np.zeros(n * M),
-                        P0.ravel()])
+    # one constant map advances every linear state, given r and u
+    L = np.zeros((nK, nK + 2 * M))
+    for j in range(M):
+        for c in range(C):
+            k = j * C + c
+            block(L, n, k, k, Am)
+            if c < n:
+                L[k * n:(k + 1) * n, cx * n + c] = -Bm[:, j]
+            else:
+                L[k * n:(k + 1) * n, nK + M + c - n] = Bm[:, j]
+        block(L, n, MC + j, MC + j, Am)
+        L[(MC + j) * n:(MC + j + 1) * n, nK + j] = Bm[:, j]
+    for c in (cxm, cxh):
+        block(L, n, c, c, Am)
+        L[c * n:(c + 1) * n, nK:nK + M] = Bm
+    block(L, n, cx, cx, A)
+    L[cx * n:, nK + M:] = B
+
+    # S^T eps -> dP, with the diagonal-Theta2 mask folded in
+    G = np.zeros((MC, MC))
+    for j in range(M):
+        for c in range(C):
+            if not (M > 1 and c >= n and c - n != j):
+                G[j * C + c, j * C:(j + 1) * C] = gains.Gamma[j][c]
+
+    # W^T is shared scratch; its theta_j blocks are a strided (M, C) view,
+    # and the eps row reads all of P at once
+    WTbuf = np.zeros((M + 1) * K + MC)
+    WT = WTbuf[:(M + 1) * K].reshape(M + 1, K)
+    WTP = WTbuf[K:K + M * (K + C)].reshape(M, K + C)[:, :C]
+    WT0P = WT[0, :MC].reshape(M, C)
+    for j in range(M):
+        WT[1 + j, MC + j] = -1.0
+    WT[0, MC:MC + M] = -1.0
+    WT[0, cxh], WT[0, cx] = 1.0, -1.0
+    # [Theta1 | I], so that one product with [x, r] gives Theta2 u
+    Kx = np.zeros((M, C))
+    Kx[:, n:] = np.eye(M)
+    Kx1 = Kx[:, :n]
+    epsb = np.empty(n)
+    ab = np.empty(MC)
+    floor_l = (floor - 1e-15).tolist()
+    if projection is not None:
+        signs_l = projection.signs.tolist()
+        edge_l = (projection.theta2_lower + 1e-12).tolist()
+    th2_of_P = slice(n, MC, C + 1)  # theta2 in P, flattened
+
+    def views(row):
+        # the multi-input normalizer includes the xi energy
+        H = row[n:F0 + n * MC] if M > 1 else row[F0:F0 + n * MC]
+        return (row[F0:R0], row[R0:U0], row[U0:U0 + M],
+                row[F0 + n * (K - 1):U0], row[F0:U0 + M],
+                row[:F0].reshape(M + 1, n), row[F0:R0].reshape(K, n), H.dot,
+                H, row[F0:F0 + n * MC].reshape(MC, n).dot, row[:n],
+                row[U0 + M:U0 + M + 1], row[U0 + M + 1:],
+                row[F0 + n * cx:R0])
+
+    # bound .dot methods skip the __array_function__ dispatch of np.dot
+    Ldot, Gdot, WTdot, Kxdot = L.dot, G.dot, WT.dot, Kx.dot
+    scale, div, empty = np.multiply, np.divide, np.empty
+
+    def f(y, r, v):
+        Fw, rw, u, xr, lin, XE, FT, Hdot, H, STdot, eps, m2w, g2w, _ = v
+        Py = y[nK:]
+        P = Py.reshape(M, C)
+        theta2 = Py[th2_of_P]
+        th2 = theta2.tolist()
+        for t, lo in zip(th2, floor_l):
+            if abs(t) < lo:
+                raise SingularGainError(
+                    f"theta2 diagonal {theta2} below the invertibility "
+                    "threshold")
+        Fw[...] = y[:nK]
+        rw[...] = r
+        Kx1[...] = P[:, :n]
+        Kxdot(xr, u)
+        div(u, theta2, u)
+        WTP[...] = P
+        WT0P[...] = P
+        WTdot(FT, XE)
+        m2 = 1.0 + float(Hdot(H))
+        m2w[0] = m2
+        scale(eps, -1.0 / m2, epsb)
+        STdot(epsb, ab)
+        dz = empty(N)
+        dP = dz[nK:]
+        Gdot(ab, dP)
+        if projection is not None:
+            g2 = dP[th2_of_P]
+            g2w[...] = g2
+            if any(s * t <= e and s * g < 0.0 for s, t, e, g
+                   in zip(signs_l, th2, edge_l, g2.tolist())):
+                g2 += _ct_projection_rate(theta2, g2w, projection)
+        Ldot(lin, dz[:nK])
+        return dz
+
+    def probe(v):
+        u, m2w, x = v[2], v[11], v[13]
+        return math.isfinite(float(m2w[0]) + float(x.dot(x))
+                             + float(u.dot(u)))
+
+    z = np.zeros(N)
+    z[cxm * n:(cxm + 1) * n] = xm0
+    z[cxh * n:(cxh + 1) * n] = xhat0
+    z[cx * n:nK] = x0
+    z[nK:] = P.ravel()
+
     T1 = horizon + 1
     rec_x = np.empty((T1, n)); rec_xm = np.empty((T1, n)); rec_e = np.empty((T1, n))
     rec_u = np.empty((T1, M)); rec_eps = np.empty((T1, n)); rec_m = np.empty(T1)
     rec_th = np.empty((T1, C, M)); rec_xh = np.empty((T1, n))
     rec_g2 = np.zeros((T1, M)); rec_f2 = np.zeros((T1, M))
     rec_fired = np.zeros(T1, dtype=bool)
-    diverged_at = None
-    with np.errstate(all="ignore"):
-        for k in range(T1):
-            tau = k * h
-            x, xm, xh, S, q, P, r, Xi, eps, m2, theta2, u = readout(tau, z)
-            if not math.isfinite(m2 + float(np.dot(x, x)) + float(np.dot(u, u))):
-                diverged_at = k
-                break
-            rec_x[k] = x; rec_xm[k] = xm; rec_e[k] = x - xm; rec_u[k] = u
-            rec_eps[k] = eps; rec_m[k] = math.sqrt(m2)
-            rec_th[k] = P.T; rec_xh[k] = xh
-            if proj_on:
-                g2 = (-(Gbd @ (S.T @ eps)).reshape(M, C) / m2).ravel()[diag_flat]
-                f2 = _ct_projection_rate(theta2, g2, projection)
-                rec_g2[k] = g2; rec_f2[k] = f2
-                rec_fired[k] = bool(np.any(f2 != 0.0))
-            if k == horizon:
-                break
-            try:
-                z = integrate_ct(rhs, z, h, t=tau, method=method)
-            except NumericsError:
-                diverged_at = k + 1
-                break
-            if proj_on:
-                _clamp_theta2(z[sl_P].reshape(M, C)[:, n:], projection)
+    th_at = width + nK + np.array([[j * C + c for j in range(M)]
+                                   for c in range(C)])
+    th2_at = width + nK + np.arange(n, MC, C + 1)
 
-    return _finish_indirect_trace(plant, ref, gains, horizon, h, CONTINUOUS,
-                                  diverged_at, rec_x, rec_xm, rec_e, rec_u,
-                                  rec_eps, rec_m, rec_th, rec_xh, rec_g2,
-                                  rec_f2, rec_fired)
+    def store(rows, t0):
+        sl = slice(t0, t0 + rows.shape[0])
+        rec_x[sl] = rows[:, F0 + cx * n:R0]
+        rec_xm[sl] = rows[:, F0 + cxm * n:F0 + cxh * n]
+        rec_xh[sl] = rows[:, F0 + cxh * n:F0 + cx * n]
+        np.subtract(rec_x[sl], rec_xm[sl], out=rec_e[sl])
+        rec_u[sl] = rows[:, U0:U0 + M]
+        rec_eps[sl] = rows[:, :n]
+        np.sqrt(rows[:, U0 + M], out=rec_m[sl])
+        rec_th[sl] = rows[:, th_at]
+        if projection is not None:
+            rec_g2[sl] = rows[:, U0 + M + 1:width]
+            rec_f2[sl] = _ct_projection_rate(rows[:, th2_at], rec_g2[sl],
+                                             projection)
+            np.any(rec_f2[sl] != 0.0, axis=1, out=rec_fired[sl])
+
+    return Field(f, views, width, probe), z, store, (
+        rec_x, rec_xm, rec_e, rec_u, rec_eps, rec_m, rec_th, rec_xh, rec_g2,
+        rec_f2, rec_fired)
 
 
 def _maybe_indirect_V(plant, ref, gains, rec_theta, rec_eps, rec_m):

@@ -15,8 +15,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import _ctloop
+from ._ctloop import Field
 from .diagnostics import SimulationTrace
-from .direct import InitialConditions, stack_controller_gains
+from .direct import InitialConditions
 from .errors import GainError, ModelError, NumericsError
 from .indirect import (ProjectionConfig, _clamp_theta2, _ct_projection_rate,
                        check_projection_start, stack_plant_estimate,
@@ -216,31 +218,47 @@ def update_lyapunov_indirect_ct(Theta1, Theta2, e_x, x, u, P, B_m,
 
 @dataclass
 class LyapunovLoop:
-    """Packed closed-loop system for one Lyapunov scheme: the joint rhs,
-    state packing helpers, the certificate, and a V evaluator (None when the
-    scenario is not matchable)."""
+    """Packed closed-loop system for one Lyapunov scheme: the fused field
+    over the packed state and the joint rhs wrapping it, ``pack``,
+    ``columns(rows)`` (the x, x_m, xhat, u and theta columns of finished
+    chunk rows, xhat None for the direct scheme), the certificate, and V of
+    one packed state and ``V_series(x, x_m, xhat, theta)`` along records
+    (both None when the scenario is not matchable)."""
 
     mode: str
     n: int
     M: int
     ct: LyapunovCertificate
+    field: Field
     rhs: Callable
     pack: Callable
-    unpack: Callable
+    columns: Callable
     V: Optional[Callable]
+    V_series: Optional[Callable]
 
 
 def build_lyapunov_loop(plant: PlantModel, ref: ReferenceModel,
                         signal: ReferenceSignal, mode: str, gains,
                         projection: ProjectionConfig | None = None,
                         Q=None) -> LyapunovLoop:
-    """Assemble the joint closed-loop right-hand side for simulation or for
-    single-step probing (h-refinement checks use it directly)."""
+    """Assemble the joint closed loop for simulation or for single-step
+    probing (h-refinement checks use ``rhs`` directly).
+
+    z holds the linear states [x_m, x] (direct) or [x_m, xhat, x]
+    (indirect), then theta = [K1; K2^T] or [Theta1; Theta2^T] row by row.
+    The work row holds a copy of the linear states, then r and u, so that
+    [x, r] is contiguous; one constant matrix advances every linear state
+    given r and u, and the estimate rates are outer products of two short
+    vectors. In the indirect scheme u = Theta2^{-1} (Theta1^T x + r) makes
+    the estimator input Theta2 u - Theta1^T x equal r up to rounding, so
+    xhat is driven by r.
+    """
     if plant.time_domain != CONTINUOUS or ref.time_domain != CONTINUOUS:
         raise ModelError("Lyapunov schemes are continuous-time only")
     if mode not in ("direct", "indirect"):
         raise ModelError(f"unknown Lyapunov mode {mode!r}")
     n, M = plant.n, plant.n_inputs
+    C = n + M
     Qm = np.eye(n) if Q is None else np.asarray(Q, float)
     cert = solve_lyapunov_ct(ref.A_m, Qm)
     P = cert.P
@@ -251,6 +269,27 @@ def build_lyapunov_loop(plant: PlantModel, ref: ReferenceModel,
         matchable = match.matchable()
     except ModelError:
         match, matchable = None, False
+
+    nF = 2 * n if mode == "direct" else 3 * n  # linear states
+    N = nF + C * M
+    X0 = nF - n  # x is the last linear state
+    R0, U0 = nF, nF + M
+    # one constant map advances every linear state, given r and u
+    L = np.zeros((nF, nF + 2 * M))
+    for c in range(0, X0, n):  # x_m, and xhat driven by r
+        L[c:c + n, c:c + n] = Am
+        L[c:c + n, R0:U0] = Bm
+    L[X0:, X0:nF] = A
+    L[X0:, U0:] = B
+    th_at = np.arange(C * M).reshape(C, M)
+    Ldot = L.dot
+    scale, add, div, isfinite, empty, zeros = (np.multiply, np.add,
+                                               np.divide, np.isfinite,
+                                               np.empty, np.zeros)
+
+    def probe(v):
+        x, u = v[-1], v[2]
+        return bool(isfinite(x).all()) and bool(isfinite(u).all())
 
     if mode == "direct":
         if gains.S_p is None and M > 1:
@@ -263,105 +302,156 @@ def build_lyapunov_loop(plant: PlantModel, ref: ReferenceModel,
                 raise GainError("K2* S_p is not symmetric positive definite")
             Msinv = np.linalg.inv(Ms)
 
-        sl_x = slice(0, n)
-        sl_xm = slice(n, 2 * n)
-        sl_K1 = slice(2 * n, 2 * n + n * M)
-        sl_K2 = slice(sl_K1.stop, sl_K1.stop + M * M)
+        # d theta = outer(Gd omega, -w): w = S_p^T B_m^T P e, Gd = I
+        # (multi-input), or w = sign(k2) e^T P b_m, Gd = diag(Gamma, gamma)
+        Gd = np.eye(C)
+        if gains.S_p is not None:
+            Wp = gains.S_p.T @ Bm.T @ P
+        else:
+            Wp = gains.sign_k2 * (P @ Bm[:, 0])[None, :]
+            Gd[:n, :n] = gains.Gamma
+            Gd[n, n] = gains.gamma
+        Wn = np.hstack([Wp, -Wp])  # on [x_m, x]
+        Gddot, Wndot = Gd.dot, Wn.dot
+        width = U0 + M + C + M
 
-        def unpack(z):
-            return (z[sl_x], z[sl_xm], z[sl_K1].reshape(n, M),
-                    z[sl_K2].reshape(M, M))
+        def views(row):
+            gv, wv = row[U0 + M:U0 + M + C], row[U0 + M + C:]
+            return (row[:nF], row[R0:U0], row[U0:U0 + M], row[X0:U0],
+                    row[:U0 + M], gv, gv[:, None], wv, wv[None, :],
+                    row[X0:nF])
+
+        def f(y, r, v):
+            Fw, rw, u, om, lin, gv, gcol, wv, wrow, _ = v
+            Fw[...] = y[:nF]
+            rw[...] = r
+            om.dot(y[nF:].reshape(C, M), u)
+            Gddot(om, gv)
+            Wndot(Fw, wv)
+            dz = empty(N)
+            Ldot(lin, dz[:nF])
+            scale(gcol, wrow, dz[nF:].reshape(C, M))
+            return dz
 
         def pack(x, xm, K1, K2):
-            return np.concatenate([np.asarray(x, float).reshape(n),
-                                   np.asarray(xm, float).reshape(n),
+            return np.concatenate([np.asarray(xm, float).reshape(n),
+                                   np.asarray(x, float).reshape(n),
                                    np.asarray(K1, float).reshape(n * M),
-                                   np.atleast_2d(np.asarray(K2, float)).reshape(M * M)])
+                                   np.atleast_2d(np.asarray(K2, float)).T.reshape(M * M)])
 
-        def rhs(tau, z):
-            x, xm, K1, K2 = unpack(z)
-            r = signal.at(tau)
-            u = K1.T @ x + K2 @ r
-            e = x - xm
-            dK1, dK2 = lyapunov_direct_derivatives(K1, K2, e, x, r, P, Bm, gains)
-            dx = A @ x + B @ u
-            dxm = Am @ xm + Bm @ r
-            return np.concatenate([dx, dxm, dK1.ravel(), dK2.ravel()])
+        def columns(rows):
+            return (rows[:, X0:nF], rows[:, :n], None,
+                    rows[:, U0:U0 + M], rows[:, width + nF + th_at])
 
-        V = None
+        V_series = None
         if matchable:
-            def V(z):
-                x, xm, K1, K2 = unpack(z)
-                e = x - xm
-                base = float(e @ (P @ e))
-                dK1 = K1 - match.K1
-                dK2 = K2 - match.K2
-                if gains.S_p is not None:
-                    return base + float(np.trace(dK1 @ Msinv @ dK1.T)) \
-                        + float(np.trace(dK2.T @ Msinv @ dK2))
+            K1s, K2sT = match.K1, match.K2.T
+            if gains.S_p is None:
+                Ginv = np.linalg.inv(gains.Gamma)
                 k2s = abs(match.k2)
-                t1 = float(dK1[:, 0] @ np.linalg.solve(gains.Gamma, dK1[:, 0]))
-                return base + (t1 + float(dK2[0, 0]) ** 2 / gains.gamma) / k2s
 
-        return LyapunovLoop(mode=mode, n=n, M=M, ct=cert, rhs=rhs,
-                            pack=pack, unpack=unpack, V=V)
+            def V_series(x, xm, xh, theta):
+                e = x - xm
+                base = np.einsum("ti,ij,tj->t", e, P, e)
+                d1 = theta[:, :n] - K1s
+                d2 = theta[:, n:] - K2sT  # (K2 - K2*)^T
+                if gains.S_p is not None:
+                    return (base + np.einsum("tia,ab,tib->t", d1, Msinv, d1)
+                            + np.einsum("tja,ab,tjb->t", d2, Msinv, d2))
+                t1 = np.einsum("ti,ij,tj->t", d1[:, :, 0], Ginv, d1[:, :, 0])
+                return base + (t1 + d2[:, 0, 0] ** 2 / gains.gamma) / k2s
 
-    # indirect
-    proj_on = projection is not None and projection.enabled
-    sl_x = slice(0, n)
-    sl_xm = slice(n, 2 * n)
-    sl_xh = slice(2 * n, 3 * n)
-    sl_T1 = slice(3 * n, 3 * n + n * M)
-    sl_T2 = slice(sl_T1.stop, sl_T1.stop + M * M)
+    else:
+        proj_on = projection is not None and projection.enabled
+        G1 = gains.Gamma1
+        G1dot = G1.dot
+        standard = gains.theta1_law == "standard"
+        negG2 = -np.diag(gains.Gamma2)
+        Wp = Bm.T @ P
+        Wc = np.hstack([np.zeros((M, n)), Wp, -Wp])  # on [x_m, xhat, x]
+        Wcdot = Wc.dot
+        if proj_on:
+            signs_l = projection.signs.tolist()
+            edge_l = (projection.theta2_lower + 1e-12).tolist()
+        th2_of = slice(nF + n * M, N, M + 1)  # theta2 in z
+        width = U0 + M + 3 * M + n
 
-    def unpack(z):
-        return (z[sl_x], z[sl_xm], z[sl_xh], z[sl_T1].reshape(n, M),
-                z[sl_T2].reshape(M, M))
+        def views(row):
+            wv, g1, g = (row[U0 + M:U0 + 2 * M], row[U0 + 2 * M:U0 + 3 * M],
+                         row[U0 + 3 * M:U0 + 4 * M])
+            x = row[X0:nF]
+            d1 = row[U0 + 4 * M:]
+            return (row[:nF], row[R0:U0], row[U0:U0 + M], row[:U0 + M],
+                    wv, wv[None, :], g1, g1[None, :], g, d1, d1[:, None],
+                    x[:, None], x)
 
-    def pack(x, xm, T1, T2, xh):
-        return np.concatenate([np.asarray(x, float).reshape(n),
-                               np.asarray(xm, float).reshape(n),
-                               np.asarray(xh, float).reshape(n),
-                               np.asarray(T1, float).reshape(n * M),
-                               np.atleast_2d(np.asarray(T2, float)).reshape(M * M)])
+        def f(y, r, v):
+            Fw, rw, u, lin, wv, wrow, g1, g1row, g, d1, d1col, xcol, x = v
+            Fw[...] = y[:nF]
+            rw[...] = r
+            theta2 = y[th2_of]
+            x.dot(y[nF:nF + n * M].reshape(n, M), u)
+            add(u, rw, u)
+            div(u, theta2, u)
+            Wcdot(Fw, wv)
+            dz = zeros(N)
+            Ldot(lin, dz[:nF])
+            dT1 = dz[nF:nF + n * M].reshape(n, M)
+            if standard:
+                G1dot(x, d1)
+                scale(d1col, wrow, dT1)
+            else:
+                G1dot(wv, g1)
+                scale(xcol, g1row, dT1)
+            scale(negG2, wv, g)
+            g2 = dz[th2_of]
+            scale(g, u, g2)
+            if proj_on and any(
+                    s * t <= e and s * d < 0.0 for s, t, e, d
+                    in zip(signs_l, theta2.tolist(), edge_l, g2.tolist())):
+                g2 += _ct_projection_rate(theta2, g2.copy(), projection)
+            return dz
 
-    def control(x, r, T1, T2):
-        theta2 = np.diag(T2)
-        return (T1.T @ x + r) / theta2
+        def pack(x, xm, T1, T2, xh):
+            return np.concatenate([np.asarray(xm, float).reshape(n),
+                                   np.asarray(xh, float).reshape(n),
+                                   np.asarray(x, float).reshape(n),
+                                   np.asarray(T1, float).reshape(n * M),
+                                   np.atleast_2d(np.asarray(T2, float)).T.reshape(M * M)])
 
-    def rhs(tau, z):
-        x, xm, xh, T1, T2 = unpack(z)
-        r = signal.at(tau)
-        u = control(x, r, T1, T2)
-        e_x = xh - x
-        dT1, dT2 = lyapunov_indirect_derivatives(T1, T2, e_x, x, u, P, Bm,
-                                                 gains, projection)
-        dxh = Am @ xh + Bm @ (T2 @ u - T1.T @ x)
-        dx = A @ x + B @ u
-        dxm = Am @ xm + Bm @ r
-        return np.concatenate([dx, dxm, dxh, dT1.ravel(), dT2.ravel()])
+        def columns(rows):
+            return (rows[:, X0:nF], rows[:, :n], rows[:, n:2 * n],
+                    rows[:, U0:U0 + M], rows[:, width + nF + th_at])
+
+        V_series = None
+        if matchable:
+            theta_star = theta_star_indirect(match.K1, match.K2)
+            G1inv = np.linalg.inv(gains.Gamma1)
+            G2inv = np.linalg.inv(gains.Gamma2)
+
+            def V_series(x, xm, xh, theta):
+                e = xh - x
+                base = np.einsum("ti,ij,tj->t", e, P, e)
+                d = theta - theta_star
+                d1, d2 = d[:, :n], d[:, n:]  # d2 = (Theta2 - Theta2*)^T
+                if standard:
+                    t1 = np.einsum("tia,ij,tja->t", d1, G1inv, d1)
+                else:
+                    t1 = np.einsum("tia,ab,tib->t", d1, G1inv, d1)
+                return (base + t1
+                        + np.einsum("tai,ij,taj->t", d2, G2inv, d2))
 
     V = None
-    if matchable:
-        theta_star = theta_star_indirect(match.K1, match.K2)
-        T1s = theta_star[:n]
-        T2s = theta_star[n:].T
-
+    if V_series is not None:
         def V(z):
-            x, _xm, xh, T1, T2 = unpack(z)
-            e_x = xh - x
-            base = float(e_x @ (P @ e_x))
-            d1 = T1 - T1s
-            d2 = T2 - T2s
-            if gains.theta1_law == "standard":
-                t1 = float(np.trace(d1.T @ np.linalg.solve(gains.Gamma1, d1)))
-            else:
-                t1 = float(np.trace(d1 @ np.linalg.solve(gains.Gamma1, d1.T)))
-            t2 = float(np.trace(d2.T @ np.linalg.solve(gains.Gamma2, d2)))
-            return base + t1 + t2
+            # xhat is z[n:2n] in the indirect layout; the direct V ignores it
+            return float(V_series(z[None, X0:nF], z[None, :n],
+                                  z[None, n:2 * n],
+                                  z[nF:].reshape(1, C, M))[0])
 
-    return LyapunovLoop(mode="indirect", n=n, M=M, ct=cert, rhs=rhs,
-                        pack=pack, unpack=unpack, V=V)
+    field = Field(f, views, width, probe)
+    return LyapunovLoop(mode=mode, n=n, M=M, ct=cert, field=field,
+                        rhs=field.rhs(signal), pack=pack, columns=columns, V=V, V_series=V_series)
 
 
 def run_lyapunov_scenario(plant: PlantModel, ref: ReferenceModel,
@@ -386,10 +476,11 @@ def run_lyapunov_scenario(plant: PlantModel, ref: ReferenceModel,
     x0, xm0, theta0, _, xhat0 = init.resolved(n, C, M)
     T1blk = theta0[:n]
     T2blk = theta0[n:].T
+    proj_on = projection is not None and projection.enabled
     if mode == "indirect":
         if M > 1:
             T2blk = T2blk * np.eye(M)
-        if projection is not None and projection.enabled:
+        if proj_on:
             check_projection_start(stack_plant_estimate(T1blk, T2blk), projection)
         z = loop.pack(x0, xm0, T1blk, T2blk, xhat0)
     else:
@@ -399,56 +490,42 @@ def run_lyapunov_scenario(plant: PlantModel, ref: ReferenceModel,
     rec_x = np.empty((T1, n)); rec_xm = np.empty((T1, n)); rec_e = np.empty((T1, n))
     rec_u = np.empty((T1, M)); rec_th = np.empty((T1, C, M))
     rec_xh = np.empty((T1, n)) if mode == "indirect" else None
-    rec_V = np.full(T1, np.nan)
-    diverged_at = None
 
-    with np.errstate(all="ignore"):
-        for k in range(T1):
-            tau = k * h
-            if mode == "direct":
-                x, xm, K1, K2 = loop.unpack(z)
-                r = signal.at(tau)
-                u = K1.T @ x + K2 @ r
-                theta_now = stack_controller_gains(K1, K2)
-            else:
-                x, xm, xh, Tb1, Tb2 = loop.unpack(z)
-                r = signal.at(tau)
-                u = (Tb1.T @ x + r) / np.diag(Tb2)
-                theta_now = stack_plant_estimate(Tb1, Tb2)
-                rec_xh[k] = xh
-            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(u))):
-                diverged_at = k
-                break
-            rec_x[k] = x; rec_xm[k] = xm; rec_e[k] = x - xm; rec_u[k] = u
-            rec_th[k] = theta_now
-            if loop.V is not None:
-                rec_V[k] = loop.V(z)
-            if k == horizon:
-                break
-            try:
-                z = integrate_ct(loop.rhs, z, h, t=tau, method=method)
-            except NumericsError:
-                diverged_at = k + 1
-                break
-            if mode == "indirect" and projection is not None and projection.enabled:
-                _clamp_theta2(z[3 * n + n * M:].reshape(M, M), projection)
+    def store(rows, t0):
+        sl = slice(t0, t0 + rows.shape[0])
+        x, xm, xh, u, theta = loop.columns(rows)
+        rec_x[sl] = x; rec_xm[sl] = xm; rec_u[sl] = u; rec_th[sl] = theta
+        np.subtract(x, xm, out=rec_e[sl])
+        if xh is not None:
+            rec_xh[sl] = xh
+
+    after_step = None
+    if mode == "indirect" and proj_on:
+        def after_step(z):
+            _clamp_theta2(z[-M * M:].reshape(M, M), projection)
+
+    diverged_at = _ctloop.run(loop.field, z, signal, horizon, h, method,
+                              integrate_ct, store, after_step)
 
     steps = (horizon + 1) if diverged_at is None else diverged_at
     sl = slice(0, steps)
-    V = rec_V[sl].copy() if loop.V is not None else None
-    dV = None
-    if V is not None:
+    V = dV = None
+    if loop.V_series is not None:
+        V = loop.V_series(rec_x[sl], rec_xm[sl],
+                          rec_xh[sl] if rec_xh is not None else None,
+                          rec_th[sl])
         dV = np.full(steps, np.nan)
         if steps > 1:
             dV[:-1] = np.diff(V)
+    # the records belong to this run alone, so the trace keeps views of
+    # them rather than a second copy
     trace = SimulationTrace(
         scheme=f"lyapunov_{mode}", time_domain=CONTINUOUS, horizon=horizon,
         dt=h, t=np.arange(steps, dtype=float) * h,
-        x=rec_x[sl].copy(), x_m=rec_xm[sl].copy(), e=rec_e[sl].copy(),
-        u=rec_u[sl].copy(),
+        x=rec_x[sl], x_m=rec_xm[sl], e=rec_e[sl], u=rec_u[sl],
         eps=np.full((steps, n), np.nan), m=np.full(steps, np.nan),
-        theta=rec_th[sl].copy(),
-        x_hat=rec_xh[sl].copy() if rec_xh is not None else None,
+        theta=rec_th[sl],
+        x_hat=rec_xh[sl] if rec_xh is not None else None,
         V=V, dV=dV,
         proj_fired=np.zeros(steps, dtype=bool),
         diverged=diverged_at is not None, diverged_at=diverged_at,

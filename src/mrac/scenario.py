@@ -25,7 +25,7 @@ from .errors import ConfigError, GainError, ModelError, ProjectionError
 from .indirect import (IndirectGainConfig, ProjectionConfig,
                        run_indirect_scenario, theta_star_indirect)
 from .lyapunov import (LyapunovDirectGains, LyapunovIndirectGains,
-                       run_lyapunov_scenario)
+                       run_lyapunov_scenario, solve_lyapunov_ct)
 from .systems import (CONTINUOUS, DISCRETE, PlantModel, ReferenceModel,
                       ReferenceSignal, solve_matching)
 
@@ -95,6 +95,9 @@ def _matrix_or_none(data, key, errors, square=False):
     if arr.ndim != 2 or arr.size == 0:
         errors.append(f"{key}: expected a 2-D array of numbers")
         return None
+    if not np.all(np.isfinite(arr)):
+        errors.append(f"{key}: entries must be finite numbers")
+        return None
     if square and arr.shape[0] != arr.shape[1]:
         errors.append(f"{key}: must be square, got {arr.shape}")
         return None
@@ -104,6 +107,69 @@ def _matrix_or_none(data, key, errors, square=False):
 def _is_int(value) -> bool:
     # JSON true/false load as bool, which Python counts as an int
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _finite_array(value, key) -> np.ndarray:
+    """``value`` as an array of finite floats, or a ConfigError naming
+    ``key``."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError([f"{key}: expected numbers, got {value!r}"])
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError([f"{key}: entries must be finite numbers"])
+    return arr
+
+
+def _numeric_errors(section: dict, keys) -> list[str]:
+    """One message per present key of ``section`` that is not finite
+    numbers."""
+    errors = []
+    for key in keys:
+        if section.get(key) is not None:
+            try:
+                _finite_array(section[key], key)
+            except ConfigError as exc:
+                errors.extend(exc.errors)
+    return errors
+
+
+# the numeric fields of the gains and projection sections
+_GAIN_KEYS = ("Gamma", "gamma", "sign_k2", "k2_lower", "S_p", "Gamma1",
+              "Gamma2", "Q")
+_PROJECTION_KEYS = ("signs", "theta2_lower", "k2_upper")
+
+
+def _init_errors(init: dict, n: int, M: int) -> list[str]:
+    """Shape and value problems of the initial conditions on an n-state,
+    M-input plant."""
+    C = n + M
+    errors = []
+    for key in ("theta_scale", "rho_scale"):
+        value = init.get(key)
+        if value is not None and (isinstance(value, bool)
+                                  or not isinstance(value, (int, float))
+                                  or not math.isfinite(value)):
+            errors.append(f"init.{key}: expected a finite number, got {value!r}")
+    for key in ("x0", "xm0", "xhat0", "theta0", "rho0"):
+        if init.get(key) is None:
+            continue
+        try:
+            arr = _finite_array(init[key], f"init.{key}")
+        except ConfigError as exc:
+            errors.extend(exc.errors)
+            continue
+        if key == "theta0":
+            shape = arr.reshape(-1, 1).shape if arr.ndim == 1 else arr.shape
+            ok, want = shape == (C, M), f"shape ({C}, {M})"
+        elif key == "rho0":
+            ok = arr.ndim <= 1 and arr.size in (1, M)
+            want = "1 entry" if M == 1 else f"1 or {M} entries"
+        else:
+            ok, want = arr.size == n, f"{n} entries"
+        if not ok:
+            errors.append(f"init.{key}: expected {want}, got shape {arr.shape}")
+    return errors
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
@@ -159,7 +225,9 @@ def config_from_dict(data: dict) -> ScenarioConfig:
             if sig.dimension != M:
                 errors.append(
                     f"signal: dimension {sig.dimension} != input count {M}")
-        except (ModelError, ConfigError, ValueError, TypeError) as exc:
+        except ConfigError as exc:
+            errors.extend(f"signal.{err}" for err in exc.errors)
+        except (ModelError, ValueError, TypeError) as exc:
             errors.append(f"signal: {exc}")
 
     horizon = data.get("horizon")
@@ -186,17 +254,30 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         errors.append("projection: must be an object or null")
         projection = None
 
-    if projection is not None and M is not None:
+    projection_errors = (_numeric_errors(projection, _PROJECTION_KEYS)
+                         if projection is not None else [])
+    errors.extend(f"projection.{err}" for err in projection_errors)
+    if projection is not None and M is not None and not projection_errors:
         try:
             build_projection(projection, M)
         except (ProjectionError, ConfigError) as exc:
             errors.append(f"projection: {exc}")
 
-    if scheme in SCHEMES and n is not None and time_domain in (DISCRETE, CONTINUOUS):
+    gain_errors = _numeric_errors(gains, _GAIN_KEYS)
+    errors.extend(f"gains.{err}" for err in gain_errors)
+    if scheme in SCHEMES and n is not None and not gain_errors \
+            and time_domain in (DISCRETE, CONTINUOUS):
         try:
             build_gains(scheme, gains, n, M, time_domain)
         except (GainError, ConfigError) as exc:
             errors.append(f"gains: {exc}")
+    if gains.get("Q") is not None and not gain_errors \
+            and scheme in ("lyapunov_direct", "lyapunov_indirect") \
+            and ref_obj is not None:
+        try:
+            solve_lyapunov_ct(ref_obj.A_m, np.asarray(gains["Q"], float))
+        except ModelError as exc:
+            errors.append(f"gains.Q: {exc}")
 
     init = data.get("init", {})
     if not isinstance(init, dict):
@@ -204,15 +285,19 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         init = {}
     if init.get("theta_scale") is not None and init.get("theta0") is not None:
         errors.append("init: give either theta_scale or theta0, not both")
-    if init.get("theta_scale") is not None and plant_obj is not None and ref_obj is not None:
+    if n is not None:
+        errors.extend(_init_errors(init, n, M))
+    scaled = [key for key in ("theta_scale", "rho_scale")
+              if init.get(key) is not None]
+    if scaled and plant_obj is not None and ref_obj is not None:
         try:
             match = solve_matching(plant_obj, ref_obj)
             if not match.matchable():
                 errors.append(
-                    f"init.theta_scale: plant not matchable (residual {match.residual:.3g}), "
+                    f"init.{scaled[0]}: plant not matchable (residual {match.residual:.3g}), "
                     "cannot scale the true parameters")
         except ModelError as exc:
-            errors.append(f"init.theta_scale: {exc}")
+            errors.append(f"init.{scaled[0]}: {exc}")
 
     output = data.get("output", None)
     out = dict(_DEFAULT_OUTPUT)
@@ -242,18 +327,40 @@ def build_models(cfg: ScenarioConfig):
     return plant, ref
 
 
+# (field, required) per signal kind
+_SIGNAL_FIELDS = {
+    "sum_of_sinusoids": (("amplitudes", True), ("frequencies", True),
+                         ("phases", False)),
+    "constant": (("level", True),),
+    "custom": (("samples", True),),
+}
+
+
 def build_signal(spec: dict, M: int) -> ReferenceSignal:
+    """The reference input of a signal section; a missing, non-numeric or
+    non-finite field raises a ConfigError that lists every such field."""
     kind = spec.get("kind")
+    if kind not in _SIGNAL_FIELDS:
+        raise ConfigError([f"kind: unknown signal kind {kind!r}"])
+    errors, values = [], {}
+    for key, required in _SIGNAL_FIELDS[kind]:
+        if spec.get(key) is None:
+            if required:
+                errors.append(f"{key}: missing field")
+            continue
+        try:
+            values[key] = _finite_array(spec[key], key)
+        except ConfigError as exc:
+            errors.extend(exc.errors)
+    if errors:
+        raise ConfigError(errors)
     if kind == "sum_of_sinusoids":
-        amp = np.atleast_2d(np.asarray(spec["amplitudes"], float))
-        freq = np.atleast_2d(np.asarray(spec["frequencies"], float))
-        ph = spec.get("phases")
-        return ReferenceSignal.sinusoids(amp, freq, ph)
+        return ReferenceSignal.sinusoids(np.atleast_2d(values["amplitudes"]),
+                                         np.atleast_2d(values["frequencies"]),
+                                         values.get("phases"))
     if kind == "constant":
-        return ReferenceSignal.constant(spec["level"])
-    if kind == "custom":
-        return ReferenceSignal.from_samples(spec["samples"])
-    raise ConfigError([f"unknown signal kind {kind!r}"])
+        return ReferenceSignal.constant(values["level"])
+    return ReferenceSignal.from_samples(values["samples"])
 
 
 def _gamma_stack(raw, n_w: int, M: int) -> np.ndarray:

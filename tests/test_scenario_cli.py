@@ -256,6 +256,78 @@ class TestCli:
             [err] = capsys.readouterr().err.splitlines()
             assert err.startswith(f"invalid: {field}: ")
             assert err.endswith(", got True")
+        # malformed values that used to escape validation as tracebacks
+        for field, edit in [
+                ("A_m", lambda d: d["reference"]["A_m"][0].__setitem__(
+                    0, float("nan"))),
+                ("signal.level", lambda d: d.__setitem__(
+                    "signal", {"kind": "constant"})),
+                ("gains.Gamma", lambda d: d["gains"].__setitem__(
+                    "Gamma", "big")),
+                ("projection.k2_upper", lambda d: d.__setitem__(
+                    "projection", {"signs": [1.0], "k2_upper": "x"}))]:
+            data = bench_dict()
+            edit(data)
+            bad.write_text(json.dumps(data))
+            for verb in ("validate", "run"):
+                assert main([verb, str(bad)]) == 1
+                [err] = capsys.readouterr().err.splitlines()
+                assert err.startswith(f"invalid: {field}: ")
+        # every error is listed, not just the first
+        data = bench_dict()
+        data["signal"] = {"kind": "sum_of_sinusoids", "amplitudes": "loud"}
+        data["gains"] = dict(data["gains"], Gamma="big", gamma=[None])
+        bad.write_text(json.dumps(data))
+        assert main(["validate", str(bad)]) == 1
+        fields = [line.split(": ")[1]
+                  for line in capsys.readouterr().err.splitlines()]
+        assert fields == ["signal.amplitudes", "signal.frequencies",
+                          "gains.Gamma", "gains.gamma"]
+
+    @pytest.mark.parametrize("field, edit", [
+        ("init.x0", lambda d: d["init"].update(x0=[1.0])),
+        ("init.theta_scale", lambda d: d["init"].update(theta_scale="a")),
+        ("init.rho_scale", lambda d: d["init"].update(rho_scale=float("inf"))),
+        ("init.theta0", lambda d: d.__setitem__(
+            "init", {"theta0": [[1.0, 2.0]]})),
+        ("init.rho0", lambda d: d["init"].update(rho0=[1.0, 2.0])),
+        ("init.xhat0", lambda d: d["init"].update(xhat0="z")),
+        ("signal.frequencies", lambda d: d["signal"].update(
+            frequencies=[[float("nan")]])),
+        ("signal.phases", lambda d: d["signal"].update(
+            phases=[[float("inf")]])),
+        ("signal.level", lambda d: d.__setitem__(
+            "signal", {"kind": "constant", "level": [float("nan")]})),
+        ("signal.samples", lambda d: d.__setitem__(
+            "signal", {"kind": "custom", "samples": [1.0, float("nan")]})),
+    ])
+    def test_configs_that_would_crash_fail_validation(self, tmp_path, capsys,
+                                                      field, edit):
+        # each of these used to validate and then raise in run, or
+        # "diverge" at step 0
+        data = bench_dict(horizon=20)
+        edit(data)
+        self._assert_invalid(tmp_path, capsys, data, field)
+
+    def test_indefinite_lyapunov_q_fails_validation(self, tmp_path, capsys):
+        # it used to validate and then fail the run with exit 2
+        data = bench_dict(scheme="lyapunov_direct", time_domain="continuous",
+                          horizon=20)
+        data["plant"]["A"] = [[0.0, 1.0], [1.0, -1.0]]
+        data["reference"]["A_m"] = [[0.0, 1.0], [-2.0, -3.0]]
+        data["gains"] = {"Gamma": 1.0, "gamma": 1.0, "sign_k2": 1.0,
+                         "Q": [[1.0, 0.0], [0.0, -1.0]]}
+        data["init"] = {"theta_scale": 1.25}
+        self._assert_invalid(tmp_path, capsys, data, "gains.Q")
+
+    @staticmethod
+    def _assert_invalid(tmp_path, capsys, data, field):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        for verb in ("validate", "run"):
+            assert main([verb, str(bad)]) == 1
+            [err] = capsys.readouterr().err.splitlines()
+            assert err.startswith(f"invalid: {field}: ")
 
     def test_divergence_exit_code(self, tmp_path, capsys):
         # a continuous-time run with an absurd step size blows up
