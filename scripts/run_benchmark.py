@@ -7,8 +7,7 @@ decrease, and where the adaptation energy went.
 """
 
 import argparse
-
-import numpy as np
+import os
 
 from mrac import l2_accumulators, tracking_metrics
 from mrac.cli import write_trace_csv
@@ -38,9 +37,8 @@ def main():
         run = run_scenario(benchmark_config(two_tone=two_tone))
         describe(run)
         if args.out:
-            import os
             os.makedirs(args.out, exist_ok=True)
-            path = f"{args.out}/{run.config.name}.trace.csv"
+            path = os.path.join(args.out, f"{run.config.name}.trace.csv")
             write_trace_csv(run.trace, path)
             print(f"   trace -> {path}")
 

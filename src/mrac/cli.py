@@ -35,22 +35,42 @@ def trace_header(n: int, M: int) -> list[str]:
     return cols
 
 
+# rows formatted per write: the Python floats and strings of one chunk take
+# about 1 MiB at n=2, and the per-row numpy overhead is amortised over it
+TRACE_CHUNK = 1024
+
+
+def _write_rows(fh, columns, sep: str, flags=None) -> None:
+    """Write row k of the stacked ``columns`` as shortest round-trip reprs
+    joined by ``sep``, then ``sep`` and 1 or 0 when ``flags`` is given, then
+    a newline. One write per ``TRACE_CHUNK`` rows, so memory does not grow
+    with the row count."""
+    steps = len(columns[0])
+    tails = (sep + "0\n", sep + "1\n")
+    for lo in range(0, steps, TRACE_CHUNK):
+        hi = min(lo + TRACE_CHUNK, steps)
+        rows = np.column_stack([c[lo:hi] for c in columns]).tolist()
+        ends = (itertools.repeat("\n") if flags is None
+                else [tails[f] for f in flags[lo:hi].tolist()])
+        fh.write("".join([sep.join(map(repr, row)) + end
+                          for row, end in zip(rows, ends)]))
+
+
 def write_trace_csv(trace: SimulationTrace, path: str) -> None:
     """One row per recorded step, fixed column order, shortest round-trip
     float formatting (bit-exact across identical runs)."""
     n = trace.x.shape[1]
     M = trace.u.shape[1]
-    V = trace.V if trace.V is not None else np.full(trace.steps, np.nan)
-    dV = trace.dV if trace.dV is not None else np.full(trace.steps, np.nan)
+    # stride-0 stand-ins for the optional columns
+    nan = np.broadcast_to(np.nan, trace.steps)
+    V = trace.V if trace.V is not None else nan
+    dV = trace.dV if trace.dV is not None else nan
     fired = (trace.proj_fired if trace.proj_fired is not None
-             else np.zeros(trace.steps, dtype=bool))
+             else np.broadcast_to(False, trace.steps))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(trace_header(n, M)) + "\n")
-        for k in range(trace.steps):
-            vals = [trace.t[k], *trace.x[k], *trace.x_m[k], *trace.e[k],
-                    *trace.u[k], *trace.eps[k], trace.m[k], V[k], dV[k]]
-            fh.write(",".join(repr(float(v)) for v in vals))
-            fh.write("," + ("1" if fired[k] else "0") + "\n")
+        _write_rows(fh, [trace.t, trace.x, trace.x_m, trace.e, trace.u,
+                         trace.eps, trace.m, V, dV], ",", fired)
 
 
 def write_gnuplot_dat(trace: SimulationTrace, path: str) -> None:
@@ -58,9 +78,7 @@ def write_gnuplot_dat(trace: SimulationTrace, path: str) -> None:
     n = trace.x.shape[1]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# t " + " ".join(f"e_{i+1}" for i in range(n)) + "\n")
-        for k in range(trace.steps):
-            fh.write(" ".join(repr(float(v)) for v in (trace.t[k], *trace.e[k])))
-            fh.write("\n")
+        _write_rows(fh, [trace.t, trace.e], " ")
 
 
 def _emit_outputs(run: ScenarioRun, out_dir: str | None) -> None:

@@ -104,6 +104,8 @@ def _tail_fraction(values: np.ndarray, tail_frac: float) -> Optional[float]:
     return float(np.sum(values[-k:])) / total
 
 
+# a finite record can square to inf: that is its value, not an error
+@np.errstate(over="ignore", invalid="ignore")
 def summarize(trace: SimulationTrace, tail_frac: float = 0.1) -> TraceSummary:
     """Recompute the summary block from the per-step records."""
     e_norm = np.max(np.abs(trace.e), axis=1) if trace.e.size else np.zeros(0)
@@ -230,6 +232,7 @@ def _theta_error_quad(theta_series, theta_star, Ginv) -> np.ndarray:
     return np.einsum("mtw,mtw->mt", tmp, E).T
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def direct_V_series(theta_series, rho_series, theta_star, rho_star,
                     Gamma, gamma, eps_series, m_series) -> LyapunovSeries:
     """Vectorized V(t), dV(t) and decrement series for a direct-scheme run."""
@@ -247,6 +250,7 @@ def direct_V_series(theta_series, rho_series, theta_star, rho_star,
                           gamma0=gamma0_direct(Gamma, gamma, rho_star))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def indirect_V_series(theta_series, theta_star, Gamma,
                       eps_series, m_series) -> LyapunovSeries:
     """Vectorized V(t), dV(t) and decrement series for an indirect-scheme run."""

@@ -58,8 +58,9 @@ class ProjectionConfig:
             raise ProjectionError("projection signs must be +1 or -1")
         lower = np.broadcast_to(
             np.atleast_1d(np.asarray(self.theta2_lower, dtype=float)), (M,)).copy()
-        if np.any(lower <= 0.0):
-            raise ProjectionError("theta2 lower bounds must be positive")
+        if np.any(lower <= 0.0) or not np.all(np.isfinite(lower)):
+            raise ProjectionError(
+                "theta2 lower bounds must be positive and finite")
         object.__setattr__(self, "signs", signs)
         object.__setattr__(self, "theta2_lower", lower)
 
@@ -69,7 +70,10 @@ class ProjectionConfig:
         upper = np.atleast_1d(np.asarray(k2_upper, dtype=float))
         if np.any(upper <= 0.0):
             raise ProjectionError("k2 upper bounds must be positive")
-        return cls(theta2_lower=1.0 / upper, signs=signs, enabled=enabled)
+        # a subnormal bound has no finite reciprocal; __post_init__ rejects it
+        with np.errstate(over="ignore"):
+            lower = 1.0 / upper
+        return cls(theta2_lower=lower, signs=signs, enabled=enabled)
 
     @property
     def n_inputs(self) -> int:

@@ -36,6 +36,9 @@ class LyapunovCertificate:
     residual: float
 
 
+# a barely Hurwitz A_m gives a P that overflows; its residual then reads
+# inf or nan and the solve is rejected
+@np.errstate(over="ignore", invalid="ignore")
 def solve_lyapunov_ct(A_m, Q) -> LyapunovCertificate:
     """Solve P A_m + A_m^T P = -Q by Kronecker vectorization.
 
@@ -61,7 +64,7 @@ def solve_lyapunov_ct(A_m, Q) -> LyapunovCertificate:
     P = vecP.reshape(n, n)
     P = 0.5 * (P + P.T)
     residual = float(np.linalg.norm(P @ A + A.T @ P + Qm))
-    if residual > 1e-9:
+    if not residual <= 1e-9:
         raise ModelError(f"Lyapunov solve residual {residual:.3g} above 1e-9")
     if np.min(np.linalg.eigvalsh(P)) <= 0.0:
         raise ModelError("computed P is not positive definite")
@@ -511,12 +514,14 @@ def run_lyapunov_scenario(plant: PlantModel, ref: ReferenceModel,
     sl = slice(0, steps)
     V = dV = None
     if loop.V_series is not None:
-        V = loop.V_series(rec_x[sl], rec_xm[sl],
-                          rec_xh[sl] if rec_xh is not None else None,
-                          rec_th[sl])
-        dV = np.full(steps, np.nan)
-        if steps > 1:
-            dV[:-1] = np.diff(V)
+        # finite records can still square to inf; that is V's value
+        with np.errstate(over="ignore", invalid="ignore"):
+            V = loop.V_series(rec_x[sl], rec_xm[sl],
+                              rec_xh[sl] if rec_xh is not None else None,
+                              rec_th[sl])
+            dV = np.full(steps, np.nan)
+            if steps > 1:
+                dV[:-1] = np.diff(V)
     # the records belong to this run alone, so the trace keeps views of
     # them rather than a second copy
     trace = SimulationTrace(

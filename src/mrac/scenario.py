@@ -236,8 +236,9 @@ def config_from_dict(data: dict) -> ScenarioConfig:
 
     ct_step = data.get("ct_step", 0.01)
     if isinstance(ct_step, bool) or not isinstance(ct_step, (int, float)) \
-            or ct_step <= 0:
-        errors.append(f"ct_step: expected a positive number, got {ct_step!r}")
+            or not 0 < ct_step < math.inf:
+        errors.append(
+            f"ct_step: expected a positive finite number, got {ct_step!r}")
     integrator = data.get("integrator", "rk4")
     if integrator not in ("rk4", "euler"):
         errors.append(f"integrator: expected 'rk4' or 'euler', got {integrator!r}")
@@ -260,7 +261,9 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     if projection is not None and M is not None and not projection_errors:
         try:
             build_projection(projection, M)
-        except (ProjectionError, ConfigError) as exc:
+        except ConfigError as exc:
+            errors.extend(f"projection.{err}" for err in exc.errors)
+        except ProjectionError as exc:
             errors.append(f"projection: {exc}")
 
     gain_errors = _numeric_errors(gains, _GAIN_KEYS)
@@ -269,7 +272,9 @@ def config_from_dict(data: dict) -> ScenarioConfig:
             and time_domain in (DISCRETE, CONTINUOUS):
         try:
             build_gains(scheme, gains, n, M, time_domain)
-        except (GainError, ConfigError) as exc:
+        except ConfigError as exc:
+            errors.extend(f"gains.{err}" for err in exc.errors)
+        except GainError as exc:
             errors.append(f"gains: {exc}")
     if gains.get("Q") is not None and not gain_errors \
             and scheme in ("lyapunov_direct", "lyapunov_indirect") \
@@ -327,23 +332,24 @@ def build_models(cfg: ScenarioConfig):
     return plant, ref
 
 
-# (field, required) per signal kind
+# (field, required, most array dimensions) per signal kind
 _SIGNAL_FIELDS = {
-    "sum_of_sinusoids": (("amplitudes", True), ("frequencies", True),
-                         ("phases", False)),
-    "constant": (("level", True),),
-    "custom": (("samples", True),),
+    "sum_of_sinusoids": (("amplitudes", True, 2), ("frequencies", True, 2),
+                         ("phases", False, 2)),
+    "constant": (("level", True, 1),),
+    "custom": (("samples", True, 2),),
 }
 
 
 def build_signal(spec: dict, M: int) -> ReferenceSignal:
-    """The reference input of a signal section; a missing, non-numeric or
-    non-finite field raises a ConfigError that lists every such field."""
+    """The reference input of a signal section; a missing, non-numeric,
+    non-finite or too deeply nested field raises a ConfigError that lists
+    every such field."""
     kind = spec.get("kind")
     if kind not in _SIGNAL_FIELDS:
         raise ConfigError([f"kind: unknown signal kind {kind!r}"])
     errors, values = [], {}
-    for key, required in _SIGNAL_FIELDS[kind]:
+    for key, required, ndim in _SIGNAL_FIELDS[kind]:
         if spec.get(key) is None:
             if required:
                 errors.append(f"{key}: missing field")
@@ -352,6 +358,10 @@ def build_signal(spec: dict, M: int) -> ReferenceSignal:
             values[key] = _finite_array(spec[key], key)
         except ConfigError as exc:
             errors.extend(exc.errors)
+            continue
+        if values[key].ndim > ndim:
+            errors.append(f"{key}: expected at most {ndim} dimensions, "
+                          f"got shape {values[key].shape}")
     if errors:
         raise ConfigError(errors)
     if kind == "sum_of_sinusoids":
@@ -364,17 +374,63 @@ def build_signal(spec: dict, M: int) -> ReferenceSignal:
 
 
 def _gamma_stack(raw, n_w: int, M: int) -> np.ndarray:
-    if isinstance(raw, (int, float)):
-        return np.broadcast_to(float(raw) * np.eye(n_w), (M, n_w, n_w)).copy()
+    """A scalar, an (n_w, n_w) matrix or an (M, n_w, n_w) stack as the
+    stack."""
     arr = np.asarray(raw, dtype=float)
-    if arr.ndim == 2:
-        return np.broadcast_to(arr, (M, n_w, n_w)).copy()
-    if arr.ndim == 3:
-        return arr.copy()
-    raise GainError(f"Gamma: expected a scalar, matrix, or list of matrices, got shape {arr.shape}")
+    if arr.ndim == 0:
+        arr = float(arr) * np.eye(n_w)
+    return np.broadcast_to(arr, (M, n_w, n_w)).copy()
+
+
+def _shape_words(shape: tuple) -> str:
+    if not shape:
+        return "a number"
+    if len(shape) == 1:
+        return "1 entry" if shape[0] == 1 else f"{shape[0]} entries"
+    return f"shape {shape}"
+
+
+def _shape_errors(raw: dict, allowed: dict) -> list[str]:
+    """One message per present field of ``raw`` whose array shape is not
+    one of ``allowed[field]``; the shape () stands for a plain number."""
+    errors = []
+    for key, shapes in allowed.items():
+        if raw.get(key) is not None and np.shape(raw[key]) not in shapes:
+            want = " or ".join(dict.fromkeys(map(_shape_words, shapes)))
+            errors.append(
+                f"{key}: expected {want}, got shape {np.shape(raw[key])}")
+    return errors
+
+
+def _gain_shapes(scheme: str, raw: dict, n: int, M: int) -> dict:
+    """The array shapes each gain field of ``scheme`` may take on an
+    n-state, M-input plant."""
+    n_w = n + M
+    per_input = [(), (1,), (M,)]
+    if scheme in ("direct_gradient", "indirect_gradient"):
+        shapes = {"Gamma": [(), (n_w, n_w), (M, n_w, n_w)]}
+        if scheme == "direct_gradient":
+            # a sign prior per input: one sign is not spread over M inputs
+            shapes.update(gamma=per_input, k2_lower=per_input,
+                          sign_k2=[(), (1,)] if M == 1 else [(M,)])
+        return shapes
+    if scheme == "lyapunov_direct":
+        if "S_p" in raw:
+            return {"S_p": [(M, M)] if M > 1 else [(), (1,), (1, 1)]}
+        return {"Gamma": [(), (n, n)], "gamma": [()], "sign_k2": [()]}
+    side = M if raw.get("theta1_law") == "transposed" else n
+    return {"Gamma1": [(), (side, side)], "Gamma2": [(), (M, M)]}
 
 
 def build_gains(scheme: str, raw: dict, n: int, M: int, time_domain: str):
+    """The gain object of ``scheme``; a null field counts as absent, and a
+    field of the wrong shape raises a ConfigError that lists every such
+    field."""
+    raw = {key: value for key, value in raw.items() if value is not None}
+    if scheme in SCHEMES:
+        errors = _shape_errors(raw, _gain_shapes(scheme, raw, n, M))
+        if errors:
+            raise ConfigError(errors)
     n_w = n + M
     if scheme == "direct_gradient":
         # the sign and lower-bound priors are assumptions the law depends
@@ -396,8 +452,10 @@ def build_gains(scheme: str, raw: dict, n: int, M: int, time_domain: str):
         return IndirectGainConfig(Gamma=_gamma_stack(raw["Gamma"], n_w, M),
                                   time_domain=time_domain)
     if scheme == "lyapunov_direct":
-        if "S_p" in raw and raw["S_p"] is not None:
+        if "S_p" in raw:
             return LyapunovDirectGains(S_p=np.asarray(raw["S_p"], float))
+        if M > 1:
+            raise GainError("multi-input direct scheme needs S_p")
         if "sign_k2" not in raw:
             raise GainError("missing field: sign_k2 (or give S_p)")
         if isinstance(raw.get("Gamma"), (int, float)):
@@ -421,10 +479,18 @@ def build_gains(scheme: str, raw: dict, n: int, M: int, time_domain: str):
 
 
 def build_projection(raw: dict, M: int) -> Optional[ProjectionConfig]:
+    """The projection of an M-input plant; a null field counts as absent,
+    and a field of the wrong shape raises a ConfigError that lists every
+    such field."""
     if raw is None:
         return None
+    raw = {key: value for key, value in raw.items() if value is not None}
     if "signs" not in raw:
         raise ProjectionError("projection needs the sign priors ('signs')")
+    per_input = [(), (1,), (M,)]
+    errors = _shape_errors(raw, dict.fromkeys(_PROJECTION_KEYS, per_input))
+    if errors:
+        raise ConfigError(errors)
     signs = np.atleast_1d(np.asarray(raw["signs"], float))
     if signs.shape[0] == 1 and M > 1:
         signs = np.repeat(signs, M)
@@ -537,6 +603,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
                         cfg.time_domain)
     proj = build_projection(cfg.projection, plant.n_inputs) if cfg.projection else None
     init = resolve_init(cfg, plant, ref)
+    Q = cfg.gains.get("Q")
+    Q = np.asarray(Q, float) if Q is not None else None
 
     if cfg.scheme == "direct_gradient":
         trace = run_direct_scenario(plant, ref, sig, gains, init, cfg.horizon,
@@ -545,18 +613,13 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
         trace = run_indirect_scenario(plant, ref, sig, gains, proj, init,
                                       cfg.horizon, h=cfg.ct_step,
                                       method=cfg.integrator)
-    elif cfg.scheme == "lyapunov_direct":
-        trace = run_lyapunov_scenario(plant, ref, sig, "direct", gains, None,
-                                      init, cfg.horizon, h=cfg.ct_step,
-                                      method=cfg.integrator,
-                                      Q=np.asarray(cfg.gains["Q"], float)
-                                      if "Q" in cfg.gains else None)
     else:
-        trace = run_lyapunov_scenario(plant, ref, sig, "indirect", gains, proj,
-                                      init, cfg.horizon, h=cfg.ct_step,
-                                      method=cfg.integrator,
-                                      Q=np.asarray(cfg.gains["Q"], float)
-                                      if "Q" in cfg.gains else None)
+        direct = cfg.scheme == "lyapunov_direct"
+        trace = run_lyapunov_scenario(plant, ref, sig,
+                                      "direct" if direct else "indirect",
+                                      gains, None if direct else proj, init,
+                                      cfg.horizon, h=cfg.ct_step,
+                                      method=cfg.integrator, Q=Q)
 
     invariants = _invariant_report(cfg, trace, gains, plant, ref)
     if trace.diverged:

@@ -143,6 +143,9 @@ class MatchingSolution:
         return float(self.K2[0, 0])
 
 
+# a near-singular B gives gains that overflow; the residual then reads nan
+# and the plant counts as not matchable
+@np.errstate(over="ignore", invalid="ignore")
 def solve_matching(plant: PlantModel, ref: ReferenceModel, tol: float = MATCHING_TOL) -> MatchingSolution:
     """Least-squares gains matching the plant to the reference model.
 

@@ -15,6 +15,47 @@ def bench_dict(**overrides):
     return data
 
 
+def ct_dict(scheme, gains, projection=None):
+    data = bench_dict(scheme=scheme, time_domain="continuous",
+                      horizon=400, ct_step=0.01)
+    data["plant"]["A"] = [[0.0, 1.0], [1.0, -1.0]]
+    data["reference"]["A_m"] = [[0.0, 1.0], [-2.0, -3.0]]
+    data["signal"] = {"kind": "sum_of_sinusoids", "amplitudes": [[1.0]],
+                      "frequencies": [[0.5]]}
+    data["gains"] = gains
+    data["projection"] = projection
+    data["init"] = {"theta_scale": 1.25}
+    return data
+
+
+def edited(data, section, **fields):
+    """``data`` with ``fields`` set in its ``section``."""
+    data[section] = dict(data[section], **fields)
+    return data
+
+
+def mimo_dict(scheme, time_domain="discrete"):
+    """A matchable n=3, M=2 config of a gradient scheme."""
+    plant, ref, _, K2 = random_matchable_instance(3, 2, 0, time_domain)
+    k2 = np.diag(K2)
+    data = bench_dict(scheme=scheme, time_domain=time_domain, horizon=50)
+    data["plant"] = {"A": plant.A.tolist(), "B": plant.B.tolist()}
+    data["reference"] = {"A_m": ref.A_m.tolist(), "B_m": ref.B_m.tolist()}
+    data["signal"] = {"kind": "sum_of_sinusoids",
+                      "amplitudes": [[1.0], [0.8]],
+                      "frequencies": [[0.13], [0.29]]}
+    data["init"] = {"theta_scale": 1.15}
+    if scheme == "direct_gradient":
+        data["gains"] = {"Gamma": 0.2, "gamma": 1.2,
+                         "sign_k2": np.sign(k2).tolist(),
+                         "k2_lower": (0.5 * np.abs(k2)).tolist()}
+    else:
+        data["gains"] = {"Gamma": 1.0}
+        data["projection"] = {"signs": np.sign(k2).tolist(),
+                              "k2_upper": (2.0 * np.abs(k2)).tolist()}
+    return data
+
+
 class TestConfigLoading:
     def test_benchmark_round_trips(self):
         cfg = benchmark_config()
@@ -111,31 +152,19 @@ class TestRunScenario:
         assert s["tail_frac_dtheta"] < 1e-3
         assert s["invariants"]["delta_v_ok"] is True
 
-    def _ct_dict(self, scheme, gains, projection=None):
-        data = bench_dict(scheme=scheme, time_domain="continuous",
-                          horizon=400, ct_step=0.01)
-        data["plant"]["A"] = [[0.0, 1.0], [1.0, -1.0]]
-        data["reference"]["A_m"] = [[0.0, 1.0], [-2.0, -3.0]]
-        data["signal"] = {"kind": "sum_of_sinusoids", "amplitudes": [[1.0]],
-                          "frequencies": [[0.5]]}
-        data["gains"] = gains
-        data["projection"] = projection
-        data["init"] = {"theta_scale": 1.25}
-        return data
-
     def test_lyapunov_direct_through_config(self):
-        data = self._ct_dict("lyapunov_direct",
-                             {"Gamma": 1.0, "gamma": 1.0, "sign_k2": 1.0,
-                              "Q": [[2.0, 0.0], [0.0, 2.0]]})
+        data = ct_dict("lyapunov_direct",
+                       {"Gamma": 1.0, "gamma": 1.0, "sign_k2": 1.0,
+                        "Q": [[2.0, 0.0], [0.0, 2.0]]})
         run = run_scenario(config_from_dict(data))
         assert run.exit_status == 0
         assert run.invariants["v_nonincreasing_ok"] is True
         assert not run.trace.diverged
 
     def test_lyapunov_indirect_through_config(self):
-        data = self._ct_dict("lyapunov_indirect",
-                             {"Gamma1": 1.0, "Gamma2": 1.0},
-                             projection={"k2_upper": 1.0, "signs": 1.0})
+        data = ct_dict("lyapunov_indirect",
+                       {"Gamma1": 1.0, "Gamma2": 1.0},
+                       projection={"k2_upper": 1.0, "signs": 1.0})
         run = run_scenario(config_from_dict(data))
         assert run.exit_status == 0
         assert run.invariants["v_nonincreasing_ok"] is True
@@ -145,8 +174,8 @@ class TestRunScenario:
     def test_ct_gradient_runs_pass_their_invariants(self):
         # continuous time guarantees only V non-increase; the discrete
         # per-step bound with its (2 - gamma0) factor does not apply
-        data = self._ct_dict("indirect_gradient", {"Gamma": 1.0},
-                             projection={"k2_upper": 1.0, "signs": 1.0})
+        data = ct_dict("indirect_gradient", {"Gamma": 1.0},
+                       projection={"k2_upper": 1.0, "signs": 1.0})
         runs = [run_scenario(config_from_dict(data))]
         plant, ref, _, K2 = random_matchable_instance(3, 2, 1, "continuous")
         k2 = np.diag(K2)
@@ -283,6 +312,40 @@ class TestCli:
                   for line in capsys.readouterr().err.splitlines()]
         assert fields == ["signal.amplitudes", "signal.frequencies",
                           "gains.Gamma", "gains.gamma"]
+        # gain and projection vectors of the wrong shape, each of which used
+        # to raise in validate or in run
+        lyap_ind = lambda: ct_dict(
+            "lyapunov_indirect", {"Gamma1": 1.0, "Gamma2": 1.0},
+            projection={"k2_upper": 1.0, "signs": 1.0})
+        for field, data in [
+                ("gains.sign_k2", edited(mimo_dict("direct_gradient"),
+                                         "gains", sign_k2=[1.0])),
+                ("projection.k2_upper", edited(mimo_dict("indirect_gradient"),
+                                               "projection", k2_upper=[])),
+                ("gains.Gamma1", edited(lyap_ind(), "gains", Gamma1=[])),
+                ("gains.Gamma1", edited(lyap_ind(), "gains", Gamma1=[[1.0]],
+                                        Gamma2=[[1.0]])),
+                ("gains.gamma", ct_dict("lyapunov_direct", {
+                    "Gamma": 1.0, "gamma": [1.0], "sign_k2": 1.0})),
+                ("projection.signs", ct_dict(
+                    "indirect_gradient", {"Gamma": 1.0},
+                    projection={"k2_upper": 1.0, "signs": []}))]:
+            bad.write_text(json.dumps(data))
+            for verb in ("validate", "run"):
+                assert main([verb, str(bad)]) == 1
+                [err] = capsys.readouterr().err.splitlines()
+                assert err.startswith(f"invalid: {field}: ")
+        # every shape error is listed
+        data = mimo_dict("direct_gradient")
+        data["gains"].update(sign_k2=[1.0], k2_lower=[1.0, 1.0, 1.0],
+                             gamma=[[1.2]])
+        data["projection"] = {"signs": [], "theta2_lower": [1.0, 1.0, 1.0]}
+        bad.write_text(json.dumps(data))
+        assert main(["validate", str(bad)]) == 1
+        fields = [line.split(": ")[1]
+                  for line in capsys.readouterr().err.splitlines()]
+        assert fields == ["projection.signs", "projection.theta2_lower",
+                          "gains.gamma", "gains.k2_lower", "gains.sign_k2"]
 
     @pytest.mark.parametrize("field, edit", [
         ("init.x0", lambda d: d["init"].update(x0=[1.0])),
@@ -300,6 +363,12 @@ class TestCli:
             "signal", {"kind": "constant", "level": [float("nan")]})),
         ("signal.samples", lambda d: d.__setitem__(
             "signal", {"kind": "custom", "samples": [1.0, float("nan")]})),
+        ("signal.amplitudes", lambda d: d["signal"].update(
+            amplitudes=[[[1.0]]])),
+        ("ct_step", lambda d: d.update(ct_step=float("inf"))),
+        # a subnormal bound has no finite reciprocal
+        ("projection", lambda d: d.__setitem__(
+            "projection", {"signs": 1.0, "k2_upper": 5e-324})),
     ])
     def test_configs_that_would_crash_fail_validation(self, tmp_path, capsys,
                                                       field, edit):
@@ -319,6 +388,44 @@ class TestCli:
                          "Q": [[1.0, 0.0], [0.0, -1.0]]}
         data["init"] = {"theta_scale": 1.25}
         self._assert_invalid(tmp_path, capsys, data, "gains.Q")
+        # a barely Hurwitz A_m makes P overflow; it used to warn
+        data["gains"]["Q"] = [[2.0, 0.0], [0.0, 2.0]]
+        data["reference"]["A_m"] = [[0.0, 1.0], [-2.0, -1e-308]]
+        self._assert_invalid(tmp_path, capsys, data, "gains.Q")
+
+    def test_near_singular_plant_is_not_matchable(self, tmp_path, capsys):
+        # the matching gains of this B overflow; it used to warn
+        data = bench_dict(horizon=20)
+        data["plant"]["B"] = [[0.0], [-1e-308]]
+        self._assert_invalid(tmp_path, capsys, data, "init.theta_scale")
+
+    def test_null_gain_fields_count_as_absent(self, tmp_path, capsys):
+        gains = {"Gamma": 1.0, "gamma": None, "sign_k2": 1.0}
+        path = tmp_path / "lyap.json"
+        path.write_text(json.dumps(dict(ct_dict("lyapunov_direct", gains),
+                                        horizon=20)))
+        assert main(["run", str(path)]) == 0
+        capsys.readouterr()
+        gains.update(gamma=1.0, sign_k2=None)
+        self._assert_invalid(tmp_path, capsys,
+                             ct_dict("lyapunov_direct", gains), "gains")
+
+    def test_huge_finite_records_do_not_warn(self, tmp_path, capsys):
+        # V and the summary square records that are finite but near the
+        # overflow edge; the run reports divergence, and a numpy warning
+        # would fail the suite
+        data = ct_dict("indirect_gradient", {"Gamma": 1.0},
+                       projection={"signs": 1.0, "k2_upper": 1.0})
+        stiff = ct_dict("lyapunov_indirect", {"Gamma1": 1.0, "Gamma2": 1.0},
+                        projection={"signs": 1.0, "k2_upper": 1.0})
+        stiff["plant"]["A"] = [[0.0, 1.0], [1.0, -999999.0]]
+        stiff["signal"]["frequencies"] = 943537.6684347435
+        for cfg in (dict(data, horizon=12, ct_step=939872.376325319),
+                    dict(stiff, horizon=12)):
+            path = tmp_path / "huge.json"
+            path.write_text(json.dumps(cfg))
+            assert main(["run", str(path), "--strict"]) == 2
+            assert "diverged at step" in capsys.readouterr().err
 
     @staticmethod
     def _assert_invalid(tmp_path, capsys, data, field):
