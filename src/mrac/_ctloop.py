@@ -4,10 +4,9 @@ Every continuous-time scheme integrates its whole closed loop (plant,
 reference model, estimator, regressor filters and estimates) as one flat
 state z. Given r and u, all states but the estimates advance with constant
 coefficients, so a scheme's field is a handful of numpy calls on the views
-of one work row: one constant matrix gives the derivative of every linear
-state, one product gives Xi and eps together, and one gain matrix (sign
-priors, structural masks and gains folded in) gives the derivative of the
-estimates.
+of one work row. The gradient laws share that row with discrete time (see
+``_rows``): ``law_field`` copies z = [F, W] and r into it, and the law's
+step gives dz/dt = [L [F, r, u], G ab].
 
 ``run`` steps a field through ``integrate_ct``:
 
@@ -20,6 +19,8 @@ estimates.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -46,6 +47,39 @@ class Field:
         return lambda tau, z: f(z, at(tau), v)
 
 
+def law_field(law, check=None, adjust=None) -> Field:
+    """The field dz/dt = [L [F, r, u], G ab] of a gradient law (see
+    ``_rows``) over z = [F, W]. ``check(z)`` may refuse a state before the
+    step, and ``adjust(dz, z)`` may change its rate after it."""
+    nK, step = law.nK, law.step
+    x, m2 = law.cols["x"], law.m2
+
+    def views(row):
+        return (law.views(row, row[law.dF]), row[law.F], row[law.W],
+                row[law.R], row[law.dF.start:law.dW.stop], row[law.U],
+                row[m2:m2 + 1], row[x[0]:x[-1] + 1])
+
+    def f(y, r, v):
+        if check is not None:
+            check(y)
+        s, Fw, Ww, rw, D = v[:5]
+        Fw[...] = y[:nK]
+        Ww[...] = y[nK:]
+        rw[...] = r
+        step(s)
+        dz = D.copy()
+        if adjust is not None:
+            adjust(dz, y)
+        return dz
+
+    def probe(v):
+        u, m2w, xw = v[5:]
+        return math.isfinite(float(m2w[0]) + float(xw.dot(xw))
+                             + float(u.dot(u)))
+
+    return Field(f, views, law.width, probe)
+
+
 def run(field: Field, z, signal, horizon: int, h: float, method: str,
         integrate, store, after_step=None):
     """Step ``field`` from ``z`` over ``horizon`` steps of size ``h``.
@@ -57,8 +91,11 @@ def run(field: Field, z, signal, horizon: int, h: float, method: str,
     when ``integrate`` reports a non-finite state after step k, else None.
     """
     T1 = horizon + 1
-    t = np.arange(T1) * h
-    r_all = signal.sample(np.concatenate([t, t + 0.5 * h, t + h]))
+    # a step near the float range overflows the stage times; r then reads
+    # NaN and the run reports divergence
+    with np.errstate(over="ignore"):
+        t = np.arange(T1) * h
+        r_all = signal.sample(np.concatenate([t, t + 0.5 * h, t + h]))
     r0, r_mid, r_end = r_all[:T1], r_all[T1:2 * T1], r_all[2 * T1:]
     times = t.tolist()
     size = min(CHUNK, T1)

@@ -84,6 +84,8 @@ class SimulationTrace:
     proj_fired: Optional[np.ndarray] = None
     proj_g2: Optional[np.ndarray] = None
     proj_f2: Optional[np.ndarray] = None
+    # V with its increments and decrements, when the runner computed V
+    series: Optional[LyapunovSeries] = field(default=None, repr=False)
     diverged: bool = False
     diverged_at: Optional[int] = None
     summary: Optional[TraceSummary] = field(default=None, repr=False)
@@ -232,37 +234,40 @@ def _theta_error_quad(theta_series, theta_star, Ginv) -> np.ndarray:
     return np.einsum("mtw,mtw->mt", tmp, E).T
 
 
+def value_series(V, decrement=None, gamma0: float = math.nan) -> LyapunovSeries:
+    """V with its increments; the decrement is NaN where it is not given."""
+    dV = np.full(V.shape[0], np.nan)
+    dV[:-1] = np.diff(V)
+    if decrement is None:
+        decrement = np.full(V.shape[0], np.nan)
+    return LyapunovSeries(V=V, dV=dV, decrement=decrement, gamma0=gamma0)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def direct_V_series(theta_series, rho_series, theta_star, rho_star,
                     Gamma, gamma, eps_series, m_series) -> LyapunovSeries:
     """Vectorized V(t), dV(t) and decrement series for a direct-scheme run."""
-    T, n_w, M = theta_series.shape
+    _, n_w, M = theta_series.shape
     G = _stack_gains(Gamma, n_w, M)
     Ginv = np.linalg.inv(G)
     rho_s = np.atleast_1d(np.asarray(rho_star, dtype=float))
     gam = np.broadcast_to(np.atleast_1d(np.asarray(gamma, dtype=float)), (M,))
     quad = _theta_error_quad(theta_series, np.asarray(theta_star, float).reshape(n_w, M), Ginv)
     V = quad @ np.abs(rho_s) + np.sum((rho_series - rho_s[None]) ** 2 / gam[None], axis=1)
-    dV = np.full(T, np.nan)
-    dV[:-1] = np.diff(V)
     dec = np.sum(eps_series**2, axis=1) / m_series**2
-    return LyapunovSeries(V=V, dV=dV, decrement=dec,
-                          gamma0=gamma0_direct(Gamma, gamma, rho_star))
+    return value_series(V, dec, gamma0_direct(Gamma, gamma, rho_star))
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def indirect_V_series(theta_series, theta_star, Gamma,
                       eps_series, m_series) -> LyapunovSeries:
     """Vectorized V(t), dV(t) and decrement series for an indirect-scheme run."""
-    T, n_w, M = theta_series.shape
+    _, n_w, M = theta_series.shape
     G = _stack_gains(Gamma, n_w, M)
     Ginv = np.linalg.inv(G)
     quad = _theta_error_quad(theta_series, np.asarray(theta_star, float).reshape(n_w, M), Ginv)
-    V = np.sum(quad, axis=1)
-    dV = np.full(T, np.nan)
-    dV[:-1] = np.diff(V)
     dec = np.sum(eps_series**2, axis=1) / m_series**2
-    return LyapunovSeries(V=V, dV=dV, decrement=dec, gamma0=gamma1_indirect(Gamma))
+    return value_series(np.sum(quad, axis=1), dec, gamma1_indirect(Gamma))
 
 
 def check_delta_V(series: LyapunovSeries, gamma0: Optional[float] = None,

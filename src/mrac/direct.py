@@ -16,20 +16,18 @@ integrated jointly to avoid order-of-integration artifacts).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from . import _ctloop
-from ._ctloop import Field
-from ._rows import RowBuffer, block, first_nonfinite
+from . import _ctloop, _rows
+from ._rows import Law, block
 from .diagnostics import SimulationTrace, direct_V_series
 from .errors import GainError, ModelError, NumericsError
 from .filters import ChannelFilterBank, RegressorFrame
-from .systems import (CONTINUOUS, DISCRETE, PlantModel, ReferenceModel,
-                      ReferenceSignal, integrate_ct, solve_matching)
+from .systems import (DISCRETE, PlantModel, ReferenceModel, ReferenceSignal,
+                      integrate_ct, solve_matching)
 
 
 def stack_controller_gains(K1, K2) -> np.ndarray:
@@ -297,21 +295,101 @@ def _check_run_args(plant: PlantModel, ref: ReferenceModel,
         raise ModelError("horizon must be at least 1")
 
 
-def _maybe_direct_V(plant, ref, gains, rec_theta, rec_rho, rec_eps, rec_m):
-    """V/dV series when the scenario is matchable with diagonal K2*."""
+def _diagonal_match(plant, ref):
+    """The matching solution when the scenario is matchable with a diagonal,
+    invertible K2*, else None: V needs theta* and rho* = 1/k2*."""
     try:
         match = solve_matching(plant, ref)
     except ModelError:
-        return None, None
-    if not match.matchable():
-        return None, None
+        return None
     K2d = np.diag(match.K2)
-    if np.max(np.abs(match.K2 - np.diag(K2d))) > 1e-9 or np.any(np.abs(K2d) < 1e-12):
-        return None, None
-    theta_star = stack_controller_gains(match.K1, match.K2)
-    series = direct_V_series(rec_theta, rec_rho, theta_star, 1.0 / K2d,
-                             gains.Gamma, gains.gamma, rec_eps, rec_m)
-    return series.V, series.dV
+    if not match.matchable() or np.any(np.abs(K2d) < 1e-12) \
+            or np.max(np.abs(match.K2 - np.diag(K2d))) > 1e-9:
+        return None
+    return match
+
+
+def _finish_trace(scheme, domain, horizon, dt, diverged_at, rec,
+                  V_series=None):
+    """The trace of one run from its record arrays, keyed by trace field,
+    cut at the divergence step. ``m2`` holds m^2; without it eps and m are
+    NaN. ``V_series(rec)`` gives the run's LyapunovSeries, or None when V is
+    not defined."""
+    steps = (horizon + 1) if diverged_at is None else diverged_at
+    # the records belong to this run alone, so the trace keeps views of
+    # them rather than a second copy
+    rec = {name: values[:steps] for name, values in rec.items()}
+    if "m2" in rec:
+        rec["m"] = np.sqrt(rec.pop("m2"))
+    else:
+        rec["eps"] = np.full(rec["x"].shape, np.nan)
+        rec["m"] = np.full(steps, np.nan)
+    rec.setdefault("proj_fired", np.zeros(steps, dtype=bool))
+    # finite records can still square or subtract to inf; that is their
+    # value
+    with np.errstate(over="ignore", invalid="ignore"):
+        series = V_series(rec) if steps and V_series is not None else None
+        rec["e"] = rec["x"] - rec["x_m"]
+    trace = SimulationTrace(
+        scheme=scheme, time_domain=domain, horizon=horizon, dt=dt,
+        t=np.arange(steps, dtype=float) * dt, series=series,
+        V=None if series is None else series.V,
+        dV=None if series is None else series.dV,
+        diverged=diverged_at is not None, diverged_at=diverged_at, **rec)
+    trace.summary = trace.summarize()
+    return trace
+
+
+def _direct_law(A, B, Am, Bm, gains, enforce, P, rho, x0, xm0) -> Law:
+    """The direct law on the shared layout (see ``_rows``), from theta_j =
+    row j of P.
+
+    F columns: S_(j,c), -q_1..-q_M, x_m, x. Row 0 of W^T reads eps = x -
+    x_m + sum_j rho_j Xi_j off F, row 1 + j reads Xi_j = S_j theta_j - q_j,
+    so rho_j sits in row 0 at -q_j's column.
+    """
+    n, M = B.shape
+    C = n + M
+    MC = M * C
+    K = MC + M + 2  # F columns
+    cxm, cx = MC + M, MC + M + 1
+    nK = n * K
+
+    # one constant map advances every linear state, given r and u
+    L = np.zeros((nK, nK + 2 * M))
+    for j in range(M):
+        for c in range(C):
+            k = j * C + c
+            block(L, n, k, k, Am)
+            L[k * n:(k + 1) * n, cx * n + c if c < n else nK + c - n] = Bm[:, j]
+        block(L, n, MC + j, MC + j, Am)
+        L[(MC + j) * n:(MC + j + 1) * n, nK + M + j] = -Bm[:, j]
+    block(L, n, cxm, cxm, Am)
+    L[cxm * n:(cxm + 1) * n, nK:nK + M] = Bm
+    block(L, n, cx, cx, A)
+    L[cx * n:, nK + M:] = B
+
+    # [Xi^T, S^T] (-eps / m^2) -> the steps of theta and rho, with the sign
+    # priors, the diagonal-K2 mask and gamma folded in
+    G = np.zeros(((M + 1) * K, M + MC))
+    for j in range(M):
+        Gj = gains.sign_k2[j] * gains.Gamma[j]
+        for c in range(C):
+            if not (enforce and c >= n and c - n != j):
+                G[(1 + j) * K + j * C + c, M + j * C:M + (j + 1) * C] = Gj[c]
+        G[MC + j, j] = gains.gamma[j]
+
+    F = np.zeros((K, n))
+    F[cxm], F[cx] = xm0, x0
+    WT = np.zeros((M + 1, K))
+    WT[0, MC:cxm] = rho
+    WT[0, cxm], WT[0, cx] = -1.0, 1.0
+    for j in range(M):
+        WT[1 + j, MC + j] = 1.0
+        WT[1 + j, j * C:(j + 1) * C] = P[j]
+    law = Law(L, G, F, WT.ravel(), M, xi_in_m=True, xi_in_ab=True, rho=True)
+    law.cols["rho"] = law.W.start + MC + np.arange(M)
+    return law
 
 
 def run_direct_scenario(plant: PlantModel, ref: ReferenceModel,
@@ -327,319 +405,29 @@ def run_direct_scenario(plant: PlantModel, ref: ReferenceModel,
     divergence marker set instead of raising.
     """
     _check_run_args(plant, ref, signal, gains, horizon)
-    if plant.time_domain == DISCRETE:
-        return _run_direct_discrete(plant, ref, signal, gains, init, horizon)
-    return _run_direct_ct(plant, ref, signal, gains, init, horizon, h, method)
-
-
-def _run_direct_discrete(plant, ref, signal, gains, init, horizon):
     n, M = plant.n, plant.n_inputs
-    C = n + M
-    A, B, Am, Bm = plant.A, plant.B, ref.A_m, ref.B_m
-    x0, xm0, theta0, rho0, _ = init.resolved(n, C, M)
+    x0, xm0, theta0, rho0, _ = init.resolved(n, n + M, M)
     enforce = gains.enforce_diagonal_k2 and M > 1
-
     P = theta0.T.copy()  # rows are theta_j
     if enforce:
         P[:, n:] *= np.eye(M)
-    r_all = signal.sample(np.arange(horizon + 1, dtype=float))
+    law = _direct_law(plant.A, plant.B, ref.A_m, ref.B_m, gains, enforce, P,
+                      rho0, x0, xm0)
+    rec, store = _rows.records(law.cols, horizon + 1)
+    if plant.time_domain == DISCRETE:
+        h = 1.0
+        diverged_at = _rows.run(
+            law, signal.sample(np.arange(horizon + 1, dtype=float)), store)
+    else:
+        diverged_at = _ctloop.run(_ctloop.law_field(law), law.z0, signal,
+                                  horizon, h, method, integrate_ct, store)
 
-    records = _direct_loop(A, B, Am, Bm, gains, enforce, P, rho0, x0, xm0,
-                           r_all)
-    return _finish_direct_trace(plant, ref, gains, horizon, 1.0, DISCRETE,
-                                *records)
+    def V_series(rec):
+        match = _diagonal_match(plant, ref)
+        return None if match is None else direct_V_series(
+            rec["theta"], rec["rho"], stack_controller_gains(match.K1, match.K2),
+            1.0 / np.diag(match.K2), gains.Gamma, gains.gamma, rec["eps"],
+            rec["m"])
 
-
-def _direct_loop(A, B, Am, Bm, gains, enforce, P, rho, x0, xm0, r_all):
-    """The discrete direct law on a row buffer (see ``_rows``).
-
-    Row layout: F columns [-q_1..-q_M, x_m, x, S_(j,c)], then Xi_1..Xi_M
-    and eps as n-vectors, then the regressor tail omega = [x, r] and u,
-    then W^T. Row j < M of W^T reads Xi_j = S_j theta_j - q_j off F; row M
-    reads eps = x - x_m + sum_j rho_j Xi_j, so it carries theta_j rho_j,
-    which is refreshed after every update. Returns the records that
-    ``_finish_direct_trace`` takes, with the divergence step first.
-    """
-    n, M = B.shape
-    C = n + M
-    MC = M * C
-    K = M + 2 + MC  # F columns
-    cxm, cx, cS = M, M + 1, M + 2
-    XE = n * K  # Xi_1..Xi_M, eps
-    X2 = XE + n * (M + 1)  # omega = [x, r], then u
-    R0 = X2 + n
-    U0 = R0 + M
-    W0 = U0 + M
-    T1 = r_all.shape[0]
-
-    # one constant map advances every linear state, given u and r
-    T = np.zeros((X2 + n, W0))
-    for j in range(M):
-        block(T, n, j, j, Am)
-        T[j * n:(j + 1) * n, U0 + j] = -Bm[:, j]
-    block(T, n, cxm, cxm, Am)
-    T[cxm * n:(cxm + 1) * n, R0:U0] = Bm
-    for c in (cx, X2 // n):
-        block(T, n, c, cx, A)
-        T[c * n:(c + 1) * n, U0:W0] = B
-    for j in range(M):
-        for c in range(C):
-            k = cS + j * C + c
-            block(T, n, k, k, Am)
-            T[k * n:(k + 1) * n, cx * n + c if c < n else R0 + c - n] = Bm[:, j]
-
-    # the gradient of every estimate entry, with the sign priors, the
-    # diagonal-K2 mask and gamma folded in, lands directly on W^T
-    G = np.zeros(((M + 1) * K, MC + M))
-    for j in range(M):
-        Gj = gains.sign_k2[j] * gains.Gamma[j]
-        for c in range(C):
-            if not (enforce and c >= n and c - n != j):
-                G[j * K + cS + j * C + c, j * C:(j + 1) * C] = Gj[c]
-        G[M * K + j, MC + j] = gains.gamma[j]
-
-    rows = RowBuffer(W0 + (M + 1) * K, T1)
-    row0 = rows.buf[0]
-    row0[cxm * n:(cxm + 1) * n] = xm0
-    row0[cx * n:(cx + 1) * n] = x0
-    row0[X2:R0] = x0
-    row0[R0:U0] = r_all[0]
-    WT = row0[W0:].reshape(M + 1, K)
-    for j in range(M):
-        WT[j, j] = 1.0
-        WT[j, cS + j * C:cS + (j + 1) * C] = P[j]
-    WT[M, :M] = rho
-    WT[M, cxm] = -1.0
-    WT[M, cx] = 1.0
-    WT[M, cS:] = (P * rho[:, None]).ravel()
-
-    def views(i):
-        """Row i's operands for its own step, and for the step into it."""
-        row = rows.buf[i]
-        W = row[W0:]
-        H = row[cS * n:XE + n * M]
-        # theta_j is row j of W^T from column cS + jC on
-        Pv = W[cS:].reshape(M, K + C)[:, :C]
-        own = (Pv.dot, row[X2:U0], row[U0:W0], W.reshape(M + 1, K).dot,
-               row[:XE].reshape(K, n), row[XE:X2].reshape(M + 1, n), H.dot,
-               H, row[XE + n * M:X2], H.reshape(MC + M, n).dot, W, row[:W0])
-        into = (W, Pv, W[M * K:M * K + M, None],
-                W[M * K + cS:].reshape(M, C), row[:X2 + n])
-        return own, into
-
-    row_views = [views(i) for i in range(rows.size + 1)]
-    steps = [row_views[i][0] + row_views[i + 1][1] for i in range(rows.size)]
-
-    rec_x = np.empty((T1, n)); rec_xm = np.empty((T1, n))
-    rec_u = np.empty((T1, M)); rec_eps = np.empty((T1, n)); rec_m = np.empty(T1)
-    rec_th = np.empty((T1, C, M)); rec_rho = np.empty((T1, M))
-    th_at = W0 + np.array([[j * K + cS + j * C + c for j in range(M)]
-                           for c in range(C)])
-    buf = rows.buf
-    epsb = np.empty(n)
-    ab = np.empty(MC + M)
-    dW = np.empty((M + 1) * K)
-    # bound .dot methods skip the __array_function__ dispatch of np.dot
-    Tdot, Gdot, scale, add = T.dot, G.dot, np.multiply, np.add
-    diverged_at = None
-    with np.errstate(all="ignore"):
-        for t0, count, updates in rows.chunks(r_all, R0):
-            m2 = rec_m[t0:t0 + count]
-            for i in range(count):
-                (Pdot, om, u, Wdot, FT, XET, Hdot, H, eps, HTdot, W, z, Wn,
-                 Pn, rhon, epsSn, zn) = steps[i]
-                Pdot(om, u)
-                Wdot(FT, XET)
-                m = 1.0 + float(Hdot(H))
-                m2[i] = m
-                if i == updates:
-                    break
-                scale(eps, -1.0 / m, epsb)
-                HTdot(epsb, ab)
-                Gdot(ab, dW)
-                add(W, dW, Wn)
-                scale(Pn, rhon, epsSn)
-                Tdot(z, zn)
-            done = buf[:count]
-            sl = slice(t0, t0 + count)
-            rec_x[sl] = done[:, cx * n:(cx + 1) * n]
-            rec_xm[sl] = done[:, cxm * n:(cxm + 1) * n]
-            rec_u[sl] = done[:, U0:W0]
-            rec_eps[sl] = done[:, XE + n * M:X2]
-            rec_th[sl] = done[:, th_at]
-            rec_rho[sl] = done[:, W0 + M * K:W0 + M * K + M]
-            bad = first_nonfinite(m2, rec_x[sl], rec_u[sl])
-            if bad is not None:
-                diverged_at = t0 + bad
-                break
-        np.sqrt(rec_m, out=rec_m)
-        rec_e = rec_x - rec_xm
-    return (diverged_at, rec_x, rec_xm, rec_e, rec_u, rec_eps, rec_m,
-            rec_th, rec_rho)
-
-
-def _run_direct_ct(plant, ref, signal, gains, init, horizon, h, method):
-    n, M = plant.n, plant.n_inputs
-    C = n + M
-    x0, xm0, theta0, rho0, _ = init.resolved(n, C, M)
-    enforce = gains.enforce_diagonal_k2 and M > 1
-    P0 = theta0.T.copy()
-    if enforce:
-        P0[:, n:] *= np.eye(M)
-    field, z, store, records = _direct_ct_field(
-        plant.A, plant.B, ref.A_m, ref.B_m, gains, enforce, P0, rho0, x0,
-        xm0, horizon)
-    diverged_at = _ctloop.run(field, z, signal, horizon, h, method,
-                              integrate_ct, store)
-    return _finish_direct_trace(plant, ref, gains, horizon, h, CONTINUOUS,
-                                diverged_at, *records)
-
-
-def _direct_ct_field(A, B, Am, Bm, gains, enforce, P, rho, x0, xm0, horizon):
-    """The continuous direct law as one field (see ``_ctloop``).
-
-    z holds the linear states as the columns of an n-row matrix F, in
-    column-major order [S_(j,c), q_1..q_M, x_m, x], then P (row j is
-    theta_j) and rho. The work row holds eps and Xi_1..Xi_M as n-vectors,
-    then a copy of F, r and u, so that [x, r] = omega and [Xi, S] (the
-    normalizer's terms) are contiguous, then m^2. Row 0 of W^T reads eps =
-    x - x_m + sum_j rho_j Xi_j off F and row 1 + j reads Xi_j = S_j
-    theta_j - q_j. Returns the field, the initial z, the chunk store and
-    the record arrays ``_finish_direct_trace`` takes after the divergence
-    step.
-    """
-    n, M = B.shape
-    C = n + M
-    MC = M * C
-    K = MC + M + 2  # F columns
-    cxm, cx = MC + M, MC + M + 1
-    nK = n * K
-    N = nK + MC + M
-    F0 = n * (M + 1)
-    R0 = F0 + nK
-    U0 = R0 + M
-    width = U0 + M + 1
-
-    # one constant map advances every linear state, given r and u
-    L = np.zeros((nK, nK + 2 * M))
-    for j in range(M):
-        for c in range(C):
-            k = j * C + c
-            block(L, n, k, k, Am)
-            L[k * n:(k + 1) * n, cx * n + c if c < n else nK + c - n] = Bm[:, j]
-        block(L, n, MC + j, MC + j, Am)
-        L[(MC + j) * n:(MC + j + 1) * n, nK + M + j] = Bm[:, j]
-    block(L, n, cxm, cxm, Am)
-    L[cxm * n:(cxm + 1) * n, nK:nK + M] = Bm
-    block(L, n, cx, cx, A)
-    L[cx * n:, nK + M:] = B
-
-    # [Xi^T eps, S^T eps] -> [dP, drho], with the sign priors, the
-    # diagonal-K2 mask and gamma folded in
-    G = np.zeros((MC + M, M + MC))
-    for j in range(M):
-        Gj = gains.sign_k2[j] * gains.Gamma[j]
-        for c in range(C):
-            if not (enforce and c >= n and c - n != j):
-                G[j * C + c, M + j * C:M + (j + 1) * C] = Gj[c]
-        G[MC + j, j] = gains.gamma[j]
-
-    # W^T is shared scratch; its theta_j blocks are a strided (M, C) view
-    WTbuf = np.zeros((M + 1) * K + MC)
-    WT = WTbuf[:(M + 1) * K].reshape(M + 1, K)
-    WTP = WTbuf[K:K + M * (K + C)].reshape(M, K + C)[:, :C]
-    for j in range(M):
-        WT[1 + j, MC + j] = -1.0
-    base = np.zeros(K)
-    base[cxm], base[cx] = -1.0, 1.0
-    WT0, WTXi = WT[0], WT[1:]
-    epsb = np.empty(n)
-    ab = np.empty(M + MC)
-
-    def views(row):
-        H = row[n:F0 + n * MC]
-        return (row[F0:R0], row[R0:U0], row[U0:U0 + M],
-                row[F0 + n * (K - 1):U0], row[F0:U0 + M],
-                row[:F0].reshape(M + 1, n), row[F0:R0].reshape(K, n), H.dot,
-                H, H.reshape(M + MC, n).dot, row[:n], row[U0 + M:],
-                row[F0 + n * cx:R0])
-
-    # bound .dot methods skip the __array_function__ dispatch of np.dot
-    Ldot, Gdot, WTdot, scale, add, empty = (L.dot, G.dot, WT.dot,
-                                            np.multiply, np.add, np.empty)
-
-    def f(y, r, v):
-        Fw, rw, u, om, lin, XE, FT, Hdot, H, HTdot, eps, m2w, _ = v
-        Fw[...] = y[:nK]
-        rw[...] = r
-        Py = y[nK:nK + MC].reshape(M, C)
-        Py.dot(om, u)
-        WTP[...] = Py
-        y[nK + MC:].dot(WTXi, WT0)
-        add(WT0, base, WT0)
-        WTdot(FT, XE)
-        m2 = 1.0 + float(Hdot(H))
-        m2w[0] = m2
-        scale(eps, -1.0 / m2, epsb)
-        HTdot(epsb, ab)
-        dz = empty(N)
-        Gdot(ab, dz[nK:])
-        Ldot(lin, dz[:nK])
-        return dz
-
-    def probe(v):
-        u, m2w, x = v[2], v[11], v[12]
-        return math.isfinite(float(m2w[0]) + float(x.dot(x))
-                             + float(u.dot(u)))
-
-    z = np.zeros(N)
-    z[cxm * n:(cxm + 1) * n] = xm0
-    z[cx * n:nK] = x0
-    z[nK:nK + MC] = P.ravel()
-    z[nK + MC:] = rho
-
-    T1 = horizon + 1
-    rec_x = np.empty((T1, n)); rec_xm = np.empty((T1, n)); rec_e = np.empty((T1, n))
-    rec_u = np.empty((T1, M)); rec_eps = np.empty((T1, n)); rec_m = np.empty(T1)
-    rec_th = np.empty((T1, C, M)); rec_rho = np.empty((T1, M))
-    th_at = width + nK + np.array([[j * C + c for j in range(M)]
-                                   for c in range(C)])
-
-    def store(rows, t0):
-        sl = slice(t0, t0 + rows.shape[0])
-        rec_x[sl] = rows[:, F0 + cx * n:R0]
-        rec_xm[sl] = rows[:, F0 + cxm * n:F0 + cx * n]
-        np.subtract(rec_x[sl], rec_xm[sl], out=rec_e[sl])
-        rec_u[sl] = rows[:, U0:U0 + M]
-        rec_eps[sl] = rows[:, :n]
-        np.sqrt(rows[:, U0 + M], out=rec_m[sl])
-        rec_th[sl] = rows[:, th_at]
-        rec_rho[sl] = rows[:, width + nK + MC:]
-
-    return Field(f, views, width, probe), z, store, (
-        rec_x, rec_xm, rec_e, rec_u, rec_eps, rec_m, rec_th, rec_rho)
-
-
-def _finish_direct_trace(plant, ref, gains, horizon, dt, domain, diverged_at,
-                         rec_x, rec_xm, rec_e, rec_u, rec_eps, rec_m,
-                         rec_th, rec_rho):
-    steps = (horizon + 1) if diverged_at is None else diverged_at
-    sl = slice(0, steps)
-    V = dV = None
-    if steps > 0:
-        V, dV = _maybe_direct_V(plant, ref, gains, rec_th[sl], rec_rho[sl],
-                                rec_eps[sl], rec_m[sl])
-    # the records belong to this run alone, so the trace keeps views of
-    # them rather than a second copy
-    trace = SimulationTrace(
-        scheme="direct_gradient", time_domain=domain, horizon=horizon, dt=dt,
-        t=np.arange(steps, dtype=float) * dt,
-        x=rec_x[sl], x_m=rec_xm[sl], e=rec_e[sl],
-        u=rec_u[sl], eps=rec_eps[sl], m=rec_m[sl],
-        theta=rec_th[sl], rho=rec_rho[sl],
-        V=V, dV=dV,
-        proj_fired=np.zeros(steps, dtype=bool),
-        diverged=diverged_at is not None, diverged_at=diverged_at,
-    )
-    trace.summary = trace.summarize()
-    return trace
+    return _finish_trace("direct_gradient", plant.time_domain, horizon, h,
+                         diverged_at, rec, V_series)

@@ -21,21 +21,21 @@ each is followed literally).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from operator import lt, mul
 
 import numpy as np
 
-from . import _ctloop
-from ._ctloop import Field
-from ._rows import RowBuffer, block, first_nonfinite
+from . import _ctloop, _rows
+from ._rows import Law, block
 from .diagnostics import SimulationTrace, indirect_V_series
-from .direct import InitialConditions, _check_run_args, _shape_theta
+from .direct import (InitialConditions, _check_run_args, _diagonal_match,
+                     _finish_trace, _shape_theta)
 from .errors import (GainError, ModelError, NumericsError, ProjectionError,
                      SingularGainError)
 from .filters import ChannelFilterBank, RegressorFrame
-from .systems import (CONTINUOUS, DISCRETE, PlantModel, ReferenceModel,
+# solve_matching stays a module attribute: the benchmark's tracer wraps it
+# here by name
+from .systems import (DISCRETE, PlantModel, ReferenceModel,  # noqa: F401
                       ReferenceSignal, integrate_ct, solve_matching)
 
 
@@ -360,267 +360,16 @@ def _clamp_theta2(block, projection: ProjectionConfig):
             theta2[j] = projection.signs[j] * projection.theta2_lower[j]
 
 
-def run_indirect_scenario(plant: PlantModel, ref: ReferenceModel,
-                          signal: ReferenceSignal, gains: IndirectGainConfig,
-                          projection: ProjectionConfig | None,
-                          init: InitialConditions, horizon: int,
-                          h: float = 0.01, method: str = "rk4") -> SimulationTrace:
-    """Closed-loop indirect-gradient run; loop order as in the direct case
-    with the estimator advanced on the same pre-update estimates."""
-    _check_run_args(plant, ref, signal, gains, horizon)
-    if projection is not None and projection.n_inputs != plant.n_inputs:
-        raise ModelError("projection dimension disagrees with the input count")
-    if plant.time_domain == DISCRETE:
-        return _run_indirect_discrete(plant, ref, signal, gains, projection,
-                                      init, horizon)
-    return _run_indirect_ct(plant, ref, signal, gains, projection, init,
-                            horizon, h, method)
+def _indirect_law(A, B, Am, Bm, gains, P, x0, xm0, xhat0) -> Law:
+    """The indirect law on the shared layout (see ``_rows``), from theta_j =
+    row j of P.
 
-
-def _run_indirect_discrete(plant, ref, signal, gains, projection, init, horizon):
-    n, M = plant.n, plant.n_inputs
-    C = n + M
-    A, B, Am, Bm = plant.A, plant.B, ref.A_m, ref.B_m
-    x0, xm0, theta0, _, xhat0 = init.resolved(n, C, M)
-
-    P = theta0.T.copy()
-    if M > 1:
-        P[:, n:] *= np.eye(M)
-    proj_on = projection is not None and projection.enabled
-    if proj_on:
-        check_projection_start(P.T, projection)
-    floor = (projection.theta2_lower if projection is not None
-             else np.full(M, 1e-12))
-    r_all = signal.sample(np.arange(horizon + 1, dtype=float))
-
-    records = _indirect_loop(A, B, Am, Bm, gains,
-                             projection if proj_on else None, floor, P, x0,
-                             xm0, xhat0, r_all)
-    return _finish_indirect_trace(plant, ref, gains, horizon, 1.0, DISCRETE,
-                                  *records)
-
-
-def _indirect_loop(A, B, Am, Bm, gains, projection, floor, P, x0, xm0, xhat0,
-                   r_all):
-    """The discrete indirect law on a row buffer (see ``_rows``).
-
-    Row layout: x_m, then F columns [q_1..q_M, xhat, x, S_(j,c)], then
-    Xi_1..Xi_M and eps as n-vectors, then [x, r] and u, then W^T and the
-    numerator gains [Theta1^T | I]. Row j < M of W^T reads Xi_j off F, row M
-    reads eps = xhat - x + sum_j Xi_j; both carry theta, so one increment
-    updates every copy. The control u = Theta2^{-1} (Theta1^T x + r) makes
-    the estimator input v = Theta2 u - Theta1^T x equal r(t) up to rounding,
-    so q and xhat are driven by r.
-    ``projection`` is None when it is off. Returns the records that
-    ``_finish_indirect_trace`` takes, with the divergence step first.
-    """
-    n, M = B.shape
-    C = n + M
-    MC = M * C
-    K = M + 2 + MC  # F columns
-    cxh, cx, cS = M, M + 1, M + 2
-    XE = n * (1 + K)  # Xi_1..Xi_M, eps
-    X2 = XE + n * (M + 1)  # [x, r], then u
-    R0 = X2 + n
-    U0 = R0 + M
-    W0 = U0 + M
-    NW = (M + 1) * K + MC
-    T1 = r_all.shape[0]
-
-    # one constant map advances every linear state, given u and r
-    T = np.zeros((X2 + n, W0))
-    block(T, n, 0, 0, Am)
-    T[:n, R0:U0] = Bm
-    for j in range(M):
-        block(T, n, 1 + j, 1 + j, Am)
-        T[(1 + j) * n:(2 + j) * n, R0 + j] = Bm[:, j]
-    block(T, n, 1 + cxh, 1 + cxh, Am)
-    T[(1 + cxh) * n:(2 + cxh) * n, R0:U0] = Bm
-    for c in (1 + cx, X2 // n):
-        block(T, n, c, 1 + cx, A)
-        T[c * n:(c + 1) * n, U0:W0] = B
-    for j in range(M):
-        for c in range(C):
-            k = 1 + cS + j * C + c
-            block(T, n, k, k, Am)
-            if c < n:
-                T[k * n:(k + 1) * n, (1 + cx) * n + c] = -Bm[:, j]
-            else:
-                T[k * n:(k + 1) * n, U0 + c - n] = Bm[:, j]
-
-    # the gradient of every estimate entry, with the diagonal-Theta2 mask
-    # folded in, lands on all three copies of theta at once
-    G = np.zeros((NW, MC))
-    for j in range(M):
-        for c in range(C):
-            if M > 1 and c >= n and c - n != j:
-                continue
-            at = [j * K + cS + j * C + c, M * K + cS + j * C + c]
-            if c < n:
-                at.append((M + 1) * K + j * C + c)
-            G[at, j * C:(j + 1) * C] = gains.Gamma[j][c]
-
-    rows = RowBuffer(W0 + NW * (2 if projection is not None else 1), T1)
-    row0 = rows.buf[0]
-    row0[:n] = xm0
-    row0[(1 + cxh) * n:(2 + cxh) * n] = xhat0
-    row0[(1 + cx) * n:(2 + cx) * n] = x0
-    row0[X2:R0] = x0
-    row0[R0:U0] = r_all[0]
-    WT = row0[W0:W0 + (M + 1) * K].reshape(M + 1, K)
-    Kx = row0[W0 + (M + 1) * K:W0 + NW].reshape(M, C)
-    for j in range(M):
-        WT[j, j] = -1.0
-        WT[j, cS + j * C:cS + (j + 1) * C] = P[j]
-        Kx[j, :n] = P[j, :n]
-        Kx[j, n + j] = 1.0
-    WT[M, :M] = -1.0
-    WT[M, cxh] = 1.0
-    WT[M, cx] = -1.0
-    WT[M, cS:] = P.ravel()
-
-    th2_at = [j * K + cS + j * C + n + j for j in range(M)]
-    shared_dW = np.empty(NW)
-
-    def views(i):
-        """Row i's operands for its own step, and for the step into it."""
-        row = rows.buf[i]
-        W = row[W0:W0 + NW]
-        S = row[n * (1 + cS):XE]
-        # the multi-input normalizer includes the xi energy
-        Hm = row[n * (1 + cS):XE + n * M] if M > 1 else S
-        # theta2_j in row j and in row M of W^T
-        th2 = W[th2_at[0]::K + C + 1][:M]
-        dW = row[W0 + NW:] if projection is not None else shared_dW
-        own = (W[(M + 1) * K:].reshape(M, C).dot, row[X2:U0], row[U0:W0],
-               th2, W[:(M + 1) * K].reshape(M + 1, K).dot,
-               row[n:XE].reshape(K, n), row[XE:X2].reshape(M + 1, n), Hm.dot,
-               Hm, row[XE + n * M:X2], S.reshape(MC, n).dot, W, dW, row[:W0])
-        into = (W, th2, W[M * K + th2_at[0]::C + 1][:M], row[:X2 + n])
-        return own, into
-
-    row_views = [views(i) for i in range(rows.size + 1)]
-    steps = [row_views[i][0] + row_views[i + 1][1] for i in range(rows.size)]
-
-    rec_x = np.empty((T1, n)); rec_xm = np.empty((T1, n))
-    rec_u = np.empty((T1, M)); rec_eps = np.empty((T1, n)); rec_m = np.empty(T1)
-    rec_th = np.empty((T1, C, M)); rec_xh = np.empty((T1, n))
-    rec_g2 = np.zeros((T1, M)); rec_f2 = np.zeros((T1, M))
-    th_at = W0 + np.array([[j * K + cS + j * C + c for j in range(M)]
-                           for c in range(C)])
-    if projection is not None:
-        signs, lower = projection.signs, projection.theta2_lower
-        signs_l, lower_l = signs.tolist(), lower.tolist()
-        g2_at = W0 + NW + np.array(th2_at)
-    buf = rows.buf
-    epsb = np.empty(n)
-    ab = np.empty(MC)
-    # bound .dot methods skip the __array_function__ dispatch of np.dot
-    Tdot, Gdot, scale, add, div = T.dot, G.dot, np.multiply, np.add, np.divide
-    diverged_at = None
-    with np.errstate(all="ignore"):
-        for t0, count, updates in rows.chunks(r_all, R0):
-            m2 = rec_m[t0:t0 + count]
-            for i in range(count):
-                (Kdot, xr, u, th2, Wdot, FT, XET, Hdot, Hm, eps, STdot, W, dW,
-                 z, Wn, th2n, th2en, zn) = steps[i]
-                Kdot(xr, u)
-                div(u, th2, u)
-                Wdot(FT, XET)
-                m = 1.0 + float(Hdot(Hm))
-                m2[i] = m
-                if i == updates:
-                    break
-                scale(eps, -1.0 / m, epsb)
-                STdot(epsb, ab)
-                Gdot(ab, dW)
-                add(W, dW, Wn)
-                if projection is not None and any(
-                        map(lt, map(mul, signs_l, th2n.tolist()), lower_l)):
-                    # land exactly as the gradient-then-correction form
-                    cand = th2n.copy()
-                    f2 = np.where(signs * cand < lower, signs * lower - cand,
-                                  0.0)
-                    th2n += f2
-                    th2en += f2
-                    rec_f2[t0 + i] = f2
-                Tdot(z, zn)
-            done = buf[:count]
-            sl = slice(t0, t0 + count)
-            rec_x[sl] = done[:, (1 + cx) * n:(2 + cx) * n]
-            rec_xm[sl] = done[:, :n]
-            rec_xh[sl] = done[:, (1 + cxh) * n:(2 + cxh) * n]
-            rec_u[sl] = done[:, U0:W0]
-            rec_eps[sl] = done[:, XE + n * M:X2]
-            rec_th[sl] = done[:, th_at]
-            if projection is not None:
-                rec_g2[sl] = done[:, g2_at]
-                if updates < count:
-                    rec_g2[t0 + updates] = 0.0
-            bad = first_nonfinite(m2, rec_x[sl], rec_u[sl])
-            # a step checks theta2 before its divergence probe
-            reached = count if bad is None else bad + 1
-            theta2 = rec_th[t0:t0 + reached][:, np.arange(n, C), np.arange(M)]
-            low = np.flatnonzero(
-                np.any(np.abs(theta2) < floor - 1e-15, axis=1))
-            if low.size:
-                raise SingularGainError(
-                    f"theta2 diagonal {theta2[low[0]]} below the "
-                    f"invertibility threshold at step {t0 + low[0]}"
-                )
-            if bad is not None:
-                diverged_at = t0 + bad
-                break
-        np.sqrt(rec_m, out=rec_m)
-        rec_e = rec_x - rec_xm
-    return (diverged_at, rec_x, rec_xm, rec_e, rec_u, rec_eps, rec_m, rec_th,
-            rec_xh, rec_g2, rec_f2, np.any(rec_f2 != 0.0, axis=1))
-
-
-def _run_indirect_ct(plant, ref, signal, gains, projection, init, horizon,
-                     h, method):
-    n, M = plant.n, plant.n_inputs
-    C = n + M
-    x0, xm0, theta0, _, xhat0 = init.resolved(n, C, M)
-    P0 = theta0.T.copy()
-    if M > 1:
-        P0[:, n:] *= np.eye(M)
-    proj_on = projection is not None and projection.enabled
-    if proj_on:
-        check_projection_start(P0.T, projection)
-    # integration stages may sit a hair inside the projected region, so the
-    # stage guard only protects the division, not the boundary itself
-    floor = (0.5 * projection.theta2_lower if proj_on
-             else (projection.theta2_lower if projection is not None
-                   else np.full(M, 1e-12)))
-    field, z, store, records = _indirect_ct_field(
-        plant.A, plant.B, ref.A_m, ref.B_m, gains,
-        projection if proj_on else None, floor, P0, x0, xm0, xhat0, horizon)
-    after_step = None
-    if proj_on:
-        def after_step(z):
-            _clamp_theta2(z[-M * C:].reshape(M, C)[:, n:], projection)
-    diverged_at = _ctloop.run(field, z, signal, horizon, h, method,
-                              integrate_ct, store, after_step)
-    return _finish_indirect_trace(plant, ref, gains, horizon, h, CONTINUOUS,
-                                  diverged_at, *records)
-
-
-def _indirect_ct_field(A, B, Am, Bm, gains, projection, floor, P, x0, xm0,
-                       xhat0, horizon):
-    """The continuous indirect law as one field (see ``_ctloop``).
-
-    z holds the linear states as the columns of an n-row matrix F, in
-    column-major order [S_(j,c), q_1..q_M, x_m, xhat, x], then P (row j is
-    theta_j). The work row holds eps and Xi_1..Xi_M as n-vectors, then a
-    copy of F, r and u, so that [x, r] and [Xi, S] are contiguous, then m^2
-    and the raw theta2 rates g2. Row 0 of W^T reads eps = xhat - x +
-    sum_j Xi_j off F, row 1 + j reads Xi_j. The control u = Theta2^{-1}
-    (Theta1^T x + r) makes the estimator input v = Theta2 u - Theta1^T x
-    equal r up to rounding, so q and xhat are driven by r. ``projection``
-    is None when it is off. Returns the field, the initial z, the chunk
-    store and the record arrays ``_finish_indirect_trace`` takes after the
-    divergence step.
+    F columns: S_(j,c), q_1..q_M, x_m, xhat, x. Row 0 of W^T reads eps =
+    xhat - x + sum_j Xi_j off F, row 1 + j reads Xi_j = S_j theta_j - q_j,
+    and [Theta1^T | I] follows W^T, so the estimates have three copies,
+    theta2 two. The control u = Theta2^{-1} (Theta1^T x + r) makes the
+    estimator input v = Theta2 u - Theta1^T x equal r up to rounding, so q
+    and xhat are driven by r.
     """
     n, M = B.shape
     C = n + M
@@ -628,11 +377,6 @@ def _indirect_ct_field(A, B, Am, Bm, gains, projection, floor, P, x0, xm0,
     K = MC + M + 3  # F columns
     cxm, cxh, cx = MC + M, MC + M + 1, MC + M + 2
     nK = n * K
-    N = nK + MC
-    F0 = n * (M + 1)
-    R0 = F0 + nK
-    U0 = R0 + M
-    width = U0 + 2 * M + 1
 
     # one constant map advances every linear state, given r and u
     L = np.zeros((nK, nK + 2 * M))
@@ -652,162 +396,144 @@ def _indirect_ct_field(A, B, Am, Bm, gains, projection, floor, P, x0, xm0,
     block(L, n, cx, cx, A)
     L[cx * n:, nK + M:] = B
 
-    # S^T eps -> dP, with the diagonal-Theta2 mask folded in
-    G = np.zeros((MC, MC))
+    # S^T (-eps / m^2) -> the step of every copy of theta, with the
+    # diagonal-Theta2 mask folded in
+    G = np.zeros(((M + 1) * K + MC, MC))
     for j in range(M):
         for c in range(C):
-            if not (M > 1 and c >= n and c - n != j):
-                G[j * C + c, j * C:(j + 1) * C] = gains.Gamma[j][c]
+            if M > 1 and c >= n and c - n != j:
+                continue
+            at = [(1 + j) * K + j * C + c, j * C + c]
+            if c < n:
+                at.append((M + 1) * K + j * C + c)
+            G[at, j * C:(j + 1) * C] = gains.Gamma[j][c]
 
-    # W^T is shared scratch; its theta_j blocks are a strided (M, C) view,
-    # and the eps row reads all of P at once
-    WTbuf = np.zeros((M + 1) * K + MC)
-    WT = WTbuf[:(M + 1) * K].reshape(M + 1, K)
-    WTP = WTbuf[K:K + M * (K + C)].reshape(M, K + C)[:, :C]
-    WT0P = WT[0, :MC].reshape(M, C)
+    F = np.zeros((K, n))
+    F[cxm], F[cxh], F[cx] = xm0, xhat0, x0
+    W = np.zeros((M + 1) * K + MC)
+    WT = W[:(M + 1) * K].reshape(M + 1, K)
+    WT[0, MC:cxm] = -1.0
+    WT[0, cxh], WT[0, cx] = 1.0, -1.0
+    WT[0, :MC] = P.ravel()
+    Kx = W[(M + 1) * K:].reshape(M, C)
     for j in range(M):
         WT[1 + j, MC + j] = -1.0
-    WT[0, MC:MC + M] = -1.0
-    WT[0, cxh], WT[0, cx] = 1.0, -1.0
-    # [Theta1 | I], so that one product with [x, r] gives Theta2 u
-    Kx = np.zeros((M, C))
-    Kx[:, n:] = np.eye(M)
-    Kx1 = Kx[:, :n]
-    epsb = np.empty(n)
-    ab = np.empty(MC)
+        WT[1 + j, j * C:(j + 1) * C] = P[j]
+        Kx[j, :n] = P[j, :n]
+        Kx[j, n + j] = 1.0
+    law = Law(L, G, F, W, M, xi_in_m=M > 1, xi_in_ab=False, rho=False)
+    law.cols["x_hat"] = law.F0 + n * cxh + np.arange(n)
+    # theta2 in row 1 + j and in row 0 of W^T
+    law.theta2 = lambda W: (W[law.th2], W[n:MC:C + 1])
+    return law
+
+
+def run_indirect_scenario(plant: PlantModel, ref: ReferenceModel,
+                          signal: ReferenceSignal, gains: IndirectGainConfig,
+                          projection: ProjectionConfig | None,
+                          init: InitialConditions, horizon: int,
+                          h: float = 0.01, method: str = "rk4") -> SimulationTrace:
+    """Closed-loop indirect-gradient run; loop order as in the direct case
+    with the estimator advanced on the same pre-update estimates."""
+    _check_run_args(plant, ref, signal, gains, horizon)
+    if projection is not None and projection.n_inputs != plant.n_inputs:
+        raise ModelError("projection dimension disagrees with the input count")
+    n, M = plant.n, plant.n_inputs
+    C = n + M
+    T1 = horizon + 1
+    x0, xm0, theta0, _, xhat0 = init.resolved(n, C, M)
+    P = theta0.T.copy()
+    if M > 1:
+        P[:, n:] *= np.eye(M)
+    proj_on = projection is not None and projection.enabled
+    if proj_on:
+        check_projection_start(P.T, projection)
+    law = _indirect_law(plant.A, plant.B, ref.A_m, ref.B_m, gains, P, x0, xm0,
+                        xhat0)
+    if proj_on:
+        law.cols["proj_g2"] = np.arange(law.dW.start, law.dW.stop)[law.th2]
+    rec, store = _rows.records(law.cols, T1)
+    rec.setdefault("proj_g2", np.zeros((T1, M)))
+    rec["proj_f2"] = np.zeros((T1, M))
+    floor = (projection.theta2_lower if projection is not None
+             else np.full(M, 1e-12))
+    if plant.time_domain == DISCRETE:
+        h = 1.0
+        diverged_at = _rows.run(law, signal.sample(np.arange(T1, dtype=float)),
+                                store, projection if proj_on else None,
+                                rec["proj_f2"])
+        # no update follows the final step
+        rec["proj_g2"][horizon] = rec["proj_f2"][horizon] = 0.0
+        # a step checks theta2 before its divergence probe
+        reached = T1 if diverged_at is None else diverged_at + 1
+        theta2 = rec["theta"][:reached, np.arange(n, C), np.arange(M)]
+        low = np.flatnonzero(np.any(np.abs(theta2) < floor - 1e-15, axis=1))
+        if low.size:
+            raise SingularGainError(
+                f"theta2 diagonal {theta2[low[0]]} below the invertibility "
+                f"threshold at step {low[0]}")
+    else:
+        # integration stages may sit a hair inside the projected region, so
+        # the stage guard only protects the division, not the boundary
+        diverged_at = _ctloop.run(
+            _indirect_ct_field(law, projection if proj_on else None,
+                               0.5 * floor if proj_on else floor),
+            law.z0, signal, horizon, h, method, integrate_ct, store,
+            _clamp_law(law, projection) if proj_on else None)
+        if proj_on:
+            rec["proj_f2"] = _ct_projection_rate(
+                rec["theta"][:, np.arange(n, C), np.arange(M)],
+                rec["proj_g2"], projection)
+    rec["proj_fired"] = np.any(rec["proj_f2"] != 0.0, axis=1)
+
+    def V_series(rec):
+        match = _diagonal_match(plant, ref)
+        return None if match is None else indirect_V_series(
+            rec["theta"], theta_star_indirect(match.K1, match.K2),
+            gains.Gamma, rec["eps"], rec["m"])
+
+    return _finish_trace("indirect_gradient", plant.time_domain, horizon, h,
+                         diverged_at, rec, V_series)
+
+
+def _indirect_ct_field(law, projection, floor):
+    """The law's field, refusing a theta2 below ``floor`` and, with a
+    ``projection``, nulling theta2's outward rate on the bound."""
+    nK, th2 = law.nK, law.th2
+    theta2_of = law.theta2
     floor_l = (floor - 1e-15).tolist()
     if projection is not None:
         signs_l = projection.signs.tolist()
         edge_l = (projection.theta2_lower + 1e-12).tolist()
-    th2_of_P = slice(n, MC, C + 1)  # theta2 in P, flattened
 
-    def views(row):
-        # the multi-input normalizer includes the xi energy
-        H = row[n:F0 + n * MC] if M > 1 else row[F0:F0 + n * MC]
-        return (row[F0:R0], row[R0:U0], row[U0:U0 + M],
-                row[F0 + n * (K - 1):U0], row[F0:U0 + M],
-                row[:F0].reshape(M + 1, n), row[F0:R0].reshape(K, n), H.dot,
-                H, row[F0:F0 + n * MC].reshape(MC, n).dot, row[:n],
-                row[U0 + M:U0 + M + 1], row[U0 + M + 1:],
-                row[F0 + n * cx:R0])
-
-    # bound .dot methods skip the __array_function__ dispatch of np.dot
-    Ldot, Gdot, WTdot, Kxdot = L.dot, G.dot, WT.dot, Kx.dot
-    scale, div, empty = np.multiply, np.divide, np.empty
-
-    def f(y, r, v):
-        Fw, rw, u, xr, lin, XE, FT, Hdot, H, STdot, eps, m2w, g2w, _ = v
-        Py = y[nK:]
-        P = Py.reshape(M, C)
-        theta2 = Py[th2_of_P]
-        th2 = theta2.tolist()
-        for t, lo in zip(th2, floor_l):
+    def check(y):
+        theta2 = y[nK:][th2]
+        for t, lo in zip(theta2.tolist(), floor_l):
             if abs(t) < lo:
                 raise SingularGainError(
                     f"theta2 diagonal {theta2} below the invertibility "
                     "threshold")
-        Fw[...] = y[:nK]
-        rw[...] = r
-        Kx1[...] = P[:, :n]
-        Kxdot(xr, u)
-        div(u, theta2, u)
-        WTP[...] = P
-        WT0P[...] = P
-        WTdot(FT, XE)
-        m2 = 1.0 + float(Hdot(H))
-        m2w[0] = m2
-        scale(eps, -1.0 / m2, epsb)
-        STdot(epsb, ab)
-        dz = empty(N)
-        dP = dz[nK:]
-        Gdot(ab, dP)
-        if projection is not None:
-            g2 = dP[th2_of_P]
-            g2w[...] = g2
-            if any(s * t <= e and s * g < 0.0 for s, t, e, g
-                   in zip(signs_l, th2, edge_l, g2.tolist())):
-                g2 += _ct_projection_rate(theta2, g2w, projection)
-        Ldot(lin, dz[:nK])
-        return dz
 
-    def probe(v):
-        u, m2w, x = v[2], v[11], v[13]
-        return math.isfinite(float(m2w[0]) + float(x.dot(x))
-                             + float(u.dot(u)))
+    def adjust(dz, y):
+        theta2, g2 = y[nK:][th2], dz[nK:][th2]
+        if any(s * t <= e and s * g < 0.0 for s, t, e, g
+               in zip(signs_l, theta2.tolist(), edge_l, g2.tolist())):
+            f2 = _ct_projection_rate(theta2, g2, projection)
+            for rate in theta2_of(dz[nK:]):
+                rate += f2
 
-    z = np.zeros(N)
-    z[cxm * n:(cxm + 1) * n] = xm0
-    z[cxh * n:(cxh + 1) * n] = xhat0
-    z[cx * n:nK] = x0
-    z[nK:] = P.ravel()
-
-    T1 = horizon + 1
-    rec_x = np.empty((T1, n)); rec_xm = np.empty((T1, n)); rec_e = np.empty((T1, n))
-    rec_u = np.empty((T1, M)); rec_eps = np.empty((T1, n)); rec_m = np.empty(T1)
-    rec_th = np.empty((T1, C, M)); rec_xh = np.empty((T1, n))
-    rec_g2 = np.zeros((T1, M)); rec_f2 = np.zeros((T1, M))
-    rec_fired = np.zeros(T1, dtype=bool)
-    th_at = width + nK + np.array([[j * C + c for j in range(M)]
-                                   for c in range(C)])
-    th2_at = width + nK + np.arange(n, MC, C + 1)
-
-    def store(rows, t0):
-        sl = slice(t0, t0 + rows.shape[0])
-        rec_x[sl] = rows[:, F0 + cx * n:R0]
-        rec_xm[sl] = rows[:, F0 + cxm * n:F0 + cxh * n]
-        rec_xh[sl] = rows[:, F0 + cxh * n:F0 + cx * n]
-        np.subtract(rec_x[sl], rec_xm[sl], out=rec_e[sl])
-        rec_u[sl] = rows[:, U0:U0 + M]
-        rec_eps[sl] = rows[:, :n]
-        np.sqrt(rows[:, U0 + M], out=rec_m[sl])
-        rec_th[sl] = rows[:, th_at]
-        if projection is not None:
-            rec_g2[sl] = rows[:, U0 + M + 1:width]
-            rec_f2[sl] = _ct_projection_rate(rows[:, th2_at], rec_g2[sl],
-                                             projection)
-            np.any(rec_f2[sl] != 0.0, axis=1, out=rec_fired[sl])
-
-    return Field(f, views, width, probe), z, store, (
-        rec_x, rec_xm, rec_e, rec_u, rec_eps, rec_m, rec_th, rec_xh, rec_g2,
-        rec_f2, rec_fired)
+    return _ctloop.law_field(law, check,
+                             adjust if projection is not None else None)
 
 
-def _maybe_indirect_V(plant, ref, gains, rec_theta, rec_eps, rec_m):
-    try:
-        match = solve_matching(plant, ref)
-    except ModelError:
-        return None, None
-    if not match.matchable():
-        return None, None
-    K2d = np.diag(match.K2)
-    if np.max(np.abs(match.K2 - np.diag(K2d))) > 1e-9 or np.any(np.abs(K2d) < 1e-12):
-        return None, None
-    theta_star = theta_star_indirect(match.K1, match.K2)
-    series = indirect_V_series(rec_theta, theta_star, gains.Gamma, rec_eps, rec_m)
-    return series.V, series.dV
+def _clamp_law(law, projection):
+    """``after_step`` snapping every copy of theta2 in z onto the bound."""
+    n, M, C, K, nK = law.n, law.M, law.C, law.K, law.nK
 
+    def clamp(z):
+        W = z[nK:]
+        _clamp_theta2(W[K:K + M * (K + C)].reshape(M, K + C)[:, n:C],
+                      projection)
+        _clamp_theta2(W[:M * C].reshape(M, C)[:, n:], projection)
 
-def _finish_indirect_trace(plant, ref, gains, horizon, dt, domain, diverged_at,
-                           rec_x, rec_xm, rec_e, rec_u, rec_eps, rec_m,
-                           rec_th, rec_xh, rec_g2, rec_f2, rec_fired):
-    steps = (horizon + 1) if diverged_at is None else diverged_at
-    sl = slice(0, steps)
-    V = dV = None
-    if steps > 0:
-        V, dV = _maybe_indirect_V(plant, ref, gains, rec_th[sl], rec_eps[sl],
-                                  rec_m[sl])
-    # the records belong to this run alone, so the trace keeps views of
-    # them rather than a second copy
-    trace = SimulationTrace(
-        scheme="indirect_gradient", time_domain=domain, horizon=horizon, dt=dt,
-        t=np.arange(steps, dtype=float) * dt,
-        x=rec_x[sl], x_m=rec_xm[sl], e=rec_e[sl],
-        u=rec_u[sl], eps=rec_eps[sl], m=rec_m[sl],
-        theta=rec_th[sl], x_hat=rec_xh[sl],
-        V=V, dV=dV,
-        proj_fired=rec_fired[sl], proj_g2=rec_g2[sl],
-        proj_f2=rec_f2[sl],
-        diverged=diverged_at is not None, diverged_at=diverged_at,
-    )
-    trace.summary = trace.summarize()
-    return trace
+    return clamp

@@ -15,10 +15,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import _ctloop
+from . import _ctloop, _rows
 from ._ctloop import Field
-from .diagnostics import SimulationTrace
-from .direct import InitialConditions
+from .diagnostics import SimulationTrace, value_series
+from .direct import InitialConditions, _finish_trace
 from .errors import GainError, ModelError, NumericsError
 from .indirect import (ProjectionConfig, _clamp_theta2, _ct_projection_rate,
                        check_projection_start, stack_plant_estimate,
@@ -222,11 +222,11 @@ def update_lyapunov_indirect_ct(Theta1, Theta2, e_x, x, u, P, B_m,
 @dataclass
 class LyapunovLoop:
     """Packed closed-loop system for one Lyapunov scheme: the fused field
-    over the packed state and the joint rhs wrapping it, ``pack``,
-    ``columns(rows)`` (the x, x_m, xhat, u and theta columns of finished
-    chunk rows, xhat None for the direct scheme), the certificate, and V of
-    one packed state and ``V_series(x, x_m, xhat, theta)`` along records
-    (both None when the scenario is not matchable)."""
+    over the packed state and the joint rhs wrapping it, ``pack``, ``cols``
+    (the record columns of finished chunk rows, keyed by trace field), the
+    certificate, and V of one packed state and ``V_series(x, x_m, xhat,
+    theta)`` along records (both None when the scenario is not
+    matchable)."""
 
     mode: str
     n: int
@@ -235,7 +235,7 @@ class LyapunovLoop:
     field: Field
     rhs: Callable
     pack: Callable
-    columns: Callable
+    cols: dict
     V: Optional[Callable]
     V_series: Optional[Callable]
 
@@ -342,10 +342,6 @@ def build_lyapunov_loop(plant: PlantModel, ref: ReferenceModel,
                                    np.asarray(K1, float).reshape(n * M),
                                    np.atleast_2d(np.asarray(K2, float)).T.reshape(M * M)])
 
-        def columns(rows):
-            return (rows[:, X0:nF], rows[:, :n], None,
-                    rows[:, U0:U0 + M], rows[:, width + nF + th_at])
-
         V_series = None
         if matchable:
             K1s, K2sT = match.K1, match.K2.T
@@ -422,10 +418,6 @@ def build_lyapunov_loop(plant: PlantModel, ref: ReferenceModel,
                                    np.asarray(T1, float).reshape(n * M),
                                    np.atleast_2d(np.asarray(T2, float)).T.reshape(M * M)])
 
-        def columns(rows):
-            return (rows[:, X0:nF], rows[:, :n], rows[:, n:2 * n],
-                    rows[:, U0:U0 + M], rows[:, width + nF + th_at])
-
         V_series = None
         if matchable:
             theta_star = theta_star_indirect(match.K1, match.K2)
@@ -452,9 +444,14 @@ def build_lyapunov_loop(plant: PlantModel, ref: ReferenceModel,
                                   z[None, n:2 * n],
                                   z[nF:].reshape(1, C, M))[0])
 
+    cols = {"x": np.arange(X0, nF), "x_m": np.arange(n),
+            "u": np.arange(U0, U0 + M), "theta": width + nF + th_at}
+    if mode == "indirect":
+        cols["x_hat"] = np.arange(n, 2 * n)
     field = Field(f, views, width, probe)
     return LyapunovLoop(mode=mode, n=n, M=M, ct=cert, field=field,
-                        rhs=field.rhs(signal), pack=pack, columns=columns, V=V, V_series=V_series)
+                        rhs=field.rhs(signal), pack=pack, cols=cols, V=V,
+                        V_series=V_series)
 
 
 def run_lyapunov_scenario(plant: PlantModel, ref: ReferenceModel,
@@ -489,19 +486,7 @@ def run_lyapunov_scenario(plant: PlantModel, ref: ReferenceModel,
     else:
         z = loop.pack(x0, xm0, T1blk, T2blk)
 
-    T1 = horizon + 1
-    rec_x = np.empty((T1, n)); rec_xm = np.empty((T1, n)); rec_e = np.empty((T1, n))
-    rec_u = np.empty((T1, M)); rec_th = np.empty((T1, C, M))
-    rec_xh = np.empty((T1, n)) if mode == "indirect" else None
-
-    def store(rows, t0):
-        sl = slice(t0, t0 + rows.shape[0])
-        x, xm, xh, u, theta = loop.columns(rows)
-        rec_x[sl] = x; rec_xm[sl] = xm; rec_u[sl] = u; rec_th[sl] = theta
-        np.subtract(x, xm, out=rec_e[sl])
-        if xh is not None:
-            rec_xh[sl] = xh
-
+    rec, store = _rows.records(loop.cols, horizon + 1)
     after_step = None
     if mode == "indirect" and proj_on:
         def after_step(z):
@@ -510,30 +495,10 @@ def run_lyapunov_scenario(plant: PlantModel, ref: ReferenceModel,
     diverged_at = _ctloop.run(loop.field, z, signal, horizon, h, method,
                               integrate_ct, store, after_step)
 
-    steps = (horizon + 1) if diverged_at is None else diverged_at
-    sl = slice(0, steps)
-    V = dV = None
-    if loop.V_series is not None:
-        # finite records can still square to inf; that is V's value
-        with np.errstate(over="ignore", invalid="ignore"):
-            V = loop.V_series(rec_x[sl], rec_xm[sl],
-                              rec_xh[sl] if rec_xh is not None else None,
-                              rec_th[sl])
-            dV = np.full(steps, np.nan)
-            if steps > 1:
-                dV[:-1] = np.diff(V)
-    # the records belong to this run alone, so the trace keeps views of
-    # them rather than a second copy
-    trace = SimulationTrace(
-        scheme=f"lyapunov_{mode}", time_domain=CONTINUOUS, horizon=horizon,
-        dt=h, t=np.arange(steps, dtype=float) * h,
-        x=rec_x[sl], x_m=rec_xm[sl], e=rec_e[sl], u=rec_u[sl],
-        eps=np.full((steps, n), np.nan), m=np.full(steps, np.nan),
-        theta=rec_th[sl],
-        x_hat=rec_xh[sl] if rec_xh is not None else None,
-        V=V, dV=dV,
-        proj_fired=np.zeros(steps, dtype=bool),
-        diverged=diverged_at is not None, diverged_at=diverged_at,
-    )
-    trace.summary = trace.summarize()
-    return trace
+    def V_series(rec):
+        return value_series(loop.V_series(rec["x"], rec["x_m"],
+                                          rec.get("x_hat"), rec["theta"]))
+
+    return _finish_trace(f"lyapunov_{mode}", CONTINUOUS, horizon, h,
+                         diverged_at, rec,
+                         V_series if loop.V_series is not None else None)

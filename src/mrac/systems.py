@@ -287,6 +287,9 @@ class ReferenceSignal:
         idx = min(int(math.floor(t)), self.values.shape[0] - 1)
         return self.values[max(idx, 0)].copy()
 
+    # frequencies or times near the float range overflow; r then reads NaN
+    # and the run reports divergence
+    @np.errstate(over="ignore", invalid="ignore")
     def sample(self, times: np.ndarray) -> np.ndarray:
         """Vectorised evaluation; returns an array of shape (len(times), M)."""
         times = np.asarray(times, dtype=float)

@@ -427,6 +427,37 @@ class TestCli:
             assert main(["run", str(path), "--strict"]) == 2
             assert "diverged at step" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_times_report_divergence_only(self, tmp_path, capsys):
+        # r(t) and the stage times overflow; the run reports divergence
+        # through the marker, without a numpy warning
+        discrete = bench_dict(horizon=20)
+        discrete["signal"]["frequencies"] = [[1e308]]
+        ct = ct_dict("direct_gradient", {"Gamma": 1.0, "gamma": 1.0,
+                                         "sign_k2": 1.0, "k2_lower": 0.5})
+        for cfg in (discrete, dict(ct, horizon=20, ct_step=1e308)):
+            path = tmp_path / "overflow.json"
+            path.write_text(json.dumps(cfg))
+            assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+            assert "diverged at step" in capsys.readouterr().err
+
+    def test_json_booleans_are_not_numbers(self, tmp_path, capsys):
+        # true used to read as 1.0 and report a gain bound instead
+        data = bench_dict(horizon=20)
+        data["gains"]["Gamma"] = True
+        self._assert_invalid(tmp_path, capsys, data, "gains.Gamma")
+        data = bench_dict(horizon=20)
+        data["plant"]["A"] = [[1.0, False], [2.0, 1.0]]
+        self._assert_invalid(tmp_path, capsys, data, "A")
+
+    def test_default_lyapunov_q_is_checked_at_load(self, tmp_path, capsys):
+        # without gains.Q the run solves with Q = I; a barely Hurwitz A_m
+        # used to validate and then exit 2
+        data = ct_dict("lyapunov_direct",
+                       {"Gamma": 1.0, "gamma": 1.0, "sign_k2": 1.0})
+        data["reference"]["A_m"] = [[0.0, 1.0], [-2.0, -1e-308]]
+        self._assert_invalid(tmp_path, capsys, data, "gains.Q (default I)")
+
     @staticmethod
     def _assert_invalid(tmp_path, capsys, data, field):
         bad = tmp_path / "bad.json"
