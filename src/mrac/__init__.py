@@ -3,42 +3,53 @@
 Discrete- and continuous-time model-reference adaptive control with
 normalized-gradient and Lyapunov parameter updates, direct and indirect,
 single- and multi-input, plus the diagnostics that certify each run.
+
+The names below are re-exported lazily: ``from mrac import X`` imports the
+module that defines X on first use, so a run compiles only the modules of
+the scheme it runs.
 """
 
-from .diagnostics import (LyapunovSeries, SimulationTrace, TraceSummary,
-                          TrackingMetrics, check_delta_V, compute_V_direct,
-                          compute_V_indirect, direct_V_series, gamma0_direct,
-                          gamma1_indirect, indirect_V_series, l2_accumulators,
-                          summarize, tracking_metrics)
-from .direct import (DirectControllerState, DirectGainConfig,
-                     InitialConditions, control_direct, direct_increment,
-                     epsilon_direct, make_direct_state, run_direct_scenario,
-                     split_controller_gains, stack_controller_gains,
-                     update_direct_ct, update_direct_discrete)
-from .errors import (ConfigError, GainError, ModelError, NumericsError,
-                     ProjectionError, SingularGainError, ToolkitError)
-from .filters import (ChannelFilterBank, RegressorFrame, advance_xi,
-                      advance_zeta, compute_m)
-from .indirect import (IndirectControllerState, IndirectGainConfig,
-                       ProjectionConfig, control_indirect, epsilon_indirect,
-                       make_indirect_state, recover_controller_gains,
-                       run_indirect_scenario, split_plant_estimate,
-                       stack_plant_estimate, step_estimator,
-                       theta_star_indirect, update_indirect_ct,
-                       update_indirect_discrete)
-from .lyapunov import (LyapunovCertificate, LyapunovDirectGains,
-                       LyapunovIndirectGains, build_lyapunov_loop,
-                       lyapunov_direct_derivatives,
-                       lyapunov_indirect_derivatives, run_lyapunov_scenario,
-                       solve_lyapunov_ct, sp_from_signs,
-                       update_lyapunov_direct_ct, update_lyapunov_indirect_ct)
-from .scenario import (ScenarioConfig, ScenarioRun, benchmark_config,
-                       config_from_dict, load_config, run_scenario,
-                       serialize_config, summary_dict)
-from .systems import (CONTINUOUS, DISCRETE, MatchingSolution, PlantModel,
-                      ReferenceModel, ReferenceSignal, euler_step,
-                      integrate_ct, is_hurwitz, random_matchable_instance,
-                      rk4_step, solve_matching, spectral_radius,
-                      step_plant_discrete, step_reference_discrete)
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "diagnostics": (
+        "LyapunovSeries", "SimulationTrace", "TraceSummary", "TrackingMetrics",
+        "check_delta_V", "direct_V_series", "gamma0_direct", "gamma1_indirect",
+        "indirect_V_series", "l2_accumulators", "summarize",
+        "tracking_metrics"),
+    "direct": ("DirectGainConfig", "InitialConditions", "run_direct_scenario",
+               "stack_controller_gains"),
+    "errors": ("ConfigError", "GainError", "ModelError", "NumericsError",
+               "ProjectionError", "SingularGainError", "ToolkitError"),
+    "filters": ("ChannelFilterBank", "RegressorFrame", "advance_zeta",
+                "compute_m"),
+    "indirect": ("IndirectGainConfig", "ProjectionConfig",
+                 "run_indirect_scenario", "stack_plant_estimate",
+                 "theta_star_indirect"),
+    "lyapunov": ("LyapunovCertificate", "LyapunovDirectGains",
+                 "LyapunovIndirectGains", "build_lyapunov_loop",
+                 "run_lyapunov_scenario", "solve_lyapunov_ct", "sp_from_signs"),
+    "scenario": ("ScenarioConfig", "ScenarioRun", "benchmark_config",
+                 "config_from_dict", "load_config", "run_scenario",
+                 "serialize_config", "summary_dict"),
+    "systems": ("CONTINUOUS", "DISCRETE", "MatchingSolution", "PlantModel",
+                "ReferenceModel", "ReferenceSignal", "euler_step",
+                "integrate_ct", "is_hurwitz", "random_matchable_instance",
+                "rk4_step", "solve_matching", "spectral_radius"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -109,11 +109,26 @@ def cmd_validate(args) -> int:
     return 0
 
 
+def _out_errors(path) -> list[str]:
+    """The ``--out`` problem, as a list: a directory that cannot be made
+    because an existing part of ``path`` is not a directory."""
+    if path is None:
+        return []
+    head = os.path.abspath(path)
+    while not os.path.exists(head):
+        head = os.path.dirname(head)
+    return [] if os.path.isdir(head) else [f"--out: {head} is not a directory"]
+
+
 def cmd_run(args) -> int:
+    errors = []
     try:
         cfg = load_config(args.config)
     except ConfigError as exc:
-        for err in exc.errors:
+        errors = list(exc.errors)
+    errors += _out_errors(args.out)
+    if errors:
+        for err in errors:
             print(f"invalid: {err}", file=sys.stderr)
         return 1
     try:
@@ -158,37 +173,65 @@ def _set_dotted(data: dict, dotted: str, value) -> None:
     node[keys[-1]] = value
 
 
-def expand_batch_spec(spec: dict) -> list[dict]:
-    """Either an explicit config list or a base config plus a sweep grid."""
+def _document(item, where: str, errors: list):
+    """A config object of a batch spec, given inline or as a path to a JSON
+    file; None, with the problem added to ``errors``, when it is neither."""
+    if isinstance(item, str):
+        try:
+            with open(item, "r", encoding="utf-8") as fh:
+                item = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            errors.append(f"{where}: {exc}")
+            return None
+    if not isinstance(item, dict):
+        errors.append(f"{where}: expected a config object or a path, "
+                      f"got {item!r}")
+        return None
+    return item
+
+
+def expand_batch_spec(spec) -> list[dict]:
+    """Either an explicit config list or a base config plus a sweep grid;
+    a ConfigError lists every problem of the spec."""
+    if not isinstance(spec, dict) or not ("configs" in spec or "base" in spec):
+        raise ConfigError([f"expected an object with 'configs' or 'base', "
+                           f"got {spec!r}"])
+    errors: list[str] = []
     if "configs" in spec:
-        out = []
-        for item in spec["configs"]:
-            if isinstance(item, str):
-                with open(item, "r", encoding="utf-8") as fh:
-                    out.append(json.load(fh))
-            else:
-                out.append(item)
-        return out
-    if "base" in spec:
-        base = spec["base"]
-        if isinstance(base, str):
-            with open(base, "r", encoding="utf-8") as fh:
-                base = json.load(fh)
+        items = spec["configs"]
+        if not isinstance(items, list):
+            raise ConfigError([f"configs: expected a list, got {items!r}"])
+        members = [_document(item, f"configs[{i}]", errors)
+                   for i, item in enumerate(items)]
+    else:
+        base = _document(spec["base"], "base", errors)
         sweep = spec.get("sweep", {})
-        keys = sorted(sweep.keys())
-        grids = [sweep[k] for k in keys]
-        runs = []
-        for combo in itertools.product(*grids) if keys else [()]:
-            data = json.loads(json.dumps(base))
-            tags = []
-            for key, value in zip(keys, combo):
-                _set_dotted(data, key, value)
-                tags.append(f"{key.split('.')[-1]}={value}")
-            if tags:
-                data["name"] = data.get("name", "run") + "[" + ",".join(tags) + "]"
-            runs.append(data)
-        return runs
-    raise ConfigError(["batch spec needs 'configs' or 'base'"])
+        if not isinstance(sweep, dict):
+            errors.append(f"sweep: expected an object, got {sweep!r}")
+        else:
+            errors.extend(f"sweep.{key}: expected a list of values, got "
+                          f"{grid!r}" for key, grid in sweep.items()
+                          if not isinstance(grid, list))
+    if errors:
+        raise ConfigError(errors)
+    return members if "configs" in spec else _sweep(base, sweep)
+
+
+def _sweep(base: dict, sweep: dict) -> list[dict]:
+    """One copy of ``base`` per point of the ``sweep`` grid, named after
+    the swept values."""
+    keys = sorted(sweep.keys())
+    runs = []
+    for combo in itertools.product(*(sweep[k] for k in keys)):
+        data = json.loads(json.dumps(base))
+        tags = []
+        for key, value in zip(keys, combo):
+            _set_dotted(data, key, value)
+            tags.append(f"{key.split('.')[-1]}={value}")
+        if tags:
+            data["name"] = data.get("name", "run") + "[" + ",".join(tags) + "]"
+        runs.append(data)
+    return runs
 
 
 def worker_count(jobs: int, members: int) -> int:
@@ -204,11 +247,14 @@ def cmd_batch(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"invalid batch spec: {exc}", file=sys.stderr)
         return 1
+    errors = []
     try:
         members = expand_batch_spec(spec)
     except ConfigError as exc:
-        for err in exc.errors:
-            print(f"invalid batch spec: {err}", file=sys.stderr)
+        errors = [f"invalid batch spec: {err}" for err in exc.errors]
+    errors += [f"invalid: {err}" for err in _out_errors(args.out)]
+    if errors:
+        print("\n".join(errors), file=sys.stderr)
         return 1
     payloads = [(i, data, args.out) for i, data in enumerate(members)]
     rows: list[dict] = [None] * len(payloads)

@@ -40,20 +40,14 @@ class TrackingMetrics:
 class LyapunovSeries:
     """V(t), its increments, and the decrement sum eps^2/m^2 per step.
 
-    All arrays have one entry per trace record; dV and bound are NaN at the
-    final record (no successor step).
+    All arrays have one entry per trace record; dV is NaN at the final
+    record (no successor step).
     """
 
     V: np.ndarray
     dV: np.ndarray
     decrement: np.ndarray
     gamma0: float
-
-    @property
-    def bound(self) -> np.ndarray:
-        out = -(2.0 - self.gamma0) * self.decrement
-        out[-1] = np.nan
-        return out
 
 
 @dataclass(eq=False)
@@ -160,46 +154,6 @@ def _stack_gains(Gamma, n_w: int, n_blocks: int) -> np.ndarray:
     if G.shape != (n_blocks, n_w, n_w):
         raise ValueError(f"Gamma must stack to ({n_blocks}, {n_w}, {n_w}), got {G.shape}")
     return G
-
-
-def compute_V_direct(theta, rho, theta_star, rho_star, Gamma, gamma) -> float:
-    """Quadratic parameter-error value for the direct gradient scheme.
-
-    V = sum_j |rho*_j| (theta_j - theta*_j)^T Gamma_j^{-1} (theta_j - theta*_j)
-        + sum_j (rho_j - rho*_j)^2 / gamma_j
-    """
-    th = np.asarray(theta, dtype=float)
-    th_star = np.asarray(theta_star, dtype=float)
-    if th.ndim == 1:
-        th = th.reshape(-1, 1)
-        th_star = th_star.reshape(-1, 1)
-    n_w, M = th.shape
-    rho_v = np.atleast_1d(np.asarray(rho, dtype=float))
-    rho_s = np.atleast_1d(np.asarray(rho_star, dtype=float))
-    gam = np.broadcast_to(np.atleast_1d(np.asarray(gamma, dtype=float)), (M,))
-    G = _stack_gains(Gamma, n_w, M)
-    total = 0.0
-    for j in range(M):
-        err = th[:, j] - th_star[:, j]
-        total += abs(rho_s[j]) * float(err @ np.linalg.solve(G[j], err))
-        total += (rho_v[j] - rho_s[j]) ** 2 / gam[j]
-    return total
-
-
-def compute_V_indirect(theta, theta_star, Gamma) -> float:
-    """V = sum_j (theta_j - theta*_j)^T Gamma_j^{-1} (theta_j - theta*_j)."""
-    th = np.asarray(theta, dtype=float)
-    th_star = np.asarray(theta_star, dtype=float)
-    if th.ndim == 1:
-        th = th.reshape(-1, 1)
-        th_star = th_star.reshape(-1, 1)
-    n_w, M = th.shape
-    G = _stack_gains(Gamma, n_w, M)
-    total = 0.0
-    for j in range(M):
-        err = th[:, j] - th_star[:, j]
-        total += float(err @ np.linalg.solve(G[j], err))
-    return total
 
 
 def gamma0_direct(Gamma, gamma, rho_star) -> float:

@@ -21,11 +21,10 @@ from typing import Optional
 
 import numpy as np
 
-from . import _ctloop, _rows
+from . import _rows
 from ._rows import Law, block
 from .diagnostics import SimulationTrace, direct_V_series
-from .errors import GainError, ModelError, NumericsError
-from .filters import ChannelFilterBank, RegressorFrame
+from .errors import GainError, ModelError
 from .systems import (DISCRETE, PlantModel, ReferenceModel, ReferenceSignal,
                       integrate_ct, solve_matching)
 
@@ -37,15 +36,6 @@ def stack_controller_gains(K1, K2) -> np.ndarray:
     if K1.ndim == 1:
         K1 = K1.reshape(-1, 1)
     return np.vstack([K1, K2.T])
-
-
-def split_controller_gains(theta) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of stack_controller_gains: theta -> (K1, K2)."""
-    th = np.asarray(theta, dtype=float)
-    if th.ndim == 1:
-        th = th.reshape(-1, 1)
-    M = th.shape[1]
-    return th[:-M].copy(), th[-M:].T.copy()
 
 
 def _sym_check(G, label, atol=1e-10):
@@ -132,38 +122,6 @@ class DirectGainConfig:
     def n_inputs(self) -> int:
         return self.sign_k2.shape[0]
 
-    @property
-    def n_w(self) -> int:
-        return self.Gamma.shape[1]
-
-
-@dataclass
-class DirectControllerState:
-    """Adaptive estimates plus the filter bank that feeds them."""
-
-    theta: np.ndarray  # (n_w, M)
-    rho: np.ndarray  # (M,)
-    bank: ChannelFilterBank
-
-    @property
-    def K1(self) -> np.ndarray:
-        return split_controller_gains(self.theta)[0]
-
-    @property
-    def K2(self) -> np.ndarray:
-        return split_controller_gains(self.theta)[1]
-
-
-def make_direct_state(ref: ReferenceModel, theta0=None, rho0=None) -> DirectControllerState:
-    """Fresh controller state; estimates default to zero."""
-    n, M = ref.n, ref.n_inputs
-    n_w = n + M
-    theta = np.zeros((n_w, M)) if theta0 is None else _shape_theta(theta0, n_w, M)
-    rho = np.zeros(M) if rho0 is None else np.broadcast_to(
-        np.atleast_1d(np.asarray(rho0, dtype=float)), (M,)).copy()
-    return DirectControllerState(theta=theta, rho=rho,
-                                 bank=ChannelFilterBank(ref, n_w))
-
 
 def _shape_theta(theta, n_w, M):
     th = np.asarray(theta, dtype=float)
@@ -172,89 +130,6 @@ def _shape_theta(theta, n_w, M):
     if th.shape != (n_w, M):
         raise ModelError(f"theta must have shape ({n_w}, {M}), got {th.shape}")
     return th.copy()
-
-
-def control_direct(theta, x, r) -> np.ndarray:
-    """u = K1^T x + K2 r, with the gains read out of the stacked estimate."""
-    th = np.asarray(theta, dtype=float)
-    if th.ndim == 1:
-        th = th.reshape(-1, 1)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    r = np.atleast_1d(np.asarray(r, dtype=float)).reshape(-1)
-    M = th.shape[1]
-    if th.shape[0] != x.shape[0] + M or r.shape[0] != M:
-        raise ModelError(
-            f"control_direct: theta {th.shape} incompatible with x ({x.shape[0]}) "
-            f"and r ({r.shape[0]})"
-        )
-    omega = np.concatenate([x, r])
-    return th.T @ omega
-
-
-def epsilon_direct(e, rho, xi) -> np.ndarray:
-    """Estimation error eps_i = e_i + sum_j rho_j xi_ij."""
-    e = np.asarray(e, dtype=float).reshape(-1)
-    xi_m = np.asarray(xi, dtype=float)
-    if xi_m.ndim == 1:
-        xi_m = xi_m.reshape(-1, 1)
-    rho_v = np.atleast_1d(np.asarray(rho, dtype=float))
-    if xi_m.shape[0] != e.shape[0] or xi_m.shape[1] != rho_v.shape[0]:
-        raise ModelError(
-            f"epsilon_direct: e {e.shape}, xi {xi_m.shape}, rho {rho_v.shape} disagree"
-        )
-    return e + xi_m @ rho_v
-
-
-def direct_increment(theta, rho, gains: DirectGainConfig, epsilon,
-                     frame: RegressorFrame):
-    """Negative-gradient term of the law: the discrete-time update difference
-    and, identically, the continuous-time derivative."""
-    eps = np.asarray(epsilon, dtype=float).reshape(-1)
-    m2 = frame.m * frame.m
-    a = np.einsum("k,kjc->jc", eps, frame.zeta)  # (M, n_w)
-    dth = -np.matmul(gains.Gamma, (gains.sign_k2[:, None] * a)[:, :, None])[..., 0].T / m2
-    b = eps @ frame.xi  # (M,)
-    drho = -gains.gamma * b / m2
-    return dth, drho
-
-
-def update_direct_discrete(state: DirectControllerState, gains: DirectGainConfig,
-                           epsilon, frame: RegressorFrame) -> DirectControllerState:
-    """One gradient step on (theta, rho); the filter bank is advanced separately."""
-    dth, drho = direct_increment(state.theta, state.rho, gains, epsilon, frame)
-    theta = state.theta + dth
-    rho = state.rho + drho
-    M = rho.shape[0]
-    if M > 1 and gains.enforce_diagonal_k2:
-        theta[-M:] *= np.eye(M).T
-    if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(rho))):
-        raise NumericsError("non-finite parameter update")
-    return DirectControllerState(theta=theta, rho=rho, bank=state.bank)
-
-
-def update_direct_ct(state: DirectControllerState, gains: DirectGainConfig,
-                     frame_eval, h: float, method: str = "rk4") -> DirectControllerState:
-    """Integrate the parameter derivatives one step.
-
-    ``frame_eval(theta, rho) -> (epsilon, frame)`` supplies the estimation
-    error and regressor frame at interior stage points; pass a constant
-    closure to hold them fixed over the step.
-    """
-    n_w, M = state.theta.shape
-
-    def rhs(_t, y):
-        th = y[: n_w * M].reshape(n_w, M)
-        rh = y[n_w * M:]
-        eps, frame = frame_eval(th, rh)
-        dth, drho = direct_increment(th, rh, gains, eps, frame)
-        if M > 1 and gains.enforce_diagonal_k2:
-            dth[-M:] *= np.eye(M).T
-        return np.concatenate([dth.ravel(), drho])
-
-    y0 = np.concatenate([state.theta.ravel(), state.rho])
-    y1 = integrate_ct(rhs, y0, h, method=method)
-    return DirectControllerState(theta=y1[: n_w * M].reshape(n_w, M),
-                                 rho=y1[n_w * M:], bank=state.bank)
 
 
 @dataclass
@@ -419,6 +294,7 @@ def run_direct_scenario(plant: PlantModel, ref: ReferenceModel,
         diverged_at = _rows.run(
             law, signal.sample(np.arange(horizon + 1, dtype=float)), store)
     else:
+        from . import _ctloop  # continuous time only
         diverged_at = _ctloop.run(_ctloop.law_field(law), law.z0, signal,
                                   horizon, h, method, integrate_ct, store)
 

@@ -1,4 +1,9 @@
-"""Regressor filter banks: the signals zeta, xi and the normalizer m.
+"""The reference regressor filter bank: the signals zeta, xi and the
+normalizer m.
+
+No runner steps this bank: the fused loops (``_rows``) carry its states as
+columns of their own rows. It stays as the reference those columns are
+checked against, and the acceptance gate certifies its realization.
 
 The reference model's transfer matrix W(z) = (zI - A_m)^{-1} B_m is realized
 once per scalar input channel as a shared (A_m, B_m-column) state-space copy:
@@ -42,7 +47,6 @@ class RegressorFrame:
     zeta: np.ndarray
     xi: np.ndarray
     m: float
-    omega: np.ndarray | None = None
 
 
 def compute_m(zeta, xi=None, include_xi: bool = True) -> float:
@@ -94,10 +98,6 @@ class ChannelFilterBank:
         self.S = np.zeros((self.n, self.n_inputs * n_channels))
         self.q = np.zeros((self.n, self.n_inputs))
 
-    def reset(self):
-        self.S[:] = 0.0
-        self.q[:] = 0.0
-
     def zeta(self) -> np.ndarray:
         """Current zeta as an (n, M, C) array; row [i, j] is zeta_ij(t)."""
         return self.S.reshape(self.n, self.n_inputs, self.n_channels).copy()
@@ -120,23 +120,17 @@ class ChannelFilterBank:
         Call after the current outputs have been read; theta must be the
         estimate that was in force at step t (the one used in the control).
         """
-        om = np.asarray(omega, dtype=float).reshape(-1)
-        if om.shape[0] != self.n_channels:
-            raise ModelError(
-                f"omega must have length {self.n_channels}, got {om.shape[0]}"
-            )
         th = _theta_cols(theta, self.n_channels, self.n_inputs)
-        v = th.T @ om
-        drive = (self.B_m[:, :, None] * om[None, None, :]).reshape(self.n, -1)
-        self.S = self.A_m @ self.S + drive
+        advance_zeta(self, omega)
+        v = th.T @ np.asarray(omega, dtype=float).reshape(-1)
         self.q = self.A_m @ self.q + self.B_m * v[None, :]
 
 
 def advance_zeta(bank: ChannelFilterBank, omega) -> np.ndarray:
     """Emit zeta(t), then advance the zeta states on omega(t).
 
-    In a manually decomposed step, read xi (``advance_xi`` or ``bank.xi``)
-    before calling this: xi(t) is formed from the same pre-advance states.
+    Read xi (``bank.xi``) before calling this: xi(t) is formed from the
+    same pre-advance states.
     """
     om = np.asarray(omega, dtype=float).reshape(-1)
     if om.shape[0] != bank.n_channels:
@@ -148,12 +142,3 @@ def advance_zeta(bank: ChannelFilterBank, omega) -> np.ndarray:
     bank.S = bank.A_m @ bank.S + drive
     return out
 
-
-def advance_xi(bank: ChannelFilterBank, theta, omega) -> np.ndarray:
-    """Emit xi(t), then advance the auxiliary filter on theta^T omega."""
-    om = np.asarray(omega, dtype=float).reshape(-1)
-    th = _theta_cols(theta, bank.n_channels, bank.n_inputs)
-    out = bank.xi(th)
-    v = th.T @ om
-    bank.q = bank.A_m @ bank.q + bank.B_m * v[None, :]
-    return out

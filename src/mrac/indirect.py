@@ -29,10 +29,8 @@ from . import _ctloop, _rows
 from ._rows import Law, block
 from .diagnostics import SimulationTrace, indirect_V_series
 from .direct import (InitialConditions, _check_run_args, _diagonal_match,
-                     _finish_trace, _shape_theta)
-from .errors import (GainError, ModelError, NumericsError, ProjectionError,
-                     SingularGainError)
-from .filters import ChannelFilterBank, RegressorFrame
+                     _finish_trace)
+from .errors import GainError, ModelError, ProjectionError, SingularGainError
 # solve_matching stays a module attribute: the benchmark's tracer wraps it
 # here by name
 from .systems import (DISCRETE, PlantModel, ReferenceModel,  # noqa: F401
@@ -127,10 +125,6 @@ class IndirectGainConfig:
     def n_inputs(self) -> int:
         return self.Gamma.shape[0]
 
-    @property
-    def n_w(self) -> int:
-        return self.Gamma.shape[1]
-
 
 def stack_plant_estimate(Theta1, Theta2) -> np.ndarray:
     """Stack (Theta1, Theta2) into the (n+M, M) column layout."""
@@ -139,15 +133,6 @@ def stack_plant_estimate(Theta1, Theta2) -> np.ndarray:
     if T1.ndim == 1:
         T1 = T1.reshape(-1, 1)
     return np.vstack([T1, T2.T])
-
-
-def split_plant_estimate(theta):
-    """theta -> (Theta1, Theta2)."""
-    th = np.asarray(theta, dtype=float)
-    if th.ndim == 1:
-        th = th.reshape(-1, 1)
-    M = th.shape[1]
-    return th[:-M].copy(), th[-M:].T.copy()
 
 
 def theta_star_indirect(K1, K2) -> np.ndarray:
@@ -159,26 +144,6 @@ def theta_star_indirect(K1, K2) -> np.ndarray:
         K1 = K1.reshape(-1, 1)
     K2inv = np.linalg.inv(K2)
     return stack_plant_estimate(K1 @ K2inv.T, K2inv)
-
-
-@dataclass
-class IndirectControllerState:
-    theta: np.ndarray  # (n_w, M)
-    x_hat: np.ndarray  # (n,)
-    bank: ChannelFilterBank
-
-    @property
-    def Theta1(self) -> np.ndarray:
-        return split_plant_estimate(self.theta)[0]
-
-    @property
-    def Theta2(self) -> np.ndarray:
-        return split_plant_estimate(self.theta)[1]
-
-    @property
-    def theta2_diag(self) -> np.ndarray:
-        M = self.theta.shape[1]
-        return np.array([self.theta[-M + j, j] for j in range(M)])
 
 
 def check_projection_start(theta, projection: ProjectionConfig):
@@ -197,158 +162,12 @@ def check_projection_start(theta, projection: ProjectionConfig):
             )
 
 
-def make_indirect_state(ref: ReferenceModel, theta0, xhat0=None,
-                        projection: ProjectionConfig | None = None) -> IndirectControllerState:
-    n, M = ref.n, ref.n_inputs
-    n_w = n + M
-    theta = _shape_theta(theta0, n_w, M)
-    if M > 1:
-        theta[-M:] *= np.eye(M).T
-    if projection is not None and projection.enabled:
-        check_projection_start(theta, projection)
-    x_hat = np.zeros(n) if xhat0 is None else np.asarray(xhat0, float).reshape(n)
-    return IndirectControllerState(theta=theta, x_hat=x_hat,
-                                   bank=ChannelFilterBank(ref, n_w))
-
-
-def step_estimator(state: IndirectControllerState, ref: ReferenceModel,
-                   x, u) -> np.ndarray:
-    """One estimator step: A_m xhat + B_m (Theta2 u - Theta1^T x)."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    u = np.atleast_1d(np.asarray(u, dtype=float)).reshape(-1)
-    n, M = ref.n, ref.n_inputs
-    if x.shape[0] != n or u.shape[0] != M:
-        raise ModelError("step_estimator: state/input dimensions disagree")
-    omega = np.concatenate([-x, u])
-    v = state.theta.T @ omega  # = Theta2 u - Theta1^T x
-    return ref.A_m @ state.x_hat + ref.B_m @ v
-
-
-def epsilon_indirect(e_x, xi) -> np.ndarray:
-    """eps_i = e_xi + sum_j xi_ij (no rho weighting here)."""
-    e_x = np.asarray(e_x, dtype=float).reshape(-1)
-    xi_m = np.asarray(xi, dtype=float)
-    if xi_m.ndim == 1:
-        xi_m = xi_m.reshape(-1, 1)
-    if xi_m.shape[0] != e_x.shape[0]:
-        raise ModelError(f"epsilon_indirect: e_x {e_x.shape}, xi {xi_m.shape} disagree")
-    return e_x + np.sum(xi_m, axis=1)
-
-
-def _projection_values(theta2, g2, projection: ProjectionConfig):
-    """Discrete landing form: zero when the candidate stays admissible,
-    otherwise the correction placing theta2 exactly on the signed bound."""
-    cand = theta2 + g2
-    target = projection.signs * projection.theta2_lower
-    need = projection.signs * cand < projection.theta2_lower
-    return np.where(need, target - cand, 0.0)
-
-
-def indirect_step_values(theta, gains: IndirectGainConfig,
-                         projection: ProjectionConfig | None,
-                         epsilon, frame: RegressorFrame):
-    """Gradient step with projection; returns (theta_next, g2, f2)."""
-    th = np.asarray(theta, dtype=float)
-    if th.ndim == 1:
-        th = th.reshape(-1, 1)
-    n_w, M = th.shape
-    n = n_w - M
-    eps = np.asarray(epsilon, dtype=float).reshape(-1)
-    m2 = frame.m * frame.m
-    a = np.einsum("k,kjc->jc", eps, frame.zeta)  # (M, n_w)
-    g = -np.matmul(gains.Gamma, a[:, :, None])[..., 0].T / m2  # (n_w, M)
-    if M > 1:
-        g[-M:] *= np.eye(M).T
-    theta2 = np.array([th[n + j, j] for j in range(M)])
-    g2 = np.array([g[n + j, j] for j in range(M)])
-    if projection is not None and projection.enabled:
-        f2 = _projection_values(theta2, g2, projection)
-    else:
-        f2 = np.zeros(M)
-    theta_next = th + g
-    for j in range(M):
-        theta_next[n + j, j] += f2[j]
-    if not np.all(np.isfinite(theta_next)):
-        raise NumericsError("non-finite parameter update")
-    return theta_next, g2, f2
-
-
-def update_indirect_discrete(state: IndirectControllerState,
-                             gains: IndirectGainConfig,
-                             projection: ProjectionConfig | None,
-                             epsilon, frame: RegressorFrame) -> IndirectControllerState:
-    theta_next, _, _ = indirect_step_values(state.theta, gains, projection,
-                                            epsilon, frame)
-    return IndirectControllerState(theta=theta_next, x_hat=state.x_hat,
-                                   bank=state.bank)
-
-
-def recover_controller_gains(theta, projection: ProjectionConfig | None):
-    """(K1, K2) from the plant estimate; raises when Theta2 is not safely
-    invertible and no projection guards it."""
-    th = np.asarray(theta, dtype=float)
-    if th.ndim == 1:
-        th = th.reshape(-1, 1)
-    n_w, M = th.shape
-    n = n_w - M
-    theta2 = np.array([th[n + j, j] for j in range(M)])
-    floor = projection.theta2_lower if projection is not None else np.full(M, 1e-12)
-    if np.any(np.abs(theta2) < floor - 1e-15):
-        raise SingularGainError(
-            f"theta2 diagonal {theta2} below the invertibility threshold {floor}"
-        )
-    K2 = np.diag(1.0 / theta2)
-    K1 = th[:n] / theta2[None, :]  # columns K1[:, j] = Theta1[:, j] / theta2_j
-    return K1, K2
-
-
-def control_indirect(state: IndirectControllerState,
-                     projection: ProjectionConfig | None, x, r) -> np.ndarray:
-    """u = K1^T x + K2 r with gains recovered from the projected estimate."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    r = np.atleast_1d(np.asarray(r, dtype=float)).reshape(-1)
-    K1, K2 = recover_controller_gains(state.theta, projection)
-    return K1.T @ x + K2 @ r
-
-
 def _ct_projection_rate(theta2, g2, projection: ProjectionConfig):
     """Derivative-nulling form: on (or past) the bound with an outward raw
     derivative, cancel it; otherwise leave the law untouched."""
     on_boundary = projection.signs * theta2 <= projection.theta2_lower + 1e-12
     outward = projection.signs * g2 < 0.0
     return np.where(on_boundary & outward, -g2, 0.0)
-
-
-def update_indirect_ct(state: IndirectControllerState, gains: IndirectGainConfig,
-                       projection: ProjectionConfig | None, frame_eval,
-                       h: float, method: str = "rk4") -> IndirectControllerState:
-    """Integrate the indirect law one step; ``frame_eval(theta) ->
-    (epsilon, frame)`` is evaluated at interior stage points."""
-    n_w, M = state.theta.shape
-    n = n_w - M
-
-    def rhs(_t, y):
-        th = y.reshape(n_w, M)
-        eps, frame = frame_eval(th)
-        eps = np.asarray(eps, dtype=float).reshape(-1)
-        m2 = frame.m * frame.m
-        a = np.einsum("k,kjc->jc", eps, frame.zeta)
-        g = -np.matmul(gains.Gamma, a[:, :, None])[..., 0].T / m2
-        if M > 1:
-            g[-M:] *= np.eye(M).T
-        if projection is not None and projection.enabled:
-            theta2 = np.array([th[n + j, j] for j in range(M)])
-            g2 = np.array([g[n + j, j] for j in range(M)])
-            f2 = _ct_projection_rate(theta2, g2, projection)
-            for j in range(M):
-                g[n + j, j] += f2[j]
-        return g.ravel()
-
-    y1 = integrate_ct(rhs, state.theta.ravel(), h, method=method)
-    theta = y1.reshape(n_w, M)
-    if projection is not None and projection.enabled:
-        _clamp_theta2(theta[n:], projection)
-    return IndirectControllerState(theta=theta, x_hat=state.x_hat, bank=state.bank)
 
 
 def _clamp_theta2(block, projection: ProjectionConfig):

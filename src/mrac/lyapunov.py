@@ -19,7 +19,7 @@ from . import _ctloop, _rows
 from ._ctloop import Field
 from .diagnostics import SimulationTrace, value_series
 from .direct import InitialConditions, _finish_trace
-from .errors import GainError, ModelError, NumericsError
+from .errors import GainError, ModelError
 from .indirect import (ProjectionConfig, _clamp_theta2, _ct_projection_rate,
                        check_projection_start, stack_plant_estimate,
                        theta_star_indirect)
@@ -137,86 +137,6 @@ class LyapunovIndirectGains:
             raise GainError("Gamma2 diagonal must be positive")
         object.__setattr__(self, "Gamma1", G1)
         object.__setattr__(self, "Gamma2", G2)
-
-
-def lyapunov_direct_derivatives(K1, K2, e, x, r, P, B_m,
-                                gains: LyapunovDirectGains):
-    """Raw derivative fields of the direct laws (before integration)."""
-    e = np.asarray(e, float).reshape(-1)
-    x = np.asarray(x, float).reshape(-1)
-    r = np.atleast_1d(np.asarray(r, float)).reshape(-1)
-    B_m = np.asarray(B_m, float)
-    if B_m.ndim == 1:
-        B_m = B_m.reshape(-1, 1)
-    if gains.S_p is not None:
-        w = gains.S_p.T @ (B_m.T @ (P @ e))  # (M,)
-        dK1 = -np.outer(x, w)
-        dK2 = -np.outer(w, r)
-        return dK1, dK2
-    s = float(e @ (P @ B_m[:, 0]))
-    dK1 = -gains.sign_k2 * (gains.Gamma @ x) * s
-    dK2 = -gains.sign_k2 * gains.gamma * r * s
-    return dK1.reshape(-1, 1), np.atleast_2d(dK2)
-
-
-def update_lyapunov_direct_ct(K1, K2, e, x, r, P, B_m,
-                              gains: LyapunovDirectGains, h: float):
-    """One step with the driving signals held over the interval (the
-    derivative is then constant, so the step is exact)."""
-    dK1, dK2 = lyapunov_direct_derivatives(K1, K2, e, x, r, P, B_m, gains)
-    K1n = np.asarray(K1, float).reshape(dK1.shape) + h * dK1
-    K2n = np.atleast_2d(np.asarray(K2, float)) + h * dK2
-    if not (np.all(np.isfinite(K1n)) and np.all(np.isfinite(K2n))):
-        raise NumericsError("non-finite gain update")
-    return K1n, K2n
-
-
-def lyapunov_indirect_derivatives(Theta1, Theta2, e_x, x, u, P, B_m,
-                                  gains: LyapunovIndirectGains,
-                                  projection: ProjectionConfig | None = None):
-    """Raw derivative fields of the indirect laws, projection included."""
-    e_x = np.asarray(e_x, float).reshape(-1)
-    x = np.asarray(x, float).reshape(-1)
-    u = np.atleast_1d(np.asarray(u, float)).reshape(-1)
-    B_m = np.asarray(B_m, float)
-    if B_m.ndim == 1:
-        B_m = B_m.reshape(-1, 1)
-    T1 = np.asarray(Theta1, float)
-    if T1.ndim == 1:
-        T1 = T1.reshape(-1, 1)
-    T2 = np.atleast_2d(np.asarray(Theta2, float))
-    M = T2.shape[0]
-    w = B_m.T @ (P @ e_x)  # (M,)
-    if gains.theta1_law == "standard":
-        dT1 = np.outer(gains.Gamma1 @ x, w)
-    else:
-        dT1 = np.outer(x, gains.Gamma1 @ w)
-    G2d = np.diag(gains.Gamma2)
-    dT2 = -np.outer(G2d * w, u)
-    if M > 1:
-        dT2 = dT2 * np.eye(M)  # non-diagonal entries are pinned at zero
-    if projection is not None and projection.enabled:
-        theta2 = np.diag(T2).copy()
-        g2 = np.diag(dT2).copy()
-        f2 = _ct_projection_rate(theta2, g2, projection)
-        dT2 = dT2 + np.diag(f2)
-    return dT1, dT2
-
-
-def update_lyapunov_indirect_ct(Theta1, Theta2, e_x, x, u, P, B_m,
-                                gains: LyapunovIndirectGains,
-                                projection: ProjectionConfig | None,
-                                h: float):
-    """One frozen-signal step of the indirect laws."""
-    dT1, dT2 = lyapunov_indirect_derivatives(Theta1, Theta2, e_x, x, u, P,
-                                             B_m, gains, projection)
-    T1n = np.asarray(Theta1, float).reshape(dT1.shape) + h * dT1
-    T2n = np.atleast_2d(np.asarray(Theta2, float)) + h * dT2
-    if projection is not None and projection.enabled:
-        _clamp_theta2(T2n, projection)
-    if not (np.all(np.isfinite(T1n)) and np.all(np.isfinite(T2n))):
-        raise NumericsError("non-finite estimate update")
-    return T1n, T2n
 
 
 @dataclass

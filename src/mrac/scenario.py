@@ -12,7 +12,9 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field, asdict
+from importlib import import_module
 from typing import Any, Optional
 
 import numpy as np
@@ -24,15 +26,40 @@ from .diagnostics import (SimulationTrace, check_delta_V,  # noqa: F401
 from .direct import (DirectGainConfig, InitialConditions,
                      run_direct_scenario, stack_controller_gains)
 from .errors import ConfigError, GainError, ModelError, ProjectionError
-from .indirect import (IndirectGainConfig, ProjectionConfig,
-                       run_indirect_scenario, theta_star_indirect)
-from .lyapunov import (LyapunovDirectGains, LyapunovIndirectGains,
-                       run_lyapunov_scenario, solve_lyapunov_ct)
 from .systems import (CONTINUOUS, DISCRETE, PlantModel, ReferenceModel,
                       ReferenceSignal, solve_matching)
 
+# the runners whose modules are imported only when a config names their
+# scheme; run_scenario reads every runner as a module attribute, so a
+# caller may replace it here (the benchmark's tracer does)
+_LAZY_RUNNERS = {"run_indirect_scenario": "indirect",
+                 "run_lyapunov_scenario": "lyapunov"}
+
+
+def __getattr__(name):
+    if name not in _LAZY_RUNNERS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_LAZY_RUNNERS[name]}", __package__),
+                    name)
+    globals()[name] = value
+    return value
+
 SCHEMES = ("direct_gradient", "indirect_gradient",
            "lyapunov_direct", "lyapunov_indirect")
+
+# the most a run's record arrays and reference samples may take; a config
+# estimated above it is invalid
+MEMORY_BUDGET_BYTES = 1 << 30
+
+
+def memory_estimate(horizon: int, n: int, M: int, tones: int,
+                    time_domain: str) -> int:
+    """Bytes of a run's records, about (T+1)(C M + 3n + 2M) floats with
+    C = n + M, plus the (T+1, M, tones) reference samples built per stage
+    time: one set in discrete time, three in continuous time."""
+    stages = 3 if time_domain == CONTINUOUS else 1
+    return 8 * (horizon + 1) * ((n + M) * M + 3 * n + 2 * M
+                                + stages * M * tones)
 
 _DEFAULT_OUTPUT = {"dir": None, "trace": True, "summary": True, "gnuplot": False}
 
@@ -231,12 +258,15 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     M = plant_obj.n_inputs if plant_obj is not None else None
 
     signal = data.get("signal")
+    tones = 1
     if not isinstance(signal, dict):
         errors.append("signal: must be an object with a 'kind'")
         signal = {}
     elif M is not None:
         try:
             sig = build_signal(signal, M)
+            if sig.amplitudes is not None:
+                tones = sig.amplitudes.shape[1]
             if sig.dimension != M:
                 errors.append(
                     f"signal: dimension {sig.dimension} != input count {M}")
@@ -248,6 +278,13 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     horizon = data.get("horizon")
     if not _is_int(horizon) or horizon < 1:
         errors.append(f"horizon: expected a positive integer, got {horizon!r}")
+    elif n is not None and time_domain in (DISCRETE, CONTINUOUS):
+        need = memory_estimate(horizon, n, M, tones, time_domain)
+        if need > MEMORY_BUDGET_BYTES:
+            errors.append(
+                f"horizon: {horizon} steps need about {need / 2**30:.3g} GiB "
+                f"of records and reference samples, above the "
+                f"{MEMORY_BUDGET_BYTES / 2**30:g} GiB budget")
 
     ct_step = data.get("ct_step", 0.01)
     if isinstance(ct_step, bool) or not isinstance(ct_step, (int, float)) \
@@ -293,6 +330,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
             errors.append(f"gains: {exc}")
     if scheme in ("lyapunov_direct", "lyapunov_indirect") and not gain_errors \
             and ref_obj is not None and time_domain == CONTINUOUS:
+        from .lyapunov import solve_lyapunov_ct
         # the run solves with Q = I when the config gives none
         Q = gains.get("Q")
         try:
@@ -465,10 +503,12 @@ def build_gains(scheme: str, raw: dict, n: int, M: int, time_domain: str):
             enforce_diagonal_k2=bool(raw.get("enforce_diagonal_k2", True)),
         )
     if scheme == "indirect_gradient":
+        from .indirect import IndirectGainConfig
         if "Gamma" not in raw:
             raise GainError("missing field: Gamma")
         return IndirectGainConfig(Gamma=_gamma_stack(raw["Gamma"], n_w, M),
                                   time_domain=time_domain)
+    from .lyapunov import LyapunovDirectGains, LyapunovIndirectGains
     if scheme == "lyapunov_direct":
         if "S_p" in raw:
             return LyapunovDirectGains(S_p=np.asarray(raw["S_p"], float))
@@ -502,6 +542,7 @@ def build_projection(raw: dict, M: int) -> Optional[ProjectionConfig]:
     such field."""
     if raw is None:
         return None
+    from .indirect import ProjectionConfig
     raw = {key: value for key, value in raw.items() if value is not None}
     if "signs" not in raw:
         raise ProjectionError("projection needs the sign priors ('signs')")
@@ -529,6 +570,7 @@ def _true_parameters(cfg: ScenarioConfig, plant, ref):
     if cfg.scheme in ("direct_gradient", "lyapunov_direct"):
         theta_star = stack_controller_gains(match.K1, match.K2)
     else:
+        from .indirect import theta_star_indirect
         theta_star = theta_star_indirect(match.K1, match.K2)
     k2d = np.diag(match.K2)
     rho_star = 1.0 / k2d
@@ -613,20 +655,21 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
     Q = cfg.gains.get("Q")
     Q = np.asarray(Q, float) if Q is not None else None
 
+    # the other runners are module attributes imported on first use
+    module = sys.modules[__name__]
     if cfg.scheme == "direct_gradient":
         trace = run_direct_scenario(plant, ref, sig, gains, init, cfg.horizon,
                                     h=cfg.ct_step, method=cfg.integrator)
     elif cfg.scheme == "indirect_gradient":
-        trace = run_indirect_scenario(plant, ref, sig, gains, proj, init,
-                                      cfg.horizon, h=cfg.ct_step,
-                                      method=cfg.integrator)
+        trace = module.run_indirect_scenario(
+            plant, ref, sig, gains, proj, init, cfg.horizon, h=cfg.ct_step,
+            method=cfg.integrator)
     else:
         direct = cfg.scheme == "lyapunov_direct"
-        trace = run_lyapunov_scenario(plant, ref, sig,
-                                      "direct" if direct else "indirect",
-                                      gains, None if direct else proj, init,
-                                      cfg.horizon, h=cfg.ct_step,
-                                      method=cfg.integrator, Q=Q)
+        trace = module.run_lyapunov_scenario(
+            plant, ref, sig, "direct" if direct else "indirect", gains,
+            None if direct else proj, init, cfg.horizon, h=cfg.ct_step,
+            method=cfg.integrator, Q=Q)
 
     invariants = _invariant_report(cfg, trace, gains, plant)
     if trace.diverged:

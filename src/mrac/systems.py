@@ -1,4 +1,4 @@
-"""System types, the matching-condition solver, and bare simulation steppers.
+"""System types, the matching-condition solver, and the fixed-step integrators.
 
 Two families of state-space models live here: the plant ``x+ = A x + B u``
 (or ``dx/dt = A x + B u``) whose parameters the controller never sees, and
@@ -171,30 +171,6 @@ def solve_matching(plant: PlantModel, ref: ReferenceModel, tol: float = MATCHING
     if abs(np.linalg.det(K2)) < 1e-12:
         raise ModelError("matching gain K2 is singular")
     return MatchingSolution(K1=K1T.T.copy(), K2=K2, residual=float(residual))
-
-
-def step_plant_discrete(plant: PlantModel, x, u) -> np.ndarray:
-    """One plant step: A x + B u."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    u = np.atleast_1d(np.asarray(u, dtype=float)).reshape(-1)
-    if x.shape[0] != plant.n or u.shape[0] != plant.n_inputs:
-        raise ModelError(
-            f"step_plant_discrete: expected x of length {plant.n} and u of length "
-            f"{plant.n_inputs}, got {x.shape[0]} and {u.shape[0]}"
-        )
-    return plant.A @ x + plant.B @ u
-
-
-def step_reference_discrete(ref: ReferenceModel, x_m, r) -> np.ndarray:
-    """One reference-model step: A_m x_m + B_m r."""
-    x_m = np.asarray(x_m, dtype=float).reshape(-1)
-    r = np.atleast_1d(np.asarray(r, dtype=float)).reshape(-1)
-    if x_m.shape[0] != ref.n or r.shape[0] != ref.n_inputs:
-        raise ModelError(
-            f"step_reference_discrete: expected x_m of length {ref.n} and r of length "
-            f"{ref.n_inputs}, got {x_m.shape[0]} and {r.shape[0]}"
-        )
-    return ref.A_m @ x_m + ref.B_m @ r
 
 
 def rk4_step(rhs, t: float, y: np.ndarray, h: float) -> np.ndarray:

@@ -16,8 +16,39 @@ from mrac import (NumericsError, SingularGainError, integrate_ct,
                   solve_lyapunov_ct, solve_matching, stack_controller_gains,
                   stack_plant_estimate, theta_star_indirect)
 from mrac.indirect import _clamp_theta2, _ct_projection_rate
-from mrac.lyapunov import (lyapunov_direct_derivatives,
-                           lyapunov_indirect_derivatives)
+
+
+def lyapunov_direct_derivatives(e, x, r, P, B_m, gains):
+    """(dK1, dK2) of the direct Lyapunov laws: with w = S_p^T B_m^T P e,
+    dK1 = -x w^T and dK2 = -w r^T; single-input, with s = e^T P b_m,
+    dk1 = -sign(k2) Gamma x s and dk2 = -sign(k2) gamma r s."""
+    if gains.S_p is not None:
+        w = gains.S_p.T @ (B_m.T @ (P @ e))
+        return -np.outer(x, w), -np.outer(w, r)
+    s = float(e @ (P @ B_m[:, 0]))
+    dK1 = -gains.sign_k2 * (gains.Gamma @ x) * s
+    return dK1.reshape(-1, 1), np.atleast_2d(-gains.sign_k2 * gains.gamma * r * s)
+
+
+def lyapunov_indirect_derivatives(Theta2, e_x, x, u, P, B_m, gains,
+                                  projection=None):
+    """(dTheta1, dTheta2) of the indirect Lyapunov laws, with w = B_m^T P
+    e_x: dTheta1 = Gamma1 x w^T ("standard") or x (Gamma1 w)^T
+    ("transposed"), dTheta2 = -diag(Gamma2 w) u^T kept diagonal, and the
+    projection cancelling an outward theta2 rate on the bound."""
+    w = B_m.T @ (P @ e_x)
+    if gains.theta1_law == "standard":
+        dT1 = np.outer(gains.Gamma1 @ x, w)
+    else:
+        dT1 = np.outer(x, gains.Gamma1 @ w)
+    dT2 = -np.outer(np.diag(gains.Gamma2) * w, u)
+    if dT2.shape[0] > 1:
+        dT2 = dT2 * np.eye(dT2.shape[0])  # non-diagonal entries stay zero
+    if projection is not None and projection.enabled:
+        dT2 = dT2 + np.diag(_ct_projection_rate(np.diag(Theta2).copy(),
+                                                np.diag(dT2).copy(),
+                                                projection))
+    return dT1, dT2
 
 
 def _records(steps, **arrays):
@@ -228,7 +259,7 @@ def replay_lyapunov(plant, ref, signal, mode, gains, projection, init,
             r = signal.at(tau)
             u = K1.T @ x + K2 @ r
             e = x - xm
-            dK1, dK2 = lyapunov_direct_derivatives(K1, K2, e, x, r, P, Bm, gains)
+            dK1, dK2 = lyapunov_direct_derivatives(e, x, r, P, Bm, gains)
             dx = A @ x + B @ u
             dxm = Am @ xm + Bm @ r
             return np.concatenate([dx, dxm, dK1.ravel(), dK2.ravel()])
@@ -264,7 +295,7 @@ def replay_lyapunov(plant, ref, signal, mode, gains, projection, init,
             r = signal.at(tau)
             u = (T1.T @ x + r) / np.diag(T2)
             e_x = xh - x
-            dT1, dT2 = lyapunov_indirect_derivatives(T1, T2, e_x, x, u, P, Bm,
+            dT1, dT2 = lyapunov_indirect_derivatives(T2, e_x, x, u, P, Bm,
                                                      gains, projection)
             dxh = Am @ xh + Bm @ (T2 @ u - T1.T @ x)
             dx = A @ x + B @ u

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from mrac import (InitialConditions, LyapunovSeries,
-                  SimulationTrace, check_delta_V, compute_V_direct,
-                  compute_V_indirect, gamma0_direct, l2_accumulators,
-                  run_direct_scenario, summarize, tracking_metrics)
+from mrac import (InitialConditions, LyapunovSeries, SimulationTrace,
+                  check_delta_V, direct_V_series, gamma0_direct,
+                  indirect_V_series, l2_accumulators, run_direct_scenario,
+                  summarize, tracking_metrics)
 from conftest import K1_TRUE, K2_TRUE
 
 
@@ -32,28 +32,37 @@ def bench_run(bench_plant, bench_ref, bench_signal, bench_gains):
                                bench_gains, init, 2000)
 
 
+def V_direct(theta, rho, theta_star, rho_star, Gamma, gamma):
+    """V of one single-input direct state, through the series."""
+    one = np.ones((1, 1))
+    return direct_V_series(np.reshape(theta, (1, -1, 1)), rho * one,
+                           np.reshape(theta_star, (-1, 1)), [rho_star], Gamma,
+                           gamma, np.zeros((1, 1)), one).V[0]
+
+
 class TestValueFunctions:
     def test_zero_at_truth(self):
-        v = compute_V_direct([1.0, 2.0, 3.0], 0.5, [1.0, 2.0, 3.0], 0.5,
-                             0.5 * np.eye(3), 1.5)
+        v = V_direct([1.0, 2.0, 3.0], 0.5, [1.0, 2.0, 3.0], 0.5,
+                     0.5 * np.eye(3), 1.5)
         assert v == 0.0
 
     def test_direct_example(self):
         # theta error [1,0,0], Gamma=0.5I, rho*=2, rho error 0 -> V = 2/0.5 = 4
-        v = compute_V_direct([1.0, 0.0, 0.0], 2.0, [0.0, 0.0, 0.0], 2.0,
-                             0.5 * np.eye(3), 1.0)
+        v = V_direct([1.0, 0.0, 0.0], 2.0, [0.0, 0.0, 0.0], 2.0,
+                     0.5 * np.eye(3), 1.0)
         assert v == pytest.approx(4.0, abs=1e-12)
 
     def test_gain_scaling_homogeneity(self):
         theta = np.array([0.3, -0.7, 1.1])
-        base = compute_V_direct(theta, 2.0, np.zeros(3), 2.0, np.eye(3), 1.0)
-        scaled = compute_V_direct(theta, 2.0, np.zeros(3), 2.0, 4.0 * np.eye(3), 1.0)
-        theta_term = base - 0.0
-        assert scaled == pytest.approx(theta_term / 4.0, rel=1e-12)
+        base = V_direct(theta, 2.0, np.zeros(3), 2.0, np.eye(3), 1.0)
+        scaled = V_direct(theta, 2.0, np.zeros(3), 2.0, 4.0 * np.eye(3), 1.0)
+        assert scaled == pytest.approx(base / 4.0, rel=1e-12)
 
     def test_indirect_quadratic(self):
-        v = compute_V_indirect([1.0, 1.0], [0.0, 0.0], 2.0 * np.eye(2))
-        assert v == pytest.approx(1.0, abs=1e-14)
+        series = indirect_V_series(np.ones((1, 2, 1)), np.zeros((2, 1)),
+                                   2.0 * np.eye(2), np.zeros((1, 1)),
+                                   np.ones(1))
+        assert series.V[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_gamma0_from_actual_gains(self):
         g0 = gamma0_direct(0.5 * np.eye(3), 1.5, [2.0])

@@ -3,140 +3,96 @@ import math
 import numpy as np
 import pytest
 
-from mrac import (DirectGainConfig, GainError,
-                  InitialConditions, ModelError, NumericsError,
-                  ReferenceSignal, RegressorFrame,
-                  check_delta_V, control_direct, direct_V_series,
-                  direct_increment, epsilon_direct, gamma0_direct,
-                  make_direct_state, run_direct_scenario, solve_matching,
-                  stack_controller_gains, step_plant_discrete,
-                  step_reference_discrete, update_direct_ct,
-                  update_direct_discrete)
+from discrete_oracle import (assert_replayed, control_direct, direct_step,
+                             epsilon_direct, replay_direct)
+from mrac import (DirectGainConfig, GainError, InitialConditions, ModelError,
+                  ReferenceSignal, RegressorFrame, check_delta_V,
+                  direct_V_series, gamma0_direct, integrate_ct,
+                  run_direct_scenario, solve_matching, stack_controller_gains)
 from conftest import K1_TRUE, K2_TRUE, ct_instance, mimo_direct_case
 
 
 def toy_frame(zeta, xi, m):
-    z = np.asarray(zeta, float)
-    x = np.asarray(xi, float)
-    return RegressorFrame(zeta=z, xi=x, m=float(m))
-
-
-def replay_direct(plant, ref, signal, gains, init, horizon):
-    """Replay a discrete direct run from the component ops (filter bank,
-    epsilon_direct, control_direct, update_direct_discrete).
-
-    Returns one dict of recorded signals per step and the step the runner
-    must report as diverged: the first whose m^2 + |x|^2 + |u|^2 is not
-    finite (None when the run completes).
-    """
-    n, M = plant.n, plant.n_inputs
-    x, xm, theta0, rho0, _ = init.resolved(n, n + M, M)
-    state = make_direct_state(ref, theta0=theta0, rho0=rho0)
-    records = []
-    with np.errstate(all="ignore"):
-        for t in range(horizon + 1):
-            r = signal.at(t)
-            try:
-                frame = state.bank.frame(state.theta)
-            except ModelError:  # non-finite filter energy
-                return records, t
-            e = x - xm
-            eps = epsilon_direct(e, state.rho, frame.xi)
-            u = control_direct(state.theta, x, r)
-            if not np.isfinite(frame.m ** 2 + x @ x + u @ u):
-                return records, t
-            records.append(dict(theta=state.theta, rho=state.rho, x=x,
-                                x_m=xm, e=e, eps=eps, m=frame.m, u=u))
-            if t == horizon:
-                break
-            omega = np.concatenate([x, r])
-            try:
-                new_state = update_direct_discrete(state, gains, eps, frame)
-            except NumericsError:  # u is not finite at the next step
-                return records, t + 1
-            state.bank.advance(omega, state.theta)
-            state = new_state
-            x = step_plant_discrete(plant, x, u)
-            xm = step_reference_discrete(ref, xm, r)
-    return records, None
+    return RegressorFrame(zeta=np.asarray(zeta, float),
+                          xi=np.asarray(xi, float), m=float(m))
 
 
 class TestControl:
+    """The oracle's control law, and the runner's refusal of a misshapen
+    estimate."""
+
     def test_true_gains(self):
-        theta = np.array([*K1_TRUE, K2_TRUE])
-        u = control_direct(theta, [1.0, 1.0], 2.0)
+        theta = np.array([[*K1_TRUE, K2_TRUE]]).T
+        u = control_direct(theta, np.array([1.0, 1.0]), np.array([2.0]))
         assert u[0] == pytest.approx(-0.575, abs=1e-14)
 
     def test_zero_estimate(self):
-        assert control_direct(np.zeros(3), [5.0, -3.0], 2.0)[0] == 0.0
+        u = control_direct(np.zeros((3, 1)), np.array([5.0, -3.0]),
+                           np.array([2.0]))
+        assert u[0] == 0.0
 
     def test_mimo_passthrough(self):
         theta = stack_controller_gains(np.zeros((3, 2)), np.eye(2))
-        u = control_direct(theta, np.zeros(3), [1.0, 2.0])
+        u = control_direct(theta, np.zeros(3), np.array([1.0, 2.0]))
         assert np.allclose(u, [1.0, 2.0])
 
-    def test_dimension_check(self):
-        with pytest.raises(ModelError):
-            control_direct(np.zeros(3), [1.0, 2.0, 3.0], 1.0)
+    def test_dimension_check(self, bench_plant, bench_ref, bench_signal,
+                             bench_gains):
+        with pytest.raises(ModelError, match="theta must have shape"):
+            run_direct_scenario(bench_plant, bench_ref, bench_signal,
+                                bench_gains, InitialConditions(
+                                    theta0=np.zeros(4)), 10)
 
 
 class TestEpsilon:
     def test_zero_rho(self):
         e = np.array([1.0, -2.0])
-        assert np.allclose(epsilon_direct(e, 0.0, np.zeros((2, 1))), e)
+        assert np.allclose(epsilon_direct(e, np.zeros(1), np.zeros((2, 1))), e)
 
     def test_zero_everything(self):
-        assert np.allclose(epsilon_direct(np.zeros(2), 1.0, np.zeros((2, 1))), 0.0)
+        out = epsilon_direct(np.zeros(2), np.ones(1), np.zeros((2, 1)))
+        assert np.allclose(out, 0.0)
 
     def test_arithmetic(self):
-        out = epsilon_direct([1.0, -1.0], 2.0, [[0.5], [0.25]])
+        out = epsilon_direct(np.array([1.0, -1.0]), np.array([2.0]),
+                             np.array([[0.5], [0.25]]))
         assert np.allclose(out, [2.0, -0.5])
 
 
 class TestDiscreteUpdate:
-    def _gains(self):
+    """The oracle's gradient step, by hand."""
+
+    def _gains(self, sign=1.0):
         return DirectGainConfig(Gamma=0.3 * np.eye(2), gamma=0.3,
-                                sign_k2=1.0, k2_lower=0.2,
+                                sign_k2=sign, k2_lower=0.2,
                                 time_domain="discrete")
 
-    def test_zero_epsilon_is_fixed_point(self, bench_ref):
-        state = make_direct_state(bench_ref, theta0=np.array([1.0, 2.0, 3.0]))
+    def test_zero_epsilon_is_fixed_point(self):
         frame = toy_frame(np.ones((2, 1, 3)), np.ones((2, 1)), 2.0)
         gains = DirectGainConfig(Gamma=0.3 * np.eye(3), gamma=0.3,
                                  sign_k2=1.0, k2_lower=0.2,
                                  time_domain="discrete")
-        out = update_direct_discrete(state, gains, np.zeros(2), frame)
-        assert np.all(out.theta == state.theta)
-        assert np.all(out.rho == state.rho)
+        dth, drho = direct_step(gains, np.zeros(2), frame)
+        assert np.all(dth == 0.0) and np.all(drho == 0.0)
 
     def test_scalar_toy_arithmetic(self):
         # n=1: zeta=[1,0], xi=1, eps=0.5, m^2=3 -> dtheta=[-0.05,0], drho=-0.05
-        theta = np.array([[0.2], [0.1]])
         frame = toy_frame([[[1.0, 0.0]]], [[1.0]], math.sqrt(3.0))
-        dth, drho = direct_increment(theta, np.array([1.0]), self._gains(),
-                                     [0.5], frame)
+        dth, drho = direct_step(self._gains(), np.array([0.5]), frame)
         assert np.allclose(dth[:, 0], [-0.05, 0.0], atol=1e-15)
         assert drho[0] == pytest.approx(-0.05, abs=1e-15)
 
     def test_sign_flip_negates_theta_step(self):
-        theta = np.array([[0.2], [0.1]])
         frame = toy_frame([[[1.0, 0.5]]], [[1.0]], 1.5)
-        plus = self._gains()
-        minus = DirectGainConfig(Gamma=0.3 * np.eye(2), gamma=0.3,
-                                 sign_k2=-1.0, k2_lower=0.2,
-                                 time_domain="discrete")
-        d1, r1 = direct_increment(theta, np.array([1.0]), plus, [0.5], frame)
-        d2, r2 = direct_increment(theta, np.array([1.0]), minus, [0.5], frame)
+        d1, r1 = direct_step(self._gains(1.0), np.array([0.5]), frame)
+        d2, r2 = direct_step(self._gains(-1.0), np.array([0.5]), frame)
         assert np.allclose(d1, -d2, atol=0)
         assert np.allclose(r1, r2, atol=0)
 
     def test_scaling_epsilon_scales_steps(self):
-        theta = np.zeros((2, 1))
         frame = toy_frame([[[1.0, -0.5]]], [[0.7]], 1.3)
-        d1, r1 = direct_increment(theta, np.array([0.0]), self._gains(),
-                                  [0.4], frame)
-        d3, r3 = direct_increment(theta, np.array([0.0]), self._gains(),
-                                  [1.2], frame)
+        d1, r1 = direct_step(self._gains(), np.array([0.4]), frame)
+        d3, r3 = direct_step(self._gains(), np.array([1.2]), frame)
         assert np.allclose(3.0 * d1, d3, rtol=1e-14)
         assert np.allclose(3.0 * r1, r3, rtol=1e-14)
 
@@ -176,32 +132,37 @@ class TestGainGate:
 
 
 class TestContinuousUpdate:
-    def test_zero_epsilon_unchanged(self, bench_ref):
-        state = make_direct_state(bench_ref, theta0=np.array([1.0, -1.0, 2.0]),
-                                  rho0=0.5)
+    """The same step as the continuous-time derivative."""
+
+    def test_zero_epsilon_unchanged(self):
+        # at the true parameters with matched initial states eps stays 0,
+        # so the continuous-time runner leaves the estimates where they are
+        plant, ref = ct_instance()
+        sol = solve_matching(plant, ref)
         gains = DirectGainConfig(Gamma=np.eye(3), gamma=1.0, sign_k2=1.0,
                                  k2_lower=0.5, time_domain="continuous")
-        frame = toy_frame(np.ones((2, 1, 3)), np.ones((2, 1)), 1.0)
-        out = update_direct_ct(state, gains,
-                               lambda th, rh: (np.zeros(2), frame), 0.1)
-        assert np.allclose(out.theta, state.theta)
-        assert np.allclose(out.rho, state.rho)
+        init = InitialConditions(
+            theta0=stack_controller_gains(sol.K1, sol.K2), rho0=1.0 / sol.k2)
+        sig = ReferenceSignal.sinusoids(amplitudes=[[1.0]], frequencies=[[0.5]])
+        trace = run_direct_scenario(plant, ref, sig, gains, init, 200, h=0.01)
+        assert np.max(np.abs(trace.eps)) <= 1e-12
+        assert np.max(np.abs(trace.theta - trace.theta[0])) <= 1e-12
+        assert np.max(np.abs(trace.rho - trace.rho[0])) <= 1e-12
 
-    def test_exponential_toy(self, bench_ref):
+    def test_exponential_toy(self):
         # constructed so eps*zeta = theta with m=1 -> dtheta/dt = -theta
-        ref1 = bench_ref
-        state = make_direct_state(ref1, theta0=np.array([1.0, 0.0, 0.0]))
         gains = DirectGainConfig(Gamma=np.eye(3), gamma=1.0, sign_k2=1.0,
                                  k2_lower=0.5, time_domain="continuous")
+        z = np.zeros((2, 1, 3))
+        z[0, 0, 0] = 1.0
+        frame = toy_frame(z, np.zeros((2, 1)), 1.0)
 
-        def frame_eval(theta, rho):
-            z = np.zeros((2, 1, 3))
-            z[0, 0, 0] = 1.0
-            return np.array([theta[0, 0], 0.0]), toy_frame(z, np.zeros((2, 1)), 1.0)
+        def rhs(_t, theta):
+            return direct_step(gains, np.array([theta[0], 0.0]),
+                               frame)[0][:, 0]
 
-        out = update_direct_ct(state, gains, frame_eval, 0.1)
-        assert out.theta[0, 0] == pytest.approx(0.9048375, abs=1e-7)
-        assert out.theta[0, 0] == pytest.approx(math.exp(-0.1), abs=1e-7)
+        out = integrate_ct(rhs, np.array([1.0, 0.0, 0.0]), 0.1)
+        assert out[0] == pytest.approx(math.exp(-0.1), abs=1e-7)
 
 
 class TestScenario:
@@ -249,32 +210,12 @@ class TestScenario:
     def test_runner_matches_op_composition(self, bench_plant, bench_ref,
                                            bench_signal, bench_gains):
         theta0 = 1.25 * np.array([*K1_TRUE, K2_TRUE]).reshape(3, 1)
-        init = InitialConditions(theta0=theta0, rho0=1.25 / K2_TRUE)
-        horizon = 150
-        trace = run_direct_scenario(bench_plant, bench_ref, bench_signal,
-                                    bench_gains, init, horizon)
-        state = make_direct_state(bench_ref, theta0=theta0, rho0=1.25 / K2_TRUE)
-        x = np.zeros(2)
-        xm = np.zeros(2)
-        for t in range(horizon + 1):
-            r = bench_signal.at(t)
-            frame = state.bank.frame(state.theta)
-            e = x - xm
-            eps = epsilon_direct(e, state.rho, frame.xi)
-            u = control_direct(state.theta, x, r)
-            assert np.max(np.abs(trace.theta[t] - state.theta)) <= 1e-12
-            assert np.max(np.abs(trace.e[t] - e)) <= 1e-12
-            assert np.max(np.abs(trace.eps[t] - eps)) <= 1e-12
-            assert abs(trace.m[t] - frame.m) <= 1e-12
-            assert np.max(np.abs(trace.u[t] - u)) <= 1e-12
-            if t == horizon:
-                break
-            omega = np.concatenate([x, r])
-            new_state = update_direct_discrete(state, bench_gains, eps, frame)
-            state.bank.advance(omega, state.theta)
-            state = new_state
-            x = step_plant_discrete(bench_plant, x, u)
-            xm = step_reference_discrete(bench_ref, xm, r)
+        args = (bench_plant, bench_ref, bench_signal, bench_gains,
+                InitialConditions(theta0=theta0, rho0=1.25 / K2_TRUE), 150)
+        records, diverged_at = replay_direct(*args)
+        assert diverged_at is None
+        assert_replayed(run_direct_scenario(*args), records,
+                        ("theta", "e", "eps", "m", "u"))
 
     def test_runner_matches_op_composition_mimo(self):
         # n=3, M=2 with diagonal K2 enforced; long enough to cross the
@@ -286,10 +227,8 @@ class TestScenario:
         trace = run_direct_scenario(*args)
         records, diverged_at = replay_direct(*args)
         assert diverged_at is None and not trace.diverged
-        assert trace.steps == len(records)
-        for name in ("theta", "rho", "x", "x_m", "e", "eps", "m", "u"):
-            expected = np.array([rec[name] for rec in records])
-            assert np.max(np.abs(getattr(trace, name) - expected)) <= 1e-12, name
+        assert_replayed(trace, records,
+                        ("theta", "rho", "x", "x_m", "e", "eps", "m", "u"))
         off = trace.theta[:, 3:, :] * (1.0 - np.eye(2))[None]
         assert np.all(off == 0.0)
 
@@ -329,7 +268,6 @@ class TestScenario:
     def test_divergence_truncates_with_marker(self, bench_plant, bench_ref,
                                               bench_gains):
         # an absurd custom reference drives the loop into overflow
-        from mrac import ReferenceSignal
         blow = ReferenceSignal.from_samples(
             np.geomspace(1.0, 1e300, 400).reshape(-1, 1))
         trace = run_direct_scenario(bench_plant, bench_ref, blow, bench_gains,
@@ -347,7 +285,6 @@ class TestScenario:
         init = InitialConditions(
             theta0=1.25 * np.array([*sol.k1, sol.k2]).reshape(3, 1),
             rho0=1.25 / sol.k2)
-        from mrac import ReferenceSignal
         sig = ReferenceSignal.sinusoids(amplitudes=[[1.0]], frequencies=[[0.5]])
         trace = run_direct_scenario(plant, ref, sig, gains, init, 1500, h=0.01)
         assert not trace.diverged

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrac import (ChannelFilterBank, ModelError, ReferenceModel, advance_xi,
+from mrac import (ChannelFilterBank, ModelError, ReferenceModel,
                   advance_zeta, compute_m, solve_matching)
 from conftest import DEN_REF
 
@@ -73,18 +73,18 @@ class TestXi:
         bank = ChannelFilterBank(bench_ref, 3)
         theta = {0: np.array([1.0, 0.0, 0.0]), 1: np.zeros(3)}
         omega = {0: np.array([1.0, 1.0, 1.0]), 1: np.zeros(3)}
-        xi0 = advance_xi(bank, theta[0], omega[0])
-        advance_zeta(bank, omega[0])
+        xi0 = bank.xi(theta[0])
+        bank.advance(omega[0], theta[0])
         assert np.all(xi0 == 0.0)
-        xi1 = advance_xi(bank, theta[1], omega[1])
+        xi1 = bank.xi(theta[1])
         assert np.allclose(xi1[:, 0], [0.0, -1.0])
 
     def test_zero_input_gives_zero_xi(self, bench_ref):
         bank = ChannelFilterBank(bench_ref, 3)
         theta = np.array([0.3, -0.2, 1.1])
         for _ in range(40):
-            xi = advance_xi(bank, theta, np.zeros(3))
-            advance_zeta(bank, np.zeros(3))
+            xi = bank.xi(theta)
+            bank.advance(np.zeros(3), theta)
             assert np.all(xi == 0.0)
 
     @settings(max_examples=50, deadline=None)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import ct_oracle
+from discrete_oracle import assert_replayed, replay_direct, replay_indirect
 from mrac import (ChannelFilterBank, DirectGainConfig, IndirectGainConfig,
                   InitialConditions, ProjectionConfig, ReferenceSignal,
                   random_matchable_instance, run_direct_scenario,
@@ -15,8 +16,6 @@ from mrac import _rows
 from mrac.direct import _direct_law
 from mrac.indirect import _indirect_law
 from test_ct_fused import assert_records_match
-from test_direct import replay_direct
-from test_indirect import replay_indirect
 
 SHAPES = [(1, 1), (4, 1), (4, 3)]
 # past one 128-row chunk of the runners
@@ -52,13 +51,6 @@ def indirect_case(n, M, domain):
     init = InitialConditions(theta0=1.15 * theta_star_indirect(K1s, K2s),
                              x0=np.linspace(0.3, -0.2, n))
     return plant, ref, signal(M), gains, proj, init
-
-
-def assert_replayed(trace, records, names):
-    assert trace.steps == len(records)
-    for name in names:
-        expected = np.array([rec[name] for rec in records])
-        assert np.max(np.abs(getattr(trace, name) - expected)) <= 1e-12, name
 
 
 @pytest.mark.parametrize("n, M", SHAPES)

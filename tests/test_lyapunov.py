@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from ct_oracle import (lyapunov_direct_derivatives,
+                       lyapunov_indirect_derivatives)
 from mrac import (GainError, InitialConditions, LyapunovDirectGains,
                   LyapunovIndirectGains, ModelError, ProjectionConfig,
-                  ReferenceSignal, integrate_ct, lyapunov_direct_derivatives,
-                  lyapunov_indirect_derivatives, random_matchable_instance,
+                  ReferenceSignal, integrate_ct, random_matchable_instance,
                   run_lyapunov_scenario, solve_lyapunov_ct, solve_matching,
-                  sp_from_signs, stack_controller_gains, theta_star_indirect,
-                  update_lyapunov_direct_ct, update_lyapunov_indirect_ct)
+                  sp_from_signs, stack_controller_gains, theta_star_indirect)
 from mrac.lyapunov import build_lyapunov_loop
 from conftest import ct_instance
+
+a = np.array
 
 
 class TestCertificate:
@@ -48,39 +50,33 @@ class TestCertificate:
 
 
 class TestDirectLaw:
+    """The oracle's direct derivatives, by hand."""
+
     def test_scalar_arithmetic(self):
         # n=1: A_m=-1, Q=2 gives P=1; e=1, x=2, r=3 -> dk1=-2, dk2=-3
-        cert = solve_lyapunov_ct(np.array([[-1.0]]), np.array([[2.0]]))
+        cert = solve_lyapunov_ct(a([[-1.0]]), a([[2.0]]))
         assert cert.P[0, 0] == pytest.approx(1.0, abs=1e-14)
         gains = LyapunovDirectGains(Gamma=[[1.0]], gamma=1.0, sign_k2=1.0)
         dK1, dK2 = lyapunov_direct_derivatives(
-            [[0.0]], [[0.0]], [1.0], [2.0], [3.0], cert.P, [[1.0]], gains)
+            a([1.0]), a([2.0]), a([3.0]), cert.P, a([[1.0]]), gains)
         assert dK1[0, 0] == pytest.approx(-2.0, abs=1e-14)
         assert dK2[0, 0] == pytest.approx(-3.0, abs=1e-14)
 
     def test_zero_error_is_stationary(self):
         gains = LyapunovDirectGains(Gamma=np.eye(2), gamma=1.0, sign_k2=1.0)
         dK1, dK2 = lyapunov_direct_derivatives(
-            np.zeros((2, 1)), [[0.5]], np.zeros(2), [1.0, 2.0], [1.0],
-            np.eye(2), [[0.0], [1.0]], gains)
+            np.zeros(2), a([1.0, 2.0]), a([1.0]), np.eye(2), a([[0.0], [1.0]]),
+            gains)
         assert np.all(dK1 == 0.0) and np.all(dK2 == 0.0)
 
     def test_sign_flip_negates_both(self):
         plus = LyapunovDirectGains(Gamma=np.eye(2), gamma=0.7, sign_k2=1.0)
         minus = LyapunovDirectGains(Gamma=np.eye(2), gamma=0.7, sign_k2=-1.0)
-        args = (np.zeros((2, 1)), [[0.5]], [0.3, -1.0], [1.0, 2.0], [0.4],
-                np.eye(2), [[0.0], [1.0]])
+        args = (a([0.3, -1.0]), a([1.0, 2.0]), a([0.4]), np.eye(2),
+                a([[0.0], [1.0]]))
         d1 = lyapunov_direct_derivatives(*args, plus)
         d2 = lyapunov_direct_derivatives(*args, minus)
         assert np.allclose(d1[0], -d2[0]) and np.allclose(d1[1], -d2[1])
-
-    def test_one_step_update(self):
-        cert = solve_lyapunov_ct(np.array([[-1.0]]), np.array([[2.0]]))
-        gains = LyapunovDirectGains(Gamma=[[1.0]], gamma=1.0, sign_k2=1.0)
-        K1, K2 = update_lyapunov_direct_ct(
-            [[1.0]], [[2.0]], [1.0], [2.0], [3.0], cert.P, [[1.0]], gains, 0.1)
-        assert K1[0, 0] == pytest.approx(1.0 - 0.2, abs=1e-14)
-        assert K2[0, 0] == pytest.approx(2.0 - 0.3, abs=1e-14)
 
     def test_ms_positivity_check(self):
         K2 = np.diag([0.8, -1.2])
@@ -93,38 +89,47 @@ class TestDirectLaw:
 
 
 class TestIndirectLaw:
+    """The oracle's indirect derivatives, by hand, and the runner's clamp."""
+
     def test_scalar_arithmetic(self):
         # P=1: e_x=0.5, x=1, u=2 -> dtheta1=+0.5, dtheta2=-1 (pre-projection)
         gains = LyapunovIndirectGains(Gamma1=[[1.0]], Gamma2=[[1.0]])
         dT1, dT2 = lyapunov_indirect_derivatives(
-            [[0.0]], [[1.5]], [0.5], [1.0], [2.0], np.array([[1.0]]),
-            [[1.0]], gains)
+            a([[1.5]]), a([0.5]), a([1.0]), a([2.0]), np.eye(1), a([[1.0]]),
+            gains)
         assert dT1[0, 0] == pytest.approx(0.5, abs=1e-14)
         assert dT2[0, 0] == pytest.approx(-1.0, abs=1e-14)
 
     def test_zero_error_is_stationary(self):
         gains = LyapunovIndirectGains(Gamma1=np.eye(2), Gamma2=[[1.0]])
         dT1, dT2 = lyapunov_indirect_derivatives(
-            np.zeros((2, 1)), [[1.5]], np.zeros(2), [1.0, -1.0], [0.7],
-            np.eye(2), [[0.0], [1.0]], gains)
+            a([[1.5]]), np.zeros(2), a([1.0, -1.0]), a([0.7]), np.eye(2),
+            a([[0.0], [1.0]]), gains)
         assert np.all(dT1 == 0.0) and np.all(dT2 == 0.0)
 
     def test_boundary_projection_freezes_theta2(self):
         gains = LyapunovIndirectGains(Gamma1=[[1.0]], Gamma2=[[1.0]])
         proj = ProjectionConfig(theta2_lower=1.5, signs=1.0)
         dT1, dT2 = lyapunov_indirect_derivatives(
-            [[0.2]], [[1.5]], [0.5], [1.0], [2.0], np.array([[1.0]]),
-            [[1.0]], gains, proj)
+            a([[1.5]]), a([0.5]), a([1.0]), a([2.0]), np.eye(1), a([[1.0]]),
+            gains, proj)
         assert dT2[0, 0] == 0.0  # outward raw rate -1 is cancelled
         assert dT1[0, 0] == pytest.approx(0.5, abs=1e-14)
 
     def test_one_step_clamps_to_bound(self):
-        gains = LyapunovIndirectGains(Gamma1=[[1.0]], Gamma2=[[1.0]])
-        proj = ProjectionConfig(theta2_lower=1.5, signs=1.0)
-        T1, T2 = update_lyapunov_indirect_ct(
-            [[0.2]], [[1.5]], [0.5], [1.0], [2.0], np.array([[1.0]]),
-            [[1.0]], gains, proj, 0.1)
-        assert T2[0, 0] == 1.5
+        # the bound sits at |theta2*| = 2 and the start just above it, so
+        # the flow presses onto the bound and every step is snapped back
+        plant, ref = ct_instance()
+        gains = LyapunovIndirectGains(Gamma1=np.eye(2), Gamma2=[[4.0]])
+        proj = ProjectionConfig.from_k2_upper(0.5, 1.0)
+        init = InitialConditions(theta0=a([[-1.0], [0.2], [2.02]]),
+                                 x0=[1.0, -0.5])
+        sig = ReferenceSignal.sinusoids(amplitudes=[[1.0]], frequencies=[[0.7]])
+        trace = run_lyapunov_scenario(plant, ref, sig, "indirect", gains,
+                                      proj, init, 600)
+        theta2 = trace.theta[:, 2, 0]
+        assert np.all(theta2 >= 2.0)
+        assert np.any(theta2 == 2.0)
 
     def test_gamma2_must_be_diagonal(self):
         with pytest.raises(GainError, match="diagonal"):

@@ -1,11 +1,16 @@
+import ast
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from mrac import ConfigError, random_matchable_instance
 from mrac.cli import main, trace_header, worker_count
-from mrac.scenario import (benchmark_config, config_from_dict, load_config,
+from mrac.scenario import (MEMORY_BUDGET_BYTES, benchmark_config,
+                           config_from_dict, load_config, memory_estimate,
                            run_scenario, serialize_config, summary_dict)
 
 
@@ -347,6 +352,52 @@ class TestCli:
         assert fields == ["projection.signs", "projection.theta2_lower",
                           "gains.gamma", "gains.k2_lower", "gains.sign_k2"]
 
+    def test_malformed_batch_specs_and_out_paths(self, tmp_path, capsys):
+        # each used to end in a traceback, --out only after the simulation
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(bench_dict(horizon=20)))
+        spec = tmp_path / "spec.json"
+        missing = str(tmp_path / "missing.json")
+        blocked = str(good / "out")
+        for doc, out, want in [
+                (5, None, ["invalid batch spec: expected an object"]),
+                ({"configs": [123, missing]}, None,
+                 ["invalid batch spec: configs[0]: expected a config",
+                  "invalid batch spec: configs[1]: [Errno 2]"]),
+                ({"base": missing, "sweep": {"gains.Gamma": 5}}, blocked,
+                 ["invalid batch spec: base: [Errno 2]",
+                  "invalid batch spec: sweep.gains.Gamma: expected a list",
+                  "invalid: --out: "]),
+                ({"configs": [str(good)]}, blocked, ["invalid: --out: "])]:
+            spec.write_text(json.dumps(doc))
+            argv = ["batch", str(spec)] + (["--out", out] if out else [])
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            lines = captured.err.splitlines()
+            assert captured.out == "" and len(lines) == len(want)
+            assert all(map(str.startswith, lines, want))
+        assert main(["run", str(good), "--out", blocked]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"invalid: --out: {good} is not a directory\n"
+
+    def test_memory_preflight(self, tmp_path, capsys):
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps(bench_dict(horizon=10**10)))
+        assert main(["validate", str(bad)]) == 1
+        [err] = capsys.readouterr().err.splitlines()
+        assert err == ("invalid: horizon: 10000000000 steps need about 894 "
+                       "GiB of records and reference samples, above the 1 "
+                       "GiB budget")
+        # the largest horizon within the budget validates
+        per_step = memory_estimate(0, 2, 1, 1, "discrete")
+        bad.write_text(json.dumps(bench_dict(
+            horizon=MEMORY_BUDGET_BYTES // per_step - 1)))
+        assert main(["validate", str(bad)]) == 0
+        # continuous time samples r at three stage times per step
+        assert memory_estimate(9, 3, 2, 4, "continuous") == 8 * 10 * (
+            5 * 2 + 9 + 4 + 3 * 2 * 4)
+
     @pytest.mark.parametrize("field, edit", [
         ("init.x0", lambda d: d["init"].update(x0=[1.0])),
         ("init.theta_scale", lambda d: d["init"].update(theta_scale="a")),
@@ -509,6 +560,23 @@ class TestCli:
         assert lines[0].startswith("# t e_1 e_2")
         assert len(lines) == 52
         assert len(lines[1].split()) == 3
+
+
+def test_discrete_direct_run_compiles_one_scheme(tmp_path):
+    # the other schemes, the RK4 loop and the reference filter bank are
+    # never imported
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps(bench_dict(horizon=20)))
+    probe = ("import sys; from mrac.cli import main; main(['run', sys.argv[1]])"
+             "; print(sorted(m for m in sys.modules if m.startswith('mrac')))")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.run([sys.executable, "-c", probe, str(cfg)],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    loaded = set(ast.literal_eval(proc.stdout.splitlines()[-1]))
+    assert "mrac.direct" in loaded
+    assert not loaded & {"mrac.indirect", "mrac.lyapunov", "mrac._ctloop",
+                         "mrac.filters"}
 
 
 class TestBatch:

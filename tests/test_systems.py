@@ -6,10 +6,10 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrac import (ModelError, NumericsError, PlantModel, ReferenceModel,
-                  ReferenceSignal, integrate_ct, random_matchable_instance,
-                  rk4_step, solve_matching, spectral_radius,
-                  step_plant_discrete, step_reference_discrete)
+from mrac import (DirectGainConfig, InitialConditions, ModelError,
+                  NumericsError, PlantModel, ReferenceModel, ReferenceSignal,
+                  integrate_ct, random_matchable_instance, rk4_step,
+                  run_direct_scenario, solve_matching, spectral_radius)
 from conftest import A_PLANT, A_REF, K1_TRUE, K2_TRUE
 
 
@@ -112,27 +112,39 @@ class TestSpectralRadius:
 
 
 class TestSteppers:
-    def test_plant_step(self, bench_plant):
-        assert np.allclose(step_plant_discrete(bench_plant, [1.0, 0.0], 0.0),
-                           [1.0, 2.0])
-        assert np.allclose(step_plant_discrete(bench_plant, [0.0, 0.0], 0.0),
-                           [0.0, 0.0])
-        assert np.allclose(step_plant_discrete(bench_plant, [0.0, 0.0], 1.0),
-                           [0.0, 2.0])
+    """The plant and reference-model steps of a discrete run."""
 
-    def test_reference_step(self, bench_ref):
-        assert np.allclose(step_reference_discrete(bench_ref, [1.0, 1.0], 0.0),
-                           [0.0, -0.15])
-        assert np.allclose(step_reference_discrete(bench_ref, [0.0, 0.0], 0.0),
-                           [0.0, 0.0])
-        assert np.allclose(step_reference_discrete(bench_ref, [0.0, 0.0], 1.0),
-                           [0.0, 1.0])
+    @staticmethod
+    def step(plant, ref, x0, xm0, r, k2=0.0, signal=None):
+        # theta = [0, 0, k2] makes the direct runner apply u = k2 r
+        gains = DirectGainConfig(Gamma=0.5 * np.eye(3), gamma=1.0,
+                                 sign_k2=1.0, k2_lower=0.5)
+        init = InitialConditions(x0=x0, xm0=xm0, theta0=[[0.0], [0.0], [k2]])
+        trace = run_direct_scenario(
+            plant, ref, signal or ReferenceSignal.constant([r]), gains, init, 1)
+        return trace.x[1], trace.x_m[1]
+
+    def test_plant_step(self, bench_plant, bench_ref):
+        for x0, k2, want in (([1.0, 0.0], 0.0, [1.0, 2.0]),
+                             ([0.0, 0.0], 0.0, [0.0, 0.0]),
+                             ([0.0, 0.0], 1.0, [0.0, 2.0])):
+            x1, _ = self.step(bench_plant, bench_ref, x0, [0.0, 0.0], 1.0, k2)
+            assert np.allclose(x1, want)
+
+    def test_reference_step(self, bench_plant, bench_ref):
+        for xm0, r, want in (([1.0, 1.0], 0.0, [0.0, -0.15]),
+                             ([0.0, 0.0], 0.0, [0.0, 0.0]),
+                             ([0.0, 0.0], 1.0, [0.0, 1.0])):
+            _, xm1 = self.step(bench_plant, bench_ref, [0.0, 0.0], xm0, r)
+            assert np.allclose(xm1, want)
 
     def test_dimension_checks(self, bench_plant, bench_ref):
-        with pytest.raises(ModelError):
-            step_plant_discrete(bench_plant, [1.0, 0.0, 0.0], 0.0)
-        with pytest.raises(ModelError):
-            step_reference_discrete(bench_ref, [1.0], 0.0)
+        with pytest.raises(ModelError, match="signal dimension"):
+            self.step(bench_plant, bench_ref, [0.0, 0.0], [0.0, 0.0], 0.0,
+                      signal=ReferenceSignal.constant([0.0, 0.0]))
+        three = ReferenceModel(A_m=0.5 * np.eye(3), B_m=np.ones((3, 1)))
+        with pytest.raises(ModelError, match="dimensions differ"):
+            self.step(bench_plant, three, [0.0, 0.0], [0.0, 0.0], 0.0)
 
     def test_unstable_reference_rejected(self):
         with pytest.raises(ModelError, match="unstable"):
@@ -153,8 +165,8 @@ class TestSteppers:
             r = math.sin(0.13 * t)
             u = K1_TRUE @ x + K2_TRUE * r
             e = x - xm
-            x = step_plant_discrete(bench_plant, x, u)
-            xm = step_reference_discrete(bench_ref, xm, r)
+            x = bench_plant.A @ x + bench_plant.B[:, 0] * u
+            xm = Am @ xm + bench_ref.B_m[:, 0] * r
             assert np.max(np.abs((x - xm) - Am @ e)) <= 1e-12
             assert np.linalg.norm(x - xm) <= 100.0 * 0.5 ** (t + 1) * e0 + 1e-12
 
