@@ -10,15 +10,16 @@ import argparse
 import itertools
 import json
 import os
+import re
 import sys
 
 import numpy as np
 
 from .diagnostics import SimulationTrace
 from .errors import ConfigError, ToolkitError
-from .scenario import (ScenarioRun, benchmark_config, config_from_dict,
-                       load_config, run_scenario, serialize_config,
-                       summary_dict)
+from .scenario import (ScenarioRun, benchmark_config, blocked_dir,
+                       config_from_dict, load_config, run_scenario,
+                       serialize_config, summary_dict)
 
 TRACE_COLUMNS_DOC = ("t, x_1..x_n, xm_1..xm_n, e_1..e_n, u_1..u_M, "
                      "eps_1..eps_n, m, V, dV, proj_fired")
@@ -35,25 +36,55 @@ def trace_header(n: int, M: int) -> list[str]:
     return cols
 
 
-# rows formatted per write: the Python floats and strings of one chunk take
-# about 1 MiB at n=2, and the per-row numpy overhead is amortised over it
+# rows formatted per write: formatting one chunk peaks near 1.7 MiB at n=2
+# (tracemalloc), and the per-chunk numpy and regex overhead is amortised
+# over it
 TRACE_CHUNK = 1024
 
 
 def _write_rows(fh, columns, sep: str, flags=None) -> None:
     """Write row k of the stacked ``columns`` as shortest round-trip reprs
     joined by ``sep``, then ``sep`` and 1 or 0 when ``flags`` is given, then
-    a newline. One write per ``TRACE_CHUNK`` rows, so memory does not grow
-    with the row count."""
+    a newline, to the binary file ``fh``. One write per ``TRACE_CHUNK``
+    rows, so memory does not grow with the row count.
+
+    orjson prints the shortest round-trip digits, as ``repr`` does, but
+    writes ``null`` for a non-finite value, a positional ``0.0000x`` for
+    1e-5 <= |x| < 1e-4 and its exponents without a sign or a leading zero;
+    the first two get their ``repr`` as a string, the exponents are
+    respelled in the bytes."""
+    # imported and compiled here, so that runs writing no trace never pay
+    import orjson
+    # orjson spells exponents 1e16 and 1e-9 where repr spells 1e+16 and 1e-09
+    bare_exponent = re.compile(rb"e(?=\d)")
+    one_digit_negative_exponent = re.compile(rb"e-(?=\d[,\]])")
+    # a regex finds the rare "]" faster than bytes.replace finds "],["
+    row_break = re.compile(rb"\],\[")
     steps = len(columns[0])
-    tails = (sep + "0\n", sep + "1\n")
+    sep = sep.encode()
     for lo in range(0, steps, TRACE_CHUNK):
         hi = min(lo + TRACE_CHUNK, steps)
-        rows = np.column_stack([c[lo:hi] for c in columns]).tolist()
-        ends = (itertools.repeat("\n") if flags is None
-                else [tails[f] for f in flags[lo:hi].tolist()])
-        fh.write("".join([sep.join(map(repr, row)) + end
-                          for row, end in zip(rows, ends)]))
+        block = np.column_stack([c[lo:hi] for c in columns])
+        rows = block.tolist()
+        mag = np.abs(block)
+        odd = ~(mag < np.inf) | ((mag >= 1e-5) & (mag < 1e-4))
+        for i, j in np.argwhere(odd).tolist():
+            rows[i][j] = repr(rows[i][j])
+        if flags is not None:
+            for row, flag in zip(rows, flags[lo:hi].astype(int).tolist()):
+                row.append(flag)
+        text = orjson.dumps(rows)
+        del rows  # the chunk's Python floats, before its bytes are copied
+        # only |x| >= 1e16 has a positive exponent, and only
+        # 1e-9 <= |x| < 1e-5 a one-digit negative one
+        if (mag >= 1e16).any():
+            text = bare_exponent.sub(b"e+", text)
+        if ((mag >= 1e-9) & (mag < 1e-5)).any():
+            text = one_digit_negative_exponent.sub(b"e-0", text)
+        text = row_break.sub(b"\n", text[2:-2].replace(b'"', b""))
+        if sep != b",":
+            text = text.replace(b",", sep)
+        fh.write(text + b"\n")
 
 
 def write_trace_csv(trace: SimulationTrace, path: str) -> None:
@@ -67,8 +98,8 @@ def write_trace_csv(trace: SimulationTrace, path: str) -> None:
     dV = trace.dV if trace.dV is not None else nan
     fired = (trace.proj_fired if trace.proj_fired is not None
              else np.broadcast_to(False, trace.steps))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(trace_header(n, M)) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(trace_header(n, M)) + "\n").encode())
         _write_rows(fh, [trace.t, trace.x, trace.x_m, trace.e, trace.u,
                          trace.eps, trace.m, V, dV], ",", fired)
 
@@ -76,8 +107,9 @@ def write_trace_csv(trace: SimulationTrace, path: str) -> None:
 def write_gnuplot_dat(trace: SimulationTrace, path: str) -> None:
     """Whitespace-separated (t, e_1..e_n) layout for external plotting."""
     n = trace.x.shape[1]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# t " + " ".join(f"e_{i+1}" for i in range(n)) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(("# t " + " ".join(f"e_{i+1}" for i in range(n))
+                  + "\n").encode())
         _write_rows(fh, [trace.t, trace.e], " ")
 
 
@@ -112,12 +144,8 @@ def cmd_validate(args) -> int:
 def _out_errors(path) -> list[str]:
     """The ``--out`` problem, as a list: a directory that cannot be made
     because an existing part of ``path`` is not a directory."""
-    if path is None:
-        return []
-    head = os.path.abspath(path)
-    while not os.path.exists(head):
-        head = os.path.dirname(head)
-    return [] if os.path.isdir(head) else [f"--out: {head} is not a directory"]
+    head = None if path is None else blocked_dir(path)
+    return [] if head is None else [f"--out: {head} is not a directory"]
 
 
 def cmd_run(args) -> int:

@@ -64,6 +64,31 @@ def memory_estimate(horizon: int, n: int, M: int, tones: int,
 _DEFAULT_OUTPUT = {"dir": None, "trace": True, "summary": True, "gnuplot": False}
 
 
+def blocked_dir(path: str) -> Optional[str]:
+    """The nearest existing ancestor of ``path``, itself included, when it
+    is not a directory, so that ``path`` cannot be made as one; else None."""
+    head = os.path.abspath(path)
+    while not os.path.exists(head):
+        head = os.path.dirname(head)
+    return None if os.path.isdir(head) else head
+
+
+def _output_errors(output: dict) -> list[str]:
+    errors = []
+    directory = output.get("dir")
+    if directory is not None:
+        if not isinstance(directory, str) or not directory \
+                or "\0" in directory:
+            errors.append(f"output.dir: expected a directory path or null, "
+                          f"got {directory!r}")
+        elif (head := blocked_dir(directory)) is not None:
+            errors.append(f"output.dir: {head} is not a directory")
+    errors.extend(f"output.{key}: expected true or false, got {output[key]!r}"
+                  for key in ("trace", "summary", "gnuplot")
+                  if key in output and not isinstance(output[key], bool))
+    return errors
+
+
 @dataclass
 class ScenarioConfig:
     scheme: str
@@ -366,6 +391,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         if not isinstance(output, dict):
             errors.append("output: must be an object")
         else:
+            errors.extend(_output_errors(output))
             out.update(output)
 
     if errors:

@@ -3,7 +3,7 @@
 Each example starts from a valid config of one scheme and domain and
 applies one to three mutations: delete a key, swap in a value of the wrong
 type, change a list's length or a matrix's shape, or swap in NaN, an
-infinity or a finite number up to 1e6 in magnitude. ``validate`` must exit
+infinity or a finite number up to 1e308 in magnitude. ``validate`` must exit
 0, or exit 1 with only ``invalid:`` lines; a config that validates must
 ``run`` to exit 0, 2 or 3.
 """
@@ -68,7 +68,7 @@ def _mutate(data, draw):
         parent[key] = draw(st.sampled_from(
             [float("nan"), float("inf"), -float("inf")]))
     else:
-        parent[key] = draw(st.floats(-1e6, 1e6, allow_nan=False))
+        parent[key] = draw(st.floats(-1e308, 1e308, allow_nan=False))
 
 
 def _cli(argv):

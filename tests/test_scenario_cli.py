@@ -381,6 +381,41 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"invalid: --out: {good} is not a directory\n"
 
+    def test_output_section_is_checked_at_load(self, tmp_path, capsys):
+        # a blocked output.dir used to end a run in a traceback after the
+        # simulation, and output values of any type were taken
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfg = tmp_path / "cfg.json"
+        for output, want in [
+                ({"dir": str(blocker / "sub")},
+                 [f"output.dir: {blocker} is not a directory"]),
+                ({"dir": 5, "trace": "no"},
+                 ["output.dir: expected a directory path or null, got 5",
+                  "output.trace: expected true or false, got 'no'"]),
+                ({"dir": "", "summary": 1, "gnuplot": None},
+                 ["output.dir: expected a directory path or null, got ''",
+                  "output.summary: expected true or false, got 1",
+                  "output.gnuplot: expected true or false, got None"]),
+                ({"dir": "a\0b"},
+                 ["output.dir: expected a directory path or null, "
+                  "got 'a\\x00b'"])]:
+            cfg.write_text(json.dumps(bench_dict(horizon=20, output=output)))
+            assert main(["run", str(cfg), "--out", str(tmp_path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [f"invalid: {w}" for w in want]
+        # in a batch the member gets an invalid row and the others run
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"configs": [
+            bench_dict(horizon=20, name="bad",
+                       output={"dir": str(blocker / "sub")}),
+            bench_dict(horizon=20, name="good")]}))
+        assert main(["batch", str(spec)]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [row["status"] for row in rows] == ["invalid", "ok"]
+        assert rows[0]["errors"] == [f"output.dir: {blocker} is not a directory"]
+
     def test_memory_preflight(self, tmp_path, capsys):
         bad = tmp_path / "huge.json"
         bad.write_text(json.dumps(bench_dict(horizon=10**10)))
@@ -577,6 +612,29 @@ def test_discrete_direct_run_compiles_one_scheme(tmp_path):
     assert "mrac.direct" in loaded
     assert not loaded & {"mrac.indirect", "mrac.lyapunov", "mrac._ctloop",
                          "mrac.filters"}
+
+
+def test_orjson_is_imported_only_to_write_a_trace(tmp_path):
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps(bench_dict(horizon=20)))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"configs": [str(cfg)]}))
+    probe = ("import sys; from mrac.cli import main"
+             "; seen = ['orjson' in sys.modules]"
+             "; main(['batch', sys.argv[1]])"
+             "; seen.append('orjson' in sys.modules)"
+             "; main(['run', sys.argv[2], '--out', sys.argv[3]])"
+             "; print(seen + ['orjson' in sys.modules])")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, str(spec), str(cfg), str(tmp_path)],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    # after the import, after a batch writing nothing, after a traced run
+    assert ast.literal_eval(proc.stdout.splitlines()[-1]) == [
+        False, False, True]
+    assert (tmp_path / "second-order-benchmark.trace.csv").exists()
 
 
 class TestBatch:

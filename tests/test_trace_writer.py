@@ -4,12 +4,15 @@ the same bytes on every kind of trace, and memory bounded by the chunk."""
 import dataclasses
 import functools
 import os
+import pathlib
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import trace_oracle
 from conftest import mimo_indirect_case
@@ -146,6 +149,91 @@ def test_writer_memory_does_not_grow_with_the_horizon(tmp_path):
         tracemalloc.stop()
     # formatting the whole table as one chunk peaks near 20 MiB here
     assert peak < 4 * 2**20
+
+
+def grid_trace(grid, fired):
+    """An n=2, M=1 trace whose 13 float columns, in the order of the trace
+    CSV, are the columns of ``grid``."""
+    steps = grid.shape[0]
+    return SimulationTrace(
+        scheme="direct_gradient", time_domain="discrete", horizon=steps - 1,
+        dt=1.0, t=grid[:, 0], x=grid[:, 1:3], x_m=grid[:, 3:5],
+        e=grid[:, 5:7], u=grid[:, 7:8], eps=grid[:, 8:10], m=grid[:, 10],
+        theta=np.zeros((steps, 3, 1)), V=grid[:, 11], dV=grid[:, 12],
+        proj_fired=fired)
+
+
+def assert_writers_match(values, tmp_path, fired=None):
+    """Both writers against the per-value loops, with ``values`` filling
+    every float column of the trace CSV and the (t, e) columns of the
+    gnuplot layout row by row (repeated to fill the last row)."""
+    values = np.asarray(values, dtype=float)
+    csv = np.resize(values, (-(-values.size // 13), 13))
+    gnu = np.zeros((-(-values.size // 3), 13))
+    gnu[:, [0, 5, 6]] = np.resize(values, (gnu.shape[0], 3))
+    for grid, new, old in (
+            (csv, write_trace_csv, trace_oracle.write_trace_csv),
+            (gnu, write_gnuplot_dat, trace_oracle.write_gnuplot_dat)):
+        flags = (np.resize(fired, grid.shape[0]) if fired is not None
+                 else np.arange(grid.shape[0]) % 3 == 0)
+        trace = grid_trace(grid, flags)
+        new(trace, tmp_path / "new")
+        old(trace, tmp_path / "old")
+        assert (tmp_path / "new").read_bytes() == (tmp_path / "old").read_bytes()
+
+
+def float_corpus(seed=0, patterns=20000):
+    """Where float spellings differ: first 15 edge cases (signed zeros, the
+    non-finite values, the thresholds where orjson's spelling changes) and
+    their negations, then every decade from 1e-324 to 1e308 with its two
+    neighbours at both signs, the 1e-5 <= |x| < 1e-4 band, random
+    subnormals and random 64-bit patterns (NaN payloads and infinities
+    among them)."""
+    rng = np.random.default_rng(seed)
+    edges = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, 1e-5,
+             np.nextafter(1e-5, 0.0), np.nextafter(1e-4, 0.0), 1e-4, 1e16,
+             np.nextafter(1e16, 0.0), 1e-9, np.nextafter(1e-9, 0.0)]
+    decades = np.array([float(f"1e{k}") for k in range(-324, 309)])
+    decades = np.concatenate([decades, np.nextafter(decades, 0.0),
+                              np.nextafter(decades, np.inf)])
+    band = np.concatenate([rng.uniform(1e-5, 1e-4, 2000),
+                           np.geomspace(1e-5, 1e-4, 500)])
+    subnormal = rng.integers(1, 2**52, 500, dtype=np.uint64).view(np.float64)
+    bits = rng.integers(0, 2**64, patterns, dtype=np.uint64).view(np.float64)
+    body = np.concatenate([decades, band, subnormal])
+    body = np.concatenate([body, -body, bits])
+    return np.concatenate([edges, -np.array(edges), rng.permutation(body)])
+
+
+def test_the_float_corpus_covers_its_cases():
+    values = float_corpus()
+    with np.errstate(invalid="ignore"):
+        mag = np.abs(values)
+    assert np.isnan(values).sum() > 2 and np.isposinf(values).any()
+    assert np.isneginf(values).any() and np.signbit(values[values == 0]).any()
+    assert ((mag > 0) & (mag < 2.2250738585072014e-308)).sum() > 1000
+    assert ((mag >= 1e-5) & (mag < 1e-4)).sum() > 5000
+    assert (mag >= 1e16).sum() > 1000 and ((mag > 0) & (mag < 1e-9)).any()
+    # more rows than a chunk in both layouts
+    assert values.size > 13 * TRACE_CHUNK
+
+
+@pytest.mark.parametrize("rows", ["one", "many"])
+def test_writers_spell_every_float_as_repr(rows, tmp_path):
+    values = float_corpus()
+    # one row of the trace CSV, one row of the gnuplot layout, and each
+    # edge case alone, so that no other value of its chunk is respelled
+    parts = [values[:13], values[:3], *values[:30, None]]
+    for part in (parts if rows == "one" else [values]):
+        assert_writers_match(part, tmp_path)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.floats(), min_size=1, max_size=60),
+       st.lists(st.booleans(), min_size=1, max_size=5))
+def test_writers_spell_generated_floats_as_repr(values, fired):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_writers_match(values, pathlib.Path(tmp), np.array(fired))
 
 
 def test_run_benchmark_script_writes_the_oracle_bytes(tmp_path):
