@@ -276,8 +276,11 @@ def run_direct_scenario(plant: PlantModel, ref: ReferenceModel,
     Per step: read x and x_m, form e, emit zeta/xi from the banks, form
     eps, record, compute u from the current estimates, update parameters,
     then advance plant, reference and filters on this step's signals.
-    Returns the full trace; a non-finite signal truncates it with the
-    divergence marker set instead of raising.
+    Returns the full trace. A run diverges at the first step at which an
+    element of x, u or m is not finite, or, in continuous time, after a
+    step whose integration is not finite (see ``_rows``); the trace then
+    ends before that step, with the divergence marker set instead of
+    raising.
     """
     _check_run_args(plant, ref, signal, gains, horizon)
     n, M = plant.n, plant.n_inputs
@@ -294,9 +297,8 @@ def run_direct_scenario(plant: PlantModel, ref: ReferenceModel,
         diverged_at = _rows.run(
             law, signal.sample(np.arange(horizon + 1, dtype=float)), store)
     else:
-        from . import _ctloop  # continuous time only
-        diverged_at = _ctloop.run(_ctloop.law_field(law), law.z0, signal,
-                                  horizon, h, method, integrate_ct, store)
+        diverged_at = _rows.run_ct(law, law.z0, signal, horizon, h, method,
+                                   integrate_ct, store)
 
     def V_series(rec):
         match = _diagonal_match(plant, ref)

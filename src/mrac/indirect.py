@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _ctloop, _rows
+from . import _rows
 from ._rows import Law, block
 from .diagnostics import SimulationTrace, indirect_V_series
 from .direct import (InitialConditions, _check_run_args, _diagonal_match,
@@ -252,8 +252,10 @@ def run_indirect_scenario(plant: PlantModel, ref: ReferenceModel,
                           projection: ProjectionConfig | None,
                           init: InitialConditions, horizon: int,
                           h: float = 0.01, method: str = "rk4") -> SimulationTrace:
-    """Closed-loop indirect-gradient run; loop order as in the direct case
-    with the estimator advanced on the same pre-update estimates."""
+    """Closed-loop indirect-gradient run; loop order and divergence rule as
+    in the direct case, with the estimator advanced on the same pre-update
+    estimates. A theta2 below the invertibility threshold raises
+    SingularGainError."""
     _check_run_args(plant, ref, signal, gains, horizon)
     if projection is not None and projection.n_inputs != plant.n_inputs:
         raise ModelError("projection dimension disagrees with the input count")
@@ -294,11 +296,10 @@ def run_indirect_scenario(plant: PlantModel, ref: ReferenceModel,
     else:
         # integration stages may sit a hair inside the projected region, so
         # the stage guard only protects the division, not the boundary
-        diverged_at = _ctloop.run(
-            _indirect_ct_field(law, projection if proj_on else None,
-                               0.5 * floor if proj_on else floor),
-            law.z0, signal, horizon, h, method, integrate_ct, store,
-            _clamp_law(law, projection) if proj_on else None)
+        diverged_at = _rows.run_ct(
+            law, law.z0, signal, horizon, h, method, integrate_ct, store,
+            *_ct_guards(law, projection if proj_on else None,
+                        0.5 * floor if proj_on else floor))
         if proj_on:
             rec["proj_f2"] = _ct_projection_rate(
                 rec["theta"][:, np.arange(n, C), np.arange(M)],
@@ -315,39 +316,34 @@ def run_indirect_scenario(plant: PlantModel, ref: ReferenceModel,
                          diverged_at, rec, V_series)
 
 
-def _indirect_ct_field(law, projection, floor):
-    """The law's field, refusing a theta2 below ``floor`` and, with a
-    ``projection``, nulling theta2's outward rate on the bound."""
-    nK, th2 = law.nK, law.th2
+def _ct_guards(law, projection, floor):
+    """``after_step`` and ``adjust`` of a continuous-time run (see
+    ``_rows.run_ct``): a row whose theta2 is below ``floor`` raises, and
+    with a ``projection`` theta2's outward rate on the bound is nulled and
+    every copy of theta2 in z snaps onto the bound after each step."""
+    n, M, C, K, nK, th2 = law.n, law.M, law.C, law.K, law.nK, law.th2
     theta2_of = law.theta2
     floor_l = (floor - 1e-15).tolist()
     if projection is not None:
         signs_l = projection.signs.tolist()
         edge_l = (projection.theta2_lower + 1e-12).tolist()
 
-    def check(y):
-        theta2 = y[nK:][th2]
+    def adjust(dz, row):
+        theta2, g2 = row[law.W][th2], dz[nK:][th2]
         for t, lo in zip(theta2.tolist(), floor_l):
             if abs(t) < lo:
                 raise SingularGainError(
                     f"theta2 diagonal {theta2} below the invertibility "
                     "threshold")
-
-    def adjust(dz, y):
-        theta2, g2 = y[nK:][th2], dz[nK:][th2]
-        if any(s * t <= e and s * g < 0.0 for s, t, e, g
-               in zip(signs_l, theta2.tolist(), edge_l, g2.tolist())):
+        if projection is not None and any(
+                s * t <= e and s * g < 0.0 for s, t, e, g
+                in zip(signs_l, theta2.tolist(), edge_l, g2.tolist())):
+            # a copy, so that the row keeps recording the unadjusted rate
             f2 = _ct_projection_rate(theta2, g2, projection)
+            dz = dz.copy()
             for rate in theta2_of(dz[nK:]):
                 rate += f2
-
-    return _ctloop.law_field(law, check,
-                             adjust if projection is not None else None)
-
-
-def _clamp_law(law, projection):
-    """``after_step`` snapping every copy of theta2 in z onto the bound."""
-    n, M, C, K, nK = law.n, law.M, law.C, law.K, law.nK
+        return dz
 
     def clamp(z):
         W = z[nK:]
@@ -355,4 +351,4 @@ def _clamp_law(law, projection):
                       projection)
         _clamp_theta2(W[:M * C].reshape(M, C)[:, n:], projection)
 
-    return clamp
+    return None if projection is None else clamp, adjust

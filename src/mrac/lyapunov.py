@@ -15,8 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import _ctloop, _rows
-from ._ctloop import Field
+from . import _rows
 from .diagnostics import SimulationTrace, value_series
 from .direct import InitialConditions, _finish_trace
 from .errors import GainError, ModelError
@@ -141,21 +140,20 @@ class LyapunovIndirectGains:
 
 @dataclass
 class LyapunovLoop:
-    """Packed closed-loop system for one Lyapunov scheme: the fused field
-    over the packed state and the joint rhs wrapping it, ``pack``, ``cols``
-    (the record columns of finished chunk rows, keyed by trace field), the
-    certificate, and V of one packed state and ``V_series(x, x_m, xhat,
-    theta)`` along records (both None when the scenario is not
-    matchable)."""
+    """Packed closed-loop system for one Lyapunov scheme: the scheme on a
+    work row (``law``, a ``_rows.Layout`` with ``step``, ``views`` and the
+    record columns ``cols``, keyed by trace field), the joint rhs over the
+    packed state, ``pack``, the certificate, and V of one packed state and
+    ``V_series(x, x_m, xhat, theta)`` along records (both None when the
+    scenario is not matchable)."""
 
     mode: str
     n: int
     M: int
     ct: LyapunovCertificate
-    field: Field
+    law: _rows.Layout
     rhs: Callable
     pack: Callable
-    cols: dict
     V: Optional[Callable]
     V_series: Optional[Callable]
 
@@ -169,12 +167,12 @@ def build_lyapunov_loop(plant: PlantModel, ref: ReferenceModel,
 
     z holds the linear states [x_m, x] (direct) or [x_m, xhat, x]
     (indirect), then theta = [K1; K2^T] or [Theta1; Theta2^T] row by row.
-    The work row holds a copy of the linear states, then r and u, so that
-    [x, r] is contiguous; one constant matrix advances every linear state
-    given r and u, and the estimate rates are outer products of two short
-    vectors. In the indirect scheme u = Theta2^{-1} (Theta1^T x + r) makes
-    the estimator input Theta2 u - Theta1^T x equal r up to rounding, so
-    xhat is driven by r.
+    The work row (see ``_rows``) holds the linear states, then r and u, so
+    that [x, r] is contiguous, then the scheme's scratch and theta; one
+    constant matrix advances every linear state given r and u, and the
+    estimate rates are outer products of two short vectors. In the indirect
+    scheme u = Theta2^{-1} (Theta1^T x + r) makes the estimator input
+    Theta2 u - Theta1^T x equal r up to rounding, so xhat is driven by r.
     """
     if plant.time_domain != CONTINUOUS or ref.time_domain != CONTINUOUS:
         raise ModelError("Lyapunov schemes are continuous-time only")
@@ -194,25 +192,16 @@ def build_lyapunov_loop(plant: PlantModel, ref: ReferenceModel,
         match, matchable = None, False
 
     nF = 2 * n if mode == "direct" else 3 * n  # linear states
-    N = nF + C * M
     X0 = nF - n  # x is the last linear state
-    R0, U0 = nF, nF + M
     # one constant map advances every linear state, given r and u
     L = np.zeros((nF, nF + 2 * M))
     for c in range(0, X0, n):  # x_m, and xhat driven by r
         L[c:c + n, c:c + n] = Am
-        L[c:c + n, R0:U0] = Bm
+        L[c:c + n, nF:nF + M] = Bm
     L[X0:, X0:nF] = A
-    L[X0:, U0:] = B
-    th_at = np.arange(C * M).reshape(C, M)
+    L[X0:, nF + M:] = B
     Ldot = L.dot
-    scale, add, div, isfinite, empty, zeros = (np.multiply, np.add,
-                                               np.divide, np.isfinite,
-                                               np.empty, np.zeros)
-
-    def probe(v):
-        x, u = v[-1], v[2]
-        return bool(isfinite(x).all()) and bool(isfinite(u).all())
+    scale, add, div = np.multiply, np.add, np.divide
 
     if mode == "direct":
         if gains.S_p is None and M > 1:
@@ -236,25 +225,23 @@ def build_lyapunov_loop(plant: PlantModel, ref: ReferenceModel,
             Gd[n, n] = gains.gamma
         Wn = np.hstack([Wp, -Wp])  # on [x_m, x]
         Gddot, Wndot = Gd.dot, Wn.dot
-        width = U0 + M + C + M
+        # scratch: Gd omega, then w
+        law = _rows.Layout(0, nF, M, C + M, C * M)
+        U, W, dW = law.U, law.W, law.dW
 
-        def views(row):
-            gv, wv = row[U0 + M:U0 + M + C], row[U0 + M + C:]
-            return (row[:nF], row[R0:U0], row[U0:U0 + M], row[X0:U0],
-                    row[:U0 + M], gv, gv[:, None], wv, wv[None, :],
-                    row[X0:nF])
+        def views(row, dF):
+            gv, wv = row[U.stop:U.stop + C], row[U.stop + C:W.start]
+            return (row[U], row[X0:U.start], row[:U.stop], gv, gv[:, None],
+                    wv, wv[None, :], row[:nF], row[W].reshape(C, M), dF,
+                    row[dW].reshape(C, M))
 
-        def f(y, r, v):
-            Fw, rw, u, om, lin, gv, gcol, wv, wrow, _ = v
-            Fw[...] = y[:nF]
-            rw[...] = r
-            om.dot(y[nF:].reshape(C, M), u)
+        def step(v):
+            u, om, lin, gv, gcol, wv, wrow, Fw, theta, dF, dtheta = v
+            om.dot(theta, u)
             Gddot(om, gv)
             Wndot(Fw, wv)
-            dz = empty(N)
-            Ldot(lin, dz[:nF])
-            scale(gcol, wrow, dz[nF:].reshape(C, M))
-            return dz
+            Ldot(lin, dF)
+            scale(gcol, wrow, dtheta)
 
         def pack(x, xm, K1, K2):
             return np.concatenate([np.asarray(xm, float).reshape(n),
@@ -292,30 +279,28 @@ def build_lyapunov_loop(plant: PlantModel, ref: ReferenceModel,
         if proj_on:
             signs_l = projection.signs.tolist()
             edge_l = (projection.theta2_lower + 1e-12).tolist()
-        th2_of = slice(nF + n * M, N, M + 1)  # theta2 in z
-        width = U0 + M + 3 * M + n
+        # scratch: w, Gamma1 w, -diag(Gamma2) w and Gamma1 x; the rate of
+        # theta2's off-diagonal entries is never written and stays zero
+        law = _rows.Layout(0, nF, M, 3 * M + n, C * M)
+        R, U, W, dW = law.R, law.U, law.W, law.dW
+        nM = n * M
 
-        def views(row):
-            wv, g1, g = (row[U0 + M:U0 + 2 * M], row[U0 + 2 * M:U0 + 3 * M],
-                         row[U0 + 3 * M:U0 + 4 * M])
-            x = row[X0:nF]
-            d1 = row[U0 + 4 * M:]
-            return (row[:nF], row[R0:U0], row[U0:U0 + M], row[:U0 + M],
-                    wv, wv[None, :], g1, g1[None, :], g, d1, d1[:, None],
-                    x[:, None], x)
+        def views(row, dF):
+            mid, x, T, dT = row[U.stop:W.start], row[X0:nF], row[W], row[dW]
+            wv, g1, g, d1 = mid[:M], mid[M:2 * M], mid[2 * M:3 * M], mid[3 * M:]
+            return (row[R], row[U], row[:U.stop], wv, wv[None, :], g1,
+                    g1[None, :], g, d1, d1[:, None], x[:, None], x, row[:nF],
+                    T[:nM].reshape(n, M), T[nM::M + 1], dF,
+                    dT[:nM].reshape(n, M), dT[nM::M + 1])
 
-        def f(y, r, v):
-            Fw, rw, u, lin, wv, wrow, g1, g1row, g, d1, d1col, xcol, x = v
-            Fw[...] = y[:nF]
-            rw[...] = r
-            theta2 = y[th2_of]
-            x.dot(y[nF:nF + n * M].reshape(n, M), u)
+        def step(v):
+            (rw, u, lin, wv, wrow, g1, g1row, g, d1, d1col, xcol, x, Fw, T1,
+             theta2, dF, dT1, g2) = v
+            x.dot(T1, u)
             add(u, rw, u)
             div(u, theta2, u)
             Wcdot(Fw, wv)
-            dz = zeros(N)
-            Ldot(lin, dz[:nF])
-            dT1 = dz[nF:nF + n * M].reshape(n, M)
+            Ldot(lin, dF)
             if standard:
                 G1dot(x, d1)
                 scale(d1col, wrow, dT1)
@@ -323,13 +308,11 @@ def build_lyapunov_loop(plant: PlantModel, ref: ReferenceModel,
                 G1dot(wv, g1)
                 scale(xcol, g1row, dT1)
             scale(negG2, wv, g)
-            g2 = dz[th2_of]
             scale(g, u, g2)
             if proj_on and any(
                     s * t <= e and s * d < 0.0 for s, t, e, d
                     in zip(signs_l, theta2.tolist(), edge_l, g2.tolist())):
                 g2 += _ct_projection_rate(theta2, g2.copy(), projection)
-            return dz
 
         def pack(x, xm, T1, T2, xh):
             return np.concatenate([np.asarray(xm, float).reshape(n),
@@ -364,14 +347,23 @@ def build_lyapunov_loop(plant: PlantModel, ref: ReferenceModel,
                                   z[None, n:2 * n],
                                   z[nF:].reshape(1, C, M))[0])
 
-    cols = {"x": np.arange(X0, nF), "x_m": np.arange(n),
-            "u": np.arange(U0, U0 + M), "theta": width + nF + th_at}
+    law.step, law.views = step, views
+    law.cols = {"x": np.arange(X0, nF), "x_m": np.arange(n),
+                "u": np.arange(U.start, U.stop),
+                "theta": W.start + np.arange(C * M).reshape(C, M)}
     if mode == "indirect":
-        cols["x_hat"] = np.arange(n, 2 * n)
-    field = Field(f, views, width, probe)
-    return LyapunovLoop(mode=mode, n=n, M=M, ct=cert, field=field,
-                        rhs=field.rhs(signal), pack=pack, cols=cols, V=V,
-                        V_series=V_series)
+        law.cols["x_hat"] = np.arange(n, 2 * n)
+
+    def rhs(tau, z):
+        # the field at z on a fresh row, with r read at tau
+        row = np.zeros(law.width)
+        row[:nF], row[W] = z[:nF], z[nF:]
+        row[law.R] = signal.at(tau)
+        step(views(row, row[law.dF]))
+        return row[law.dF.start:]
+
+    return LyapunovLoop(mode=mode, n=n, M=M, ct=cert, law=law, rhs=rhs,
+                        pack=pack, V=V, V_series=V_series)
 
 
 def run_lyapunov_scenario(plant: PlantModel, ref: ReferenceModel,
@@ -384,7 +376,10 @@ def run_lyapunov_scenario(plant: PlantModel, ref: ReferenceModel,
 
     The trace's theta column stacks the evolving gains ([K1; K2^T] for the
     direct scheme, [Theta1; Theta2^T] for the indirect one); the gradient
-    scheme's eps and m columns are not defined here and come back NaN.
+    scheme's eps and m columns are not defined here and come back NaN. The
+    run diverges as the gradient runs do (see ``_rows``), at the first step
+    at which an element of x or u is not finite, or after a step whose
+    integration is not finite.
     """
     if signal.dimension != plant.n_inputs:
         raise ModelError("signal dimension disagrees with the input count")
@@ -406,14 +401,14 @@ def run_lyapunov_scenario(plant: PlantModel, ref: ReferenceModel,
     else:
         z = loop.pack(x0, xm0, T1blk, T2blk)
 
-    rec, store = _rows.records(loop.cols, horizon + 1)
+    rec, store = _rows.records(loop.law.cols, horizon + 1)
     after_step = None
     if mode == "indirect" and proj_on:
         def after_step(z):
             _clamp_theta2(z[-M * M:].reshape(M, M), projection)
 
-    diverged_at = _ctloop.run(loop.field, z, signal, horizon, h, method,
-                              integrate_ct, store, after_step)
+    diverged_at = _rows.run_ct(loop.law, z, signal, horizon, h, method,
+                               integrate_ct, store, after_step)
 
     def V_series(rec):
         return value_series(loop.V_series(rec["x"], rec["x_m"],

@@ -205,6 +205,23 @@ def _numeric_errors(section: dict, keys) -> list[str]:
 _GAIN_KEYS = ("Gamma", "gamma", "sign_k2", "k2_lower", "S_p", "Gamma1",
               "Gamma2", "Q")
 _PROJECTION_KEYS = ("signs", "theta2_lower", "k2_upper")
+_INIT_KEYS = ("theta_scale", "rho_scale", "x0", "xm0", "xhat0", "theta0",
+              "rho0")
+# the gain keys the loader reads per scheme; any other is reported
+_SCHEME_GAIN_KEYS = {
+    "direct_gradient": ("Gamma", "gamma", "sign_k2", "k2_lower",
+                        "enforce_diagonal_k2"),
+    "indirect_gradient": ("Gamma",),
+    "lyapunov_direct": ("S_p", "Gamma", "gamma", "sign_k2", "Q"),
+    "lyapunov_indirect": ("Gamma1", "Gamma2", "theta1_law", "Q"),
+}
+
+
+def _unknown_keys(section: str, data: dict, known) -> list[str]:
+    """One message per key of the ``section`` object ``data`` that the
+    loader does not read ("" for the document itself)."""
+    prefix = f"{section}." if section else ""
+    return [f"{prefix}{key}: unknown key" for key in data if key not in known]
 
 
 def _init_errors(init: dict, n: int, M: int) -> list[str]:
@@ -240,7 +257,7 @@ def _init_errors(init: dict, n: int, M: int) -> list[str]:
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
-    errors: list[str] = []
+    errors = _unknown_keys("", data, ScenarioConfig.__dataclass_fields__)
 
     scheme = data.get("scheme")
     if scheme not in SCHEMES:
@@ -259,6 +276,8 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     if not isinstance(reference, dict):
         errors.append("reference: must be an object with A_m and B_m")
         reference = {}
+    errors.extend(_unknown_keys("plant", plant, ("A", "B")))
+    errors.extend(_unknown_keys("reference", reference, ("A_m", "B_m")))
     A = _matrix_or_none(plant, "A", errors, square=True)
     B = _matrix_or_none(plant, "B", errors)
     Am = _matrix_or_none(reference, "A_m", errors, square=True)
@@ -299,6 +318,9 @@ def config_from_dict(data: dict) -> ScenarioConfig:
             errors.extend(f"signal.{err}" for err in exc.errors)
         except (ModelError, ValueError, TypeError) as exc:
             errors.append(f"signal: {exc}")
+    if signal.get("kind") in _SIGNAL_FIELDS:
+        errors.extend(_unknown_keys("signal", signal, ("kind",) + tuple(
+            key for key, _, _ in _SIGNAL_FIELDS[signal["kind"]])))
 
     horizon = data.get("horizon")
     if not _is_int(horizon) or horizon < 1:
@@ -331,6 +353,12 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     if projection is not None and not isinstance(projection, dict):
         errors.append("projection: must be an object or null")
         projection = None
+    if scheme in SCHEMES:
+        errors.extend(_unknown_keys("gains", gains,
+                                    _SCHEME_GAIN_KEYS[scheme]))
+    if projection is not None:
+        errors.extend(_unknown_keys("projection", projection,
+                                    _PROJECTION_KEYS + ("enabled",)))
 
     projection_errors = (_numeric_errors(projection, _PROJECTION_KEYS)
                          if projection is not None else [])
@@ -369,6 +397,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     if not isinstance(init, dict):
         errors.append("init: must be an object")
         init = {}
+    errors.extend(_unknown_keys("init", init, _INIT_KEYS))
     if init.get("theta_scale") is not None and init.get("theta0") is not None:
         errors.append("init: give either theta_scale or theta0, not both")
     if n is not None:
@@ -391,6 +420,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         if not isinstance(output, dict):
             errors.append("output: must be an object")
         else:
+            errors.extend(_unknown_keys("output", output, _DEFAULT_OUTPUT))
             errors.extend(_output_errors(output))
             out.update(output)
 

@@ -92,8 +92,10 @@ def replay_direct_ct(plant, ref, signal, gains, init, horizon, h=0.01,
 
     def rhs(tau, z):
         x, xm, u, eps, m2, om, Xi, S, P, rho, r = readout(tau, z)
-        dP = -(Gbd @ (S.T @ eps)).reshape(M, C) / m2
-        drho = -gam * (eps @ Xi) / m2
+        # eps is scaled first, as in the runners: eps S may overflow while
+        # m^2 and the rates are finite
+        dP = -(Gbd @ (S.T @ (eps / m2))).reshape(M, C)
+        drho = -gam * ((eps / m2) @ Xi)
         if enforce:
             dP[:, n:] *= eyeM
         dS = Am @ S + (Bm[:, :, None] * om[None, None, :]).reshape(n, M * C)
@@ -113,7 +115,8 @@ def replay_direct_ct(plant, ref, signal, gains, init, horizon, h=0.01,
         for k in range(T1):
             tau = k * h
             x, xm, u, eps, m2, *_, P, rho, _r = readout(tau, z)
-            if not math.isfinite(m2 + float(np.dot(x, x)) + float(np.dot(u, u))):
+            if not (math.isfinite(m2) and np.all(np.isfinite(x))
+                    and np.all(np.isfinite(u))):
                 diverged_at = k
                 break
             rec["x"][k] = x; rec["x_m"][k] = xm; rec["e"][k] = x - xm
@@ -179,7 +182,7 @@ def replay_indirect_ct(plant, ref, signal, gains, projection, init, horizon,
         x, xm, xh, S, q, P, r, Xi, eps, m2, theta2, u = readout(tau, z)
         om = np.concatenate([-x, u])
         v = P @ om
-        g = -(Gbd @ (S.T @ eps)).reshape(M, C) / m2
+        g = -(Gbd @ (S.T @ (eps / m2))).reshape(M, C)
         if M > 1:
             g[:, n:] *= eyeM
         if proj_on:
@@ -208,14 +211,15 @@ def replay_indirect_ct(plant, ref, signal, gains, projection, init, horizon,
         for k in range(T1):
             tau = k * h
             x, xm, xh, S, q, P, r, Xi, eps, m2, theta2, u = readout(tau, z)
-            if not math.isfinite(m2 + float(np.dot(x, x)) + float(np.dot(u, u))):
+            if not (math.isfinite(m2) and np.all(np.isfinite(x))
+                    and np.all(np.isfinite(u))):
                 diverged_at = k
                 break
             rec["x"][k] = x; rec["x_m"][k] = xm; rec["e"][k] = x - xm
             rec["u"][k] = u; rec["eps"][k] = eps; rec["m"][k] = math.sqrt(m2)
             rec["theta"][k] = P.T; rec["x_hat"][k] = xh
             if proj_on:
-                g2 = (-(Gbd @ (S.T @ eps)).reshape(M, C) / m2).ravel()[diag_flat]
+                g2 = -(Gbd @ (S.T @ (eps / m2))).reshape(M, C).ravel()[diag_flat]
                 f2 = _ct_projection_rate(theta2, g2, projection)
                 rec["proj_g2"][k] = g2; rec["proj_f2"][k] = f2
                 rec["proj_fired"][k] = bool(np.any(f2 != 0.0))

@@ -25,9 +25,11 @@ def epsilon_direct(e, rho, xi):
 
 
 def gradient(Gamma, eps, frame):
-    """Column j is -Gamma_j (sum_i eps_i zeta_ij) / m^2."""
-    a = np.einsum("k,kjc->jc", eps, frame.zeta)
-    return -np.matmul(Gamma, a[:, :, None])[..., 0].T / frame.m ** 2
+    """Column j is -Gamma_j (sum_i eps_i zeta_ij) / m^2, with eps scaled by
+    1 / m^2 first, as the runners do: eps zeta may overflow while m^2 and
+    the step are finite."""
+    a = np.einsum("k,kjc->jc", eps / frame.m ** 2, frame.zeta)
+    return -np.matmul(Gamma, a[:, :, None])[..., 0].T
 
 
 def direct_step(gains, eps, frame):
@@ -37,7 +39,7 @@ def direct_step(gains, eps, frame):
     M = dtheta.shape[1]
     if M > 1 and gains.enforce_diagonal_k2:
         dtheta[-M:] *= np.eye(M)
-    return dtheta, -gains.gamma * (eps @ frame.xi) / frame.m ** 2
+    return dtheta, -gains.gamma * ((eps / frame.m ** 2) @ frame.xi)
 
 
 def epsilon_indirect(e_x, xi):
@@ -81,8 +83,8 @@ def indirect_step(gains, projection, theta, eps, frame):
 
 def replay_direct(plant, ref, signal, gains, init, horizon):
     """Records of a discrete direct run, one dict per step, and the step
-    the runner must report as diverged: the first whose m^2 + |x|^2 +
-    |u|^2 is not finite (None when the run completes)."""
+    the runner must report as diverged: the first at which an element of
+    x, u or m is not finite (None when the run completes)."""
     n, M = plant.n, plant.n_inputs
     x, xm, theta, rho, _ = init.resolved(n, n + M, M)
     if M > 1 and gains.enforce_diagonal_k2:
@@ -94,12 +96,12 @@ def replay_direct(plant, ref, signal, gains, init, horizon):
             r = signal.at(t)
             try:
                 frame = bank.frame(theta)
-            except ModelError:  # non-finite filter energy
+            except ModelError:  # non-finite filter energy, so m
                 return records, t
             e = x - xm
             eps = epsilon_direct(e, rho, frame.xi)
             u = control_direct(theta, x, r)
-            if not np.isfinite(frame.m ** 2 + x @ x + u @ u):
+            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(u))):
                 return records, t
             records.append(dict(theta=theta, rho=rho, x=x, x_m=xm, e=e,
                                 eps=eps, m=frame.m, u=u))

@@ -80,6 +80,22 @@ def indirect_mimo():
     return plant, ref, ReferenceSignal.sinusoids(**TWO_TONE), gains, proj, init
 
 
+def lyapunov_siso(mode):
+    plant, ref = ct_instance()
+    sol = solve_matching(plant, ref)
+    if mode == "direct":
+        gains = LyapunovDirectGains(Gamma=np.eye(2), gamma=1.0, sign_k2=1.0)
+        init = InitialConditions(
+            theta0=1.25 * stack_controller_gains(sol.K1, sol.K2),
+            x0=[1.0, -0.5])
+        return plant, ref, siso_signal(), gains, None, init
+    gains = LyapunovIndirectGains(Gamma1=np.eye(2), Gamma2=[[1.0]])
+    proj = ProjectionConfig.from_k2_upper(1.0, 1.0)
+    init = InitialConditions(theta0=1.3 * theta_star_indirect(sol.K1, sol.K2),
+                             x0=[1.0, -0.5], xhat0=[0.3, 0.2])
+    return plant, ref, siso_signal(), gains, proj, init
+
+
 def riding_case(enabled=True):
     # a tight bound (|theta2*| = 2) and a start just above it, so the flow
     # presses onto the bound
@@ -115,7 +131,9 @@ class TestFusedGradient:
         assert records["proj_fired"].sum() > 20
         assert_records_match(trace, records, diverged_at)
 
-    @pytest.mark.parametrize("scheme", ["direct", "indirect"])
+    @pytest.mark.parametrize("scheme", ["direct", "indirect",
+                                        "lyapunov_direct",
+                                        "lyapunov_indirect"])
     def test_blow_up_step_matches_oracle(self, scheme):
         # a reference input growing to 1e300 over 3 s drives the loop into
         # overflow
@@ -124,16 +142,22 @@ class TestFusedGradient:
             plant, ref, _, gains, init = direct_siso()
             args = (plant, ref, blow, gains, init)
             run, replay = run_direct_scenario, ct_oracle.replay_direct_ct
-        else:
+        elif scheme == "indirect":
             plant, ref, _, gains, proj, init = indirect_siso()
             args = (plant, ref, blow, gains, proj, init)
             run, replay = run_indirect_scenario, ct_oracle.replay_indirect_ct
+        else:
+            mode = scheme.split("_")[1]
+            plant, ref, _, gains, proj, init = lyapunov_siso(mode)
+            args = (plant, ref, blow, mode, gains, proj, init)
+            run, replay = run_lyapunov_scenario, ct_oracle.replay_lyapunov
         trace = run(*args, 400, h=0.01)
         records, diverged_at = replay(*args, 400)
         assert diverged_at is not None and trace.diverged
         assert trace.diverged_at == diverged_at == trace.steps
         assert np.all(np.isfinite(trace.x))
-        for name in ("x", "u", "theta", "m"):
+        for name in [name for name in ("x", "u", "theta", "m")
+                     if name in records]:
             expected = records[name]
             assert np.allclose(getattr(trace, name), expected, rtol=1e-12,
                                atol=1e-12), name
@@ -163,13 +187,8 @@ class TestFusedGradient:
 class TestFusedLyapunov:
     @pytest.mark.parametrize("method", ["rk4", "euler"])
     def test_direct_siso_matches_oracle(self, method):
-        plant, ref = ct_instance()
-        sol = solve_matching(plant, ref)
-        gains = LyapunovDirectGains(Gamma=np.eye(2), gamma=1.0, sign_k2=1.0)
-        init = InitialConditions(
-            theta0=1.25 * stack_controller_gains(sol.K1, sol.K2),
-            x0=[1.0, -0.5])
-        args = (plant, ref, siso_signal(), "direct", gains, None, init)
+        plant, ref, sig, gains, _, init = lyapunov_siso("direct")
+        args = (plant, ref, sig, "direct", gains, None, init)
         trace = run_lyapunov_scenario(*args, HORIZON, h=0.01, method=method)
         assert_records_match(
             trace, *ct_oracle.replay_lyapunov(*args, HORIZON, 0.01, method))

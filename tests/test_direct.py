@@ -235,8 +235,9 @@ class TestScenario:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("seed", [0, 4])
     def test_divergence_step_matches_op_composition(self, seed):
-        # seed 0 first fails the probe on m^2 + |x|^2 + |u|^2, seed 4 on the
-        # filter energy alone; divergence is reported through the marker only
+        # both seeds first overflow the filter energy m^2, while every
+        # element of x and u is finite; divergence is reported through the
+        # marker only
         case = mimo_direct_case(seed)
         blow = ReferenceSignal.from_samples(
             np.geomspace(1.0, 1e300, 400)[:, None] * np.array([[1.0, -0.5]]))

@@ -1,6 +1,7 @@
 """The shared row layout of the gradient laws on more shapes: each runner
-against its oracle in both domains, and the filter columns of a discrete
-run against the reference filter bank."""
+against its oracle in both domains, the divergence rule on a run that grows
+past 1e155, and the filter columns of a discrete run against the reference
+filter bank."""
 
 import numpy as np
 import pytest
@@ -8,10 +9,10 @@ import pytest
 import ct_oracle
 from discrete_oracle import assert_replayed, replay_direct, replay_indirect
 from mrac import (ChannelFilterBank, DirectGainConfig, IndirectGainConfig,
-                  InitialConditions, ProjectionConfig, ReferenceSignal,
-                  random_matchable_instance, run_direct_scenario,
-                  run_indirect_scenario, stack_controller_gains,
-                  theta_star_indirect)
+                  InitialConditions, PlantModel, ProjectionConfig,
+                  ReferenceModel, ReferenceSignal, random_matchable_instance,
+                  run_direct_scenario, run_indirect_scenario,
+                  stack_controller_gains, theta_star_indirect)
 from mrac import _rows
 from mrac.direct import _direct_law
 from mrac.indirect import _indirect_law
@@ -86,6 +87,50 @@ def test_ct_indirect_matches_oracle(n, M):
     trace = run_indirect_scenario(*args, CT_HORIZON, h=0.01)
     assert_records_match(
         trace, *ct_oracle.replay_indirect_ct(*args, CT_HORIZON, 0.01))
+
+
+def blow_up_case(scheme, domain):
+    """An unstable scalar plant (x grows tenfold a step, or as e^(100 t))
+    whose adaptation is too slow to matter, under a reference model with a
+    tiny B_m: m^2 stays finite while |x| passes 1e155."""
+    a, a_m = (10.0, 0.5) if domain == "discrete" else (100.0, -1.0)
+    plant = PlantModel(A=[[a]], B=[[1e-10]], time_domain=domain)
+    ref = ReferenceModel(A_m=[[a_m]], B_m=[[1e-10]], time_domain=domain)
+    if scheme == "direct":
+        gains = DirectGainConfig(Gamma=1e-20 * np.eye(2), gamma=1e-20,
+                                 sign_k2=1.0, k2_lower=1.0, time_domain=domain)
+        return plant, ref, signal(1), gains, InitialConditions(x0=[1.0])
+    gains = IndirectGainConfig(Gamma=1e-20 * np.eye(2), time_domain=domain)
+    init = InitialConditions(x0=[1.0], theta0=[[0.0], [1.0]])
+    return plant, ref, signal(1), gains, None, init
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scheme, domain", [("direct", "discrete"),
+                                            ("direct", "continuous"),
+                                            ("indirect", "continuous")])
+def test_divergence_waits_for_an_element_to_overflow(scheme, domain):
+    # |x|^2 overflows near |x| = 1.3e154, so a rule over m^2 + |x|^2 +
+    # |u|^2 would cut the run there; the run goes on until m^2 overflows
+    args = blow_up_case(scheme, domain)
+    run = run_direct_scenario if scheme == "direct" else run_indirect_scenario
+    if domain == "discrete":
+        trace = run(*args, 200)
+        replayed, diverged_at = replay_direct(*args, 200)
+        records = {name: np.array([rec[name] for rec in replayed])
+                   for name in ("x", "u", "m", "theta")}
+    else:
+        trace = run(*args, 450, h=0.01)
+        replay = (ct_oracle.replay_direct_ct if scheme == "direct"
+                  else ct_oracle.replay_indirect_ct)
+        records, diverged_at = replay(*args, 450, 0.01)
+    assert diverged_at is not None
+    assert trace.diverged_at == diverged_at == trace.steps
+    assert np.max(np.abs(trace.x)) > 1e155
+    for name in ("x", "u", "m", "theta"):
+        got = getattr(trace, name)
+        assert np.all(np.isfinite(got)), name
+        assert np.allclose(got, records[name], rtol=1e-12, atol=0.0), name
 
 
 @pytest.mark.parametrize("scheme", ["direct", "indirect"])

@@ -416,6 +416,39 @@ class TestCli:
         assert [row["status"] for row in rows] == ["invalid", "ok"]
         assert rows[0]["errors"] == [f"output.dir: {blocker} is not a directory"]
 
+    def test_unknown_keys_are_reported(self, tmp_path, capsys):
+        # a misspelt key used to be dropped silently
+        data = bench_dict(horizon=20, horizn=5, output={"dirr": "out"})
+        data["gains"]["Gamm"] = 3
+        data["plant"]["C"] = [[1.0, 0.0]]
+        data["signal"]["level"] = [1.0]  # not a sinusoid's field
+        data["init"]["theta"] = 1.0
+        # the indirect law reads Gamma alone, a projection not "enable"
+        mimo = mimo_dict("indirect_gradient")
+        mimo["gains"]["gamma"] = 1.0
+        mimo["projection"]["enable"] = False
+        cfg = tmp_path / "cfg.json"
+        for doc, want in [
+                (data, ["horizn", "plant.C", "signal.level", "gains.Gamm",
+                        "init.theta", "output.dirr"]),
+                (mimo, ["gains.gamma", "projection.enable"])]:
+            cfg.write_text(json.dumps(doc))
+            for verb in ("validate", "run"):
+                assert main([verb, str(cfg)]) == 1
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err.splitlines() == [
+                    f"invalid: {key}: unknown key" for key in want]
+        # in a batch the member gets an invalid row and the others run
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"configs": [
+            bench_dict(horizon=20, name="bad", horizn=5),
+            bench_dict(horizon=20, name="good")]}))
+        assert main(["batch", str(spec)]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [row["status"] for row in rows] == ["invalid", "ok"]
+        assert rows[0]["errors"] == ["horizn: unknown key"]
+
     def test_memory_preflight(self, tmp_path, capsys):
         bad = tmp_path / "huge.json"
         bad.write_text(json.dumps(bench_dict(horizon=10**10)))
@@ -598,8 +631,7 @@ class TestCli:
 
 
 def test_discrete_direct_run_compiles_one_scheme(tmp_path):
-    # the other schemes, the RK4 loop and the reference filter bank are
-    # never imported
+    # the other schemes and the reference filter bank are never imported
     cfg = tmp_path / "bench.json"
     cfg.write_text(json.dumps(bench_dict(horizon=20)))
     probe = ("import sys; from mrac.cli import main; main(['run', sys.argv[1]])"
@@ -610,8 +642,7 @@ def test_discrete_direct_run_compiles_one_scheme(tmp_path):
                           env=dict(os.environ, PYTHONPATH=src))
     loaded = set(ast.literal_eval(proc.stdout.splitlines()[-1]))
     assert "mrac.direct" in loaded
-    assert not loaded & {"mrac.indirect", "mrac.lyapunov", "mrac._ctloop",
-                         "mrac.filters"}
+    assert not loaded & {"mrac.indirect", "mrac.lyapunov", "mrac.filters"}
 
 
 def test_orjson_is_imported_only_to_write_a_trace(tmp_path):
