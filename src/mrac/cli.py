@@ -1,7 +1,8 @@
 """Command-line surface: validate, run, batch, example.
 
 Exit codes: 0 success, 1 validation error, 2 runtime divergence,
-3 invariant violation under --strict.
+3 invariant violation under --strict. ``batch`` prints every row, then
+exits 1 if any member is invalid or failed, else 2 if any diverged, else 0.
 """
 
 from __future__ import annotations
@@ -115,18 +116,18 @@ def write_gnuplot_dat(trace: SimulationTrace, path: str) -> None:
 
 def _emit_outputs(run: ScenarioRun, out_dir: str | None) -> None:
     cfg = run.config
-    directory = out_dir or cfg.output.get("dir")
+    directory = out_dir or cfg.output["dir"]
     if directory is None:
         return
     os.makedirs(directory, exist_ok=True)
     base = os.path.join(directory, cfg.name)
-    if cfg.output.get("trace", True):
+    if cfg.output["trace"]:
         write_trace_csv(run.trace, base + ".trace.csv")
-    if cfg.output.get("summary", True):
+    if cfg.output["summary"]:
         with open(base + ".summary.json", "w", encoding="utf-8") as fh:
             json.dump(summary_dict(run), fh, indent=2, sort_keys=True)
             fh.write("\n")
-    if cfg.output.get("gnuplot", False):
+    if cfg.output["gnuplot"]:
         write_gnuplot_dat(run.trace, base + ".dat")
 
 
@@ -256,7 +257,8 @@ def _sweep(base: dict, sweep: dict) -> list[dict]:
         for key, value in zip(keys, combo):
             _set_dotted(data, key, value)
             tags.append(f"{key.split('.')[-1]}={value}")
-        if tags:
+        # a name that is not a string is left for validation to report
+        if tags and isinstance(data.get("name", "run"), str):
             data["name"] = data.get("name", "run") + "[" + ",".join(tags) + "]"
         runs.append(data)
     return runs
@@ -298,7 +300,10 @@ def cmd_batch(args) -> int:
             idx, row = _batch_one(payload)
             rows[idx] = row
     print(json.dumps(rows, indent=2, sort_keys=True))
-    return 0
+    statuses = {row["status"] for row in rows}
+    if statuses & {"invalid", "failed"}:
+        return 1
+    return 2 if "diverged" in statuses else 0
 
 
 def cmd_example(args) -> int:

@@ -13,7 +13,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, asdict
+from collections import namedtuple
+from dataclasses import asdict, dataclass, make_dataclass
 from importlib import import_module
 from typing import Any, Optional
 
@@ -25,7 +26,7 @@ from .diagnostics import (SimulationTrace, check_delta_V,  # noqa: F401
                           direct_V_series, indirect_V_series, tracking_metrics)
 from .direct import (DirectGainConfig, InitialConditions,
                      run_direct_scenario, stack_controller_gains)
-from .errors import ConfigError, GainError, ModelError, ProjectionError
+from .errors import ConfigError, GainError, ModelError, ToolkitError
 from .systems import (CONTINUOUS, DISCRETE, PlantModel, ReferenceModel,
                       ReferenceSignal, solve_matching)
 
@@ -61,8 +62,6 @@ def memory_estimate(horizon: int, n: int, M: int, tones: int,
     return 8 * (horizon + 1) * ((n + M) * M + 3 * n + 2 * M
                                 + stages * M * tones)
 
-_DEFAULT_OUTPUT = {"dir": None, "trace": True, "summary": True, "gnuplot": False}
-
 
 def blocked_dir(path: str) -> Optional[str]:
     """The nearest existing ancestor of ``path``, itself included, when it
@@ -71,47 +70,6 @@ def blocked_dir(path: str) -> Optional[str]:
     while not os.path.exists(head):
         head = os.path.dirname(head)
     return None if os.path.isdir(head) else head
-
-
-def _output_errors(output: dict) -> list[str]:
-    errors = []
-    directory = output.get("dir")
-    if directory is not None:
-        if not isinstance(directory, str) or not directory \
-                or "\0" in directory:
-            errors.append(f"output.dir: expected a directory path or null, "
-                          f"got {directory!r}")
-        elif (head := blocked_dir(directory)) is not None:
-            errors.append(f"output.dir: {head} is not a directory")
-    errors.extend(f"output.{key}: expected true or false, got {output[key]!r}"
-                  for key in ("trace", "summary", "gnuplot")
-                  if key in output and not isinstance(output[key], bool))
-    return errors
-
-
-@dataclass
-class ScenarioConfig:
-    scheme: str
-    time_domain: str
-    plant: dict
-    reference: dict
-    signal: dict
-    gains: dict
-    horizon: int
-    projection: Optional[dict] = None
-    init: dict = field(default_factory=dict)
-    ct_step: float = 0.01
-    integrator: str = "rk4"
-    seed: int = 0
-    name: str = "scenario"
-    output: dict = field(default_factory=lambda: dict(_DEFAULT_OUTPUT))
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def serialize_config(cfg: ScenarioConfig) -> str:
-    return json.dumps(cfg.to_dict(), indent=2, sort_keys=True)
 
 
 def load_config(source) -> ScenarioConfig:
@@ -136,525 +94,417 @@ def load_config(source) -> ScenarioConfig:
 
 
 def _floats(value) -> np.ndarray:
-    """``value`` as a float array. JSON true/false load as bool, which numpy
-    would read as 1.0/0.0, so they raise TypeError like other non-numbers."""
+    """``value`` as a float array. JSON true/false load as bool and null as
+    None, which numpy would read as 1.0/0.0 and NaN, so they raise
+    TypeError like other non-numbers."""
     pending = [value]
     while pending:
         item = pending.pop()
-        if isinstance(item, bool):
-            raise TypeError("true/false are not numbers")
+        if item is None or isinstance(item, bool):
+            raise TypeError("true, false and null are not numbers")
         if isinstance(item, list):
             pending.extend(item)
     return np.asarray(value, dtype=float)
 
 
-def _matrix_or_none(data, key, errors, square=False):
-    if key not in data or data[key] is None:
-        errors.append(f"missing field: {key}")
-        return None
-    try:
-        arr = _floats(data[key])
-    except (TypeError, ValueError):
-        errors.append(f"{key}: not a numeric matrix")
-        return None
-    if arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
-    if arr.ndim != 2 or arr.size == 0:
-        errors.append(f"{key}: expected a 2-D array of numbers")
-        return None
-    if not np.all(np.isfinite(arr)):
-        errors.append(f"{key}: entries must be finite numbers")
-        return None
-    if square and arr.shape[0] != arr.shape[1]:
-        errors.append(f"{key}: must be square, got {arr.shape}")
-        return None
-    return arr
+# what a value of each scalar kind must be, and its test; JSON true/false
+# load as bool, which Python counts as an int
+_KINDS = {
+    "count": ("a positive integer", lambda v: type(v) is int and v >= 1),
+    "int": ("an integer", lambda v: type(v) is int),
+    "step": ("a positive finite number", lambda v: type(v) in (int, float)
+             and 0 < v <= sys.float_info.max),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "name": ("a file name", lambda v: isinstance(v, str)
+             and v not in ("", ".", "..") and not any(
+                 c and c in v for c in ("/", os.sep, os.altsep, "\0"))),
+    "dir": ("a directory path or null", lambda v: v is None
+            or isinstance(v, str) and v != "" and "\0" not in v),
+    "section": ("an object", lambda v: isinstance(v, dict)),
+}
+_NO_DEFAULT = object()
+
+# One config key. Its kind is "numbers" (finite numbers, of the shapes
+# ``shapes(n, M, reader, section)`` lists on an n-state, M-input plant; a
+# string stands for any length), a tuple of the allowed values, or a scalar
+# kind of _KINDS. It is required (True, or by the readers named) or takes
+# its default, it is read by the schemes or signal kinds in read_by (None:
+# by all), and its presence excludes the keys in excludes.
+Key = namedtuple("Key", "kind shapes default required read_by excludes",
+                 defaults=(None, _NO_DEFAULT, False, None, ()))
 
 
-def _is_int(value) -> bool:
-    # JSON true/false load as bool, which Python counts as an int
-    return isinstance(value, int) and not isinstance(value, bool)
+def _per_input(n, M, *_):
+    # one number for all inputs, or one per input
+    return [(), (1,), (M,)]
 
 
-def _finite_array(value, key) -> np.ndarray:
-    """``value`` as an array of finite floats, or a ConfigError naming
-    ``key``."""
-    try:
-        arr = _floats(value)
-    except (TypeError, ValueError):
-        raise ConfigError([f"{key}: expected numbers, got {value!r}"])
-    if not np.all(np.isfinite(arr)):
-        raise ConfigError([f"{key}: entries must be finite numbers"])
-    return arr
+def _one_per_input(n, M, *_):
+    # one sign or level per input: one is not spread over M inputs
+    return [(), (1,)] if M == 1 else [(M,)]
 
 
-def _numeric_errors(section: dict, keys) -> list[str]:
-    """One message per present key of ``section`` that is not finite
-    numbers."""
-    errors = []
-    for key in keys:
-        if section.get(key) is not None:
-            try:
-                _finite_array(section[key], key)
-            except ConfigError as exc:
-                errors.extend(exc.errors)
-    return errors
+def _columns(rows, M, *_):
+    # rows x M, or a vector of rows for a single input
+    return [(rows, M)] + ([(rows,)] if M == 1 else [])
 
 
-# the numeric fields of the gains and projection sections
-_GAIN_KEYS = ("Gamma", "gamma", "sign_k2", "k2_lower", "S_p", "Gamma1",
-              "Gamma2", "Q")
-_PROJECTION_KEYS = ("signs", "theta2_lower", "k2_upper")
-_INIT_KEYS = ("theta_scale", "rho_scale", "x0", "xm0", "xhat0", "theta0",
-              "rho0")
-# the gain keys the loader reads per scheme; any other is reported
-_SCHEME_GAIN_KEYS = {
-    "direct_gradient": ("Gamma", "gamma", "sign_k2", "k2_lower",
-                        "enforce_diagonal_k2"),
-    "indirect_gradient": ("Gamma",),
-    "lyapunov_direct": ("S_p", "Gamma", "gamma", "sign_k2", "Q"),
-    "lyapunov_indirect": ("Gamma1", "Gamma2", "theta1_law", "Q"),
+_LYAPUNOV = ("lyapunov_direct", "lyapunov_indirect")
+_GRADIENT = ("direct_gradient", "indirect_gradient")
+_SIGNAL_KINDS = ("sum_of_sinusoids", "constant", "custom")
+_SQUARE = Key("numbers", lambda n, M, *_: [(n, n)], required=True)
+_VECTOR = Key("numbers", lambda n, M, *_: [(n,)])
+# K sinusoids per input
+_SINUSOIDS = Key("numbers", lambda n, M, *_: (
+    [(M, "K")] + ([(), ("K",)] if M == 1 else [])),
+    required=True, read_by=("sum_of_sinusoids",))
+
+_TOP = {
+    "name": Key("name", default="scenario"),
+    "scheme": Key(SCHEMES, required=True),
+    "time_domain": Key((DISCRETE, CONTINUOUS), required=True),
+    "plant": Key("section", required=True),
+    "reference": Key("section", required=True),
+    "signal": Key("section", required=True),
+    "gains": Key("section", required=True),
+    "projection": Key("section", default=None,
+                      read_by=("indirect_gradient", "lyapunov_indirect")),
+    "init": Key("section", default={}),
+    "horizon": Key("count", required=True),
+    "ct_step": Key("step", default=0.01),
+    "integrator": Key(("rk4", "euler"), default="rk4"),
+    "seed": Key("int", default=0),
+    "output": Key("section", default={}),
+}
+# PlantModel checks the plant's own shapes; the built plant sizes the rest
+_PLANT = {"A": Key("numbers", required=True),
+          "B": Key("numbers", required=True)}
+_REFERENCE = {"A_m": _SQUARE, "B_m": Key("numbers", _columns, required=True)}
+_SIGNAL = {
+    "kind": Key(_SIGNAL_KINDS, required=True),
+    "amplitudes": _SINUSOIDS,
+    "frequencies": _SINUSOIDS,
+    "phases": _SINUSOIDS._replace(required=False),
+    "level": Key("numbers", _one_per_input, required=True,
+                 read_by=("constant",)),
+    "samples": Key("numbers", lambda n, M, *_: _columns("T", M),
+                   required=True, read_by=("custom",)),
+}
+# the direct gradient law's priors, the sign of k2* and a lower bound on
+# it, are assumptions it depends on; refusing to default them keeps
+# mistakes loud
+_GAINS = {
+    "Gamma": Key("numbers", lambda n, M, scheme, _: (
+        [(), (n, n)] if scheme == "lyapunov_direct"
+        else [(), (n + M, n + M), (M, n + M, n + M)]),
+        default=1.0, required=_GRADIENT,
+        read_by=_GRADIENT + ("lyapunov_direct",)),
+    "gamma": Key("numbers", lambda n, M, scheme, _: (
+        [()] if scheme == "lyapunov_direct" else _per_input(n, M)),
+        default=1.0, read_by=("direct_gradient", "lyapunov_direct")),
+    "k2_lower": Key("numbers", _per_input, required=True,
+                    read_by=("direct_gradient",)),
+    "sign_k2": Key("numbers", lambda n, M, scheme, _: (
+        [()] if scheme == "lyapunov_direct" else _one_per_input(n, M)),
+        required=True, read_by=("direct_gradient", "lyapunov_direct")),
+    "enforce_diagonal_k2": Key("bool", default=True,
+                               read_by=("direct_gradient",)),
+    "S_p": Key("numbers", lambda n, M, *_: (
+        [(M, M)] if M > 1 else [(), (1,), (1, 1)]),
+        read_by=("lyapunov_direct",), excludes=("Gamma", "gamma", "sign_k2")),
+    "Gamma1": Key("numbers", lambda n, M, _, gains: [(), (
+        (M, M) if gains.get("theta1_law") == "transposed" else (n, n))],
+        default=1.0, read_by=("lyapunov_indirect",)),
+    "Gamma2": Key("numbers", lambda n, M, *_: [(), (M, M)], default=1.0,
+                  read_by=("lyapunov_indirect",)),
+    "theta1_law": Key(("standard", "transposed"), default="standard",
+                      read_by=("lyapunov_indirect",)),
+    "Q": _SQUARE._replace(required=False, read_by=_LYAPUNOV),
+}
+_PROJECTION = {
+    "signs": Key("numbers", _per_input, required=True),
+    "theta2_lower": Key("numbers", _per_input, excludes=("k2_upper",)),
+    "k2_upper": Key("numbers", _per_input, required=True),
+    "enabled": Key("bool", default=True),
+}
+_INIT = {
+    "x0": _VECTOR,
+    "xm0": _VECTOR,
+    "xhat0": _VECTOR._replace(read_by=("indirect_gradient",
+                                       "lyapunov_indirect")),
+    "theta_scale": Key("numbers", lambda *_: [()], excludes=("theta0",)),
+    "theta0": Key("numbers", lambda n, M, *_: _columns(n + M, M)),
+    "rho_scale": Key("numbers", lambda *_: [()], read_by=("direct_gradient",),
+                     excludes=("rho0",)),
+    "rho0": Key("numbers", _per_input, read_by=("direct_gradient",)),
+}
+_OUTPUT = {
+    "dir": Key("dir", default=None),
+    "trace": Key("bool", default=True),
+    "summary": Key("bool", default=True),
+    "gnuplot": Key("bool", default=False),
 }
 
-
-def _unknown_keys(section: str, data: dict, known) -> list[str]:
-    """One message per key of the ``section`` object ``data`` that the
-    loader does not read ("" for the document itself)."""
-    prefix = f"{section}." if section else ""
-    return [f"{prefix}{key}: unknown key" for key in data if key not in known]
+# the loaded config: one attribute per top-level key, holding plain JSON
+# values, so that it round-trips losslessly through serialize_config
+ScenarioConfig = make_dataclass("ScenarioConfig", list(_TOP),
+                                namespace={"to_dict": asdict})
 
 
-def _init_errors(init: dict, n: int, M: int) -> list[str]:
-    """Shape and value problems of the initial conditions on an n-state,
-    M-input plant."""
-    C = n + M
-    errors = []
-    for key in ("theta_scale", "rho_scale"):
-        value = init.get(key)
-        if value is not None and (isinstance(value, bool)
-                                  or not isinstance(value, (int, float))
-                                  or not math.isfinite(value)):
-            errors.append(f"init.{key}: expected a finite number, got {value!r}")
-    for key in ("x0", "xm0", "xhat0", "theta0", "rho0"):
-        if init.get(key) is None:
-            continue
+def serialize_config(cfg: ScenarioConfig) -> str:
+    return json.dumps(cfg.to_dict(), indent=2, sort_keys=True)
+
+
+def _problem(kind, value, shapes) -> Optional[str]:
+    """Why ``value`` is not of ``kind`` or of one of ``shapes``, or None."""
+    if kind == "numbers":
         try:
-            arr = _finite_array(init[key], f"init.{key}")
-        except ConfigError as exc:
-            errors.extend(exc.errors)
-            continue
-        if key == "theta0":
-            shape = arr.reshape(-1, 1).shape if arr.ndim == 1 else arr.shape
-            ok, want = shape == (C, M), f"shape ({C}, {M})"
-        elif key == "rho0":
-            ok = arr.ndim <= 1 and arr.size in (1, M)
-            want = "1 entry" if M == 1 else f"1 or {M} entries"
-        else:
-            ok, want = arr.size == n, f"{n} entries"
-        if not ok:
-            errors.append(f"init.{key}: expected {want}, got shape {arr.shape}")
-    return errors
+            arr = _floats(value)
+        except (TypeError, ValueError, OverflowError):
+            return f"expected numbers, got {value!r}"
+        if not np.all(np.isfinite(arr)):
+            return "entries must be finite numbers"
+        if shapes is None or any(
+                len(shape) == arr.ndim and all(
+                    isinstance(want, str) or want == got
+                    for want, got in zip(shape, arr.shape))
+                for shape in shapes):
+            return None
+        words = dict.fromkeys(
+            "a number" if not shape
+            else f"{shape[0]} {'entry' if shape[0] == 1 else 'entries'}"
+            if len(shape) == 1 else f"shape ({', '.join(map(str, shape))})"
+            for shape in shapes)
+        return f"expected {' or '.join(words)}, got shape {arr.shape}"
+    if isinstance(kind, tuple):
+        want = ", ".join(map(repr, kind[:-1])) + f" or {kind[-1]!r}"
+        ok = value in kind
+    else:
+        want, test = _KINDS[kind]
+        ok = test(value)
+    return None if ok else f"expected {want}, got {value!r}"
+
+
+def _walk(path: str, table: dict, section: dict, reader, dims, errors: list):
+    """Check the object ``section`` against its ``table`` for ``reader``,
+    the scheme or signal kind it serves (None when that is invalid), on a
+    plant of ``dims`` = (n, M) (None when unknown; shapes are then not
+    checked). Adds one line to ``errors`` per key that is unknown, not read
+    by ``reader``, of the wrong kind, not finite, of the wrong shape,
+    excluded by another key, or missing. A null array or object counts as
+    absent. Returns the checked values, with the defaults of absent keys,
+    and whether the section had no problem."""
+    count = len(errors)
+    prefix = f"{path}." if path else ""
+    errors.extend(f"{prefix}{key}: unknown key"
+                  for key in section if key not in table)
+
+    def reads(spec):
+        return spec.read_by is None or reader in spec.read_by
+
+    given = {key: value for key, value in section.items() if key in table
+             and not (value is None and table[key].kind in ("numbers",
+                                                            "section"))}
+    excluded = {other: key for key in given if reads(table[key])
+                for other in table[key].excludes}
+    values = {}
+    for key, spec in table.items():
+        where = prefix + key
+        if key in given:
+            if reader is not None and not reads(spec):
+                errors.append(f"{where}: not read by {reader}")
+            elif key in excluded:
+                errors.append(f"{where}: cannot be combined with "
+                              f"{excluded[key]}")
+            elif problem := _problem(spec.kind, given[key], dims and (
+                    spec.shapes and spec.shapes(*dims, reader, section))):
+                errors.append(f"{where}: {problem}")
+            else:
+                values[key] = given[key]
+        elif reads(spec) and key not in excluded:
+            if spec.required is True or reader in (spec.required or ()):
+                errors.append(f"{where}: missing field" + "".join(
+                    f" (or give {other})" for other, rival in table.items()
+                    if key in rival.excludes and reads(rival)))
+            elif spec.default is not _NO_DEFAULT:
+                values[key] = spec.default
+    return values, len(errors) == count
+
+
+def _model(cls, section: dict, time_domain: str):
+    """The PlantModel or ReferenceModel of a checked section."""
+    return cls(**{key: np.asarray(value, float)
+                  for key, value in section.items()}, time_domain=time_domain)
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
-    errors = _unknown_keys("", data, ScenarioConfig.__dataclass_fields__)
-
+    errors: list[str] = []
     scheme = data.get("scheme")
-    if scheme not in SCHEMES:
-        errors.append(f"scheme: expected one of {SCHEMES}, got {scheme!r}")
-    time_domain = data.get("time_domain")
-    if time_domain not in (DISCRETE, CONTINUOUS):
-        errors.append(f"time_domain: expected 'discrete' or 'continuous', got {time_domain!r}")
-    if scheme in ("lyapunov_direct", "lyapunov_indirect") and time_domain == DISCRETE:
+    cfg, _ = _walk("", _TOP, data, scheme if scheme in SCHEMES else None,
+                   None, errors)
+    scheme, time_domain = cfg.get("scheme"), cfg.get("time_domain")
+    if scheme in _LYAPUNOV and time_domain == DISCRETE:
         errors.append(f"scheme {scheme} requires time_domain 'continuous'")
 
-    plant = data.get("plant") or {}
-    reference = data.get("reference") or {}
-    if not isinstance(plant, dict):
-        errors.append("plant: must be an object with A and B")
-        plant = {}
-    if not isinstance(reference, dict):
-        errors.append("reference: must be an object with A_m and B_m")
-        reference = {}
-    errors.extend(_unknown_keys("plant", plant, ("A", "B")))
-    errors.extend(_unknown_keys("reference", reference, ("A_m", "B_m")))
-    A = _matrix_or_none(plant, "A", errors, square=True)
-    B = _matrix_or_none(plant, "B", errors)
-    Am = _matrix_or_none(reference, "A_m", errors, square=True)
-    Bm = _matrix_or_none(reference, "B_m", errors)
+    models = {}
+    for name, table, cls in (("plant", _PLANT, PlantModel),
+                             ("reference", _REFERENCE, ReferenceModel)):
+        if name in cfg:
+            plant = models.get("plant")
+            cfg[name], ok = _walk(name, table, cfg[name], None,
+                                  plant and (plant.n, plant.n_inputs), errors)
+            if ok and time_domain is not None:
+                try:
+                    models[name] = _model(cls, cfg[name], time_domain)
+                except ModelError as exc:
+                    errors.append(f"{name}: {exc}")
+    plant, ref = models.get("plant"), models.get("reference")
+    dims = (plant.n, plant.n_inputs) if plant and scheme else None
 
-    plant_obj = ref_obj = None
-    if A is not None and B is not None and time_domain in (DISCRETE, CONTINUOUS):
-        try:
-            plant_obj = PlantModel(A=A, B=B, time_domain=time_domain)
-        except ModelError as exc:
-            errors.append(f"plant: {exc}")
-    if Am is not None and Bm is not None and time_domain in (DISCRETE, CONTINUOUS):
-        try:
-            ref_obj = ReferenceModel(A_m=Am, B_m=Bm, time_domain=time_domain)
-        except ModelError as exc:
-            errors.append(f"reference: {exc}")
-    if plant_obj is not None and ref_obj is not None:
-        if plant_obj.n != ref_obj.n or plant_obj.n_inputs != ref_obj.n_inputs:
-            errors.append("plant and reference dimensions disagree")
+    # each section's checks beyond its table, run once the table passes
+    kind = cfg.get("signal", {}).get("kind")
+    passed = {}
+    for name, table, reader, check in (
+            ("signal", _SIGNAL, kind if kind in _SIGNAL_KINDS else None,
+             build_signal),
+            ("gains", _GAINS, scheme,
+             lambda gains: build_gains(scheme, gains, *dims, time_domain)),
+            ("projection", _PROJECTION, None,
+             lambda projection: build_projection(projection, dims[1])),
+            ("init", _INIT, scheme, None),
+            ("output", _OUTPUT, None, None)):
+        if isinstance(cfg.get(name), dict):
+            cfg[name], passed[name] = _walk(name, table, cfg[name], reader,
+                                            dims, errors)
+            if passed[name] and dims and check:
+                try:
+                    check(cfg[name])
+                except ToolkitError as exc:
+                    errors.append(f"{name}: {exc}")
 
-    n = plant_obj.n if plant_obj is not None else None
-    M = plant_obj.n_inputs if plant_obj is not None else None
-
-    signal = data.get("signal")
-    tones = 1
-    if not isinstance(signal, dict):
-        errors.append("signal: must be an object with a 'kind'")
-        signal = {}
-    elif M is not None:
-        try:
-            sig = build_signal(signal, M)
-            if sig.amplitudes is not None:
-                tones = sig.amplitudes.shape[1]
-            if sig.dimension != M:
-                errors.append(
-                    f"signal: dimension {sig.dimension} != input count {M}")
-        except ConfigError as exc:
-            errors.extend(f"signal.{err}" for err in exc.errors)
-        except (ModelError, ValueError, TypeError) as exc:
-            errors.append(f"signal: {exc}")
-    if signal.get("kind") in _SIGNAL_FIELDS:
-        errors.extend(_unknown_keys("signal", signal, ("kind",) + tuple(
-            key for key, _, _ in _SIGNAL_FIELDS[signal["kind"]])))
-
-    horizon = data.get("horizon")
-    if not _is_int(horizon) or horizon < 1:
-        errors.append(f"horizon: expected a positive integer, got {horizon!r}")
-    elif n is not None and time_domain in (DISCRETE, CONTINUOUS):
-        need = memory_estimate(horizon, n, M, tones, time_domain)
+    horizon = cfg.get("horizon")
+    if horizon is not None and dims:
+        tones = np.atleast_2d(cfg.get("signal", {}).get("amplitudes",
+                                                        1)).shape[1]
+        need = memory_estimate(horizon, *dims, tones, time_domain)
         if need > MEMORY_BUDGET_BYTES:
+            from decimal import Decimal  # exact for any horizon
             errors.append(
-                f"horizon: {horizon} steps need about {need / 2**30:.3g} GiB "
-                f"of records and reference samples, above the "
-                f"{MEMORY_BUDGET_BYTES / 2**30:g} GiB budget")
-
-    ct_step = data.get("ct_step", 0.01)
-    if isinstance(ct_step, bool) or not isinstance(ct_step, (int, float)) \
-            or not 0 < ct_step < math.inf:
-        errors.append(
-            f"ct_step: expected a positive finite number, got {ct_step!r}")
-    integrator = data.get("integrator", "rk4")
-    if integrator not in ("rk4", "euler"):
-        errors.append(f"integrator: expected 'rk4' or 'euler', got {integrator!r}")
-    seed = data.get("seed", 0)
-    if not _is_int(seed):
-        errors.append(f"seed: expected an integer, got {seed!r}")
-
-    gains = data.get("gains")
-    if not isinstance(gains, dict):
-        errors.append("gains: must be an object")
-        gains = {}
-    projection = data.get("projection")
-    if projection is not None and not isinstance(projection, dict):
-        errors.append("projection: must be an object or null")
-        projection = None
-    if scheme in SCHEMES:
-        errors.extend(_unknown_keys("gains", gains,
-                                    _SCHEME_GAIN_KEYS[scheme]))
-    if projection is not None:
-        errors.extend(_unknown_keys("projection", projection,
-                                    _PROJECTION_KEYS + ("enabled",)))
-
-    projection_errors = (_numeric_errors(projection, _PROJECTION_KEYS)
-                         if projection is not None else [])
-    errors.extend(f"projection.{err}" for err in projection_errors)
-    if projection is not None and M is not None and not projection_errors:
-        try:
-            build_projection(projection, M)
-        except ConfigError as exc:
-            errors.extend(f"projection.{err}" for err in exc.errors)
-        except ProjectionError as exc:
-            errors.append(f"projection: {exc}")
-
-    gain_errors = _numeric_errors(gains, _GAIN_KEYS)
-    errors.extend(f"gains.{err}" for err in gain_errors)
-    if scheme in SCHEMES and n is not None and not gain_errors \
-            and time_domain in (DISCRETE, CONTINUOUS):
-        try:
-            build_gains(scheme, gains, n, M, time_domain)
-        except ConfigError as exc:
-            errors.extend(f"gains.{err}" for err in exc.errors)
-        except GainError as exc:
-            errors.append(f"gains: {exc}")
-    if scheme in ("lyapunov_direct", "lyapunov_indirect") and not gain_errors \
-            and ref_obj is not None and time_domain == CONTINUOUS:
+                f"horizon: {horizon} steps need about "
+                f"{Decimal(need) / 2**30:.3g} GiB of records and reference "
+                f"samples, above the {MEMORY_BUDGET_BYTES / 2**30:g} GiB "
+                f"budget")
+    if passed.get("gains") and scheme in _LYAPUNOV and ref \
+            and time_domain == CONTINUOUS:
         from .lyapunov import solve_lyapunov_ct
         # the run solves with Q = I when the config gives none
-        Q = gains.get("Q")
+        Q = cfg["gains"].get("Q")
         try:
-            solve_lyapunov_ct(ref_obj.A_m, np.eye(ref_obj.n) if Q is None
+            solve_lyapunov_ct(ref.A_m, np.eye(ref.n) if Q is None
                               else np.asarray(Q, float))
         except ModelError as exc:
             errors.append(f"gains.Q{' (default I)' if Q is None else ''}: "
                           f"{exc}")
-
-    init = data.get("init", {})
-    if not isinstance(init, dict):
-        errors.append("init: must be an object")
-        init = {}
-    errors.extend(_unknown_keys("init", init, _INIT_KEYS))
-    if init.get("theta_scale") is not None and init.get("theta0") is not None:
-        errors.append("init: give either theta_scale or theta0, not both")
-    if n is not None:
-        errors.extend(_init_errors(init, n, M))
     scaled = [key for key in ("theta_scale", "rho_scale")
-              if init.get(key) is not None]
-    if scaled and plant_obj is not None and ref_obj is not None:
+              if key in cfg.get("init", {})]
+    if scaled and plant and ref:
         try:
-            match = solve_matching(plant_obj, ref_obj)
-            if not match.matchable():
-                errors.append(
-                    f"init.{scaled[0]}: plant not matchable (residual {match.residual:.3g}), "
-                    "cannot scale the true parameters")
-        except ModelError as exc:
+            resolve_init(cfg["init"], scheme, plant, ref)
+        except (ConfigError, ModelError) as exc:
             errors.append(f"init.{scaled[0]}: {exc}")
-
-    output = data.get("output", None)
-    out = dict(_DEFAULT_OUTPUT)
-    if output is not None:
-        if not isinstance(output, dict):
-            errors.append("output: must be an object")
-        else:
-            errors.extend(_unknown_keys("output", output, _DEFAULT_OUTPUT))
-            errors.extend(_output_errors(output))
-            out.update(output)
+    directory = cfg.get("output", {}).get("dir")
+    if directory is not None and (head := blocked_dir(directory)):
+        errors.append(f"output.dir: {head} is not a directory")
 
     if errors:
         raise ConfigError(errors)
-    return ScenarioConfig(
-        scheme=scheme, time_domain=time_domain, plant=plant, reference=reference,
-        signal=signal, gains=gains, horizon=horizon, projection=projection,
-        init=init, ct_step=float(ct_step), integrator=integrator, seed=seed,
-        name=str(data.get("name", "scenario")), output=out,
-    )
+    # a key the scheme does not read is None
+    return ScenarioConfig(**{key: cfg.get(key) for key in _TOP})
 
 
-def build_models(cfg: ScenarioConfig):
-    plant = PlantModel(A=np.asarray(cfg.plant["A"], float),
-                       B=np.asarray(cfg.plant["B"], float),
-                       time_domain=cfg.time_domain)
-    ref = ReferenceModel(A_m=np.asarray(cfg.reference["A_m"], float),
-                         B_m=np.asarray(cfg.reference["B_m"], float),
-                         time_domain=cfg.time_domain)
-    return plant, ref
+def build_signal(spec: dict) -> ReferenceSignal:
+    """The reference input of a checked signal section."""
+    if spec["kind"] == "sum_of_sinusoids":
+        return ReferenceSignal.sinusoids(spec["amplitudes"],
+                                         spec["frequencies"],
+                                         spec.get("phases"))
+    if spec["kind"] == "constant":
+        return ReferenceSignal.constant(spec["level"])
+    return ReferenceSignal.from_samples(spec["samples"])
 
 
-# (field, required, most array dimensions) per signal kind
-_SIGNAL_FIELDS = {
-    "sum_of_sinusoids": (("amplitudes", True, 2), ("frequencies", True, 2),
-                         ("phases", False, 2)),
-    "constant": (("level", True, 1),),
-    "custom": (("samples", True, 2),),
-}
+def _times_eye(value, size: int) -> np.ndarray:
+    """A number as that multiple of the identity; a matrix as itself."""
+    arr = np.asarray(value, dtype=float)
+    return arr * np.eye(size) if arr.ndim == 0 else arr
 
 
-def build_signal(spec: dict, M: int) -> ReferenceSignal:
-    """The reference input of a signal section; a missing, non-numeric,
-    non-finite or too deeply nested field raises a ConfigError that lists
-    every such field."""
-    kind = spec.get("kind")
-    if kind not in _SIGNAL_FIELDS:
-        raise ConfigError([f"kind: unknown signal kind {kind!r}"])
-    errors, values = [], {}
-    for key, required, ndim in _SIGNAL_FIELDS[kind]:
-        if spec.get(key) is None:
-            if required:
-                errors.append(f"{key}: missing field")
-            continue
-        try:
-            values[key] = _finite_array(spec[key], key)
-        except ConfigError as exc:
-            errors.extend(exc.errors)
-            continue
-        if values[key].ndim > ndim:
-            errors.append(f"{key}: expected at most {ndim} dimensions, "
-                          f"got shape {values[key].shape}")
-    if errors:
-        raise ConfigError(errors)
-    if kind == "sum_of_sinusoids":
-        return ReferenceSignal.sinusoids(np.atleast_2d(values["amplitudes"]),
-                                         np.atleast_2d(values["frequencies"]),
-                                         values.get("phases"))
-    if kind == "constant":
-        return ReferenceSignal.constant(values["level"])
-    return ReferenceSignal.from_samples(values["samples"])
-
-
-def _gamma_stack(raw, n_w: int, M: int) -> np.ndarray:
-    """A scalar, an (n_w, n_w) matrix or an (M, n_w, n_w) stack as the
-    stack."""
-    arr = np.asarray(raw, dtype=float)
-    if arr.ndim == 0:
-        arr = float(arr) * np.eye(n_w)
-    return np.broadcast_to(arr, (M, n_w, n_w)).copy()
-
-
-def _shape_words(shape: tuple) -> str:
-    if not shape:
-        return "a number"
-    if len(shape) == 1:
-        return "1 entry" if shape[0] == 1 else f"{shape[0]} entries"
-    return f"shape {shape}"
-
-
-def _shape_errors(raw: dict, allowed: dict) -> list[str]:
-    """One message per present field of ``raw`` whose array shape is not
-    one of ``allowed[field]``; the shape () stands for a plain number."""
-    errors = []
-    for key, shapes in allowed.items():
-        if raw.get(key) is not None and np.shape(raw[key]) not in shapes:
-            want = " or ".join(dict.fromkeys(map(_shape_words, shapes)))
-            errors.append(
-                f"{key}: expected {want}, got shape {np.shape(raw[key])}")
-    return errors
-
-
-def _gain_shapes(scheme: str, raw: dict, n: int, M: int) -> dict:
-    """The array shapes each gain field of ``scheme`` may take on an
-    n-state, M-input plant."""
+def build_gains(scheme: str, gains: dict, n: int, M: int, time_domain: str):
+    """The gain object of ``scheme`` from a checked gains section."""
     n_w = n + M
-    per_input = [(), (1,), (M,)]
-    if scheme in ("direct_gradient", "indirect_gradient"):
-        shapes = {"Gamma": [(), (n_w, n_w), (M, n_w, n_w)]}
-        if scheme == "direct_gradient":
-            # a sign prior per input: one sign is not spread over M inputs
-            shapes.update(gamma=per_input, k2_lower=per_input,
-                          sign_k2=[(), (1,)] if M == 1 else [(M,)])
-        return shapes
-    if scheme == "lyapunov_direct":
-        if "S_p" in raw:
-            return {"S_p": [(M, M)] if M > 1 else [(), (1,), (1, 1)]}
-        return {"Gamma": [(), (n, n)], "gamma": [()], "sign_k2": [()]}
-    side = M if raw.get("theta1_law") == "transposed" else n
-    return {"Gamma1": [(), (side, side)], "Gamma2": [(), (M, M)]}
-
-
-def build_gains(scheme: str, raw: dict, n: int, M: int, time_domain: str):
-    """The gain object of ``scheme``; a null field counts as absent, and a
-    field of the wrong shape raises a ConfigError that lists every such
-    field."""
-    raw = {key: value for key, value in raw.items() if value is not None}
-    if scheme in SCHEMES:
-        errors = _shape_errors(raw, _gain_shapes(scheme, raw, n, M))
-        if errors:
-            raise ConfigError(errors)
-    n_w = n + M
-    if scheme == "direct_gradient":
-        # the sign and lower-bound priors are assumptions the law depends
-        # on; refusing to default them keeps mistakes loud
-        for key in ("Gamma", "sign_k2", "k2_lower"):
-            if key not in raw:
-                raise GainError(f"missing field: {key}")
+    if scheme in _GRADIENT:
+        # a number, an (n_w, n_w) matrix or an (M, n_w, n_w) stack as the
+        # stack
+        Gamma = np.broadcast_to(_times_eye(gains["Gamma"], n_w),
+                                (M, n_w, n_w)).copy()
+        if scheme == "indirect_gradient":
+            from .indirect import IndirectGainConfig
+            return IndirectGainConfig(Gamma=Gamma, time_domain=time_domain)
         return DirectGainConfig(
-            Gamma=_gamma_stack(raw["Gamma"], n_w, M),
-            gamma=np.atleast_1d(np.asarray(raw.get("gamma", 1.0), float)),
-            sign_k2=np.atleast_1d(np.asarray(raw["sign_k2"], float)),
-            k2_lower=np.atleast_1d(np.asarray(raw["k2_lower"], float)),
+            Gamma=Gamma,
+            gamma=np.atleast_1d(np.asarray(gains["gamma"], float)),
+            sign_k2=np.atleast_1d(np.asarray(gains["sign_k2"], float)),
+            k2_lower=np.atleast_1d(np.asarray(gains["k2_lower"], float)),
             time_domain=time_domain,
-            enforce_diagonal_k2=bool(raw.get("enforce_diagonal_k2", True)),
-        )
-    if scheme == "indirect_gradient":
-        from .indirect import IndirectGainConfig
-        if "Gamma" not in raw:
-            raise GainError("missing field: Gamma")
-        return IndirectGainConfig(Gamma=_gamma_stack(raw["Gamma"], n_w, M),
-                                  time_domain=time_domain)
+            enforce_diagonal_k2=gains["enforce_diagonal_k2"])
     from .lyapunov import LyapunovDirectGains, LyapunovIndirectGains
-    if scheme == "lyapunov_direct":
-        if "S_p" in raw:
-            return LyapunovDirectGains(S_p=np.asarray(raw["S_p"], float))
-        if M > 1:
-            raise GainError("multi-input direct scheme needs S_p")
-        if "sign_k2" not in raw:
-            raise GainError("missing field: sign_k2 (or give S_p)")
-        if isinstance(raw.get("Gamma"), (int, float)):
-            G = float(raw["Gamma"]) * np.eye(n)
-        else:
-            G = np.asarray(raw.get("Gamma", np.eye(n)), float)
-        return LyapunovDirectGains(Gamma=G, gamma=float(raw.get("gamma", 1.0)),
-                                   sign_k2=float(raw["sign_k2"]))
     if scheme == "lyapunov_indirect":
-        if isinstance(raw.get("Gamma1"), (int, float)):
-            G1 = float(raw["Gamma1"]) * np.eye(n)
-        else:
-            G1 = np.asarray(raw.get("Gamma1", np.eye(n)), float)
-        if isinstance(raw.get("Gamma2"), (int, float)):
-            G2 = float(raw["Gamma2"]) * np.eye(M)
-        else:
-            G2 = np.asarray(raw.get("Gamma2", np.eye(M)), float)
-        return LyapunovIndirectGains(Gamma1=G1, Gamma2=G2,
-                                     theta1_law=raw.get("theta1_law", "standard"))
-    raise ConfigError([f"unknown scheme {scheme!r}"])
+        side = M if gains["theta1_law"] == "transposed" else n
+        return LyapunovIndirectGains(Gamma1=_times_eye(gains["Gamma1"], side),
+                                     Gamma2=_times_eye(gains["Gamma2"], M),
+                                     theta1_law=gains["theta1_law"])
+    if "S_p" in gains:
+        return LyapunovDirectGains(S_p=np.asarray(gains["S_p"], float))
+    if M > 1:
+        raise GainError("multi-input direct scheme needs S_p")
+    return LyapunovDirectGains(Gamma=_times_eye(gains["Gamma"], n),
+                               gamma=float(gains["gamma"]),
+                               sign_k2=float(gains["sign_k2"]))
 
 
-def build_projection(raw: dict, M: int) -> Optional[ProjectionConfig]:
-    """The projection of an M-input plant; a null field counts as absent,
-    and a field of the wrong shape raises a ConfigError that lists every
-    such field."""
-    if raw is None:
-        return None
+def build_projection(projection: dict, M: int) -> ProjectionConfig:
+    """The projection of an M-input plant from a checked section."""
     from .indirect import ProjectionConfig
-    raw = {key: value for key, value in raw.items() if value is not None}
-    if "signs" not in raw:
-        raise ProjectionError("projection needs the sign priors ('signs')")
-    per_input = [(), (1,), (M,)]
-    errors = _shape_errors(raw, dict.fromkeys(_PROJECTION_KEYS, per_input))
-    if errors:
-        raise ConfigError(errors)
-    signs = np.atleast_1d(np.asarray(raw["signs"], float))
-    if signs.shape[0] == 1 and M > 1:
-        signs = np.repeat(signs, M)
-    enabled = bool(raw.get("enabled", True))
-    if "theta2_lower" in raw:
-        return ProjectionConfig(theta2_lower=np.atleast_1d(
-            np.asarray(raw["theta2_lower"], float)), signs=signs, enabled=enabled)
-    if "k2_upper" in raw:
-        return ProjectionConfig.from_k2_upper(raw["k2_upper"], signs, enabled)
-    raise ProjectionError("projection needs theta2_lower or k2_upper")
+    # one sign for every input, or one per input
+    signs = np.broadcast_to(np.asarray(projection["signs"], float), (M,))
+    if "theta2_lower" in projection:
+        return ProjectionConfig(projection["theta2_lower"], signs.copy(),
+                                projection["enabled"])
+    return ProjectionConfig.from_k2_upper(projection["k2_upper"],
+                                          signs.copy(), projection["enabled"])
 
 
-def _true_parameters(cfg: ScenarioConfig, plant, ref):
-    match = solve_matching(plant, ref)
-    if not match.matchable():
-        raise ConfigError(
-            [f"plant not matchable (residual {match.residual:.3g})"])
-    if cfg.scheme in ("direct_gradient", "lyapunov_direct"):
-        theta_star = stack_controller_gains(match.K1, match.K2)
-    else:
-        from .indirect import theta_star_indirect
-        theta_star = theta_star_indirect(match.K1, match.K2)
-    k2d = np.diag(match.K2)
-    rho_star = 1.0 / k2d
-    return theta_star, rho_star
-
-
-def resolve_init(cfg: ScenarioConfig, plant, ref) -> InitialConditions:
-    """Concrete initial conditions; the *_scale shorthands multiply the true
-    parameters obtained from the matching solver."""
-    init = cfg.init
-    theta0 = init.get("theta0")
-    rho0 = init.get("rho0")
-    if theta0 is not None:
-        theta0 = np.asarray(theta0, float)
-    if rho0 is not None:
-        rho0 = np.asarray(rho0, float)
-    if init.get("theta_scale") is not None or init.get("rho_scale") is not None:
-        theta_star, rho_star = _true_parameters(cfg, plant, ref)
-        if init.get("theta_scale") is not None:
-            theta0 = float(init["theta_scale"]) * theta_star
-        if init.get("rho_scale") is not None:
-            rho0 = float(init["rho_scale"]) * rho_star
-    return InitialConditions(
-        x0=np.asarray(init["x0"], float) if init.get("x0") is not None else None,
-        xm0=np.asarray(init["xm0"], float) if init.get("xm0") is not None else None,
-        theta0=theta0, rho0=rho0,
-        xhat0=np.asarray(init["xhat0"], float) if init.get("xhat0") is not None else None,
-    )
+def resolve_init(init: dict, scheme: str, plant, ref) -> InitialConditions:
+    """Concrete initial conditions of a checked init section; the *_scale
+    shorthands multiply the true parameters obtained from the matching
+    solver."""
+    init = {key: np.asarray(value, float) for key, value in init.items()}
+    if "theta_scale" in init or "rho_scale" in init:
+        match = solve_matching(plant, ref)
+        if not match.matchable():
+            raise ConfigError([f"plant not matchable (residual "
+                               f"{match.residual:.3g}), cannot scale the "
+                               "true parameters"])
+        if scheme in ("direct_gradient", "lyapunov_direct"):
+            theta_star = stack_controller_gains(match.K1, match.K2)
+        else:
+            from .indirect import theta_star_indirect
+            theta_star = theta_star_indirect(match.K1, match.K2)
+        for name, star in (("theta", theta_star),
+                           ("rho", 1.0 / np.diag(match.K2))):
+            if f"{name}_scale" in init:
+                init[f"{name}0"] = float(init.pop(f"{name}_scale")) * star
+    return InitialConditions(**init)
 
 
 @dataclass
@@ -666,7 +516,7 @@ class ScenarioRun:
 
 
 def _invariant_report(cfg: ScenarioConfig, trace: SimulationTrace,
-                      gains, plant) -> dict:
+                      gains, plant, proj) -> dict:
     report: dict[str, Any] = {}
     if trace.V is not None and trace.steps > 1:
         if cfg.time_domain == DISCRETE:
@@ -678,56 +528,50 @@ def _invariant_report(cfg: ScenarioConfig, trace: SimulationTrace,
         else:
             # continuous time guarantees only that V does not increase
             report["v_nonincreasing_ok"] = bool(np.all(trace.dV[:-1] <= 1e-6))
-    if cfg.scheme == "indirect_gradient" and trace.steps:
-        M = plant.n_inputs
-        n = plant.n
-        theta2 = np.stack([trace.theta[:, n + j, j] for j in range(M)], axis=1)
-        proj = build_projection(cfg.projection, M) if cfg.projection else None
-        if proj is not None and proj.enabled:
-            ok = bool(np.all(proj.signs[None, :] * theta2
-                             >= proj.theta2_lower[None, :] - 1e-12))
-            report["projection_ok"] = ok
-        if M > 1:
-            K2blk = trace.theta[:, n:, :]
-            off = K2blk * (1.0 - np.eye(M))[None]
-            report["theta2_diag_ok"] = bool(np.all(off == 0.0))
-    if cfg.scheme == "direct_gradient" and plant.n_inputs > 1 \
-            and getattr(gains, "enforce_diagonal_k2", False):
-        M = plant.n_inputs
-        K2blk = trace.theta[:, plant.n:, :]
-        off = K2blk * (1.0 - np.eye(M))[None]
-        report["k2_diag_ok"] = bool(np.all(off == 0.0))
+    M, n = plant.n_inputs, plant.n
+    if cfg.scheme == "indirect_gradient" and trace.steps and proj is not None \
+            and proj.enabled:
+        theta2 = np.diagonal(trace.theta[:, n:, :], axis1=1, axis2=2)
+        report["projection_ok"] = bool(np.all(
+            proj.signs * theta2 >= proj.theta2_lower - 1e-12))
+    # the multi-input laws keep Theta2, and K2 when enforced, diagonal
+    diag_key = {"direct_gradient": "k2_diag_ok",
+                "indirect_gradient": "theta2_diag_ok"}.get(cfg.scheme)
+    if diag_key and M > 1 and getattr(gains, "enforce_diagonal_k2", True):
+        report[diag_key] = bool(np.all(
+            trace.theta[:, n:, :] * (1.0 - np.eye(M)) == 0.0))
     return report
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
     """Build, dispatch, and post-check one validated scenario."""
-    plant, ref = build_models(cfg)
-    sig = build_signal(cfg.signal, plant.n_inputs)
+    plant = _model(PlantModel, cfg.plant, cfg.time_domain)
+    ref = _model(ReferenceModel, cfg.reference, cfg.time_domain)
+    sig = build_signal(cfg.signal)
     gains = build_gains(cfg.scheme, cfg.gains, plant.n, plant.n_inputs,
                         cfg.time_domain)
-    proj = build_projection(cfg.projection, plant.n_inputs) if cfg.projection else None
-    init = resolve_init(cfg, plant, ref)
-    Q = cfg.gains.get("Q")
-    Q = np.asarray(Q, float) if Q is not None else None
+    proj = (build_projection(cfg.projection, plant.n_inputs)
+            if cfg.projection is not None else None)
+    init = resolve_init(cfg.init, cfg.scheme, plant, ref)
+    h = float(cfg.ct_step)
 
     # the other runners are module attributes imported on first use
     module = sys.modules[__name__]
     if cfg.scheme == "direct_gradient":
         trace = run_direct_scenario(plant, ref, sig, gains, init, cfg.horizon,
-                                    h=cfg.ct_step, method=cfg.integrator)
+                                    h=h, method=cfg.integrator)
     elif cfg.scheme == "indirect_gradient":
         trace = module.run_indirect_scenario(
-            plant, ref, sig, gains, proj, init, cfg.horizon, h=cfg.ct_step,
+            plant, ref, sig, gains, proj, init, cfg.horizon, h=h,
             method=cfg.integrator)
     else:
-        direct = cfg.scheme == "lyapunov_direct"
+        Q = cfg.gains.get("Q")
         trace = module.run_lyapunov_scenario(
-            plant, ref, sig, "direct" if direct else "indirect", gains,
-            None if direct else proj, init, cfg.horizon, h=cfg.ct_step,
-            method=cfg.integrator, Q=Q)
+            plant, ref, sig, cfg.scheme.removeprefix("lyapunov_"), gains,
+            proj, init, cfg.horizon, h=h, method=cfg.integrator,
+            Q=None if Q is None else np.asarray(Q, float))
 
-    invariants = _invariant_report(cfg, trace, gains, plant)
+    invariants = _invariant_report(cfg, trace, gains, plant, proj)
     if trace.diverged:
         status = 2
     elif any(v is False for v in invariants.values()):

@@ -34,7 +34,8 @@ BASES = {name: dict(data, horizon=12) for name, data in {
         "Gamma1": [[1.0, 0.0], [0.0, 1.0]], "Gamma2": 1.0}, PROJECTION),
 }.items()}
 
-WRONG_TYPES = ["x", None, True, {}, [], 1.0, [1.0], [[1.0]]]
+WRONG_TYPES = ["x", None, True, {}, [], 1.0, [1.0], [[1.0]],
+               "false", "a/b", "../x", "a\0b"]
 
 
 def _paths(node, prefix=()):

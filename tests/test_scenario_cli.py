@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -31,6 +32,11 @@ def ct_dict(scheme, gains, projection=None):
     data["projection"] = projection
     data["init"] = {"theta_scale": 1.25}
     return data
+
+
+# the overrides that make a bench_dict config an indirect-gradient one
+INDIRECT = {"scheme": "indirect_gradient", "gains": {"Gamma": 1.0},
+            "init": {"theta_scale": 1.25}}
 
 
 def edited(data, section, **fields):
@@ -167,14 +173,17 @@ class TestRunScenario:
         assert not run.trace.diverged
 
     def test_lyapunov_indirect_through_config(self):
-        data = ct_dict("lyapunov_indirect",
-                       {"Gamma1": 1.0, "Gamma2": 1.0},
-                       projection={"k2_upper": 1.0, "signs": 1.0})
-        run = run_scenario(config_from_dict(data))
-        assert run.exit_status == 0
-        assert run.invariants["v_nonincreasing_ok"] is True
-        theta2 = run.trace.theta[:, 2, 0]
-        assert np.all(theta2 >= 1.0 - 1e-12)
+        # a number for Gamma1 scales the M x M identity under the
+        # transposed law; it used to scale the n x n one and raise in run
+        for law in ("standard", "transposed"):
+            data = ct_dict("lyapunov_indirect",
+                           {"Gamma1": 1.0, "Gamma2": 1.0, "theta1_law": law},
+                           projection={"k2_upper": 1.0, "signs": 1.0})
+            run = run_scenario(config_from_dict(data))
+            assert run.exit_status == 0
+            assert run.invariants["v_nonincreasing_ok"] is True
+            theta2 = run.trace.theta[:, 2, 0]
+            assert np.all(theta2 >= 1.0 - 1e-12)
 
     def test_ct_gradient_runs_pass_their_invariants(self):
         # continuous time guarantees only V non-increase; the discrete
@@ -292,14 +301,14 @@ class TestCli:
             assert err.endswith(", got True")
         # malformed values that used to escape validation as tracebacks
         for field, edit in [
-                ("A_m", lambda d: d["reference"]["A_m"][0].__setitem__(
-                    0, float("nan"))),
+                ("reference.A_m", lambda d: d["reference"]["A_m"][
+                    0].__setitem__(0, float("nan"))),
                 ("signal.level", lambda d: d.__setitem__(
                     "signal", {"kind": "constant"})),
                 ("gains.Gamma", lambda d: d["gains"].__setitem__(
                     "Gamma", "big")),
-                ("projection.k2_upper", lambda d: d.__setitem__(
-                    "projection", {"signs": [1.0], "k2_upper": "x"}))]:
+                ("projection.k2_upper", lambda d: d.update(
+                    INDIRECT, projection={"signs": [1.0], "k2_upper": "x"}))]:
             data = bench_dict()
             edit(data)
             bad.write_text(json.dumps(data))
@@ -341,16 +350,20 @@ class TestCli:
                 [err] = capsys.readouterr().err.splitlines()
                 assert err.startswith(f"invalid: {field}: ")
         # every shape error is listed
-        data = mimo_dict("direct_gradient")
-        data["gains"].update(sign_k2=[1.0], k2_lower=[1.0, 1.0, 1.0],
-                             gamma=[[1.2]])
-        data["projection"] = {"signs": [], "theta2_lower": [1.0, 1.0, 1.0]}
-        bad.write_text(json.dumps(data))
-        assert main(["validate", str(bad)]) == 1
-        fields = [line.split(": ")[1]
-                  for line in capsys.readouterr().err.splitlines()]
-        assert fields == ["projection.signs", "projection.theta2_lower",
-                          "gains.gamma", "gains.k2_lower", "gains.sign_k2"]
+        direct = mimo_dict("direct_gradient")
+        direct["gains"].update(sign_k2=[1.0], k2_lower=[1.0, 1.0, 1.0],
+                               gamma=[[1.2]])
+        indirect = mimo_dict("indirect_gradient")
+        indirect["projection"] = {"signs": [],
+                                  "theta2_lower": [1.0, 1.0, 1.0]}
+        for data, want in [
+                (direct, ["gains.gamma", "gains.k2_lower", "gains.sign_k2"]),
+                (indirect, ["projection.signs", "projection.theta2_lower"])]:
+            bad.write_text(json.dumps(data))
+            assert main(["validate", str(bad)]) == 1
+            fields = [line.split(": ")[1]
+                      for line in capsys.readouterr().err.splitlines()]
+            assert fields == want
 
     def test_malformed_batch_specs_and_out_paths(self, tmp_path, capsys):
         # each used to end in a traceback, --out only after the simulation
@@ -411,7 +424,7 @@ class TestCli:
             bench_dict(horizon=20, name="bad",
                        output={"dir": str(blocker / "sub")}),
             bench_dict(horizon=20, name="good")]}))
-        assert main(["batch", str(spec)]) == 0
+        assert main(["batch", str(spec)]) == 1
         rows = json.loads(capsys.readouterr().out)
         assert [row["status"] for row in rows] == ["invalid", "ok"]
         assert rows[0]["errors"] == [f"output.dir: {blocker} is not a directory"]
@@ -429,22 +442,25 @@ class TestCli:
         mimo["projection"]["enable"] = False
         cfg = tmp_path / "cfg.json"
         for doc, want in [
-                (data, ["horizn", "plant.C", "signal.level", "gains.Gamm",
-                        "init.theta", "output.dirr"]),
-                (mimo, ["gains.gamma", "projection.enable"])]:
+                (data, ["horizn: unknown key", "plant.C: unknown key",
+                        "signal.level: not read by sum_of_sinusoids",
+                        "gains.Gamm: unknown key", "init.theta: unknown key",
+                        "output.dirr: unknown key"]),
+                (mimo, ["gains.gamma: not read by indirect_gradient",
+                        "projection.enable: unknown key"])]:
             cfg.write_text(json.dumps(doc))
             for verb in ("validate", "run"):
                 assert main([verb, str(cfg)]) == 1
                 captured = capsys.readouterr()
                 assert captured.out == ""
                 assert captured.err.splitlines() == [
-                    f"invalid: {key}: unknown key" for key in want]
+                    f"invalid: {line}" for line in want]
         # in a batch the member gets an invalid row and the others run
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"configs": [
             bench_dict(horizon=20, name="bad", horizn=5),
             bench_dict(horizon=20, name="good")]}))
-        assert main(["batch", str(spec)]) == 0
+        assert main(["batch", str(spec)]) == 1
         rows = json.loads(capsys.readouterr().out)
         assert [row["status"] for row in rows] == ["invalid", "ok"]
         assert rows[0]["errors"] == ["horizn: unknown key"]
@@ -486,8 +502,16 @@ class TestCli:
             amplitudes=[[[1.0]]])),
         ("ct_step", lambda d: d.update(ct_step=float("inf"))),
         # a subnormal bound has no finite reciprocal
-        ("projection", lambda d: d.__setitem__(
-            "projection", {"signs": 1.0, "k2_upper": 5e-324})),
+        ("projection", lambda d: d.update(
+            INDIRECT, projection={"signs": 1.0, "k2_upper": 5e-324})),
+        # integers too large for a float
+        ("horizon", lambda d: d.update(horizon=10**400)),
+        ("gains.gamma", lambda d: d["gains"].update(gamma=10**400)),
+        pytest.param("ct_step", lambda d: d.update(ct_step=10**400),
+                     id="ct_step-huge-int"),
+        pytest.param("signal.samples", lambda d: d.__setitem__(
+            "signal", {"kind": "custom", "samples": 0.5}),
+                     id="signal.samples-scalar"),
     ])
     def test_configs_that_would_crash_fail_validation(self, tmp_path, capsys,
                                                       field, edit):
@@ -527,7 +551,8 @@ class TestCli:
         capsys.readouterr()
         gains.update(gamma=1.0, sign_k2=None)
         self._assert_invalid(tmp_path, capsys,
-                             ct_dict("lyapunov_direct", gains), "gains")
+                             ct_dict("lyapunov_direct", gains),
+                             "gains.sign_k2")
 
     def test_huge_finite_records_do_not_warn(self, tmp_path, capsys):
         # V and the summary square records that are finite but near the
@@ -567,7 +592,7 @@ class TestCli:
         self._assert_invalid(tmp_path, capsys, data, "gains.Gamma")
         data = bench_dict(horizon=20)
         data["plant"]["A"] = [[1.0, False], [2.0, 1.0]]
-        self._assert_invalid(tmp_path, capsys, data, "A")
+        self._assert_invalid(tmp_path, capsys, data, "plant.A")
 
     def test_default_lyapunov_q_is_checked_at_load(self, tmp_path, capsys):
         # without gains.Q the run solves with Q = I; a barely Hurwitz A_m
@@ -628,6 +653,167 @@ class TestCli:
         assert lines[0].startswith("# t e_1 e_2")
         assert len(lines) == 52
         assert len(lines[1].split()) == 3
+
+
+LYAP_DIRECT = {"Gamma": 1.0, "gamma": 1.0, "sign_k2": 1.0}
+PROJECTION = {"signs": 1.0, "k2_upper": 1.0}
+
+
+class TestSchema:
+    """Each key is checked against the one table entry that declares it:
+    which schemes read it, which keys it excludes, and its kind."""
+
+    @staticmethod
+    def _assert_errors(tmp_path, capsys, data, want):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        for verb in ("validate", "run"):
+            assert main([verb, str(bad), "--out", str(tmp_path / "out")]
+                        if verb == "run" else [verb, str(bad)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [f"invalid: {w}" for w in want]
+        assert not (tmp_path / "out").exists()
+
+    def test_projection_is_read_by_the_indirect_schemes_only(self, tmp_path,
+                                                             capsys):
+        # a projection on a direct scheme used to validate and be ignored
+        for scheme, data in [
+                ("direct_gradient", bench_dict(projection=PROJECTION)),
+                ("lyapunov_direct", ct_dict("lyapunov_direct", LYAP_DIRECT,
+                                            PROJECTION))]:
+            self._assert_errors(tmp_path, capsys, data,
+                                [f"projection: not read by {scheme}"])
+        # null is no projection; serialize_config emits it for every scheme
+        for data in (bench_dict(projection=None),
+                     ct_dict("lyapunov_direct", LYAP_DIRECT),
+                     ct_dict("indirect_gradient", {"Gamma": 1.0}),
+                     ct_dict("lyapunov_indirect", {"Gamma1": 1.0},
+                             PROJECTION)):
+            cfg = config_from_dict(data)
+            assert load_config(serialize_config(cfg)) == cfg
+
+    def test_s_p_excludes_the_single_input_gains(self, tmp_path, capsys):
+        # S_p used to win silently over a contradictory sign_k2
+        gains = {"S_p": 1.0, "Gamma": 5.0, "gamma": 3.0, "sign_k2": -1.0}
+        self._assert_errors(
+            tmp_path, capsys, ct_dict("lyapunov_direct", gains),
+            [f"gains.{key}: cannot be combined with S_p"
+             for key in ("Gamma", "gamma", "sign_k2")])
+        config_from_dict(ct_dict("lyapunov_direct", {"S_p": 1.0}))
+
+    def test_init_keys_follow_the_schemes_that_read_them(self, tmp_path,
+                                                         capsys):
+        # the direct runner discards xhat0, the others rho0 and rho_scale
+        data = bench_dict(horizon=20)
+        data["init"].update(xhat0=[0.0, 0.0])
+        self._assert_errors(tmp_path, capsys, data,
+                            ["init.xhat0: not read by direct_gradient"])
+        for scheme, gains, projection in [
+                ("indirect_gradient", {"Gamma": 1.0}, PROJECTION),
+                ("lyapunov_direct", LYAP_DIRECT, None),
+                ("lyapunov_indirect", {}, PROJECTION)]:
+            data = ct_dict(scheme, gains, projection)
+            data["init"].update(rho0=[1.0], rho_scale=1.0)
+            self._assert_errors(tmp_path, capsys, data, [
+                f"init.{key}: not read by {scheme}"
+                for key in ("rho_scale", "rho0")])
+        data = bench_dict(init={"theta_scale": 1.0, "theta0": [0.0] * 3})
+        self._assert_errors(tmp_path, capsys, data,
+                            ["init.theta0: cannot be combined with "
+                             "theta_scale"])
+
+    def test_continuous_time_keys_stay_valid_in_discrete_time(self):
+        # the round trip emits ct_step and integrator for every config
+        data = bench_dict(ct_step=0.5, integrator="euler")
+        assert data["time_domain"] == "discrete"
+        cfg = config_from_dict(data)
+        assert load_config(serialize_config(cfg)) == cfg
+
+    def test_flags_must_be_json_booleans(self, tmp_path, capsys):
+        # bool("false") is True: the string used to switch projection on
+        data = bench_dict(horizon=20, **INDIRECT)
+        data["projection"] = dict(PROJECTION, enabled="false")
+        self._assert_errors(tmp_path, capsys, data, [
+            "projection.enabled: expected true or false, got 'false'"])
+        data = bench_dict(horizon=20)
+        data["gains"]["enforce_diagonal_k2"] = "false"
+        self._assert_errors(tmp_path, capsys, data, [
+            "gains.enforce_diagonal_k2: expected true or false, got 'false'"])
+
+    @pytest.mark.parametrize("name", [5, "", ".", "..", "sub/x", "../x",
+                                      "a\0b", ["x"]])
+    def test_name_must_be_a_file_name(self, tmp_path, capsys, name):
+        # "../x" used to write x.trace.csv outside --out, "sub/x" and
+        # "a\0b" to end in a traceback, and 5 to be read as "5"
+        self._assert_errors(tmp_path, capsys,
+                            bench_dict(horizon=20, name=name),
+                            [f"name: expected a file name, got {name!r}"])
+        assert os.listdir(tmp_path) == ["bad.json"]
+
+    def test_swept_members_keep_a_bad_name(self, tmp_path, capsys):
+        # a sweep used to end in a traceback appending its tags to 5
+        base = tmp_path / "base.json"
+        base.write_text(json.dumps(bench_dict(horizon=20, name=5)))
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"base": str(base),
+                                    "sweep": {"gains.gamma": [0.5, 1.0]}}))
+        assert main(["batch", str(spec)]) == 1
+        rows = json.loads(capsys.readouterr().out)
+        assert [row["errors"] for row in rows] == [
+            ["name: expected a file name, got 5"]] * 2
+
+
+class TestBatchExitRule:
+    """1 if any member is invalid or failed, else 2 if any diverged, else
+    0; every row is printed either way."""
+
+    @staticmethod
+    def _diverging():
+        data = ct_dict("direct_gradient", {"Gamma": 1.0, "gamma": 1.0,
+                                           "sign_k2": 1.0, "k2_lower": 0.5})
+        data.update(ct_step=10.0, horizon=200, name="diverging")
+        data["init"] = {"theta_scale": 0.5}
+        return data
+
+    def _batch(self, tmp_path, capsys, members):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"configs": members}))
+        code = main(["batch", str(spec)])
+        rows = json.loads(capsys.readouterr().out)
+        assert len(rows) == len(members)
+        return code, [row["status"] for row in rows]
+
+    def test_statuses_set_the_exit_code(self, tmp_path, capsys, monkeypatch):
+        good = bench_dict(horizon=20, name="good")
+        bad = bench_dict(horizon=20, name="bad", horizn=5)
+        assert self._batch(tmp_path, capsys, [good, self._diverging()]) == (
+            2, ["ok", "diverged"])
+        assert self._batch(tmp_path, capsys, [self._diverging(), bad]) == (
+            1, ["diverged", "invalid"])
+        import mrac.cli as cli_mod
+        from mrac import ToolkitError
+        real = cli_mod.run_scenario
+
+        def failing(cfg):
+            if cfg.name == "boom":
+                raise ToolkitError("boom")
+            return real(cfg)
+
+        monkeypatch.setattr(cli_mod, "run_scenario", failing)
+        boom = bench_dict(horizon=20, name="boom")
+        assert self._batch(tmp_path, capsys, [good, boom]) == (
+            1, ["ok", "failed"])
+        assert self._batch(tmp_path, capsys, [good, good]) == (0, ["ok", "ok"])
+
+
+def test_readme_config_example_validates():
+    # the jsonc block of the README, its // comments stripped
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        block = fh.read().split("```jsonc\n", 1)[1].split("```", 1)[0]
+    cfg = config_from_dict(json.loads(re.sub(r"//.*", "", block)))
+    assert load_config(serialize_config(cfg)) == cfg
 
 
 def test_discrete_direct_run_compiles_one_scheme(tmp_path):
@@ -701,7 +887,7 @@ class TestBatch:
         bad["name"] = "broken"
         spec = tmp_path / "mixed.json"
         spec.write_text(json.dumps({"configs": [good, bad, good]}))
-        assert main(["batch", str(spec)]) == 0
+        assert main(["batch", str(spec)]) == 1
         rows = json.loads(capsys.readouterr().out)
         assert [r["status"] for r in rows] == ["ok", "invalid", "ok"]
 
