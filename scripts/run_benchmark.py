@@ -9,7 +9,7 @@ decrease, and where the adaptation energy went.
 import argparse
 import os
 
-from mrac import l2_accumulators, tracking_metrics
+from mrac import tracking_metrics
 from mrac.cli import write_trace_csv
 from mrac.scenario import benchmark_config, run_scenario
 
@@ -17,15 +17,14 @@ from mrac.scenario import benchmark_config, run_scenario
 def describe(run):
     tr = run.trace
     metrics = tracking_metrics(tr, settle_threshold=1e-3)
-    acc = l2_accumulators(tr)
     print(f"== {run.config.name}")
     print(f"   steps                 {tr.steps}")
     print(f"   sup |e|               {tr.summary.sup_e:.4g}")
     print(f"   last-window max |e|   {metrics.last_window_max:.4g}")
     print(f"   settled below 1e-3 at {metrics.settling_index}")
     print(f"   V(0) -> V(end)        {tr.V[0]:.4g} -> {tr.V[-1]:.4g}")
-    print(f"   sum eps^2/m^2         {acc['sum_eps2_over_m2']:.4g}")
-    print(f"   update-energy tail    {acc['tail_frac_dtheta']:.3g}")
+    print(f"   sum eps^2/m^2         {tr.summary.sum_eps2_over_m2:.4g}")
+    print(f"   update-energy tail    {tr.summary.tail_frac_dtheta:.3g}")
     print(f"   invariants            {run.invariants}")
 
 

@@ -17,8 +17,7 @@ _EXPORTS = {
     "diagnostics": (
         "LyapunovSeries", "SimulationTrace", "TraceSummary", "TrackingMetrics",
         "check_delta_V", "direct_V_series", "gamma0_direct", "gamma1_indirect",
-        "indirect_V_series", "l2_accumulators", "summarize",
-        "tracking_metrics"),
+        "indirect_V_series", "summarize", "tracking_metrics"),
     "direct": ("DirectGainConfig", "InitialConditions", "run_direct_scenario",
                "stack_controller_gains"),
     "errors": ("ConfigError", "GainError", "ModelError", "NumericsError",

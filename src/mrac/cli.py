@@ -18,9 +18,9 @@ import numpy as np
 
 from .diagnostics import SimulationTrace
 from .errors import ConfigError, ToolkitError
-from .scenario import (ScenarioRun, benchmark_config, blocked_dir,
-                       config_from_dict, load_config, run_scenario,
-                       serialize_config, summary_dict)
+from .scenario import (PATH_CHARS, ScenarioRun, benchmark_config,
+                       blocked_dir, config_from_dict, load_config,
+                       run_scenario, serialize_config, summary_dict)
 
 TRACE_COLUMNS_DOC = ("t, x_1..x_n, xm_1..xm_n, e_1..e_n, u_1..u_M, "
                      "eps_1..eps_n, m, V, dV, proj_fired")
@@ -250,13 +250,15 @@ def _sweep(base: dict, sweep: dict) -> list[dict]:
     """One copy of ``base`` per point of the ``sweep`` grid, named after
     the swept values."""
     keys = sorted(sweep.keys())
+    # the values are spelled into names, which stay file names
+    safe = str.maketrans(dict.fromkeys(PATH_CHARS, "_"))
     runs = []
     for combo in itertools.product(*(sweep[k] for k in keys)):
         data = json.loads(json.dumps(base))
         tags = []
         for key, value in zip(keys, combo):
             _set_dotted(data, key, value)
-            tags.append(f"{key.split('.')[-1]}={value}")
+            tags.append(f"{key.split('.')[-1]}={str(value).translate(safe)}")
         # a name that is not a string is left for validation to report
         if tags and isinstance(data.get("name", "run"), str):
             data["name"] = data.get("name", "run") + "[" + ",".join(tags) + "]"

@@ -242,34 +242,6 @@ def check_delta_V(series: LyapunovSeries, gamma0: Optional[float] = None,
     return True, None
 
 
-def l2_accumulators(trace: SimulationTrace, tail_frac: float = 0.1) -> dict:
-    """Running sums behind the boundedness guarantees, with tail fractions.
-
-    The tail fraction of a sum is (portion over the last ``tail_frac`` of
-    steps) / total; square-summable signals drive it toward zero.
-    """
-    out = {}
-    if np.all(np.isfinite(trace.m)):
-        dec = np.sum(trace.eps**2, axis=1) / trace.m**2
-        out["sum_eps2_over_m2"] = float(np.sum(dec))
-        out["tail_frac_eps"] = _tail_fraction(dec, tail_frac)
-    dtheta_sq = np.sum(np.diff(trace.theta, axis=0) ** 2, axis=(1, 2))
-    out["sum_dtheta_sq"] = float(np.sum(dtheta_sq))
-    out["tail_frac_dtheta"] = _tail_fraction(dtheta_sq, tail_frac) if dtheta_sq.size else 0.0
-    out["tail_sum_dtheta_sq"] = (
-        float(np.sum(dtheta_sq[-max(1, int(math.ceil(tail_frac * dtheta_sq.shape[0]))):]))
-        if dtheta_sq.size else 0.0
-    )
-    if trace.rho is not None:
-        drho_sq = np.sum(np.diff(trace.rho, axis=0) ** 2, axis=1)
-        out["sum_drho_sq"] = float(np.sum(drho_sq))
-        out["tail_sum_drho_sq"] = (
-            float(np.sum(drho_sq[-max(1, int(math.ceil(tail_frac * drho_sq.shape[0]))):]))
-            if drho_sq.size else 0.0
-        )
-    return out
-
-
 def tracking_metrics(trace: SimulationTrace, window_frac: float = 0.1,
                      settle_threshold: Optional[float] = None) -> TrackingMetrics:
     """Finite-horizon tracking summary over the trailing window.

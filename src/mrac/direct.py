@@ -170,15 +170,28 @@ def _check_run_args(plant: PlantModel, ref: ReferenceModel,
         raise ModelError("horizon must be at least 1")
 
 
-def _diagonal_match(plant, ref):
-    """The matching solution when the scenario is matchable with a diagonal,
-    invertible K2*, else None: V needs theta* and rho* = 1/k2*."""
+# the matching solution a runner solves itself when it is given none
+SOLVE = object()
+
+
+def _matching(plant, ref, match=SOLVE):
+    """``match``, or when it is ``SOLVE`` the scenario's matching solution;
+    None when ``solve_matching`` raises (a singular K2)."""
+    if match is not SOLVE:
+        return match
     try:
-        match = solve_matching(plant, ref)
+        return solve_matching(plant, ref)
     except ModelError:
         return None
+
+
+def _diagonal_match(match):
+    """``match`` when it is matchable with a diagonal, invertible K2*, else
+    None: V needs theta* and rho* = 1/k2*."""
+    if match is None or not match.matchable():
+        return None
     K2d = np.diag(match.K2)
-    if not match.matchable() or np.any(np.abs(K2d) < 1e-12) \
+    if np.any(np.abs(K2d) < 1e-12) \
             or np.max(np.abs(match.K2 - np.diag(K2d))) > 1e-9:
         return None
     return match
@@ -270,7 +283,8 @@ def _direct_law(A, B, Am, Bm, gains, enforce, P, rho, x0, xm0) -> Law:
 def run_direct_scenario(plant: PlantModel, ref: ReferenceModel,
                         signal: ReferenceSignal, gains: DirectGainConfig,
                         init: InitialConditions, horizon: int,
-                        h: float = 0.01, method: str = "rk4") -> SimulationTrace:
+                        h: float = 0.01, method: str = "rk4",
+                        match=SOLVE) -> SimulationTrace:
     """Closed-loop direct-gradient run over the given horizon.
 
     Per step: read x and x_m, form e, emit zeta/xi from the banks, form
@@ -280,9 +294,11 @@ def run_direct_scenario(plant: PlantModel, ref: ReferenceModel,
     element of x, u or m is not finite, or, in continuous time, after a
     step whose integration is not finite (see ``_rows``); the trace then
     ends before that step, with the divergence marker set instead of
-    raising.
+    raising. ``match`` is the scenario's matching solution (see
+    ``_matching``), which gives V.
     """
     _check_run_args(plant, ref, signal, gains, horizon)
+    match = _diagonal_match(_matching(plant, ref, match))
     n, M = plant.n, plant.n_inputs
     x0, xm0, theta0, rho0, _ = init.resolved(n, n + M, M)
     enforce = gains.enforce_diagonal_k2 and M > 1
@@ -301,11 +317,11 @@ def run_direct_scenario(plant: PlantModel, ref: ReferenceModel,
                                    integrate_ct, store)
 
     def V_series(rec):
-        match = _diagonal_match(plant, ref)
-        return None if match is None else direct_V_series(
+        return direct_V_series(
             rec["theta"], rec["rho"], stack_controller_gains(match.K1, match.K2),
             1.0 / np.diag(match.K2), gains.Gamma, gains.gamma, rec["eps"],
             rec["m"])
 
     return _finish_trace("direct_gradient", plant.time_domain, horizon, h,
-                         diverged_at, rec, V_series)
+                         diverged_at, rec,
+                         None if match is None else V_series)

@@ -28,8 +28,8 @@ import numpy as np
 from . import _rows
 from ._rows import Law, block
 from .diagnostics import SimulationTrace, indirect_V_series
-from .direct import (InitialConditions, _check_run_args, _diagonal_match,
-                     _finish_trace)
+from .direct import (SOLVE, InitialConditions, _check_run_args,
+                     _diagonal_match, _finish_trace, _matching)
 from .errors import GainError, ModelError, ProjectionError, SingularGainError
 # solve_matching stays a module attribute: the benchmark's tracer wraps it
 # here by name
@@ -251,12 +251,14 @@ def run_indirect_scenario(plant: PlantModel, ref: ReferenceModel,
                           signal: ReferenceSignal, gains: IndirectGainConfig,
                           projection: ProjectionConfig | None,
                           init: InitialConditions, horizon: int,
-                          h: float = 0.01, method: str = "rk4") -> SimulationTrace:
-    """Closed-loop indirect-gradient run; loop order and divergence rule as
-    in the direct case, with the estimator advanced on the same pre-update
-    estimates. A theta2 below the invertibility threshold raises
-    SingularGainError."""
+                          h: float = 0.01, method: str = "rk4",
+                          match=SOLVE) -> SimulationTrace:
+    """Closed-loop indirect-gradient run; loop order, divergence rule and
+    ``match`` as in the direct case, with the estimator advanced on the
+    same pre-update estimates. A theta2 below the invertibility threshold
+    raises SingularGainError."""
     _check_run_args(plant, ref, signal, gains, horizon)
+    match = _diagonal_match(_matching(plant, ref, match))
     if projection is not None and projection.n_inputs != plant.n_inputs:
         raise ModelError("projection dimension disagrees with the input count")
     n, M = plant.n, plant.n_inputs
@@ -307,13 +309,13 @@ def run_indirect_scenario(plant: PlantModel, ref: ReferenceModel,
     rec["proj_fired"] = np.any(rec["proj_f2"] != 0.0, axis=1)
 
     def V_series(rec):
-        match = _diagonal_match(plant, ref)
-        return None if match is None else indirect_V_series(
+        return indirect_V_series(
             rec["theta"], theta_star_indirect(match.K1, match.K2),
             gains.Gamma, rec["eps"], rec["m"])
 
     return _finish_trace("indirect_gradient", plant.time_domain, horizon, h,
-                         diverged_at, rec, V_series)
+                         diverged_at, rec,
+                         None if match is None else V_series)
 
 
 def _ct_guards(law, projection, floor):

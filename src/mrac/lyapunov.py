@@ -17,13 +17,14 @@ import numpy as np
 
 from . import _rows
 from .diagnostics import SimulationTrace, value_series
-from .direct import InitialConditions, _finish_trace
+from .direct import SOLVE, InitialConditions, _finish_trace, _matching
 from .errors import GainError, ModelError
 from .indirect import (ProjectionConfig, _clamp_theta2, _ct_projection_rate,
                        check_projection_start, stack_plant_estimate,
                        theta_star_indirect)
-from .systems import (CONTINUOUS, PlantModel, ReferenceModel, ReferenceSignal,
-                      integrate_ct, is_hurwitz, solve_matching)
+# the benchmark's tracer wraps solve_matching here by name
+from .systems import (CONTINUOUS, PlantModel, ReferenceModel,  # noqa: F401
+                      ReferenceSignal, integrate_ct, is_hurwitz, solve_matching)
 
 
 @dataclass(frozen=True)
@@ -161,9 +162,12 @@ class LyapunovLoop:
 def build_lyapunov_loop(plant: PlantModel, ref: ReferenceModel,
                         signal: ReferenceSignal, mode: str, gains,
                         projection: ProjectionConfig | None = None,
-                        Q=None) -> LyapunovLoop:
+                        cert: LyapunovCertificate | None = None,
+                        match=SOLVE) -> LyapunovLoop:
     """Assemble the joint closed loop for simulation or for single-step
-    probing (h-refinement checks use ``rhs`` directly).
+    probing (h-refinement checks use ``rhs`` directly). ``cert`` is the
+    certificate of A_m, solved here with Q = I when not given; ``match``
+    is the scenario's matching solution, as for the gradient runners.
 
     z holds the linear states [x_m, x] (direct) or [x_m, xhat, x]
     (indirect), then theta = [K1; K2^T] or [Theta1; Theta2^T] row by row.
@@ -180,16 +184,12 @@ def build_lyapunov_loop(plant: PlantModel, ref: ReferenceModel,
         raise ModelError(f"unknown Lyapunov mode {mode!r}")
     n, M = plant.n, plant.n_inputs
     C = n + M
-    Qm = np.eye(n) if Q is None else np.asarray(Q, float)
-    cert = solve_lyapunov_ct(ref.A_m, Qm)
+    if cert is None:
+        cert = solve_lyapunov_ct(ref.A_m, np.eye(n))
     P = cert.P
     A, B, Am, Bm = plant.A, plant.B, ref.A_m, ref.B_m
-
-    try:
-        match = solve_matching(plant, ref)
-        matchable = match.matchable()
-    except ModelError:
-        match, matchable = None, False
+    match = _matching(plant, ref, match)
+    matchable = match is not None and match.matchable()
 
     nF = 2 * n if mode == "direct" else 3 * n  # linear states
     X0 = nF - n  # x is the last linear state
@@ -371,7 +371,8 @@ def run_lyapunov_scenario(plant: PlantModel, ref: ReferenceModel,
                           projection: ProjectionConfig | None,
                           init: InitialConditions, horizon: int,
                           h: float = 0.01, method: str = "rk4",
-                          Q=None) -> SimulationTrace:
+                          cert: LyapunovCertificate | None = None,
+                          match=SOLVE) -> SimulationTrace:
     """Simulate a Lyapunov scheme over horizon steps of size h.
 
     The trace's theta column stacks the evolving gains ([K1; K2^T] for the
@@ -379,13 +380,15 @@ def run_lyapunov_scenario(plant: PlantModel, ref: ReferenceModel,
     scheme's eps and m columns are not defined here and come back NaN. The
     run diverges as the gradient runs do (see ``_rows``), at the first step
     at which an element of x or u is not finite, or after a step whose
-    integration is not finite.
+    integration is not finite. ``cert`` and ``match`` are as for
+    ``build_lyapunov_loop``.
     """
     if signal.dimension != plant.n_inputs:
         raise ModelError("signal dimension disagrees with the input count")
     if horizon < 1:
         raise ModelError("horizon must be at least 1")
-    loop = build_lyapunov_loop(plant, ref, signal, mode, gains, projection, Q)
+    loop = build_lyapunov_loop(plant, ref, signal, mode, gains, projection,
+                               cert, match)
     n, M = loop.n, loop.M
     C = n + M
     x0, xm0, theta0, _, xhat0 = init.resolved(n, C, M)

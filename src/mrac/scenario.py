@@ -2,9 +2,10 @@
 
 A scenario is one JSON document (nested sections, matrices as row-major
 arrays of arrays). ``load_config`` reports every validation problem it can
-find, not just the first. Loaded configs hold plain Python values so they
-round-trip losslessly through ``serialize_config``; numpy objects are built
-only when the scenario runs.
+find, not just the first, and builds the domain objects a run needs, the
+matching solution among them, once. The loaded config carries them for
+``run_scenario``; its fields hold plain Python values, which round-trip
+losslessly through ``serialize_config``.
 """
 
 from __future__ import annotations
@@ -24,11 +25,12 @@ import numpy as np
 # benchmark's tracer wraps them here by name
 from .diagnostics import (SimulationTrace, check_delta_V,  # noqa: F401
                           direct_V_series, indirect_V_series, tracking_metrics)
-from .direct import (DirectGainConfig, InitialConditions,
+from .direct import (DirectGainConfig, InitialConditions, _matching,
                      run_direct_scenario, stack_controller_gains)
 from .errors import ConfigError, GainError, ModelError, ToolkitError
-from .systems import (CONTINUOUS, DISCRETE, PlantModel, ReferenceModel,
-                      ReferenceSignal, solve_matching)
+# the benchmark's tracer wraps solve_matching here by name
+from .systems import (CONTINUOUS, DISCRETE, PlantModel,  # noqa: F401
+                      ReferenceModel, ReferenceSignal, solve_matching)
 
 # the runners whose modules are imported only when a config names their
 # scheme; run_scenario reads every runner as a module attribute, so a
@@ -107,6 +109,9 @@ def _floats(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
+# the characters that make a string a path rather than a file name
+PATH_CHARS = tuple(filter(None, ("/", os.sep, os.altsep, "\0")))
+
 # what a value of each scalar kind must be, and its test; JSON true/false
 # load as bool, which Python counts as an int
 _KINDS = {
@@ -116,8 +121,8 @@ _KINDS = {
              and 0 < v <= sys.float_info.max),
     "bool": ("true or false", lambda v: isinstance(v, bool)),
     "name": ("a file name", lambda v: isinstance(v, str)
-             and v not in ("", ".", "..") and not any(
-                 c and c in v for c in ("/", os.sep, os.altsep, "\0"))),
+             and v not in ("", ".", "..")
+             and not any(c in v for c in PATH_CHARS)),
     "dir": ("a directory path or null", lambda v: v is None
             or isinstance(v, str) and v != "" and "\0" not in v),
     "section": ("an object", lambda v: isinstance(v, dict)),
@@ -173,6 +178,8 @@ _TOP = {
     "horizon": Key("count", required=True),
     "ct_step": Key("step", default=0.01),
     "integrator": Key(("rk4", "euler"), default="rk4"),
+    # a label recorded in the config that no run reads; batch inputs, the
+    # benchmark's among them, set it per member
     "seed": Key("int", default=0),
     "output": Key("section", default={}),
 }
@@ -245,10 +252,16 @@ _OUTPUT = {
     "gnuplot": Key("bool", default=False),
 }
 
-# the loaded config: one attribute per top-level key, holding plain JSON
-# values, so that it round-trips losslessly through serialize_config
+# the domain objects validation builds and run_scenario runs; match is
+# None when solve_matching raises, cert is the Lyapunov schemes' P > 0
+Built = namedtuple("Built", "plant reference signal gains init match "
+                   "projection cert", defaults=(None, None))
+
+# the loaded config: one field per top-level key, holding plain JSON
+# values, so that it round-trips losslessly through serialize_config, and
+# ``built``, which config_from_dict sets
 ScenarioConfig = make_dataclass("ScenarioConfig", list(_TOP),
-                                namespace={"to_dict": asdict})
+                                namespace={"to_dict": asdict, "built": None})
 
 
 def serialize_config(cfg: ScenarioConfig) -> str:
@@ -331,13 +344,8 @@ def _walk(path: str, table: dict, section: dict, reader, dims, errors: list):
     return values, len(errors) == count
 
 
-def _model(cls, section: dict, time_domain: str):
-    """The PlantModel or ReferenceModel of a checked section."""
-    return cls(**{key: np.asarray(value, float)
-                  for key, value in section.items()}, time_domain=time_domain)
-
-
 def config_from_dict(data: dict) -> ScenarioConfig:
+    """Validate ``data`` and build its domain objects (see ``Built``)."""
     errors: list[str] = []
     scheme = data.get("scheme")
     cfg, _ = _walk("", _TOP, data, scheme if scheme in SCHEMES else None,
@@ -346,25 +354,28 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     if scheme in _LYAPUNOV and time_domain == DISCRETE:
         errors.append(f"scheme {scheme} requires time_domain 'continuous'")
 
-    models = {}
+    built = {}  # by Built field
     for name, table, cls in (("plant", _PLANT, PlantModel),
                              ("reference", _REFERENCE, ReferenceModel)):
         if name in cfg:
-            plant = models.get("plant")
+            plant = built.get("plant")
             cfg[name], ok = _walk(name, table, cfg[name], None,
                                   plant and (plant.n, plant.n_inputs), errors)
             if ok and time_domain is not None:
                 try:
-                    models[name] = _model(cls, cfg[name], time_domain)
+                    built[name] = cls(**{
+                        key: np.asarray(value, float)
+                        for key, value in cfg[name].items()},
+                        time_domain=time_domain)
                 except ModelError as exc:
                     errors.append(f"{name}: {exc}")
-    plant, ref = models.get("plant"), models.get("reference")
+    plant, ref = built.get("plant"), built.get("reference")
     dims = (plant.n, plant.n_inputs) if plant and scheme else None
 
-    # each section's checks beyond its table, run once the table passes
+    # each section's object, built once its table passes
     kind = cfg.get("signal", {}).get("kind")
     passed = {}
-    for name, table, reader, check in (
+    for name, table, reader, build in (
             ("signal", _SIGNAL, kind if kind in _SIGNAL_KINDS else None,
              build_signal),
             ("gains", _GAINS, scheme,
@@ -376,9 +387,9 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         if isinstance(cfg.get(name), dict):
             cfg[name], passed[name] = _walk(name, table, cfg[name], reader,
                                             dims, errors)
-            if passed[name] and dims and check:
+            if passed[name] and dims and build:
                 try:
-                    check(cfg[name])
+                    built[name] = build(cfg[name])
                 except ToolkitError as exc:
                     errors.append(f"{name}: {exc}")
 
@@ -397,21 +408,21 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     if passed.get("gains") and scheme in _LYAPUNOV and ref \
             and time_domain == CONTINUOUS:
         from .lyapunov import solve_lyapunov_ct
-        # the run solves with Q = I when the config gives none
+        # with Q = I when the config gives none
         Q = cfg["gains"].get("Q")
         try:
-            solve_lyapunov_ct(ref.A_m, np.eye(ref.n) if Q is None
-                              else np.asarray(Q, float))
+            built["cert"] = solve_lyapunov_ct(
+                ref.A_m, np.eye(ref.n) if Q is None else np.asarray(Q, float))
         except ModelError as exc:
             errors.append(f"gains.Q{' (default I)' if Q is None else ''}: "
                           f"{exc}")
-    scaled = [key for key in ("theta_scale", "rho_scale")
-              if key in cfg.get("init", {})]
-    if scaled and plant and ref:
-        try:
-            resolve_init(cfg["init"], scheme, plant, ref)
-        except (ConfigError, ModelError) as exc:
-            errors.append(f"init.{scaled[0]}: {exc}")
+    if plant and ref:
+        match = built["match"] = _matching(plant, ref)
+        if "init" in cfg:
+            try:
+                built["init"] = resolve_init(cfg["init"], scheme, match)
+            except ConfigError as exc:
+                errors.extend(exc.errors)
     directory = cfg.get("output", {}).get("dir")
     if directory is not None and (head := blocked_dir(directory)):
         errors.append(f"output.dir: {head} is not a directory")
@@ -419,7 +430,9 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     if errors:
         raise ConfigError(errors)
     # a key the scheme does not read is None
-    return ScenarioConfig(**{key: cfg.get(key) for key in _TOP})
+    config = ScenarioConfig(**{key: cfg.get(key) for key in _TOP})
+    config.built = Built(**built)
+    return config
 
 
 def build_signal(spec: dict) -> ReferenceSignal:
@@ -484,26 +497,27 @@ def build_projection(projection: dict, M: int) -> ProjectionConfig:
                                           signs.copy(), projection["enabled"])
 
 
-def resolve_init(init: dict, scheme: str, plant, ref) -> InitialConditions:
+def resolve_init(init: dict, scheme: str, match) -> InitialConditions:
     """Concrete initial conditions of a checked init section; the *_scale
-    shorthands multiply the true parameters obtained from the matching
-    solver."""
+    shorthands multiply the true parameters of the matching solution
+    ``match`` (None when solve_matching raised)."""
     init = {key: np.asarray(value, float) for key, value in init.items()}
-    if "theta_scale" in init or "rho_scale" in init:
-        match = solve_matching(plant, ref)
-        if not match.matchable():
-            raise ConfigError([f"plant not matchable (residual "
-                               f"{match.residual:.3g}), cannot scale the "
-                               "true parameters"])
-        if scheme in ("direct_gradient", "lyapunov_direct"):
-            theta_star = stack_controller_gains(match.K1, match.K2)
+    for name in ("theta", "rho"):
+        if f"{name}_scale" not in init:
+            continue
+        if match is None or not match.matchable():
+            why = ("K2 singular" if match is None
+                   else f"residual {match.residual:.3g}")
+            raise ConfigError([f"init.{name}_scale: plant not matchable "
+                               f"({why}), cannot scale the true parameters"])
+        if name == "rho":
+            star = 1.0 / np.diag(match.K2)
+        elif scheme in ("direct_gradient", "lyapunov_direct"):
+            star = stack_controller_gains(match.K1, match.K2)
         else:
             from .indirect import theta_star_indirect
-            theta_star = theta_star_indirect(match.K1, match.K2)
-        for name, star in (("theta", theta_star),
-                           ("rho", 1.0 / np.diag(match.K2))):
-            if f"{name}_scale" in init:
-                init[f"{name}0"] = float(init.pop(f"{name}_scale")) * star
+            star = theta_star_indirect(match.K1, match.K2)
+        init[f"{name}0"] = float(init.pop(f"{name}_scale")) * star
     return InitialConditions(**init)
 
 
@@ -515,8 +529,7 @@ class ScenarioRun:
     exit_status: int  # 0 ok, 2 diverged, 3 invariant violation
 
 
-def _invariant_report(cfg: ScenarioConfig, trace: SimulationTrace,
-                      gains, plant, proj) -> dict:
+def _invariant_report(cfg: ScenarioConfig, trace: SimulationTrace) -> dict:
     report: dict[str, Any] = {}
     if trace.V is not None and trace.steps > 1:
         if cfg.time_domain == DISCRETE:
@@ -528,7 +541,8 @@ def _invariant_report(cfg: ScenarioConfig, trace: SimulationTrace,
         else:
             # continuous time guarantees only that V does not increase
             report["v_nonincreasing_ok"] = bool(np.all(trace.dV[:-1] <= 1e-6))
-    M, n = plant.n_inputs, plant.n
+    b = cfg.built
+    M, n, proj = b.plant.n_inputs, b.plant.n, b.projection
     if cfg.scheme == "indirect_gradient" and trace.steps and proj is not None \
             and proj.enabled:
         theta2 = np.diagonal(trace.theta[:, n:, :], axis1=1, axis2=2)
@@ -537,41 +551,32 @@ def _invariant_report(cfg: ScenarioConfig, trace: SimulationTrace,
     # the multi-input laws keep Theta2, and K2 when enforced, diagonal
     diag_key = {"direct_gradient": "k2_diag_ok",
                 "indirect_gradient": "theta2_diag_ok"}.get(cfg.scheme)
-    if diag_key and M > 1 and getattr(gains, "enforce_diagonal_k2", True):
+    if diag_key and M > 1 and getattr(b.gains, "enforce_diagonal_k2", True):
         report[diag_key] = bool(np.all(
             trace.theta[:, n:, :] * (1.0 - np.eye(M)) == 0.0))
     return report
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
-    """Build, dispatch, and post-check one validated scenario."""
-    plant = _model(PlantModel, cfg.plant, cfg.time_domain)
-    ref = _model(ReferenceModel, cfg.reference, cfg.time_domain)
-    sig = build_signal(cfg.signal)
-    gains = build_gains(cfg.scheme, cfg.gains, plant.n, plant.n_inputs,
-                        cfg.time_domain)
-    proj = (build_projection(cfg.projection, plant.n_inputs)
-            if cfg.projection is not None else None)
-    init = resolve_init(cfg.init, cfg.scheme, plant, ref)
-    h = float(cfg.ct_step)
-
+    """Run and post-check the domain objects ``config_from_dict`` built."""
+    b = cfg.built
+    options = dict(h=float(cfg.ct_step), method=cfg.integrator, match=b.match)
     # the other runners are module attributes imported on first use
     module = sys.modules[__name__]
     if cfg.scheme == "direct_gradient":
-        trace = run_direct_scenario(plant, ref, sig, gains, init, cfg.horizon,
-                                    h=h, method=cfg.integrator)
+        trace = run_direct_scenario(b.plant, b.reference, b.signal, b.gains,
+                                    b.init, cfg.horizon, **options)
     elif cfg.scheme == "indirect_gradient":
         trace = module.run_indirect_scenario(
-            plant, ref, sig, gains, proj, init, cfg.horizon, h=h,
-            method=cfg.integrator)
+            b.plant, b.reference, b.signal, b.gains, b.projection, b.init,
+            cfg.horizon, **options)
     else:
-        Q = cfg.gains.get("Q")
         trace = module.run_lyapunov_scenario(
-            plant, ref, sig, cfg.scheme.removeprefix("lyapunov_"), gains,
-            proj, init, cfg.horizon, h=h, method=cfg.integrator,
-            Q=None if Q is None else np.asarray(Q, float))
+            b.plant, b.reference, b.signal,
+            cfg.scheme.removeprefix("lyapunov_"), b.gains, b.projection,
+            b.init, cfg.horizon, cert=b.cert, **options)
 
-    invariants = _invariant_report(cfg, trace, gains, plant, proj)
+    invariants = _invariant_report(cfg, trace)
     if trace.diverged:
         status = 2
     elif any(v is False for v in invariants.values()):

@@ -19,9 +19,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mrac.cli import main
-from test_scenario_cli import bench_dict, ct_dict, mimo_dict
+from test_scenario_cli import PROJECTION, bench_dict, ct_dict, mimo_dict
 
-PROJECTION = {"signs": 1.0, "k2_upper": 1.0}
 BASES = {name: dict(data, horizon=12) for name, data in {
     "direct-discrete": bench_dict(),
     "indirect-discrete-mimo": mimo_dict("indirect_gradient"),

@@ -5,8 +5,8 @@ import pytest
 
 from mrac import (InitialConditions, LyapunovSeries, SimulationTrace,
                   check_delta_V, direct_V_series, gamma0_direct,
-                  indirect_V_series, l2_accumulators, run_direct_scenario,
-                  summarize, tracking_metrics)
+                  indirect_V_series, run_direct_scenario, summarize,
+                  tracking_metrics)
 from conftest import K1_TRUE, K2_TRUE
 
 
@@ -109,16 +109,15 @@ class TestAccumulators:
             rho0=1.0 / K2_TRUE)
         trace = run_direct_scenario(bench_plant, bench_ref, bench_signal,
                                     bench_gains, init, 300)
-        acc = l2_accumulators(trace)
         # the decimal gain literals carry a 1-ulp matching defect, so the
         # sums are rounding dust rather than exact zeros
-        assert acc["sum_eps2_over_m2"] <= 1e-20
-        assert acc["sum_dtheta_sq"] <= 1e-25
+        assert trace.summary.sum_eps2_over_m2 <= 1e-20
+        assert trace.summary.sum_dtheta_sq <= 1e-25
 
     def test_telescoping_bound(self, bench_run, bench_gains):
         g0 = gamma0_direct(bench_gains.Gamma, bench_gains.gamma, [1.0 / K2_TRUE])
-        acc = l2_accumulators(bench_run)
-        assert acc["sum_eps2_over_m2"] <= bench_run.V[0] / (2.0 - g0) + 1e-8
+        assert (bench_run.summary.sum_eps2_over_m2
+                <= bench_run.V[0] / (2.0 - g0) + 1e-8)
 
     def test_tail_fraction_shrinks_with_horizon(self, bench_plant, bench_ref,
                                                 bench_signal, bench_gains):
@@ -129,8 +128,7 @@ class TestAccumulators:
                                     bench_gains, init, 1000)
         long = run_direct_scenario(bench_plant, bench_ref, bench_signal,
                                    bench_gains, init, 2000)
-        assert (l2_accumulators(long)["tail_frac_eps"]
-                < l2_accumulators(short)["tail_frac_eps"])
+        assert long.summary.tail_frac_eps < short.summary.tail_frac_eps
 
     def test_v_telescopes_against_dv(self, bench_run):
         total = np.nansum(bench_run.dV[:-1])

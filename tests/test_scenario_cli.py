@@ -246,6 +246,80 @@ class TestRunScenario:
         assert run.trace.u[0, 0] == pytest.approx(k2_0 * math.sin(0.5), rel=1e-12)
 
 
+PROJECTION = {"signs": 1.0, "k2_upper": 1.0}
+# every scheme in every time domain it runs in, on the n=2, M=1 benchmark
+# plant or its continuous-time variant, each set to start from theta_scale
+SCHEME_CASES = {
+    "direct-discrete": bench_dict(),
+    "direct-continuous": ct_dict("direct_gradient", {
+        "Gamma": 1.0, "gamma": 1.0, "sign_k2": 1.0, "k2_lower": 0.5}),
+    "indirect-discrete": bench_dict(projection=PROJECTION, **INDIRECT),
+    "indirect-continuous": ct_dict("indirect_gradient", {"Gamma": 1.0},
+                                   PROJECTION),
+    "lyapunov_direct": ct_dict("lyapunov_direct", {
+        "Gamma": 1.0, "gamma": 1.0, "sign_k2": 1.0}),
+    "lyapunov_indirect": ct_dict("lyapunov_indirect", {
+        "Gamma1": 1.0, "Gamma2": 1.0}, PROJECTION),
+}
+# an estimate every scheme's run accepts: theta2 = 1 meets the projection
+THETA0 = [0.0, 0.0, 1.0]
+
+
+def _scheme_case(case, **init):
+    data = json.loads(json.dumps(dict(SCHEME_CASES[case], horizon=20)))
+    if init:
+        data["init"] = init
+    return data
+
+
+class TestBuiltOnce:
+    """Validation builds each domain object once and the run uses it."""
+
+    @pytest.mark.parametrize("scaled", [True, False],
+                             ids=["theta_scale", "theta0"])
+    @pytest.mark.parametrize("case", sorted(SCHEME_CASES))
+    def test_one_matching_and_lyapunov_solve_per_run(self, monkeypatch,
+                                                     case, scaled):
+        import mrac.lyapunov
+        import mrac.systems
+        calls = {"solve_matching": 0, "solve_lyapunov_ct": 0}
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls[fn.__name__] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in ("scenario", "direct", "indirect", "lyapunov"):
+            monkeypatch.setattr(f"mrac.{module}.solve_matching",
+                                counted(mrac.systems.solve_matching))
+        # validation imports it from mrac.lyapunov when it runs
+        monkeypatch.setattr("mrac.lyapunov.solve_lyapunov_ct",
+                            counted(mrac.lyapunov.solve_lyapunov_ct))
+        data = _scheme_case(case) if scaled else _scheme_case(
+            case, theta0=THETA0)
+        run = run_scenario(config_from_dict(data))
+        assert run.exit_status == 0
+        assert run.trace.V is not None
+        assert calls == {"solve_matching": 1,
+                         "solve_lyapunov_ct": int(case.startswith("lyap"))}
+
+    @pytest.mark.parametrize("plant, B_m", [
+        ({"A": [[0.0, 0.0], [0.0, 0.0]], "B": [[1.0], [0.0]]}, [[1.0], [0.0]]),
+        (None, [[0.0], [0.0]]),  # K2* = 0: solve_matching raises
+        ({"B": [[0.0], [-1e-308]]}, None),  # K1* overflows
+    ], ids=["unmatchable", "singular-K2", "near-singular-B"])
+    @pytest.mark.parametrize("case", sorted(SCHEME_CASES))
+    def test_runs_without_a_matching_solution(self, case, plant, B_m):
+        data = _scheme_case(case, theta0=THETA0)
+        data["plant"].update(plant or {})
+        if B_m is not None:
+            data["reference"]["B_m"] = B_m
+        run = run_scenario(config_from_dict(data))
+        assert run.exit_status == 0
+        assert run.trace.V is None
+
+
 class TestCli:
     def test_example_emits_loadable_config(self, tmp_path, capsys):
         out = tmp_path / "bench.json"
@@ -903,6 +977,24 @@ class TestBatch:
         assert main(["batch", str(spec), "--jobs", "2"]) == 0
         par = json.loads(capsys.readouterr().out)
         assert par == seq
+
+    def test_swept_paths_name_members_by_file_names(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # a swept value holding "/" used to make its member's name a path,
+        # and the member invalid
+        monkeypatch.chdir(tmp_path)
+        spec = tmp_path / "sweep.json"
+        spec.write_text(json.dumps({
+            "base": str(self._write_base(tmp_path, horizon=20)),
+            "sweep": {"output.dir": ["o1", "sub/o2"]},
+        }))
+        assert main(["batch", str(spec)]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [row["status"] for row in rows] == ["ok", "ok"]
+        for directory, tag in (("o1", "o1"), ("sub/o2", "sub_o2")):
+            name = f"second-order-benchmark[dir={tag}]"
+            assert sorted(os.listdir(tmp_path / directory)) == [
+                f"{name}.summary.json", f"{name}.trace.csv"]
 
     def test_worker_count_is_clamped(self, monkeypatch):
         monkeypatch.setattr("os.cpu_count", lambda: 4)
