@@ -31,11 +31,16 @@ which an element of x, u or m^2 is not finite). They differ only in how
 row i's state reaches row i + 1: in discrete time (``run``) L [F, r, u]
 lands there as F(t + 1) and W(t + 1) = W + G ab; in continuous time
 (``run_ct``) one call to the runner module's ``integrate_ct`` advances z
-along dz/dt = [dF, dW], whose first stage is row i itself.
+along dz/dt = [dF, dW]. Its first stage is row i itself, and its stage
+evaluator writes each later stage's state straight into one of three stage
+rows. A step does only the RK4 arithmetic, the law's four
+steps, ``integrate_ct``'s finiteness check of the new state and the check
+of u and m^2.
 """
 
 from __future__ import annotations
 
+import math
 from operator import lt, mul
 
 import numpy as np
@@ -261,15 +266,19 @@ def run_ct(law, z0, signal, horizon: int, h: float, method: str, integrate,
     [dF, dW] that ``law``'s step writes, and the result, after
     ``after_step(z)`` in place, lands in row i + 1. r is sampled once at
     every stage time t_k, t_k + h/2 and t_k + h. Row k is stage 1 of step k
-    and its record, and stages 2-4 evaluate on rows of their own; each rate
-    reaches ``integrate`` as a view of its row, which ``adjust(dz, row)``
-    may refuse by raising or replace by a changed copy. ``store(rows, t0)``
-    receives the finished rows of each chunk.
+    and its record. Stages 2-4 evaluate on three rows of their own, reused
+    by every step: the ``stage`` evaluator ``integrate`` passes to the RK4
+    step writes y + c k straight into a stage row's F and W, with y read
+    off row k, and that row's r is set once per step. ``adjust(row)``,
+    called once per row, returns the check of that row's rate: it returns
+    the rate, or refuses it by raising, or replaces it by a changed copy.
+    ``store(rows, t0)`` receives the finished rows of each chunk.
 
-    Each row meets the divergence rule before it is integrated. Returns the
-    divergence step: k when an element of x, u or m^2 of step k is not
-    finite, k + 1 when ``integrate`` reports a non-finite state after step
-    k, else None.
+    Each row meets the divergence rule before it is integrated: row 0 in
+    full, every later row on u and m^2 only, since its x is part of a state
+    that ``integrate`` found finite. Returns the divergence step: k when an
+    element of x, u or m^2 of step k is not finite, k + 1 when
+    ``integrate`` reports a non-finite state after step k, else None.
     """
     T1 = horizon + 1
     # a step near the float range overflows the stage times; r then reads
@@ -277,51 +286,65 @@ def run_ct(law, z0, signal, horizon: int, h: float, method: str, integrate,
     with np.errstate(over="ignore"):
         t = np.arange(T1) * h
         r_all = signal.sample(np.concatenate([t, t + 0.5 * h, t + h]))
-    r0, r_mid, r_end = r_all[:T1], r_all[T1:2 * T1], r_all[2 * T1:]
+    r_mid, r_end = r_all[T1:2 * T1], r_all[2 * T1:]
+    # r of stages 2, 3 and 4 of each step
+    r_stages = np.stack([r_mid, r_mid, r_end], axis=1)
     times = t.tolist()
     rows = RowBuffer(law, z0, T1)
     buf, probe, nF = rows.buf, rows.probe, law.nF
     dz = slice(law.dF.start, law.dW.stop)
-    steps = [(law.views(buf[i], buf[i, law.dF]), buf[i], buf[i, dz],
-              buf[i:i + 1], buf[i + 1, law.F], buf[i + 1, law.W])
-             for i in range(rows.size)]
-    stage_rows = [(law.views(row, row[law.dF]), row, row[dz], row[law.F],
-                   row[law.W], row[law.R])
-                  for row in np.zeros((3, law.width))]
-    step = law.step
+    # m^2, when the law has it, is the column after u
+    span = slice(law.U.start, law.U.stop + ("m2" in law.cols))
 
-    def rate(v, row, d):
-        step(v)
-        return d if adjust is None else adjust(d, row)
+    def operands(row):
+        """The step's views of ``row``, its rate [dF, dW], its state parts F
+        and W, and the check of its rate."""
+        return (law.views(row, row[law.dF]), row[dz], row[law.F], row[law.W],
+                None if adjust is None else adjust(row))
 
-    # the step being integrated: its state and stage-1 rate, the inputs of
-    # its later stages at t_k + h/2 and t_k + h, and their rows
+    # each row's operands, its u and m^2, and the state parts of row i + 1
+    steps = [(operands(buf[i]), buf[i, span], buf[i + 1, law.F],
+              buf[i + 1, law.W]) for i in range(rows.size)]
+    stage_buf = np.zeros((3, law.width))
+    stage_r = stage_buf[:, law.R]
+    stage_rows = [operands(row) for row in stage_buf]
+    # c k of the stage being evaluated, whole and in its F and W parts
+    ck = np.empty(z0.shape[0])
+    ckF, ckW = ck[:nF], ck[nF:]
+    step, multiply, add, isfinite = law.step, np.multiply, np.add, math.isfinite
+
+    # the step being integrated: its state z, its rate k1 and the state
+    # parts yF, yW of its row
     z = z0
-    zk = k1 = t_mid = rm = re = stages = None
+    k1 = yF = yW = None
 
-    def rhs(tau, y):
-        if y is zk:
-            return k1
-        v, row, d, Fw, Ww, rw = next(stages)
-        Fw[...] = y[:nF]
-        Ww[...] = y[nF:]
-        rw[...] = rm if tau == t_mid else re
-        return rate(v, row, d)
+    def first(tau, y):
+        return k1
+
+    def stage(i, tau, c, k):
+        v, d, F, W, check = stage_rows[i - 2]
+        multiply(k, c, ck)
+        add(yF, ckF, F)
+        add(yW, ckW, W)
+        step(v)
+        return d if check is None else check(d)
 
     def chunk(t0, count):
-        nonlocal z, zk, k1, t_mid, rm, re, stages
+        nonlocal z, k1, yF, yW
         for i in range(count):
             k = t0 + i
-            v, row, d, one, Fn, Wn = steps[i]
-            k1 = rate(v, row, d)
-            if first_nonfinite(one, probe) is not None:
+            (v, d, yF, yW, check), uspan, Fn, Wn = steps[i]
+            step(v)
+            k1 = d if check is None else check(d)
+            if (not all(map(isfinite, uspan.tolist())) if k
+                    else first_nonfinite(buf[:1], probe) is not None):
                 return i, i
             if k == horizon:
                 break
-            zk, tk, stages = z, times[k], iter(stage_rows)
-            t_mid, rm, re = tk + 0.5 * h, r_mid[k], r_end[k]
+            stage_r[...] = r_stages[k]
             try:
-                z = integrate(rhs, z, h, t=tk, method=method)
+                z = integrate(first, z, h, t=times[k], method=method,
+                              stage=stage)
             except NumericsError:
                 return i + 1, i + 1
             if after_step is not None:
@@ -330,7 +353,7 @@ def run_ct(law, z0, signal, horizon: int, h: float, method: str, integrate,
             Wn[...] = z[nF:]
         return count, None
 
-    return rows.run(r0, store, chunk)
+    return rows.run(r_all[:T1], store, chunk)
 
 
 def block(T, n, row_col, col_col, mat):

@@ -170,13 +170,39 @@ def _ct_projection_rate(theta2, g2, projection: ProjectionConfig):
     return np.where(on_boundary & outward, -g2, 0.0)
 
 
-def _clamp_theta2(block, projection: ProjectionConfig):
-    """Snap the theta2 diagonal of a writeable (M, M) view back onto the
-    signed bound where integration landed a hair inside it."""
-    theta2 = np.einsum("ii->i", block)  # a writeable view of the diagonal
-    for j in range(theta2.shape[0]):
-        if projection.signs[j] * theta2[j] < projection.theta2_lower[j]:
-            theta2[j] = projection.signs[j] * projection.theta2_lower[j]
+def _outward(projection: ProjectionConfig):
+    """``fires(theta2, g2)`` over lists of floats: whether
+    ``_ct_projection_rate`` nulls any rate, that is whether some theta2
+    sits on (or past) its bound with an outward rate."""
+    signs_l = projection.signs.tolist()
+    edge_l = (projection.theta2_lower + 1e-12).tolist()
+
+    def fires(theta2, g2):
+        for s, t, e, g in zip(signs_l, theta2, edge_l, g2):
+            if s * t <= e and s * g < 0.0:
+                return True
+        return False
+
+    return fires
+
+
+def _theta2_clamp(projection: ProjectionConfig, at):
+    """``clamp(z)``: snap each theta2 of z, at the flat positions ``at``
+    (copies x M), back onto the signed bound where integration landed it a
+    hair inside."""
+    at_l = np.asarray(at).ravel().tolist()
+    copies = len(at_l) // projection.n_inputs
+    signs_l = projection.signs.tolist() * copies
+    lower_l = projection.theta2_lower.tolist() * copies
+    edge_l = (projection.signs * projection.theta2_lower).tolist() * copies
+
+    def clamp(z):
+        for p, t, s, lo, e in zip(at_l, z.take(at_l).tolist(), signs_l,
+                                  lower_l, edge_l):
+            if s * t < lo:
+                z[p] = e
+
+    return clamp
 
 
 def _indirect_law(A, B, Am, Bm, gains, P, x0, xm0, xhat0) -> Law:
@@ -242,8 +268,9 @@ def _indirect_law(A, B, Am, Bm, gains, P, x0, xm0, xhat0) -> Law:
         Kx[j, n + j] = 1.0
     law = Law(L, G, F, W, M, xi_in_m=M > 1, xi_in_ab=False, rho=False)
     law.cols["x_hat"] = law.F0 + n * cxh + np.arange(n)
-    # theta2 in row 1 + j and in row 0 of W^T
+    # theta2 in row 1 + j and in row 0 of W^T, and their positions in W
     law.theta2 = lambda W: (W[law.th2], W[n:MC:C + 1])
+    law.theta2_at = np.stack(law.theta2(np.arange(W.shape[0])))
     return law
 
 
@@ -323,34 +350,31 @@ def _ct_guards(law, projection, floor):
     ``_rows.run_ct``): a row whose theta2 is below ``floor`` raises, and
     with a ``projection`` theta2's outward rate on the bound is nulled and
     every copy of theta2 in z snaps onto the bound after each step."""
-    n, M, C, K, nK, th2 = law.n, law.M, law.C, law.K, law.nK, law.th2
-    theta2_of = law.theta2
+    nK, th2 = law.nK, law.th2
     floor_l = (floor - 1e-15).tolist()
+    clamp = None
     if projection is not None:
-        signs_l = projection.signs.tolist()
-        edge_l = (projection.theta2_lower + 1e-12).tolist()
+        # theta2's positions in z = [F, W] and in its rate [dF, dW]
+        at = nK + law.theta2_at
+        fires, clamp = _outward(projection), _theta2_clamp(projection, at)
 
-    def adjust(dz, row):
-        theta2, g2 = row[law.W][th2], dz[nK:][th2]
-        for t, lo in zip(theta2.tolist(), floor_l):
-            if abs(t) < lo:
-                raise SingularGainError(
-                    f"theta2 diagonal {theta2} below the invertibility "
-                    "threshold")
-        if projection is not None and any(
-                s * t <= e and s * g < 0.0 for s, t, e, g
-                in zip(signs_l, theta2.tolist(), edge_l, g2.tolist())):
-            # a copy, so that the row keeps recording the unadjusted rate
-            f2 = _ct_projection_rate(theta2, g2, projection)
-            dz = dz.copy()
-            for rate in theta2_of(dz[nK:]):
-                rate += f2
-        return dz
+    def adjust(row):
+        theta2, g2 = row[law.W][th2], row[law.dW][th2]
 
-    def clamp(z):
-        W = z[nK:]
-        _clamp_theta2(W[K:K + M * (K + C)].reshape(M, K + C)[:, n:C],
-                      projection)
-        _clamp_theta2(W[:M * C].reshape(M, C)[:, n:], projection)
+        def check(dz):
+            t2 = theta2.tolist()
+            for t, lo in zip(t2, floor_l):
+                if abs(t) < lo:
+                    raise SingularGainError(
+                        f"theta2 diagonal {theta2} below the invertibility "
+                        "threshold")
+            if projection is not None and fires(t2, g2.tolist()):
+                # a copy, so that the row keeps recording the unadjusted
+                # rate
+                dz = dz.copy()
+                dz[at] += _ct_projection_rate(theta2, g2, projection)
+            return dz
 
-    return None if projection is None else clamp, adjust
+        return check
+
+    return clamp, adjust

@@ -19,9 +19,9 @@ from . import _rows
 from .diagnostics import SimulationTrace, value_series
 from .direct import SOLVE, InitialConditions, _finish_trace, _matching
 from .errors import GainError, ModelError
-from .indirect import (ProjectionConfig, _clamp_theta2, _ct_projection_rate,
-                       check_projection_start, stack_plant_estimate,
-                       theta_star_indirect)
+from .indirect import (ProjectionConfig, _ct_projection_rate, _outward,
+                       _theta2_clamp, check_projection_start,
+                       stack_plant_estimate, theta_star_indirect)
 # the benchmark's tracer wraps solve_matching here by name
 from .systems import (CONTINUOUS, PlantModel, ReferenceModel,  # noqa: F401
                       ReferenceSignal, integrate_ct, is_hurwitz, solve_matching)
@@ -277,8 +277,7 @@ def build_lyapunov_loop(plant: PlantModel, ref: ReferenceModel,
         Wc = np.hstack([np.zeros((M, n)), Wp, -Wp])  # on [x_m, xhat, x]
         Wcdot = Wc.dot
         if proj_on:
-            signs_l = projection.signs.tolist()
-            edge_l = (projection.theta2_lower + 1e-12).tolist()
+            fires = _outward(projection)
         # scratch: w, Gamma1 w, -diag(Gamma2) w and Gamma1 x; the rate of
         # theta2's off-diagonal entries is never written and stays zero
         law = _rows.Layout(0, nF, M, 3 * M + n, C * M)
@@ -309,9 +308,7 @@ def build_lyapunov_loop(plant: PlantModel, ref: ReferenceModel,
                 scale(xcol, g1row, dT1)
             scale(negG2, wv, g)
             scale(g, u, g2)
-            if proj_on and any(
-                    s * t <= e and s * d < 0.0 for s, t, e, d
-                    in zip(signs_l, theta2.tolist(), edge_l, g2.tolist())):
+            if proj_on and fires(theta2.tolist(), g2.tolist()):
                 g2 += _ct_projection_rate(theta2, g2.copy(), projection)
 
         def pack(x, xm, T1, T2, xh):
@@ -353,6 +350,8 @@ def build_lyapunov_loop(plant: PlantModel, ref: ReferenceModel,
                 "theta": W.start + np.arange(C * M).reshape(C, M)}
     if mode == "indirect":
         law.cols["x_hat"] = np.arange(n, 2 * n)
+        # the positions in W of the Theta2 diagonal, which closes it
+        law.theta2_at = nM + (M + 1) * np.arange(M)
 
     def rhs(tau, z):
         # the field at z on a fresh row, with r read at tau
@@ -407,8 +406,8 @@ def run_lyapunov_scenario(plant: PlantModel, ref: ReferenceModel,
     rec, store = _rows.records(loop.law.cols, horizon + 1)
     after_step = None
     if mode == "indirect" and proj_on:
-        def after_step(z):
-            _clamp_theta2(z[-M * M:].reshape(M, M), projection)
+        after_step = _theta2_clamp(projection,
+                                   loop.law.nF + loop.law.theta2_at)
 
     diverged_at = _rows.run_ct(loop.law, z, signal, horizon, h, method,
                                integrate_ct, store, after_step)

@@ -173,13 +173,28 @@ def solve_matching(plant: PlantModel, ref: ReferenceModel, tol: float = MATCHING
     return MatchingSolution(K1=K1T.T.copy(), K2=K2, residual=float(residual))
 
 
-def rk4_step(rhs, t: float, y: np.ndarray, h: float) -> np.ndarray:
-    """Classical fourth-order step of dy/dt = rhs(t, y)."""
+def rk4_step(rhs, t: float, y: np.ndarray, h: float, stage=None) -> np.ndarray:
+    """Classical fourth-order step of dy/dt = rhs(t, y).
+
+    ``rhs`` gives k1; ``stage(i, tau, c, k)`` gives k2, k3 and k4 (i = 2, 3,
+    4), the rate at time tau of y + c k, and is ``rhs(tau, y + c * k)``
+    unless the caller supplies its own. The result is y + (h/6) (k1 + 2 k2 +
+    2 k3 + k4), summed in that order.
+    """
+    if stage is None:
+        def stage(i, tau, c, k):
+            return rhs(tau, y + c * k)
+    c = 0.5 * h
     k1 = rhs(t, y)
-    k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = rhs(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = stage(2, t + c, c, k1)
+    k3 = stage(3, t + c, c, k2)
+    k4 = stage(4, t + h, h, k3)
+    out = k1 + 2.0 * k2
+    out += 2.0 * k3
+    out += k4
+    out *= h / 6.0
+    out += y
+    return out
 
 
 def euler_step(rhs, t: float, y: np.ndarray, h: float) -> np.ndarray:
@@ -187,8 +202,10 @@ def euler_step(rhs, t: float, y: np.ndarray, h: float) -> np.ndarray:
     return y + h * rhs(t, y)
 
 
-def integrate_ct(rhs, state, h: float, t: float = 0.0, method: str = "rk4") -> np.ndarray:
-    """Advance a continuous-time system one fixed step.
+def integrate_ct(rhs, state, h: float, t: float = 0.0, method: str = "rk4",
+                 stage=None) -> np.ndarray:
+    """Advance a continuous-time system one fixed step; ``stage`` evaluates
+    the later RK4 stages (see ``rk4_step``) and Euler has none.
 
     Aborts with NumericsError when the state or its derivative stops being
     finite; integration cannot continue meaningfully past that point.
@@ -197,12 +214,12 @@ def integrate_ct(rhs, state, h: float, t: float = 0.0, method: str = "rk4") -> n
         raise ValueError(f"step size must be positive, got {h}")
     y = np.asarray(state, dtype=float)
     if method == "rk4":
-        out = rk4_step(rhs, t, y, h)
+        out = rk4_step(rhs, t, y, h, stage)
     elif method == "euler":
         out = euler_step(rhs, t, y, h)
     else:
         raise ValueError(f"unknown integration method {method!r}")
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NumericsError("non-finite state after integration step")
     return out
 

@@ -15,7 +15,16 @@ import numpy as np
 from mrac import (NumericsError, SingularGainError, integrate_ct,
                   solve_lyapunov_ct, solve_matching, stack_controller_gains,
                   stack_plant_estimate, theta_star_indirect)
-from mrac.indirect import _clamp_theta2, _ct_projection_rate
+from mrac.indirect import _ct_projection_rate
+
+
+def _clamp_theta2(block, projection):
+    """Snap the theta2 diagonal of a writeable (M, M) view back onto the
+    signed bound where integration landed a hair inside it."""
+    theta2 = np.einsum("ii->i", block)  # a writeable view of the diagonal
+    for j in range(theta2.shape[0]):
+        if projection.signs[j] * theta2[j] < projection.theta2_lower[j]:
+            theta2[j] = projection.signs[j] * projection.theta2_lower[j]
 
 
 def lyapunov_direct_derivatives(e, x, r, P, B_m, gains):

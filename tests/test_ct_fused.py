@@ -286,3 +286,139 @@ def test_integration_keeps_its_order(scheme, mimo, method, low, high):
     coarse = np.max(np.abs(finals[0] - finals[1]))
     fine = np.max(np.abs(finals[1] - finals[2]))
     assert low <= coarse / fine <= high
+
+
+def _ct_runs():
+    """The four continuous-time schemes on the second-order instance: the
+    module whose ``integrate_ct`` each runner steps through, the runner,
+    its oracle and the runner's arguments."""
+    import mrac.direct
+    import mrac.indirect
+    import mrac.lyapunov
+    plant, ref, sig, gains, init = direct_siso()
+    yield (mrac.direct, run_direct_scenario, ct_oracle.replay_direct_ct,
+           (plant, ref, sig, gains, init))
+    yield (mrac.indirect, run_indirect_scenario, ct_oracle.replay_indirect_ct,
+           indirect_siso())
+    for mode in ("direct", "indirect"):
+        plant, ref, sig, gains, proj, init = lyapunov_siso(mode)
+        yield (mrac.lyapunov, run_lyapunov_scenario, ct_oracle.replay_lyapunov,
+               (plant, ref, sig, mode, gains, proj, init))
+
+
+def _count_integrations(monkeypatch, module):
+    """Count the calls of ``module.integrate_ct`` that return a state."""
+    done = []
+    real = module.integrate_ct
+
+    def counted(*a, **kw):
+        out = real(*a, **kw)
+        done.append(1)
+        return out
+
+    monkeypatch.setattr(module, "integrate_ct", counted)
+    return done
+
+
+class TestOneIntegrationPerStep:
+    @pytest.mark.parametrize("method", ["rk4", "euler"])
+    @pytest.mark.parametrize("case", range(4), ids=[
+        "direct", "indirect", "lyapunov_direct", "lyapunov_indirect"])
+    def test_each_step_calls_its_module_integrate_ct_once(
+            self, monkeypatch, case, method):
+        module, run, _, args = list(_ct_runs())[case]
+        done = _count_integrations(monkeypatch, module)
+        trace = run(*args, HORIZON, h=0.01, method=method)
+        assert not trace.diverged
+        assert len(done) == HORIZON
+
+
+class TestTheta2Positions:
+    @pytest.mark.parametrize("M", [1, 2])
+    def test_indirect_positions_name_every_theta2_copy(self, M):
+        from mrac.indirect import _ct_guards, _indirect_law
+        plant, ref, K1s, K2s = random_matchable_instance(3, M, 4, "continuous")
+        gains = IndirectGainConfig(Gamma=np.stack([np.eye(3 + M)] * M),
+                                   time_domain="continuous")
+        P = theta_star_indirect(K1s, K2s).T.copy()
+        law = _indirect_law(plant.A, plant.B, ref.A_m, ref.B_m, gains, P,
+                            np.zeros(3), np.zeros(3), np.zeros(3))
+        NW = law.W.stop - law.W.start
+        assert law.theta2_at.shape == (2, M)
+        # the positions are exactly the entries law.theta2 names
+        W = np.zeros(NW)
+        for copy in law.theta2(W):
+            copy += 1.0
+        assert np.array_equal(np.flatnonzero(W),
+                              np.sort(law.theta2_at.ravel()))
+        # and each holds theta2_j of the initial state
+        W0 = law.z0[law.nF:]
+        for copy in W0[law.theta2_at]:
+            assert np.array_equal(copy, np.diag(P[:, 3:]))
+
+        # the clamp lands a copy below its bound on s * lower and leaves
+        # every other entry of z alone
+        signs = np.sign(np.diag(K2s))
+        lower = 0.5 * np.abs(np.diag(K2s))
+        proj = ProjectionConfig(theta2_lower=lower, signs=signs)
+        clamp, _ = _ct_guards(law, proj, lower)
+        z = np.random.default_rng(M).normal(size=law.z0.shape[0])
+        at = law.nF + law.theta2_at
+        # the first copies inside the bound, the second outside it
+        z[at] = signs * lower * np.array([[0.5] * M, [2.0] * M])
+        before = z.copy()
+        clamp(z)
+        assert np.array_equal(z[at[0]], signs * lower)
+        rest = np.delete(np.arange(z.shape[0]), at[0])
+        assert np.array_equal(z[rest], before[rest])
+
+    @pytest.mark.parametrize("M", [1, 2])
+    def test_lyapunov_positions_name_the_theta2_diagonal(self, M):
+        from mrac.indirect import _theta2_clamp
+        from mrac.lyapunov import build_lyapunov_loop
+        plant, ref, K1s, K2s = random_matchable_instance(3, M, 5, "continuous")
+        signal = ReferenceSignal.constant(np.ones(M))
+        gains = LyapunovIndirectGains(Gamma1=np.eye(3), Gamma2=np.eye(M))
+        loop = build_lyapunov_loop(plant, ref, signal, "indirect", gains)
+        law = loop.law
+        T2 = np.diag(1.0 + np.arange(M))
+        z = loop.pack(np.ones(3), np.ones(3), np.ones((3, M)), T2, np.ones(3))
+        at = law.nF + law.theta2_at
+        assert np.array_equal(z[at], np.diag(T2))
+        # the step reads theta2 (its views' entry 14) at the same positions
+        row = np.zeros(law.width)
+        row[law.W] = z[law.nF:]
+        assert np.array_equal(law.views(row, row[law.dF])[14], np.diag(T2))
+
+        signs, lower = np.ones(M), np.full(M, 1.5)
+        clamp = _theta2_clamp(ProjectionConfig(theta2_lower=lower,
+                                               signs=signs), at)
+        before = z.copy()
+        clamp(z)
+        assert z[at[0]] == 1.5
+        assert np.array_equal(np.delete(z, at[:1]), np.delete(before, at[:1]))
+
+
+class TestDivergenceOnTheInputs:
+    @pytest.mark.parametrize("case", range(4), ids=[
+        "direct", "indirect", "lyapunov_direct", "lyapunov_indirect"])
+    def test_first_nonfinite_in_u_or_m2_matches_oracle(self, monkeypatch,
+                                                       case):
+        # r is 0 until t = 1 and 1e306 from then on, with zero states, so
+        # only the last stage of step 99 sees it and step 100's state is
+        # finite; then m^2 (gradient) or, with a large x gain, u
+        # (Lyapunov) overflows at step 100, before any state does
+        module, run, replay, args = list(_ct_runs())[case]
+        jump = ReferenceSignal.from_samples([[0.0], [1e306]])
+        theta0 = args[-1].theta0.copy()
+        if run is run_lyapunov_scenario:
+            theta0[1] = 1e6
+        init = InitialConditions(theta0=theta0, rho0=args[-1].rho0)
+        args = (*args[:2], jump, *args[3:-1], init)
+        done = _count_integrations(monkeypatch, module)
+        trace = run(*args, HORIZON, h=0.01)
+        records, diverged_at = replay(*args, HORIZON)
+        assert trace.diverged_at == diverged_at == 100
+        # every step before 100 integrated to a finite state, x included
+        assert len(done) == 100
+        assert_records_match(trace, records, diverged_at)

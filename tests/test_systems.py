@@ -214,6 +214,62 @@ class TestIntegrator:
             integrate_ct(lambda t, y: y * np.inf, np.array([1.0]), 0.1)
 
 
+def _forced_linear(seed):
+    """A random forced linear system dy/dt = A y + b sin(t), a state and a
+    stage evaluator that, like the runners', writes each stage state
+    y + c k into a buffer of its own and logs the stages it evaluates."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 6))
+    A, b, y = rng.normal(size=(n, n)), rng.normal(size=n), rng.normal(size=n)
+
+    def rhs(t, z):
+        return A @ z + b * math.sin(t)
+
+    rows, calls = np.zeros((3, n)), []
+
+    def stage(i, tau, c, k):
+        calls.append((i, tau, c))
+        row = rows[i - 2]
+        np.multiply(k, c, row)
+        np.add(y, row, row)
+        return rhs(tau, row)
+
+    return rhs, y, stage, calls
+
+
+class TestStageEvaluator:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rk4_step_unchanged_by_a_stage_evaluator(self, seed):
+        rhs, y, stage, calls = _forced_linear(seed)
+        t, h = 0.3 * seed, 0.05
+        plain = rk4_step(rhs, t, y, h)
+        assert np.array_equal(rk4_step(rhs, t, y, h, stage), plain)
+        assert calls == [(2, t + 0.5 * h, 0.5 * h), (3, t + 0.5 * h, 0.5 * h),
+                         (4, t + h, h)]
+
+    @pytest.mark.parametrize("method", ["rk4", "euler"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_integrate_ct_unchanged_by_a_stage_evaluator(self, seed, method):
+        rhs, y, stage, calls = _forced_linear(seed)
+        plain = integrate_ct(rhs, y, 0.05, t=1.5, method=method)
+        out = integrate_ct(rhs, y, 0.05, t=1.5, method=method, stage=stage)
+        assert np.array_equal(out, plain)
+        # Euler has no later stage
+        assert len(calls) == (3 if method == "rk4" else 0)
+
+    @pytest.mark.parametrize("at_stage", [2, 3, 4])
+    def test_nonfinite_stage_still_aborts(self, at_stage):
+        rhs, y, stage, _ = _forced_linear(0)
+
+        def blowing(i, tau, c, k):
+            out = stage(i, tau, c, k)
+            return out * np.inf if i == at_stage else out
+
+        # the runners step with numpy's warnings off, as here
+        with np.errstate(all="ignore"), pytest.raises(NumericsError):
+            integrate_ct(rhs, y, 0.05, stage=blowing)
+
+
 class TestReferenceSignal:
     def test_sinusoid_matches_formula(self):
         sig = ReferenceSignal.sinusoids(amplitudes=[[1.0, 0.5]],
