@@ -41,10 +41,8 @@ of u and m^2.
 from __future__ import annotations
 
 import math
-from operator import lt, mul
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import NumericsError
 
@@ -110,9 +108,9 @@ class Law(Layout):
         """The operands ``step`` takes from ``row``, writing F's image into
         ``dF``."""
         n, M, C, K, F0 = self.n, self.M, self.C, self.K, self.F0
-        W = row[self.W]
-        # theta_j is row 1 + j of W^T from column jC on
-        theta = as_strided(W[K:], (M, C), ((K + C) * W.itemsize, W.itemsize))
+        W, W1 = row[self.W], self.W.start + K
+        # theta_j is row 1 + j of W^T from column jC on; the row runs past W
+        theta = row[W1:W1 + M * (K + C)].reshape(M, K + C)[:, :C]
         if self.rho:
             refresh = (theta, W[M * C:M * C + M, None],
                        W[:M * C].reshape(M, C))
@@ -134,7 +132,7 @@ def _stepper(L, G, n, n_ab):
     dF and G ab into dW."""
     epsb = np.empty(n)
     ab = np.empty(n_ab)
-    # bound .dot methods skip the __array_function__ dispatch of np.dot
+    # the arrays' .dot methods skip the __array_function__ dispatch of np.dot
     Ldot, Gdot, scale, div = L.dot, G.dot, np.multiply, np.divide
 
     def step(v):
@@ -218,41 +216,32 @@ class RowBuffer:
         return None
 
 
-def run(law: Law, r_all, store, projection=None, f2=None):
+def run(law: Law, r_all, store, after_step=None):
     """Step ``law`` in discrete time over the samples ``r_all`` of r.
 
     Row i + 1 receives F(t + 1) = L [F, r, u] and W(t + 1) = W + G ab from
-    row i, and ``store(rows, t0)`` the finished rows of each chunk. With a
-    ``projection``, a theta2 that leaves its signed bound lands on it, in
-    every copy ``law.theta2(W)`` names, and step t's correction goes into
-    ``f2[t]``. Nothing in a discrete step raises, so the divergence rule
-    runs once per chunk. Returns the divergence step: the first at which an
-    element of x, u or m^2 is not finite, or None.
+    row i, and ``store(rows, t0)`` the finished rows of each chunk.
+    ``after_step(row)``, called once per row, returns the hook that step t
+    calls, with t, once it has written its state into that row. Nothing in
+    a discrete step raises, so the divergence rule runs once per chunk.
+    Returns the divergence step: the first at which an element of x, u or
+    m^2 is not finite, or None.
     """
     rows = RowBuffer(law, law.z0, r_all.shape[0])
     buf, probe = rows.buf, rows.probe
     steps = [(law.views(buf[i], buf[i + 1, law.F]), buf[i, law.W],
-              buf[i, law.dW], buf[i + 1, law.W]) for i in range(rows.size)]
-    if projection is not None:
-        signs, lower = projection.signs, projection.theta2_lower
-        signs_l, lower_l = signs.tolist(), lower.tolist()
-        landing = [law.theta2(buf[i + 1, law.W]) for i in range(rows.size)]
+              buf[i, law.dW], buf[i + 1, law.W],
+              None if after_step is None else after_step(buf[i + 1]))
+             for i in range(rows.size)]
     step, add = law.step, np.add
 
     def chunk(t0, count):
         for i in range(count):
-            v, W, dW, Wn = steps[i]
+            v, W, dW, Wn, hook = steps[i]
             step(v)
             add(W, dW, Wn)
-            if projection is not None and any(
-                    map(lt, map(mul, signs_l, landing[i][0].tolist()),
-                        lower_l)):
-                # land exactly as the gradient-then-correction form
-                cand = landing[i][0].copy()
-                f2[t0 + i] = np.where(signs * cand < lower,
-                                      signs * lower - cand, 0.0)
-                for th2 in landing[i]:
-                    th2 += f2[t0 + i]
+            if hook is not None:
+                hook(t0 + i)
         return count, first_nonfinite(buf[:count], probe)
 
     return rows.run(r_all, store, chunk)

@@ -1,8 +1,9 @@
 """Command-line surface: validate, run, batch, example.
 
-Exit codes: 0 success, 1 validation error, 2 runtime divergence,
-3 invariant violation under --strict. ``batch`` prints every row, then
-exits 1 if any member is invalid or failed, else 2 if any diverged, else 0.
+Exit codes: 0 success, 1 validation error, 2 divergence or ``run failed``
+(e.g. SingularGainError), 3 invariant violation under --strict. ``batch``
+prints every row, then exits 1 if any member is invalid or failed, else 2
+if any diverged, else 0.
 """
 
 from __future__ import annotations

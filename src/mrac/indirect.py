@@ -22,6 +22,7 @@ each is followed literally).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import lt, mul
 
 import numpy as np
 
@@ -29,7 +30,8 @@ from . import _rows
 from ._rows import Law, block
 from .diagnostics import SimulationTrace, indirect_V_series
 from .direct import (SOLVE, InitialConditions, _check_run_args,
-                     _diagonal_match, _finish_trace, _matching)
+                     _diagonal_match, _finish_trace, _matching, _sym_check,
+                     stack_controller_gains)
 from .errors import GainError, ModelError, ProjectionError, SingularGainError
 # solve_matching stays a module attribute: the benchmark's tracer wraps it
 # here by name
@@ -42,7 +44,8 @@ class ProjectionConfig:
     """Sign priors and the lower bound theta2_lower = 1 / k2_upper.
 
     ``enabled=False`` keeps the raw gradient law; controller recovery then
-    raises on sub-threshold estimates instead of being protected.
+    raises on sub-threshold estimates instead of being protected. Each
+    theta2 rule lives here once: below, in ``_floor`` and in ``_ct_guards``.
     """
 
     theta2_lower: np.ndarray  # (M,) positive
@@ -77,6 +80,85 @@ class ProjectionConfig:
     def n_inputs(self) -> int:
         return self.signs.shape[0]
 
+    def check_start(self, theta):
+        """Reject initial estimates ``theta`` ((n+M, M) column layout) whose
+        theta2 diagonal is outside the bound."""
+        for j, t2 in enumerate(np.diagonal(theta[-theta.shape[1]:])):
+            if self.signs[j] * t2 < self.theta2_lower[j]:
+                raise ProjectionError(
+                    f"initial theta2[{j}]={t2:.6g} violates sign/lower-bound "
+                    f"(need sign {self.signs[j]:+.0f}, magnitude >= "
+                    f"{self.theta2_lower[j]:.6g})")
+
+    def holds(self, theta2) -> bool:
+        """The run invariant: every theta2 of ``theta2`` (steps x M) inside
+        its bound, up to 1e-12."""
+        return bool(np.all(self.signs * theta2 >= self.theta2_lower - 1e-12))
+
+    def landing(self, law, f2):
+        """The discrete landing, ``_rows.run``'s ``after_step``: step t lands
+        a theta2 it left outside the bound on it, in every copy ``law.theta2``
+        names, gradient then correction, with the correction in ``f2[t]``."""
+        signs, lower = self.signs, self.theta2_lower
+        signs_l, lower_l = signs.tolist(), lower.tolist()
+
+        def after_step(row):
+            copies = law.theta2(row[law.W])
+            first = copies[0]
+
+            def land(t):
+                if any(map(lt, map(mul, signs_l, first.tolist()), lower_l)):
+                    cand = first.copy()
+                    f2[t] = np.where(signs * cand < lower,
+                                     signs * lower - cand, 0.0)
+                    for th2 in copies:
+                        th2 += f2[t]
+
+            return land
+
+        return after_step
+
+    def rate(self, theta2, g2):
+        """The continuous-time correction of theta2's raw rate ``g2``: -g2
+        where ``_nulls`` holds, else 0."""
+        return np.where(_nulls(self.signs, theta2, self.theta2_lower, g2),
+                        -g2, 0.0)
+
+    def clamp(self, at):
+        """``clamp(z)``: snap each theta2 of z, at the flat positions ``at``
+        (copies x M), back onto the signed bound where integration landed
+        it a hair inside."""
+        at_l = np.asarray(at).ravel().tolist()
+        copies = len(at_l) // self.n_inputs
+        signs_l = self.signs.tolist() * copies
+        lower_l = self.theta2_lower.tolist() * copies
+        bound_l = (self.signs * self.theta2_lower).tolist() * copies
+
+        def clamp(z):
+            for p, t, s, lo, b in zip(at_l, z.take(at_l).tolist(), signs_l,
+                                      lower_l, bound_l):
+                if s * t < lo:
+                    z[p] = b
+
+        return clamp
+
+
+def _nulls(s, theta2, lower, g2):
+    """Whether the continuous-time projection nulls theta2's rate ``g2``: on
+    (or past) the bound, up to 1e-12, and outward. Floats or arrays."""
+    return (s * theta2 <= lower + 1e-12) & (s * g2 < 0.0)
+
+
+def _floor(projection: ProjectionConfig | None, M: int, stage=False):
+    """The invertibility floor of |theta2|, less 1e-15: theta2_lower under a
+    projection, enabled or not, else 1e-12; half theta2_lower at the
+    integration stages of an enabled one, which may sit a hair inside."""
+    floor = (np.full(M, 1e-12) if projection is None
+             else projection.theta2_lower)
+    if stage and projection is not None and projection.enabled:
+        floor = 0.5 * floor
+    return floor - 1e-15
+
 
 @dataclass(frozen=True)
 class IndirectGainConfig:
@@ -103,8 +185,7 @@ class IndirectGainConfig:
         if n < 1:
             raise GainError(f"Gamma block size {n_w} too small for M={M}")
         for j in range(M):
-            if not np.allclose(G[j], G[j].T, atol=1e-10, rtol=0.0):
-                raise GainError(f"Gamma[{j}] must be symmetric")
+            _sym_check(G[j], f"Gamma[{j}]")
             eig = np.linalg.eigvalsh(G[j])
             if eig[0] <= 0.0:
                 raise GainError(f"Gamma[{j}] must be positive definite")
@@ -126,13 +207,8 @@ class IndirectGainConfig:
         return self.Gamma.shape[0]
 
 
-def stack_plant_estimate(Theta1, Theta2) -> np.ndarray:
-    """Stack (Theta1, Theta2) into the (n+M, M) column layout."""
-    T1 = np.asarray(Theta1, dtype=float)
-    T2 = np.atleast_2d(np.asarray(Theta2, dtype=float))
-    if T1.ndim == 1:
-        T1 = T1.reshape(-1, 1)
-    return np.vstack([T1, T2.T])
+# (Theta1, Theta2) stack into the (n+M, M) column layout as (K1, K2) do
+stack_plant_estimate = stack_controller_gains
 
 
 def theta_star_indirect(K1, K2) -> np.ndarray:
@@ -144,65 +220,6 @@ def theta_star_indirect(K1, K2) -> np.ndarray:
         K1 = K1.reshape(-1, 1)
     K2inv = np.linalg.inv(K2)
     return stack_plant_estimate(K1 @ K2inv.T, K2inv)
-
-
-def check_projection_start(theta, projection: ProjectionConfig):
-    """Reject initial estimates that violate the projection preconditions."""
-    th = np.asarray(theta, dtype=float)
-    if th.ndim == 1:
-        th = th.reshape(-1, 1)
-    M = th.shape[1]
-    for j in range(M):
-        t2 = th[-M + j, j]
-        if projection.signs[j] * t2 < projection.theta2_lower[j]:
-            raise ProjectionError(
-                f"initial theta2[{j}]={t2:.6g} violates sign/lower-bound "
-                f"(need sign {projection.signs[j]:+.0f}, magnitude >= "
-                f"{projection.theta2_lower[j]:.6g})"
-            )
-
-
-def _ct_projection_rate(theta2, g2, projection: ProjectionConfig):
-    """Derivative-nulling form: on (or past) the bound with an outward raw
-    derivative, cancel it; otherwise leave the law untouched."""
-    on_boundary = projection.signs * theta2 <= projection.theta2_lower + 1e-12
-    outward = projection.signs * g2 < 0.0
-    return np.where(on_boundary & outward, -g2, 0.0)
-
-
-def _outward(projection: ProjectionConfig):
-    """``fires(theta2, g2)`` over lists of floats: whether
-    ``_ct_projection_rate`` nulls any rate, that is whether some theta2
-    sits on (or past) its bound with an outward rate."""
-    signs_l = projection.signs.tolist()
-    edge_l = (projection.theta2_lower + 1e-12).tolist()
-
-    def fires(theta2, g2):
-        for s, t, e, g in zip(signs_l, theta2, edge_l, g2):
-            if s * t <= e and s * g < 0.0:
-                return True
-        return False
-
-    return fires
-
-
-def _theta2_clamp(projection: ProjectionConfig, at):
-    """``clamp(z)``: snap each theta2 of z, at the flat positions ``at``
-    (copies x M), back onto the signed bound where integration landed it a
-    hair inside."""
-    at_l = np.asarray(at).ravel().tolist()
-    copies = len(at_l) // projection.n_inputs
-    signs_l = projection.signs.tolist() * copies
-    lower_l = projection.theta2_lower.tolist() * copies
-    edge_l = (projection.signs * projection.theta2_lower).tolist() * copies
-
-    def clamp(z):
-        for p, t, s, lo, e in zip(at_l, z.take(at_l).tolist(), signs_l,
-                                  lower_l, edge_l):
-            if s * t < lo:
-                z[p] = e
-
-    return clamp
 
 
 def _indirect_law(A, B, Am, Bm, gains, P, x0, xm0, xhat0) -> Law:
@@ -297,7 +314,7 @@ def run_indirect_scenario(plant: PlantModel, ref: ReferenceModel,
         P[:, n:] *= np.eye(M)
     proj_on = projection is not None and projection.enabled
     if proj_on:
-        check_projection_start(P.T, projection)
+        projection.check_start(theta0)
     law = _indirect_law(plant.A, plant.B, ref.A_m, ref.B_m, gains, P, x0, xm0,
                         xhat0)
     if proj_on:
@@ -305,34 +322,31 @@ def run_indirect_scenario(plant: PlantModel, ref: ReferenceModel,
     rec, store = _rows.records(law.cols, T1)
     rec.setdefault("proj_g2", np.zeros((T1, M)))
     rec["proj_f2"] = np.zeros((T1, M))
-    floor = (projection.theta2_lower if projection is not None
-             else np.full(M, 1e-12))
     if plant.time_domain == DISCRETE:
         h = 1.0
         diverged_at = _rows.run(law, signal.sample(np.arange(T1, dtype=float)),
-                                store, projection if proj_on else None,
-                                rec["proj_f2"])
+                                store, projection.landing(law, rec["proj_f2"])
+                                if proj_on else None)
         # no update follows the final step
         rec["proj_g2"][horizon] = rec["proj_f2"][horizon] = 0.0
         # a step checks theta2 before its divergence probe
         reached = T1 if diverged_at is None else diverged_at + 1
         theta2 = rec["theta"][:reached, np.arange(n, C), np.arange(M)]
-        low = np.flatnonzero(np.any(np.abs(theta2) < floor - 1e-15, axis=1))
+        low = np.flatnonzero(np.any(np.abs(theta2) < _floor(projection, M),
+                                    axis=1))
         if low.size:
             raise SingularGainError(
                 f"theta2 diagonal {theta2[low[0]]} below the invertibility "
                 f"threshold at step {low[0]}")
     else:
-        # integration stages may sit a hair inside the projected region, so
-        # the stage guard only protects the division, not the boundary
         diverged_at = _rows.run_ct(
             law, law.z0, signal, horizon, h, method, integrate_ct, store,
             *_ct_guards(law, projection if proj_on else None,
-                        0.5 * floor if proj_on else floor))
+                        _floor(projection, M, stage=True)))
         if proj_on:
-            rec["proj_f2"] = _ct_projection_rate(
+            rec["proj_f2"] = projection.rate(
                 rec["theta"][:, np.arange(n, C), np.arange(M)],
-                rec["proj_g2"], projection)
+                rec["proj_g2"])
     rec["proj_fired"] = np.any(rec["proj_f2"] != 0.0, axis=1)
 
     def V_series(rec):
@@ -345,21 +359,23 @@ def run_indirect_scenario(plant: PlantModel, ref: ReferenceModel,
                          None if match is None else V_series)
 
 
-def _ct_guards(law, projection, floor):
+def _ct_guards(law, projection, floor=None):
     """``after_step`` and ``adjust`` of a continuous-time run (see
-    ``_rows.run_ct``): a row whose theta2 is below ``floor`` raises, and
-    with a ``projection`` theta2's outward rate on the bound is nulled and
-    every copy of theta2 in z snaps onto the bound after each step."""
-    nK, th2 = law.nK, law.th2
-    floor_l = (floor - 1e-15).tolist()
+    ``_rows.run_ct``) of a law whose theta2 is ``law.th2`` of W, every copy
+    at ``law.theta2_at``: a row with |theta2| below ``floor`` raises, and a
+    ``projection`` nulls theta2's outward rate on the bound and snaps every
+    copy of theta2 in z onto the bound after each step."""
+    floor_l = [] if floor is None else floor.tolist()
     clamp = None
     if projection is not None:
         # theta2's positions in z = [F, W] and in its rate [dF, dW]
-        at = nK + law.theta2_at
-        fires, clamp = _outward(projection), _theta2_clamp(projection, at)
+        at = law.nF + law.theta2_at
+        clamp = projection.clamp(at)
+        signs_l, lower_l = (projection.signs.tolist(),
+                            projection.theta2_lower.tolist())
 
     def adjust(row):
-        theta2, g2 = row[law.W][th2], row[law.dW][th2]
+        theta2, g2 = row[law.W][law.th2], row[law.dW][law.th2]
 
         def check(dz):
             t2 = theta2.tolist()
@@ -368,11 +384,12 @@ def _ct_guards(law, projection, floor):
                     raise SingularGainError(
                         f"theta2 diagonal {theta2} below the invertibility "
                         "threshold")
-            if projection is not None and fires(t2, g2.tolist()):
+            if projection is not None and any(
+                    map(_nulls, signs_l, t2, lower_l, g2.tolist())):
                 # a copy, so that the row keeps recording the unadjusted
                 # rate
                 dz = dz.copy()
-                dz[at] += _ct_projection_rate(theta2, g2, projection)
+                dz[at] += projection.rate(theta2, g2)
             return dz
 
         return check

@@ -10,18 +10,18 @@ one fixed-step scheme.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import _rows
 from .diagnostics import SimulationTrace, value_series
-from .direct import SOLVE, InitialConditions, _finish_trace, _matching
+from .direct import (SOLVE, InitialConditions, _finish_trace, _matching,
+                     _sym_check)
 from .errors import GainError, ModelError
-from .indirect import (ProjectionConfig, _ct_projection_rate, _outward,
-                       _theta2_clamp, check_projection_start,
-                       stack_plant_estimate, theta_star_indirect)
+from .indirect import ProjectionConfig, _ct_guards, theta_star_indirect
 # the benchmark's tracer wraps solve_matching here by name
 from .systems import (CONTINUOUS, PlantModel, ReferenceModel,  # noqa: F401
                       ReferenceSignal, integrate_ct, is_hurwitz, solve_matching)
@@ -98,8 +98,7 @@ class LyapunovDirectGains:
         if self.Gamma is None or self.gamma is None or self.sign_k2 is None:
             raise GainError("need either S_p or the (Gamma, gamma, sign_k2) triple")
         G = np.atleast_2d(np.asarray(self.Gamma, dtype=float))
-        if not np.allclose(G, G.T, atol=1e-10, rtol=0.0):
-            raise GainError("Gamma must be symmetric")
+        _sym_check(G, "Gamma")
         if np.min(np.linalg.eigvalsh(G)) <= 0.0:
             raise GainError("Gamma must be positive definite")
         if self.gamma <= 0.0:
@@ -127,8 +126,7 @@ class LyapunovIndirectGains:
         G2 = np.atleast_2d(np.asarray(self.Gamma2, dtype=float))
         if self.theta1_law not in ("standard", "transposed"):
             raise GainError(f"unknown theta1 law {self.theta1_law!r}")
-        if not np.allclose(G1, G1.T, atol=1e-10, rtol=0.0):
-            raise GainError("Gamma1 must be symmetric")
+        _sym_check(G1, "Gamma1")
         if np.min(np.linalg.eigvalsh(G1)) <= 0.0:
             raise GainError("Gamma1 must be positive definite")
         if np.any(G2 * (1.0 - np.eye(G2.shape[0])) != 0.0):
@@ -139,24 +137,14 @@ class LyapunovIndirectGains:
         object.__setattr__(self, "Gamma2", G2)
 
 
-@dataclass
-class LyapunovLoop:
-    """Packed closed-loop system for one Lyapunov scheme: the scheme on a
-    work row (``law``, a ``_rows.Layout`` with ``step``, ``views`` and the
-    record columns ``cols``, keyed by trace field), the joint rhs over the
-    packed state, ``pack``, the certificate, and V of one packed state and
-    ``V_series(x, x_m, xhat, theta)`` along records (both None when the
-    scenario is not matchable)."""
-
-    mode: str
-    n: int
-    M: int
-    ct: LyapunovCertificate
-    law: _rows.Layout
-    rhs: Callable
-    pack: Callable
-    V: Optional[Callable]
-    V_series: Optional[Callable]
+# one Lyapunov scheme's packed closed loop: the scheme on a work row
+# (``law``, a ``_rows.Layout`` with ``step``, ``views`` and the record
+# columns ``cols``, keyed by trace field), the projection's ``after_step``
+# and ``adjust`` hooks of ``_rows.run_ct`` (or None), the joint rhs, ``pack``,
+# the certificate ``ct``, and V of one packed state and ``V_series(x, x_m,
+# xhat, theta)`` along records (None when the scenario is not matchable)
+LyapunovLoop = namedtuple("LyapunovLoop",
+                          "mode n M ct law guards rhs pack V V_series")
 
 
 def build_lyapunov_loop(plant: PlantModel, ref: ReferenceModel,
@@ -268,7 +256,6 @@ def build_lyapunov_loop(plant: PlantModel, ref: ReferenceModel,
                 return base + (t1 + d2[:, 0, 0] ** 2 / gains.gamma) / k2s
 
     else:
-        proj_on = projection is not None and projection.enabled
         G1 = gains.Gamma1
         G1dot = G1.dot
         standard = gains.theta1_law == "standard"
@@ -276,21 +263,21 @@ def build_lyapunov_loop(plant: PlantModel, ref: ReferenceModel,
         Wp = Bm.T @ P
         Wc = np.hstack([np.zeros((M, n)), Wp, -Wp])  # on [x_m, xhat, x]
         Wcdot = Wc.dot
-        if proj_on:
-            fires = _outward(projection)
         # scratch: w, Gamma1 w, -diag(Gamma2) w and Gamma1 x; the rate of
         # theta2's off-diagonal entries is never written and stays zero
         law = _rows.Layout(0, nF, M, 3 * M + n, C * M)
         R, U, W, dW = law.R, law.U, law.W, law.dW
         nM = n * M
+        # the Theta2 diagonal, which closes W (and dW)
+        law.th2 = th2 = slice(nM, None, M + 1)
 
         def views(row, dF):
             mid, x, T, dT = row[U.stop:W.start], row[X0:nF], row[W], row[dW]
             wv, g1, g, d1 = mid[:M], mid[M:2 * M], mid[2 * M:3 * M], mid[3 * M:]
             return (row[R], row[U], row[:U.stop], wv, wv[None, :], g1,
                     g1[None, :], g, d1, d1[:, None], x[:, None], x, row[:nF],
-                    T[:nM].reshape(n, M), T[nM::M + 1], dF,
-                    dT[:nM].reshape(n, M), dT[nM::M + 1])
+                    T[:nM].reshape(n, M), T[th2], dF,
+                    dT[:nM].reshape(n, M), dT[th2])
 
         def step(v):
             (rw, u, lin, wv, wrow, g1, g1row, g, d1, d1col, xcol, x, Fw, T1,
@@ -308,8 +295,6 @@ def build_lyapunov_loop(plant: PlantModel, ref: ReferenceModel,
                 scale(xcol, g1row, dT1)
             scale(negG2, wv, g)
             scale(g, u, g2)
-            if proj_on and fires(theta2.tolist(), g2.tolist()):
-                g2 += _ct_projection_rate(theta2, g2.copy(), projection)
 
         def pack(x, xm, T1, T2, xh):
             return np.concatenate([np.asarray(xm, float).reshape(n),
@@ -348,10 +333,13 @@ def build_lyapunov_loop(plant: PlantModel, ref: ReferenceModel,
     law.cols = {"x": np.arange(X0, nF), "x_m": np.arange(n),
                 "u": np.arange(U.start, U.stop),
                 "theta": W.start + np.arange(C * M).reshape(C, M)}
+    guards = (None, None)
     if mode == "indirect":
         law.cols["x_hat"] = np.arange(n, 2 * n)
-        # the positions in W of the Theta2 diagonal, which closes it
-        law.theta2_at = nM + (M + 1) * np.arange(M)
+        law.theta2_at = np.arange(C * M)[law.th2]
+        if projection is not None and projection.enabled:
+            guards = _ct_guards(law, projection)
+    adjust = guards[1]
 
     def rhs(tau, z):
         # the field at z on a fresh row, with r read at tau
@@ -359,10 +347,11 @@ def build_lyapunov_loop(plant: PlantModel, ref: ReferenceModel,
         row[:nF], row[W] = z[:nF], z[nF:]
         row[law.R] = signal.at(tau)
         step(views(row, row[law.dF]))
-        return row[law.dF.start:]
+        dz = row[law.dF.start:]
+        return dz if adjust is None else adjust(row)(dz)
 
-    return LyapunovLoop(mode=mode, n=n, M=M, ct=cert, law=law, rhs=rhs,
-                        pack=pack, V=V, V_series=V_series)
+    return LyapunovLoop(mode=mode, n=n, M=M, ct=cert, law=law, guards=guards,
+                        rhs=rhs, pack=pack, V=V, V_series=V_series)
 
 
 def run_lyapunov_scenario(plant: PlantModel, ref: ReferenceModel,
@@ -393,24 +382,18 @@ def run_lyapunov_scenario(plant: PlantModel, ref: ReferenceModel,
     x0, xm0, theta0, _, xhat0 = init.resolved(n, C, M)
     T1blk = theta0[:n]
     T2blk = theta0[n:].T
-    proj_on = projection is not None and projection.enabled
     if mode == "indirect":
         if M > 1:
             T2blk = T2blk * np.eye(M)
-        if proj_on:
-            check_projection_start(stack_plant_estimate(T1blk, T2blk), projection)
+        if projection is not None and projection.enabled:
+            projection.check_start(theta0)
         z = loop.pack(x0, xm0, T1blk, T2blk, xhat0)
     else:
         z = loop.pack(x0, xm0, T1blk, T2blk)
 
     rec, store = _rows.records(loop.law.cols, horizon + 1)
-    after_step = None
-    if mode == "indirect" and proj_on:
-        after_step = _theta2_clamp(projection,
-                                   loop.law.nF + loop.law.theta2_at)
-
     diverged_at = _rows.run_ct(loop.law, z, signal, horizon, h, method,
-                               integrate_ct, store, after_step)
+                               integrate_ct, store, *loop.guards)
 
     def V_series(rec):
         return value_series(loop.V_series(rec["x"], rec["x_m"],

@@ -27,7 +27,8 @@ from .diagnostics import (SimulationTrace, check_delta_V,  # noqa: F401
                           direct_V_series, indirect_V_series, tracking_metrics)
 from .direct import (DirectGainConfig, InitialConditions, _matching,
                      run_direct_scenario, stack_controller_gains)
-from .errors import ConfigError, GainError, ModelError, ToolkitError
+from .errors import (ConfigError, GainError, ModelError,
+                     ProjectionError, ToolkitError)
 # the benchmark's tracer wraps solve_matching here by name
 from .systems import (CONTINUOUS, DISCRETE, PlantModel,  # noqa: F401
                       ReferenceModel, ReferenceSignal, solve_matching)
@@ -423,6 +424,14 @@ def config_from_dict(data: dict) -> ScenarioConfig:
                 built["init"] = resolve_init(cfg["init"], scheme, match)
             except ConfigError as exc:
                 errors.extend(exc.errors)
+    # the indirect runners' start check, on the resolved estimates
+    proj, init = built.get("projection"), built.get("init")
+    if proj is not None and proj.enabled and init is not None:
+        n, M = dims
+        try:
+            proj.check_start(init.resolved(n, n + M, M)[2])
+        except ProjectionError as exc:
+            errors.append(f"init: {exc}")
     directory = cfg.get("output", {}).get("dir")
     if directory is not None and (head := blocked_dir(directory)):
         errors.append(f"output.dir: {head} is not a directory")
@@ -545,9 +554,8 @@ def _invariant_report(cfg: ScenarioConfig, trace: SimulationTrace) -> dict:
     M, n, proj = b.plant.n_inputs, b.plant.n, b.projection
     if cfg.scheme == "indirect_gradient" and trace.steps and proj is not None \
             and proj.enabled:
-        theta2 = np.diagonal(trace.theta[:, n:, :], axis1=1, axis2=2)
-        report["projection_ok"] = bool(np.all(
-            proj.signs * theta2 >= proj.theta2_lower - 1e-12))
+        report["projection_ok"] = proj.holds(
+            np.diagonal(trace.theta[:, n:, :], axis1=1, axis2=2))
     # the multi-input laws keep Theta2, and K2 when enforced, diagonal
     diag_key = {"direct_gradient": "k2_diag_ok",
                 "indirect_gradient": "theta2_diag_ok"}.get(cfg.scheme)

@@ -15,7 +15,6 @@ import numpy as np
 from mrac import (NumericsError, SingularGainError, integrate_ct,
                   solve_lyapunov_ct, solve_matching, stack_controller_gains,
                   stack_plant_estimate, theta_star_indirect)
-from mrac.indirect import _ct_projection_rate
 
 
 def _clamp_theta2(block, projection):
@@ -25,6 +24,19 @@ def _clamp_theta2(block, projection):
     for j in range(theta2.shape[0]):
         if projection.signs[j] * theta2[j] < projection.theta2_lower[j]:
             theta2[j] = projection.signs[j] * projection.theta2_lower[j]
+
+
+def projection_rate(theta2, g2, projection):
+    """The derivative-nulling projection, entry by entry: where theta2_j
+    sits on (or past) its signed bound, within 1e-12, and its raw rate
+    points outward, the correction cancels the rate; elsewhere it is 0.
+    The oracles' own copy of the runners' rule."""
+    f2 = np.zeros_like(g2)
+    for j, (t, g) in enumerate(zip(theta2, g2)):
+        s = projection.signs[j]
+        if s * t <= projection.theta2_lower[j] + 1e-12 and s * g < 0.0:
+            f2[j] = -g
+    return f2
 
 
 def lyapunov_direct_derivatives(e, x, r, P, B_m, gains):
@@ -54,9 +66,8 @@ def lyapunov_indirect_derivatives(Theta2, e_x, x, u, P, B_m, gains,
     if dT2.shape[0] > 1:
         dT2 = dT2 * np.eye(dT2.shape[0])  # non-diagonal entries stay zero
     if projection is not None and projection.enabled:
-        dT2 = dT2 + np.diag(_ct_projection_rate(np.diag(Theta2).copy(),
-                                                np.diag(dT2).copy(),
-                                                projection))
+        dT2 = dT2 + np.diag(projection_rate(np.diag(Theta2), np.diag(dT2),
+                                            projection))
     return dT1, dT2
 
 
@@ -196,7 +207,7 @@ def replay_indirect_ct(plant, ref, signal, gains, projection, init, horizon,
             g[:, n:] *= eyeM
         if proj_on:
             g2 = g.ravel()[diag_flat]
-            f2 = _ct_projection_rate(theta2, g2, projection)
+            f2 = projection_rate(theta2, g2, projection)
             gflat = g.ravel()
             gflat[diag_flat] += f2
             g = gflat.reshape(M, C)
@@ -229,7 +240,7 @@ def replay_indirect_ct(plant, ref, signal, gains, projection, init, horizon,
             rec["theta"][k] = P.T; rec["x_hat"][k] = xh
             if proj_on:
                 g2 = -(Gbd @ (S.T @ (eps / m2))).reshape(M, C).ravel()[diag_flat]
-                f2 = _ct_projection_rate(theta2, g2, projection)
+                f2 = projection_rate(theta2, g2, projection)
                 rec["proj_g2"][k] = g2; rec["proj_f2"][k] = f2
                 rec["proj_fired"][k] = bool(np.any(f2 != 0.0))
             if k == horizon:

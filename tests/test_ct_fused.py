@@ -336,7 +336,7 @@ class TestOneIntegrationPerStep:
 class TestTheta2Positions:
     @pytest.mark.parametrize("M", [1, 2])
     def test_indirect_positions_name_every_theta2_copy(self, M):
-        from mrac.indirect import _ct_guards, _indirect_law
+        from mrac.indirect import _ct_guards, _floor, _indirect_law
         plant, ref, K1s, K2s = random_matchable_instance(3, M, 4, "continuous")
         gains = IndirectGainConfig(Gamma=np.stack([np.eye(3 + M)] * M),
                                    time_domain="continuous")
@@ -361,7 +361,7 @@ class TestTheta2Positions:
         signs = np.sign(np.diag(K2s))
         lower = 0.5 * np.abs(np.diag(K2s))
         proj = ProjectionConfig(theta2_lower=lower, signs=signs)
-        clamp, _ = _ct_guards(law, proj, lower)
+        clamp, _ = _ct_guards(law, proj, _floor(proj, M, stage=True))
         z = np.random.default_rng(M).normal(size=law.z0.shape[0])
         at = law.nF + law.theta2_at
         # the first copies inside the bound, the second outside it
@@ -374,12 +374,13 @@ class TestTheta2Positions:
 
     @pytest.mark.parametrize("M", [1, 2])
     def test_lyapunov_positions_name_the_theta2_diagonal(self, M):
-        from mrac.indirect import _theta2_clamp
         from mrac.lyapunov import build_lyapunov_loop
         plant, ref, K1s, K2s = random_matchable_instance(3, M, 5, "continuous")
         signal = ReferenceSignal.constant(np.ones(M))
         gains = LyapunovIndirectGains(Gamma1=np.eye(3), Gamma2=np.eye(M))
-        loop = build_lyapunov_loop(plant, ref, signal, "indirect", gains)
+        signs, lower = np.ones(M), np.full(M, 1.5)
+        proj = ProjectionConfig(theta2_lower=lower, signs=signs)
+        loop = build_lyapunov_loop(plant, ref, signal, "indirect", gains, proj)
         law = loop.law
         T2 = np.diag(1.0 + np.arange(M))
         z = loop.pack(np.ones(3), np.ones(3), np.ones((3, M)), T2, np.ones(3))
@@ -389,10 +390,11 @@ class TestTheta2Positions:
         row = np.zeros(law.width)
         row[law.W] = z[law.nF:]
         assert np.array_equal(law.views(row, row[law.dF])[14], np.diag(T2))
+        # and so do the guards, through law.th2
+        assert np.array_equal(row[law.W][law.th2], np.diag(T2))
 
-        signs, lower = np.ones(M), np.full(M, 1.5)
-        clamp = _theta2_clamp(ProjectionConfig(theta2_lower=lower,
-                                               signs=signs), at)
+        # the loop's after_step is the projection's clamp
+        clamp = loop.guards[0]
         before = z.copy()
         clamp(z)
         assert z[at[0]] == 1.5

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from mrac import (GainError, IndirectGainConfig, InitialConditions,
                   SingularGainError, check_delta_V, indirect_V_series,
                   integrate_ct, run_indirect_scenario, solve_matching,
                   stack_plant_estimate, theta_star_indirect)
-from mrac.indirect import _ct_projection_rate
+from ct_oracle import projection_rate
 from conftest import K1_TRUE, K2_TRUE, ct_instance, mimo_indirect_case
 
 THETA1_TRUE = np.array([-0.95, -2.2])  # k1*/k2*
@@ -75,25 +76,39 @@ class TestEpsilon:
 
 
 class TestProjection:
-    """The oracle's projection landing, by hand; the runner's is checked in
+    """The projection landing by hand, in the oracle and in
+    ``ProjectionConfig.landing``, the runners' hook, which must agree with
+    it; the runner's use of it is checked in
     ``TestScenario.test_projection_fires_and_invariants_hold``."""
 
     def _gains(self):
         return IndirectGainConfig(Gamma=np.eye(2), time_domain="discrete")
+
+    def _landed(self, proj, theta, eps, frame):
+        # the oracle's step, and the hook landing its gradient step's theta2
+        # in a row holding two copies of it
+        nxt, g2, f2 = indirect_step(self._gains(), proj, np.array(theta),
+                                    eps, frame)
+        row = np.full(2, theta[1][0] + g2[0])
+        law = SimpleNamespace(W=slice(0, 2), theta2=lambda W: (W[:1], W[1:]))
+        f2_rec = np.zeros((3, 1))
+        proj.landing(law, f2_rec)(row)(1)
+        assert np.array_equal(row, [nxt[1, 0]] * 2)
+        assert np.array_equal(f2_rec, [[0.0], f2, [0.0]])
+        return nxt, g2, f2
 
     def _step(self, theta, sign, zeta_1, eps):
         proj = ProjectionConfig(theta2_lower=1.0, signs=sign)
         z = np.zeros((1, 1, 2))
         z[0, 0, 1] = zeta_1
         frame = toy_frame(z, np.zeros((1, 1)), 1.0)
-        return indirect_step(self._gains(), proj, np.array(theta), eps, frame)
+        return self._landed(proj, theta, eps, frame)
 
     def test_interior_zero_epsilon(self):
         theta = np.array([[0.5], [1.5]])
         proj = ProjectionConfig(theta2_lower=1.0, signs=1.0)
         frame = toy_frame(np.ones((1, 1, 2)), np.zeros((1, 1)), 1.0)
-        nxt, g2, f2 = indirect_step(self._gains(), proj, theta,
-                                    np.array([0.0]), frame)
+        nxt, g2, f2 = self._landed(proj, theta, np.array([0.0]), frame)
         assert np.all(nxt == theta)
         assert f2[0] == 0.0
 
@@ -184,12 +199,27 @@ class TestContinuousUpdate:
         # on the bound, an outward theta2 rate is cancelled and an inward
         # one is left alone
         proj = ProjectionConfig(theta2_lower=1.0, signs=1.0)
-        out = _ct_projection_rate(np.array([1.0]), np.array([-0.5]), proj)
+        out = proj.rate(np.array([1.0]), np.array([-0.5]))
         assert out[0] == 0.5
-        assert _ct_projection_rate(np.array([1.0]), np.array([0.5]),
-                                   proj)[0] == 0.0
-        assert _ct_projection_rate(np.array([1.5]), np.array([-0.5]),
-                                   proj)[0] == 0.0
+        assert proj.rate(np.array([1.0]), np.array([0.5]))[0] == 0.0
+        assert proj.rate(np.array([1.5]), np.array([-0.5]))[0] == 0.0
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_rate_rule_matches_the_oracle_at_its_edges(self, sign):
+        # theta2 on the edge lower + 1e-12 still counts as on the bound, one
+        # ulp past it does not; a zero rate is not outward
+        proj = ProjectionConfig(theta2_lower=[1.0, 2.0], signs=[sign, sign])
+        edge = proj.theta2_lower + 1e-12
+        for t2, g2, fired in (
+                (edge, [-0.5, -0.25], True),
+                (np.nextafter(edge, np.inf), [-0.5, -0.25], False),
+                (proj.theta2_lower, [0.5, 0.0], False),
+                (0.5 * proj.theta2_lower, [-0.5, -0.25], True),
+                (proj.theta2_lower, [-0.0, -1e-300], True)):
+            theta2, g2 = sign * np.asarray(t2), sign * np.asarray(g2)
+            out = proj.rate(theta2, g2)
+            assert np.array_equal(out, projection_rate(theta2, g2, proj))
+            assert np.any(out != 0.0) == fired
 
     def test_interior_exponential_toy(self):
         # constructed so eps*zeta = theta with m=1 -> dtheta/dt = -theta

@@ -676,6 +676,51 @@ class TestCli:
         data["reference"]["A_m"] = [[0.0, 1.0], [-2.0, -1e-308]]
         self._assert_invalid(tmp_path, capsys, data, "gains.Q (default I)")
 
+    def test_projection_start_is_checked_at_load(self, tmp_path, capsys):
+        # the runners' start check used to run only in run, so validate
+        # accepted a start that run then refused with exit 2
+        tight = {"signs": 1, "k2_upper": 0.1}
+        discrete = dict(bench_dict(**INDIRECT, horizon=20), projection=tight,
+                        init={"theta_scale": 1.0})
+        ct = dict(ct_dict("lyapunov_indirect", {"Gamma1": 1.0, "Gamma2": 1.0},
+                          projection=tight), horizon=20)
+
+        def error(theta2):
+            return (f"init: initial theta2[0]={theta2} violates sign/lower-"
+                    "bound (need sign +1, magnitude >= 10)")
+
+        path = tmp_path / "start.json"
+        for data, theta2 in ((discrete, "2"), (ct, "2.5")):
+            path.write_text(json.dumps(data))
+            for verb in ("validate", "run"):
+                assert main([verb, str(path)]) == 1
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err.splitlines() == [
+                    f"invalid: {error(theta2)}"]
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"configs": [
+            dict(discrete, name="bad"), bench_dict(horizon=20, name="good")]}))
+        assert main(["batch", str(spec)]) == 1
+        rows = json.loads(capsys.readouterr().out)
+        assert [row["status"] for row in rows] == ["invalid", "ok"]
+        assert rows[0]["errors"] == [error("2")]
+        # a disabled projection checks no start; the run itself then
+        # refuses the singular Theta2, with exit 2
+        path.write_text(json.dumps(edited(discrete, "projection",
+                                          enabled=False)))
+        assert main(["validate", str(path)]) == 0
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "run failed: theta2 diagonal [2.] below the invertibility "
+            "threshold at step 0")
+        # a start on the bound runs
+        path.write_text(json.dumps(dict(
+            discrete, projection={"signs": 1, "theta2_lower": 2.0},
+            init={"theta0": [[-0.95], [-2.2], [2.0]]})))
+        assert main(["validate", str(path)]) == 0
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 0
+
     @staticmethod
     def _assert_invalid(tmp_path, capsys, data, field):
         bad = tmp_path / "bad.json"
