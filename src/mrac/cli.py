@@ -115,7 +115,7 @@ def write_gnuplot_dat(trace: SimulationTrace, path: str) -> None:
         _write_rows(fh, [trace.t, trace.e], " ")
 
 
-def _emit_outputs(run: ScenarioRun, out_dir: str | None) -> None:
+def _emit_outputs(run: ScenarioRun, out_dir: str | None, summary) -> None:
     cfg = run.config
     directory = out_dir or cfg.output["dir"]
     if directory is None:
@@ -126,7 +126,7 @@ def _emit_outputs(run: ScenarioRun, out_dir: str | None) -> None:
         write_trace_csv(run.trace, base + ".trace.csv")
     if cfg.output["summary"]:
         with open(base + ".summary.json", "w", encoding="utf-8") as fh:
-            json.dump(summary_dict(run), fh, indent=2, sort_keys=True)
+            json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
     if cfg.output["gnuplot"]:
         write_gnuplot_dat(run.trace, base + ".dat")
@@ -166,8 +166,8 @@ def cmd_run(args) -> int:
     except ToolkitError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 2
-    _emit_outputs(run, args.out)
     summary = summary_dict(run)
+    _emit_outputs(run, args.out, summary)
     print(json.dumps(summary, indent=2, sort_keys=True))
     if run.trace.diverged:
         print(f"diverged at step {run.trace.diverged_at}", file=sys.stderr)
@@ -183,16 +183,16 @@ def _batch_one(payload):
     try:
         cfg = config_from_dict(data)
         run = run_scenario(cfg)
-        _emit_outputs(run, out_dir)
         row = summary_dict(run)
+        _emit_outputs(run, out_dir, row)
         row["status"] = "diverged" if run.trace.diverged else "ok"
-        return idx, row
+        return row
     except ConfigError as exc:
-        return idx, {"name": data.get("name", f"run-{idx}"),
-                     "status": "invalid", "errors": exc.errors}
+        return {"name": data.get("name", f"run-{idx}"), "status": "invalid",
+                "errors": exc.errors}
     except ToolkitError as exc:
-        return idx, {"name": data.get("name", f"run-{idx}"),
-                     "status": "failed", "errors": [str(exc)]}
+        return {"name": data.get("name", f"run-{idx}"), "status": "failed",
+                "errors": [str(exc)]}
 
 
 def _set_dotted(data: dict, dotted: str, value) -> None:
@@ -290,18 +290,14 @@ def cmd_batch(args) -> int:
         print("\n".join(errors), file=sys.stderr)
         return 1
     payloads = [(i, data, args.out) for i, data in enumerate(members)]
-    rows: list[dict] = [None] * len(payloads)
     jobs = worker_count(args.jobs, len(payloads))
     if jobs > 1:
         # imported here: it costs every other invocation several ms
         import concurrent.futures
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            for idx, row in pool.map(_batch_one, payloads):
-                rows[idx] = row
+            rows = list(pool.map(_batch_one, payloads))
     else:
-        for payload in payloads:
-            idx, row = _batch_one(payload)
-            rows[idx] = row
+        rows = list(map(_batch_one, payloads))
     print(json.dumps(rows, indent=2, sort_keys=True))
     statuses = {row["status"] for row in rows}
     if statuses & {"invalid", "failed"}:

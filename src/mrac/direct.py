@@ -38,9 +38,14 @@ def stack_controller_gains(K1, K2) -> np.ndarray:
     return np.vstack([K1, K2.T])
 
 
-def _sym_check(G, label, atol=1e-10):
-    if not np.allclose(G, G.T, atol=atol, rtol=0.0):
+def _spd_check(G, label):
+    """The ascending eigenvalues of the symmetric positive definite ``G``."""
+    if not np.allclose(G, G.T, atol=1e-10, rtol=0.0):
         raise GainError(f"{label} must be symmetric")
+    eig = np.linalg.eigvalsh(G)
+    if eig[0] <= 0.0:
+        raise GainError(f"{label} must be positive definite")
+    return eig
 
 
 @dataclass(frozen=True)
@@ -52,7 +57,8 @@ class DirectGainConfig:
     conservative 0 < Gamma_j < k2_lower_j I (with the factor-of-two slack
     left on the table) and 0 < gamma_j < 2; with diagonal enforcement on,
     Gamma_j must additionally be block diagonal with a diagonal lower
-    block. Continuous time only needs positive definiteness.
+    block. Continuous time only needs positive definiteness and a finite
+    gamma > 0. k2_lower must be positive and finite in both.
     """
 
     Gamma: np.ndarray  # (M, n_w, n_w) after normalization
@@ -69,10 +75,12 @@ class DirectGainConfig:
             raise GainError("sign_k2 entries must be +1 or -1")
         lower = np.broadcast_to(
             np.atleast_1d(np.asarray(self.k2_lower, dtype=float)), (M,)).copy()
-        if np.any(lower <= 0.0):
-            raise GainError("k2 lower bounds must be positive")
+        if not np.all((lower > 0.0) & (lower < np.inf)):
+            raise GainError("k2 lower bounds must be positive and finite")
         gam = np.broadcast_to(
             np.atleast_1d(np.asarray(self.gamma, dtype=float)), (M,)).copy()
+        gamma_upper = 2.0 if self.time_domain == DISCRETE else np.inf
+        factor, tag = (2.0, "2*") if M == 1 else (1.0, "")
         G = np.asarray(self.Gamma, dtype=float)
         if G.ndim == 2:
             G = np.broadcast_to(G, (M,) + G.shape).copy()
@@ -83,32 +91,17 @@ class DirectGainConfig:
         if n < 1:
             raise GainError(f"Gamma block size {n_w} too small for M={M}")
         for j in range(M):
-            _sym_check(G[j], f"Gamma[{j}]")
-            eig = np.linalg.eigvalsh(G[j])
-            if eig[0] <= 0.0:
-                raise GainError(f"Gamma[{j}] must be positive definite")
-            if self.time_domain == DISCRETE:
-                if M == 1:
-                    if eig[-1] >= 2.0 * lower[j]:
-                        raise GainError(
-                            f"Gamma violates the 2*k2_lower bound: largest eigenvalue "
-                            f"{eig[-1]:.6g} >= {2.0 * lower[j]:.6g}"
-                        )
-                else:
-                    if eig[-1] >= lower[j]:
-                        raise GainError(
-                            f"Gamma[{j}] violates the k2_lower bound: largest eigenvalue "
-                            f"{eig[-1]:.6g} >= {lower[j]:.6g}"
-                        )
-                if not (0.0 < gam[j] < 2.0):
-                    raise GainError(f"gamma[{j}]={gam[j]:.6g} outside (0, 2)")
-            else:
-                if gam[j] <= 0.0:
-                    raise GainError(f"gamma[{j}] must be positive")
+            eig = _spd_check(G[j], f"Gamma[{j}]")
+            if self.time_domain == DISCRETE and eig[-1] >= factor * lower[j]:
+                raise GainError(
+                    f"{'Gamma' if M == 1 else f'Gamma[{j}]'} violates the "
+                    f"{tag}k2_lower bound: largest eigenvalue {eig[-1]:.6g} "
+                    f">= {factor * lower[j]:.6g}")
+            if not 0.0 < gam[j] < gamma_upper:
+                raise GainError(f"gamma[{j}]={gam[j]:.6g} outside "
+                                f"(0, {gamma_upper:g})")
             if M > 1 and self.enforce_diagonal_k2:
-                off = G[j][:n, n:]
-                tail = G[j][n:, n:]
-                if np.any(off != 0.0) or np.any(tail * (1.0 - np.eye(M)) != 0.0):
+                if np.any(G[j][:n, n:]) or np.any(G[j][n:, n:] * (1.0 - np.eye(M))):
                     raise GainError(
                         f"Gamma[{j}] must be block diagonal with a diagonal "
                         "K2 block when diagonal enforcement is on"
@@ -200,9 +193,9 @@ def _diagonal_match(match):
 def _finish_trace(scheme, domain, horizon, dt, diverged_at, rec,
                   V_series=None):
     """The trace of one run from its record arrays, keyed by trace field,
-    cut at the divergence step. ``m2`` holds m^2; without it eps and m are
-    NaN. ``V_series(rec)`` gives the run's LyapunovSeries, or None when V is
-    not defined."""
+    cut at the divergence step, with proj_fired where proj_f2 is not zero.
+    ``m2`` holds m^2; without it eps and m are NaN. ``V_series(rec)`` gives
+    the run's LyapunovSeries, or None when V is not defined."""
     steps = (horizon + 1) if diverged_at is None else diverged_at
     # the records belong to this run alone, so the trace keeps views of
     # them rather than a second copy
@@ -212,7 +205,8 @@ def _finish_trace(scheme, domain, horizon, dt, diverged_at, rec,
     else:
         rec["eps"] = np.full(rec["x"].shape, np.nan)
         rec["m"] = np.full(steps, np.nan)
-    rec.setdefault("proj_fired", np.zeros(steps, dtype=bool))
+    rec["proj_fired"] = np.any(rec.get("proj_f2", np.zeros((steps, 0))) != 0.0,
+                               axis=1)
     # finite records can still square or subtract to inf; that is their
     # value
     with np.errstate(over="ignore", invalid="ignore"):

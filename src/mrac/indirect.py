@@ -30,7 +30,7 @@ from . import _rows
 from ._rows import Law, block
 from .diagnostics import SimulationTrace, indirect_V_series
 from .direct import (SOLVE, InitialConditions, _check_run_args,
-                     _diagonal_match, _finish_trace, _matching, _sym_check,
+                     _diagonal_match, _finish_trace, _matching, _spd_check,
                      stack_controller_gains)
 from .errors import GainError, ModelError, ProjectionError, SingularGainError
 # solve_matching stays a module attribute: the benchmark's tracer wraps it
@@ -45,7 +45,7 @@ class ProjectionConfig:
 
     ``enabled=False`` keeps the raw gradient law; controller recovery then
     raises on sub-threshold estimates instead of being protected. Each
-    theta2 rule lives here once: below, in ``_floor`` and in ``_ct_guards``.
+    theta2 rule lives here once: below, in the floors and in ``_ct_guards``.
     """
 
     theta2_lower: np.ndarray  # (M,) positive
@@ -83,17 +83,18 @@ class ProjectionConfig:
     def check_start(self, theta):
         """Reject initial estimates ``theta`` ((n+M, M) column layout) whose
         theta2 diagonal is outside the bound."""
-        for j, t2 in enumerate(np.diagonal(theta[-theta.shape[1]:])):
+        for j, t2 in enumerate(_theta2(theta)):
             if self.signs[j] * t2 < self.theta2_lower[j]:
                 raise ProjectionError(
                     f"initial theta2[{j}]={t2:.6g} violates sign/lower-bound "
                     f"(need sign {self.signs[j]:+.0f}, magnitude >= "
                     f"{self.theta2_lower[j]:.6g})")
 
-    def holds(self, theta2) -> bool:
-        """The run invariant: every theta2 of ``theta2`` (steps x M) inside
-        its bound, up to 1e-12."""
-        return bool(np.all(self.signs * theta2 >= self.theta2_lower - 1e-12))
+    def holds(self, theta) -> bool:
+        """The run invariant: the theta2 diagonal of every record of
+        ``theta`` (steps x (n+M) x M) inside its bound, up to 1e-12."""
+        return bool(np.all(self.signs * _theta2(theta)
+                           >= self.theta2_lower - 1e-12))
 
     def landing(self, law, f2):
         """The discrete landing, ``_rows.run``'s ``after_step``: step t lands
@@ -149,15 +150,53 @@ def _nulls(s, theta2, lower, g2):
     return (s * theta2 <= lower + 1e-12) & (s * g2 < 0.0)
 
 
+def _active(projection: ProjectionConfig | None):
+    """``projection`` when it is enabled, else None."""
+    return projection if projection and projection.enabled else None
+
+
+def _theta2(theta):
+    """The theta2 diagonal of estimates ``theta`` (..., n+M, M)."""
+    M = theta.shape[-1]
+    return np.diagonal(theta[..., -M:, :], axis1=-2, axis2=-1)
+
+
 def _floor(projection: ProjectionConfig | None, M: int, stage=False):
     """The invertibility floor of |theta2|, less 1e-15: theta2_lower under a
     projection, enabled or not, else 1e-12; half theta2_lower at the
     integration stages of an enabled one, which may sit a hair inside."""
     floor = (np.full(M, 1e-12) if projection is None
              else projection.theta2_lower)
-    if stage and projection is not None and projection.enabled:
+    if stage and _active(projection):
         floor = 0.5 * floor
     return floor - 1e-15
+
+
+def _start(law, projection: ProjectionConfig | None, theta0, T1: int):
+    """``projection`` when enabled, after its start check on ``theta0``,
+    else None, and T1 steps of records of ``law`` and their ``store``, with
+    theta2's raw rate as proj_g2 (zero without one) and a zero proj_f2."""
+    if projection is not None and projection.n_inputs != theta0.shape[1]:
+        raise ModelError("projection dimension disagrees with the input count")
+    proj = _active(projection)
+    if proj is not None:
+        proj.check_start(theta0)
+        law.cols["proj_g2"] = np.arange(law.dW.start, law.dW.stop)[law.th2]
+    rec, store = _rows.records(law.cols, T1)
+    rec.setdefault("proj_g2", np.zeros((T1, theta0.shape[1])))
+    rec["proj_f2"] = np.zeros((T1, theta0.shape[1]))
+    return proj, rec, store
+
+
+def _check_floor(theta2, projection: ProjectionConfig | None):
+    """Raise SingularGainError at the first step of ``theta2`` (steps x M)
+    with an entry below the invertibility floor (``_floor``)."""
+    low = np.flatnonzero(np.any(
+        np.abs(theta2) < _floor(projection, theta2.shape[1]), axis=1))
+    if low.size:
+        raise SingularGainError(
+            f"theta2 diagonal {theta2[low[0]]} below the invertibility "
+            f"threshold at step {low[0]}")
 
 
 @dataclass(frozen=True)
@@ -179,24 +218,18 @@ class IndirectGainConfig:
             G = G[None]
         if G.ndim != 3 or G.shape[1] != G.shape[2]:
             raise GainError(f"Gamma must stack to (M, n_w, n_w), got {G.shape}")
-        M = G.shape[0]
-        n_w = G.shape[1]
+        M, n_w = G.shape[:2]
         n = n_w - M
         if n < 1:
             raise GainError(f"Gamma block size {n_w} too small for M={M}")
         for j in range(M):
-            _sym_check(G[j], f"Gamma[{j}]")
-            eig = np.linalg.eigvalsh(G[j])
-            if eig[0] <= 0.0:
-                raise GainError(f"Gamma[{j}] must be positive definite")
+            eig = _spd_check(G[j], f"Gamma[{j}]")
             if self.time_domain == DISCRETE and eig[-1] >= 2.0:
                 raise GainError(
                     f"Gamma[{j}] violates the spectral bound 2: largest eigenvalue "
                     f"{eig[-1]:.6g}"
                 )
-            off = G[j][:n, n:]
-            tail = G[j][n:, n:]
-            if np.any(off != 0.0) or np.any(tail * (1.0 - np.eye(M)) != 0.0):
+            if np.any(G[j][:n, n:]) or np.any(G[j][n:, n:] * (1.0 - np.eye(M))):
                 raise GainError(
                     f"Gamma[{j}] must be block diagonal with a diagonal trailing block"
                 )
@@ -303,51 +336,28 @@ def run_indirect_scenario(plant: PlantModel, ref: ReferenceModel,
     raises SingularGainError."""
     _check_run_args(plant, ref, signal, gains, horizon)
     match = _diagonal_match(_matching(plant, ref, match))
-    if projection is not None and projection.n_inputs != plant.n_inputs:
-        raise ModelError("projection dimension disagrees with the input count")
-    n, M = plant.n, plant.n_inputs
-    C = n + M
-    T1 = horizon + 1
-    x0, xm0, theta0, _, xhat0 = init.resolved(n, C, M)
+    n, M, T1 = plant.n, plant.n_inputs, horizon + 1
+    x0, xm0, theta0, _, xhat0 = init.resolved(n, n + M, M)
     P = theta0.T.copy()
     if M > 1:
         P[:, n:] *= np.eye(M)
-    proj_on = projection is not None and projection.enabled
-    if proj_on:
-        projection.check_start(theta0)
     law = _indirect_law(plant.A, plant.B, ref.A_m, ref.B_m, gains, P, x0, xm0,
                         xhat0)
-    if proj_on:
-        law.cols["proj_g2"] = np.arange(law.dW.start, law.dW.stop)[law.th2]
-    rec, store = _rows.records(law.cols, T1)
-    rec.setdefault("proj_g2", np.zeros((T1, M)))
-    rec["proj_f2"] = np.zeros((T1, M))
-    if plant.time_domain == DISCRETE:
+    if plant.time_domain != DISCRETE:
+        rec, diverged_at = _run_ct_projected(
+            law, law.z0, signal, horizon, h, method, integrate_ct, projection,
+            theta0, _floor(projection, M, stage=True))
+    else:
         h = 1.0
-        diverged_at = _rows.run(law, signal.sample(np.arange(T1, dtype=float)),
-                                store, projection.landing(law, rec["proj_f2"])
-                                if proj_on else None)
+        proj, rec, store = _start(law, projection, theta0, T1)
+        diverged_at = _rows.run(
+            law, signal.sample(np.arange(T1, dtype=float)), store,
+            proj and proj.landing(law, rec["proj_f2"]))
         # no update follows the final step
         rec["proj_g2"][horizon] = rec["proj_f2"][horizon] = 0.0
         # a step checks theta2 before its divergence probe
         reached = T1 if diverged_at is None else diverged_at + 1
-        theta2 = rec["theta"][:reached, np.arange(n, C), np.arange(M)]
-        low = np.flatnonzero(np.any(np.abs(theta2) < _floor(projection, M),
-                                    axis=1))
-        if low.size:
-            raise SingularGainError(
-                f"theta2 diagonal {theta2[low[0]]} below the invertibility "
-                f"threshold at step {low[0]}")
-    else:
-        diverged_at = _rows.run_ct(
-            law, law.z0, signal, horizon, h, method, integrate_ct, store,
-            *_ct_guards(law, projection if proj_on else None,
-                        _floor(projection, M, stage=True)))
-        if proj_on:
-            rec["proj_f2"] = projection.rate(
-                rec["theta"][:, np.arange(n, C), np.arange(M)],
-                rec["proj_g2"])
-    rec["proj_fired"] = np.any(rec["proj_f2"] != 0.0, axis=1)
+        _check_floor(_theta2(rec["theta"][:reached]), projection)
 
     def V_series(rec):
         return indirect_V_series(
@@ -359,12 +369,30 @@ def run_indirect_scenario(plant: PlantModel, ref: ReferenceModel,
                          None if match is None else V_series)
 
 
+def _run_ct_projected(law, z0, signal, horizon, h, method, integrate,
+                      projection, theta0, floor=None):
+    """Run ``law`` in continuous time from ``z0`` (``_rows.run_ct``) under
+    ``projection``, the one path of both indirect schemes: ``_start``, the
+    run guarded by ``_ct_guards`` with ``floor``, and then proj_f2, the
+    projection's correction of each recorded rate. Returns the records and
+    the divergence step."""
+    proj, rec, store = _start(law, projection, theta0, horizon + 1)
+    diverged_at = _rows.run_ct(law, z0, signal, horizon, h, method, integrate,
+                               store, *_ct_guards(law, proj, floor))
+    if proj is not None:
+        rec["proj_f2"] = proj.rate(_theta2(rec["theta"]), rec["proj_g2"])
+    return rec, diverged_at
+
+
 def _ct_guards(law, projection, floor=None):
     """``after_step`` and ``adjust`` of a continuous-time run (see
     ``_rows.run_ct``) of a law whose theta2 is ``law.th2`` of W, every copy
     at ``law.theta2_at``: a row with |theta2| below ``floor`` raises, and a
     ``projection`` nulls theta2's outward rate on the bound and snaps every
-    copy of theta2 in z onto the bound after each step."""
+    copy of theta2 in z onto the bound after each step. Both are None when
+    there is neither."""
+    if projection is None and floor is None:
+        return None, None
     floor_l = [] if floor is None else floor.tolist()
     clamp = None
     if projection is not None:

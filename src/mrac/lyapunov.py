@@ -19,9 +19,10 @@ import numpy as np
 from . import _rows
 from .diagnostics import SimulationTrace, value_series
 from .direct import (SOLVE, InitialConditions, _finish_trace, _matching,
-                     _sym_check)
+                     _spd_check)
 from .errors import GainError, ModelError
-from .indirect import ProjectionConfig, _ct_guards, theta_star_indirect
+from .indirect import (ProjectionConfig, _active, _ct_guards,
+                       _run_ct_projected, theta_star_indirect)
 # the benchmark's tracer wraps solve_matching here by name
 from .systems import (CONTINUOUS, PlantModel, ReferenceModel,  # noqa: F401
                       ReferenceSignal, integrate_ct, is_hurwitz, solve_matching)
@@ -98,11 +99,9 @@ class LyapunovDirectGains:
         if self.Gamma is None or self.gamma is None or self.sign_k2 is None:
             raise GainError("need either S_p or the (Gamma, gamma, sign_k2) triple")
         G = np.atleast_2d(np.asarray(self.Gamma, dtype=float))
-        _sym_check(G, "Gamma")
-        if np.min(np.linalg.eigvalsh(G)) <= 0.0:
-            raise GainError("Gamma must be positive definite")
-        if self.gamma <= 0.0:
-            raise GainError("gamma must be positive")
+        _spd_check(G, "Gamma")
+        if not 0.0 < self.gamma < np.inf:
+            raise GainError("gamma must be positive and finite")
         if abs(self.sign_k2) != 1.0:
             raise GainError("sign_k2 must be +1 or -1")
         object.__setattr__(self, "Gamma", G)
@@ -126,10 +125,8 @@ class LyapunovIndirectGains:
         G2 = np.atleast_2d(np.asarray(self.Gamma2, dtype=float))
         if self.theta1_law not in ("standard", "transposed"):
             raise GainError(f"unknown theta1 law {self.theta1_law!r}")
-        _sym_check(G1, "Gamma1")
-        if np.min(np.linalg.eigvalsh(G1)) <= 0.0:
-            raise GainError("Gamma1 must be positive definite")
-        if np.any(G2 * (1.0 - np.eye(G2.shape[0])) != 0.0):
+        _spd_check(G1, "Gamma1")
+        if np.any(G2 * (1.0 - np.eye(G2.shape[0]))):
             raise GainError("Gamma2 must be diagonal")
         if np.any(np.diag(G2) <= 0.0):
             raise GainError("Gamma2 diagonal must be positive")
@@ -137,14 +134,11 @@ class LyapunovIndirectGains:
         object.__setattr__(self, "Gamma2", G2)
 
 
-# one Lyapunov scheme's packed closed loop: the scheme on a work row
-# (``law``, a ``_rows.Layout`` with ``step``, ``views`` and the record
-# columns ``cols``, keyed by trace field), the projection's ``after_step``
-# and ``adjust`` hooks of ``_rows.run_ct`` (or None), the joint rhs, ``pack``,
-# the certificate ``ct``, and V of one packed state and ``V_series(x, x_m,
-# xhat, theta)`` along records (None when the scenario is not matchable)
-LyapunovLoop = namedtuple("LyapunovLoop",
-                          "mode n M ct law guards rhs pack V V_series")
+# one Lyapunov scheme's closed loop: the certificate ``ct``, the scheme on a
+# work row (``law``, a ``_rows.Layout`` with ``step``, ``views`` and record
+# columns ``cols`` by trace field), the joint rhs, ``pack``, and V of a packed
+# state and ``V_series(x, x_m, xhat, theta)`` of records (None unmatchable)
+LyapunovLoop = namedtuple("LyapunovLoop", "ct law rhs pack V V_series")
 
 
 def build_lyapunov_loop(plant: PlantModel, ref: ReferenceModel,
@@ -157,8 +151,9 @@ def build_lyapunov_loop(plant: PlantModel, ref: ReferenceModel,
     certificate of A_m, solved here with Q = I when not given; ``match``
     is the scenario's matching solution, as for the gradient runners.
 
-    z holds the linear states [x_m, x] (direct) or [x_m, xhat, x]
-    (indirect), then theta = [K1; K2^T] or [Theta1; Theta2^T] row by row.
+    ``pack(x, xm, T1, T2, xh=None)`` gives z: the linear states [x_m, x]
+    (direct) or [x_m, xhat, x] (indirect), then theta = [T1; T2^T] row by
+    row, of K1, K2 or of Theta1 and a diagonal Theta2 (multi-input).
     The work row (see ``_rows``) holds the linear states, then r and u, so
     that [x, r] is contiguous, then the scheme's scratch and theta; one
     constant matrix advances every linear state given r and u, and the
@@ -194,7 +189,6 @@ def build_lyapunov_loop(plant: PlantModel, ref: ReferenceModel,
     if mode == "direct":
         if gains.S_p is None and M > 1:
             raise GainError("multi-input direct scheme needs S_p")
-        Ms = Msinv = None
         if gains.S_p is not None and matchable:
             Ms = match.K2 @ gains.S_p
             if not np.allclose(Ms, Ms.T, atol=1e-9, rtol=0.0) or \
@@ -204,7 +198,7 @@ def build_lyapunov_loop(plant: PlantModel, ref: ReferenceModel,
 
         # d theta = outer(Gd omega, -w): w = S_p^T B_m^T P e, Gd = I
         # (multi-input), or w = sign(k2) e^T P b_m, Gd = diag(Gamma, gamma)
-        Gd = np.eye(C)
+        Gd, keep, adjust = np.eye(C), 1.0, None
         if gains.S_p is not None:
             Wp = gains.S_p.T @ Bm.T @ P
         else:
@@ -231,12 +225,6 @@ def build_lyapunov_loop(plant: PlantModel, ref: ReferenceModel,
             Ldot(lin, dF)
             scale(gcol, wrow, dtheta)
 
-        def pack(x, xm, K1, K2):
-            return np.concatenate([np.asarray(xm, float).reshape(n),
-                                   np.asarray(x, float).reshape(n),
-                                   np.asarray(K1, float).reshape(n * M),
-                                   np.atleast_2d(np.asarray(K2, float)).T.reshape(M * M)])
-
         V_series = None
         if matchable:
             K1s, K2sT = match.K1, match.K2.T
@@ -260,6 +248,7 @@ def build_lyapunov_loop(plant: PlantModel, ref: ReferenceModel,
         G1dot = G1.dot
         standard = gains.theta1_law == "standard"
         negG2 = -np.diag(gains.Gamma2)
+        keep = np.eye(M)
         Wp = Bm.T @ P
         Wc = np.hstack([np.zeros((M, n)), Wp, -Wp])  # on [x_m, xhat, x]
         Wcdot = Wc.dot
@@ -270,6 +259,8 @@ def build_lyapunov_loop(plant: PlantModel, ref: ReferenceModel,
         nM = n * M
         # the Theta2 diagonal, which closes W (and dW)
         law.th2 = th2 = slice(nM, None, M + 1)
+        law.theta2_at = np.arange(C * M)[th2]
+        adjust = _ct_guards(law, _active(projection))[1]
 
         def views(row, dF):
             mid, x, T, dT = row[U.stop:W.start], row[X0:nF], row[W], row[dW]
@@ -295,13 +286,6 @@ def build_lyapunov_loop(plant: PlantModel, ref: ReferenceModel,
                 scale(xcol, g1row, dT1)
             scale(negG2, wv, g)
             scale(g, u, g2)
-
-        def pack(x, xm, T1, T2, xh):
-            return np.concatenate([np.asarray(xm, float).reshape(n),
-                                   np.asarray(xh, float).reshape(n),
-                                   np.asarray(x, float).reshape(n),
-                                   np.asarray(T1, float).reshape(n * M),
-                                   np.atleast_2d(np.asarray(T2, float)).T.reshape(M * M)])
 
         V_series = None
         if matchable:
@@ -333,13 +317,17 @@ def build_lyapunov_loop(plant: PlantModel, ref: ReferenceModel,
     law.cols = {"x": np.arange(X0, nF), "x_m": np.arange(n),
                 "u": np.arange(U.start, U.stop),
                 "theta": W.start + np.arange(C * M).reshape(C, M)}
-    guards = (None, None)
     if mode == "indirect":
         law.cols["x_hat"] = np.arange(n, 2 * n)
-        law.theta2_at = np.arange(C * M)[law.th2]
-        if projection is not None and projection.enabled:
-            guards = _ct_guards(law, projection)
-    adjust = guards[1]
+
+    def pack(x, xm, T1, T2, xh=None):
+        row = np.zeros(law.width)
+        for name, value in (("x", x), ("x_m", xm), ("x_hat", xh)):
+            if name in law.cols and value is not None:
+                row[law.cols[name]] = value
+        row[law.cols["theta"]] = np.vstack([np.reshape(T1, (n, M)),
+                                            np.reshape(T2, (M, M)).T * keep])
+        return np.concatenate([row[law.F], row[W]])
 
     def rhs(tau, z):
         # the field at z on a fresh row, with r read at tau
@@ -350,8 +338,8 @@ def build_lyapunov_loop(plant: PlantModel, ref: ReferenceModel,
         dz = row[law.dF.start:]
         return dz if adjust is None else adjust(row)(dz)
 
-    return LyapunovLoop(mode=mode, n=n, M=M, ct=cert, law=law, guards=guards,
-                        rhs=rhs, pack=pack, V=V, V_series=V_series)
+    return LyapunovLoop(ct=cert, law=law, rhs=rhs, pack=pack, V=V,
+                        V_series=V_series)
 
 
 def run_lyapunov_scenario(plant: PlantModel, ref: ReferenceModel,
@@ -368,8 +356,9 @@ def run_lyapunov_scenario(plant: PlantModel, ref: ReferenceModel,
     scheme's eps and m columns are not defined here and come back NaN. The
     run diverges as the gradient runs do (see ``_rows``), at the first step
     at which an element of x or u is not finite, or after a step whose
-    integration is not finite. ``cert`` and ``match`` are as for
-    ``build_lyapunov_loop``.
+    integration is not finite. The indirect scheme's projection acts as the
+    gradient one's, without a floor (``indirect._run_ct_projected``).
+    ``cert`` and ``match`` are as for ``build_lyapunov_loop``.
     """
     if signal.dimension != plant.n_inputs:
         raise ModelError("signal dimension disagrees with the input count")
@@ -377,23 +366,17 @@ def run_lyapunov_scenario(plant: PlantModel, ref: ReferenceModel,
         raise ModelError("horizon must be at least 1")
     loop = build_lyapunov_loop(plant, ref, signal, mode, gains, projection,
                                cert, match)
-    n, M = loop.n, loop.M
-    C = n + M
-    x0, xm0, theta0, _, xhat0 = init.resolved(n, C, M)
-    T1blk = theta0[:n]
-    T2blk = theta0[n:].T
+    n, M = plant.n, plant.n_inputs
+    x0, xm0, theta0, _, xhat0 = init.resolved(n, n + M, M)
+    z = loop.pack(x0, xm0, theta0[:n], theta0[n:].T, xhat0)
     if mode == "indirect":
-        if M > 1:
-            T2blk = T2blk * np.eye(M)
-        if projection is not None and projection.enabled:
-            projection.check_start(theta0)
-        z = loop.pack(x0, xm0, T1blk, T2blk, xhat0)
+        rec, diverged_at = _run_ct_projected(loop.law, z, signal, horizon, h,
+                                             method, integrate_ct, projection,
+                                             theta0)
     else:
-        z = loop.pack(x0, xm0, T1blk, T2blk)
-
-    rec, store = _rows.records(loop.law.cols, horizon + 1)
-    diverged_at = _rows.run_ct(loop.law, z, signal, horizon, h, method,
-                               integrate_ct, store, *loop.guards)
+        rec, store = _rows.records(loop.law.cols, horizon + 1)
+        diverged_at = _rows.run_ct(loop.law, z, signal, horizon, h, method,
+                                   integrate_ct, store)
 
     def V_series(rec):
         return value_series(loop.V_series(rec["x"], rec["x_m"],

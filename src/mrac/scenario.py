@@ -27,8 +27,7 @@ from .diagnostics import (SimulationTrace, check_delta_V,  # noqa: F401
                           direct_V_series, indirect_V_series, tracking_metrics)
 from .direct import (DirectGainConfig, InitialConditions, _matching,
                      run_direct_scenario, stack_controller_gains)
-from .errors import (ConfigError, GainError, ModelError,
-                     ProjectionError, ToolkitError)
+from .errors import ConfigError, GainError, ModelError, ToolkitError
 # the benchmark's tracer wraps solve_matching here by name
 from .systems import (CONTINUOUS, DISCRETE, PlantModel,  # noqa: F401
                       ReferenceModel, ReferenceSignal, solve_matching)
@@ -157,6 +156,7 @@ def _columns(rows, M, *_):
 
 _LYAPUNOV = ("lyapunov_direct", "lyapunov_indirect")
 _GRADIENT = ("direct_gradient", "indirect_gradient")
+_INDIRECT = ("indirect_gradient", "lyapunov_indirect")
 _SIGNAL_KINDS = ("sum_of_sinusoids", "constant", "custom")
 _SQUARE = Key("numbers", lambda n, M, *_: [(n, n)], required=True)
 _VECTOR = Key("numbers", lambda n, M, *_: [(n,)])
@@ -173,8 +173,7 @@ _TOP = {
     "reference": Key("section", required=True),
     "signal": Key("section", required=True),
     "gains": Key("section", required=True),
-    "projection": Key("section", default=None,
-                      read_by=("indirect_gradient", "lyapunov_indirect")),
+    "projection": Key("section", default=None, read_by=_INDIRECT),
     "init": Key("section", default={}),
     "horizon": Key("count", required=True),
     "ct_step": Key("step", default=0.01),
@@ -238,8 +237,7 @@ _PROJECTION = {
 _INIT = {
     "x0": _VECTOR,
     "xm0": _VECTOR,
-    "xhat0": _VECTOR._replace(read_by=("indirect_gradient",
-                                       "lyapunov_indirect")),
+    "xhat0": _VECTOR._replace(read_by=_INDIRECT),
     "theta_scale": Key("numbers", lambda *_: [()], excludes=("theta0",)),
     "theta0": Key("numbers", lambda n, M, *_: _columns(n + M, M)),
     "rho_scale": Key("numbers", lambda *_: [()], read_by=("direct_gradient",),
@@ -424,13 +422,19 @@ def config_from_dict(data: dict) -> ScenarioConfig:
                 built["init"] = resolve_init(cfg["init"], scheme, match)
             except ConfigError as exc:
                 errors.extend(exc.errors)
-    # the indirect runners' start check, on the resolved estimates
+    # the indirect runners' checks of step 0 on the resolved estimates: an
+    # enabled projection's start check, the gradient law's floor
     proj, init = built.get("projection"), built.get("init")
-    if proj is not None and proj.enabled and init is not None:
+    if init is not None and scheme in _INDIRECT:
+        from .indirect import _check_floor, _theta2
         n, M = dims
+        theta0 = init.resolved(n, n + M, M)[2]
         try:
-            proj.check_start(init.resolved(n, n + M, M)[2])
-        except ProjectionError as exc:
+            if proj is not None and proj.enabled:
+                proj.check_start(theta0)
+            if scheme == "indirect_gradient":
+                _check_floor(_theta2(theta0)[None], proj)
+        except ToolkitError as exc:
             errors.append(f"init: {exc}")
     directory = cfg.get("output", {}).get("dir")
     if directory is not None and (head := blocked_dir(directory)):
@@ -552,13 +556,12 @@ def _invariant_report(cfg: ScenarioConfig, trace: SimulationTrace) -> dict:
             report["v_nonincreasing_ok"] = bool(np.all(trace.dV[:-1] <= 1e-6))
     b = cfg.built
     M, n, proj = b.plant.n_inputs, b.plant.n, b.projection
-    if cfg.scheme == "indirect_gradient" and trace.steps and proj is not None \
-            and proj.enabled:
-        report["projection_ok"] = proj.holds(
-            np.diagonal(trace.theta[:, n:, :], axis1=1, axis2=2))
+    # only the indirect schemes build a projection
+    if trace.steps and proj is not None and proj.enabled:
+        report["projection_ok"] = proj.holds(trace.theta)
     # the multi-input laws keep Theta2, and K2 when enforced, diagonal
-    diag_key = {"direct_gradient": "k2_diag_ok",
-                "indirect_gradient": "theta2_diag_ok"}.get(cfg.scheme)
+    diag_key = ("k2_diag_ok" if cfg.scheme == "direct_gradient"
+                else "theta2_diag_ok" if cfg.scheme in _INDIRECT else None)
     if diag_key and M > 1 and getattr(b.gains, "enforce_diagonal_k2", True):
         report[diag_key] = bool(np.all(
             trace.theta[:, n:, :] * (1.0 - np.eye(M)) == 0.0))

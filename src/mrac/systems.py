@@ -271,20 +271,14 @@ class ReferenceSignal:
 
     def at(self, t: float) -> np.ndarray:
         """Signal value at step index (discrete) or time (continuous)."""
-        if self.kind == "sum_of_sinusoids":
-            return np.sum(
-                self.amplitudes * np.sin(self.frequencies * t + self.phases), axis=1
-            )
-        if self.kind == "constant":
-            return self.level.copy()
-        idx = min(int(math.floor(t)), self.values.shape[0] - 1)
-        return self.values[max(idx, 0)].copy()
+        return self.sample([t])[0]
 
     # frequencies or times near the float range overflow; r then reads NaN
     # and the run reports divergence
     @np.errstate(over="ignore", invalid="ignore")
     def sample(self, times: np.ndarray) -> np.ndarray:
-        """Vectorised evaluation; returns an array of shape (len(times), M)."""
+        """Vectorised evaluation; returns an array of shape (len(times), M).
+        A custom sequence holds its last sample up to t = inf."""
         times = np.asarray(times, dtype=float)
         if self.kind == "sum_of_sinusoids":
             return np.sum(
@@ -295,8 +289,9 @@ class ReferenceSignal:
             )
         if self.kind == "constant":
             return np.tile(self.level, (times.shape[0], 1))
-        idx = np.clip(np.floor(times).astype(int), 0, self.values.shape[0] - 1)
-        return self.values[idx]
+        # clipped before the cast, which has no int64 for t >= 2^63
+        idx = np.clip(np.floor(times), 0, self.values.shape[0] - 1)
+        return self.values[idx.astype(int)]
 
 
 def random_matchable_instance(n: int, n_inputs: int, seed: int,

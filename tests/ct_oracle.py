@@ -350,6 +350,8 @@ def replay_lyapunov(plant, ref, signal, mode, gains, projection, init,
                V=np.empty(T1))
     if mode == "indirect":
         rec["x_hat"] = np.empty((T1, n))
+        rec.update(proj_g2=np.zeros((T1, M)), proj_f2=np.zeros((T1, M)),
+                   proj_fired=np.zeros(T1, dtype=bool))
     diverged_at = None
     with np.errstate(all="ignore"):
         for k in range(T1):
@@ -369,6 +371,14 @@ def replay_lyapunov(plant, ref, signal, mode, gains, projection, init,
                 break
             rec["x"][k] = x; rec["x_m"][k] = xm; rec["e"][k] = x - xm
             rec["u"][k] = u; rec["theta"][k] = theta_now; rec["V"][k] = V(z)
+            if mode == "indirect" and proj_on:
+                # the raw theta2 rate, and the projection's correction of it
+                _, dT2 = lyapunov_indirect_derivatives(Tb2, xh - x, x, u, P,
+                                                       Bm, gains)
+                g2 = np.diag(dT2).copy()
+                f2 = projection_rate(np.diag(Tb2), g2, projection)
+                rec["proj_g2"][k] = g2; rec["proj_f2"][k] = f2
+                rec["proj_fired"][k] = bool(np.any(f2 != 0.0))
             if k == horizon:
                 break
             try:

@@ -221,6 +221,42 @@ class TestFusedLyapunov:
         assert np.sum(records["theta"][:, 2, 0] == 2.1) > 20
         assert_records_match(trace, records, diverged_at)
 
+    def test_indirect_projection_is_recorded_and_checked(self):
+        # theta2 starts on its bound 1/0.45 above |theta2*| = 2, where the
+        # projection holds it; the run records its rate, the correction and
+        # where it fired as the gradient scheme's run does, and checks the
+        # bound among its invariants
+        plant, ref = ct_instance()
+        sol = solve_matching(plant, ref)
+        gains = LyapunovIndirectGains(Gamma1=np.eye(2), Gamma2=[[1.0]])
+        proj = ProjectionConfig.from_k2_upper(0.45, 1.0)
+        theta0 = theta_star_indirect(sol.K1, sol.K2)
+        theta0[2, 0] = 1.0 / 0.45
+        init = InitialConditions(theta0=theta0, x0=[1.0, -0.5])
+        signal = ReferenceSignal.sinusoids(amplitudes=[[1.0]],
+                                           frequencies=[[0.7]])
+        args = (plant, ref, signal, "indirect", gains, proj, init)
+        trace = run_lyapunov_scenario(*args, 2000, h=0.01)
+        records, diverged_at = ct_oracle.replay_lyapunov(*args, 2000)
+        assert records["proj_fired"].sum() > 100
+        assert_records_match(trace, records, diverged_at)
+
+        data = {"name": "riding", "scheme": "lyapunov_indirect",
+                "time_domain": "continuous",
+                "plant": {"A": plant.A.tolist(), "B": plant.B.tolist()},
+                "reference": {"A_m": ref.A_m.tolist(),
+                              "B_m": ref.B_m.tolist()},
+                "signal": {"kind": "sum_of_sinusoids", "amplitudes": [[1.0]],
+                           "frequencies": [[0.7]]},
+                "gains": {"Gamma1": 1.0, "Gamma2": 1.0},
+                "projection": {"signs": 1, "k2_upper": 0.45},
+                "init": {"theta0": theta0.tolist(), "x0": [1.0, -0.5]},
+                "horizon": 2000, "ct_step": 0.01}
+        run = run_scenario(config_from_dict(data))
+        # theta* lies outside the bound, so V may rise while it holds
+        assert run.invariants["projection_ok"] is True
+        assert np.array_equal(run.trace.proj_fired, trace.proj_fired)
+
 
 def _ct_member(scheme, mimo):
     """The continuous-time members of the repository benchmark."""
@@ -374,6 +410,7 @@ class TestTheta2Positions:
 
     @pytest.mark.parametrize("M", [1, 2])
     def test_lyapunov_positions_name_the_theta2_diagonal(self, M):
+        from mrac.indirect import _ct_guards
         from mrac.lyapunov import build_lyapunov_loop
         plant, ref, K1s, K2s = random_matchable_instance(3, M, 5, "continuous")
         signal = ReferenceSignal.constant(np.ones(M))
@@ -393,8 +430,8 @@ class TestTheta2Positions:
         # and so do the guards, through law.th2
         assert np.array_equal(row[law.W][law.th2], np.diag(T2))
 
-        # the loop's after_step is the projection's clamp
-        clamp = loop.guards[0]
+        # the runner's after_step, the projection's clamp on this law
+        clamp = _ct_guards(law, proj)[0]
         before = z.copy()
         clamp(z)
         assert z[at[0]] == 1.5

@@ -130,6 +130,22 @@ class TestGainGate:
             DirectGainConfig(Gamma=0.3 * np.eye(3), gamma=0.5, sign_k2=0.0,
                              k2_lower=0.5, time_domain="discrete")
 
+    @pytest.mark.parametrize("lower", [np.nan, np.inf])
+    def test_non_finite_k2_lower_rejected(self, lower):
+        # an infinite k2_lower used to let any Gamma, 100 I here, pass the
+        # discrete bound
+        with pytest.raises(GainError, match="^k2 lower bounds must be "
+                                            "positive and finite$"):
+            DirectGainConfig(Gamma=100.0 * np.eye(3), gamma=0.5, sign_k2=1.0,
+                             k2_lower=lower, time_domain="discrete")
+
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, 0.0])
+    def test_continuous_gamma_must_be_positive_and_finite(self, gamma):
+        with pytest.raises(GainError, match=r"^gamma\[0\]=\S+ outside "
+                                            r"\(0, inf\)$"):
+            DirectGainConfig(Gamma=np.eye(3), gamma=gamma, sign_k2=1.0,
+                             k2_lower=0.5, time_domain="continuous")
+
 
 class TestContinuousUpdate:
     """The same step as the continuous-time derivative."""

@@ -87,6 +87,12 @@ class TestDirectLaw:
         with pytest.raises(GainError):
             sp_from_signs([1.0, 0.5])
 
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -1.0])
+    def test_gamma_must_be_positive_and_finite(self, gamma):
+        with pytest.raises(GainError,
+                           match="^gamma must be positive and finite$"):
+            LyapunovDirectGains(Gamma=np.eye(2), gamma=gamma, sign_k2=1.0)
+
 
 class TestIndirectLaw:
     """The oracle's indirect derivatives, by hand, and the runner's clamp."""
@@ -248,3 +254,21 @@ class TestScenarios:
         with pytest.raises(ModelError):
             build_lyapunov_loop(bench_plant, bench_ref, self._sig(), "direct",
                                 gains)
+
+    def test_both_indirect_runners_check_the_projection_dimension(self):
+        # a two-input projection on a one-input plant used to run the
+        # Lyapunov scheme, with two proj_f2 columns
+        from mrac import IndirectGainConfig, run_indirect_scenario
+        plant, ref = ct_instance()
+        sol = solve_matching(plant, ref)
+        proj = ProjectionConfig(theta2_lower=[1.0, 1.0], signs=[1.0, 1.0])
+        init = InitialConditions(
+            theta0=1.3 * theta_star_indirect(sol.K1, sol.K2))
+        lyapunov = LyapunovIndirectGains(Gamma1=np.eye(2), Gamma2=[[1.0]])
+        with pytest.raises(ModelError, match="^projection dimension "):
+            run_lyapunov_scenario(plant, ref, self._sig(), "indirect",
+                                  lyapunov, proj, init, 50)
+        gradient = IndirectGainConfig(np.eye(3), time_domain="continuous")
+        with pytest.raises(ModelError, match="^projection dimension "):
+            run_indirect_scenario(plant, ref, self._sig(), gradient, proj,
+                                  init, 50)

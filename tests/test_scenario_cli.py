@@ -705,19 +705,50 @@ class TestCli:
         rows = json.loads(capsys.readouterr().out)
         assert [row["status"] for row in rows] == ["invalid", "ok"]
         assert rows[0]["errors"] == [error("2")]
-        # a disabled projection checks no start; the run itself then
-        # refuses the singular Theta2, with exit 2
-        path.write_text(json.dumps(edited(discrete, "projection",
-                                          enabled=False)))
-        assert main(["validate", str(path)]) == 0
-        assert main(["run", str(path), "--out", str(tmp_path)]) == 2
-        assert capsys.readouterr().err.startswith(
-            "run failed: theta2 diagonal [2.] below the invertibility "
-            "threshold at step 0")
         # a start on the bound runs
         path.write_text(json.dumps(dict(
             discrete, projection={"signs": 1, "theta2_lower": 2.0},
             init={"theta0": [[-0.95], [-2.2], [2.0]]})))
+        assert main(["validate", str(path)]) == 0
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("time_domain", ["discrete", "continuous"])
+    def test_theta2_floor_is_checked_at_load(self, tmp_path, capsys,
+                                             time_domain):
+        # the gradient law's invertibility floor at step 0 used to be
+        # checked only by the run, which then failed with exit 2
+        if time_domain == "discrete":
+            base = bench_dict(**INDIRECT, horizon=20)
+        else:
+            base = dict(ct_dict("indirect_gradient", {"Gamma": 1.0}),
+                        horizon=20)
+        # a disabled projection keeps its floor theta2_lower = 10 above
+        # theta2(0) = 2; without a projection or init theta2(0) = 0
+        disabled = dict(base, projection={"signs": 1, "k2_upper": 0.1,
+                                          "enabled": False},
+                        init={"theta_scale": 1.0})
+        bare = {key: value for key, value in base.items()
+                if key not in ("projection", "init")}
+        path = tmp_path / "floor.json"
+        for data, theta2 in ((disabled, "2."), (bare, "0.")):
+            path.write_text(json.dumps(data))
+            for verb in ("validate", "run"):
+                assert main([verb, str(path)]) == 1
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err.splitlines() == [
+                    f"invalid: init: theta2 diagonal [{theta2}] below the "
+                    "invertibility threshold at step 0"]
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"configs": [disabled, bare]}))
+        assert main(["batch", str(spec)]) == 1
+        rows = json.loads(capsys.readouterr().out)
+        assert [row["status"] for row in rows] == ["invalid", "invalid"]
+        # a disabled projection with theta2(0) = 2.5 above its floor 1 loads
+        # and runs
+        path.write_text(json.dumps(dict(
+            base, projection={"signs": 1, "k2_upper": 1.0, "enabled": False},
+            init={"theta_scale": 1.25})))
         assert main(["validate", str(path)]) == 0
         assert main(["run", str(path), "--out", str(tmp_path)]) == 0
 
@@ -1064,3 +1095,35 @@ class TestBatch:
         row.pop("status")
         single = summary_dict(run_scenario(config_from_dict(data)))
         assert row == single
+
+    def test_one_summary_per_run(self, tmp_path, capsys, monkeypatch):
+        # run --out and batch --out used to build the summary twice: once
+        # for the file, once for stdout or the row
+        import mrac.cli as cli_mod
+        calls = []
+        real = cli_mod.summary_dict
+
+        def counted(run):
+            calls.append(run.config.name)
+            return real(run)
+
+        monkeypatch.setattr(cli_mod, "summary_dict", counted)
+        data = dict(bench_dict(horizon=300), output={"trace": False})
+        cfg = tmp_path / "one.json"
+        cfg.write_text(json.dumps(data))
+        single = summary_dict(run_scenario(config_from_dict(data)))
+        text = json.dumps(single, indent=2, sort_keys=True) + "\n"
+        name = data["name"] + ".summary.json"
+
+        assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        assert capsys.readouterr().out == text
+        assert (tmp_path / "run" / name).read_text() == text
+        assert calls == [data["name"]]
+
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"configs": [data]}))
+        assert main(["batch", str(spec), "--out", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "b" / name).read_text() == text
+        assert capsys.readouterr().out == json.dumps(
+            [dict(single, status="ok")], indent=2, sort_keys=True) + "\n"
+        assert calls == [data["name"]] * 2

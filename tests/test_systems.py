@@ -291,3 +291,31 @@ class TestReferenceSignal:
         assert sig.at(0)[0] == 1.0
         assert sig.at(2.7)[0] == 3.0
         assert sig.at(50)[0] == 3.0
+
+    @pytest.mark.parametrize("t", [1e19, 1e300, np.inf])
+    def test_custom_holds_last_sample_past_int64(self, t):
+        # times were cast to int64 before clipping, so from 2^63 on they
+        # wrapped to the first sample
+        sig = ReferenceSignal.from_samples([[1.0], [2.0], [3.0]])
+        assert sig.at(t)[0] == 3.0
+        assert sig.sample([0.0, t, -t])[:, 0].tolist() == [1.0, 3.0, 1.0]
+
+    def test_custom_holds_last_sample_at_a_huge_step(self):
+        # the step times of a continuous run with step 1e17 pass 2^63 at
+        # step 93
+        sig = ReferenceSignal.from_samples([[1.0], [2.0], [3.0]])
+        held = sig.sample(np.arange(101) * 1e17)[:, 0]
+        assert held[0] == 1.0 and np.all(held[1:] == 3.0)
+
+    def test_at_is_the_matching_row_of_sample(self):
+        rng = np.random.default_rng(0)
+        times = np.concatenate([rng.uniform(-5.0, 50.0, 1000),
+                                rng.normal(0.0, 1e6, 1000)])
+        for sig in (ReferenceSignal.sinusoids(rng.normal(size=(2, 3)),
+                                              rng.uniform(0.0, 3.0, (2, 3)),
+                                              rng.normal(size=(2, 3))),
+                    ReferenceSignal.constant([2.0, -1.0]),
+                    ReferenceSignal.from_samples(rng.normal(size=(40, 2)))):
+            rows = sig.sample(times)
+            for t, row in zip(times.tolist(), rows):
+                assert np.array_equal(sig.at(t), row)
