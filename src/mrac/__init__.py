@@ -22,14 +22,11 @@ _EXPORTS = {
                "stack_controller_gains"),
     "errors": ("ConfigError", "GainError", "ModelError", "NumericsError",
                "ProjectionError", "SingularGainError", "ToolkitError"),
-    "filters": ("ChannelFilterBank", "RegressorFrame", "advance_zeta",
-                "compute_m"),
     "indirect": ("IndirectGainConfig", "ProjectionConfig",
-                 "run_indirect_scenario", "stack_plant_estimate",
-                 "theta_star_indirect"),
+                 "run_indirect_scenario", "theta_star_indirect"),
     "lyapunov": ("LyapunovCertificate", "LyapunovDirectGains",
                  "LyapunovIndirectGains", "build_lyapunov_loop",
-                 "run_lyapunov_scenario", "solve_lyapunov_ct", "sp_from_signs"),
+                 "run_lyapunov_scenario", "solve_lyapunov_ct"),
     "scenario": ("ScenarioConfig", "ScenarioRun", "benchmark_config",
                  "config_from_dict", "load_config", "run_scenario",
                  "serialize_config", "summary_dict"),

@@ -88,22 +88,27 @@ class SimulationTrace:
     def steps(self) -> int:
         return self.t.shape[0]
 
-    def summarize(self, tail_frac: float = 0.1) -> TraceSummary:
-        return summarize(self, tail_frac)
+    def summarize(self) -> TraceSummary:
+        return summarize(self)
 
 
-def _tail_fraction(values: np.ndarray, tail_frac: float) -> Optional[float]:
+# the share of a series that the tail fractions and the tracking window read
+TAIL_FRAC = 0.1
+
+
+def _tail_fraction(values: np.ndarray) -> Optional[float]:
     total = float(np.sum(values))
     if total <= 0.0:
         return 0.0
-    k = max(1, int(math.ceil(tail_frac * values.shape[0])))
+    k = max(1, int(math.ceil(TAIL_FRAC * values.shape[0])))
     return float(np.sum(values[-k:])) / total
 
 
 # a finite record can square to inf: that is its value, not an error
 @np.errstate(over="ignore", invalid="ignore")
-def summarize(trace: SimulationTrace, tail_frac: float = 0.1) -> TraceSummary:
-    """Recompute the summary block from the per-step records."""
+def summarize(trace: SimulationTrace) -> TraceSummary:
+    """Recompute the summary block from the per-step records; the tail
+    fractions are the shares of the last TAIL_FRAC of the steps."""
     e_norm = np.max(np.abs(trace.e), axis=1) if trace.e.size else np.zeros(0)
     sup_e = float(np.max(e_norm)) if e_norm.size else 0.0
     sup_theta = float(np.max(np.abs(trace.theta))) if trace.theta.size else 0.0
@@ -112,7 +117,7 @@ def summarize(trace: SimulationTrace, tail_frac: float = 0.1) -> TraceSummary:
     if has_eps:
         dec = np.sum(trace.eps**2, axis=1) / trace.m**2
         sum_eps = float(np.sum(dec))
-        tail_eps = _tail_fraction(dec, tail_frac)
+        tail_eps = _tail_fraction(dec)
     else:
         sum_eps = None
         tail_eps = None
@@ -120,7 +125,7 @@ def summarize(trace: SimulationTrace, tail_frac: float = 0.1) -> TraceSummary:
     dtheta = np.diff(trace.theta, axis=0)
     dtheta_sq = np.sum(dtheta**2, axis=(1, 2)) if dtheta.size else np.zeros(0)
     sum_dtheta = float(np.sum(dtheta_sq))
-    tail_dtheta = _tail_fraction(dtheta_sq, tail_frac) if dtheta_sq.size else 0.0
+    tail_dtheta = _tail_fraction(dtheta_sq) if dtheta_sq.size else 0.0
 
     if trace.rho is not None:
         drho = np.diff(trace.rho, axis=0)
@@ -224,15 +229,14 @@ def indirect_V_series(theta_series, theta_star, Gamma,
     return value_series(np.sum(quad, axis=1), dec, gamma1_indirect(Gamma))
 
 
-def check_delta_V(series: LyapunovSeries, gamma0: Optional[float] = None,
-                  tolerance: float = 1e-10):
-    """Verify dV(t) <= -(2 - gamma0) * decrement(t) + tolerance at every step.
+def check_delta_V(series: LyapunovSeries, tolerance: float = 1e-10):
+    """Verify dV(t) <= -(2 - gamma0) * decrement(t) + tolerance at every step,
+    with the series' own gamma0.
 
     Returns (passed, first_violating_step). Failure is a result, not an
     error; the final record has no increment and is skipped.
     """
-    g0 = series.gamma0 if gamma0 is None else gamma0
-    bound = -(2.0 - g0) * series.decrement
+    bound = -(2.0 - series.gamma0) * series.decrement
     T = series.V.shape[0]
     if T < 2:
         return True, None
@@ -242,9 +246,10 @@ def check_delta_V(series: LyapunovSeries, gamma0: Optional[float] = None,
     return True, None
 
 
-def tracking_metrics(trace: SimulationTrace, window_frac: float = 0.1,
+def tracking_metrics(trace: SimulationTrace,
                      settle_threshold: Optional[float] = None) -> TrackingMetrics:
-    """Finite-horizon tracking summary over the trailing window.
+    """Finite-horizon tracking summary over the trailing window, the last
+    TAIL_FRAC of the steps.
 
     The settling index is the first step from which the max-norm error
     stays at or below the threshold for the rest of the trace (None when it
@@ -255,7 +260,7 @@ def tracking_metrics(trace: SimulationTrace, window_frac: float = 0.1,
         return TrackingMetrics(sup_e=math.inf, last_window_max=math.inf,
                                settling_index=None)
     e_norm = np.max(np.abs(trace.e), axis=1)
-    k = max(1, int(math.ceil(window_frac * e_norm.shape[0])))
+    k = max(1, int(math.ceil(TAIL_FRAC * e_norm.shape[0])))
     sup_e = float(np.max(e_norm))
     last_window = float(np.max(e_norm[-k:]))
     settle = None

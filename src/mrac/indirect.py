@@ -240,10 +240,6 @@ class IndirectGainConfig:
         return self.Gamma.shape[0]
 
 
-# (Theta1, Theta2) stack into the (n+M, M) column layout as (K1, K2) do
-stack_plant_estimate = stack_controller_gains
-
-
 def theta_star_indirect(K1, K2) -> np.ndarray:
     """True plant parametrization from matching gains:
     Theta1* = K1 (K2^{-1})^T, Theta2* = K2^{-1}."""
@@ -252,7 +248,7 @@ def theta_star_indirect(K1, K2) -> np.ndarray:
     if K1.ndim == 1:
         K1 = K1.reshape(-1, 1)
     K2inv = np.linalg.inv(K2)
-    return stack_plant_estimate(K1 @ K2inv.T, K2inv)
+    return stack_controller_gains(K1 @ K2inv.T, K2inv)
 
 
 def _indirect_law(A, B, Am, Bm, gains, P, x0, xm0, xhat0) -> Law:

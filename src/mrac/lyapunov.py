@@ -72,17 +72,6 @@ def solve_lyapunov_ct(A_m, Q) -> LyapunovCertificate:
     return LyapunovCertificate(P=P, Q=Qm.copy(), residual=residual)
 
 
-def sp_from_signs(signs, gammas=None) -> np.ndarray:
-    """Diagonal S_p = diag(sign_i * gamma_i) for a diagonal K2* prior."""
-    s = np.atleast_1d(np.asarray(signs, dtype=float))
-    if not np.all(np.abs(s) == 1.0):
-        raise GainError("signs must be +1 or -1")
-    g = np.ones_like(s) if gammas is None else np.atleast_1d(np.asarray(gammas, float))
-    if g.shape != s.shape or np.any(g <= 0.0):
-        raise GainError("gammas must be positive and match the sign count")
-    return np.diag(s * g)
-
-
 @dataclass(frozen=True)
 class LyapunovDirectGains:
     """Single-input: (Gamma, gamma, sign_k2). Multi-input: S_p."""

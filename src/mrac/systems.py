@@ -129,8 +129,9 @@ class MatchingSolution:
     K2: np.ndarray  # M x M
     residual: float
 
-    def matchable(self, tol: float = MATCHING_TOL) -> bool:
-        return self.residual <= tol
+    def matchable(self) -> bool:
+        """True when the matching defect is at most MATCHING_TOL."""
+        return self.residual <= MATCHING_TOL
 
     @property
     def k1(self) -> np.ndarray:
@@ -146,14 +147,14 @@ class MatchingSolution:
 # a near-singular B gives gains that overflow; the residual then reads nan
 # and the plant counts as not matchable
 @np.errstate(over="ignore", invalid="ignore")
-def solve_matching(plant: PlantModel, ref: ReferenceModel, tol: float = MATCHING_TOL) -> MatchingSolution:
+def solve_matching(plant: PlantModel, ref: ReferenceModel) -> MatchingSolution:
     """Least-squares gains matching the plant to the reference model.
 
     Solves B K1^T = A_m - A and B K2 = B_m via the pseudo-inverse of B
     (full column rank is enforced by PlantModel). The residual is the
     Frobenius norm of the combined matching defect; a residual above
-    ``tol`` means the plant is not matchable, but the best-fit gains are
-    still returned so callers can report the defect.
+    MATCHING_TOL means the plant is not matchable, but the best-fit gains
+    are still returned so callers can report the defect.
     """
     if plant.n != ref.n:
         raise ModelError(
@@ -278,20 +279,27 @@ class ReferenceSignal:
     @np.errstate(over="ignore", invalid="ignore")
     def sample(self, times: np.ndarray) -> np.ndarray:
         """Vectorised evaluation; returns an array of shape (len(times), M).
-        A custom sequence holds its last sample up to t = inf."""
+        A custom sequence holds its last sample up to t = inf. A NaN time
+        gives a NaN row, whatever the kind."""
         times = np.asarray(times, dtype=float)
+        nan = np.isnan(times)
         if self.kind == "sum_of_sinusoids":
-            return np.sum(
+            rows = np.sum(
                 self.amplitudes[None, :, :]
                 * np.sin(self.frequencies[None, :, :] * times[:, None, None]
                          + self.phases[None, :, :]),
                 axis=2,
             )
-        if self.kind == "constant":
-            return np.tile(self.level, (times.shape[0], 1))
-        # clipped before the cast, which has no int64 for t >= 2^63
-        idx = np.clip(np.floor(times), 0, self.values.shape[0] - 1)
-        return self.values[idx.astype(int)]
+        elif self.kind == "constant":
+            rows = np.tile(self.level, (times.shape[0], 1))
+        else:
+            # clipped before the cast, which has no int64 for NaN or for
+            # t >= 2^63
+            idx = np.clip(np.floor(np.where(nan, 0.0, times)), 0,
+                          self.values.shape[0] - 1)
+            rows = self.values[idx.astype(int)]
+        rows[nan] = np.nan
+        return rows
 
 
 def random_matchable_instance(n: int, n_inputs: int, seed: int,

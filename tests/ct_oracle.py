@@ -14,7 +14,7 @@ import numpy as np
 
 from mrac import (NumericsError, SingularGainError, integrate_ct,
                   solve_lyapunov_ct, solve_matching, stack_controller_gains,
-                  stack_plant_estimate, theta_star_indirect)
+                  theta_star_indirect)
 
 
 def _clamp_theta2(block, projection):
@@ -364,7 +364,7 @@ def replay_lyapunov(plant, ref, signal, mode, gains, projection, init,
             else:
                 x, xm, xh, Tb1, Tb2 = unpack(z)
                 u = (Tb1.T @ x + r) / np.diag(Tb2)
-                theta_now = stack_plant_estimate(Tb1, Tb2)
+                theta_now = stack_controller_gains(Tb1, Tb2)
                 rec["x_hat"][k] = xh
             if not (np.all(np.isfinite(x)) and np.all(np.isfinite(u))):
                 diverged_at = k

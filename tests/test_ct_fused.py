@@ -9,7 +9,7 @@ from mrac import (DirectGainConfig, IndirectGainConfig, InitialConditions,
                   LyapunovDirectGains, LyapunovIndirectGains, ProjectionConfig,
                   ReferenceSignal, SingularGainError, random_matchable_instance,
                   run_direct_scenario, run_indirect_scenario,
-                  run_lyapunov_scenario, solve_matching, sp_from_signs,
+                  run_lyapunov_scenario, solve_matching,
                   stack_controller_gains, theta_star_indirect)
 from mrac.scenario import config_from_dict, run_scenario
 from conftest import ct_instance
@@ -195,8 +195,8 @@ class TestFusedLyapunov:
 
     def test_direct_mimo_matches_oracle(self):
         plant, ref, K1s, K2s = random_matchable_instance(3, 2, 7, "continuous")
-        gains = LyapunovDirectGains(S_p=sp_from_signs(np.sign(np.diag(K2s)),
-                                                      [1.0, 2.0]))
+        gains = LyapunovDirectGains(
+            S_p=np.diag(np.sign(np.diag(K2s)) * [1.0, 2.0]))
         init = InitialConditions(theta0=0.8 * stack_controller_gains(K1s, K2s))
         args = (plant, ref, ReferenceSignal.sinusoids(**TWO_TONE), "direct",
                 gains, None, init)

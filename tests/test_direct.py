@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from discrete_oracle import (assert_replayed, control_direct, direct_step,
-                             epsilon_direct, replay_direct)
+from discrete_oracle import (RegressorFrame, assert_replayed, control_direct,
+                             direct_step, epsilon_direct, replay_direct)
 from mrac import (DirectGainConfig, GainError, InitialConditions, ModelError,
-                  ReferenceSignal, RegressorFrame, check_delta_V,
+                  ReferenceSignal, check_delta_V,
                   direct_V_series, gamma0_direct, integrate_ct,
                   run_direct_scenario, solve_matching, stack_controller_gains)
 from conftest import K1_TRUE, K2_TRUE, ct_instance, mimo_direct_case

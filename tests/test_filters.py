@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrac import (ChannelFilterBank, ModelError, ReferenceModel,
-                  advance_zeta, compute_m, solve_matching)
+from discrete_oracle import ChannelFilterBank, advance_zeta, compute_m
+from mrac import ModelError, ReferenceModel, solve_matching
 from conftest import DEN_REF
 
 

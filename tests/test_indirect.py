@@ -4,15 +4,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from discrete_oracle import (assert_replayed, epsilon_indirect,
-                             estimator_step, indirect_step, recover_gains,
-                             replay_indirect)
+from discrete_oracle import (RegressorFrame, assert_replayed,
+                             epsilon_indirect, estimator_step, indirect_step,
+                             recover_gains, replay_indirect)
 from mrac import (GainError, IndirectGainConfig, InitialConditions,
                   PlantModel, ProjectionConfig, ProjectionError,
-                  ReferenceModel, ReferenceSignal, RegressorFrame,
-                  SingularGainError, check_delta_V, indirect_V_series,
-                  integrate_ct, run_indirect_scenario, solve_matching,
-                  stack_plant_estimate, theta_star_indirect)
+                  ReferenceModel, ReferenceSignal, SingularGainError,
+                  check_delta_V, indirect_V_series, integrate_ct,
+                  run_indirect_scenario, solve_matching,
+                  stack_controller_gains, theta_star_indirect)
 from ct_oracle import projection_rate
 from conftest import K1_TRUE, K2_TRUE, ct_instance, mimo_indirect_case
 
@@ -37,7 +37,7 @@ class TestEstimator:
     in ``TestScenario.test_estimator_step_on_the_records``."""
 
     def test_exact_parameters_track_the_plant(self, bench_plant, bench_ref):
-        theta = stack_plant_estimate(THETA1_TRUE, [[THETA2_TRUE]])
+        theta = stack_controller_gains(THETA1_TRUE, [[THETA2_TRUE]])
         x = x_hat = np.array([0.3, -0.7])
         rng = np.random.default_rng(0)
         for _ in range(60):
@@ -47,7 +47,7 @@ class TestEstimator:
             assert np.max(np.abs(x_hat - x)) <= 1e-9 * max(1.0, np.max(np.abs(x)))
 
     def test_homogeneous_decay(self, bench_ref):
-        theta = stack_plant_estimate(np.zeros(2), [[1.0]])
+        theta = stack_controller_gains(np.zeros(2), [[1.0]])
         x_hat = e = np.array([1.0, -1.0])
         for _ in range(30):
             x_hat = estimator_step(bench_ref, theta, x_hat, np.zeros(2),
@@ -56,7 +56,7 @@ class TestEstimator:
             assert np.allclose(x_hat, e, atol=1e-14)
 
     def test_arithmetic_example(self, bench_ref):
-        theta = stack_plant_estimate([1.0, 0.0], [[2.0]])
+        theta = stack_controller_gains([1.0, 0.0], [[2.0]])
         out = estimator_step(bench_ref, theta, np.array([1.0, 0.0]),
                              np.array([1.0, 1.0]), np.array([0.5]))
         assert np.allclose(out, [1.0, 1.05])
@@ -139,7 +139,7 @@ class TestProjection:
         gains = IndirectGainConfig(Gamma=np.eye(3), time_domain="discrete")
         proj = ProjectionConfig(theta2_lower=1.0, signs=1.0)
         init = InitialConditions(
-            theta0=stack_plant_estimate([0.0, 0.0], [[0.5]]))
+            theta0=stack_controller_gains([0.0, 0.0], [[0.5]]))
         with pytest.raises(ProjectionError):
             run_indirect_scenario(plant, ref, sig, gains, proj, init, 10)
 
@@ -155,7 +155,7 @@ class TestProjection:
 
 class TestControlRecovery:
     def test_true_parameters_reproduce_nominal_control(self):
-        theta = stack_plant_estimate(THETA1_TRUE, [[THETA2_TRUE]])
+        theta = stack_controller_gains(THETA1_TRUE, [[THETA2_TRUE]])
         K1, K2 = recover_gains(theta, np.ones(1))
         u = K1.T @ np.array([1.0, 1.0]) + K2 @ np.ones(1)
         assert u[0] == pytest.approx(-1.075, abs=1e-14)
@@ -163,20 +163,20 @@ class TestControlRecovery:
         assert u[0] == pytest.approx(nominal, abs=1e-14)
 
     def test_unit_theta2_passes_reference_through(self):
-        K1, K2 = recover_gains(stack_plant_estimate([0.0, 0.0], [[1.0]]),
+        K1, K2 = recover_gains(stack_controller_gains([0.0, 0.0], [[1.0]]),
                                np.full(1, 1e-12))
         u = K1.T @ np.zeros(2) + K2 @ np.array([3.0])
         assert u[0] == 3.0
 
     def test_mimo_diagonal_inverse(self):
-        theta = stack_plant_estimate(np.zeros((3, 2)), np.diag([2.0, 4.0]))
+        theta = stack_controller_gains(np.zeros((3, 2)), np.diag([2.0, 4.0]))
         K1, K2 = recover_gains(theta, np.full(2, 1e-12))
         assert np.allclose(K2, np.diag([0.5, 0.25]))
         u = K1.T @ np.zeros(3) + K2 @ np.ones(2)
         assert np.allclose(u, [0.5, 0.25])
 
     def test_singularity_without_projection(self):
-        theta = stack_plant_estimate([0.0, 0.0], [[1e-15]])
+        theta = stack_controller_gains([0.0, 0.0], [[1e-15]])
         with pytest.raises(SingularGainError):
             recover_gains(theta, np.full(1, 1e-12))
 
@@ -242,7 +242,7 @@ class TestScenario:
         plant, ref, sig = bench_setup()
         gains = IndirectGainConfig(Gamma=np.eye(3), time_domain="discrete")
         proj = ProjectionConfig.from_k2_upper(1.0, 1.0)
-        theta0 = 1.25 * stack_plant_estimate(THETA1_TRUE, [[THETA2_TRUE]])
+        theta0 = 1.25 * stack_controller_gains(THETA1_TRUE, [[THETA2_TRUE]])
         init = InitialConditions(theta0=theta0, xhat0=np.zeros(2))
         trace = run_indirect_scenario(plant, ref, sig, gains, proj, init, 800)
         assert np.max(np.abs(trace.x_hat - trace.x_m)) <= 1e-12
@@ -250,7 +250,7 @@ class TestScenario:
     def test_exact_parameters_freeze(self):
         plant, ref, sig = bench_setup()
         gains = IndirectGainConfig(Gamma=np.eye(3), time_domain="discrete")
-        theta0 = stack_plant_estimate(THETA1_TRUE, [[THETA2_TRUE]])
+        theta0 = stack_controller_gains(THETA1_TRUE, [[THETA2_TRUE]])
         init = InitialConditions(theta0=theta0)
         trace = run_indirect_scenario(plant, ref, sig, gains, None, init, 300)
         assert np.max(np.abs(trace.x_hat - trace.x)) <= 1e-10
@@ -265,7 +265,7 @@ class TestScenario:
             gains = IndirectGainConfig(Gamma=np.eye(3), time_domain="discrete")
             proj = ProjectionConfig.from_k2_upper(1.0, 1.0)
             init = InitialConditions(
-                theta0=1.25 * stack_plant_estimate(THETA1_TRUE, [[THETA2_TRUE]]),
+                theta0=1.25 * stack_controller_gains(THETA1_TRUE, [[THETA2_TRUE]]),
                 x0=[0.5, -0.3], xhat0=[-0.2, 0.4])
         else:
             c = mimo_indirect_case(2)
@@ -298,7 +298,7 @@ class TestScenario:
                 + trace.proj_f2[:-1, 0]) * trace.proj_f2[:-1, 0]
         assert np.max(prod) <= 1e-12
         series = indirect_V_series(trace.theta,
-                                   stack_plant_estimate(THETA1_TRUE, [[THETA2_TRUE]]),
+                                   stack_controller_gains(THETA1_TRUE, [[THETA2_TRUE]]),
                                    gains.Gamma, trace.eps, trace.m)
         ok, first = check_delta_V(series, tolerance=1e-10)
         assert ok, f"bound violated at step {first} despite projection"
@@ -307,7 +307,7 @@ class TestScenario:
         plant, ref, sig = bench_setup()
         gains = IndirectGainConfig(Gamma=np.eye(3), time_domain="discrete")
         proj = ProjectionConfig.from_k2_upper(1.0, 1.0)
-        theta0 = 1.25 * stack_plant_estimate(THETA1_TRUE, [[THETA2_TRUE]])
+        theta0 = 1.25 * stack_controller_gains(THETA1_TRUE, [[THETA2_TRUE]])
         init = InitialConditions(theta0=theta0)
         trace = run_indirect_scenario(plant, ref, sig, gains, proj, init, 5000)
         assert trace.summary.sup_theta < 10.0
@@ -318,7 +318,7 @@ class TestScenario:
         gains = IndirectGainConfig(Gamma=np.diag([0.8, 0.8, 1.2]),
                                    time_domain="discrete")
         proj = ProjectionConfig.from_k2_upper(1.0, 1.0)
-        theta0 = 1.25 * stack_plant_estimate(THETA1_TRUE, [[THETA2_TRUE]])
+        theta0 = 1.25 * stack_controller_gains(THETA1_TRUE, [[THETA2_TRUE]])
         args = (plant, ref, sig, gains, proj,
                 InitialConditions(theta0=theta0), 120)
         records, singular_at = replay_indirect(*args)

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 import ct_oracle
-from discrete_oracle import assert_replayed, replay_direct, replay_indirect
-from mrac import (ChannelFilterBank, DirectGainConfig, IndirectGainConfig,
-                  InitialConditions, PlantModel, ProjectionConfig,
-                  ReferenceModel, ReferenceSignal, random_matchable_instance,
+from discrete_oracle import (ChannelFilterBank, assert_replayed,
+                             replay_direct, replay_indirect)
+from mrac import (DirectGainConfig, IndirectGainConfig, InitialConditions,
+                  PlantModel, ProjectionConfig, ReferenceModel,
+                  ReferenceSignal, random_matchable_instance,
                   run_direct_scenario, run_indirect_scenario,
                   stack_controller_gains, theta_star_indirect)
 from mrac import _rows

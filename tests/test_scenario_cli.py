@@ -172,6 +172,23 @@ class TestRunScenario:
         assert run.invariants["v_nonincreasing_ok"] is True
         assert not run.trace.diverged
 
+    def test_lyapunov_direct_s_p_runs_strict(self, tmp_path):
+        # the multi-input gains of lyapunov_direct, through the CLI
+        data = mimo_dict("direct_gradient", "continuous")
+        k2 = np.array(data["gains"]["sign_k2"])
+        data.update(scheme="lyapunov_direct", horizon=400, ct_step=0.01,
+                    gains={"S_p": np.diag(k2 * [1.0, 2.0]).tolist()})
+        cfg = tmp_path / "s_p.json"
+        cfg.write_text(json.dumps(data))
+        assert main(["run", str(cfg), "--strict", "--out", str(tmp_path)]) == 0
+        base = tmp_path / data["name"]
+        summary = json.loads(base.with_suffix(".summary.json").read_text())
+        assert summary["invariants"]["v_nonincreasing_ok"] is True
+        with open(base.with_suffix(".trace.csv"), encoding="utf-8") as fh:
+            col = fh.readline().rstrip("\n").split(",").index("V")
+            V = [float(line.split(",")[col]) for line in fh]
+        assert len(V) == 401 and V[-1] < V[0]
+
     def test_lyapunov_indirect_through_config(self):
         # a number for Gamma1 scales the M x M identity under the
         # transposed law; it used to scale the n x n one and raise in run
@@ -967,7 +984,7 @@ def test_readme_config_example_validates():
 
 
 def test_discrete_direct_run_compiles_one_scheme(tmp_path):
-    # the other schemes and the reference filter bank are never imported
+    # the other schemes are never imported
     cfg = tmp_path / "bench.json"
     cfg.write_text(json.dumps(bench_dict(horizon=20)))
     probe = ("import sys; from mrac.cli import main; main(['run', sys.argv[1]])"
@@ -978,7 +995,7 @@ def test_discrete_direct_run_compiles_one_scheme(tmp_path):
                           env=dict(os.environ, PYTHONPATH=src))
     loaded = set(ast.literal_eval(proc.stdout.splitlines()[-1]))
     assert "mrac.direct" in loaded
-    assert not loaded & {"mrac.indirect", "mrac.lyapunov", "mrac.filters"}
+    assert not loaded & {"mrac.indirect", "mrac.lyapunov"}
 
 
 def test_orjson_is_imported_only_to_write_a_trace(tmp_path):

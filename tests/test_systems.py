@@ -307,6 +307,18 @@ class TestReferenceSignal:
         held = sig.sample(np.arange(101) * 1e17)[:, 0]
         assert held[0] == 1.0 and np.all(held[1:] == 3.0)
 
+    @pytest.mark.parametrize("sig", [
+        ReferenceSignal.sinusoids([[1.0], [0.5]], [[0.3], [1.1]]),
+        ReferenceSignal.sinusoids([[]], [[]]),
+        ReferenceSignal.constant([2.0, -1.0]),
+        ReferenceSignal.from_samples([[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]])],
+        ids=["sum_of_sinusoids", "no_tones", "constant", "custom"])
+    def test_a_nan_time_gives_a_nan_row(self, sig):
+        rows = sig.sample([0.0, np.nan, 1.0])
+        assert np.all(np.isnan(rows[1]))
+        assert np.array_equal(rows[[0, 2]], sig.sample([0.0, 1.0]))
+        assert np.all(np.isnan(sig.at(np.nan)))
+
     def test_at_is_the_matching_row_of_sample(self):
         rng = np.random.default_rng(0)
         times = np.concatenate([rng.uniform(-5.0, 50.0, 1000),
