@@ -9,80 +9,38 @@ those columns are NaN and the summary reports None for them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Optional
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class TraceSummary:
-    steps: int
-    sup_e: float
-    sup_theta: float
-    sum_eps2_over_m2: Optional[float]
-    sum_dtheta_sq: float
-    sum_drho_sq: Optional[float]
-    tail_frac_eps: Optional[float]
-    tail_frac_dtheta: Optional[float]
-    final_V: Optional[float]
-    diverged: bool
+TraceSummary = namedtuple(
+    "TraceSummary", "steps sup_e sup_theta sum_eps2_over_m2 sum_dtheta_sq "
+    "tail_frac_eps tail_frac_dtheta final_V diverged")
+
+TrackingMetrics = namedtuple("TrackingMetrics",
+                             "sup_e last_window_max settling_index")
+
+# V(t), its increments, and the decrement sum eps^2/m^2 per step, one entry
+# per trace record; dV is NaN at the final record (no successor step)
+LyapunovSeries = namedtuple("LyapunovSeries", "V dV decrement gamma0")
 
 
-@dataclass(frozen=True)
-class TrackingMetrics:
-    sup_e: float
-    last_window_max: float
-    settling_index: Optional[int]
-
-
-@dataclass
-class LyapunovSeries:
-    """V(t), its increments, and the decrement sum eps^2/m^2 per step.
-
-    All arrays have one entry per trace record; dV is NaN at the final
-    record (no successor step).
-    """
-
-    V: np.ndarray
-    dV: np.ndarray
-    decrement: np.ndarray
-    gamma0: float
-
-
-@dataclass(eq=False)
-class SimulationTrace:
+class SimulationTrace(namedtuple(
+        "SimulationTrace", "scheme time_domain horizon dt t x x_m e u eps m "
+        "theta rho x_hat V dV proj_fired proj_g2 proj_f2 series diverged "
+        "diverged_at summary", defaults=(None,) * 8 + (False, None, None))):
     """Per-step record of one closed-loop run plus a recomputable summary.
 
     Arrays hold one row per recorded step; ``len(t) == horizon + 1`` unless
     the run was truncated by divergence, in which case ``diverged`` is set
-    and ``diverged_at`` names the first non-finite step.
+    and ``diverged_at`` names the first non-finite step. theta is (steps,
+    n_w, M), the stacked parameter estimates; ``series`` is the
+    LyapunovSeries of V, when the runner computed V.
     """
 
-    scheme: str
-    time_domain: str
-    horizon: int
-    dt: float
-    t: np.ndarray
-    x: np.ndarray
-    x_m: np.ndarray
-    e: np.ndarray
-    u: np.ndarray
-    eps: np.ndarray
-    m: np.ndarray
-    theta: np.ndarray  # (steps, n_w, M) stacked parameter estimates
-    rho: Optional[np.ndarray] = None
-    x_hat: Optional[np.ndarray] = None
-    V: Optional[np.ndarray] = None
-    dV: Optional[np.ndarray] = None
-    proj_fired: Optional[np.ndarray] = None
-    proj_g2: Optional[np.ndarray] = None
-    proj_f2: Optional[np.ndarray] = None
-    # V with its increments and decrements, when the runner computed V
-    series: Optional[LyapunovSeries] = field(default=None, repr=False)
-    diverged: bool = False
-    diverged_at: Optional[int] = None
-    summary: Optional[TraceSummary] = field(default=None, repr=False)
+    __slots__ = ()
 
     @property
     def steps(self) -> int:
@@ -127,12 +85,6 @@ def summarize(trace: SimulationTrace) -> TraceSummary:
     sum_dtheta = float(np.sum(dtheta_sq))
     tail_dtheta = _tail_fraction(dtheta_sq) if dtheta_sq.size else 0.0
 
-    if trace.rho is not None:
-        drho = np.diff(trace.rho, axis=0)
-        sum_drho = float(np.sum(drho**2))
-    else:
-        sum_drho = None
-
     if trace.V is not None and trace.V.size and math.isfinite(trace.V[-1]):
         final_V = float(trace.V[-1])
     else:
@@ -144,7 +96,6 @@ def summarize(trace: SimulationTrace) -> TraceSummary:
         sup_theta=sup_theta,
         sum_eps2_over_m2=sum_eps,
         sum_dtheta_sq=sum_dtheta,
-        sum_drho_sq=sum_drho,
         tail_frac_eps=tail_eps,
         tail_frac_dtheta=tail_dtheta,
         final_V=final_V,

@@ -16,8 +16,7 @@ integrated jointly to avoid order-of-integration artifacts).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
 import numpy as np
 
@@ -48,7 +47,6 @@ def _spd_check(G, label):
     return eig
 
 
-@dataclass(frozen=True)
 class DirectGainConfig:
     """Adaptation gains plus the sign/bound priors they are validated against.
 
@@ -58,30 +56,27 @@ class DirectGainConfig:
     left on the table) and 0 < gamma_j < 2; with diagonal enforcement on,
     Gamma_j must additionally be block diagonal with a diagonal lower
     block. Continuous time only needs positive definiteness and a finite
-    gamma > 0. k2_lower must be positive and finite in both.
+    gamma > 0. k2_lower must be positive and finite in both. Gamma is kept
+    as the (M, n_w, n_w) stack, gamma, sign_k2 and k2_lower as (M,) arrays.
     """
 
-    Gamma: np.ndarray  # (M, n_w, n_w) after normalization
-    gamma: np.ndarray  # (M,)
-    sign_k2: np.ndarray  # (M,) entries +-1
-    k2_lower: np.ndarray  # (M,) positive
-    time_domain: str = DISCRETE
-    enforce_diagonal_k2: bool = True
-
-    def __post_init__(self):
-        signs = np.atleast_1d(np.asarray(self.sign_k2, dtype=float))
+    def __init__(self, Gamma, gamma, sign_k2, k2_lower,
+                 time_domain: str = DISCRETE, enforce_diagonal_k2: bool = True):
+        self.time_domain = time_domain
+        self.enforce_diagonal_k2 = enforce_diagonal_k2
+        signs = np.atleast_1d(np.asarray(sign_k2, dtype=float))
         M = signs.shape[0]
         if not np.all(np.abs(signs) == 1.0):
             raise GainError("sign_k2 entries must be +1 or -1")
         lower = np.broadcast_to(
-            np.atleast_1d(np.asarray(self.k2_lower, dtype=float)), (M,)).copy()
+            np.atleast_1d(np.asarray(k2_lower, dtype=float)), (M,)).copy()
         if not np.all((lower > 0.0) & (lower < np.inf)):
             raise GainError("k2 lower bounds must be positive and finite")
         gam = np.broadcast_to(
-            np.atleast_1d(np.asarray(self.gamma, dtype=float)), (M,)).copy()
-        gamma_upper = 2.0 if self.time_domain == DISCRETE else np.inf
+            np.atleast_1d(np.asarray(gamma, dtype=float)), (M,)).copy()
+        gamma_upper = 2.0 if time_domain == DISCRETE else np.inf
         factor, tag = (2.0, "2*") if M == 1 else (1.0, "")
-        G = np.asarray(self.Gamma, dtype=float)
+        G = np.asarray(Gamma, dtype=float)
         if G.ndim == 2:
             G = np.broadcast_to(G, (M,) + G.shape).copy()
         if G.ndim != 3 or G.shape[0] != M or G.shape[1] != G.shape[2]:
@@ -92,7 +87,7 @@ class DirectGainConfig:
             raise GainError(f"Gamma block size {n_w} too small for M={M}")
         for j in range(M):
             eig = _spd_check(G[j], f"Gamma[{j}]")
-            if self.time_domain == DISCRETE and eig[-1] >= factor * lower[j]:
+            if time_domain == DISCRETE and eig[-1] >= factor * lower[j]:
                 raise GainError(
                     f"{'Gamma' if M == 1 else f'Gamma[{j}]'} violates the "
                     f"{tag}k2_lower bound: largest eigenvalue {eig[-1]:.6g} "
@@ -100,20 +95,21 @@ class DirectGainConfig:
             if not 0.0 < gam[j] < gamma_upper:
                 raise GainError(f"gamma[{j}]={gam[j]:.6g} outside "
                                 f"(0, {gamma_upper:g})")
-            if M > 1 and self.enforce_diagonal_k2:
+            if M > 1 and enforce_diagonal_k2:
                 if np.any(G[j][:n, n:]) or np.any(G[j][n:, n:] * (1.0 - np.eye(M))):
                     raise GainError(
                         f"Gamma[{j}] must be block diagonal with a diagonal "
                         "K2 block when diagonal enforcement is on"
                     )
-        object.__setattr__(self, "Gamma", G)
-        object.__setattr__(self, "gamma", gam)
-        object.__setattr__(self, "sign_k2", signs)
-        object.__setattr__(self, "k2_lower", lower)
+        self.Gamma, self.gamma, self.sign_k2, self.k2_lower = G, gam, signs, lower
 
     @property
     def n_inputs(self) -> int:
         return self.sign_k2.shape[0]
+
+    def shapes(self, n: int, M: int) -> dict:
+        """The shape each gain must have on an n-state, M-input plant."""
+        return {"sign_k2": (M,), "Gamma": (M, n + M, n + M)}
 
 
 def _shape_theta(theta, n_w, M):
@@ -125,42 +121,65 @@ def _shape_theta(theta, n_w, M):
     return th.copy()
 
 
-@dataclass
-class InitialConditions:
+def _entries(value, name, size, spread=False):
+    """``value`` as a vector of ``size`` floats, from any shape of that many
+    entries, or with ``spread`` from one entry for all."""
+    arr = np.asarray(value, dtype=float)
+    if arr.size != size and not (spread and arr.size == 1):
+        raise ModelError(f"{name} must have shape ({size},), got {arr.shape}")
+    return np.broadcast_to(arr.reshape(-1), (size,)).copy()
+
+
+class InitialConditions(namedtuple("InitialConditions", "x0 xm0 theta0 rho0 "
+                                   "xhat0", defaults=(None,) * 5)):
     """Initial states for a scenario run; unset entries default to zero
     (and the estimator state defaults to the plant state)."""
 
-    x0: Optional[np.ndarray] = None
-    xm0: Optional[np.ndarray] = None
-    theta0: Optional[np.ndarray] = None
-    rho0: Optional[np.ndarray] = None
-    xhat0: Optional[np.ndarray] = None
+    __slots__ = ()
 
     def resolved(self, n: int, n_w: int, M: int):
-        x0 = np.zeros(n) if self.x0 is None else np.asarray(self.x0, float).reshape(n)
-        xm0 = np.zeros(n) if self.xm0 is None else np.asarray(self.xm0, float).reshape(n)
+        """(x0, xm0, theta0, rho0, xhat0) as arrays of shapes (n,), (n,),
+        (n_w, M), (M,) and (n,); one rho0 entry stands for every input. An
+        entry of another size raises ModelError."""
+        x0 = np.zeros(n) if self.x0 is None else _entries(self.x0, "x0", n)
+        xm0 = np.zeros(n) if self.xm0 is None else _entries(self.xm0, "xm0", n)
         theta0 = (np.zeros((n_w, M)) if self.theta0 is None
                   else _shape_theta(self.theta0, n_w, M))
-        rho0 = (np.zeros(M) if self.rho0 is None else np.broadcast_to(
-            np.atleast_1d(np.asarray(self.rho0, dtype=float)), (M,)).copy())
-        xhat0 = x0.copy() if self.xhat0 is None else np.asarray(self.xhat0, float).reshape(n)
+        rho0 = (np.zeros(M) if self.rho0 is None
+                else _entries(self.rho0, "rho0", M, spread=True))
+        xhat0 = (x0.copy() if self.xhat0 is None
+                 else _entries(self.xhat0, "xhat0", n))
         return x0, xm0, theta0, rho0, xhat0
 
 
 def _check_run_args(plant: PlantModel, ref: ReferenceModel,
-                    signal: ReferenceSignal, gains, horizon: int):
+                    signal: ReferenceSignal, gains, init: InitialConditions,
+                    horizon: int, projection=None):
+    """The check every runner makes before its first step: the models,
+    signal, ``gains`` (any scheme's; a Lyapunov one has no time domain),
+    ``projection`` and ``init`` all fit the plant's n and M. Returns the
+    resolved initial states (``InitialConditions.resolved``)."""
     if plant.time_domain != ref.time_domain:
         raise ModelError("plant and reference model time domains differ")
-    if gains.time_domain != plant.time_domain:
+    if getattr(gains, "time_domain", plant.time_domain) != plant.time_domain:
         raise ModelError("gain config was validated for a different time domain")
     if plant.n != ref.n or plant.n_inputs != ref.n_inputs:
         raise ModelError("plant and reference model dimensions differ")
-    if signal.dimension != plant.n_inputs:
-        raise ModelError(
-            f"signal dimension {signal.dimension} != input count {plant.n_inputs}"
-        )
+    n, M = plant.n, plant.n_inputs
+    if signal.dimension != M:
+        raise ModelError(f"signal dimension {signal.dimension} != input count {M}")
     if horizon < 1:
         raise ModelError("horizon must be at least 1")
+    for name, want in gains.shapes(n, M).items():
+        got = np.shape(getattr(gains, name))
+        if got != want:
+            raise GainError(f"{name} must have shape {want} on a plant with "
+                            f"n={n}, M={M}, got {got}")
+    if projection is not None and projection.n_inputs != M:
+        raise ModelError("projection dimension disagrees with the input count: "
+                         f"signs must have shape ({M},), got "
+                         f"{projection.signs.shape}")
+    return init.resolved(n, n + M, M)
 
 
 # the matching solution a runner solves itself when it is given none
@@ -218,8 +237,7 @@ def _finish_trace(scheme, domain, horizon, dt, diverged_at, rec,
         V=None if series is None else series.V,
         dV=None if series is None else series.dV,
         diverged=diverged_at is not None, diverged_at=diverged_at, **rec)
-    trace.summary = trace.summarize()
-    return trace
+    return trace._replace(summary=trace.summarize())
 
 
 def _direct_law(A, B, Am, Bm, gains, enforce, P, rho, x0, xm0) -> Law:
@@ -291,10 +309,10 @@ def run_direct_scenario(plant: PlantModel, ref: ReferenceModel,
     raising. ``match`` is the scenario's matching solution (see
     ``_matching``), which gives V.
     """
-    _check_run_args(plant, ref, signal, gains, horizon)
+    x0, xm0, theta0, rho0, _ = _check_run_args(plant, ref, signal, gains,
+                                               init, horizon)
     match = _diagonal_match(_matching(plant, ref, match))
     n, M = plant.n, plant.n_inputs
-    x0, xm0, theta0, rho0, _ = init.resolved(n, n + M, M)
     enforce = gains.enforce_diagonal_k2 and M > 1
     P = theta0.T.copy()  # rows are theta_j
     if enforce:

@@ -22,11 +22,7 @@ class SingularGainError(ToolkitError):
 
 
 class NumericsError(ToolkitError):
-    """Non-finite value encountered; carries the step index when known."""
-
-    def __init__(self, message, step=None):
-        super().__init__(message if step is None else f"{message} (step {step})")
-        self.step = step
+    """Non-finite value encountered."""
 
 
 class ConfigError(ToolkitError):

@@ -21,7 +21,6 @@ each is followed literally).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import lt, mul
 
 import numpy as np
@@ -32,38 +31,34 @@ from .diagnostics import SimulationTrace, indirect_V_series
 from .direct import (SOLVE, InitialConditions, _check_run_args,
                      _diagonal_match, _finish_trace, _matching, _spd_check,
                      stack_controller_gains)
-from .errors import GainError, ModelError, ProjectionError, SingularGainError
+from .errors import GainError, ProjectionError, SingularGainError
 # solve_matching stays a module attribute: the benchmark's tracer wraps it
 # here by name
 from .systems import (DISCRETE, PlantModel, ReferenceModel,  # noqa: F401
                       ReferenceSignal, integrate_ct, solve_matching)
 
 
-@dataclass(frozen=True)
 class ProjectionConfig:
-    """Sign priors and the lower bound theta2_lower = 1 / k2_upper.
+    """Sign priors and the lower bound theta2_lower = 1 / k2_upper, both
+    kept as (M,) arrays: signs of entries +-1, positive bounds.
 
     ``enabled=False`` keeps the raw gradient law; controller recovery then
     raises on sub-threshold estimates instead of being protected. Each
     theta2 rule lives here once: below, in the floors and in ``_ct_guards``.
     """
 
-    theta2_lower: np.ndarray  # (M,) positive
-    signs: np.ndarray  # (M,) entries +-1
-    enabled: bool = True
-
-    def __post_init__(self):
-        signs = np.atleast_1d(np.asarray(self.signs, dtype=float))
-        M = signs.shape[0]
-        if not np.all(np.abs(signs) == 1.0):
+    def __init__(self, theta2_lower, signs, enabled: bool = True):
+        self.enabled = enabled
+        self.signs = np.atleast_1d(np.asarray(signs, dtype=float))
+        M = self.signs.shape[0]
+        if not np.all(np.abs(self.signs) == 1.0):
             raise ProjectionError("projection signs must be +1 or -1")
         lower = np.broadcast_to(
-            np.atleast_1d(np.asarray(self.theta2_lower, dtype=float)), (M,)).copy()
+            np.atleast_1d(np.asarray(theta2_lower, dtype=float)), (M,)).copy()
         if np.any(lower <= 0.0) or not np.all(np.isfinite(lower)):
             raise ProjectionError(
                 "theta2 lower bounds must be positive and finite")
-        object.__setattr__(self, "signs", signs)
-        object.__setattr__(self, "theta2_lower", lower)
+        self.theta2_lower = lower
 
     @classmethod
     def from_k2_upper(cls, k2_upper, signs, enabled: bool = True) -> "ProjectionConfig":
@@ -71,7 +66,7 @@ class ProjectionConfig:
         upper = np.atleast_1d(np.asarray(k2_upper, dtype=float))
         if np.any(upper <= 0.0):
             raise ProjectionError("k2 upper bounds must be positive")
-        # a subnormal bound has no finite reciprocal; __post_init__ rejects it
+        # a subnormal bound has no finite reciprocal; __init__ rejects it
         with np.errstate(over="ignore"):
             lower = 1.0 / upper
         return cls(theta2_lower=lower, signs=signs, enabled=enabled)
@@ -176,8 +171,6 @@ def _start(law, projection: ProjectionConfig | None, theta0, T1: int):
     """``projection`` when enabled, after its start check on ``theta0``,
     else None, and T1 steps of records of ``law`` and their ``store``, with
     theta2's raw rate as proj_g2 (zero without one) and a zero proj_f2."""
-    if projection is not None and projection.n_inputs != theta0.shape[1]:
-        raise ModelError("projection dimension disagrees with the input count")
     proj = _active(projection)
     if proj is not None:
         proj.check_start(theta0)
@@ -199,9 +192,9 @@ def _check_floor(theta2, projection: ProjectionConfig | None):
             f"threshold at step {low[0]}")
 
 
-@dataclass(frozen=True)
 class IndirectGainConfig:
-    """Gain blocks for the indirect law.
+    """Gain blocks for the indirect law, kept as the (M, n_w, n_w) stack
+    Gamma; a single block is the stack of one, M = 1.
 
     Each Gamma_j must be symmetric positive definite and block diagonal
     with a diagonal trailing M x M block (the structure the projection
@@ -209,11 +202,9 @@ class IndirectGainConfig:
     below 2.
     """
 
-    Gamma: np.ndarray  # (M, n_w, n_w)
-    time_domain: str = DISCRETE
-
-    def __post_init__(self):
-        G = np.asarray(self.Gamma, dtype=float)
+    def __init__(self, Gamma, time_domain: str = DISCRETE):
+        self.time_domain = time_domain
+        G = np.asarray(Gamma, dtype=float)
         if G.ndim == 2:
             G = G[None]
         if G.ndim != 3 or G.shape[1] != G.shape[2]:
@@ -224,7 +215,7 @@ class IndirectGainConfig:
             raise GainError(f"Gamma block size {n_w} too small for M={M}")
         for j in range(M):
             eig = _spd_check(G[j], f"Gamma[{j}]")
-            if self.time_domain == DISCRETE and eig[-1] >= 2.0:
+            if time_domain == DISCRETE and eig[-1] >= 2.0:
                 raise GainError(
                     f"Gamma[{j}] violates the spectral bound 2: largest eigenvalue "
                     f"{eig[-1]:.6g}"
@@ -233,11 +224,15 @@ class IndirectGainConfig:
                 raise GainError(
                     f"Gamma[{j}] must be block diagonal with a diagonal trailing block"
                 )
-        object.__setattr__(self, "Gamma", G)
+        self.Gamma = G
 
     @property
     def n_inputs(self) -> int:
         return self.Gamma.shape[0]
+
+    def shapes(self, n: int, M: int) -> dict:
+        """The shape each gain must have on an n-state, M-input plant."""
+        return {"Gamma": (M, n + M, n + M)}
 
 
 def theta_star_indirect(K1, K2) -> np.ndarray:
@@ -330,10 +325,10 @@ def run_indirect_scenario(plant: PlantModel, ref: ReferenceModel,
     ``match`` as in the direct case, with the estimator advanced on the
     same pre-update estimates. A theta2 below the invertibility threshold
     raises SingularGainError."""
-    _check_run_args(plant, ref, signal, gains, horizon)
+    x0, xm0, theta0, _, xhat0 = _check_run_args(plant, ref, signal, gains,
+                                                init, horizon, projection)
     match = _diagonal_match(_matching(plant, ref, match))
     n, M, T1 = plant.n, plant.n_inputs, horizon + 1
-    x0, xm0, theta0, _, xhat0 = init.resolved(n, n + M, M)
     P = theta0.T.copy()
     if M > 1:
         P[:, n:] *= np.eye(M)

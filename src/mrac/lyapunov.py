@@ -11,15 +11,13 @@ one fixed-step scheme.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import _rows
 from .diagnostics import SimulationTrace, value_series
-from .direct import (SOLVE, InitialConditions, _finish_trace, _matching,
-                     _spd_check)
+from .direct import (SOLVE, InitialConditions, _check_run_args, _finish_trace,
+                     _matching, _spd_check)
 from .errors import GainError, ModelError
 from .indirect import (ProjectionConfig, _active, _ct_guards,
                        _run_ct_projected, theta_star_indirect)
@@ -28,13 +26,8 @@ from .systems import (CONTINUOUS, PlantModel, ReferenceModel,  # noqa: F401
                       ReferenceSignal, integrate_ct, is_hurwitz, solve_matching)
 
 
-@dataclass(frozen=True)
-class LyapunovCertificate:
-    """P = P^T > 0 together with the Q it was solved for and the defect norm."""
-
-    P: np.ndarray
-    Q: np.ndarray
-    residual: float
+# P = P^T > 0 together with the Q it was solved for and the defect norm
+LyapunovCertificate = namedtuple("LyapunovCertificate", "P Q residual")
 
 
 # a barely Hurwitz A_m gives a P that overflows; its residual then reads
@@ -72,55 +65,54 @@ def solve_lyapunov_ct(A_m, Q) -> LyapunovCertificate:
     return LyapunovCertificate(P=P, Q=Qm.copy(), residual=residual)
 
 
-@dataclass(frozen=True)
 class LyapunovDirectGains:
-    """Single-input: (Gamma, gamma, sign_k2). Multi-input: S_p."""
+    """Single-input: (Gamma, gamma, sign_k2). Multi-input: S_p. The matrix
+    given is kept as a 2-D array, every other value as given."""
 
-    Gamma: Optional[np.ndarray] = None
-    gamma: Optional[float] = None
-    sign_k2: Optional[float] = None
-    S_p: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.S_p is not None:
-            object.__setattr__(self, "S_p", np.atleast_2d(np.asarray(self.S_p, float)))
+    def __init__(self, Gamma=None, gamma=None, sign_k2=None, S_p=None):
+        self.Gamma, self.gamma, self.sign_k2, self.S_p = Gamma, gamma, sign_k2, S_p
+        if S_p is not None:
+            self.S_p = np.atleast_2d(np.asarray(S_p, float))
             return
-        if self.Gamma is None or self.gamma is None or self.sign_k2 is None:
+        if Gamma is None or gamma is None or sign_k2 is None:
             raise GainError("need either S_p or the (Gamma, gamma, sign_k2) triple")
-        G = np.atleast_2d(np.asarray(self.Gamma, dtype=float))
-        _spd_check(G, "Gamma")
-        if not 0.0 < self.gamma < np.inf:
+        self.Gamma = np.atleast_2d(np.asarray(Gamma, dtype=float))
+        _spd_check(self.Gamma, "Gamma")
+        if not 0.0 < gamma < np.inf:
             raise GainError("gamma must be positive and finite")
-        if abs(self.sign_k2) != 1.0:
+        if abs(sign_k2) != 1.0:
             raise GainError("sign_k2 must be +1 or -1")
-        object.__setattr__(self, "Gamma", G)
+
+    def shapes(self, n: int, M: int) -> dict:
+        """The shape each gain must have on an n-state, M-input plant."""
+        return {"Gamma": (n, n)} if self.S_p is None else {"S_p": (M, M)}
 
 
-@dataclass(frozen=True)
 class LyapunovIndirectGains:
-    """Gamma1 drives the Theta1 law, Gamma2 (diagonal) the Theta2 law.
+    """Gamma1 drives the Theta1 law, Gamma2 (diagonal) the Theta2 law, both
+    kept as 2-D arrays.
 
     theta1_law selects between the two stated Theta1 updates: "standard"
     (Gamma1 acts on the state side, n x n) and "transposed" (Gamma1 acts on
     the input side, M x M).
     """
 
-    Gamma1: np.ndarray
-    Gamma2: np.ndarray
-    theta1_law: str = "standard"
-
-    def __post_init__(self):
-        G1 = np.atleast_2d(np.asarray(self.Gamma1, dtype=float))
-        G2 = np.atleast_2d(np.asarray(self.Gamma2, dtype=float))
-        if self.theta1_law not in ("standard", "transposed"):
-            raise GainError(f"unknown theta1 law {self.theta1_law!r}")
-        _spd_check(G1, "Gamma1")
+    def __init__(self, Gamma1, Gamma2, theta1_law: str = "standard"):
+        self.Gamma1 = np.atleast_2d(np.asarray(Gamma1, dtype=float))
+        self.Gamma2 = G2 = np.atleast_2d(np.asarray(Gamma2, dtype=float))
+        self.theta1_law = theta1_law
+        if theta1_law not in ("standard", "transposed"):
+            raise GainError(f"unknown theta1 law {theta1_law!r}")
+        _spd_check(self.Gamma1, "Gamma1")
         if np.any(G2 * (1.0 - np.eye(G2.shape[0]))):
             raise GainError("Gamma2 must be diagonal")
         if np.any(np.diag(G2) <= 0.0):
             raise GainError("Gamma2 diagonal must be positive")
-        object.__setattr__(self, "Gamma1", G1)
-        object.__setattr__(self, "Gamma2", G2)
+
+    def shapes(self, n: int, M: int) -> dict:
+        """The shape each gain must have on an n-state, M-input plant."""
+        side = M if self.theta1_law == "transposed" else n
+        return {"Gamma1": (side, side), "Gamma2": (M, M)}
 
 
 # one Lyapunov scheme's closed loop: the certificate ``ct``, the scheme on a
@@ -349,14 +341,11 @@ def run_lyapunov_scenario(plant: PlantModel, ref: ReferenceModel,
     gradient one's, without a floor (``indirect._run_ct_projected``).
     ``cert`` and ``match`` are as for ``build_lyapunov_loop``.
     """
-    if signal.dimension != plant.n_inputs:
-        raise ModelError("signal dimension disagrees with the input count")
-    if horizon < 1:
-        raise ModelError("horizon must be at least 1")
+    x0, xm0, theta0, _, xhat0 = _check_run_args(plant, ref, signal, gains,
+                                                init, horizon, projection)
     loop = build_lyapunov_loop(plant, ref, signal, mode, gains, projection,
                                cert, match)
-    n, M = plant.n, plant.n_inputs
-    x0, xm0, theta0, _, xhat0 = init.resolved(n, n + M, M)
+    n = plant.n
     z = loop.pack(x0, xm0, theta0[:n], theta0[n:].T, xhat0)
     if mode == "indirect":
         rec, diverged_at = _run_ct_projected(loop.law, z, signal, horizon, h,

@@ -15,7 +15,7 @@ import math
 import os
 import sys
 from collections import namedtuple
-from dataclasses import asdict, dataclass, make_dataclass
+from copy import deepcopy
 from importlib import import_module
 from typing import Any, Optional
 
@@ -256,11 +256,18 @@ _OUTPUT = {
 Built = namedtuple("Built", "plant reference signal gains init match "
                    "projection cert", defaults=(None, None))
 
-# the loaded config: one field per top-level key, holding plain JSON
-# values, so that it round-trips losslessly through serialize_config, and
-# ``built``, which config_from_dict sets
-ScenarioConfig = make_dataclass("ScenarioConfig", list(_TOP),
-                                namespace={"to_dict": asdict, "built": None})
+
+class ScenarioConfig(namedtuple("ScenarioConfig", list(_TOP))):
+    """The loaded config: one field per top-level key, holding plain JSON
+    values, so that it round-trips losslessly through serialize_config, and
+    ``built``, which config_from_dict sets on the instance and which
+    equality does not compare."""
+
+    built = None
+
+    def to_dict(self) -> dict:
+        """A deep copy of the fields, by key."""
+        return deepcopy(self._asdict())
 
 
 def serialize_config(cfg: ScenarioConfig) -> str:
@@ -534,12 +541,8 @@ def resolve_init(init: dict, scheme: str, match) -> InitialConditions:
     return InitialConditions(**init)
 
 
-@dataclass
-class ScenarioRun:
-    config: ScenarioConfig
-    trace: SimulationTrace
-    invariants: dict
-    exit_status: int  # 0 ok, 2 diverged, 3 invariant violation
+# exit_status: 0 ok, 2 diverged, 3 invariant violation
+ScenarioRun = namedtuple("ScenarioRun", "config trace invariants exit_status")
 
 
 def _invariant_report(cfg: ScenarioConfig, trace: SimulationTrace) -> dict:

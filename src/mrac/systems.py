@@ -9,7 +9,7 @@ trajectory and doubles as the filter prototype for the regressor banks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
@@ -44,7 +44,6 @@ def is_hurwitz(mat) -> bool:
     return bool(np.max(np.linalg.eigvals(arr).real) < 0.0)
 
 
-@dataclass(frozen=True)
 class PlantModel:
     """Truth system (A, B); unknown to the controller, used by the simulator.
 
@@ -52,15 +51,11 @@ class PlantModel:
     least-squares solution.
     """
 
-    A: np.ndarray
-    B: np.ndarray
-    time_domain: str = DISCRETE
-
-    def __post_init__(self):
-        object.__setattr__(self, "A", _as_matrix(self.A, "A"))
-        object.__setattr__(self, "B", _as_matrix(self.B, "B"))
-        if self.time_domain not in (DISCRETE, CONTINUOUS):
-            raise ModelError(f"unknown time domain {self.time_domain!r}")
+    def __init__(self, A, B, time_domain: str = DISCRETE):
+        self.A, self.B = _as_matrix(A, "A"), _as_matrix(B, "B")
+        self.time_domain = time_domain
+        if time_domain not in (DISCRETE, CONTINUOUS):
+            raise ModelError(f"unknown time domain {time_domain!r}")
         n, nc = self.A.shape
         if n != nc or n < 1:
             raise ModelError(f"A must be square with n >= 1, got {self.A.shape}")
@@ -80,7 +75,6 @@ class PlantModel:
         return self.B.shape[1]
 
 
-@dataclass(frozen=True)
 class ReferenceModel:
     """Stable target system (A_m, B_m).
 
@@ -88,29 +82,24 @@ class ReferenceModel:
     models need a Hurwitz A_m.
     """
 
-    A_m: np.ndarray
-    B_m: np.ndarray
-    time_domain: str = DISCRETE
-
-    def __post_init__(self):
-        object.__setattr__(self, "A_m", _as_matrix(self.A_m, "A_m"))
-        object.__setattr__(self, "B_m", _as_matrix(self.B_m, "B_m"))
-        if self.time_domain not in (DISCRETE, CONTINUOUS):
-            raise ModelError(f"unknown time domain {self.time_domain!r}")
+    def __init__(self, A_m, B_m, time_domain: str = DISCRETE):
+        self.A_m, self.B_m = _as_matrix(A_m, "A_m"), _as_matrix(B_m, "B_m")
+        self.time_domain = time_domain
+        if time_domain not in (DISCRETE, CONTINUOUS):
+            raise ModelError(f"unknown time domain {time_domain!r}")
         n, nc = self.A_m.shape
         if n != nc or n < 1:
             raise ModelError(f"A_m must be square with n >= 1, got {self.A_m.shape}")
         if self.B_m.shape[0] != n or self.B_m.shape[1] < 1:
             raise ModelError(f"B_m must be {n} x M with M >= 1, got {self.B_m.shape}")
-        if self.time_domain == DISCRETE:
+        if time_domain == DISCRETE:
             rho = spectral_radius(self.A_m)
             if rho >= 1.0:
                 raise ModelError(
                     f"discrete reference model is unstable: spectral radius {rho:.6g} >= 1"
                 )
-        else:
-            if not is_hurwitz(self.A_m):
-                raise ModelError("continuous reference model A_m is not Hurwitz")
+        elif not is_hurwitz(self.A_m):
+            raise ModelError("continuous reference model A_m is not Hurwitz")
 
     @property
     def n(self) -> int:
@@ -121,13 +110,11 @@ class ReferenceModel:
         return self.B_m.shape[1]
 
 
-@dataclass(frozen=True)
-class MatchingSolution:
-    """Gains (K1, K2) with A + B K1^T = A_m and B K2 = B_m, plus the defect norm."""
+class MatchingSolution(namedtuple("MatchingSolution", "K1 K2 residual")):
+    """Gains (K1, K2) with A + B K1^T = A_m and B K2 = B_m, plus the defect
+    norm; K1 is n x M, K2 M x M."""
 
-    K1: np.ndarray  # n x M
-    K2: np.ndarray  # M x M
-    residual: float
+    __slots__ = ()
 
     def matchable(self) -> bool:
         """True when the matching defect is at most MATCHING_TOL."""
@@ -225,23 +212,19 @@ def integrate_ct(rhs, state, h: float, t: float = 0.0, method: str = "rk4",
     return out
 
 
-@dataclass(frozen=True)
-class ReferenceSignal:
+class ReferenceSignal(namedtuple(
+        "ReferenceSignal", "kind dimension amplitudes frequencies phases level "
+        "values", defaults=(None,) * 5)):
     """Bounded reference input r(t) of dimension M.
 
-    Three flavours: a per-channel sum of sinusoids, a constant level, or a
-    custom sample sequence. Discrete runs evaluate at integer step indices;
-    continuous runs evaluate at simulation time, with custom sequences
-    zero-order-held over unit intervals.
+    Three flavours: a per-channel sum of K sinusoids (amplitudes,
+    frequencies and phases, each M x K), a constant level (M,), or a custom
+    sample sequence (values, T x M). Discrete runs evaluate at integer step
+    indices; continuous runs evaluate at simulation time, with custom
+    sequences zero-order-held over unit intervals.
     """
 
-    kind: str
-    dimension: int
-    amplitudes: np.ndarray | None = None  # (M, K)
-    frequencies: np.ndarray | None = None  # (M, K)
-    phases: np.ndarray | None = None  # (M, K)
-    level: np.ndarray | None = None  # (M,)
-    values: np.ndarray | None = field(default=None, repr=False)  # (T, M)
+    __slots__ = ()
 
     @classmethod
     def sinusoids(cls, amplitudes, frequencies, phases=None) -> "ReferenceSignal":
@@ -253,6 +236,9 @@ class ReferenceSignal:
             ph = np.atleast_2d(np.asarray(phases, dtype=float))
         if not (amp.shape == freq.shape == ph.shape):
             raise ModelError("sinusoid amplitude/frequency/phase shapes must agree")
+        if amp.size == 0:
+            raise ModelError("a sum of sinusoids needs at least one tone per "
+                             "channel")
         return cls(kind="sum_of_sinusoids", dimension=amp.shape[0],
                    amplitudes=amp, frequencies=freq, phases=ph)
 

@@ -238,6 +238,19 @@ class TestRunScenario:
         run = run_scenario(config_from_dict(data))
         assert run.trace.u[0, 0] == pytest.approx(0.3125, abs=1e-15)
 
+    def test_a_sinusoid_signal_without_tones_is_invalid(self, tmp_path,
+                                                         capsys):
+        # it used to validate and track r = 0
+        bad = tmp_path / "bad.json"
+        data = bench_dict(horizon=200)
+        data["signal"].update(amplitudes=[[]], frequencies=[[]])
+        bad.write_text(json.dumps(data))
+        for verb in ("validate", "run"):
+            assert main([verb, str(bad)]) == 1
+            assert capsys.readouterr().err == (
+                "invalid: signal: a sum of sinusoids needs at least one tone "
+                "per channel\n")
+
     def test_euler_integrator_option(self):
         data = bench_dict(time_domain="continuous", horizon=300,
                           integrator="euler", ct_step=0.005)
@@ -798,8 +811,7 @@ class TestCli:
         real = cli_mod.run_scenario
 
         def doctored(cfg):
-            run = real(cfg)
-            run.exit_status = 3
+            run = real(cfg)._replace(exit_status=3)
             run.invariants["delta_v_ok"] = False
             return run
 
@@ -1019,6 +1031,19 @@ def test_orjson_is_imported_only_to_write_a_trace(tmp_path):
     assert ast.literal_eval(proc.stdout.splitlines()[-1]) == [
         False, False, True]
     assert (tmp_path / "second-order-benchmark.trace.csv").exists()
+
+
+def test_no_module_imports_dataclasses():
+    # the value types are namedtuples and plain classes, so building them
+    # costs no dataclass code generation at start-up
+    probe = ("import sys, mrac.cli, mrac.scenario, mrac.indirect, "
+             "mrac.lyapunov; print('dataclasses' in sys.modules)")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 class TestBatch:

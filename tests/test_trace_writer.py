@@ -1,7 +1,6 @@
 """The chunked trace writers against the per-value loops they replaced:
 the same bytes on every kind of trace, and memory bounded by the chunk."""
 
-import dataclasses
 import functools
 import os
 import pathlib
@@ -30,7 +29,7 @@ RECORDS = ("t", "x", "x_m", "e", "u", "eps", "m", "theta", "rho", "x_hat",
 
 def cut(trace, steps):
     """The first ``steps`` rows of ``trace``."""
-    return dataclasses.replace(trace, **{
+    return trace._replace(**{
         name: getattr(trace, name)[:steps] for name in RECORDS
         if getattr(trace, name) is not None})
 
