@@ -36,11 +36,23 @@ evaluator writes each later stage's state straight into one of three stage
 rows. A step does only the RK4 arithmetic, the law's four
 steps, ``integrate_ct``'s finiteness check of the new state and the check
 of u and m^2.
+
+Rows may carry a leading member axis: ``stack`` makes one law of a
+lockstep group, B discrete laws of one layout, with L, G and z0 stacked,
+and ``run`` then steps (B, width) blocks of rows. Each product becomes a
+stacked ``matmul``, which makes the same BLAS call per member as the lone
+``.dot``, so every member's rows are byte for byte those of its lone run.
+The divergence rule and ``store`` run per member: a member's records stop
+after the chunk in which it diverged, and the group runs until every
+member has diverged or reached the end. A lone run has no member axis and
+keeps the ``.dot`` step.
 """
 
 from __future__ import annotations
 
+import copy
 import math
+from functools import partial
 
 import numpy as np
 
@@ -102,34 +114,55 @@ class Law(Layout):
         }
         # theta2_j in row 1 + j of W^T
         self.th2 = slice(K + n, W.shape[0], K + C + 1)
-        self.step = _stepper(L, G, n, (M if xi_in_ab else 0) + M * C)
+        self.n_ab = (M if xi_in_ab else 0) + M * C
+        self.step = _stepper(L, G, n, M, self.n_ab)
 
     def views(self, row, dF):
         """The operands ``step`` takes from ``row``, writing F's image into
-        ``dF``."""
+        ``dF``. Of a group's (B, width) block of rows, each operand gains
+        the leading member axis, vectors become columns and each product a
+        batched ``matmul`` (see ``stack``)."""
         n, M, C, K, F0 = self.n, self.M, self.C, self.K, self.F0
-        W, W1 = row[self.W], self.W.start + K
+        lead = row.shape[:-1]
+        W, W1 = row[..., self.W], self.W.start + K
         # theta_j is row 1 + j of W^T from column jC on; the row runs past W
-        theta = row[W1:W1 + M * (K + C)].reshape(M, K + C)[:, :C]
+        theta = row[..., W1:W1 + M * (K + C)].reshape(
+            lead + (M, K + C))[..., :C]
         if self.rho:
-            refresh = (theta, W[M * C:M * C + M, None],
-                       W[:M * C].reshape(M, C))
+            refresh = (theta, W[..., M * C:M * C + M, None],
+                       W[..., :M * C].reshape(lead + (M, C)))
             gains, th2 = theta, None
         else:
-            refresh, th2 = None, W[self.th2]
-            gains = W[(M + 1) * K:].reshape(M, C)
-        H = row[n if self.xi_in_m else F0:F0 + n * M * C]
-        AB = row[n if self.xi_in_ab else F0:F0 + n * M * C]
-        return (refresh, gains.dot, row[F0 + n * (K - 1):self.U.start],
-                row[self.U], th2, W[:(M + 1) * K].reshape(M + 1, K).dot,
-                row[self.F].reshape(K, n), row[:F0].reshape(M + 1, n), H.dot,
-                H, row[self.m2:self.m2 + 1], row[:n], AB.reshape(-1, n).dot,
-                row[self.dW], row[F0:self.U.stop], dF)
+            refresh, th2 = None, W[..., self.th2]
+            gains = W[..., (M + 1) * K:].reshape(lead + (M, C))
+        H = row[..., n if self.xi_in_m else F0:F0 + n * M * C]
+        AB = row[..., n if self.xi_in_ab else F0:F0 + n * M * C].reshape(
+            lead + (-1, n))
+        WT = W[..., :(M + 1) * K].reshape(lead + (M + 1, K))
+        FT = row[..., self.F].reshape(lead + (K, n))
+        XE = row[..., :F0].reshape(lead + (M + 1, n))
+        om, u = row[..., F0 + n * (K - 1):self.U.start], row[..., self.U]
+        eps, dW = row[..., :n], row[..., self.dW]
+        lin = row[..., F0:self.U.stop]
+        if not lead:
+            return (refresh, gains.dot, om, u, th2, WT.dot, FT, XE, H.dot, H,
+                    row[self.m2:self.m2 + 1], eps, AB.dot, dW, lin, dF)
+        # a group's products are stacked matmuls over columns, and m^2 and
+        # eps are flat operands of the normalization's vector form
+        matmul = np.matmul
+        return (refresh, partial(matmul, gains), om[..., None], u[..., None],
+                None if th2 is None else th2[..., None], partial(matmul, WT),
+                FT, XE, partial(matmul, H[..., None, :]), H[..., None],
+                row[..., self.m2], eps, partial(matmul, AB), dW[..., None],
+                lin[..., None], dF[..., None])
 
 
-def _stepper(L, G, n, n_ab):
+def _stepper(L, G, n, M, n_ab):
     """One step of a law: u, eps, Xi and m^2 into the row, L [F, r, u] into
-    dF and G ab into dW."""
+    dF and G ab into dW. With L and G stacked on a leading member axis, the
+    step of a lockstep group (``_group_stepper``)."""
+    if L.ndim == 3:
+        return _group_stepper(L, G, n, M, n_ab)
     epsb = np.empty(n)
     ab = np.empty(n_ab)
     # the arrays' .dot methods skip the __array_function__ dispatch of np.dot
@@ -154,6 +187,61 @@ def _stepper(L, G, n, n_ab):
     return step
 
 
+def _group_stepper(L, G, n, M, n_ab):
+    """The step of a lockstep group on (B, width) blocks of rows: the
+    operations of the lone step on every member, batched, with m^2 in
+    vector form."""
+    B = L.shape[0]
+    # a stacked matmul makes the same BLAS call per member as .dot
+    Ldot, Gdot = partial(np.matmul, L), partial(np.matmul, G)
+    scale, div, add = np.multiply, np.divide, np.add
+    epsb, ab = np.empty((B, n, 1)), np.empty((B, n_ab, 1))
+    # numpy copies an output that may overlap an input first, and a view of
+    # one region of a block of rows may overlap a view of any other; the
+    # products the rows feed back into go to these arrays instead, then
+    # into the rows
+    rt, us, xe = np.empty((B, M, n + M)), np.empty((B, M, 1)), np.empty(
+        (B, M + 1, n))
+    # H^T H and -1 / m^2, and flat views, which numpy's ufuncs loop over
+    # faster
+    h2, inv = np.empty((B, 1, 1)), np.empty((B, 1))
+    h2_, inv_, epsb_ = h2.reshape(B), inv.reshape(B), epsb.reshape(B, n)
+
+    def step(v):
+        (refresh, Kdot, om, u, th2, WTdot, FT, XE, Hdot, H, m2w, eps, ABdot,
+         dW, lin, dF) = v
+        if refresh is not None:
+            scale(refresh[0], refresh[1], rt)
+            refresh[2][...] = rt
+        Kdot(om, us)
+        if th2 is not None:
+            div(us, th2, us)
+        u[...] = us
+        WTdot(FT, xe)
+        XE[...] = xe
+        Hdot(H, h2)
+        add(h2_, 1.0, m2w)
+        div(-1.0, m2w, inv_)
+        scale(eps, inv, epsb_)
+        ABdot(epsb, ab)
+        Gdot(ab, dW)
+        Ldot(lin, dF)
+
+    return step
+
+
+def stack(laws):
+    """One law that steps ``laws``, which share one layout, in lockstep: a
+    copy of the first with their L, G and z0 stacked on a leading member
+    axis, whose step works on a (B, width) block of rows."""
+    law = copy.copy(laws[0])
+    law.cols = dict(law.cols)
+    law.L, law.G, law.z0 = (np.stack([getattr(one, name) for one in laws])
+                            for name in ("L", "G", "z0"))
+    law.step = _stepper(law.L, law.G, law.n, law.M, law.n_ab)
+    return law
+
+
 def records(cols, steps: int):
     """Zeroed record arrays for ``cols`` and the ``store(rows, t0)`` that
     copies finished rows into them."""
@@ -167,53 +255,93 @@ def records(cols, steps: int):
     return rec, store
 
 
+def group_store(stores):
+    """The ``store(rows, t0, live)`` of a lockstep group (see
+    ``RowBuffer.run``) from each member's ``store``."""
+    def store(rows, t0, live):
+        for b in live:
+            stores[b](rows[:, b], t0)
+
+    return store
+
+
 def first_nonfinite(rows, at):
     """The first of ``rows`` with a non-finite element in the columns
     ``at``, or None: the divergence rule of both runners, over x, u and
-    m^2."""
-    ok = np.isfinite(rows.take(at, axis=1))
+    m^2. Of a group's (steps, B, width) block, a list of one per member."""
+    ok = np.isfinite(rows.take(at, axis=-1))
     if np.count_nonzero(ok) == ok.size:
-        return None
-    return int(np.flatnonzero(~ok.all(axis=1))[0])
+        return None if rows.ndim == 2 else [None] * rows.shape[1]
+    bad = ~ok.all(axis=-1)
+    if rows.ndim == 2:
+        return int(np.flatnonzero(bad)[0])
+    return [int(np.argmax(col)) if col.any() else None for col in bad.T]
 
 
 class RowBuffer:
-    """(CHUNK + 1, width) buffer of ``law``'s rows; row 0 starts from the
-    state ``z0 = [F, W]``, row i + 1 receives the state that follows row i,
-    and the last row carries over to row 0 of the next chunk. ``probe``
-    holds the columns of x, u and m^2 that ``first_nonfinite`` reads."""
+    """(CHUNK + 1, width) buffer of ``law``'s rows, or (CHUNK // B + 1, B,
+    width) of a lockstep group's; row 0 starts from the state ``z0 = [F,
+    W]`` (B of them for a group), row i + 1 receives the state that follows
+    row i, and the last row carries over to row 0 of the next chunk.
+    ``probe`` holds the columns of x, u and m^2 that ``first_nonfinite``
+    reads."""
 
     def __init__(self, law, z0, steps: int):
-        self.buf = np.zeros((min(CHUNK, steps) + 1, law.width))
+        # a group's buffer keeps a lone one's size. Freeing a buffer of
+        # CHUNK rows of four members (0.75 MiB) left the process 3.9 MiB
+        # larger: glibc's malloc then serves arrays up to that size, the
+        # records among them, from a heap it does not shrink
+        rows = max(1, CHUNK // z0[..., 0].size)
+        self.buf = np.zeros((min(rows, steps) + 1,) + z0.shape[:-1]
+                            + (law.width,))
         self.size = self.buf.shape[0] - 1
         self.R = law.R
-        self.buf[0, law.F] = z0[:law.nF]
-        self.buf[0, law.W] = z0[law.nF:]
+        self.buf[0, ..., law.F] = z0[..., :law.nF]
+        self.buf[0, ..., law.W] = z0[..., law.nF:]
         self.probe = np.hstack([law.cols[name] for name in ("x", "u", "m2")
                                 if name in law.cols])
 
     def run(self, r_all, store, chunk):
-        """Step the rows over the samples ``r_all`` of r, filled into every
-        row before its chunk runs: ``chunk(t0, count)`` steps rows
-        0..count-1 (steps t0..t0+count-1) and returns how many it finished
-        and the row of the divergence step or None, and ``store(rows, t0)``
-        receives the finished rows. Returns the divergence step or None."""
+        """Step the rows over the samples ``r_all`` of r (steps x M, or
+        steps x B x M for a group), filled into every row before its chunk
+        runs: ``chunk(t0, count)`` steps rows 0..count-1 (steps
+        t0..t0+count-1) and returns how many it finished and the row of
+        the divergence step or None, and ``store(rows, t0)`` receives the
+        finished rows. Returns the divergence step or None.
+
+        A group's ``chunk`` returns one divergence row or None per member
+        (``first_nonfinite``), and ``store(rows, t0, live)`` receives the
+        rows with ``live``, the members that had not diverged before the
+        chunk; the group runs until every member has diverged or reached
+        the end, and returns the list of each member's divergence step."""
         T1 = r_all.shape[0]
         buf, R = self.buf, self.R
-        buf[0, R] = r_all[0]
+        buf[0, ..., R] = r_all[0]
+        group = buf.ndim == 3
+        ended = [None] * buf.shape[1] if group else None
+        live = list(range(buf.shape[1])) if group else None
         t0 = 0
         with np.errstate(all="ignore"):
             while t0 < T1:
                 count = min(self.size, T1 - t0)
                 stop = min(t0 + count + 1, T1)
-                buf[1:stop - t0, R] = r_all[t0 + 1:stop]
+                buf[1:stop - t0, ..., R] = r_all[t0 + 1:stop]
                 reached, bad = chunk(t0, count)
-                store(buf[:reached], t0)
-                if bad is not None:
-                    return t0 + bad
+                if not group:
+                    store(buf[:reached], t0)
+                    if bad is not None:
+                        return t0 + bad
+                else:
+                    store(buf[:reached], t0, live)
+                    for b in live:
+                        if bad[b] is not None:
+                            ended[b] = t0 + bad[b]
+                    live = [b for b in live if ended[b] is None]
+                    if not live:
+                        break
                 buf[0] = buf[count]
                 t0 += count
-        return None
+        return ended
 
 
 def run(law: Law, r_all, store, after_step=None):
@@ -225,12 +353,13 @@ def run(law: Law, r_all, store, after_step=None):
     calls, with t, once it has written its state into that row. Nothing in
     a discrete step raises, so the divergence rule runs once per chunk.
     Returns the divergence step: the first at which an element of x, u or
-    m^2 is not finite, or None.
+    m^2 is not finite, or None. A ``stack``ed law steps a group's rows,
+    and the group's ``store`` and return are as ``RowBuffer.run`` says.
     """
     rows = RowBuffer(law, law.z0, r_all.shape[0])
     buf, probe = rows.buf, rows.probe
-    steps = [(law.views(buf[i], buf[i + 1, law.F]), buf[i, law.W],
-              buf[i, law.dW], buf[i + 1, law.W],
+    steps = [(law.views(buf[i], buf[i + 1][..., law.F]),
+              buf[i][..., law.W], buf[i][..., law.dW], buf[i + 1][..., law.W],
               None if after_step is None else after_step(buf[i + 1]))
              for i in range(rows.size)]
     step, add = law.step, np.add

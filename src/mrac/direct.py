@@ -17,6 +17,7 @@ integrated jointly to avoid order-of-integration artifacts).
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import partial
 
 import numpy as np
 
@@ -292,6 +293,43 @@ def _direct_law(A, B, Am, Bm, gains, enforce, P, rho, x0, xm0) -> Law:
     return law
 
 
+# a run set up on its law (see ``_rows``): the store of its records, the
+# enabled projection whose discrete landing it needs (None: none) with the
+# record of its corrections, and finish(diverged_at), which makes its trace
+Member = namedtuple("Member", "law store projection f2 finish")
+
+
+def _direct_member(plant, ref, signal, gains, init, horizon, h,
+                   match=SOLVE) -> Member:
+    """A direct run with step size ``h`` (1 in discrete time) set up."""
+    x0, xm0, theta0, rho0, _ = _check_run_args(plant, ref, signal, gains,
+                                               init, horizon)
+    match = _diagonal_match(_matching(plant, ref, match))
+    n, M = plant.n, plant.n_inputs
+    enforce = gains.enforce_diagonal_k2 and M > 1
+    P = theta0.T.copy()  # rows are theta_j
+    if enforce:
+        P[:, n:] *= np.eye(M)
+    law = _direct_law(plant.A, plant.B, ref.A_m, ref.B_m, gains, enforce, P,
+                      rho0, x0, xm0)
+    rec, store = _rows.records(law.cols, horizon + 1)
+
+    def V_series(rec):
+        return direct_V_series(
+            rec["theta"], rec["rho"], stack_controller_gains(match.K1, match.K2),
+            1.0 / np.diag(match.K2), gains.Gamma, gains.gamma, rec["eps"],
+            rec["m"])
+
+    return Member(law, store, None, None, partial(
+        _finish_trace, "direct_gradient", plant.time_domain, horizon, h,
+        rec=rec, V_series=None if match is None else V_series))
+
+
+def samples(signal: ReferenceSignal, horizon: int):
+    """r at the steps 0..horizon of a discrete run."""
+    return signal.sample(np.arange(horizon + 1, dtype=float))
+
+
 def run_direct_scenario(plant: PlantModel, ref: ReferenceModel,
                         signal: ReferenceSignal, gains: DirectGainConfig,
                         init: InitialConditions, horizon: int,
@@ -309,31 +347,11 @@ def run_direct_scenario(plant: PlantModel, ref: ReferenceModel,
     raising. ``match`` is the scenario's matching solution (see
     ``_matching``), which gives V.
     """
-    x0, xm0, theta0, rho0, _ = _check_run_args(plant, ref, signal, gains,
-                                               init, horizon)
-    match = _diagonal_match(_matching(plant, ref, match))
-    n, M = plant.n, plant.n_inputs
-    enforce = gains.enforce_diagonal_k2 and M > 1
-    P = theta0.T.copy()  # rows are theta_j
-    if enforce:
-        P[:, n:] *= np.eye(M)
-    law = _direct_law(plant.A, plant.B, ref.A_m, ref.B_m, gains, enforce, P,
-                      rho0, x0, xm0)
-    rec, store = _rows.records(law.cols, horizon + 1)
-    if plant.time_domain == DISCRETE:
-        h = 1.0
-        diverged_at = _rows.run(
-            law, signal.sample(np.arange(horizon + 1, dtype=float)), store)
-    else:
-        diverged_at = _rows.run_ct(law, law.z0, signal, horizon, h, method,
-                                   integrate_ct, store)
-
-    def V_series(rec):
-        return direct_V_series(
-            rec["theta"], rec["rho"], stack_controller_gains(match.K1, match.K2),
-            1.0 / np.diag(match.K2), gains.Gamma, gains.gamma, rec["eps"],
-            rec["m"])
-
-    return _finish_trace("direct_gradient", plant.time_domain, horizon, h,
-                         diverged_at, rec,
-                         None if match is None else V_series)
+    discrete = plant.time_domain == DISCRETE
+    run = _direct_member(plant, ref, signal, gains, init, horizon,
+                         1.0 if discrete else h, match)
+    if discrete:
+        return run.finish(_rows.run(run.law, samples(signal, horizon),
+                                    run.store))
+    return run.finish(_rows.run_ct(run.law, run.law.z0, signal, horizon, h,
+                                   method, integrate_ct, run.store))

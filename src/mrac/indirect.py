@@ -21,6 +21,8 @@ each is followed literally).
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import chain
 from operator import lt, mul
 
 import numpy as np
@@ -28,9 +30,9 @@ import numpy as np
 from . import _rows
 from ._rows import Law, block
 from .diagnostics import SimulationTrace, indirect_V_series
-from .direct import (SOLVE, InitialConditions, _check_run_args,
+from .direct import (SOLVE, InitialConditions, Member, _check_run_args,
                      _diagonal_match, _finish_trace, _matching, _spd_check,
-                     stack_controller_gains)
+                     samples, stack_controller_gains)
 from .errors import GainError, ProjectionError, SingularGainError
 # solve_matching stays a module attribute: the benchmark's tracer wraps it
 # here by name
@@ -50,11 +52,11 @@ class ProjectionConfig:
     def __init__(self, theta2_lower, signs, enabled: bool = True):
         self.enabled = enabled
         self.signs = np.atleast_1d(np.asarray(signs, dtype=float))
-        M = self.signs.shape[0]
         if not np.all(np.abs(self.signs) == 1.0):
             raise ProjectionError("projection signs must be +1 or -1")
         lower = np.broadcast_to(
-            np.atleast_1d(np.asarray(theta2_lower, dtype=float)), (M,)).copy()
+            np.atleast_1d(np.asarray(theta2_lower, dtype=float)),
+            self.signs.shape).copy()
         if np.any(lower <= 0.0) or not np.all(np.isfinite(lower)):
             raise ProjectionError(
                 "theta2 lower bounds must be positive and finite")
@@ -73,7 +75,7 @@ class ProjectionConfig:
 
     @property
     def n_inputs(self) -> int:
-        return self.signs.shape[0]
+        return self.signs.shape[-1]
 
     def check_start(self, theta):
         """Reject initial estimates ``theta`` ((n+M, M) column layout) whose
@@ -94,12 +96,15 @@ class ProjectionConfig:
     def landing(self, law, f2):
         """The discrete landing, ``_rows.run``'s ``after_step``: step t lands
         a theta2 it left outside the bound on it, in every copy ``law.theta2``
-        names, gradient then correction, with the correction in ``f2[t]``."""
+        names, gradient then correction, with the correction in ``f2[t]``.
+        Of a lockstep group's stacked projection, step t makes one test of
+        the whole group and lands member b's theta2 with its correction in
+        ``f2[b][t]``."""
         signs, lower = self.signs, self.theta2_lower
-        signs_l, lower_l = signs.tolist(), lower.tolist()
+        signs_l, lower_l = signs.ravel().tolist(), lower.ravel().tolist()
 
         def after_step(row):
-            copies = law.theta2(row[law.W])
+            copies = law.theta2(row[..., law.W])
             first = copies[0]
 
             def land(t):
@@ -110,7 +115,18 @@ class ProjectionConfig:
                     for th2 in copies:
                         th2 += f2[t]
 
-            return land
+            # over B x M Python floats, the test costs half the numpy one
+            def land_group(t):
+                if any(map(lt, map(mul, signs_l, chain.from_iterable(
+                        first.tolist())), lower_l)):
+                    low = signs * first < lower
+                    fix = np.where(low, signs * lower - first, 0.0)
+                    for b in np.flatnonzero(low.any(axis=1)).tolist():
+                        f2[b][t] = fix[b]
+                        for th2 in copies:
+                            th2[b] += fix[b]
+
+            return land_group if signs.ndim == 2 else land
 
         return after_step
 
@@ -310,9 +326,53 @@ def _indirect_law(A, B, Am, Bm, gains, P, x0, xm0, xhat0) -> Law:
     law = Law(L, G, F, W, M, xi_in_m=M > 1, xi_in_ab=False, rho=False)
     law.cols["x_hat"] = law.F0 + n * cxh + np.arange(n)
     # theta2 in row 1 + j and in row 0 of W^T, and their positions in W
-    law.theta2 = lambda W: (W[law.th2], W[n:MC:C + 1])
+    law.theta2 = lambda W: (W[..., law.th2], W[..., n:MC:C + 1])
     law.theta2_at = np.stack(law.theta2(np.arange(W.shape[0])))
     return law
+
+
+def _indirect_setup(plant, ref, signal, gains, projection, init, horizon,
+                    h, match):
+    """An indirect run with step size ``h`` (1 in discrete time) checked:
+    its law, theta(0) and the finish that makes its trace from its records
+    and divergence step."""
+    x0, xm0, theta0, _, xhat0 = _check_run_args(plant, ref, signal, gains,
+                                                init, horizon, projection)
+    match = _diagonal_match(_matching(plant, ref, match))
+    n, M = plant.n, plant.n_inputs
+    P = theta0.T.copy()
+    if M > 1:
+        P[:, n:] *= np.eye(M)
+    law = _indirect_law(plant.A, plant.B, ref.A_m, ref.B_m, gains, P, x0, xm0,
+                        xhat0)
+
+    def V_series(rec):
+        return indirect_V_series(
+            rec["theta"], theta_star_indirect(match.K1, match.K2),
+            gains.Gamma, rec["eps"], rec["m"])
+
+    return law, theta0, partial(
+        _finish_trace, "indirect_gradient", plant.time_domain, horizon, h,
+        V_series=None if match is None else V_series)
+
+
+def _indirect_member(plant, ref, signal, gains, projection, init, horizon,
+                     match=SOLVE) -> Member:
+    """A discrete indirect run set up. Its finish raises SingularGainError
+    at a theta2 below the invertibility threshold."""
+    law, theta0, trace = _indirect_setup(plant, ref, signal, gains,
+                                         projection, init, horizon, 1.0, match)
+    proj, rec, store = _start(law, projection, theta0, horizon + 1)
+
+    def finish(diverged_at):
+        # no update follows the final step
+        rec["proj_g2"][horizon] = rec["proj_f2"][horizon] = 0.0
+        # a step checks theta2 before its divergence probe
+        reached = horizon + 1 if diverged_at is None else diverged_at + 1
+        _check_floor(_theta2(rec["theta"][:reached]), projection)
+        return trace(diverged_at, rec)
+
+    return Member(law, store, proj, rec["proj_f2"], finish)
 
 
 def run_indirect_scenario(plant: PlantModel, ref: ReferenceModel,
@@ -325,39 +385,18 @@ def run_indirect_scenario(plant: PlantModel, ref: ReferenceModel,
     ``match`` as in the direct case, with the estimator advanced on the
     same pre-update estimates. A theta2 below the invertibility threshold
     raises SingularGainError."""
-    x0, xm0, theta0, _, xhat0 = _check_run_args(plant, ref, signal, gains,
-                                                init, horizon, projection)
-    match = _diagonal_match(_matching(plant, ref, match))
-    n, M, T1 = plant.n, plant.n_inputs, horizon + 1
-    P = theta0.T.copy()
-    if M > 1:
-        P[:, n:] *= np.eye(M)
-    law = _indirect_law(plant.A, plant.B, ref.A_m, ref.B_m, gains, P, x0, xm0,
-                        xhat0)
-    if plant.time_domain != DISCRETE:
-        rec, diverged_at = _run_ct_projected(
-            law, law.z0, signal, horizon, h, method, integrate_ct, projection,
-            theta0, _floor(projection, M, stage=True))
-    else:
-        h = 1.0
-        proj, rec, store = _start(law, projection, theta0, T1)
-        diverged_at = _rows.run(
-            law, signal.sample(np.arange(T1, dtype=float)), store,
-            proj and proj.landing(law, rec["proj_f2"]))
-        # no update follows the final step
-        rec["proj_g2"][horizon] = rec["proj_f2"][horizon] = 0.0
-        # a step checks theta2 before its divergence probe
-        reached = T1 if diverged_at is None else diverged_at + 1
-        _check_floor(_theta2(rec["theta"][:reached]), projection)
-
-    def V_series(rec):
-        return indirect_V_series(
-            rec["theta"], theta_star_indirect(match.K1, match.K2),
-            gains.Gamma, rec["eps"], rec["m"])
-
-    return _finish_trace("indirect_gradient", plant.time_domain, horizon, h,
-                         diverged_at, rec,
-                         None if match is None else V_series)
+    if plant.time_domain == DISCRETE:
+        run = _indirect_member(plant, ref, signal, gains, projection, init,
+                               horizon, match)
+        return run.finish(_rows.run(
+            run.law, samples(signal, horizon), run.store,
+            run.projection and run.projection.landing(run.law, run.f2)))
+    law, theta0, trace = _indirect_setup(plant, ref, signal, gains,
+                                         projection, init, horizon, h, match)
+    rec, diverged_at = _run_ct_projected(
+        law, law.z0, signal, horizon, h, method, integrate_ct, projection,
+        theta0, _floor(projection, plant.n_inputs, stage=True))
+    return trace(diverged_at, rec)
 
 
 def _run_ct_projected(law, z0, signal, horizon, h, method, integrate,

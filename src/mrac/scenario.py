@@ -25,8 +25,10 @@ import numpy as np
 # benchmark's tracer wraps them here by name
 from .diagnostics import (SimulationTrace, check_delta_V,  # noqa: F401
                           direct_V_series, indirect_V_series, tracking_metrics)
-from .direct import (DirectGainConfig, InitialConditions, _matching,
-                     run_direct_scenario, stack_controller_gains)
+from . import _rows
+from .direct import (DirectGainConfig, InitialConditions, _direct_member,
+                     _matching, run_direct_scenario, samples,
+                     stack_controller_gains)
 from .errors import ConfigError, GainError, ModelError, ToolkitError
 # the benchmark's tracer wraps solve_matching here by name
 from .systems import (CONTINUOUS, DISCRETE, PlantModel,  # noqa: F401
@@ -63,6 +65,12 @@ def memory_estimate(horizon: int, n: int, M: int, tones: int,
     stages = 3 if time_domain == CONTINUOUS else 1
     return 8 * (horizon + 1) * ((n + M) * M + 3 * n + 2 * M
                                 + stages * M * tones)
+
+
+def _tones(signal: dict) -> int:
+    """The tones per channel of a signal section: 1 unless it is a sum of
+    sinusoids."""
+    return np.atleast_2d(signal.get("amplitudes", 1)).shape[1]
 
 
 def blocked_dir(path: str) -> Optional[str]:
@@ -261,13 +269,19 @@ class ScenarioConfig(namedtuple("ScenarioConfig", list(_TOP))):
     """The loaded config: one field per top-level key, holding plain JSON
     values, so that it round-trips losslessly through serialize_config, and
     ``built``, which config_from_dict sets on the instance and which
-    equality does not compare."""
+    equality does not compare. ``_replace`` loads the changed copy again,
+    so that it carries its own ``built``."""
 
     built = None
 
     def to_dict(self) -> dict:
         """A deep copy of the fields, by key."""
         return deepcopy(self._asdict())
+
+    def _replace(self, **fields) -> ScenarioConfig:
+        """A copy with ``fields`` changed, validated and built again by
+        ``config_from_dict``: a bad value raises ConfigError."""
+        return config_from_dict({**self.to_dict(), **fields})
 
 
 def serialize_config(cfg: ScenarioConfig) -> str:
@@ -401,9 +415,8 @@ def config_from_dict(data: dict) -> ScenarioConfig:
 
     horizon = cfg.get("horizon")
     if horizon is not None and dims:
-        tones = np.atleast_2d(cfg.get("signal", {}).get("amplitudes",
-                                                        1)).shape[1]
-        need = memory_estimate(horizon, *dims, tones, time_domain)
+        need = memory_estimate(horizon, *dims, _tones(cfg.get("signal", {})),
+                               time_domain)
         if need > MEMORY_BUDGET_BYTES:
             from decimal import Decimal  # exact for any horizon
             errors.append(
@@ -590,6 +603,11 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
             cfg.scheme.removeprefix("lyapunov_"), b.gains, b.projection,
             b.init, cfg.horizon, cert=b.cert, **options)
 
+    return _checked(cfg, trace)
+
+
+def _checked(cfg: ScenarioConfig, trace: SimulationTrace) -> ScenarioRun:
+    """The run of ``cfg`` that made ``trace``, post-checked."""
     invariants = _invariant_report(cfg, trace)
     if trace.diverged:
         status = 2
@@ -599,6 +617,77 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
         status = 0
     return ScenarioRun(config=cfg, trace=trace, invariants=invariants,
                        exit_status=status)
+
+
+def lockstep_key(cfg: ScenarioConfig):
+    """What the configs of one lockstep group share (see ``run_lockstep``):
+    the scheme, n, M, the horizon and, indirect, whether the projection is
+    enabled; None for a config that always runs alone (continuous time and
+    the Lyapunov schemes)."""
+    if cfg.time_domain != DISCRETE or cfg.scheme not in _GRADIENT:
+        return None
+    b = cfg.built
+    return (cfg.scheme, b.plant.n, b.plant.n_inputs, cfg.horizon,
+            bool(b.projection and b.projection.enabled))
+
+
+def config_bytes(cfg: ScenarioConfig) -> int:
+    """``memory_estimate`` of a loaded config."""
+    return memory_estimate(cfg.horizon, cfg.built.plant.n,
+                           cfg.built.plant.n_inputs, _tones(cfg.signal),
+                           cfg.time_domain)
+
+
+def _member(cfg: ScenarioConfig):
+    """The discrete gradient run of ``cfg``, set up (``direct.Member``)."""
+    b = cfg.built
+    if cfg.scheme == "direct_gradient":
+        return _direct_member(b.plant, b.reference, b.signal, b.gains, b.init,
+                              cfg.horizon, 1.0, b.match)
+    from .indirect import _indirect_member
+    return _indirect_member(b.plant, b.reference, b.signal, b.gains,
+                            b.projection, b.init, cfg.horizon, b.match)
+
+
+def run_lockstep(cfgs: list):
+    """Run the configs ``cfgs``, which share one ``lockstep_key``, in
+    lockstep: each member keeps the law, records and finish of its lone
+    run, and one stacked law steps them all (``_rows.stack``), so that
+    each run is byte for byte the one ``run_scenario`` makes. Yields, in
+    order, the post-checked ScenarioRun of each config, or the
+    ToolkitError its run raised. A member is finished only when it is
+    taken, and keeps nothing of the group alive, so that a caller that
+    drops each run holds one finished trace at a time."""
+    members = [_member(cfg) for cfg in cfgs]
+    ended = _step_group(cfgs, members)
+    for cfg, diverged_at in zip(cfgs, ended):
+        yield _finished(cfg, members.pop(0).finish, diverged_at)
+
+
+def _step_group(cfgs, members) -> list:
+    """Step the set-up runs ``members`` of ``cfgs`` on one stacked law;
+    the divergence step of each."""
+    law = _rows.stack([m.law for m in members])
+    r_all = np.stack([samples(cfg.built.signal, cfg.horizon) for cfg in cfgs],
+                     axis=1)
+    landing = None
+    if members[0].projection is not None:
+        from .indirect import ProjectionConfig
+        landing = ProjectionConfig(
+            np.stack([m.projection.theta2_lower for m in members]),
+            np.stack([m.projection.signs for m in members])).landing(
+                law, [m.f2 for m in members])
+    return _rows.run(law, r_all,
+                     _rows.group_store([m.store for m in members]), landing)
+
+
+def _finished(cfg: ScenarioConfig, finish, diverged_at):
+    """The post-checked run of ``cfg`` from ``finish(diverged_at)``, or
+    the ToolkitError it raised."""
+    try:
+        return _checked(cfg, finish(diverged_at))
+    except ToolkitError as exc:
+        return exc
 
 
 def summary_dict(run: ScenarioRun) -> dict:

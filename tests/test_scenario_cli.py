@@ -77,6 +77,17 @@ class TestConfigLoading:
         third = load_config(serialize_config(again))
         assert third == again
 
+    def test_replace_loads_the_changed_config(self):
+        # the copy used to keep no built objects, and running it raised
+        # AttributeError
+        cfg = benchmark_config()._replace(horizon=10)
+        assert cfg.built is not None and cfg.horizon == 10
+        assert run_scenario(cfg).trace.steps == 11
+        with pytest.raises(ConfigError) as info:
+            benchmark_config()._replace(horizon=0)
+        assert info.value.errors == [
+            "horizon: expected a positive integer, got 0"]
+
     def test_parse_error_reports_position(self):
         with pytest.raises(ConfigError) as err:
             load_config('{"scheme": "direct_gradient",,}')
