@@ -200,8 +200,8 @@ def _group_stepper(L, G, n, M, n_ab):
     # one region of a block of rows may overlap a view of any other; the
     # products the rows feed back into go to these arrays instead, then
     # into the rows
-    rt, us, xe = np.empty((B, M, n + M)), np.empty((B, M, 1)), np.empty(
-        (B, M + 1, n))
+    rt, us = np.empty((B, M, n + M)), np.empty((B, M, 1))
+    xe = np.empty((B, M + 1, n))
     # H^T H and -1 / m^2, and flat views, which numpy's ufuncs loop over
     # faster
     h2, inv = np.empty((B, 1, 1)), np.empty((B, 1))
