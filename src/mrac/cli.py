@@ -293,10 +293,11 @@ def worker_count(jobs: int, units: int) -> int:
 
 
 # the fewest same-shape discrete gradient members that run in lockstep. A
-# scratch mimic of the n=3, M=2 direct step on one pinned CPU measured a
-# batched step, per member, at 0.46-0.53x the speed of the lone .dot step
-# for B=1, 0.89-1.05x for B=2, 1.50-1.83x for B=4, 2.43-2.92x for B=8 and
-# 3.39-4.09x for B=16: two members only break even
+# mimic of the n=3, M=2 direct step, on one pinned CPU of a 2-core Xeon VM
+# with numpy 2.4.6, measured a batched step, per member, at 0.46-0.53x the
+# speed of the lone .dot step for B=1, 0.89-1.05x for B=2, 1.50-1.83x for
+# B=4, 2.43-2.92x for B=8 and 3.39-4.09x for B=16: two members only break
+# even
 LOCKSTEP_MIN = 4
 
 
