@@ -255,12 +255,17 @@ def records(cols, steps: int):
     return rec, store
 
 
-def group_store(stores):
+def group_store(cols, recs):
     """The ``store(rows, t0, live)`` of a lockstep group (see
-    ``RowBuffer.run``) from each member's ``store``."""
+    ``RowBuffer.run``): the columns ``cols`` of the live members' rows into
+    their record arrays ``recs[b]``, with one gather per record for the
+    whole group."""
     def store(rows, t0, live):
-        for b in live:
-            stores[b](rows[:, b], t0)
+        sl = slice(t0, t0 + rows.shape[0])
+        for name, at in cols.items():
+            block = rows[..., at]
+            for b in live:
+                recs[b][name][sl] = block[:, b]
 
     return store
 

@@ -293,10 +293,10 @@ def _direct_law(A, B, Am, Bm, gains, enforce, P, rho, x0, xm0) -> Law:
     return law
 
 
-# a run set up on its law (see ``_rows``): the store of its records, the
-# enabled projection whose discrete landing it needs (None: none) with the
-# record of its corrections, and finish(diverged_at), which makes its trace
-Member = namedtuple("Member", "law store projection f2 finish")
+# a run set up on its law (see ``_rows``): its record arrays and their
+# store, the enabled projection whose discrete landing it needs (None:
+# none), and finish(diverged_at), which makes its trace
+Member = namedtuple("Member", "law rec store projection finish")
 
 
 def _direct_member(plant, ref, signal, gains, init, horizon, h,
@@ -320,7 +320,7 @@ def _direct_member(plant, ref, signal, gains, init, horizon, h,
             1.0 / np.diag(match.K2), gains.Gamma, gains.gamma, rec["eps"],
             rec["m"])
 
-    return Member(law, store, None, None, partial(
+    return Member(law, rec, store, None, partial(
         _finish_trace, "direct_gradient", plant.time_domain, horizon, h,
         rec=rec, V_series=None if match is None else V_series))
 

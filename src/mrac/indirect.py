@@ -372,7 +372,7 @@ def _indirect_member(plant, ref, signal, gains, projection, init, horizon,
         _check_floor(_theta2(rec["theta"][:reached]), projection)
         return trace(diverged_at, rec)
 
-    return Member(law, store, proj, rec["proj_f2"], finish)
+    return Member(law, rec, store, proj, finish)
 
 
 def run_indirect_scenario(plant: PlantModel, ref: ReferenceModel,
@@ -390,7 +390,8 @@ def run_indirect_scenario(plant: PlantModel, ref: ReferenceModel,
                                horizon, match)
         return run.finish(_rows.run(
             run.law, samples(signal, horizon), run.store,
-            run.projection and run.projection.landing(run.law, run.f2)))
+            run.projection and run.projection.landing(run.law,
+                                                      run.rec["proj_f2"])))
     law, theta0, trace = _indirect_setup(plant, ref, signal, gains,
                                          projection, init, horizon, h, match)
     rec, diverged_at = _run_ct_projected(

@@ -676,9 +676,9 @@ def _step_group(cfgs, members) -> list:
         landing = ProjectionConfig(
             np.stack([m.projection.theta2_lower for m in members]),
             np.stack([m.projection.signs for m in members])).landing(
-                law, [m.f2 for m in members])
-    return _rows.run(law, r_all,
-                     _rows.group_store([m.store for m in members]), landing)
+                law, [m.rec["proj_f2"] for m in members])
+    return _rows.run(law, r_all, _rows.group_store(
+        law.cols, [m.rec for m in members]), landing)
 
 
 def _finished(cfg: ScenarioConfig, finish, diverged_at):
