@@ -2,14 +2,16 @@
 """Which lines of the ``mrac`` package a run executes.
 
 Runs ``mrac run`` in-process on every member of the benchmark's input pool
-(``bench/workloads.pool_members``), each cut to 50 steps, under a
-``sys.settrace`` line tracer, and prints the executable lines each module
-of ``src/mrac`` reached. Outputs go to a temporary directory that is removed
-afterwards.
+(``bench/workloads.pool_members``), then ``mrac batch`` on the whole pool of
+each batch workload, every run cut to 50 steps, under a ``sys.settrace``
+line tracer, and prints the executable lines each module of ``src/mrac``
+reached. The batch leg reaches the lockstep groups: the ``mimo-sweep`` pool
+steps as two groups of 32 same-shape members. Outputs go to a temporary
+directory that is removed afterwards.
 
     python scripts/reach.py
 
-Exits 1 when a member's run exits nonzero, or when a module other than
+Exits 1 when a run or a batch exits nonzero, or when a module other than
 ``__main__.py`` (which an in-process run never executes) reaches no line:
 such a module ships code that no run uses.
 """
@@ -29,6 +31,8 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 import workloads  # noqa: E402
 
 HORIZON = 50
+# the workloads whose input is a batch spec
+BATCH_WORKLOADS = ("mimo-sweep", "ct-schemes")
 
 
 def executable_lines(path):
@@ -44,9 +48,9 @@ def executable_lines(path):
 
 
 def run_pool(out_dir, reached):
-    """Run every pool member, recording the package lines each executes in
-    ``reached`` (path -> set of lines); returns the names of the members
-    whose run exited nonzero."""
+    """Run every pool member alone and every batch workload's pool as one
+    batch, recording the package lines each executes in ``reached`` (path
+    -> set of lines); returns the runs that exited nonzero."""
     from_files = set(reached)
 
     def local(frame, event, arg):
@@ -61,21 +65,28 @@ def run_pool(out_dir, reached):
         return None
 
     failed = []
+
+    def call(label, command, doc):
+        path = os.path.join(out_dir, "input.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), \
+                contextlib.redirect_stderr(sink):
+            status = main([command, path, "--out", out_dir])
+        if status != 0:
+            failed.append(f"{label}: exit {status}")
+
     sys.settrace(on_call)
     try:
         from mrac.cli import main
         for workload in workloads.WORKLOADS:
-            for data in workloads.pool_members(workload):
-                data = dict(data, horizon=HORIZON)
-                path = os.path.join(out_dir, "config.json")
-                with open(path, "w", encoding="utf-8") as fh:
-                    json.dump(data, fh)
-                sink = io.StringIO()
-                with contextlib.redirect_stdout(sink), \
-                        contextlib.redirect_stderr(sink):
-                    status = main(["run", path, "--out", out_dir])
-                if status != 0:
-                    failed.append(f"{workload}/{data['name']}: exit {status}")
+            pool = [dict(data, horizon=HORIZON)
+                    for data in workloads.pool_members(workload)]
+            for data in pool:
+                call(f"{workload}/{data['name']}", "run", data)
+            if workload in BATCH_WORKLOADS:
+                call(f"{workload} batch", "batch", {"configs": pool})
     finally:
         sys.settrace(None)
     return failed
@@ -101,7 +112,7 @@ def main():
             idle.append(name)
     print(f"{'total':<16} {total_hit:>8} {total_lines:>6}")
     for line in failed:
-        print(f"member failed: {line}", file=sys.stderr)
+        print(f"run failed: {line}", file=sys.stderr)
     for name in idle:
         print(f"no run reaches {name}", file=sys.stderr)
     return 1 if failed or idle else 0

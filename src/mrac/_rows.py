@@ -37,15 +37,16 @@ rows. A step does only the RK4 arithmetic, the law's four
 steps, ``integrate_ct``'s finiteness check of the new state and the check
 of u and m^2.
 
-Rows may carry a leading member axis: ``stack`` makes one law of a
-lockstep group, B discrete laws of one layout, with L, G and z0 stacked,
-and ``run`` then steps (B, width) blocks of rows. Each product becomes a
-stacked ``matmul``, which makes the same BLAS call per member as the lone
-``.dot``, so every member's rows are byte for byte those of its lone run.
-The divergence rule and ``store`` run per member: a member's records stop
-after the chunk in which it diverged, and the group runs until every
-member has diverged or reached the end. A lone run has no member axis and
-keeps the ``.dot`` step.
+Rows always carry a leading member axis: ``run`` steps the set-up runs of
+a lockstep group, B discrete laws of one layout, on one ``stack``ed law
+with L, G and z0 stacked, and a lone run is a group of one. Each product
+of a group's step is a stacked ``matmul``, which makes the same BLAS call
+per member as the lone ``.dot``, so every member's rows are byte for byte
+those of its lone run. A group of one keeps its own law and so the
+``.dot`` step, which runs twice as fast as a stacked one at B = 1. The
+divergence rule and the record store run per member: a member's records
+stop after the chunk in which it diverged, and the group runs until every
+member has diverged or reached the end.
 """
 
 from __future__ import annotations
@@ -233,7 +234,10 @@ def _group_stepper(L, G, n, M, n_ab):
 def stack(laws):
     """One law that steps ``laws``, which share one layout, in lockstep: a
     copy of the first with their L, G and z0 stacked on a leading member
-    axis, whose step works on a (B, width) block of rows."""
+    axis, whose step works on a (B, width) block of rows; the law itself
+    when it is alone."""
+    if len(laws) == 1:
+        return laws[0]
     law = copy.copy(laws[0])
     law.cols = dict(law.cols)
     law.L, law.G, law.z0 = (np.stack([getattr(one, name) for one in laws])
@@ -243,166 +247,152 @@ def stack(laws):
 
 
 def records(cols, steps: int):
-    """Zeroed record arrays for ``cols`` and the ``store(rows, t0)`` that
-    copies finished rows into them."""
-    rec = {name: np.zeros((steps,) + np.shape(at)) for name, at in cols.items()}
-
-    def store(rows, t0):
-        sl = slice(t0, t0 + rows.shape[0])
-        for name, at in cols.items():
-            rec[name][sl] = rows[:, at]
-
-    return rec, store
-
-
-def group_store(cols, recs):
-    """The ``store(rows, t0, live)`` of a lockstep group (see
-    ``RowBuffer.run``): the columns ``cols`` of the live members' rows into
-    their record arrays ``recs[b]``, with one gather per record for the
-    whole group."""
-    def store(rows, t0, live):
-        sl = slice(t0, t0 + rows.shape[0])
-        for name, at in cols.items():
-            block = rows[..., at]
-            for b in live:
-                recs[b][name][sl] = block[:, b]
-
-    return store
+    """Zeroed record arrays for ``cols``, keyed by trace field."""
+    return {name: np.zeros((steps,) + np.shape(at))
+            for name, at in cols.items()}
 
 
 def first_nonfinite(rows, at):
-    """The first of ``rows`` with a non-finite element in the columns
-    ``at``, or None: the divergence rule of both runners, over x, u and
-    m^2. Of a group's (steps, B, width) block, a list of one per member."""
+    """Of a (steps, B, width) block of rows, the first step of each member
+    with a non-finite element in the columns ``at``, or None: the
+    divergence rule of both runners, over x, u and m^2."""
     ok = np.isfinite(rows.take(at, axis=-1))
     if np.count_nonzero(ok) == ok.size:
-        return None if rows.ndim == 2 else [None] * rows.shape[1]
+        return [None] * rows.shape[1]
     bad = ~ok.all(axis=-1)
-    if rows.ndim == 2:
-        return int(np.flatnonzero(bad)[0])
     return [int(np.argmax(col)) if col.any() else None for col in bad.T]
 
 
 class RowBuffer:
-    """(CHUNK + 1, width) buffer of ``law``'s rows, or (CHUNK // B + 1, B,
-    width) of a lockstep group's; row 0 starts from the state ``z0 = [F,
-    W]`` (B of them for a group), row i + 1 receives the state that follows
-    row i, and the last row carries over to row 0 of the next chunk.
-    ``probe`` holds the columns of x, u and m^2 that ``first_nonfinite``
-    reads."""
+    """(CHUNK // B + 1, B, width) buffer of the rows of ``law``, which
+    steps the B members whose record arrays of ``law.cols`` are ``recs``, B
+    = 1 for a lone run; row 0 starts from the states ``law.z0 = [F, W]``,
+    row i + 1 receives the state that follows row i, and the last row
+    carries over to row 0 of the next chunk. ``work`` holds the rows
+    ``law``'s step takes: a lone run's (width,) rows, a group's (B, width)
+    blocks. ``probe`` holds the columns of x, u and m^2 that
+    ``first_nonfinite`` reads."""
 
-    def __init__(self, law, z0, steps: int):
+    def __init__(self, law, recs, steps: int):
+        B = len(recs)
         # a group's buffer keeps a lone one's size. Freeing a buffer of
         # CHUNK rows of four members (0.75 MiB) left the process 3.9 MiB
         # larger: glibc's malloc then serves arrays up to that size, the
         # records among them, from a heap it does not shrink
-        rows = max(1, CHUNK // z0[..., 0].size)
-        self.buf = np.zeros((min(rows, steps) + 1,) + z0.shape[:-1]
-                            + (law.width,))
+        rows = max(1, CHUNK // B)
+        self.buf = np.zeros((min(rows, steps) + 1, B, law.width))
+        self.work = self.buf if law.z0.ndim > 1 else self.buf[:, 0]
         self.size = self.buf.shape[0] - 1
-        self.R = law.R
-        self.buf[0, ..., law.F] = z0[..., :law.nF]
-        self.buf[0, ..., law.W] = z0[..., law.nF:]
+        self.R, self.cols, self.recs = law.R, law.cols, recs
+        self.buf[0, :, law.F] = law.z0[..., :law.nF]
+        self.buf[0, :, law.W] = law.z0[..., law.nF:]
         self.probe = np.hstack([law.cols[name] for name in ("x", "u", "m2")
                                 if name in law.cols])
 
-    def run(self, r_all, store, chunk):
-        """Step the rows over the samples ``r_all`` of r (steps x M, or
-        steps x B x M for a group), filled into every row before its chunk
-        runs: ``chunk(t0, count)`` steps rows 0..count-1 (steps
-        t0..t0+count-1) and returns how many it finished and the row of
-        the divergence step or None, and ``store(rows, t0)`` receives the
-        finished rows. Returns the divergence step or None.
+    def store(self, rows, t0, live):
+        """Copy the record columns of the finished ``rows`` (steps t0
+        onward) of each member in ``live`` into its records, with one
+        gather per record for the whole group."""
+        sl = slice(t0, t0 + rows.shape[0])
+        for name, at in self.cols.items():
+            block = rows[..., at]
+            for b in live:
+                self.recs[b][name][sl] = block[:, b]
 
-        A group's ``chunk`` returns one divergence row or None per member
-        (``first_nonfinite``), and ``store(rows, t0, live)`` receives the
-        rows with ``live``, the members that had not diverged before the
-        chunk; the group runs until every member has diverged or reached
-        the end, and returns the list of each member's divergence step."""
+    def run(self, r_all, chunk):
+        """Step the rows over the samples ``r_all`` (steps x B x M) of r,
+        filled into every row before its chunk runs: ``chunk(t0, count)``
+        steps rows 0..count-1 (steps t0..t0+count-1) and returns how many
+        it finished and, per member, the row of its divergence step or
+        None (``first_nonfinite``). ``store`` then receives the finished
+        rows of the members that had not diverged before the chunk. The
+        rows run until every member has diverged or reached the end.
+        Returns each member's divergence step or None."""
         T1 = r_all.shape[0]
         buf, R = self.buf, self.R
-        buf[0, ..., R] = r_all[0]
-        group = buf.ndim == 3
-        ended = [None] * buf.shape[1] if group else None
-        live = list(range(buf.shape[1])) if group else None
+        buf[0, :, R] = r_all[0]
+        ended = [None] * buf.shape[1]
+        live = list(range(buf.shape[1]))
         t0 = 0
         with np.errstate(all="ignore"):
             while t0 < T1:
                 count = min(self.size, T1 - t0)
                 stop = min(t0 + count + 1, T1)
-                buf[1:stop - t0, ..., R] = r_all[t0 + 1:stop]
+                buf[1:stop - t0, :, R] = r_all[t0 + 1:stop]
                 reached, bad = chunk(t0, count)
-                if not group:
-                    store(buf[:reached], t0)
-                    if bad is not None:
-                        return t0 + bad
-                else:
-                    store(buf[:reached], t0, live)
-                    for b in live:
-                        if bad[b] is not None:
-                            ended[b] = t0 + bad[b]
-                    live = [b for b in live if ended[b] is None]
-                    if not live:
-                        break
+                self.store(buf[:reached], t0, live)
+                for b in live:
+                    if bad[b] is not None:
+                        ended[b] = t0 + bad[b]
+                live = [b for b in live if ended[b] is None]
+                if not live:
+                    break
                 buf[0] = buf[count]
                 t0 += count
         return ended
 
 
-def run(law: Law, r_all, store, after_step=None):
-    """Step ``law`` in discrete time over the samples ``r_all`` of r.
+def run(members, r_all):
+    """Step the set-up discrete runs ``members`` (``direct.Member``), whose
+    laws share one layout, in lockstep over the samples ``r_all`` (steps x
+    B x M) of their r, on one ``stack``ed law; a lone run is a group of
+    one.
 
     Row i + 1 receives F(t + 1) = L [F, r, u] and W(t + 1) = W + G ab from
-    row i, and ``store(rows, t0)`` the finished rows of each chunk.
-    ``after_step(row)``, called once per row, returns the hook that step t
-    calls, with t, once it has written its state into that row. Nothing in
-    a discrete step raises, so the divergence rule runs once per chunk.
-    Returns the divergence step: the first at which an element of x, u or
-    m^2 is not finite, or None. A ``stack``ed law steps a group's rows,
-    and the group's ``store`` and return are as ``RowBuffer.run`` says.
+    row i. A member's ``after_step(row)``, called once per row of its own,
+    returns the hook that step t calls, with t, once it has written its
+    state into that row. Nothing in a discrete step raises, so the
+    divergence rule runs once per chunk. Returns each member's divergence
+    step: the first at which an element of its x, u or m^2 is not finite,
+    or None.
     """
-    rows = RowBuffer(law, law.z0, r_all.shape[0])
-    buf, probe = rows.buf, rows.probe
-    steps = [(law.views(buf[i], buf[i + 1][..., law.F]),
-              buf[i][..., law.W], buf[i][..., law.dW], buf[i + 1][..., law.W],
-              None if after_step is None else after_step(buf[i + 1]))
+    law = stack([m.law for m in members])
+    rows = RowBuffer(law, [m.rec for m in members], r_all.shape[0])
+    buf, work, probe = rows.buf, rows.work, rows.probe
+    landings = [(b, m.after_step) for b, m in enumerate(members)
+                if m.after_step is not None]
+    steps = [(law.views(work[i], work[i + 1][..., law.F]),
+              work[i][..., law.W], work[i][..., law.dW],
+              work[i + 1][..., law.W],
+              [land(buf[i + 1, b]) for b, land in landings])
              for i in range(rows.size)]
     step, add = law.step, np.add
 
     def chunk(t0, count):
         for i in range(count):
-            v, W, dW, Wn, hook = steps[i]
+            v, W, dW, Wn, hooks = steps[i]
             step(v)
             add(W, dW, Wn)
-            if hook is not None:
+            for hook in hooks:
                 hook(t0 + i)
         return count, first_nonfinite(buf[:count], probe)
 
-    return rows.run(r_all, store, chunk)
+    return rows.run(r_all, chunk)
 
 
-def run_ct(law, z0, signal, horizon: int, h: float, method: str, integrate,
-           store, after_step=None, adjust=None):
-    """Step ``law`` in continuous time from the state ``z0`` over
-    ``horizon`` steps of size ``h``: one ``integrate`` call (the runner
-    module's ``integrate_ct``) per row advances z = [F, W] along the rate
-    [dF, dW] that ``law``'s step writes, and the result, after
-    ``after_step(z)`` in place, lands in row i + 1. r is sampled once at
-    every stage time t_k, t_k + h/2 and t_k + h. Row k is stage 1 of step k
-    and its record. Stages 2-4 evaluate on three rows of their own, reused
-    by every step: the ``stage`` evaluator ``integrate`` passes to the RK4
-    step writes y + c k straight into a stage row's F and W, with y read
-    off row k, and that row's r is set once per step. ``adjust(row)``,
-    called once per row, returns the check of that row's rate: it returns
-    the rate, or refuses it by raising, or replaces it by a changed copy.
-    ``store(rows, t0)`` receives the finished rows of each chunk.
+def run_ct(member, signal, horizon: int, h: float, method: str, integrate):
+    """Step the set-up run ``member`` (``direct.Member``) in continuous
+    time from its law's state ``z0`` over ``horizon`` steps of size ``h``:
+    one ``integrate`` call (the runner module's ``integrate_ct``) per row
+    advances z = [F, W] along the rate [dF, dW] that the law's step writes,
+    and the result, after the member's ``after_step(z)`` in place, lands in
+    row i + 1. r is sampled once at every stage time t_k, t_k + h/2 and
+    t_k + h. Row k is stage 1 of step k and its record. Stages 2-4
+    evaluate on three rows of their own, reused by every step: the
+    ``stage`` evaluator ``integrate`` passes to the RK4 step writes y + c k
+    straight into a stage row's F and W, with y read off row k, and that
+    row's r is set once per step. The member's ``adjust(row)``, called once
+    per row, returns the check of that row's rate: it returns the rate, or
+    refuses it by raising, or replaces it by a changed copy.
 
     Each row meets the divergence rule before it is integrated: row 0 in
     full, every later row on u and m^2 only, since its x is part of a state
-    that ``integrate`` found finite. Returns the divergence step: k when an
-    element of x, u or m^2 of step k is not finite, k + 1 when
-    ``integrate`` reports a non-finite state after step k, else None.
+    that ``integrate`` found finite. Returns, as ``run`` does for a group
+    of one, the list of the divergence step: k when an element of x, u or
+    m^2 of step k is not finite, k + 1 when ``integrate`` reports a
+    non-finite state after step k, else None.
     """
+    law, after_step, adjust = member.law, member.after_step, member.adjust
     T1 = horizon + 1
     # a step near the float range overflows the stage times; r then reads
     # NaN and the run diverges
@@ -413,8 +403,8 @@ def run_ct(law, z0, signal, horizon: int, h: float, method: str, integrate,
     # r of stages 2, 3 and 4 of each step
     r_stages = np.stack([r_mid, r_mid, r_end], axis=1)
     times = t.tolist()
-    rows = RowBuffer(law, z0, T1)
-    buf, probe, nF = rows.buf, rows.probe, law.nF
+    rows = RowBuffer(law, [member.rec], T1)
+    buf, work, probe, nF = rows.buf, rows.work, rows.probe, law.nF
     dz = slice(law.dF.start, law.dW.stop)
     # m^2, when the law has it, is the column after u
     span = slice(law.U.start, law.U.stop + ("m2" in law.cols))
@@ -426,19 +416,19 @@ def run_ct(law, z0, signal, horizon: int, h: float, method: str, integrate,
                 None if adjust is None else adjust(row))
 
     # each row's operands, its u and m^2, and the state parts of row i + 1
-    steps = [(operands(buf[i]), buf[i, span], buf[i + 1, law.F],
-              buf[i + 1, law.W]) for i in range(rows.size)]
+    steps = [(operands(work[i]), work[i, span], work[i + 1, law.F],
+              work[i + 1, law.W]) for i in range(rows.size)]
     stage_buf = np.zeros((3, law.width))
     stage_r = stage_buf[:, law.R]
     stage_rows = [operands(row) for row in stage_buf]
     # c k of the stage being evaluated, whole and in its F and W parts
-    ck = np.empty(z0.shape[0])
+    z = law.z0
+    ck = np.empty(z.shape[0])
     ckF, ckW = ck[:nF], ck[nF:]
     step, multiply, add, isfinite = law.step, np.multiply, np.add, math.isfinite
 
     # the step being integrated: its state z, its rate k1 and the state
     # parts yF, yW of its row
-    z = z0
     k1 = yF = yW = None
 
     def first(tau, y):
@@ -460,8 +450,8 @@ def run_ct(law, z0, signal, horizon: int, h: float, method: str, integrate,
             step(v)
             k1 = d if check is None else check(d)
             if (not all(map(isfinite, uspan.tolist())) if k
-                    else first_nonfinite(buf[:1], probe) is not None):
-                return i, i
+                    else first_nonfinite(buf[:1], probe)[0] is not None):
+                return i, [i]
             if k == horizon:
                 break
             stage_r[...] = r_stages[k]
@@ -469,14 +459,14 @@ def run_ct(law, z0, signal, horizon: int, h: float, method: str, integrate,
                 z = integrate(first, z, h, t=times[k], method=method,
                               stage=stage)
             except NumericsError:
-                return i + 1, i + 1
+                return i + 1, [i + 1]
             if after_step is not None:
                 after_step(z)
             Fn[...] = z[:nF]
             Wn[...] = z[nF:]
-        return count, None
+        return count, [None]
 
-    return rows.run(r_all[:T1], store, chunk)
+    return rows.run(r_all[:T1, None], chunk)
 
 
 def block(T, n, row_col, col_col, mat):

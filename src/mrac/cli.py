@@ -338,6 +338,9 @@ def cmd_batch(args) -> int:
     except ConfigError as exc:
         errors = [f"invalid batch spec: {err}" for err in exc.errors]
     errors += [f"invalid: {err}" for err in _out_errors(args.out)]
+    if args.jobs < 1:
+        errors.append(f"invalid: --jobs: expected a positive integer, got "
+                      f"{args.jobs}")
     if errors:
         print("\n".join(errors), file=sys.stderr)
         return 1

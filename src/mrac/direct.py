@@ -293,10 +293,12 @@ def _direct_law(A, B, Am, Bm, gains, enforce, P, rho, x0, xm0) -> Law:
     return law
 
 
-# a run set up on its law (see ``_rows``): its record arrays and their
-# store, the enabled projection whose discrete landing it needs (None:
-# none), and finish(diverged_at), which makes its trace
-Member = namedtuple("Member", "law rec store projection finish")
+# a run set up on its law (see ``_rows``): its record arrays, the hooks its
+# runner calls (None: none) and finish(diverged_at), which makes its trace.
+# In discrete time ``after_step`` is the landing of an enabled projection
+# (``ProjectionConfig.landing``) and ``adjust`` is None; in continuous time
+# they are the guards of ``_rows.run_ct``
+Member = namedtuple("Member", "law rec after_step adjust finish")
 
 
 def _direct_member(plant, ref, signal, gains, init, horizon, h,
@@ -312,7 +314,7 @@ def _direct_member(plant, ref, signal, gains, init, horizon, h,
         P[:, n:] *= np.eye(M)
     law = _direct_law(plant.A, plant.B, ref.A_m, ref.B_m, gains, enforce, P,
                       rho0, x0, xm0)
-    rec, store = _rows.records(law.cols, horizon + 1)
+    rec = _rows.records(law.cols, horizon + 1)
 
     def V_series(rec):
         return direct_V_series(
@@ -320,7 +322,7 @@ def _direct_member(plant, ref, signal, gains, init, horizon, h,
             1.0 / np.diag(match.K2), gains.Gamma, gains.gamma, rec["eps"],
             rec["m"])
 
-    return Member(law, rec, store, None, partial(
+    return Member(law, rec, None, None, partial(
         _finish_trace, "direct_gradient", plant.time_domain, horizon, h,
         rec=rec, V_series=None if match is None else V_series))
 
@@ -328,6 +330,19 @@ def _direct_member(plant, ref, signal, gains, init, horizon, h,
 def samples(signal: ReferenceSignal, horizon: int):
     """r at the steps 0..horizon of a discrete run."""
     return signal.sample(np.arange(horizon + 1, dtype=float))
+
+
+def _drive(run: Member, domain, signal, horizon, h, method, integrate):
+    """The trace of the set-up run ``run`` in time domain ``domain``:
+    stepped alone by ``_rows.run`` in discrete time, else by
+    ``_rows.run_ct`` with ``integrate``, the runner module's
+    ``integrate_ct``."""
+    if domain == DISCRETE:
+        [diverged_at] = _rows.run([run], samples(signal, horizon)[:, None])
+    else:
+        [diverged_at] = _rows.run_ct(run, signal, horizon, h, method,
+                                     integrate)
+    return run.finish(diverged_at)
 
 
 def run_direct_scenario(plant: PlantModel, ref: ReferenceModel,
@@ -347,11 +362,7 @@ def run_direct_scenario(plant: PlantModel, ref: ReferenceModel,
     raising. ``match`` is the scenario's matching solution (see
     ``_matching``), which gives V.
     """
-    discrete = plant.time_domain == DISCRETE
+    domain = plant.time_domain
     run = _direct_member(plant, ref, signal, gains, init, horizon,
-                         1.0 if discrete else h, match)
-    if discrete:
-        return run.finish(_rows.run(run.law, samples(signal, horizon),
-                                    run.store))
-    return run.finish(_rows.run_ct(run.law, run.law.z0, signal, horizon, h,
-                                   method, integrate_ct, run.store))
+                         1.0 if domain == DISCRETE else h, match)
+    return _drive(run, domain, signal, horizon, h, method, integrate_ct)

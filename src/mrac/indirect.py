@@ -22,7 +22,6 @@ each is followed literally).
 from __future__ import annotations
 
 from functools import partial
-from itertools import chain
 from operator import lt, mul
 
 import numpy as np
@@ -31,8 +30,8 @@ from . import _rows
 from ._rows import Law, block
 from .diagnostics import SimulationTrace, indirect_V_series
 from .direct import (SOLVE, InitialConditions, Member, _check_run_args,
-                     _diagonal_match, _finish_trace, _matching, _spd_check,
-                     samples, stack_controller_gains)
+                     _diagonal_match, _drive, _finish_trace, _matching,
+                     _spd_check, stack_controller_gains)
 from .errors import GainError, ProjectionError, SingularGainError
 # solve_matching stays a module attribute: the benchmark's tracer wraps it
 # here by name
@@ -52,11 +51,11 @@ class ProjectionConfig:
     def __init__(self, theta2_lower, signs, enabled: bool = True):
         self.enabled = enabled
         self.signs = np.atleast_1d(np.asarray(signs, dtype=float))
+        M = self.signs.shape[0]
         if not np.all(np.abs(self.signs) == 1.0):
             raise ProjectionError("projection signs must be +1 or -1")
         lower = np.broadcast_to(
-            np.atleast_1d(np.asarray(theta2_lower, dtype=float)),
-            self.signs.shape).copy()
+            np.atleast_1d(np.asarray(theta2_lower, dtype=float)), (M,)).copy()
         if np.any(lower <= 0.0) or not np.all(np.isfinite(lower)):
             raise ProjectionError(
                 "theta2 lower bounds must be positive and finite")
@@ -75,7 +74,7 @@ class ProjectionConfig:
 
     @property
     def n_inputs(self) -> int:
-        return self.signs.shape[-1]
+        return self.signs.shape[0]
 
     def check_start(self, theta):
         """Reject initial estimates ``theta`` ((n+M, M) column layout) whose
@@ -94,17 +93,15 @@ class ProjectionConfig:
                            >= self.theta2_lower - 1e-12))
 
     def landing(self, law, f2):
-        """The discrete landing, ``_rows.run``'s ``after_step``: step t lands
-        a theta2 it left outside the bound on it, in every copy ``law.theta2``
-        names, gradient then correction, with the correction in ``f2[t]``.
-        Of a lockstep group's stacked projection, step t makes one test of
-        the whole group and lands member b's theta2 with its correction in
-        ``f2[b][t]``."""
+        """The discrete landing, a run's ``after_step`` (see ``_rows.run``):
+        step t lands a theta2 it left outside the bound on it, in every copy
+        ``law.theta2`` names, gradient then correction, with the correction
+        in ``f2[t]``."""
         signs, lower = self.signs, self.theta2_lower
-        signs_l, lower_l = signs.ravel().tolist(), lower.ravel().tolist()
+        signs_l, lower_l = signs.tolist(), lower.tolist()
 
         def after_step(row):
-            copies = law.theta2(row[..., law.W])
+            copies = law.theta2(row[law.W])
             first = copies[0]
 
             def land(t):
@@ -115,18 +112,7 @@ class ProjectionConfig:
                     for th2 in copies:
                         th2 += f2[t]
 
-            # over B x M Python floats, the test costs half the numpy one
-            def land_group(t):
-                if any(map(lt, map(mul, signs_l, chain.from_iterable(
-                        first.tolist())), lower_l)):
-                    low = signs * first < lower
-                    fix = np.where(low, signs * lower - first, 0.0)
-                    for b in np.flatnonzero(low.any(axis=1)).tolist():
-                        f2[b][t] = fix[b]
-                        for th2 in copies:
-                            th2[b] += fix[b]
-
-            return land_group if signs.ndim == 2 else land
+            return land
 
         return after_step
 
@@ -185,16 +171,16 @@ def _floor(projection: ProjectionConfig | None, M: int, stage=False):
 
 def _start(law, projection: ProjectionConfig | None, theta0, T1: int):
     """``projection`` when enabled, after its start check on ``theta0``,
-    else None, and T1 steps of records of ``law`` and their ``store``, with
-    theta2's raw rate as proj_g2 (zero without one) and a zero proj_f2."""
+    else None, and T1 steps of records of ``law``, with theta2's raw rate
+    as proj_g2 (zero without one) and a zero proj_f2."""
     proj = _active(projection)
     if proj is not None:
         proj.check_start(theta0)
         law.cols["proj_g2"] = np.arange(law.dW.start, law.dW.stop)[law.th2]
-    rec, store = _rows.records(law.cols, T1)
+    rec = _rows.records(law.cols, T1)
     rec.setdefault("proj_g2", np.zeros((T1, theta0.shape[1])))
     rec["proj_f2"] = np.zeros((T1, theta0.shape[1]))
-    return proj, rec, store
+    return proj, rec
 
 
 def _check_floor(theta2, projection: ProjectionConfig | None):
@@ -331,11 +317,12 @@ def _indirect_law(A, B, Am, Bm, gains, P, x0, xm0, xhat0) -> Law:
     return law
 
 
-def _indirect_setup(plant, ref, signal, gains, projection, init, horizon,
-                    h, match):
-    """An indirect run with step size ``h`` (1 in discrete time) checked:
-    its law, theta(0) and the finish that makes its trace from its records
-    and divergence step."""
+def _indirect_member(plant, ref, signal, gains, projection, init, horizon,
+                     h, match=SOLVE) -> Member:
+    """An indirect run with step size ``h`` (1 in discrete time) set up.
+    The finish of a discrete run raises SingularGainError at a theta2 below
+    the invertibility threshold, and the guards of a continuous-time one
+    (``_ct_guards``) at a stage's."""
     x0, xm0, theta0, _, xhat0 = _check_run_args(plant, ref, signal, gains,
                                                 init, horizon, projection)
     match = _diagonal_match(_matching(plant, ref, match))
@@ -351,18 +338,12 @@ def _indirect_setup(plant, ref, signal, gains, projection, init, horizon,
             rec["theta"], theta_star_indirect(match.K1, match.K2),
             gains.Gamma, rec["eps"], rec["m"])
 
-    return law, theta0, partial(
-        _finish_trace, "indirect_gradient", plant.time_domain, horizon, h,
-        V_series=None if match is None else V_series)
-
-
-def _indirect_member(plant, ref, signal, gains, projection, init, horizon,
-                     match=SOLVE) -> Member:
-    """A discrete indirect run set up. Its finish raises SingularGainError
-    at a theta2 below the invertibility threshold."""
-    law, theta0, trace = _indirect_setup(plant, ref, signal, gains,
-                                         projection, init, horizon, 1.0, match)
-    proj, rec, store = _start(law, projection, theta0, horizon + 1)
+    trace = partial(_finish_trace, "indirect_gradient", plant.time_domain,
+                    horizon, h, V_series=None if match is None else V_series)
+    if plant.time_domain != DISCRETE:
+        return _projected_ct(law, projection, theta0, horizon, trace,
+                             _floor(projection, M, stage=True))
+    proj, rec = _start(law, projection, theta0, horizon + 1)
 
     def finish(diverged_at):
         # no update follows the final step
@@ -372,7 +353,25 @@ def _indirect_member(plant, ref, signal, gains, projection, init, horizon,
         _check_floor(_theta2(rec["theta"][:reached]), projection)
         return trace(diverged_at, rec)
 
-    return Member(law, rec, store, proj, finish)
+    return Member(law, rec, proj and proj.landing(law, rec["proj_f2"]), None,
+                  finish)
+
+
+def _projected_ct(law, projection, theta0, horizon, trace,
+                  floor=None) -> Member:
+    """A continuous-time run of ``law`` from its ``z0`` under
+    ``projection`` set up, the one path of both indirect schemes:
+    ``_start``, the guards ``_ct_guards`` with ``floor``, and a finish that
+    sets proj_f2, the projection's correction of each recorded rate, and
+    makes the trace with ``trace(diverged_at, rec)``."""
+    proj, rec = _start(law, projection, theta0, horizon + 1)
+
+    def finish(diverged_at):
+        if proj is not None:
+            rec["proj_f2"] = proj.rate(_theta2(rec["theta"]), rec["proj_g2"])
+        return trace(diverged_at, rec)
+
+    return Member(law, rec, *_ct_guards(law, proj, floor), finish)
 
 
 def run_indirect_scenario(plant: PlantModel, ref: ReferenceModel,
@@ -385,34 +384,10 @@ def run_indirect_scenario(plant: PlantModel, ref: ReferenceModel,
     ``match`` as in the direct case, with the estimator advanced on the
     same pre-update estimates. A theta2 below the invertibility threshold
     raises SingularGainError."""
-    if plant.time_domain == DISCRETE:
-        run = _indirect_member(plant, ref, signal, gains, projection, init,
-                               horizon, match)
-        return run.finish(_rows.run(
-            run.law, samples(signal, horizon), run.store,
-            run.projection and run.projection.landing(run.law,
-                                                      run.rec["proj_f2"])))
-    law, theta0, trace = _indirect_setup(plant, ref, signal, gains,
-                                         projection, init, horizon, h, match)
-    rec, diverged_at = _run_ct_projected(
-        law, law.z0, signal, horizon, h, method, integrate_ct, projection,
-        theta0, _floor(projection, plant.n_inputs, stage=True))
-    return trace(diverged_at, rec)
-
-
-def _run_ct_projected(law, z0, signal, horizon, h, method, integrate,
-                      projection, theta0, floor=None):
-    """Run ``law`` in continuous time from ``z0`` (``_rows.run_ct``) under
-    ``projection``, the one path of both indirect schemes: ``_start``, the
-    run guarded by ``_ct_guards`` with ``floor``, and then proj_f2, the
-    projection's correction of each recorded rate. Returns the records and
-    the divergence step."""
-    proj, rec, store = _start(law, projection, theta0, horizon + 1)
-    diverged_at = _rows.run_ct(law, z0, signal, horizon, h, method, integrate,
-                               store, *_ct_guards(law, proj, floor))
-    if proj is not None:
-        rec["proj_f2"] = proj.rate(_theta2(rec["theta"]), rec["proj_g2"])
-    return rec, diverged_at
+    domain = plant.time_domain
+    run = _indirect_member(plant, ref, signal, gains, projection, init,
+                           horizon, 1.0 if domain == DISCRETE else h, match)
+    return _drive(run, domain, signal, horizon, h, method, integrate_ct)
 
 
 def _ct_guards(law, projection, floor=None):

@@ -11,16 +11,17 @@ one fixed-step scheme.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import partial
 
 import numpy as np
 
 from . import _rows
 from .diagnostics import SimulationTrace, value_series
-from .direct import (SOLVE, InitialConditions, _check_run_args, _finish_trace,
-                     _matching, _spd_check)
+from .direct import (SOLVE, InitialConditions, Member, _check_run_args,
+                     _drive, _finish_trace, _matching, _spd_check)
 from .errors import GainError, ModelError
-from .indirect import (ProjectionConfig, _active, _ct_guards,
-                       _run_ct_projected, theta_star_indirect)
+from .indirect import (ProjectionConfig, _active, _ct_guards, _projected_ct,
+                       theta_star_indirect)
 # the benchmark's tracer wraps solve_matching here by name
 from .systems import (CONTINUOUS, PlantModel, ReferenceModel,  # noqa: F401
                       ReferenceSignal, integrate_ct, is_hurwitz, solve_matching)
@@ -338,28 +339,25 @@ def run_lyapunov_scenario(plant: PlantModel, ref: ReferenceModel,
     run diverges as the gradient runs do (see ``_rows``), at the first step
     at which an element of x or u is not finite, or after a step whose
     integration is not finite. The indirect scheme's projection acts as the
-    gradient one's, without a floor (``indirect._run_ct_projected``).
+    gradient one's, without a floor (``indirect._projected_ct``).
     ``cert`` and ``match`` are as for ``build_lyapunov_loop``.
     """
     x0, xm0, theta0, _, xhat0 = _check_run_args(plant, ref, signal, gains,
                                                 init, horizon, projection)
     loop = build_lyapunov_loop(plant, ref, signal, mode, gains, projection,
                                cert, match)
-    n = plant.n
-    z = loop.pack(x0, xm0, theta0[:n], theta0[n:].T, xhat0)
-    if mode == "indirect":
-        rec, diverged_at = _run_ct_projected(loop.law, z, signal, horizon, h,
-                                             method, integrate_ct, projection,
-                                             theta0)
-    else:
-        rec, store = _rows.records(loop.law.cols, horizon + 1)
-        diverged_at = _rows.run_ct(loop.law, z, signal, horizon, h, method,
-                                   integrate_ct, store)
+    law, n = loop.law, plant.n
+    law.z0 = loop.pack(x0, xm0, theta0[:n], theta0[n:].T, xhat0)
 
     def V_series(rec):
         return value_series(loop.V_series(rec["x"], rec["x_m"],
                                           rec.get("x_hat"), rec["theta"]))
 
-    return _finish_trace(f"lyapunov_{mode}", CONTINUOUS, horizon, h,
-                         diverged_at, rec,
-                         V_series if loop.V_series is not None else None)
+    trace = partial(_finish_trace, f"lyapunov_{mode}", CONTINUOUS, horizon, h,
+                    V_series=V_series if loop.V_series is not None else None)
+    if mode == "indirect":
+        run = _projected_ct(law, projection, theta0, horizon, trace)
+    else:
+        rec = _rows.records(law.cols, horizon + 1)
+        run = Member(law, rec, None, None, partial(trace, rec=rec))
+    return _drive(run, CONTINUOUS, signal, horizon, h, method, integrate_ct)

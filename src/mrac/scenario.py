@@ -646,39 +646,24 @@ def _member(cfg: ScenarioConfig):
                               cfg.horizon, 1.0, b.match)
     from .indirect import _indirect_member
     return _indirect_member(b.plant, b.reference, b.signal, b.gains,
-                            b.projection, b.init, cfg.horizon, b.match)
+                            b.projection, b.init, cfg.horizon, 1.0, b.match)
 
 
 def run_lockstep(cfgs: list):
     """Run the configs ``cfgs``, which share one ``lockstep_key``, in
-    lockstep: each member keeps the law, records and finish of its lone
-    run, and one stacked law steps them all (``_rows.stack``), so that
-    each run is byte for byte the one ``run_scenario`` makes. Yields, in
-    order, the post-checked ScenarioRun of each config, or the
-    ToolkitError its run raised. A member is finished only when it is
-    taken, and keeps nothing of the group alive, so that a caller that
-    drops each run holds one finished trace at a time."""
+    lockstep: each member keeps the law, records, hooks and finish of its
+    lone run, and ``_rows.run``, which steps every discrete run, steps them
+    all on one stacked law, so that each run is byte for byte the one
+    ``run_scenario`` makes. Yields, in order, the post-checked ScenarioRun
+    of each config, or the ToolkitError its run raised. A member is
+    finished only when it is taken, and keeps nothing of the group alive,
+    so that a caller that drops each run holds one finished trace at a
+    time."""
     members = [_member(cfg) for cfg in cfgs]
-    ended = _step_group(cfgs, members)
+    ended = _rows.run(members, np.stack(
+        [samples(cfg.built.signal, cfg.horizon) for cfg in cfgs], axis=1))
     for cfg, diverged_at in zip(cfgs, ended):
         yield _finished(cfg, members.pop(0).finish, diverged_at)
-
-
-def _step_group(cfgs, members) -> list:
-    """Step the set-up runs ``members`` of ``cfgs`` on one stacked law;
-    the divergence step of each."""
-    law = _rows.stack([m.law for m in members])
-    r_all = np.stack([samples(cfg.built.signal, cfg.horizon) for cfg in cfgs],
-                     axis=1)
-    landing = None
-    if members[0].projection is not None:
-        from .indirect import ProjectionConfig
-        landing = ProjectionConfig(
-            np.stack([m.projection.theta2_lower for m in members]),
-            np.stack([m.projection.signs for m in members])).landing(
-                law, [m.rec["proj_f2"] for m in members])
-    return _rows.run(law, r_all, _rows.group_store(
-        law.cols, [m.rec for m in members]), landing)
 
 
 def _finished(cfg: ScenarioConfig, finish, diverged_at):

@@ -15,7 +15,7 @@ from mrac import (DirectGainConfig, IndirectGainConfig, InitialConditions,
                   run_direct_scenario, run_indirect_scenario,
                   stack_controller_gains, theta_star_indirect)
 from mrac import _rows
-from mrac.direct import _direct_law
+from mrac.direct import Member, _direct_law
 from mrac.indirect import _indirect_law
 from test_ct_fused import assert_records_match
 
@@ -153,10 +153,12 @@ def test_filter_columns_match_the_bank(scheme):
         q_sign = 1.0
     C = n + M
     F = law.F.start + np.arange(law.nK).reshape(law.K, n)
-    cols = dict(law.cols, S=F[:M * C].T, q=F[M * C:M * C + M].T)
-    rec, store = _rows.records(cols, DISCRETE_HORIZON + 1)
+    law.cols = dict(law.cols, S=F[:M * C].T, q=F[M * C:M * C + M].T)
+    rec = _rows.records(law.cols, DISCRETE_HORIZON + 1)
     r = sig.sample(np.arange(DISCRETE_HORIZON + 1, dtype=float))
-    assert _rows.run(law, r, store) is None
+    # a lone run is a group of one
+    assert _rows.run([Member(law, rec, None, None, None)], r[:, None]) == [
+        None]
     bank = ChannelFilterBank(ref, C)
     for t in range(DISCRETE_HORIZON + 1):
         assert np.max(np.abs(rec["S"][t] - bank.S)) <= 1e-12, t

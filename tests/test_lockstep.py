@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 import mrac.cli as cli_mod
-from mrac import ToolkitError, random_matchable_instance
+from mrac import ToolkitError, _rows, random_matchable_instance
 from mrac.cli import LOCKSTEP_MIN, batch_units, main, worker_count
-from mrac.scenario import (benchmark_config, config_bytes, config_from_dict,
-                           lockstep_key, run_lockstep, run_scenario)
+from mrac.scenario import (_member, benchmark_config, config_bytes,
+                           config_from_dict, lockstep_key, run_lockstep,
+                           run_scenario)
 
 # several chunks of rows: 128 rows each alone, 128 // B in a group of B
 HORIZON = 300
@@ -122,10 +123,15 @@ def test_the_projection_fires_in_the_projected_group():
     assert all(run.invariants["projection_ok"] for run in runs)
 
 
-@pytest.mark.parametrize("group", [slice(0, 5), slice(5, 9), slice(9, 14)],
-                         ids=["direct", "projected", "free"])
+@pytest.mark.parametrize("group", [slice(0, 5), slice(5, 9), slice(9, 14),
+                                   slice(5, 6)],
+                         ids=["direct", "projected", "free", "one"])
 def test_records_equal_run_scenario(group):
     cfgs = [config_from_dict(data) for data in spec_members()[group]]
+    if len(cfgs) == 1:
+        # a group of one keeps its own law, and so the lone .dot step
+        law = _member(cfgs[0]).law
+        assert _rows.stack([law]) is law
     runs = list(run_lockstep(cfgs))
     assert len(runs) == len(cfgs)
     for cfg, grouped in zip(cfgs, runs):

@@ -509,6 +509,34 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"invalid: --out: {good} is not a directory\n"
 
+    def test_jobs_below_one_are_rejected_before_any_run(self, tmp_path, capsys,
+                                                       monkeypatch):
+        # --jobs 0 and --jobs -4 used to run silently with one worker
+        import mrac.cli as cli_mod
+        ran = []
+        real = cli_mod.run_scenario
+
+        def recorded(cfg):
+            ran.append(cfg.name)
+            return real(cfg)
+
+        monkeypatch.setattr(cli_mod, "run_scenario", recorded)
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(bench_dict(horizon=20)))
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"configs": [str(good)]}))
+        blocked = str(good / "out")
+        out_error = f"invalid: --out: {good} is not a directory"
+        for jobs, out, want in [("0", None, []), ("-4", None, []),
+                                ("0", blocked, [out_error])]:
+            argv = ["batch", str(spec), "--jobs", jobs]
+            assert main(argv + (["--out", out] if out else [])) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == want + [
+                f"invalid: --jobs: expected a positive integer, got {jobs}"]
+        assert ran == []
+
     def test_output_section_is_checked_at_load(self, tmp_path, capsys):
         # a blocked output.dir used to end a run in a traceback after the
         # simulation, and output values of any type were taken
