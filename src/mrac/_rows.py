@@ -63,6 +63,26 @@ from .errors import NumericsError
 # short enough that the views and the buffer stay small
 CHUNK = 128
 
+# rows per block of the work over a whole run's arrays (sampling r before
+# the steps, the reductions over the records after them), so that its
+# temporaries keep one size whatever the horizon
+BLOCK = 1024
+
+
+def row_blocks(steps: int):
+    """Yield the (lo, hi) row ranges, in order, of blocks of BLOCK rows
+    that cover ``steps`` rows. None holds a single row unless ``steps`` is
+    1: a one-row product goes to another BLAS routine (gemv for gemm),
+    whose last bits may differ, so a lone last row joins the block before
+    it."""
+    lo = 0
+    while lo < steps:
+        hi = min(lo + BLOCK, steps)
+        if steps - hi == 1:
+            hi = steps
+        yield lo, hi
+        lo = hi
+
 
 class Layout:
     """The slices of a work row [head | F | r | u | mid | W | dF | dW] with
@@ -376,8 +396,9 @@ def run_ct(member, signal, horizon: int, h: float, method: str, integrate):
     one ``integrate`` call (the runner module's ``integrate_ct``) per row
     advances z = [F, W] along the rate [dF, dW] that the law's step writes,
     and the result, after the member's ``after_step(z)`` in place, lands in
-    row i + 1. r is sampled once at every stage time t_k, t_k + h/2 and
-    t_k + h. Row k is stage 1 of step k and its record. Stages 2-4
+    row i + 1. r is sampled once before the steps, a block of steps at a
+    time, at the stage times t_k, t_k + h/2 (stages 2 and 3) and t_k + h of
+    every step. Row k is stage 1 of step k and its record. Stages 2-4
     evaluate on three rows of their own, reused by every step: the
     ``stage`` evaluator ``integrate`` passes to the RK4 step writes y + c k
     straight into a stage row's F and W, with y read off row k, and that
@@ -394,15 +415,17 @@ def run_ct(member, signal, horizon: int, h: float, method: str, integrate):
     """
     law, after_step, adjust = member.law, member.after_step, member.adjust
     T1 = horizon + 1
-    # a step near the float range overflows the stage times; r then reads
-    # NaN and the run diverges
-    with np.errstate(over="ignore"):
-        t = np.arange(T1) * h
-        r_all = signal.sample(np.concatenate([t, t + 0.5 * h, t + h]))
-    r_mid, r_end = r_all[T1:2 * T1], r_all[2 * T1:]
-    # r of stages 2, 3 and 4 of each step
-    r_stages = np.stack([r_mid, r_mid, r_end], axis=1)
-    times = t.tolist()
+    # r of stages 1-4 of each step
+    r_all = np.empty((T1, 4, signal.dimension))
+    for lo, hi in row_blocks(T1):
+        # a step near the float range overflows the stage times; r then
+        # reads NaN and the run diverges
+        with np.errstate(over="ignore"):
+            t = np.arange(lo, hi) * h
+            mid = t + 0.5 * h
+            times = np.stack([t, mid, mid, t + h], axis=1)
+        r_all[lo:hi] = signal.sample(times.ravel()).reshape(hi - lo, 4, -1)
+    r_stages = r_all[:, 1:]
     rows = RowBuffer(law, [member.rec], T1)
     buf, work, probe, nF = rows.buf, rows.work, rows.probe, law.nF
     dz = slice(law.dF.start, law.dW.stop)
@@ -456,7 +479,7 @@ def run_ct(member, signal, horizon: int, h: float, method: str, integrate):
                 break
             stage_r[...] = r_stages[k]
             try:
-                z = integrate(first, z, h, t=times[k], method=method,
+                z = integrate(first, z, h, t=k * h, method=method,
                               stage=stage)
             except NumericsError:
                 return i + 1, [i + 1]
@@ -466,7 +489,7 @@ def run_ct(member, signal, horizon: int, h: float, method: str, integrate):
             Wn[...] = z[nF:]
         return count, [None]
 
-    return rows.run(r_all[:T1, None], chunk)
+    return rows.run(r_all[:, :1], chunk)
 
 
 def block(T, n, row_col, col_col, mat):

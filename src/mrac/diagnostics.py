@@ -14,6 +14,8 @@ from typing import Optional
 
 import numpy as np
 
+from ._rows import row_blocks
+
 
 TraceSummary = namedtuple(
     "TraceSummary", "steps sup_e sup_theta sum_eps2_over_m2 sum_dtheta_sq "
@@ -54,6 +56,15 @@ class SimulationTrace(namedtuple(
 TAIL_FRAC = 0.1
 
 
+def _sup_abs(values: np.ndarray) -> float:
+    """max |values| without an |values| copy; 0.0 when empty, NaN when any
+    element is NaN."""
+    if not values.size:
+        return 0.0
+    # |values| has no -0.0, which a maximum of zeros may keep
+    return float(np.maximum(values.max(), -values.min())) + 0.0
+
+
 def _tail_fraction(values: np.ndarray) -> Optional[float]:
     total = float(np.sum(values))
     if total <= 0.0:
@@ -62,26 +73,39 @@ def _tail_fraction(values: np.ndarray) -> Optional[float]:
     return float(np.sum(values[-k:])) / total
 
 
+def decrement_series(eps: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """sum_i eps_i^2 / m^2 at each step, a block of steps at a time."""
+    dec = np.empty(eps.shape[0])
+    for lo, hi in row_blocks(dec.shape[0]):
+        dec[lo:hi] = np.sum(eps[lo:hi]**2, axis=1) / m[lo:hi]**2
+    return dec
+
+
+def _squared_steps(theta: np.ndarray) -> np.ndarray:
+    """|theta(t + 1) - theta(t)|^2 at each step but the last, a block of
+    rows at a time."""
+    out = np.zeros(max(theta.shape[0] - 1, 0))
+    for lo, hi in row_blocks(out.shape[0]):
+        step = theta[lo + 1:hi + 1] - theta[lo:hi]
+        step **= 2
+        np.sum(step, axis=(1, 2), out=out[lo:hi])
+    return out
+
+
 # a finite record can square to inf: that is its value, not an error
 @np.errstate(over="ignore", invalid="ignore")
 def summarize(trace: SimulationTrace) -> TraceSummary:
     """Recompute the summary block from the per-step records; the tail
     fractions are the shares of the last TAIL_FRAC of the steps."""
-    e_norm = np.max(np.abs(trace.e), axis=1) if trace.e.size else np.zeros(0)
-    sup_e = float(np.max(e_norm)) if e_norm.size else 0.0
-    sup_theta = float(np.max(np.abs(trace.theta))) if trace.theta.size else 0.0
-
-    has_eps = trace.eps.size > 0 and bool(np.all(np.isfinite(trace.m)))
-    if has_eps:
-        dec = np.sum(trace.eps**2, axis=1) / trace.m**2
+    sum_eps = tail_eps = None
+    if trace.eps.size > 0 and bool(np.all(np.isfinite(trace.m))):
+        # the V series holds the same series of the same records
+        dec = (trace.series.decrement if trace.series is not None
+               else decrement_series(trace.eps, trace.m))
         sum_eps = float(np.sum(dec))
         tail_eps = _tail_fraction(dec)
-    else:
-        sum_eps = None
-        tail_eps = None
 
-    dtheta = np.diff(trace.theta, axis=0)
-    dtheta_sq = np.sum(dtheta**2, axis=(1, 2)) if dtheta.size else np.zeros(0)
+    dtheta_sq = _squared_steps(trace.theta)
     sum_dtheta = float(np.sum(dtheta_sq))
     tail_dtheta = _tail_fraction(dtheta_sq) if dtheta_sq.size else 0.0
 
@@ -92,8 +116,8 @@ def summarize(trace: SimulationTrace) -> TraceSummary:
 
     return TraceSummary(
         steps=trace.steps,
-        sup_e=sup_e,
-        sup_theta=sup_theta,
+        sup_e=_sup_abs(trace.e),
+        sup_theta=_sup_abs(trace.theta),
         sum_eps2_over_m2=sum_eps,
         sum_dtheta_sq=sum_dtheta,
         tail_frac_eps=tail_eps,
@@ -137,17 +161,21 @@ def gamma1_indirect(Gamma) -> float:
 
 
 def _theta_error_quad(theta_series, theta_star, Ginv) -> np.ndarray:
-    # theta_series (T, n_w, M), Ginv (M, n_w, n_w) -> (T, M) quadratic forms
-    err = theta_series - theta_star[None]
-    E = err.transpose(2, 0, 1)  # (M, T, n_w)
-    tmp = np.matmul(E, Ginv)  # (M, T, n_w)
-    return np.einsum("mtw,mtw->mt", tmp, E).T
+    # theta_series (T, n_w, M), Ginv (M, n_w, n_w) -> (T, M) quadratic forms,
+    # a block of steps at a time, into the (M, T) layout of a whole-series
+    # einsum: the products that read them take their BLAS call from it
+    T, _, M = theta_series.shape
+    quad = np.empty((M, T))
+    for lo, hi in row_blocks(T):
+        E = (theta_series[lo:hi] - theta_star[None]).transpose(2, 0, 1)
+        quad[:, lo:hi] = np.einsum("mtw,mtw->mt", np.matmul(E, Ginv), E)
+    return quad.T
 
 
 def value_series(V, decrement=None, gamma0: float = math.nan) -> LyapunovSeries:
     """V with its increments; the decrement is NaN where it is not given."""
     dV = np.full(V.shape[0], np.nan)
-    dV[:-1] = np.diff(V)
+    np.subtract(V[1:], V[:-1], out=dV[:-1])
     if decrement is None:
         decrement = np.full(V.shape[0], np.nan)
     return LyapunovSeries(V=V, dV=dV, decrement=decrement, gamma0=gamma0)
@@ -163,8 +191,15 @@ def direct_V_series(theta_series, rho_series, theta_star, rho_star,
     rho_s = np.atleast_1d(np.asarray(rho_star, dtype=float))
     gam = np.broadcast_to(np.atleast_1d(np.asarray(gamma, dtype=float)), (M,))
     quad = _theta_error_quad(theta_series, np.asarray(theta_star, float).reshape(n_w, M), Ginv)
-    V = quad @ np.abs(rho_s) + np.sum((rho_series - rho_s[None]) ** 2 / gam[None], axis=1)
-    dec = np.sum(eps_series**2, axis=1) / m_series**2
+    # each full-horizon temporary goes before the next is made
+    rho_err = rho_series - rho_s[None]
+    rho_err **= 2
+    rho_err /= gam[None]
+    V = quad @ np.abs(rho_s)
+    del quad
+    V += np.sum(rho_err, axis=1)
+    del rho_err
+    dec = decrement_series(eps_series, m_series)
     return value_series(V, dec, gamma0_direct(Gamma, gamma, rho_star))
 
 
@@ -176,8 +211,10 @@ def indirect_V_series(theta_series, theta_star, Gamma,
     G = _stack_gains(Gamma, n_w, M)
     Ginv = np.linalg.inv(G)
     quad = _theta_error_quad(theta_series, np.asarray(theta_star, float).reshape(n_w, M), Ginv)
-    dec = np.sum(eps_series**2, axis=1) / m_series**2
-    return value_series(np.sum(quad, axis=1), dec, gamma1_indirect(Gamma))
+    V = np.sum(quad, axis=1)
+    del quad
+    dec = decrement_series(eps_series, m_series)
+    return value_series(V, dec, gamma1_indirect(Gamma))
 
 
 def check_delta_V(series: LyapunovSeries, tolerance: float = 1e-10):
@@ -187,13 +224,13 @@ def check_delta_V(series: LyapunovSeries, tolerance: float = 1e-10):
     Returns (passed, first_violating_step). Failure is a result, not an
     error; the final record has no increment and is skipped.
     """
-    bound = -(2.0 - series.gamma0) * series.decrement
-    T = series.V.shape[0]
-    if T < 2:
-        return True, None
-    bad = ~(series.dV[:T - 1] <= bound[:T - 1] + tolerance)
-    if np.any(bad):
-        return False, int(np.argmax(bad))
+    scale = -(2.0 - series.gamma0)
+    for lo, hi in row_blocks(series.V.shape[0] - 1):
+        bound = scale * series.decrement[lo:hi]
+        bound += tolerance
+        bad = ~(series.dV[lo:hi] <= bound)
+        if np.any(bad):
+            return False, lo + int(np.argmax(bad))
     return True, None
 
 
@@ -210,15 +247,14 @@ def tracking_metrics(trace: SimulationTrace,
     if trace.diverged:
         return TrackingMetrics(sup_e=math.inf, last_window_max=math.inf,
                                settling_index=None)
-    e_norm = np.max(np.abs(trace.e), axis=1)
-    k = max(1, int(math.ceil(TAIL_FRAC * e_norm.shape[0])))
-    sup_e = float(np.max(e_norm))
-    last_window = float(np.max(e_norm[-k:]))
+    e = trace.e
+    k = max(1, int(math.ceil(TAIL_FRAC * e.shape[0])))
     settle = None
     if settle_threshold is not None:
+        e_norm = np.max(np.abs(e), axis=1)
         ok = e_norm <= settle_threshold
         # first index from which everything stays below threshold
         idx = np.where(~ok)[0]
         settle = 0 if idx.size == 0 else (int(idx[-1]) + 1 if idx[-1] + 1 < e_norm.shape[0] else None)
-    return TrackingMetrics(sup_e=sup_e, last_window_max=last_window,
+    return TrackingMetrics(sup_e=_sup_abs(e), last_window_max=_sup_abs(e[-k:]),
                            settling_index=settle)

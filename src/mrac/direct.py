@@ -22,7 +22,7 @@ from functools import partial
 import numpy as np
 
 from . import _rows
-from ._rows import Law, block
+from ._rows import Law, block, row_blocks
 from .diagnostics import SimulationTrace, direct_V_series
 from .errors import GainError, ModelError
 from .systems import (DISCRETE, PlantModel, ReferenceModel, ReferenceSignal,
@@ -221,7 +221,9 @@ def _finish_trace(scheme, domain, horizon, dt, diverged_at, rec,
     # them rather than a second copy
     rec = {name: values[:steps] for name, values in rec.items()}
     if "m2" in rec:
-        rec["m"] = np.sqrt(rec.pop("m2"))
+        # m takes the place of m^2 in its record
+        m2 = rec.pop("m2")
+        rec["m"] = np.sqrt(m2, out=m2)
     else:
         rec["eps"] = np.full(rec["x"].shape, np.nan)
         rec["m"] = np.full(steps, np.nan)
@@ -232,9 +234,11 @@ def _finish_trace(scheme, domain, horizon, dt, diverged_at, rec,
     with np.errstate(over="ignore", invalid="ignore"):
         series = V_series(rec) if steps and V_series is not None else None
         rec["e"] = rec["x"] - rec["x_m"]
+    t = np.arange(steps, dtype=float)
+    t *= dt
     trace = SimulationTrace(
-        scheme=scheme, time_domain=domain, horizon=horizon, dt=dt,
-        t=np.arange(steps, dtype=float) * dt, series=series,
+        scheme=scheme, time_domain=domain, horizon=horizon, dt=dt, t=t,
+        series=series,
         V=None if series is None else series.V,
         dV=None if series is None else series.dV,
         diverged=diverged_at is not None, diverged_at=diverged_at, **rec)
@@ -327,9 +331,15 @@ def _direct_member(plant, ref, signal, gains, init, horizon, h,
         rec=rec, V_series=None if match is None else V_series))
 
 
-def samples(signal: ReferenceSignal, horizon: int):
-    """r at the steps 0..horizon of a discrete run."""
-    return signal.sample(np.arange(horizon + 1, dtype=float))
+def samples(signal: ReferenceSignal, horizon: int, out=None):
+    """r at the steps 0..horizon of a discrete run, written into ``out``
+    ((horizon + 1) x M) when it is given, sampled a block of steps at a
+    time so that no full-horizon temporary is made."""
+    if out is None:
+        out = np.empty((horizon + 1, signal.dimension))
+    for lo, hi in row_blocks(horizon + 1):
+        out[lo:hi] = signal.sample(np.arange(lo, hi, dtype=float))
+    return out
 
 
 def _drive(run: Member, domain, signal, horizon, h, method, integrate):

@@ -27,7 +27,7 @@ from operator import lt, mul
 import numpy as np
 
 from . import _rows
-from ._rows import Law, block
+from ._rows import Law, block, row_blocks
 from .diagnostics import SimulationTrace, indirect_V_series
 from .direct import (SOLVE, InitialConditions, Member, _check_run_args,
                      _diagonal_match, _drive, _finish_trace, _matching,
@@ -88,9 +88,11 @@ class ProjectionConfig:
 
     def holds(self, theta) -> bool:
         """The run invariant: the theta2 diagonal of every record of
-        ``theta`` (steps x (n+M) x M) inside its bound, up to 1e-12."""
-        return bool(np.all(self.signs * _theta2(theta)
-                           >= self.theta2_lower - 1e-12))
+        ``theta`` (steps x (n+M) x M) inside its bound, up to 1e-12; tested
+        a block of records at a time."""
+        return all(bool(np.all(self.signs * _theta2(theta[lo:hi])
+                               >= self.theta2_lower - 1e-12))
+                   for lo, hi in row_blocks(theta.shape[0]))
 
     def landing(self, law, f2):
         """The discrete landing, a run's ``after_step`` (see ``_rows.run``):

@@ -350,8 +350,16 @@ def run_lyapunov_scenario(plant: PlantModel, ref: ReferenceModel,
     law.z0 = loop.pack(x0, xm0, theta0[:n], theta0[n:].T, xhat0)
 
     def V_series(rec):
-        return value_series(loop.V_series(rec["x"], rec["x_m"],
-                                          rec.get("x_hat"), rec["theta"]))
+        # a block of records at a time, so that the closure's temporaries
+        # keep one size
+        x, xm, xh, theta = (rec["x"], rec["x_m"], rec.get("x_hat"),
+                            rec["theta"])
+        V = np.empty(x.shape[0])
+        for lo, hi in _rows.row_blocks(V.shape[0]):
+            V[lo:hi] = loop.V_series(x[lo:hi], xm[lo:hi],
+                                     None if xh is None else xh[lo:hi],
+                                     theta[lo:hi])
+        return value_series(V)
 
     trace = partial(_finish_trace, f"lyapunov_{mode}", CONTINUOUS, horizon, h,
                     V_series=V_series if loop.V_series is not None else None)

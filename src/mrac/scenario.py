@@ -52,25 +52,25 @@ def __getattr__(name):
 SCHEMES = ("direct_gradient", "indirect_gradient",
            "lyapunov_direct", "lyapunov_indirect")
 
-# the most a run's record arrays and reference samples may take; a config
+# the most a run's records, trace and reference samples may take; a config
 # estimated above it is invalid
 MEMORY_BUDGET_BYTES = 1 << 30
 
 
-def memory_estimate(horizon: int, n: int, M: int, tones: int,
-                    time_domain: str) -> int:
-    """Bytes of a run's records, about (T+1)(C M + 3n + 2M) floats with
-    C = n + M, plus the (T+1, M, tones) reference samples built per stage
-    time: one set in discrete time, three in continuous time."""
-    stages = 3 if time_domain == CONTINUOUS else 1
-    return 8 * (horizon + 1) * ((n + M) * M + 3 * n + 2 * M
-                                + stages * M * tones)
-
-
-def _tones(signal: dict) -> int:
-    """The tones per channel of a signal section: 1 unless it is a sum of
-    sinusoids."""
-    return np.atleast_2d(signal.get("amplitudes", 1)).shape[1]
+def memory_estimate(horizon: int, n: int, M: int, time_domain: str) -> int:
+    """A bound on the bytes a run holds at its peak, 8 (T+1) (C M + 5n + 3M
+    + 6 + s M) with C = n + M. Per step that is the widest scheme's records
+    (theta; x, x_m, eps and x_hat; u and two M-wide columns, rho or the
+    projection's proj_g2 and proj_f2; m^2), what the finished trace adds to
+    them (e, t, V, dV, the decrement and proj_fired, a byte counted as a
+    float) and r at the s stage times a step samples, 1 in discrete time
+    and 4 in continuous time. Every other array a run makes is either a
+    fixed number of rows (``_rows.CHUNK``, ``_rows.BLOCK``, the trace
+    writer's chunk) or a column or two that lives after the samples are
+    freed or before the trace's columns are made, in room that they
+    leave."""
+    stages = 4 if time_domain == CONTINUOUS else 1
+    return 8 * (horizon + 1) * ((n + M) * M + 5 * n + 3 * M + 6 + stages * M)
 
 
 def blocked_dir(path: str) -> Optional[str]:
@@ -415,8 +415,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
 
     horizon = cfg.get("horizon")
     if horizon is not None and dims:
-        need = memory_estimate(horizon, *dims, _tones(cfg.get("signal", {})),
-                               time_domain)
+        need = memory_estimate(horizon, *dims, time_domain)
         if need > MEMORY_BUDGET_BYTES:
             from decimal import Decimal  # exact for any horizon
             errors.append(
@@ -569,7 +568,9 @@ def _invariant_report(cfg: ScenarioConfig, trace: SimulationTrace) -> dict:
             report["delta_v_first_violation"] = first
         else:
             # continuous time guarantees only that V does not increase
-            report["v_nonincreasing_ok"] = bool(np.all(trace.dV[:-1] <= 1e-6))
+            report["v_nonincreasing_ok"] = all(
+                bool(np.all(trace.dV[lo:hi] <= 1e-6))
+                for lo, hi in _rows.row_blocks(trace.steps - 1))
     b = cfg.built
     M, n, proj = b.plant.n_inputs, b.plant.n, b.projection
     # only the indirect schemes build a projection
@@ -579,8 +580,10 @@ def _invariant_report(cfg: ScenarioConfig, trace: SimulationTrace) -> dict:
     diag_key = ("k2_diag_ok" if cfg.scheme == "direct_gradient"
                 else "theta2_diag_ok" if cfg.scheme in _INDIRECT else None)
     if diag_key and M > 1 and getattr(b.gains, "enforce_diagonal_k2", True):
-        report[diag_key] = bool(np.all(
-            trace.theta[:, n:, :] * (1.0 - np.eye(M)) == 0.0))
+        off = 1.0 - np.eye(M)
+        report[diag_key] = all(
+            bool(np.all(trace.theta[lo:hi, n:, :] * off == 0.0))
+            for lo, hi in _rows.row_blocks(trace.steps))
     return report
 
 
@@ -634,8 +637,7 @@ def lockstep_key(cfg: ScenarioConfig):
 def config_bytes(cfg: ScenarioConfig) -> int:
     """``memory_estimate`` of a loaded config."""
     return memory_estimate(cfg.horizon, cfg.built.plant.n,
-                           cfg.built.plant.n_inputs, _tones(cfg.signal),
-                           cfg.time_domain)
+                           cfg.built.plant.n_inputs, cfg.time_domain)
 
 
 def _member(cfg: ScenarioConfig):
@@ -660,8 +662,12 @@ def run_lockstep(cfgs: list):
     so that a caller that drops each run holds one finished trace at a
     time."""
     members = [_member(cfg) for cfg in cfgs]
-    ended = _rows.run(members, np.stack(
-        [samples(cfg.built.signal, cfg.horizon) for cfg in cfgs], axis=1))
+    r_all = np.empty((cfgs[0].horizon + 1, len(cfgs),
+                      cfgs[0].built.plant.n_inputs))
+    for b, cfg in enumerate(cfgs):
+        samples(cfg.built.signal, cfg.horizon, r_all[:, b])
+    ended = _rows.run(members, r_all)
+    del r_all
     for cfg, diverged_at in zip(cfgs, ended):
         yield _finished(cfg, members.pop(0).finish, diverged_at)
 

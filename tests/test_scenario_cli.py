@@ -509,6 +509,19 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"invalid: --out: {good} is not a directory\n"
 
+    def test_an_unreadable_spec_does_not_hide_the_flag_errors(self, tmp_path,
+                                                              capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        missing = tmp_path / "missing.json"
+        assert main(["batch", str(missing), "--jobs", "0",
+                     "--out", str(afile / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"invalid batch spec: [Errno 2] No such file or directory: "
+            f"{str(missing)!r}",
+            f"invalid: --out: {afile} is not a directory",
+            "invalid: --jobs: expected a positive integer, got 0"]
+
     def test_jobs_below_one_are_rejected_before_any_run(self, tmp_path, capsys,
                                                        monkeypatch):
         # --jobs 0 and --jobs -4 used to run silently with one worker
@@ -613,17 +626,17 @@ class TestCli:
         bad.write_text(json.dumps(bench_dict(horizon=10**10)))
         assert main(["validate", str(bad)]) == 1
         [err] = capsys.readouterr().err.splitlines()
-        assert err == ("invalid: horizon: 10000000000 steps need about 894 "
-                       "GiB of records and reference samples, above the 1 "
-                       "GiB budget")
+        assert err == ("invalid: horizon: 10000000000 steps need about "
+                       "1.71e+3 GiB of records and reference samples, above "
+                       "the 1 GiB budget")
         # the largest horizon within the budget validates
-        per_step = memory_estimate(0, 2, 1, 1, "discrete")
+        per_step = memory_estimate(0, 2, 1, "discrete")
         bad.write_text(json.dumps(bench_dict(
             horizon=MEMORY_BUDGET_BYTES // per_step - 1)))
         assert main(["validate", str(bad)]) == 0
-        # continuous time samples r at three stage times per step
-        assert memory_estimate(9, 3, 2, 4, "continuous") == 8 * 10 * (
-            5 * 2 + 9 + 4 + 3 * 2 * 4)
+        # continuous time samples r at four stage times per step
+        assert memory_estimate(9, 3, 2, "continuous") == 8 * 10 * (
+            5 * 2 + 5 * 3 + 3 * 2 + 6 + 4 * 2)
 
     @pytest.mark.parametrize("field, edit", [
         ("init.x0", lambda d: d["init"].update(x0=[1.0])),
