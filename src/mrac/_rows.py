@@ -25,11 +25,14 @@ it as
   terms ab reads, weighted by -eps / m^2.
 
 Rows live in a ``RowBuffer`` that the whole run reuses; the views of every
-row are made once, and records are copied out chunk by chunk. Both runners
-share it and one divergence rule (``first_nonfinite``: the first step at
-which an element of x, u or m^2 is not finite). They differ only in how
-row i's state reaches row i + 1: in discrete time (``run``) L [F, r, u]
-lands there as F(t + 1) and W(t + 1) = W + G ab; in continuous time
+row are made once, r is sampled a block of rows at a time as the rows need
+it (``Samples``), and the record columns of each chunk of finished rows go
+to each member's store, its sink (``diagnostics.Collect`` keeps the whole
+records, ``diagnostics.Stream`` reduces them a block at a time). Both
+runners share it and one divergence rule (``first_nonfinite``: the first
+step at which an element of x, u or m^2 is not finite). They differ only
+in how row i's state reaches row i + 1: in discrete time (``run``) L [F,
+r, u] lands there as F(t + 1) and W(t + 1) = W + G ab; in continuous time
 (``run_ct``) one call to the runner module's ``integrate_ct`` advances z
 along dz/dt = [dF, dW]. Its first stage is row i itself, and its stage
 evaluator writes each later stage's state straight into one of three stage
@@ -57,15 +60,15 @@ from functools import partial
 
 import numpy as np
 
-from .errors import NumericsError
+from .errors import NumericsError, ToolkitError
 
 # rows per chunk: long enough to amortize the per-chunk record copies,
 # short enough that the views and the buffer stay small
 CHUNK = 128
 
-# rows per block of the work over a whole run's arrays (sampling r before
-# the steps, the reductions over the records after them), so that its
-# temporaries keep one size whatever the horizon
+# rows per block of the work over a run's rows (sampling r, the V series,
+# the reductions and checks of the trace), so that its temporaries keep one
+# size whatever the horizon
 BLOCK = 1024
 
 
@@ -266,10 +269,39 @@ def stack(laws):
     return law
 
 
-def records(cols, steps: int):
-    """Zeroed record arrays for ``cols``, keyed by trace field."""
-    return {name: np.zeros((steps,) + np.shape(at))
-            for name, at in cols.items()}
+def shapes(cols, **extra):
+    """The shape of one row of each record of the columns ``cols`` and of
+    the ``extra`` records, keyed by trace field."""
+    return {**{name: np.shape(at) for name, at in cols.items()}, **extra}
+
+
+def records(shapes, steps: int):
+    """Zeroed record arrays of ``steps`` rows of ``shapes``, keyed by trace
+    field."""
+    return {name: np.zeros((steps,) + shape) for name, shape in shapes.items()}
+
+
+class Samples:
+    """r at the rows of a run of ``steps`` rows, sampled by ``sample(lo,
+    hi)`` a block of ``row_blocks(steps)`` at a time as the rows ask for
+    it: every sample keeps the bits of sampling the whole run by those
+    blocks, and only the blocks in use are held. ``rows(lo, hi)`` may start
+    one row before the call before it did (a chunk rereads the row it
+    carries over), never earlier."""
+
+    def __init__(self, sample, steps: int):
+        self.sample, self.blocks = sample, row_blocks(steps)
+        self.held = []  # (lo, hi, samples) of each block in use, in order
+
+    def rows(self, lo, hi):
+        self.held = [block for block in self.held if block[1] >= lo]
+        while not self.held or self.held[-1][1] < hi:
+            start, stop = next(self.blocks)
+            self.held.append((start, stop, self.sample(start, stop)))
+        parts = [values[max(lo, start) - start:min(hi, stop) - start]
+                 for start, stop, values in self.held
+                 if start < hi and stop > lo]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def first_nonfinite(rows, at):
@@ -285,16 +317,16 @@ def first_nonfinite(rows, at):
 
 class RowBuffer:
     """(CHUNK // B + 1, B, width) buffer of the rows of ``law``, which
-    steps the B members whose record arrays of ``law.cols`` are ``recs``, B
-    = 1 for a lone run; row 0 starts from the states ``law.z0 = [F, W]``,
-    row i + 1 receives the state that follows row i, and the last row
-    carries over to row 0 of the next chunk. ``work`` holds the rows
-    ``law``'s step takes: a lone run's (width,) rows, a group's (B, width)
-    blocks. ``probe`` holds the columns of x, u and m^2 that
-    ``first_nonfinite`` reads."""
+    steps the B members whose stores (sinks, see ``store``) are
+    ``stores``, B = 1 for a lone run, over ``steps`` rows; row 0 starts
+    from the states ``law.z0 = [F, W]``, row i + 1 receives the state that
+    follows row i, and the last row carries over to row 0 of the next
+    chunk. ``work`` holds the rows ``law``'s step takes: a lone run's
+    (width,) rows, a group's (B, width) blocks. ``probe`` holds the columns
+    of x, u and m^2 that ``first_nonfinite`` reads."""
 
-    def __init__(self, law, recs, steps: int):
-        B = len(recs)
+    def __init__(self, law, stores, steps: int):
+        B = len(stores)
         # a group's buffer keeps a lone one's size. Freeing a buffer of
         # CHUNK rows of four members (0.75 MiB) left the process 3.9 MiB
         # larger: glibc's malloc then serves arrays up to that size, the
@@ -303,34 +335,46 @@ class RowBuffer:
         self.buf = np.zeros((min(rows, steps) + 1, B, law.width))
         self.work = self.buf if law.z0.ndim > 1 else self.buf[:, 0]
         self.size = self.buf.shape[0] - 1
-        self.R, self.cols, self.recs = law.R, law.cols, recs
+        self.steps = steps
+        self.R, self.cols, self.stores = law.R, law.cols, stores
         self.buf[0, :, law.F] = law.z0[..., :law.nF]
         self.buf[0, :, law.W] = law.z0[..., law.nF:]
         self.probe = np.hstack([law.cols[name] for name in ("x", "u", "m2")
                                 if name in law.cols])
 
-    def store(self, rows, t0, live):
-        """Copy the record columns of the finished ``rows`` (steps t0
-        onward) of each member in ``live`` into its records, with one
-        gather per record for the whole group."""
-        sl = slice(t0, t0 + rows.shape[0])
-        for name, at in self.cols.items():
-            block = rows[..., at]
-            for b in live:
-                self.recs[b][name][sl] = block[:, b]
+    def store(self, rows, t0, live, bad, ended):
+        """Give the record columns of the finished ``rows`` (steps t0
+        onward) of each member in ``live`` to its store, with one gather per
+        record for the whole group: ``store(records, t0, stop)``, with the
+        rows up to the member's divergence row in ``bad`` (that row
+        included; None: none) and ``stop``, the count of them that precede
+        it. Sets ``ended`` of a member that diverged to its divergence step,
+        and of one whose store raised a ToolkitError to that error."""
+        blocks = {name: rows[..., at] for name, at in self.cols.items()}
+        for b in live:
+            keep = stop = rows.shape[0]
+            if bad[b] is not None:
+                keep, stop = min(keep, bad[b] + 1), min(keep, bad[b])
+                ended[b] = t0 + bad[b]
+            try:
+                self.stores[b]({name: block[:keep, b]
+                                for name, block in blocks.items()}, t0, stop)
+            except ToolkitError as exc:
+                ended[b] = exc
 
-    def run(self, r_all, chunk):
-        """Step the rows over the samples ``r_all`` (steps x B x M) of r,
-        filled into every row before its chunk runs: ``chunk(t0, count)``
-        steps rows 0..count-1 (steps t0..t0+count-1) and returns how many
-        it finished and, per member, the row of its divergence step or
-        None (``first_nonfinite``). ``store`` then receives the finished
-        rows of the members that had not diverged before the chunk. The
-        rows run until every member has diverged or reached the end.
-        Returns each member's divergence step or None."""
-        T1 = r_all.shape[0]
+    def run(self, r, chunk):
+        """Step the rows, r filled into every row before its chunk runs:
+        ``r(lo, hi)`` gives r at rows lo..hi (rows x B x M), ``chunk(t0,
+        count)`` steps rows 0..count-1 (steps t0..t0+count-1) and returns
+        how many it finished and, per member, the row of its divergence
+        step or None (``first_nonfinite``). ``store`` then receives the
+        finished rows of the members that had not ended before the chunk.
+        The rows run until every member has ended or reached the end.
+        Returns what ended each member: None (it reached the end), its
+        divergence step, or the ToolkitError its store raised."""
+        T1 = self.steps
         buf, R = self.buf, self.R
-        buf[0, :, R] = r_all[0]
+        buf[0, :, R] = r(0, 1)[0]
         ended = [None] * buf.shape[1]
         live = list(range(buf.shape[1]))
         t0 = 0
@@ -338,12 +382,10 @@ class RowBuffer:
             while t0 < T1:
                 count = min(self.size, T1 - t0)
                 stop = min(t0 + count + 1, T1)
-                buf[1:stop - t0, :, R] = r_all[t0 + 1:stop]
+                if stop > t0 + 1:
+                    buf[1:stop - t0, :, R] = r(t0 + 1, stop)
                 reached, bad = chunk(t0, count)
-                self.store(buf[:reached], t0, live)
-                for b in live:
-                    if bad[b] is not None:
-                        ended[b] = t0 + bad[b]
+                self.store(buf[:reached], t0, live, bad, ended)
                 live = [b for b in live if ended[b] is None]
                 if not live:
                     break
@@ -352,81 +394,75 @@ class RowBuffer:
         return ended
 
 
-def run(members, r_all):
+def run(members, steps: int):
     """Step the set-up discrete runs ``members`` (``direct.Member``), whose
-    laws share one layout, in lockstep over the samples ``r_all`` (steps x
-    B x M) of their r, on one ``stack``ed law; a lone run is a group of
-    one.
+    laws share one layout, in lockstep over ``steps`` rows on one
+    ``stack``ed law, each member's r sampled by its ``r(lo, hi)``; a lone
+    run is a group of one.
 
     Row i + 1 receives F(t + 1) = L [F, r, u] and W(t + 1) = W + G ab from
-    row i. A member's ``after_step(row)``, called once per row of its own,
-    returns the hook that step t calls, with t, once it has written its
-    state into that row. Nothing in a discrete step raises, so the
-    divergence rule runs once per chunk. Returns each member's divergence
-    step: the first at which an element of its x, u or m^2 is not finite,
-    or None.
+    row i. A member's ``after_step(row, i)``, called once per row of its
+    own, returns the hook that step i of a chunk calls once it has written
+    its state into that row. Nothing in a discrete step raises, so the
+    divergence rule runs once per chunk. Returns what ended each member
+    (``RowBuffer.run``): None, its divergence step (the first at which an
+    element of its x, u or m^2 is not finite) or its store's error.
     """
     law = stack([m.law for m in members])
-    rows = RowBuffer(law, [m.rec for m in members], r_all.shape[0])
+    rows = RowBuffer(law, [m.store for m in members], steps)
     buf, work, probe = rows.buf, rows.work, rows.probe
     landings = [(b, m.after_step) for b, m in enumerate(members)
                 if m.after_step is not None]
-    steps = [(law.views(work[i], work[i + 1][..., law.F]),
+    views = [(law.views(work[i], work[i + 1][..., law.F]),
               work[i][..., law.W], work[i][..., law.dW],
               work[i + 1][..., law.W],
-              [land(buf[i + 1, b]) for b, land in landings])
+              [land(buf[i + 1, b], i) for b, land in landings])
              for i in range(rows.size)]
     step, add = law.step, np.add
 
     def chunk(t0, count):
         for i in range(count):
-            v, W, dW, Wn, hooks = steps[i]
+            v, W, dW, Wn, hooks = views[i]
             step(v)
             add(W, dW, Wn)
             for hook in hooks:
-                hook(t0 + i)
+                hook()
         return count, first_nonfinite(buf[:count], probe)
 
-    return rows.run(r_all, chunk)
+    samples = Samples(lambda lo, hi: np.stack([m.r(lo, hi) for m in members],
+                                              axis=1), steps)
+    return rows.run(samples.rows, chunk)
 
 
-def run_ct(member, signal, horizon: int, h: float, method: str, integrate):
+def run_ct(member, horizon: int, h: float, method: str, integrate):
     """Step the set-up run ``member`` (``direct.Member``) in continuous
     time from its law's state ``z0`` over ``horizon`` steps of size ``h``:
     one ``integrate`` call (the runner module's ``integrate_ct``) per row
     advances z = [F, W] along the rate [dF, dW] that the law's step writes,
     and the result, after the member's ``after_step(z)`` in place, lands in
-    row i + 1. r is sampled once before the steps, a block of steps at a
-    time, at the stage times t_k, t_k + h/2 (stages 2 and 3) and t_k + h of
-    every step. Row k is stage 1 of step k and its record. Stages 2-4
-    evaluate on three rows of their own, reused by every step: the
-    ``stage`` evaluator ``integrate`` passes to the RK4 step writes y + c k
-    straight into a stage row's F and W, with y read off row k, and that
-    row's r is set once per step. The member's ``adjust(row)``, called once
-    per row, returns the check of that row's rate: it returns the rate, or
-    refuses it by raising, or replaces it by a changed copy.
+    row i + 1. The member's ``r(lo, hi)`` gives r of rows lo..hi at the
+    stage times t_k, t_k + h/2 (stages 2 and 3) and t_k + h of every step,
+    sampled a block of steps at a time as the rows need it. Row k is stage
+    1 of step k and its record. Stages 2-4 evaluate on three rows of their
+    own, reused by every step: the ``stage`` evaluator ``integrate`` passes
+    to the RK4 step writes y + c k straight into a stage row's F and W,
+    with y read off row k, and that row's r is set once per step. The
+    member's ``adjust(row)``, called once per row, returns the check of
+    that row's rate: it returns the rate, or refuses it by raising, or
+    replaces it by a changed copy.
 
     Each row meets the divergence rule before it is integrated: row 0 in
     full, every later row on u and m^2 only, since its x is part of a state
     that ``integrate`` found finite. Returns, as ``run`` does for a group
-    of one, the list of the divergence step: k when an element of x, u or
+    of one, the list of what ended the run: k when an element of x, u or
     m^2 of step k is not finite, k + 1 when ``integrate`` reports a
-    non-finite state after step k, else None.
+    non-finite state after step k, else None (or its store's error).
     """
     law, after_step, adjust = member.law, member.after_step, member.adjust
     T1 = horizon + 1
     # r of stages 1-4 of each step
-    r_all = np.empty((T1, 4, signal.dimension))
-    for lo, hi in row_blocks(T1):
-        # a step near the float range overflows the stage times; r then
-        # reads NaN and the run diverges
-        with np.errstate(over="ignore"):
-            t = np.arange(lo, hi) * h
-            mid = t + 0.5 * h
-            times = np.stack([t, mid, mid, t + h], axis=1)
-        r_all[lo:hi] = signal.sample(times.ravel()).reshape(hi - lo, 4, -1)
-    r_stages = r_all[:, 1:]
-    rows = RowBuffer(law, [member.rec], T1)
+    samples = Samples(member.r, T1)
+    rows = RowBuffer(law, [member.store], T1)
     buf, work, probe, nF = rows.buf, rows.work, rows.probe, law.nF
     dz = slice(law.dF.start, law.dW.stop)
     # m^2, when the law has it, is the column after u
@@ -467,6 +503,7 @@ def run_ct(member, signal, horizon: int, h: float, method: str, integrate):
 
     def chunk(t0, count):
         nonlocal z, k1, yF, yW
+        r_stages = samples.rows(t0, t0 + count)[:, 1:]
         for i in range(count):
             k = t0 + i
             (v, d, yF, yW, check), uspan, Fn, Wn = steps[i]
@@ -477,7 +514,7 @@ def run_ct(member, signal, horizon: int, h: float, method: str, integrate):
                 return i, [i]
             if k == horizon:
                 break
-            stage_r[...] = r_stages[k]
+            stage_r[...] = r_stages[i]
             try:
                 z = integrate(first, z, h, t=k * h, method=method,
                               stage=stage)
@@ -489,7 +526,7 @@ def run_ct(member, signal, horizon: int, h: float, method: str, integrate):
             Wn[...] = z[nF:]
         return count, [None]
 
-    return rows.run(r_all[:, :1], chunk)
+    return rows.run(lambda lo, hi: samples.rows(lo, hi)[:, :1], chunk)
 
 
 def block(T, n, row_col, col_col, mat):

@@ -9,6 +9,7 @@ if any diverged, else 0.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import os
@@ -17,13 +18,12 @@ import sys
 
 import numpy as np
 
-from .diagnostics import SimulationTrace
+from .diagnostics import SimulationTrace, feed
 from .errors import ConfigError, ToolkitError
 from .scenario import (MEMORY_BUDGET_BYTES, PATH_CHARS, ScenarioRun,
-                       benchmark_config, blocked_dir, config_bytes,
-                       config_from_dict, load_config, lockstep_key,
-                       run_lockstep, run_scenario, serialize_config,
-                       summary_dict)
+                       benchmark_config, blocked_dir, config_from_dict,
+                       load_config, lockstep_key, run_lockstep, run_scenario,
+                       serialize_config, streamed_bytes, summary_dict)
 
 TRACE_COLUMNS_DOC = ("t, x_1..x_n, xm_1..xm_n, e_1..e_n, u_1..u_M, "
                      "eps_1..eps_n, m, V, dV, proj_fired")
@@ -91,47 +91,145 @@ def _write_rows(fh, columns, sep: str, flags=None) -> None:
         fh.write(text + b"\n")
 
 
-def write_trace_csv(trace: SimulationTrace, path: str) -> None:
-    """One row per recorded step, fixed column order, shortest round-trip
-    float formatting (bit-exact across identical runs)."""
-    n = trace.x.shape[1]
-    M = trace.u.shape[1]
+class RowFile:
+    """A file of a run's rows, a consumer of its trace's rows (see
+    ``diagnostics.feed``): ``header``, then the rows it is given, written
+    as they come under a temporary name in ``directory``, each block
+    appended, so that no file stays open between blocks. ``columns(rows)``
+    gives the columns of a block of rows and ``flags(rows)``, when given,
+    the 1/0 flag that ends each row (see ``_write_rows``). ``close(path)``
+    renames the file to ``path``; ``discard`` removes it, so that a run
+    that does not finish leaves no file."""
+
+    serial = itertools.count()
+
+    def __init__(self, directory, header: str, sep: str, columns,
+                 flags=None):
+        while True:
+            self.temp = os.path.join(
+                directory, f".mrac-{os.getpid()}-{next(self.serial)}.part")
+            try:
+                with open(self.temp, "xb") as fh:
+                    fh.write(header.encode())
+                break
+            except FileExistsError:
+                continue
+        self.sep, self.columns, self.flags = sep, columns, flags
+        self.steps = 0  # rows written
+
+    def add(self, rows: SimulationTrace, lo: int, end=None) -> None:
+        with open(self.temp, "ab") as fh:
+            _write_rows(fh, self.columns(rows), self.sep,
+                        self.flags and self.flags(rows))
+        self.steps += rows.steps
+
+    def close(self, path: str) -> None:
+        os.replace(self.temp, path)
+
+    def discard(self) -> None:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(self.temp)
+
+
+@contextlib.contextmanager
+def _discarded_on_error(files):
+    """Discard each of the RowFiles ``files`` when the block raises."""
+    try:
+        yield
+    except BaseException:
+        for rows in files:
+            rows.discard()
+        raise
+
+
+def _trace_columns(rows: SimulationTrace) -> list:
     # stride-0 stand-ins for the optional columns
-    nan = np.broadcast_to(np.nan, trace.steps)
-    V = trace.V if trace.V is not None else nan
-    dV = trace.dV if trace.dV is not None else nan
-    fired = (trace.proj_fired if trace.proj_fired is not None
-             else np.broadcast_to(False, trace.steps))
-    with open(path, "wb") as fh:
-        fh.write((",".join(trace_header(n, M)) + "\n").encode())
-        _write_rows(fh, [trace.t, trace.x, trace.x_m, trace.e, trace.u,
-                         trace.eps, trace.m, V, dV], ",", fired)
+    nan = np.broadcast_to(np.nan, rows.steps)
+    return [rows.t, rows.x, rows.x_m, rows.e, rows.u, rows.eps, rows.m,
+            nan if rows.V is None else rows.V,
+            nan if rows.dV is None else rows.dV]
 
 
-def write_gnuplot_dat(trace: SimulationTrace, path: str) -> None:
-    """Whitespace-separated (t, e_1..e_n) layout for external plotting."""
-    n = trace.x.shape[1]
-    with open(path, "wb") as fh:
-        fh.write(("# t " + " ".join(f"e_{i+1}" for i in range(n))
-                  + "\n").encode())
-        _write_rows(fh, [trace.t, trace.e], " ")
+def _fired(rows: SimulationTrace):
+    return (rows.proj_fired if rows.proj_fired is not None
+            else np.broadcast_to(False, rows.steps))
 
 
-def _emit_outputs(run: ScenarioRun, out_dir: str | None, summary) -> None:
+def _trace_file(directory, n: int, M: int) -> RowFile:
+    return RowFile(directory, ",".join(trace_header(n, M)) + "\n", ",",
+                   _trace_columns, _fired)
+
+
+def _gnuplot_file(directory, n: int) -> RowFile:
+    return RowFile(directory, "# t " + " ".join(
+        f"e_{i+1}" for i in range(n)) + "\n", " ", lambda rows: [rows.t,
+                                                                rows.e])
+
+
+def _filled(rows: RowFile, trace: SimulationTrace) -> RowFile:
+    """``rows`` with the rows of ``trace`` written."""
+    with _discarded_on_error([rows]):
+        feed(trace, rows)
+    return rows
+
+
+def write_trace_csv(trace, path: str) -> None:
+    """One row per recorded step, fixed column order, shortest round-trip
+    float formatting (bit-exact across identical runs), to ``path``.
+    ``trace`` is a SimulationTrace, or the RowFile into which a streamed
+    run wrote these rows as it went (``_row_files``)."""
+    if not isinstance(trace, RowFile):
+        trace = _filled(_trace_file(os.path.dirname(path) or ".",
+                                    trace.x.shape[1], trace.u.shape[1]),
+                        trace)
+    trace.close(path)
+
+
+def write_gnuplot_dat(trace, path: str) -> None:
+    """Whitespace-separated (t, e_1..e_n) layout for external plotting;
+    ``trace`` as for ``write_trace_csv``."""
+    if not isinstance(trace, RowFile):
+        trace = _filled(_gnuplot_file(os.path.dirname(path) or ".",
+                                      trace.x.shape[1]), trace)
+    trace.close(path)
+
+
+def _directory(cfg, out_dir: str | None):
+    return out_dir or cfg.output["dir"]
+
+
+def _row_files(cfg, out_dir: str | None) -> dict:
+    """The RowFiles into which a run of ``cfg`` streams its trace and its
+    gnuplot layout (see ``run_scenario``), by kind, in ``out_dir`` or its
+    output.dir, which is made here; none without a directory."""
+    directory = _directory(cfg, out_dir)
+    kinds = ([] if directory is None else
+             [kind for kind in ("trace", "gnuplot") if cfg.output[kind]])
+    if kinds:
+        os.makedirs(directory, exist_ok=True)
+    n, M = cfg.built.plant.n, cfg.built.plant.n_inputs
+    return {kind: _trace_file(directory, n, M) if kind == "trace"
+            else _gnuplot_file(directory, n) for kind in kinds}
+
+
+def _emit_outputs(run: ScenarioRun, files: dict, out_dir: str | None,
+                  summary) -> None:
+    """Move the row files ``files`` of ``run`` into place and write its
+    summary."""
     cfg = run.config
-    directory = out_dir or cfg.output["dir"]
+    directory = _directory(cfg, out_dir)
     if directory is None:
         return
     os.makedirs(directory, exist_ok=True)
     base = os.path.join(directory, cfg.name)
-    if cfg.output["trace"]:
-        write_trace_csv(run.trace, base + ".trace.csv")
+    if "trace" in files:
+        write_trace_csv(files["trace"], base + ".trace.csv")
     if cfg.output["summary"]:
         with open(base + ".summary.json", "w", encoding="utf-8") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    if cfg.output["gnuplot"]:
-        write_gnuplot_dat(run.trace, base + ".dat")
+    if "gnuplot" in files:
+        write_gnuplot_dat(files["gnuplot"], base + ".dat")
 
 
 def cmd_validate(args) -> int:
@@ -163,13 +261,15 @@ def cmd_run(args) -> int:
         for err in errors:
             print(f"invalid: {err}", file=sys.stderr)
         return 1
+    files = _row_files(cfg, args.out)
     try:
-        run = run_scenario(cfg)
+        with _discarded_on_error(files.values()):
+            run = run_scenario(cfg, list(files.values()))
+            summary = summary_dict(run)
+            _emit_outputs(run, files, args.out, summary)
     except ToolkitError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 2
-    summary = summary_dict(run)
-    _emit_outputs(run, args.out, summary)
     print(json.dumps(summary, indent=2, sort_keys=True))
     if run.trace.diverged:
         print(f"diverged at step {run.trace.diverged_at}", file=sys.stderr)
@@ -185,32 +285,39 @@ def _error_row(idx, data, status, errors) -> dict:
             "errors": errors}
 
 
-def _row(idx, data, run, out_dir) -> dict:
+def _row(idx, data, run, files, out_dir) -> dict:
     """The batch row of member ``idx``, given as ``data``, from its
     post-checked ``run`` or the ToolkitError its run raised; writes the
-    member's outputs."""
+    member's outputs, its streamed row files ``files`` among them."""
     if isinstance(run, ToolkitError):
+        for rows in files.values():
+            rows.discard()
         return _error_row(idx, data, "failed", [str(run)])
     row = summary_dict(run)
-    _emit_outputs(run, out_dir, row)
+    _emit_outputs(run, files, out_dir, row)
     row["status"] = "diverged" if run.trace.diverged else "ok"
     return row
 
 
 def _batch_unit(payload):
     """The rows of one unit of a batch: a lone member, which runs through
-    ``run_scenario``, or a lockstep group (``run_lockstep``)."""
+    ``run_scenario``, or a lockstep group (``run_lockstep``); each member
+    streams its rows to its files."""
     unit, out_dir = payload
-    if len(unit) == 1:
-        [(idx, data, cfg)] = unit
-        try:
-            run = run_scenario(cfg)
-        except ToolkitError as exc:
-            run = exc
-        return [_row(idx, data, run, out_dir)]
-    runs = run_lockstep([cfg for _, _, cfg in unit])
-    return [_row(idx, data, run, out_dir)
-            for (idx, data, _), run in zip(unit, runs)]
+    files = [_row_files(cfg, out_dir) for _, _, cfg in unit]
+    with _discarded_on_error([rows for member in files
+                              for rows in member.values()]):
+        if len(unit) == 1:
+            [(idx, data, cfg)] = unit
+            try:
+                run = run_scenario(cfg, list(files[0].values()))
+            except ToolkitError as exc:
+                run = exc
+            return [_row(idx, data, run, files[0], out_dir)]
+        runs = run_lockstep([cfg for _, _, cfg in unit],
+                            [list(member.values()) for member in files])
+        return [_row(idx, data, run, member, out_dir)
+                for (idx, data, _), run, member in zip(unit, runs, files)]
 
 
 def _set_dotted(data: dict, dotted: str, value) -> None:
@@ -304,8 +411,9 @@ LOCKSTEP_MIN = 4
 def batch_units(loaded) -> list:
     """``loaded``, the (index, data, config) of each valid member, as the
     units a batch runs: groups of at least LOCKSTEP_MIN members of one
-    ``lockstep_key`` whose records fit the memory budget together, and
-    every other member alone."""
+    ``lockstep_key`` that fit the memory budget together, each holding
+    what a streamed run holds (``streamed_bytes``), and every other member
+    alone."""
     keyed = {}
     for item in loaded:
         keyed.setdefault(lockstep_key(item[2]), []).append(item)
@@ -313,7 +421,7 @@ def batch_units(loaded) -> list:
     for key, items in keyed.items():
         groups, total = [[]], 0
         for item in items:
-            need = config_bytes(item[2])
+            need = streamed_bytes(item[2])
             if key is None or total + need > MEMORY_BUDGET_BYTES:
                 groups.append([])
                 total = 0
@@ -347,18 +455,29 @@ def cmd_batch(args) -> int:
             loaded.append((idx, data, config_from_dict(data)))
         except ConfigError as exc:
             rows[idx] = _error_row(idx, data, "invalid", exc.errors)
+    count = len(members)
+    # from here on only the units hold the members' configs and data
+    del members
     payloads = [(unit, args.out) for unit in batch_units(loaded)]
+    del loaded
     jobs = worker_count(args.jobs, len(payloads))
     if jobs > 1:
         # imported here: it costs every other invocation several ms
         import concurrent.futures
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            done = list(pool.map(_batch_unit, payloads))
+            done = zip(payloads, pool.map(_batch_unit, payloads))
+            for (unit, _), unit_rows in done:
+                rows.update((idx, row) for (idx, _, _), row
+                            in zip(unit, unit_rows))
     else:
-        done = list(map(_batch_unit, payloads))
-    for (unit, _), unit_rows in zip(payloads, done):
-        rows.update((idx, row) for (idx, _, _), row in zip(unit, unit_rows))
-    rows = [rows[idx] for idx in range(len(members))]
+        # each unit's configs and data go once its rows are made
+        payloads.reverse()
+        while payloads:
+            unit, out_dir = payloads.pop()
+            unit_rows = _batch_unit((unit, out_dir))
+            rows.update((idx, row) for (idx, _, _), row
+                        in zip(unit, unit_rows))
+    rows = [rows[idx] for idx in range(count)]
     print(json.dumps(rows, indent=2, sort_keys=True))
     statuses = {row["status"] for row in rows}
     if statuses & {"invalid", "failed"}:

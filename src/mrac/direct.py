@@ -17,14 +17,14 @@ integrated jointly to avoid order-of-integration artifacts).
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import partial
 
 import numpy as np
 
 from . import _rows
-from ._rows import Law, block, row_blocks
-from .diagnostics import SimulationTrace, direct_V_series
-from .errors import GainError, ModelError
+from ._rows import Law, block
+from .diagnostics import (Collect, SimulationTrace, Stream, TraceSpec,
+                          direct_V_series)
+from .errors import GainError, ModelError, ToolkitError
 from .systems import (DISCRETE, PlantModel, ReferenceModel, ReferenceSignal,
                       integrate_ct, solve_matching)
 
@@ -210,41 +210,6 @@ def _diagonal_match(match):
     return match
 
 
-def _finish_trace(scheme, domain, horizon, dt, diverged_at, rec,
-                  V_series=None):
-    """The trace of one run from its record arrays, keyed by trace field,
-    cut at the divergence step, with proj_fired where proj_f2 is not zero.
-    ``m2`` holds m^2; without it eps and m are NaN. ``V_series(rec)`` gives
-    the run's LyapunovSeries, or None when V is not defined."""
-    steps = (horizon + 1) if diverged_at is None else diverged_at
-    # the records belong to this run alone, so the trace keeps views of
-    # them rather than a second copy
-    rec = {name: values[:steps] for name, values in rec.items()}
-    if "m2" in rec:
-        # m takes the place of m^2 in its record
-        m2 = rec.pop("m2")
-        rec["m"] = np.sqrt(m2, out=m2)
-    else:
-        rec["eps"] = np.full(rec["x"].shape, np.nan)
-        rec["m"] = np.full(steps, np.nan)
-    rec["proj_fired"] = np.any(rec.get("proj_f2", np.zeros((steps, 0))) != 0.0,
-                               axis=1)
-    # finite records can still square or subtract to inf; that is their
-    # value
-    with np.errstate(over="ignore", invalid="ignore"):
-        series = V_series(rec) if steps and V_series is not None else None
-        rec["e"] = rec["x"] - rec["x_m"]
-    t = np.arange(steps, dtype=float)
-    t *= dt
-    trace = SimulationTrace(
-        scheme=scheme, time_domain=domain, horizon=horizon, dt=dt, t=t,
-        series=series,
-        V=None if series is None else series.V,
-        dV=None if series is None else series.dV,
-        diverged=diverged_at is not None, diverged_at=diverged_at, **rec)
-    return trace._replace(summary=trace.summarize())
-
-
 def _direct_law(A, B, Am, Bm, gains, enforce, P, rho, x0, xm0) -> Law:
     """The direct law on the shared layout (see ``_rows``), from theta_j =
     row j of P.
@@ -297,17 +262,60 @@ def _direct_law(A, B, Am, Bm, gains, enforce, P, rho, x0, xm0) -> Law:
     return law
 
 
-# a run set up on its law (see ``_rows``): its record arrays, the hooks its
-# runner calls (None: none) and finish(diverged_at), which makes its trace.
-# In discrete time ``after_step`` is the landing of an enabled projection
+# a run set up on its law (see ``_rows``): store(records, t0, stop), which
+# receives its rows' records (its sink's, see ``_set_up``), the hooks its
+# runner calls (None: none), finish(diverged_at), which makes its trace,
+# and r(lo, hi), r at its rows lo..hi. In discrete time ``after_step`` is
+# the landing of an enabled projection
 # (``ProjectionConfig.landing``) and ``adjust`` is None; in continuous time
 # they are the guards of ``_rows.run_ct``
-Member = namedtuple("Member", "law rec after_step adjust finish")
+Member = namedtuple("Member", "law store after_step adjust finish r")
+
+
+def _sampler(signal: ReferenceSignal, domain: str, h: float):
+    """``r(lo, hi)``: r at the rows lo..hi of a run, each row a step, in
+    discrete time, else each row the four stage times t_k, t_k + h/2 (twice)
+    and t_k + h of step k."""
+    if domain == DISCRETE:
+        return lambda lo, hi: signal.sample(np.arange(lo, hi, dtype=float))
+
+    def r(lo, hi):
+        # a step near the float range overflows the stage times; r then
+        # reads NaN and the run diverges
+        with np.errstate(over="ignore"):
+            t = np.arange(lo, hi) * h
+            mid = t + 0.5 * h
+            times = np.stack([t, mid, mid, t + h], axis=1)
+        return signal.sample(times.ravel()).reshape(hi - lo, 4, -1)
+
+    return r
+
+
+def _set_up(law, signal, spec, stream=None, extra=None, after_step=None,
+            adjust=None, check=None):
+    """The run of ``law`` on ``signal`` whose trace ``spec`` describes,
+    with its hooks and the sink of the records of ``law.cols`` and
+    ``extra`` ({name: row shape}): ``Collect``, or ``Stream`` to the
+    consumers ``stream`` when it is given. ``check(records, t0)``
+    completes or checks each chunk's records before the sink receives
+    them."""
+    shapes = _rows.shapes(law.cols, **(extra or {}))
+    out = Collect(shapes, spec) if stream is None else Stream(shapes, spec,
+                                                              stream)
+
+    def store(rows, t0, stop):
+        check(rows, t0)
+        out.store(rows, t0, stop)
+
+    return Member(law, out.store if check is None else store, after_step,
+                  adjust, out.finish, _sampler(signal, spec.time_domain,
+                                               spec.dt))
 
 
 def _direct_member(plant, ref, signal, gains, init, horizon, h,
-                   match=SOLVE) -> Member:
-    """A direct run with step size ``h`` (1 in discrete time) set up."""
+                   match=SOLVE, stream=None) -> Member:
+    """A direct run with step size ``h`` (1 in discrete time) set up,
+    ``stream`` as for ``_set_up``."""
     x0, xm0, theta0, rho0, _ = _check_run_args(plant, ref, signal, gains,
                                                init, horizon)
     match = _diagonal_match(_matching(plant, ref, match))
@@ -318,48 +326,41 @@ def _direct_member(plant, ref, signal, gains, init, horizon, h,
         P[:, n:] *= np.eye(M)
     law = _direct_law(plant.A, plant.B, ref.A_m, ref.B_m, gains, enforce, P,
                       rho0, x0, xm0)
-    rec = _rows.records(law.cols, horizon + 1)
 
-    def V_series(rec):
-        return direct_V_series(
-            rec["theta"], rec["rho"], stack_controller_gains(match.K1, match.K2),
-            1.0 / np.diag(match.K2), gains.Gamma, gains.gamma, rec["eps"],
-            rec["m"])
+    V_series = None
+    if match is not None:
+        theta_star = stack_controller_gains(match.K1, match.K2)
+        rho_star = 1.0 / np.diag(match.K2)
 
-    return Member(law, rec, None, None, partial(
-        _finish_trace, "direct_gradient", plant.time_domain, horizon, h,
-        rec=rec, V_series=None if match is None else V_series))
+        def V_series(rec):
+            return direct_V_series(rec["theta"], rec["rho"], theta_star,
+                                   rho_star, gains.Gamma, gains.gamma,
+                                   rec["eps"], rec["m"])
 
-
-def samples(signal: ReferenceSignal, horizon: int, out=None):
-    """r at the steps 0..horizon of a discrete run, written into ``out``
-    ((horizon + 1) x M) when it is given, sampled a block of steps at a
-    time so that no full-horizon temporary is made."""
-    if out is None:
-        out = np.empty((horizon + 1, signal.dimension))
-    for lo, hi in row_blocks(horizon + 1):
-        out[lo:hi] = signal.sample(np.arange(lo, hi, dtype=float))
-    return out
+    spec = TraceSpec("direct_gradient", plant.time_domain, horizon, h,
+                     V_series)
+    return _set_up(law, signal, spec, stream)
 
 
-def _drive(run: Member, domain, signal, horizon, h, method, integrate):
+def _drive(run: Member, domain, horizon, h, method, integrate):
     """The trace of the set-up run ``run`` in time domain ``domain``:
     stepped alone by ``_rows.run`` in discrete time, else by
     ``_rows.run_ct`` with ``integrate``, the runner module's
-    ``integrate_ct``."""
+    ``integrate_ct``. The error its store found is raised."""
     if domain == DISCRETE:
-        [diverged_at] = _rows.run([run], samples(signal, horizon)[:, None])
+        [ended] = _rows.run([run], horizon + 1)
     else:
-        [diverged_at] = _rows.run_ct(run, signal, horizon, h, method,
-                                     integrate)
-    return run.finish(diverged_at)
+        [ended] = _rows.run_ct(run, horizon, h, method, integrate)
+    if isinstance(ended, ToolkitError):
+        raise ended
+    return run.finish(ended)
 
 
 def run_direct_scenario(plant: PlantModel, ref: ReferenceModel,
                         signal: ReferenceSignal, gains: DirectGainConfig,
                         init: InitialConditions, horizon: int,
                         h: float = 0.01, method: str = "rk4",
-                        match=SOLVE) -> SimulationTrace:
+                        match=SOLVE, stream=None) -> SimulationTrace:
     """Closed-loop direct-gradient run over the given horizon.
 
     Per step: read x and x_m, form e, emit zeta/xi from the banks, form
@@ -370,9 +371,11 @@ def run_direct_scenario(plant: PlantModel, ref: ReferenceModel,
     step whose integration is not finite (see ``_rows``); the trace then
     ends before that step, with the divergence marker set instead of
     raising. ``match`` is the scenario's matching solution (see
-    ``_matching``), which gives V.
+    ``_matching``), which gives V. With ``stream``, a list of consumers of
+    the trace's rows, the run streams them (``diagnostics.Stream``) and
+    returns a trace of its summary alone.
     """
     domain = plant.time_domain
     run = _direct_member(plant, ref, signal, gains, init, horizon,
-                         1.0 if domain == DISCRETE else h, match)
-    return _drive(run, domain, signal, horizon, h, method, integrate_ct)
+                         1.0 if domain == DISCRETE else h, match, stream)
+    return _drive(run, domain, horizon, h, method, integrate_ct)

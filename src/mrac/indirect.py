@@ -21,17 +21,16 @@ each is followed literally).
 
 from __future__ import annotations
 
-from functools import partial
 from operator import lt, mul
 
 import numpy as np
 
 from . import _rows
 from ._rows import Law, block, row_blocks
-from .diagnostics import SimulationTrace, indirect_V_series
+from .diagnostics import SimulationTrace, TraceSpec, indirect_V_series
 from .direct import (SOLVE, InitialConditions, Member, _check_run_args,
-                     _diagonal_match, _drive, _finish_trace, _matching,
-                     _spd_check, stack_controller_gains)
+                     _diagonal_match, _drive, _matching, _set_up, _spd_check,
+                     stack_controller_gains)
 from .errors import GainError, ProjectionError, SingularGainError
 # solve_matching stays a module attribute: the benchmark's tracer wraps it
 # here by name
@@ -96,23 +95,23 @@ class ProjectionConfig:
 
     def landing(self, law, f2):
         """The discrete landing, a run's ``after_step`` (see ``_rows.run``):
-        step t lands a theta2 it left outside the bound on it, in every copy
-        ``law.theta2`` names, gradient then correction, with the correction
-        in ``f2[t]``."""
+        step i of a chunk lands a theta2 it left outside the bound on it, in
+        every copy ``law.theta2`` names, gradient then correction, with the
+        correction in ``f2[i]``, an array of a chunk's rows."""
         signs, lower = self.signs, self.theta2_lower
         signs_l, lower_l = signs.tolist(), lower.tolist()
 
-        def after_step(row):
+        def after_step(row, i):
             copies = law.theta2(row[law.W])
-            first = copies[0]
+            first, out = copies[0], f2[i]
 
-            def land(t):
+            def land():
                 if any(map(lt, map(mul, signs_l, first.tolist()), lower_l)):
                     cand = first.copy()
-                    f2[t] = np.where(signs * cand < lower,
-                                     signs * lower - cand, 0.0)
+                    out[...] = np.where(signs * cand < lower,
+                                        signs * lower - cand, 0.0)
                     for th2 in copies:
-                        th2 += f2[t]
+                        th2 += out
 
             return land
 
@@ -171,29 +170,34 @@ def _floor(projection: ProjectionConfig | None, M: int, stage=False):
     return floor - 1e-15
 
 
-def _start(law, projection: ProjectionConfig | None, theta0, T1: int):
+def _start(law, projection: ProjectionConfig | None, theta0):
     """``projection`` when enabled, after its start check on ``theta0``,
-    else None, and T1 steps of records of ``law``, with theta2's raw rate
-    as proj_g2 (zero without one) and a zero proj_f2."""
+    else None; with it theta2's raw rate is recorded as proj_g2."""
     proj = _active(projection)
     if proj is not None:
         proj.check_start(theta0)
         law.cols["proj_g2"] = np.arange(law.dW.start, law.dW.stop)[law.th2]
-    rec = _rows.records(law.cols, T1)
-    rec.setdefault("proj_g2", np.zeros((T1, theta0.shape[1])))
-    rec["proj_f2"] = np.zeros((T1, theta0.shape[1]))
-    return proj, rec
+    return proj
 
 
-def _check_floor(theta2, projection: ProjectionConfig | None):
-    """Raise SingularGainError at the first step of ``theta2`` (steps x M)
-    with an entry below the invertibility floor (``_floor``)."""
+def _projection_records(law, M):
+    """The records of theta2's raw rate (proj_g2, zero without an enabled
+    projection) and its correction (proj_f2) that a run's records add to
+    ``law.cols``: {name: row shape}."""
+    return {name: (M,) for name in ("proj_g2", "proj_f2")
+            if name not in law.cols}
+
+
+def _check_floor(theta2, projection: ProjectionConfig | None, t0: int = 0):
+    """Raise SingularGainError at the first step of ``theta2`` (steps x M,
+    of steps t0 onward) with an entry below the invertibility floor
+    (``_floor``)."""
     low = np.flatnonzero(np.any(
         np.abs(theta2) < _floor(projection, theta2.shape[1]), axis=1))
     if low.size:
         raise SingularGainError(
             f"theta2 diagonal {theta2[low[0]]} below the invertibility "
-            f"threshold at step {low[0]}")
+            f"threshold at step {t0 + low[0]}")
 
 
 class IndirectGainConfig:
@@ -320,11 +324,12 @@ def _indirect_law(A, B, Am, Bm, gains, P, x0, xm0, xhat0) -> Law:
 
 
 def _indirect_member(plant, ref, signal, gains, projection, init, horizon,
-                     h, match=SOLVE) -> Member:
-    """An indirect run with step size ``h`` (1 in discrete time) set up.
-    The finish of a discrete run raises SingularGainError at a theta2 below
-    the invertibility threshold, and the guards of a continuous-time one
-    (``_ct_guards``) at a stage's."""
+                     h, match=SOLVE, stream=None) -> Member:
+    """An indirect run with step size ``h`` (1 in discrete time) set up,
+    ``stream`` as for ``direct._direct_member``. The store of a discrete
+    run raises SingularGainError at a theta2 below the invertibility
+    threshold, and the guards of a continuous-time one (``_ct_guards``) at
+    a stage's."""
     x0, xm0, theta0, _, xhat0 = _check_run_args(plant, ref, signal, gains,
                                                 init, horizon, projection)
     match = _diagonal_match(_matching(plant, ref, match))
@@ -335,45 +340,62 @@ def _indirect_member(plant, ref, signal, gains, projection, init, horizon,
     law = _indirect_law(plant.A, plant.B, ref.A_m, ref.B_m, gains, P, x0, xm0,
                         xhat0)
 
-    def V_series(rec):
-        return indirect_V_series(
-            rec["theta"], theta_star_indirect(match.K1, match.K2),
-            gains.Gamma, rec["eps"], rec["m"])
+    V_series = None
+    if match is not None:
+        theta_star = theta_star_indirect(match.K1, match.K2)
 
-    trace = partial(_finish_trace, "indirect_gradient", plant.time_domain,
-                    horizon, h, V_series=None if match is None else V_series)
+        def V_series(rec):
+            return indirect_V_series(rec["theta"], theta_star, gains.Gamma,
+                                     rec["eps"], rec["m"])
+
+    spec = TraceSpec("indirect_gradient", plant.time_domain, horizon, h,
+                     V_series)
     if plant.time_domain != DISCRETE:
-        return _projected_ct(law, projection, theta0, horizon, trace,
+        return _projected_ct(law, signal, projection, theta0, spec, stream,
                              _floor(projection, M, stage=True))
-    proj, rec = _start(law, projection, theta0, horizon + 1)
+    proj = _start(law, projection, theta0)
+    # the landing's corrections of a chunk's steps
+    f2 = np.zeros((_rows.CHUNK + 1, M))
 
-    def finish(diverged_at):
-        # no update follows the final step
-        rec["proj_g2"][horizon] = rec["proj_f2"][horizon] = 0.0
-        # a step checks theta2 before its divergence probe
-        reached = horizon + 1 if diverged_at is None else diverged_at + 1
-        _check_floor(_theta2(rec["theta"][:reached]), projection)
-        return trace(diverged_at, rec)
+    def check(rows, t0):
+        steps = rows["theta"].shape[0]
+        rows["proj_f2"] = f2[:steps].copy()
+        f2[...] = 0.0
+        if "proj_g2" not in rows:
+            rows["proj_g2"] = np.zeros((steps, M))
+        if t0 + steps == horizon + 1:
+            # no update follows the final step
+            rows["proj_g2"][-1] = rows["proj_f2"][-1] = 0.0
+        # a step checks theta2 before its divergence probe, so the
+        # divergence row is checked too
+        _check_floor(_theta2(rows["theta"]), projection, t0)
 
-    return Member(law, rec, proj and proj.landing(law, rec["proj_f2"]), None,
-                  finish)
+    return _set_up(law, signal, spec, stream, _projection_records(law, M),
+                   after_step=proj and proj.landing(law, f2), check=check)
 
 
-def _projected_ct(law, projection, theta0, horizon, trace,
+def _projected_ct(law, signal, projection, theta0, spec, stream,
                   floor=None) -> Member:
     """A continuous-time run of ``law`` from its ``z0`` under
     ``projection`` set up, the one path of both indirect schemes:
-    ``_start``, the guards ``_ct_guards`` with ``floor``, and a finish that
-    sets proj_f2, the projection's correction of each recorded rate, and
-    makes the trace with ``trace(diverged_at, rec)``."""
-    proj, rec = _start(law, projection, theta0, horizon + 1)
+    ``_start``, the guards ``_ct_guards`` with ``floor``, and proj_f2, the
+    projection's correction of each recorded rate, set in each chunk's
+    records; ``spec`` makes its trace and ``stream`` is as for
+    ``direct._set_up``."""
+    proj = _start(law, projection, theta0)
+    M = theta0.shape[1]
 
-    def finish(diverged_at):
-        if proj is not None:
-            rec["proj_f2"] = proj.rate(_theta2(rec["theta"]), rec["proj_g2"])
-        return trace(diverged_at, rec)
+    def check(rows, t0):
+        steps = rows["theta"].shape[0]
+        if proj is None:
+            rows["proj_g2"] = rows["proj_f2"] = np.zeros((steps, M))
+        else:
+            rows["proj_f2"] = proj.rate(_theta2(rows["theta"]),
+                                        rows["proj_g2"])
 
-    return Member(law, rec, *_ct_guards(law, proj, floor), finish)
+    after_step, adjust = _ct_guards(law, proj, floor)
+    return _set_up(law, signal, spec, stream, _projection_records(law, M),
+                   after_step=after_step, adjust=adjust, check=check)
 
 
 def run_indirect_scenario(plant: PlantModel, ref: ReferenceModel,
@@ -381,15 +403,16 @@ def run_indirect_scenario(plant: PlantModel, ref: ReferenceModel,
                           projection: ProjectionConfig | None,
                           init: InitialConditions, horizon: int,
                           h: float = 0.01, method: str = "rk4",
-                          match=SOLVE) -> SimulationTrace:
-    """Closed-loop indirect-gradient run; loop order, divergence rule and
-    ``match`` as in the direct case, with the estimator advanced on the
-    same pre-update estimates. A theta2 below the invertibility threshold
-    raises SingularGainError."""
+                          match=SOLVE, stream=None) -> SimulationTrace:
+    """Closed-loop indirect-gradient run; loop order, divergence rule,
+    ``match`` and ``stream`` as in the direct case, with the estimator
+    advanced on the same pre-update estimates. A theta2 below the
+    invertibility threshold raises SingularGainError."""
     domain = plant.time_domain
     run = _indirect_member(plant, ref, signal, gains, projection, init,
-                           horizon, 1.0 if domain == DISCRETE else h, match)
-    return _drive(run, domain, signal, horizon, h, method, integrate_ct)
+                           horizon, 1.0 if domain == DISCRETE else h, match,
+                           stream)
+    return _drive(run, domain, horizon, h, method, integrate_ct)
 
 
 def _ct_guards(law, projection, floor=None):

@@ -11,14 +11,13 @@ one fixed-step scheme.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import partial
 
 import numpy as np
 
 from . import _rows
-from .diagnostics import SimulationTrace, value_series
-from .direct import (SOLVE, InitialConditions, Member, _check_run_args,
-                     _drive, _finish_trace, _matching, _spd_check)
+from .diagnostics import SimulationTrace, TraceSpec, value_series
+from .direct import (SOLVE, InitialConditions, _check_run_args, _drive,
+                     _matching, _set_up, _spd_check)
 from .errors import GainError, ModelError
 from .indirect import (ProjectionConfig, _active, _ct_guards, _projected_ct,
                        theta_star_indirect)
@@ -330,7 +329,7 @@ def run_lyapunov_scenario(plant: PlantModel, ref: ReferenceModel,
                           init: InitialConditions, horizon: int,
                           h: float = 0.01, method: str = "rk4",
                           cert: LyapunovCertificate | None = None,
-                          match=SOLVE) -> SimulationTrace:
+                          match=SOLVE, stream=None) -> SimulationTrace:
     """Simulate a Lyapunov scheme over horizon steps of size h.
 
     The trace's theta column stacks the evolving gains ([K1; K2^T] for the
@@ -340,7 +339,8 @@ def run_lyapunov_scenario(plant: PlantModel, ref: ReferenceModel,
     at which an element of x or u is not finite, or after a step whose
     integration is not finite. The indirect scheme's projection acts as the
     gradient one's, without a floor (``indirect._projected_ct``).
-    ``cert`` and ``match`` are as for ``build_lyapunov_loop``.
+    ``cert`` and ``match`` are as for ``build_lyapunov_loop``, ``stream``
+    as for the gradient runners.
     """
     x0, xm0, theta0, _, xhat0 = _check_run_args(plant, ref, signal, gains,
                                                 init, horizon, projection)
@@ -361,11 +361,10 @@ def run_lyapunov_scenario(plant: PlantModel, ref: ReferenceModel,
                                      theta[lo:hi])
         return value_series(V)
 
-    trace = partial(_finish_trace, f"lyapunov_{mode}", CONTINUOUS, horizon, h,
-                    V_series=V_series if loop.V_series is not None else None)
+    spec = TraceSpec(f"lyapunov_{mode}", CONTINUOUS, horizon, h,
+                     V_series if loop.V_series is not None else None)
     if mode == "indirect":
-        run = _projected_ct(law, projection, theta0, horizon, trace)
+        run = _projected_ct(law, signal, projection, theta0, spec, stream)
     else:
-        rec = _rows.records(law.cols, horizon + 1)
-        run = Member(law, rec, None, None, partial(trace, rec=rec))
-    return _drive(run, CONTINUOUS, signal, horizon, h, method, integrate_ct)
+        run = _set_up(law, signal, spec, stream)
+    return _drive(run, CONTINUOUS, horizon, h, method, integrate_ct)

@@ -21,14 +21,14 @@ from typing import Any, Optional
 
 import numpy as np
 
-# direct_V_series and indirect_V_series stay module attributes: the
-# benchmark's tracer wraps them here by name
+# check_delta_V, direct_V_series, indirect_V_series and tracking_metrics
+# stay module attributes: the benchmark's tracer wraps them here by name
 from .diagnostics import (SimulationTrace, check_delta_V,  # noqa: F401
-                          direct_V_series, indirect_V_series, tracking_metrics)
+                          direct_V_series, feed, first_violation,
+                          indirect_V_series, tracking_metrics)
 from . import _rows
 from .direct import (DirectGainConfig, InitialConditions, _direct_member,
-                     _matching, run_direct_scenario, samples,
-                     stack_controller_gains)
+                     _matching, run_direct_scenario, stack_controller_gains)
 from .errors import ConfigError, GainError, ModelError, ToolkitError
 # the benchmark's tracer wraps solve_matching here by name
 from .systems import (CONTINUOUS, DISCRETE, PlantModel,  # noqa: F401
@@ -56,19 +56,26 @@ SCHEMES = ("direct_gradient", "indirect_gradient",
 # estimated above it is invalid
 MEMORY_BUDGET_BYTES = 1 << 30
 
+# the blocks of rows (``_rows.BLOCK`` and ``_rows.CHUNK`` rows) whose
+# estimate bounds the fixed rows a streamed run holds (``streamed_bytes``):
+# a streamed member of a lockstep group was measured to hold 0.13 MB (n=2,
+# M=1) and 0.28 MB (n=3, M=2) beyond its two series, under a fifth of it
+STREAMED_ROWS = 4
+
 
 def memory_estimate(horizon: int, n: int, M: int, time_domain: str) -> int:
-    """A bound on the bytes a run holds at its peak, 8 (T+1) (C M + 5n + 3M
-    + 6 + s M) with C = n + M. Per step that is the widest scheme's records
-    (theta; x, x_m, eps and x_hat; u and two M-wide columns, rho or the
-    projection's proj_g2 and proj_f2; m^2), what the finished trace adds to
-    them (e, t, V, dV, the decrement and proj_fired, a byte counted as a
-    float) and r at the s stage times a step samples, 1 in discrete time
-    and 4 in continuous time. Every other array a run makes is either a
-    fixed number of rows (``_rows.CHUNK``, ``_rows.BLOCK``, the trace
-    writer's chunk) or a column or two that lives after the samples are
-    freed or before the trace's columns are made, in room that they
-    leave."""
+    """A bound on the bytes a run that collects its records (the Python
+    API's) holds at its peak, 8 (T+1) (C M + 5n + 3M + 6 + s M) with C = n
+    + M. Per step that is the widest scheme's records (theta; x, x_m, eps
+    and x_hat; u and two M-wide columns, rho or the projection's proj_g2
+    and proj_f2; m^2), what the finished trace adds to them (e, t, V, dV,
+    the decrement and proj_fired, a byte counted as a float) and r at the s
+    stage times a step samples, 1 in discrete time and 4 in continuous
+    time. r is sampled a block of rows at a time, so that term is room for
+    the summary's |dtheta|^2 series (and, without V, its decrement). Every
+    other array a run makes is a fixed number of rows (``_rows.CHUNK``,
+    ``_rows.BLOCK``, the trace writer's chunk). A run that streams its rows
+    holds far less (``streamed_bytes``)."""
     stages = 4 if time_domain == CONTINUOUS else 1
     return 8 * (horizon + 1) * ((n + M) * M + 5 * n + 3 * M + 6 + stages * M)
 
@@ -557,40 +564,96 @@ def resolve_init(init: dict, scheme: str, match) -> InitialConditions:
 ScenarioRun = namedtuple("ScenarioRun", "config trace invariants exit_status")
 
 
+class Invariants:
+    """The invariant checks of a run of ``cfg``, a consumer of its trace's
+    rows (see ``diagnostics.feed``), made a block of rows at a time.
+    ``report`` gives the checks that apply, by key."""
+
+    def __init__(self, cfg: ScenarioConfig):
+        b = cfg.built
+        M, n, proj = b.plant.n_inputs, b.plant.n, b.projection
+        self.discrete = cfg.time_domain == DISCRETE
+        # only the indirect schemes build a projection
+        self.proj = proj if proj is not None and proj.enabled else None
+        # the multi-input laws keep Theta2, and K2 when enforced, diagonal
+        diag_key = ("k2_diag_ok" if cfg.scheme == "direct_gradient"
+                    else "theta2_diag_ok" if cfg.scheme in _INDIRECT else None)
+        self.diag = (diag_key if diag_key and M > 1
+                     and getattr(b.gains, "enforce_diagonal_k2", True)
+                     else None)
+        self.n, self.off = n, 1.0 - np.eye(M)
+        self.steps, self.has_V = 0, False
+        self.v_ok = self.proj_ok = self.diag_ok = True
+        self.first = None
+
+    def add(self, rows: SimulationTrace, lo: int, end=None) -> None:
+        """Check ``rows``, steps lo onward; ``end`` is the trace's step
+        count when it is known, since its final row has no increment."""
+        steps = rows.steps
+        self.steps = lo + steps
+        if rows.V is not None:
+            self.has_V = True
+            # the rows with an increment
+            k = steps if end is None else min(steps, end - 1 - lo)
+            if k > 0 and self.discrete and self.first is None:
+                # the per-step bound dV <= -(2 - gamma0) sum eps^2 / m^2 is
+                # a property of the discrete gradient laws only
+                series = rows.series
+                first = first_violation(series.dV[:k], series.decrement[:k],
+                                        series.gamma0, 1e-10)
+                self.first = None if first is None else lo + first
+            elif k > 0 and not self.discrete:
+                # continuous time guarantees only that V does not increase
+                self.v_ok = self.v_ok and bool(np.all(rows.dV[:k] <= 1e-6))
+        if self.proj is not None:
+            self.proj_ok = self.proj_ok and self.proj.holds(rows.theta)
+        if self.diag:
+            self.diag_ok = self.diag_ok and bool(
+                np.all(rows.theta[:, self.n:, :] * self.off == 0.0))
+
+    def report(self) -> dict:
+        report: dict[str, Any] = {}
+        if self.has_V and self.steps > 1:
+            if self.discrete:
+                report["delta_v_ok"] = self.first is None
+                report["delta_v_first_violation"] = self.first
+            else:
+                report["v_nonincreasing_ok"] = self.v_ok
+        if self.steps and self.proj is not None:
+            report["projection_ok"] = self.proj_ok
+        if self.diag:
+            report[self.diag] = self.diag_ok
+        return report
+
+
 def _invariant_report(cfg: ScenarioConfig, trace: SimulationTrace) -> dict:
-    report: dict[str, Any] = {}
-    if trace.V is not None and trace.steps > 1:
-        if cfg.time_domain == DISCRETE:
-            # the per-step bound dV <= -(2 - gamma0) sum eps^2 / m^2 is a
-            # property of the discrete gradient laws only
-            ok, first = check_delta_V(trace.series, tolerance=1e-10)
-            report["delta_v_ok"] = ok
-            report["delta_v_first_violation"] = first
-        else:
-            # continuous time guarantees only that V does not increase
-            report["v_nonincreasing_ok"] = all(
-                bool(np.all(trace.dV[lo:hi] <= 1e-6))
-                for lo, hi in _rows.row_blocks(trace.steps - 1))
-    b = cfg.built
-    M, n, proj = b.plant.n_inputs, b.plant.n, b.projection
-    # only the indirect schemes build a projection
-    if trace.steps and proj is not None and proj.enabled:
-        report["projection_ok"] = proj.holds(trace.theta)
-    # the multi-input laws keep Theta2, and K2 when enforced, diagonal
-    diag_key = ("k2_diag_ok" if cfg.scheme == "direct_gradient"
-                else "theta2_diag_ok" if cfg.scheme in _INDIRECT else None)
-    if diag_key and M > 1 and getattr(b.gains, "enforce_diagonal_k2", True):
-        off = 1.0 - np.eye(M)
-        report[diag_key] = all(
-            bool(np.all(trace.theta[lo:hi, n:, :] * off == 0.0))
-            for lo, hi in _rows.row_blocks(trace.steps))
-    return report
+    checks = Invariants(cfg)
+    feed(trace, checks)
+    return checks.report()
 
 
-def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
-    """Run and post-check the domain objects ``config_from_dict`` built."""
+def _stream(cfg: ScenarioConfig, outputs):
+    """The invariant checks of a run of ``cfg`` that streams its trace's
+    rows to ``outputs`` (None: a run that keeps its records), and the
+    consumers it streams to."""
+    if outputs is None:
+        return None, None
+    checks = Invariants(cfg)
+    return checks, [checks, *outputs]
+
+
+def run_scenario(cfg: ScenarioConfig, outputs=None) -> ScenarioRun:
+    """Run and post-check the domain objects ``config_from_dict`` built.
+
+    Given ``outputs``, consumers of the trace's rows (``add(rows, lo,
+    end)``, see ``diagnostics.feed``), the run streams: as it proceeds, a
+    block of rows at a time, its trace's rows go to the invariant checks,
+    to the summary and to each of ``outputs``, and the run keeps only what
+    its summary needs (about 16 B/step); its trace holds no rows."""
     b = cfg.built
-    options = dict(h=float(cfg.ct_step), method=cfg.integrator, match=b.match)
+    checks, stream = _stream(cfg, outputs)
+    options = dict(h=float(cfg.ct_step), method=cfg.integrator, match=b.match,
+                   stream=stream)
     # the other runners are module attributes imported on first use
     module = sys.modules[__name__]
     if cfg.scheme == "direct_gradient":
@@ -606,12 +669,15 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
             cfg.scheme.removeprefix("lyapunov_"), b.gains, b.projection,
             b.init, cfg.horizon, cert=b.cert, **options)
 
-    return _checked(cfg, trace)
+    return _checked(cfg, trace, checks)
 
 
-def _checked(cfg: ScenarioConfig, trace: SimulationTrace) -> ScenarioRun:
-    """The run of ``cfg`` that made ``trace``, post-checked."""
-    invariants = _invariant_report(cfg, trace)
+def _checked(cfg: ScenarioConfig, trace: SimulationTrace,
+             checks: Invariants | None = None) -> ScenarioRun:
+    """The run of ``cfg`` that made ``trace``, post-checked: by ``checks``,
+    which its rows were streamed to, or else over its rows."""
+    invariants = (_invariant_report(cfg, trace) if checks is None
+                  else checks.report())
     if trace.diverged:
         status = 2
     elif any(v is False for v in invariants.values()):
@@ -634,57 +700,56 @@ def lockstep_key(cfg: ScenarioConfig):
             bool(b.projection and b.projection.enabled))
 
 
-def config_bytes(cfg: ScenarioConfig) -> int:
-    """``memory_estimate`` of a loaded config."""
-    return memory_estimate(cfg.horizon, cfg.built.plant.n,
-                           cfg.built.plant.n_inputs, cfg.time_domain)
+def streamed_bytes(cfg: ScenarioConfig) -> int:
+    """A bound on the bytes a run of ``cfg`` that streams its rows holds
+    (``run_scenario`` with ``outputs``): the decrement and |dtheta|^2
+    series of its summary, 16 (T+1), and a fixed number of rows, bounded by
+    ``memory_estimate`` of STREAMED_ROWS blocks of rows and chunks."""
+    b = cfg.built
+    return 16 * (cfg.horizon + 1) + memory_estimate(
+        STREAMED_ROWS * (_rows.BLOCK + _rows.CHUNK) - 1, b.plant.n,
+        b.plant.n_inputs, cfg.time_domain)
 
 
-def _member(cfg: ScenarioConfig):
-    """The discrete gradient run of ``cfg``, set up (``direct.Member``)."""
+def _member(cfg: ScenarioConfig, stream=None):
+    """The discrete gradient run of ``cfg``, set up (``direct.Member``),
+    its records streamed to ``stream`` when it is given."""
     b = cfg.built
     if cfg.scheme == "direct_gradient":
         return _direct_member(b.plant, b.reference, b.signal, b.gains, b.init,
-                              cfg.horizon, 1.0, b.match)
+                              cfg.horizon, 1.0, b.match, stream)
     from .indirect import _indirect_member
     return _indirect_member(b.plant, b.reference, b.signal, b.gains,
-                            b.projection, b.init, cfg.horizon, 1.0, b.match)
+                            b.projection, b.init, cfg.horizon, 1.0, b.match,
+                            stream)
 
 
-def run_lockstep(cfgs: list):
+def run_lockstep(cfgs: list, outputs=None):
     """Run the configs ``cfgs``, which share one ``lockstep_key``, in
-    lockstep: each member keeps the law, records, hooks and finish of its
+    lockstep: each member keeps the law, sink, hooks and finish of its
     lone run, and ``_rows.run``, which steps every discrete run, steps them
     all on one stacked law, so that each run is byte for byte the one
-    ``run_scenario`` makes. Yields, in order, the post-checked ScenarioRun
-    of each config, or the ToolkitError its run raised. A member is
-    finished only when it is taken, and keeps nothing of the group alive,
-    so that a caller that drops each run holds one finished trace at a
-    time."""
-    members = [_member(cfg) for cfg in cfgs]
-    r_all = np.empty((cfgs[0].horizon + 1, len(cfgs),
-                      cfgs[0].built.plant.n_inputs))
-    for b, cfg in enumerate(cfgs):
-        samples(cfg.built.signal, cfg.horizon, r_all[:, b])
-    ended = _rows.run(members, r_all)
-    del r_all
-    for cfg, diverged_at in zip(cfgs, ended):
-        yield _finished(cfg, members.pop(0).finish, diverged_at)
-
-
-def _finished(cfg: ScenarioConfig, finish, diverged_at):
-    """The post-checked run of ``cfg`` from ``finish(diverged_at)``, or
-    the ToolkitError it raised."""
-    try:
-        return _checked(cfg, finish(diverged_at))
-    except ToolkitError as exc:
-        return exc
+    ``run_scenario`` makes. ``outputs``, when given, holds each config's
+    consumers of its trace's rows, as for ``run_scenario``. Yields, in
+    order, the post-checked ScenarioRun of each config, or the ToolkitError
+    its run found. A member is finished only when it is taken, and keeps
+    nothing of the group alive, so that a caller that drops each run holds
+    one finished trace at a time."""
+    streams = [_stream(cfg, None if outputs is None else outputs[b])
+               for b, cfg in enumerate(cfgs)]
+    members = [_member(cfg, stream) for cfg, (_, stream)
+               in zip(cfgs, streams)]
+    ended = _rows.run(members, cfgs[0].horizon + 1)
+    for cfg, (checks, _), outcome in zip(cfgs, streams, ended):
+        finish = members.pop(0).finish
+        yield (outcome if isinstance(outcome, ToolkitError)
+               else _checked(cfg, finish(outcome), checks))
 
 
 def summary_dict(run: ScenarioRun) -> dict:
     """Flat summary block written next to the trace (and used by batch rows)."""
     tr = run.trace
-    metrics = tracking_metrics(tr)
+    metrics = tr.metrics
     s = tr.summary
     return {
         "name": run.config.name,

@@ -92,7 +92,7 @@ class TestProjection:
         row = np.full(2, theta[1][0] + g2[0])
         law = SimpleNamespace(W=slice(0, 2), theta2=lambda W: (W[:1], W[1:]))
         f2_rec = np.zeros((3, 1))
-        proj.landing(law, f2_rec)(row)(1)
+        proj.landing(law, f2_rec)(row, 1)()
         assert np.array_equal(row, [nxt[1, 0]] * 2)
         assert np.array_equal(f2_rec, [[0.0], f2, [0.0]])
         return nxt, g2, f2

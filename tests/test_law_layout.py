@@ -154,11 +154,17 @@ def test_filter_columns_match_the_bank(scheme):
     C = n + M
     F = law.F.start + np.arange(law.nK).reshape(law.K, n)
     law.cols = dict(law.cols, S=F[:M * C].T, q=F[M * C:M * C + M].T)
-    rec = _rows.records(law.cols, DISCRETE_HORIZON + 1)
+    rec = _rows.records(_rows.shapes(law.cols), DISCRETE_HORIZON + 1)
     r = sig.sample(np.arange(DISCRETE_HORIZON + 1, dtype=float))
+
+    def store(rows, t0, stop):
+        for name, block in rows.items():
+            rec[name][t0:t0 + block.shape[0]] = block
+
     # a lone run is a group of one
-    assert _rows.run([Member(law, rec, None, None, None)], r[:, None]) == [
-        None]
+    assert _rows.run([Member(law, store, None, None, None,
+                             lambda lo, hi: r[lo:hi])],
+                     DISCRETE_HORIZON + 1) == [None]
     bank = ChannelFilterBank(ref, C)
     for t in range(DISCRETE_HORIZON + 1):
         assert np.max(np.abs(rec["S"][t] - bank.S)) <= 1e-12, t

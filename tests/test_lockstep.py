@@ -3,6 +3,7 @@ stepped together on one stacked law (``scenario.run_lockstep``) give each
 member the row, trace and records of its lone run, byte for byte."""
 
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ import pytest
 import mrac.cli as cli_mod
 from mrac import ToolkitError, _rows, random_matchable_instance
 from mrac.cli import LOCKSTEP_MIN, batch_units, main, worker_count
-from mrac.scenario import (_member, benchmark_config, config_bytes,
-                           config_from_dict, lockstep_key, run_lockstep,
-                           run_scenario)
+from mrac.scenario import (_member, benchmark_config, config_from_dict,
+                           lockstep_key, run_lockstep, run_scenario,
+                           streamed_bytes)
 
 # several chunks of rows: 128 rows each alone, 128 // B in a group of B
 HORIZON = 300
@@ -86,9 +87,9 @@ def test_grouped_rows_and_traces_equal_lone_runs(tmp_path, capsys,
     lone_calls = []
     real = cli_mod.run_scenario
 
-    def recorded(cfg):
+    def recorded(cfg, *outputs):
         lone_calls.append(cfg.name)
-        return real(cfg)
+        return real(cfg, *outputs)
 
     monkeypatch.setattr(cli_mod, "run_scenario", recorded)
     code, out = batch(tmp_path, capsys, members, "group")
@@ -177,17 +178,29 @@ class TestUnits:
                                   domain="continuous")] * 5)
         assert [len(unit) for unit in batch_units(ct)] == [1] * 5
 
+    def test_a_group_holds_what_its_streamed_members_hold(self):
+        # 64 members of the bundled benchmark at 10^5 steps: their records
+        # and traces would need 1.18 GB, above the 1 GiB budget, while a
+        # streamed member holds its summary's two series and a fixed
+        # number of rows, about 2.4 MB
+        data = benchmark_config().to_dict()
+        members = [dict(data, horizon=100000, name=f"m{i}")
+                   for i in range(64)]
+        loaded = self._loaded(members)
+        assert 64 * streamed_bytes(loaded[0][2]) < cli_mod.MEMORY_BUDGET_BYTES
+        assert [len(unit) for unit in batch_units(loaded)] == [64]
+
     def test_groups_split_at_the_memory_budget(self, tmp_path, capsys,
                                                monkeypatch):
         members = [member(s % 4, "direct_gradient", name=f"d{s}")
                    for s in range(8)]
-        need = config_bytes(config_from_dict(members[0]))
+        need = streamed_bytes(config_from_dict(members[0]))
         sizes = []
         real = cli_mod.run_lockstep
 
-        def recorded(cfgs):
+        def recorded(cfgs, *outputs):
             sizes.append(len(cfgs))
-            return real(cfgs)
+            return real(cfgs, *outputs)
 
         monkeypatch.setattr(cli_mod, "run_lockstep", recorded)
         outs = []
@@ -223,3 +236,31 @@ def test_jobs_send_whole_groups_and_print_the_same_bytes(tmp_path, capsys,
         trace = f"{data['name']}.trace.csv"
         assert (tmp_path / "one" / trace).read_bytes() == (
             tmp_path / "two" / trace).read_bytes()
+
+
+def test_a_batch_frees_each_unit_once_it_has_run(tmp_path, capsys,
+                                                 monkeypatch):
+    # three members run alone, each on a custom signal, whose samples a
+    # loaded config holds
+    data = benchmark_config().to_dict()
+    members = [dict(data, horizon=20, name=f"m{i}",
+                    signal={"kind": "custom", "samples": [[0.1 * i]] * 21})
+               for i in range(3)]
+    samples, alive = [], []
+    load, unit = cli_mod.config_from_dict, cli_mod._batch_unit
+
+    def loaded(data):
+        cfg = load(data)
+        samples.append(weakref.ref(cfg.built.signal.values))
+        return cfg
+
+    def run(payload):
+        alive.append(samples[0]() is not None)
+        return unit(payload)
+
+    monkeypatch.setattr(cli_mod, "config_from_dict", loaded)
+    monkeypatch.setattr(cli_mod, "_batch_unit", run)
+    code, out = batch(tmp_path, capsys, members, "freed", "--jobs", "1")
+    assert code == 0 and len(json.loads(out)) == 3
+    # the first member's config is gone before the second unit runs
+    assert alive == [True, False, False]

@@ -1,7 +1,11 @@
 """What a run holds: the preflight estimate bounds the memory a run grows
-by per step, a run's peak is little more than the trace it returns, and
-the work done a block of rows at a time gives the bytes of one block."""
+by per step, a run's peak is little more than the trace it returns, a
+run of the command line, which streams its rows, holds a fixed size per
+step, and the work done a block of rows at a time gives the bytes of one
+block."""
 
+import contextlib
+import io
 import json
 import os
 import tracemalloc
@@ -113,6 +117,37 @@ def test_a_run_peaks_near_what_it_returns():
     held = _held(run.trace)
     assert held >= 20001 * 8 * 12  # the records alone
     assert peak <= 1.3 * held
+
+
+def _cli_peak(data, horizon, tmp_path):
+    """The tracemalloc peak of ``mrac run --out`` on ``data`` cut to
+    ``horizon`` steps."""
+    path = tmp_path / f"cfg-{horizon}.json"
+    path.write_text(json.dumps(dict(data, horizon=horizon)))
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert mrac.cli.main(["run", str(path), "--out",
+                                  str(tmp_path / "out")]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_command_line_holds_16_bytes_per_step(tmp_path):
+    # mrac run streams its rows to the trace CSV, the summary and the
+    # checks, and keeps the decrement and |dtheta|^2 series of its
+    # summary: 16 B/step on top of a fixed number of rows, where the whole
+    # trace took about 154 B/step. The paper-run workload's 20,000 steps
+    # against 60,000: traced, each row the writer formats costs about
+    # 40 us, so 200,000 steps would take 15 s
+    data = benchmark_config().to_dict()
+    _cli_peak(data, 20, tmp_path)
+    short = _cli_peak(data, 20000, tmp_path)
+    long = _cli_peak(data, 60000, tmp_path)
+    assert (long - short) / 40000 <= 24
+    # at most 6 MiB at 200,000 steps
+    assert long + 140000 * 24 <= 6 * 2**20
 
 
 def _arrays(run):

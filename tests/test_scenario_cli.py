@@ -862,8 +862,8 @@ class TestCli:
         main(["example", "--paper", "--out", str(cfg_path)])
         real = cli_mod.run_scenario
 
-        def doctored(cfg):
-            run = real(cfg)._replace(exit_status=3)
+        def doctored(cfg, *outputs):
+            run = real(cfg, *outputs)._replace(exit_status=3)
             run.invariants["delta_v_ok"] = False
             return run
 
@@ -1026,10 +1026,10 @@ class TestBatchExitRule:
         from mrac import ToolkitError
         real = cli_mod.run_scenario
 
-        def failing(cfg):
+        def failing(cfg, *outputs):
             if cfg.name == "boom":
                 raise ToolkitError("boom")
-            return real(cfg)
+            return real(cfg, *outputs)
 
         monkeypatch.setattr(cli_mod, "run_scenario", failing)
         boom = bench_dict(horizon=20, name="boom")
