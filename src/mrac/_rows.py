@@ -27,18 +27,17 @@ it as
 Rows live in a ``RowBuffer`` that the whole run reuses; the views of every
 row are made once, r is sampled a block of rows at a time as the rows need
 it (``Samples``), and the record columns of each chunk of finished rows go
-to each member's store, its sink (``diagnostics.Collect`` keeps the whole
-records, ``diagnostics.Stream`` reduces them a block at a time). Both
-runners share it and one divergence rule (``first_nonfinite``: the first
-step at which an element of x, u or m^2 is not finite). They differ only
-in how row i's state reaches row i + 1: in discrete time (``run``) L [F,
-r, u] lands there as F(t + 1) and W(t + 1) = W + G ab; in continuous time
-(``run_ct``) one call to the runner module's ``integrate_ct`` advances z
-along dz/dt = [dF, dW]. Its first stage is row i itself, and its stage
-evaluator writes each later stage's state straight into one of three stage
-rows. A step does only the RK4 arithmetic, the law's four
-steps, ``integrate_ct``'s finiteness check of the new state and the check
-of u and m^2.
+to each member's store, its sink (``diagnostics.Stream``, which gives them
+to the run's consumers a block at a time). Both runners share it and one
+divergence rule (``first_nonfinite``: the first step at which an element
+of x, u or m^2 is not finite). They differ only in how row i's state
+reaches row i + 1: in discrete time (``run``) L [F, r, u] lands there as
+F(t + 1) and W(t + 1) = W + G ab; in continuous time (``run_ct``) one call
+to the runner module's ``integrate_ct`` advances z along dz/dt = [dF, dW].
+Its first stage is row i itself, and its stage evaluator writes each later
+stage's state straight into one of three stage rows. A step does only the
+RK4 arithmetic, the law's four steps, ``integrate_ct``'s finiteness check
+of the new state and the check of u and m^2.
 
 Rows always carry a leading member axis: ``run`` steps the set-up runs of
 a lockstep group, B discrete laws of one layout, on one ``stack``ed law

@@ -433,6 +433,25 @@ def batch_units(loaded) -> list:
     return units
 
 
+def _clashes(loaded, out_dir) -> dict:
+    """The invalid rows, by index, of the members of ``loaded`` whose files
+    would land where an earlier member's do, at one resolved base path
+    (dir/name), and so overwrite them; a member that writes no files
+    clashes with none."""
+    rows, firsts = {}, {}
+    for idx, data, cfg in loaded:
+        directory = _directory(cfg, out_dir)
+        if directory is None or not any(cfg.output[kind] for kind
+                                        in ("trace", "summary", "gnuplot")):
+            continue
+        base = os.path.realpath(os.path.join(directory, cfg.name))
+        first = firsts.setdefault(base, idx)
+        if first != idx:
+            rows[idx] = _error_row(idx, data, "invalid", [
+                f"name: member {first} writes its files at {base} too"])
+    return rows
+
+
 def cmd_batch(args) -> int:
     errors = []
     try:
@@ -455,6 +474,8 @@ def cmd_batch(args) -> int:
             loaded.append((idx, data, config_from_dict(data)))
         except ConfigError as exc:
             rows[idx] = _error_row(idx, data, "invalid", exc.errors)
+    rows.update(_clashes(loaded, args.out))
+    loaded = [item for item in loaded if item[0] not in rows]
     count = len(members)
     # from here on only the units hold the members' configs and data
     del members

@@ -1,5 +1,5 @@
 """Verification quantities: Lyapunov-function series, L2 accumulators,
-tracking metrics, the per-run trace container, and the two sinks a run's
+tracking metrics, the per-run trace container, and the sink a run's
 records go to as it proceeds.
 
 Parameter-error Lyapunov values need the true matching gains, so runners
@@ -10,10 +10,10 @@ Every quantity of a trace is computed a block of rows at a time, by one
 set of block functions: the trace rows of a block of records
 (``trace_rows``), and the consumers of a trace's rows, fed in order
 (``add(rows, lo, end)``), such as ``Reduction`` (the summary and the
-tracking metrics). ``Collect`` keeps a run's records whole and makes its
-trace of them, feeding the trace's blocks to the same consumers;
-``Stream`` makes the trace rows of each block as the run proceeds and
-keeps only what the summary needs.
+tracking metrics). ``Stream`` makes the trace rows of each block of a run
+as it proceeds and gives them to the run's consumers; the last of them
+reduces the rows, and ``Keep``, the reduction of a run that keeps its
+rows, holds them too.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ class SimulationTrace(namedtuple(
     the run was truncated by divergence, in which case ``diverged`` is set
     and ``diverged_at`` names the first non-finite step. theta is (steps,
     n_w, M), the stacked parameter estimates; ``series`` is the
-    LyapunovSeries of V, when the runner computed V. The trace of a
-    streamed run (``Stream``) keeps no rows: its arrays are None.
+    LyapunovSeries of V, when the runner computed V. The trace of a run
+    that does not keep its rows (``Keep``) holds none: its arrays are None.
     """
 
     __slots__ = ()
@@ -65,14 +65,12 @@ class SimulationTrace(namedtuple(
     def summarize(self) -> TraceSummary:
         return summarize(self)
 
-    def rows(self, lo: int, hi: int, copy: bool = False) -> "SimulationTrace":
-        """Rows lo..hi of the trace, whose V series holds its V and dV, as
-        views, or as copies with ``copy``."""
+    def rows(self, lo: int, hi: int) -> "SimulationTrace":
+        """Views of rows lo..hi of the trace, whose V series holds its V and
+        dV."""
 
         def cut(value):
-            if not isinstance(value, np.ndarray):
-                return value
-            return value[lo:hi].copy() if copy else value[lo:hi]
+            return value[lo:hi] if isinstance(value, np.ndarray) else value
 
         # built from argument lists: _replace builds a tuple of unknown
         # length, whose resizing leaves one small tuple more on Python's
@@ -174,15 +172,17 @@ class Reduction:
             if above.size:
                 self.unsettled = lo + int(above[-1])
         self.m_finite = self.m_finite and bool(np.all(np.isfinite(rows.m)))
-        if self.m_finite:
+        if rows.series is not None:
             # the V series holds the same series of the same records
-            self.dec[lo:lo + k] = (rows.series.decrement
-                                   if rows.series is not None
-                                   else decrement_series(rows.eps, rows.m))
-        pair = (rows.theta if self.theta is None
-                else np.concatenate([self.theta, rows.theta]))
-        _squared_steps(pair, self.dtheta[lo + k - pair.shape[0]:lo + k - 1])
-        self.theta = rows.theta[-1:].copy()
+            self.dec[lo:lo + k] = rows.series.decrement
+        elif self.m_finite:
+            self.dec[lo:lo + k] = decrement_series(rows.eps, rows.m)
+        if k and self.dtheta is not None:
+            pair = (rows.theta if self.theta is None
+                    else np.concatenate([self.theta, rows.theta]))
+            _squared_steps(pair,
+                           self.dtheta[lo + k - pair.shape[0]:lo + k - 1])
+            self.theta = rows.theta[-1:].copy()
         if rows.V is not None:
             self.final_V = float(rows.V[-1])
 
@@ -225,6 +225,48 @@ class Reduction:
         return TrackingMetrics(sup_e=self.sup_e,
                                last_window_max=self.last_window,
                                settling_index=settle)
+
+    def kept(self) -> dict:
+        """The trace fields the reduction keeps of the rows added: none."""
+        return {}
+
+
+class Keep(Reduction):
+    """The reduction of a run that keeps the rows it is given: each array
+    field of their trace in one array of ``steps`` rows, made when the
+    first block comes, and their V series, whose decrement is the
+    reduction's own (``dec``). Its |dtheta|^2 series is made of the kept
+    theta when the summary is, so that it is not held while the run
+    steps."""
+
+    def __init__(self, steps: int):
+        super().__init__(steps)
+        self.arrays, self.gamma0, self.dtheta = {}, None, None
+
+    def add(self, rows: SimulationTrace, lo: int, end=None) -> None:
+        super().add(rows, lo, end)
+        for name, values in zip(rows._fields, rows):
+            if isinstance(values, np.ndarray):
+                if name not in self.arrays:
+                    self.arrays[name] = np.empty(
+                        self.dec.shape + values.shape[1:], values.dtype)
+                self.arrays[name][lo:lo + values.shape[0]] = values
+        if rows.series is not None:
+            self.gamma0 = rows.series.gamma0
+
+    def summary(self, diverged: bool) -> TraceSummary:
+        self.dtheta = np.empty(max(self.steps - 1, 0))
+        _squared_steps(self.arrays["theta"][:self.steps], self.dtheta)
+        return super().summary(diverged)
+
+    def kept(self) -> dict:
+        rows = {name: values[:self.steps]
+                for name, values in self.arrays.items()}
+        if "V" in rows:
+            rows["series"] = LyapunovSeries(rows["V"], rows["dV"],
+                                            self.dec[:self.steps],
+                                            self.gamma0)
+        return rows
 
 
 def _reduced(trace: SimulationTrace, settle=None) -> Reduction:
@@ -308,7 +350,10 @@ def direct_V_series(theta_series, rho_series, theta_star, rho_star,
     rho_err = rho_series - rho_s[None]
     rho_err **= 2
     rho_err /= gam[None]
-    V = quad @ np.abs(rho_s)
+    # a sum of scaled columns: a BLAS product gives the rows at its tail
+    # other last bits, so that a row's V would depend on its block
+    quad *= np.abs(rho_s)
+    V = np.sum(quad, axis=1)
     del quad
     V += np.sum(rho_err, axis=1)
     del rho_err
@@ -376,12 +421,12 @@ TraceSpec = namedtuple("TraceSpec", "scheme time_domain horizon dt V_series")
 def trace_rows(spec: TraceSpec, rec: dict, lo: int) -> SimulationTrace:
     """The trace rows of the records ``rec`` of the steps lo onward, keyed
     by trace field, with proj_fired where proj_f2 is not zero. ``m2`` holds
-    m^2, and m takes its place in its record; without it eps and m are NaN.
+    m^2, and m takes its place in ``rec``, its record left as it is (a
+    row may be made into trace rows twice); without it eps and m are NaN.
     The V series' last dV is NaN: it needs the next row's V."""
     steps = rec["x"].shape[0]
     if "m2" in rec:
-        m2 = rec.pop("m2")
-        rec["m"] = np.sqrt(m2, out=m2)
+        rec["m"] = np.sqrt(rec.pop("m2"))
     else:
         rec["eps"] = np.full(rec["x"].shape, np.nan)
         rec["m"] = np.full(steps, np.nan)
@@ -402,53 +447,24 @@ def trace_rows(spec: TraceSpec, rec: dict, lo: int) -> SimulationTrace:
         dV=None if series is None else series.dV, **rec)
 
 
-class Collect:
-    """The collecting sink of a run (a store of ``_rows.RowBuffer``): the
-    record arrays of ``shapes`` for every step, and the trace of ``spec``
-    made of them, cut at the divergence step, whose summary and tracking
-    metrics its rows reduce to (``Reduction``)."""
-
-    def __init__(self, shapes: dict, spec: TraceSpec):
-        self.spec, self.rec = spec, records(shapes, spec.horizon + 1)
-
-    def store(self, rows: dict, t0: int, stop: int) -> None:
-        for name, block in rows.items():
-            self.rec[name][t0:t0 + block.shape[0]] = block
-
-    def finish(self, diverged_at) -> SimulationTrace:
-        steps = self.spec.horizon + 1 if diverged_at is None else diverged_at
-        # the records belong to this run alone, so the trace keeps views of
-        # them rather than a second copy
-        trace = trace_rows(self.spec, {name: values[:steps] for name, values
-                                       in self.rec.items()}, 0)
-        diverged = diverged_at is not None
-        reduction = _reduced(trace)
-        return trace._replace(diverged=diverged, diverged_at=diverged_at,
-                              summary=reduction.summary(diverged),
-                              metrics=reduction.metrics(diverged))
-
-
 class Stream:
-    """The streaming sink of a run (a store of ``_rows.RowBuffer``): the
-    records of ``shapes`` are made into trace rows of ``spec``
-    (``trace_rows``) a block of ``row_blocks`` at a time as the run
-    proceeds, and each block's rows go, in order, to ``consumers`` and to
-    the run's ``Reduction``. A row's dV needs the next row's V, so each
-    block's last row is held back until the next block is made. Since a
-    block of BLOCK rows is made only once two more rows are stored (the
-    last block takes a lone last row), the blocks are those of
-    ``row_blocks`` over the run's steps, ended early or not. ``finish``
-    returns a trace of the summary alone: the run holds the decrement and
-    |dtheta|^2 series of its summary, 16 B/step, and a fixed number of
-    rows."""
+    """The sink of a run (a store of ``_rows.RowBuffer``): the records of
+    ``shapes`` are made into trace rows of ``spec`` (``trace_rows``) a
+    block of ``row_blocks`` at a time as the run proceeds, and each block
+    goes, in one call each, to ``consumers``, the last of which reduces
+    the rows (a ``Reduction``, or a ``Keep``, whose rows the run's trace
+    then holds). A block's trace rows are made with the next stored row,
+    whose V completes the block's last dV; since a block of BLOCK rows is
+    made only once two more rows are stored (the last block takes a lone
+    last row), the blocks are those of ``row_blocks`` over the run's
+    steps, ended early or not. The run holds a fixed number of rows beside
+    what its reduction keeps."""
 
     def __init__(self, shapes: dict, spec: TraceSpec, consumers):
-        self.spec = spec
-        self.reduction = Reduction(spec.horizon + 1)
-        self.consumers = [*consumers, self.reduction]
-        self.rec = records(shapes, _rows.BLOCK + _rows.CHUNK + 1)
+        self.spec, self.consumers = spec, consumers
+        self.rec = records(shapes, min(_rows.BLOCK + _rows.CHUNK + 1,
+                                       spec.horizon + 1))
         self.stored = self.lo = 0  # rows stored, and the step of the first
-        self.held = None
 
     def store(self, rows: dict, t0: int, stop: int) -> None:
         for name, block in rows.items():
@@ -457,43 +473,30 @@ class Stream:
         while self.stored >= _rows.BLOCK + 2:
             self._block(_rows.BLOCK)
 
-    def _give(self, rows: SimulationTrace, lo: int, end=None) -> None:
+    @np.errstate(over="ignore", invalid="ignore")
+    def _block(self, k: int, end=None) -> None:
+        """Give the first ``k`` rows stored on, their trace rows made with
+        the next stored row unless they end the run's ``end`` steps; the
+        rows stored after them then move to the front."""
+        lo, made = self.lo, k + (end is None)
+        rows = trace_rows(self.spec, {name: values[:made] for name, values
+                                      in self.rec.items()}, lo).rows(0, k)
         for consumer in self.consumers:
             consumer.add(rows, lo, end)
-
-    @np.errstate(over="ignore", invalid="ignore")
-    def _block(self, k: int) -> None:
-        """Make the trace rows of the first ``k`` rows stored and give them
-        on, but for the last, which is held back; the rows stored after
-        them then move to the front."""
-        lo = self.lo
-        block = trace_rows(self.spec, {name: values[:k] for name, values
-                                       in self.rec.items()}, lo)
-        if self.held is not None:
-            if block.V is not None:
-                self.held.dV[0] = block.V[0] - self.held.V[0]
-            self._give(self.held, lo - 1)
-        if k > 1:
-            self._give(block.rows(0, k - 1), lo)
-        # a copy: the block's rows of the records are overwritten next
-        self.held = block.rows(k - 1, k, copy=True)
         self.stored -= k
         self.lo += k
         for values in self.rec.values():
             values[:self.stored] = values[k:k + self.stored]
 
     def finish(self, diverged_at) -> SimulationTrace:
+        """Give the last block on (a run of no rows has one, empty) and
+        return the run's trace."""
         steps = self.spec.horizon + 1 if diverged_at is None else diverged_at
-        if steps > self.lo:
-            self._block(steps - self.lo)
-        if self.held is not None:
-            self._give(self.held, steps - 1, steps)
+        self._block(steps - self.lo, steps)
+        spec, reduction = self.spec, self.consumers[-1]
         diverged = diverged_at is not None
-        spec = self.spec
         return SimulationTrace(
             scheme=spec.scheme, time_domain=spec.time_domain,
             horizon=spec.horizon, dt=spec.dt, diverged=diverged,
-            diverged_at=diverged_at,
-            summary=self.reduction.summary(diverged),
-            metrics=self.reduction.metrics(diverged))
-
+            diverged_at=diverged_at, summary=reduction.summary(diverged),
+            metrics=reduction.metrics(diverged), **reduction.kept())

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _rows
 from ._rows import Law, block
-from .diagnostics import (Collect, SimulationTrace, Stream, TraceSpec,
+from .diagnostics import (Keep, SimulationTrace, Stream, TraceSpec,
                           direct_V_series)
 from .errors import GainError, ModelError, ToolkitError
 from .systems import (DISCRETE, PlantModel, ReferenceModel, ReferenceSignal,
@@ -294,14 +294,14 @@ def _sampler(signal: ReferenceSignal, domain: str, h: float):
 def _set_up(law, signal, spec, stream=None, extra=None, after_step=None,
             adjust=None, check=None):
     """The run of ``law`` on ``signal`` whose trace ``spec`` describes,
-    with its hooks and the sink of the records of ``law.cols`` and
-    ``extra`` ({name: row shape}): ``Collect``, or ``Stream`` to the
-    consumers ``stream`` when it is given. ``check(records, t0)``
-    completes or checks each chunk's records before the sink receives
-    them."""
+    with its hooks and its sink (``Stream``) of the records of ``law.cols``
+    and ``extra`` ({name: row shape}) to the consumers ``stream``, the last
+    of which reduces the rows; without them, to a ``Keep``, so that the
+    run's trace holds its rows. ``check(records, t0)`` completes or checks
+    each chunk's records before the sink receives them."""
     shapes = _rows.shapes(law.cols, **(extra or {}))
-    out = Collect(shapes, spec) if stream is None else Stream(shapes, spec,
-                                                              stream)
+    out = Stream(shapes, spec, [Keep(spec.horizon + 1)] if stream is None
+                 else stream)
 
     def store(rows, t0, stop):
         check(rows, t0)
@@ -371,9 +371,10 @@ def run_direct_scenario(plant: PlantModel, ref: ReferenceModel,
     step whose integration is not finite (see ``_rows``); the trace then
     ends before that step, with the divergence marker set instead of
     raising. ``match`` is the scenario's matching solution (see
-    ``_matching``), which gives V. With ``stream``, a list of consumers of
-    the trace's rows, the run streams them (``diagnostics.Stream``) and
-    returns a trace of its summary alone.
+    ``_matching``), which gives V. The run streams its rows
+    (``diagnostics.Stream``) to the consumers ``stream``, the last of which
+    reduces them and makes the trace returned; without them, the trace
+    holds every row (``diagnostics.Keep``).
     """
     domain = plant.time_domain
     run = _direct_member(plant, ref, signal, gains, init, horizon,

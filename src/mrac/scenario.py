@@ -23,8 +23,8 @@ import numpy as np
 
 # check_delta_V, direct_V_series, indirect_V_series and tracking_metrics
 # stay module attributes: the benchmark's tracer wraps them here by name
-from .diagnostics import (SimulationTrace, check_delta_V,  # noqa: F401
-                          direct_V_series, feed, first_violation,
+from .diagnostics import (Keep, Reduction, SimulationTrace,  # noqa: F401
+                          check_delta_V, direct_V_series, first_violation,
                           indirect_V_series, tracking_metrics)
 from . import _rows
 from .direct import (DirectGainConfig, InitialConditions, _direct_member,
@@ -64,18 +64,18 @@ STREAMED_ROWS = 4
 
 
 def memory_estimate(horizon: int, n: int, M: int, time_domain: str) -> int:
-    """A bound on the bytes a run that collects its records (the Python
-    API's) holds at its peak, 8 (T+1) (C M + 5n + 3M + 6 + s M) with C = n
-    + M. Per step that is the widest scheme's records (theta; x, x_m, eps
-    and x_hat; u and two M-wide columns, rho or the projection's proj_g2
-    and proj_f2; m^2), what the finished trace adds to them (e, t, V, dV,
-    the decrement and proj_fired, a byte counted as a float) and r at the s
-    stage times a step samples, 1 in discrete time and 4 in continuous
-    time. r is sampled a block of rows at a time, so that term is room for
-    the summary's |dtheta|^2 series (and, without V, its decrement). Every
-    other array a run makes is a fixed number of rows (``_rows.CHUNK``,
-    ``_rows.BLOCK``, the trace writer's chunk). A run that streams its rows
-    holds far less (``streamed_bytes``)."""
+    """A bound on the bytes a run that keeps its rows (the Python API's,
+    ``diagnostics.Keep``) holds at its peak, 8 (T+1) (C M + 5n + 3M + 6 +
+    s M) with C = n + M. Per step that is the widest scheme's records
+    (theta; x, x_m, eps and x_hat; u and two M-wide columns, rho or the
+    projection's proj_g2 and proj_f2; m^2), what the trace adds to them
+    (e, t, V, dV, the decrement and proj_fired, a byte counted as a
+    float) and r at the s stage times a step samples, 1 in discrete time
+    and 4 in continuous time. r is sampled a block of rows at a time, so
+    that term is room for the summary's |dtheta|^2 series (and, without V,
+    its decrement). Every other array a run makes is a fixed number of
+    rows (``_rows.CHUNK``, ``_rows.BLOCK``, the trace writer's chunk). A
+    run that keeps only its summary holds far less (``streamed_bytes``)."""
     stages = 4 if time_domain == CONTINUOUS else 1
     return 8 * (horizon + 1) * ((n + M) * M + 5 * n + 3 * M + 6 + stages * M)
 
@@ -626,32 +626,27 @@ class Invariants:
         return report
 
 
-def _invariant_report(cfg: ScenarioConfig, trace: SimulationTrace) -> dict:
-    checks = Invariants(cfg)
-    feed(trace, checks)
-    return checks.report()
-
-
-def _stream(cfg: ScenarioConfig, outputs):
-    """The invariant checks of a run of ``cfg`` that streams its trace's
-    rows to ``outputs`` (None: a run that keeps its records), and the
-    consumers it streams to."""
-    if outputs is None:
-        return None, None
-    checks = Invariants(cfg)
-    return checks, [checks, *outputs]
+def _consumers(cfg: ScenarioConfig, outputs):
+    """The invariant checks of a run of ``cfg`` and the consumers its rows
+    stream to: the checks, ``outputs`` and the run's reduction, or, with no
+    outputs (None), the checks and a ``Keep``, so that the run's trace
+    holds its rows."""
+    checks, steps = Invariants(cfg), cfg.horizon + 1
+    return checks, ([checks, Keep(steps)] if outputs is None
+                    else [checks, *outputs, Reduction(steps)])
 
 
 def run_scenario(cfg: ScenarioConfig, outputs=None) -> ScenarioRun:
     """Run and post-check the domain objects ``config_from_dict`` built.
 
-    Given ``outputs``, consumers of the trace's rows (``add(rows, lo,
-    end)``, see ``diagnostics.feed``), the run streams: as it proceeds, a
-    block of rows at a time, its trace's rows go to the invariant checks,
-    to the summary and to each of ``outputs``, and the run keeps only what
-    its summary needs (about 16 B/step); its trace holds no rows."""
+    The run streams: as it proceeds, a block of rows at a time, its
+    trace's rows go to the invariant checks, to the summary and to each of
+    ``outputs``, consumers of them (``add(rows, lo, end)``, see
+    ``diagnostics.feed``). Given ``outputs``, the run keeps only what its
+    summary needs (about 16 B/step), and its trace holds no rows; without
+    them, its trace holds every row."""
     b = cfg.built
-    checks, stream = _stream(cfg, outputs)
+    checks, stream = _consumers(cfg, outputs)
     options = dict(h=float(cfg.ct_step), method=cfg.integrator, match=b.match,
                    stream=stream)
     # the other runners are module attributes imported on first use
@@ -673,11 +668,10 @@ def run_scenario(cfg: ScenarioConfig, outputs=None) -> ScenarioRun:
 
 
 def _checked(cfg: ScenarioConfig, trace: SimulationTrace,
-             checks: Invariants | None = None) -> ScenarioRun:
-    """The run of ``cfg`` that made ``trace``, post-checked: by ``checks``,
-    which its rows were streamed to, or else over its rows."""
-    invariants = (_invariant_report(cfg, trace) if checks is None
-                  else checks.report())
+             checks: Invariants) -> ScenarioRun:
+    """The run of ``cfg`` that made ``trace``, post-checked by ``checks``,
+    which its rows were streamed to."""
+    invariants = checks.report()
     if trace.diverged:
         status = 2
     elif any(v is False for v in invariants.values()):
@@ -713,7 +707,7 @@ def streamed_bytes(cfg: ScenarioConfig) -> int:
 
 def _member(cfg: ScenarioConfig, stream=None):
     """The discrete gradient run of ``cfg``, set up (``direct.Member``),
-    its records streamed to ``stream`` when it is given."""
+    its rows streamed to ``stream`` (see ``direct._set_up``)."""
     b = cfg.built
     if cfg.scheme == "direct_gradient":
         return _direct_member(b.plant, b.reference, b.signal, b.gains, b.init,
@@ -735,7 +729,7 @@ def run_lockstep(cfgs: list, outputs=None):
     its run found. A member is finished only when it is taken, and keeps
     nothing of the group alive, so that a caller that drops each run holds
     one finished trace at a time."""
-    streams = [_stream(cfg, None if outputs is None else outputs[b])
+    streams = [_consumers(cfg, None if outputs is None else outputs[b])
                for b, cfg in enumerate(cfgs)]
     members = [_member(cfg, stream) for cfg, (_, stream)
                in zip(cfgs, streams)]

@@ -1135,6 +1135,28 @@ class TestBatch:
         rows = json.loads(capsys.readouterr().out)
         assert [r["status"] for r in rows] == ["ok", "invalid", "ok"]
 
+    def test_members_do_not_share_files(self, tmp_path, capsys):
+        # two members of one name used to write the same files, the second
+        # run's over the first's
+        first = bench_dict(horizon=300)
+        second = bench_dict(horizon=300, init={"theta_scale": 1.5,
+                                               "rho_scale": 1.5})
+        spec = tmp_path / "same.json"
+        spec.write_text(json.dumps({"configs": [first, second]}))
+        out = tmp_path / "out"
+        assert main(["batch", str(spec), "--out", str(out)]) == 1
+        rows = json.loads(capsys.readouterr().out)
+        assert [r["status"] for r in rows] == ["ok", "invalid"]
+        base = os.path.realpath(out / first["name"])
+        assert rows[1]["errors"] == [
+            f"name: member 0 writes its files at {base} too"]
+        summary = json.loads((out / f"{first['name']}.summary.json")
+                             .read_text())
+        assert summary == summary_dict(run_scenario(config_from_dict(first)))
+        # members that write no files never conflict
+        assert main(["batch", str(spec)]) == 0
+        capsys.readouterr()
+
     def test_parallel_jobs_match_sequential(self, tmp_path, capsys):
         base = self._write_base(tmp_path, horizon=200)
         spec = tmp_path / "sweep.json"

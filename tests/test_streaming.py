@@ -1,20 +1,23 @@
-"""``mrac run`` and ``mrac batch`` stream each run's rows to the outputs
-they feed (``diagnostics.Stream``): the bytes they write equal those made
-from the collected trace of ``run_scenario`` (``write_trace_csv``,
-``write_gnuplot_dat``, ``summary_dict``) at every edge of the chunks of
-rows and of the blocks the streamed reductions work on."""
+"""Every run streams its rows (``diagnostics.Stream``): ``mrac run`` and
+``mrac batch`` to the outputs they feed, the Python API to a ``Keep`` of
+them. The bytes the command line writes equal those made from the kept
+trace of ``run_scenario`` (``write_trace_csv``, ``write_gnuplot_dat``,
+``summary_dict``) at every edge of the chunks of rows and of the blocks
+the streamed reductions work on."""
 
 import contextlib
 import io
 import json
 import os
 
+import numpy as np
 import pytest
 
 import mrac._rows
 import mrac.diagnostics
 from mrac.cli import main, write_gnuplot_dat, write_trace_csv
-from mrac.scenario import config_from_dict, run_scenario, summary_dict
+from mrac.scenario import (benchmark_config, config_from_dict, run_scenario,
+                           summary_dict)
 from test_lockstep import member
 from test_scenario_cli import SCHEME_CASES, mimo_dict
 
@@ -52,8 +55,8 @@ def _streamed(data, tmp_path):
 
 
 def _collected(data, tmp_path):
-    """The stdout and files ``mrac run --out`` writes, made from the
-    collected trace of ``run_scenario``."""
+    """The stdout and files ``mrac run --out`` writes, made from the kept
+    trace of ``run_scenario``."""
     run = run_scenario(config_from_dict(data))
     out = tmp_path / "collected"
     out.mkdir()
@@ -101,26 +104,76 @@ def test_two_inputs(scheme, horizon, tmp_path):
     _same_bytes(dict(mimo_dict(scheme), horizon=horizon), tmp_path)
 
 
+@pytest.mark.parametrize("scheme", ["direct_gradient", "indirect_gradient"])
+def test_the_block_size_changes_no_byte(scheme, tmp_path, monkeypatch):
+    # the direct V series sums its M = 2 terms in numpy: a BLAS product
+    # gives the rows at its tail other last bits, so that a row's V would
+    # take the bits of its place in its block
+    data = dict(mimo_dict(scheme), horizon=99)
+    runs = []
+    for rows in (4096, 7):
+        monkeypatch.setattr(mrac._rows, "BLOCK", rows)
+        (tmp_path / str(rows)).mkdir()
+        runs.append(_streamed(data, tmp_path / str(rows)))
+    assert runs[0] == runs[1]
+
+
+class Spy:
+    """A consumer that records the (lo, hi) of each block of rows it is
+    given, the block's V and dV as given, and its dV itself."""
+
+    def __init__(self):
+        self.blocks, self.V, self.dV, self.given = [], [], [], []
+
+    def add(self, rows, lo, end=None):
+        self.blocks.append((lo, lo + rows.steps))
+        self.V.append(rows.V.copy())
+        self.dV.append(rows.dV.copy())
+        self.given.append(rows.dV)
+
+
 @pytest.mark.parametrize("horizon,jump", [
     (h, None) for h in range(6, 19)] + [(40, j) for j in (7, 8, 9, 16, 17)])
 def test_streamed_blocks_are_the_row_blocks(horizon, jump, monkeypatch):
     # a one-row block may take another BLAS routine than the rows' own
-    # block, whose last bits may differ: the streamed blocks are those of
-    # row_blocks over the steps the run reaches, ended early or not
+    # block, whose last bits may differ: the blocks given on are those of
+    # row_blocks over the steps the run reaches, ended early or not, and
+    # each block's trace rows are made of its own rows, with at most the
+    # next row, never of a lone row unless the run has one
     for name, rows in (("CHUNK", 4), ("BLOCK", 8)):
         monkeypatch.setattr(mrac._rows, name, rows)
-    blocks, trace_rows = [], mrac.diagnostics.trace_rows
+    made, trace_rows = [], mrac.diagnostics.trace_rows
 
     def recorded(spec, rec, lo):
-        blocks.append((lo, lo + rec["x"].shape[0]))
+        made.append((lo, lo + rec["x"].shape[0]))
         return trace_rows(spec, rec, lo)
 
     monkeypatch.setattr(mrac.diagnostics, "trace_rows", recorded)
     data = dict(SCHEME_CASES["direct-discrete"], horizon=horizon)
+    spy = Spy()
     run = run_scenario(config_from_dict(
-        data if jump is None else _jump(data, jump - 1)), [])
-    assert run.trace.steps == (horizon + 1 if jump is None else jump)
-    assert blocks == list(mrac._rows.row_blocks(run.trace.steps))
+        data if jump is None else _jump(data, jump - 1)), [spy])
+    steps = run.trace.steps
+    assert steps == (horizon + 1 if jump is None else jump)
+    assert spy.blocks == list(mrac._rows.row_blocks(steps))
+    assert len(made) == len(spy.blocks)
+    for (lo, hi), (start, stop) in zip(spy.blocks, made):
+        assert start == lo and stop in (hi, hi + 1) and stop <= steps
+        assert stop - start > 1 or steps == 1
+
+
+def test_one_consumer_call_per_block():
+    # the bundled config at 20,000 steps: one call per block of
+    # row_blocks, and every dV is final when its row is given
+    cfg = benchmark_config()._replace(horizon=20000)
+    spy = Spy()
+    run = run_scenario(cfg, [spy])
+    assert len(spy.blocks) == len(list(mrac._rows.row_blocks(20001))) == 20
+    V, dV = np.concatenate(spy.V), np.concatenate(spy.dV)
+    assert V.shape == dV.shape == (run.trace.steps,)
+    assert dV[:-1].tobytes() == (V[1:] - V[:-1]).tobytes()
+    assert np.isnan(dV[-1])
+    assert np.concatenate(spy.given).tobytes() == dV.tobytes()
 
 
 def _jump(data, step):
@@ -137,6 +190,17 @@ def test_divergence(case, step, tmp_path):
     data = _jump(dict(SCHEME_CASES[case], horizon=2048), step - 1)
     run = _same_bytes(data, tmp_path)
     assert run.trace.diverged_at == step
+
+
+@pytest.mark.parametrize("case", ["direct-discrete", "indirect-continuous"])
+def test_a_run_ending_at_step_0(case, tmp_path):
+    # u overflows at step 0: the kept trace has rows of no step, of their
+    # widths, and the files hold their headers alone
+    data = dict(SCHEME_CASES[case], init={"x0": [1e300, 1e300],
+                                          "theta_scale": 1e300})
+    trace = _same_bytes(data, tmp_path).trace
+    assert trace.diverged_at == 0
+    assert trace.x.shape == (0, 2) and trace.theta.shape == (0, 3, 1)
 
 
 def test_diverging_continuous_run(tmp_path, monkeypatch):
