@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import itertools
 import json
 import os
@@ -513,8 +514,12 @@ def cmd_example(args) -> int:
         return 1
     text = serialize_config(benchmark_config(two_tone=args.two_tone))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"invalid: --out: {exc}", file=sys.stderr)
+            return 1
     else:
         print(text)
     return 0
@@ -557,6 +562,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if argv is None:
+        # a process of one command: what it holds by now, numpy's modules
+        # among it, lives until exit, so no collection, the one at exit
+        # included, need scan it; forked workers share it unscanned too
+        gc.freeze()
     return args.func(args)
 
 

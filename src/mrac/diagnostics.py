@@ -26,6 +26,7 @@ import numpy as np
 
 from . import _rows
 from ._rows import records, row_blocks
+from .errors import GainError
 
 
 TraceSummary = namedtuple(
@@ -282,12 +283,15 @@ def summarize(trace: SimulationTrace) -> TraceSummary:
     return _reduced(trace).summary(trace.diverged)
 
 
-def _stack_gains(Gamma, n_w: int, n_blocks: int) -> np.ndarray:
-    G = np.asarray(Gamma, dtype=float)
+def _stack_gains(Gamma, M=None) -> np.ndarray:
+    """A gradient law's gain ``Gamma`` as a new (M, n_w, n_w) stack of its
+    blocks: a 2-D Gamma is every block (one when ``M`` is None), a stack is
+    itself. GainError when it does not stack to M square blocks."""
+    G = np.array(Gamma, dtype=float)
     if G.ndim == 2:
-        G = np.broadcast_to(G, (n_blocks, n_w, n_w)).copy()
-    if G.shape != (n_blocks, n_w, n_w):
-        raise ValueError(f"Gamma must stack to ({n_blocks}, {n_w}, {n_w}), got {G.shape}")
+        G = np.repeat(G[None], 1 if M is None else M, axis=0)
+    if G.ndim != 3 or G.shape[1] != G.shape[2] or M not in (None, G.shape[0]):
+        raise GainError(f"Gamma must stack to (M, n_w, n_w), got {G.shape}")
     return G
 
 
@@ -297,9 +301,7 @@ def gamma0_direct(Gamma, gamma, rho_star) -> float:
     rho_s = np.atleast_1d(np.asarray(rho_star, dtype=float))
     M = rho_s.shape[0]
     gam = np.broadcast_to(np.atleast_1d(np.asarray(gamma, dtype=float)), (M,))
-    G = np.asarray(Gamma, dtype=float)
-    if G.ndim == 2:
-        G = np.broadcast_to(G, (M,) + G.shape)
+    G = _stack_gains(Gamma, M)
     worst = 0.0
     for j in range(M):
         lam = float(np.max(np.linalg.eigvalsh(abs(rho_s[j]) * G[j])))
@@ -309,17 +311,18 @@ def gamma0_direct(Gamma, gamma, rho_star) -> float:
 
 def gamma1_indirect(Gamma) -> float:
     """Largest gain eigenvalue across blocks for the indirect scheme."""
-    G = np.asarray(Gamma, dtype=float)
-    if G.ndim == 2:
-        G = G[None]
-    return max(float(np.max(np.linalg.eigvalsh(G[j]))) for j in range(G.shape[0]))
+    return max(float(np.max(np.linalg.eigvalsh(Gj)))
+               for Gj in _stack_gains(Gamma))
 
 
-def _theta_error_quad(theta_series, theta_star, Ginv) -> np.ndarray:
-    # theta_series (T, n_w, M), Ginv (M, n_w, n_w) -> (T, M) quadratic forms,
-    # a block of steps at a time, into the (M, T) layout of a whole-series
-    # einsum: the products that read them take their BLAS call from it
-    T, _, M = theta_series.shape
+def _theta_error_quad(theta_series, theta_star, Gamma) -> np.ndarray:
+    # theta_series (T, n_w, M), Gamma's blocks (M, n_w, n_w) -> (T, M)
+    # quadratic forms in their inverses, a block of steps at a time, into
+    # the (M, T) layout of a whole-series einsum: the products that read
+    # them take their BLAS call from it
+    T, n_w, M = theta_series.shape
+    Ginv = np.linalg.inv(_stack_gains(Gamma, M))
+    theta_star = np.asarray(theta_star, float).reshape(n_w, M)
     quad = np.empty((M, T))
     for lo, hi in row_blocks(T):
         E = (theta_series[lo:hi] - theta_star[None]).transpose(2, 0, 1)
@@ -340,12 +343,10 @@ def value_series(V, decrement=None, gamma0: float = math.nan) -> LyapunovSeries:
 def direct_V_series(theta_series, rho_series, theta_star, rho_star,
                     Gamma, gamma, eps_series, m_series) -> LyapunovSeries:
     """Vectorized V(t), dV(t) and decrement series for a direct-scheme run."""
-    _, n_w, M = theta_series.shape
-    G = _stack_gains(Gamma, n_w, M)
-    Ginv = np.linalg.inv(G)
     rho_s = np.atleast_1d(np.asarray(rho_star, dtype=float))
-    gam = np.broadcast_to(np.atleast_1d(np.asarray(gamma, dtype=float)), (M,))
-    quad = _theta_error_quad(theta_series, np.asarray(theta_star, float).reshape(n_w, M), Ginv)
+    gam = np.broadcast_to(np.atleast_1d(np.asarray(gamma, dtype=float)),
+                          rho_s.shape)
+    quad = _theta_error_quad(theta_series, theta_star, Gamma)
     # each full-horizon temporary goes before the next is made
     rho_err = rho_series - rho_s[None]
     rho_err **= 2
@@ -365,10 +366,7 @@ def direct_V_series(theta_series, rho_series, theta_star, rho_star,
 def indirect_V_series(theta_series, theta_star, Gamma,
                       eps_series, m_series) -> LyapunovSeries:
     """Vectorized V(t), dV(t) and decrement series for an indirect-scheme run."""
-    _, n_w, M = theta_series.shape
-    G = _stack_gains(Gamma, n_w, M)
-    Ginv = np.linalg.inv(G)
-    quad = _theta_error_quad(theta_series, np.asarray(theta_star, float).reshape(n_w, M), Ginv)
+    quad = _theta_error_quad(theta_series, theta_star, Gamma)
     V = np.sum(quad, axis=1)
     del quad
     dec = decrement_series(eps_series, m_series)

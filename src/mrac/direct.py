@@ -23,7 +23,7 @@ import numpy as np
 from . import _rows
 from ._rows import Law, block
 from .diagnostics import (Keep, SimulationTrace, Stream, TraceSpec,
-                          direct_V_series)
+                          _stack_gains, direct_V_series)
 from .errors import GainError, ModelError, ToolkitError
 from .systems import (DISCRETE, PlantModel, ReferenceModel, ReferenceSignal,
                       integrate_ct, solve_matching)
@@ -46,6 +46,27 @@ def _spd_check(G, label):
     if eig[0] <= 0.0:
         raise GainError(f"{label} must be positive definite")
     return eig
+
+
+def _check_blocks(G, upper, too_large, trailing=None):
+    """Check the gain blocks Gamma_j of a gradient law's (M, n_w, n_w)
+    stack ``G``, n = n_w - M >= 1: each symmetric positive definite, its
+    largest eigenvalue below ``upper``, or its entry j (else the GainError
+    is ``too_large(j, lam)``), and, when ``trailing`` names its trailing M x M
+    block, block diagonal with that block diagonal."""
+    M, n_w = G.shape[:2]
+    n = n_w - M
+    if n < 1:
+        raise GainError(f"Gamma block size {n_w} too small for M={M}")
+    upper = np.broadcast_to(upper, (M,))
+    for j, Gj in enumerate(G):
+        lam = _spd_check(Gj, f"Gamma[{j}]")[-1]
+        if lam >= upper[j]:
+            raise GainError(too_large(j, lam))
+        if trailing and (np.any(Gj[:n, n:])
+                         or np.any(Gj[n:, n:] * (1.0 - np.eye(M)))):
+            raise GainError(f"Gamma[{j}] must be block diagonal with a "
+                            f"diagonal {trailing}")
 
 
 class DirectGainConfig:
@@ -76,32 +97,19 @@ class DirectGainConfig:
         gam = np.broadcast_to(
             np.atleast_1d(np.asarray(gamma, dtype=float)), (M,)).copy()
         gamma_upper = 2.0 if time_domain == DISCRETE else np.inf
-        factor, tag = (2.0, "2*") if M == 1 else (1.0, "")
-        G = np.asarray(Gamma, dtype=float)
-        if G.ndim == 2:
-            G = np.broadcast_to(G, (M,) + G.shape).copy()
-        if G.ndim != 3 or G.shape[0] != M or G.shape[1] != G.shape[2]:
-            raise GainError(f"Gamma must stack to (M, n_w, n_w), got {G.shape}")
-        n_w = G.shape[1]
-        n = n_w - M
-        if n < 1:
-            raise GainError(f"Gamma block size {n_w} too small for M={M}")
+        bound = (2.0 if M == 1 else 1.0) * lower
+        G = _stack_gains(Gamma, M)
+        _check_blocks(
+            G, bound if time_domain == DISCRETE else np.inf, lambda j, lam: (
+                f"{'Gamma' if M == 1 else f'Gamma[{j}]'} violates the "
+                f"{'2*' if M == 1 else ''}k2_lower bound: largest eigenvalue "
+                f"{lam:.6g} >= {bound[j]:.6g}"),
+            "K2 block when diagonal enforcement is on"
+            if M > 1 and enforce_diagonal_k2 else None)
         for j in range(M):
-            eig = _spd_check(G[j], f"Gamma[{j}]")
-            if time_domain == DISCRETE and eig[-1] >= factor * lower[j]:
-                raise GainError(
-                    f"{'Gamma' if M == 1 else f'Gamma[{j}]'} violates the "
-                    f"{tag}k2_lower bound: largest eigenvalue {eig[-1]:.6g} "
-                    f">= {factor * lower[j]:.6g}")
             if not 0.0 < gam[j] < gamma_upper:
                 raise GainError(f"gamma[{j}]={gam[j]:.6g} outside "
                                 f"(0, {gamma_upper:g})")
-            if M > 1 and enforce_diagonal_k2:
-                if np.any(G[j][:n, n:]) or np.any(G[j][n:, n:] * (1.0 - np.eye(M))):
-                    raise GainError(
-                        f"Gamma[{j}] must be block diagonal with a diagonal "
-                        "K2 block when diagonal enforcement is on"
-                    )
         self.Gamma, self.gamma, self.sign_k2, self.k2_lower = G, gam, signs, lower
 
     @property

@@ -27,11 +27,12 @@ import numpy as np
 
 from . import _rows
 from ._rows import Law, block, row_blocks
-from .diagnostics import SimulationTrace, TraceSpec, indirect_V_series
-from .direct import (SOLVE, InitialConditions, Member, _check_run_args,
-                     _diagonal_match, _drive, _matching, _set_up, _spd_check,
-                     stack_controller_gains)
-from .errors import GainError, ProjectionError, SingularGainError
+from .diagnostics import (SimulationTrace, TraceSpec, _stack_gains,
+                          indirect_V_series)
+from .direct import (SOLVE, InitialConditions, Member, _check_blocks,
+                     _check_run_args, _diagonal_match, _drive, _matching,
+                     _set_up, stack_controller_gains)
+from .errors import ProjectionError, SingularGainError
 # solve_matching stays a module attribute: the benchmark's tracer wraps it
 # here by name
 from .systems import (DISCRETE, PlantModel, ReferenceModel,  # noqa: F401
@@ -212,26 +213,11 @@ class IndirectGainConfig:
 
     def __init__(self, Gamma, time_domain: str = DISCRETE):
         self.time_domain = time_domain
-        G = np.asarray(Gamma, dtype=float)
-        if G.ndim == 2:
-            G = G[None]
-        if G.ndim != 3 or G.shape[1] != G.shape[2]:
-            raise GainError(f"Gamma must stack to (M, n_w, n_w), got {G.shape}")
-        M, n_w = G.shape[:2]
-        n = n_w - M
-        if n < 1:
-            raise GainError(f"Gamma block size {n_w} too small for M={M}")
-        for j in range(M):
-            eig = _spd_check(G[j], f"Gamma[{j}]")
-            if time_domain == DISCRETE and eig[-1] >= 2.0:
-                raise GainError(
-                    f"Gamma[{j}] violates the spectral bound 2: largest eigenvalue "
-                    f"{eig[-1]:.6g}"
-                )
-            if np.any(G[j][:n, n:]) or np.any(G[j][n:, n:] * (1.0 - np.eye(M))):
-                raise GainError(
-                    f"Gamma[{j}] must be block diagonal with a diagonal trailing block"
-                )
+        G = _stack_gains(Gamma)
+        _check_blocks(G, 2.0 if time_domain == DISCRETE else np.inf,
+                      lambda j, lam: (
+                          f"Gamma[{j}] violates the spectral bound 2: "
+                          f"largest eigenvalue {lam:.6g}"), "trailing block")
         self.Gamma = G
 
     @property

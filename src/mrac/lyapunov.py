@@ -87,6 +87,22 @@ class LyapunovDirectGains:
         """The shape each gain must have on an n-state, M-input plant."""
         return {"Gamma": (n, n)} if self.S_p is None else {"S_p": (M, M)}
 
+    def premise(self, M: int, match):
+        """(K2* S_p)^-1 on an M-input plant of matching solution ``match``
+        (None: none), None without S_p or a matchable plant; GainError
+        unless S_p is given when M > 1 and K2* S_p is then SPD."""
+        if self.S_p is None:
+            if M > 1:
+                raise GainError("multi-input direct scheme needs S_p")
+            return None
+        if match is None or not match.matchable():
+            return None
+        Ms = match.K2 @ self.S_p
+        if not np.allclose(Ms, Ms.T, atol=1e-9, rtol=0.0) or \
+                np.min(np.linalg.eigvalsh(0.5 * (Ms + Ms.T))) <= 0.0:
+            raise GainError("K2* S_p is not symmetric positive definite")
+        return np.linalg.inv(Ms)
+
 
 class LyapunovIndirectGains:
     """Gamma1 drives the Theta1 law, Gamma2 (diagonal) the Theta2 law, both
@@ -168,14 +184,7 @@ def build_lyapunov_loop(plant: PlantModel, ref: ReferenceModel,
     scale, add, div = np.multiply, np.add, np.divide
 
     if mode == "direct":
-        if gains.S_p is None and M > 1:
-            raise GainError("multi-input direct scheme needs S_p")
-        if gains.S_p is not None and matchable:
-            Ms = match.K2 @ gains.S_p
-            if not np.allclose(Ms, Ms.T, atol=1e-9, rtol=0.0) or \
-                    np.min(np.linalg.eigvalsh(0.5 * (Ms + Ms.T))) <= 0.0:
-                raise GainError("K2* S_p is not symmetric positive definite")
-            Msinv = np.linalg.inv(Ms)
+        Msinv = gains.premise(M, match)
 
         # d theta = outer(Gd omega, -w): w = S_p^T B_m^T P e, Gd = I
         # (multi-input), or w = sign(k2) e^T P b_m, Gd = diag(Gamma, gamma)
@@ -350,16 +359,9 @@ def run_lyapunov_scenario(plant: PlantModel, ref: ReferenceModel,
     law.z0 = loop.pack(x0, xm0, theta0[:n], theta0[n:].T, xhat0)
 
     def V_series(rec):
-        # a block of records at a time, so that the closure's temporaries
-        # keep one size
-        x, xm, xh, theta = (rec["x"], rec["x_m"], rec.get("x_hat"),
-                            rec["theta"])
-        V = np.empty(x.shape[0])
-        for lo, hi in _rows.row_blocks(V.shape[0]):
-            V[lo:hi] = loop.V_series(x[lo:hi], xm[lo:hi],
-                                     None if xh is None else xh[lo:hi],
-                                     theta[lo:hi])
-        return value_series(V)
+        # a run's sink gives V a block of rows at a time
+        return value_series(loop.V_series(rec["x"], rec["x_m"],
+                                          rec.get("x_hat"), rec["theta"]))
 
     spec = TraceSpec(f"lyapunov_{mode}", CONTINUOUS, horizon, h,
                      V_series if loop.V_series is not None else None)

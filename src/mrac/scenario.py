@@ -24,8 +24,8 @@ import numpy as np
 # check_delta_V, direct_V_series, indirect_V_series and tracking_metrics
 # stay module attributes: the benchmark's tracer wraps them here by name
 from .diagnostics import (Keep, Reduction, SimulationTrace,  # noqa: F401
-                          check_delta_V, direct_V_series, first_violation,
-                          indirect_V_series, tracking_metrics)
+                          _stack_gains, check_delta_V, direct_V_series,
+                          first_violation, indirect_V_series, tracking_metrics)
 from . import _rows
 from .direct import (DirectGainConfig, InitialConditions, _direct_member,
                      _matching, run_direct_scenario, stack_controller_gains)
@@ -443,6 +443,11 @@ def config_from_dict(data: dict) -> ScenarioConfig:
                           f"{exc}")
     if plant and ref:
         match = built["match"] = _matching(plant, ref)
+        if scheme == "lyapunov_direct" and "gains" in built:
+            try:
+                built["gains"].premise(plant.n_inputs, match)
+            except GainError as exc:
+                errors.append(f"gains.S_p: {exc}")
         if "init" in cfg:
             try:
                 built["init"] = resolve_init(cfg["init"], scheme, match)
@@ -495,10 +500,8 @@ def build_gains(scheme: str, gains: dict, n: int, M: int, time_domain: str):
     """The gain object of ``scheme`` from a checked gains section."""
     n_w = n + M
     if scheme in _GRADIENT:
-        # a number, an (n_w, n_w) matrix or an (M, n_w, n_w) stack as the
-        # stack
-        Gamma = np.broadcast_to(_times_eye(gains["Gamma"], n_w),
-                                (M, n_w, n_w)).copy()
+        # a number, an (n_w, n_w) matrix or an (M, n_w, n_w) stack
+        Gamma = _stack_gains(_times_eye(gains["Gamma"], n_w), M)
         if scheme == "indirect_gradient":
             from .indirect import IndirectGainConfig
             return IndirectGainConfig(Gamma=Gamma, time_domain=time_domain)
@@ -517,8 +520,7 @@ def build_gains(scheme: str, gains: dict, n: int, M: int, time_domain: str):
                                      theta1_law=gains["theta1_law"])
     if "S_p" in gains:
         return LyapunovDirectGains(S_p=np.asarray(gains["S_p"], float))
-    if M > 1:
-        raise GainError("multi-input direct scheme needs S_p")
+    # S_p on a multi-input plant is checked with the matching solution
     return LyapunovDirectGains(Gamma=_times_eye(gains["Gamma"], n),
                                gamma=float(gains["gamma"]),
                                sign_k2=float(gains["sign_k2"]))

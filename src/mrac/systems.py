@@ -21,15 +21,6 @@ CONTINUOUS = "continuous"
 MATCHING_TOL = 1e-9
 
 
-def _as_matrix(value, name):
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
-    if arr.ndim != 2:
-        raise ModelError(f"{name} must be a matrix, got ndim={arr.ndim}")
-    return arr
-
-
 def spectral_radius(mat) -> float:
     """Largest eigenvalue magnitude of a square matrix."""
     arr = np.asarray(mat, dtype=float)
@@ -44,7 +35,35 @@ def is_hurwitz(mat) -> bool:
     return bool(np.max(np.linalg.eigvals(arr).real) < 0.0)
 
 
-class PlantModel:
+class _Model:
+    """A model x+ = A x + B u (or dx/dt = A x + B u) in ``time_domain``,
+    its matrices kept under ``names``: A square, n x n with n >= 1, and B
+    n x M with M >= 1 (a vector is one column). The one check of a model's
+    matrices, shapes and time domain."""
+
+    def __init__(self, A, B, time_domain, names):
+        for value, name in zip((A, B), names):
+            arr = np.asarray(value, dtype=float)
+            if arr.ndim == 1:
+                arr = arr.reshape(-1, 1)
+            if arr.ndim != 2:
+                raise ModelError(f"{name} must be a matrix, got ndim={arr.ndim}")
+            setattr(self, name, arr)
+        A, B = (getattr(self, name) for name in names)
+        self.time_domain = time_domain
+        if time_domain not in (DISCRETE, CONTINUOUS):
+            raise ModelError(f"unknown time domain {time_domain!r}")
+        n, nc = A.shape
+        if n != nc or n < 1:
+            raise ModelError(f"{names[0]} must be square with n >= 1, got "
+                             f"{A.shape}")
+        if B.shape[0] != n or B.shape[1] < 1:
+            raise ModelError(f"{names[1]} must be {n} x M with M >= 1, got "
+                             f"{B.shape}")
+        self.n, self.n_inputs = B.shape
+
+
+class PlantModel(_Model):
     """Truth system (A, B); unknown to the controller, used by the simulator.
 
     B must have full column rank so the matching solver has a unique
@@ -52,30 +71,12 @@ class PlantModel:
     """
 
     def __init__(self, A, B, time_domain: str = DISCRETE):
-        self.A, self.B = _as_matrix(A, "A"), _as_matrix(B, "B")
-        self.time_domain = time_domain
-        if time_domain not in (DISCRETE, CONTINUOUS):
-            raise ModelError(f"unknown time domain {time_domain!r}")
-        n, nc = self.A.shape
-        if n != nc or n < 1:
-            raise ModelError(f"A must be square with n >= 1, got {self.A.shape}")
-        if self.B.shape[0] != n or self.B.shape[1] < 1:
-            raise ModelError(
-                f"B must be {n} x M with M >= 1, got {self.B.shape}"
-            )
-        if np.linalg.matrix_rank(self.B) < self.B.shape[1]:
+        super().__init__(A, B, time_domain, ("A", "B"))
+        if np.linalg.matrix_rank(self.B) < self.n_inputs:
             raise ModelError("B is rank deficient; matching gains are not unique")
 
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
 
-    @property
-    def n_inputs(self) -> int:
-        return self.B.shape[1]
-
-
-class ReferenceModel:
+class ReferenceModel(_Model):
     """Stable target system (A_m, B_m).
 
     Discrete models need spectral radius strictly below one; continuous
@@ -83,15 +84,7 @@ class ReferenceModel:
     """
 
     def __init__(self, A_m, B_m, time_domain: str = DISCRETE):
-        self.A_m, self.B_m = _as_matrix(A_m, "A_m"), _as_matrix(B_m, "B_m")
-        self.time_domain = time_domain
-        if time_domain not in (DISCRETE, CONTINUOUS):
-            raise ModelError(f"unknown time domain {time_domain!r}")
-        n, nc = self.A_m.shape
-        if n != nc or n < 1:
-            raise ModelError(f"A_m must be square with n >= 1, got {self.A_m.shape}")
-        if self.B_m.shape[0] != n or self.B_m.shape[1] < 1:
-            raise ModelError(f"B_m must be {n} x M with M >= 1, got {self.B_m.shape}")
+        super().__init__(A_m, B_m, time_domain, ("A_m", "B_m"))
         if time_domain == DISCRETE:
             rho = spectral_radius(self.A_m)
             if rho >= 1.0:
@@ -100,14 +93,6 @@ class ReferenceModel:
                 )
         elif not is_hurwitz(self.A_m):
             raise ModelError("continuous reference model A_m is not Hurwitz")
-
-    @property
-    def n(self) -> int:
-        return self.A_m.shape[0]
-
-    @property
-    def n_inputs(self) -> int:
-        return self.B_m.shape[1]
 
 
 class MatchingSolution(namedtuple("MatchingSolution", "K1 K2 residual")):

@@ -1,4 +1,5 @@
 import ast
+import gc
 import json
 import os
 import re
@@ -64,6 +65,22 @@ def mimo_dict(scheme, time_domain="discrete"):
         data["gains"] = {"Gamma": 1.0}
         data["projection"] = {"signs": np.sign(k2).tolist(),
                               "k2_upper": (2.0 * np.abs(k2)).tolist()}
+    return data
+
+
+def lyapunov_mimo_dict(scheme, S_p=None):
+    """A matchable n=3, M=2 config of a Lyapunov scheme: lyapunov_direct
+    with ``S_p``, by default sign(k2*) diag(1, 2), which makes K2* S_p
+    symmetric positive definite, and lyapunov_indirect with a projection."""
+    data = mimo_dict("indirect_gradient", "continuous")
+    signs = np.array(data["projection"]["signs"])
+    data.update(scheme=scheme, horizon=400, ct_step=0.01)
+    if scheme == "lyapunov_direct":
+        data["projection"] = None
+        data["gains"] = {"S_p": (np.diag(signs * [1.0, 2.0]) if S_p is None
+                                 else np.asarray(S_p)).tolist()}
+    else:
+        data["gains"] = {"Gamma1": 1.0, "Gamma2": 1.0}
     return data
 
 
@@ -369,6 +386,18 @@ class TestCli:
         assert cfg.scheme == "direct_gradient"
         assert main(["validate", str(out)]) == 0
         assert capsys.readouterr().out.strip().endswith("ok")
+
+    @pytest.mark.parametrize("where", ["a directory", "under a missing one"])
+    def test_example_out_that_cannot_be_written_is_invalid(self, tmp_path,
+                                                           capsys, where):
+        # it used to escape as IsADirectoryError or FileNotFoundError
+        out = tmp_path if where == "a directory" else tmp_path / "no" / "x"
+        assert main(["example", "--paper", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        [err] = captured.err.splitlines()
+        assert err.startswith("invalid: --out: ") and str(out) in err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_run_writes_trace_with_header_and_rows(self, tmp_path):
         cfg_path = tmp_path / "bench.json"
@@ -1083,6 +1112,103 @@ def test_orjson_is_imported_only_to_write_a_trace(tmp_path):
     assert ast.literal_eval(proc.stdout.splitlines()[-1]) == [
         False, False, True]
     assert (tmp_path / "second-order-benchmark.trace.csv").exists()
+
+
+def test_the_program_entry_writes_what_main_writes(tmp_path, capsys):
+    # python -m mrac runs src/mrac/__main__.py, which calls main() on
+    # sys.argv, the one path on which main freezes the collector
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(serialize_config(benchmark_config()))
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "mrac", "run", str(cfg),
+         "--out", str(tmp_path / "entry")],
+        capture_output=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert main(["run", str(cfg), "--out", str(tmp_path / "main")]) == 0
+    assert proc.stdout.decode() == capsys.readouterr().out
+
+    def files(directory):
+        return {path.name: path.read_bytes()
+                for path in sorted(directory.iterdir())}
+
+    written = files(tmp_path / "entry")
+    assert sorted(written) == ["second-order-benchmark.summary.json",
+                               "second-order-benchmark.trace.csv"]
+    assert written == files(tmp_path / "main")
+
+
+def test_only_a_process_of_one_command_freezes_the_collector(monkeypatch,
+                                                             capsys):
+    # main() parsing sys.argv itself (python -m mrac, the mrac script)
+    # freezes what the process holds, so that no collection, the one at
+    # exit included, scans it; a caller passing argv keeps collecting
+    assert gc.get_freeze_count() == 0
+    monkeypatch.setattr(sys, "argv", ["mrac", "example", "--paper"])
+    try:
+        assert main() == 0
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+    assert main(["example", "--paper"]) == 0
+    assert gc.get_freeze_count() == 0
+    capsys.readouterr()
+
+
+class TestLyapunovPremise:
+    """The multi-input lyapunov_direct law needs S_p, and K2* S_p symmetric
+    positive definite on a matchable plant: checked at load, with the
+    matching solution, as the runner checks it."""
+
+    NOT_SPD = "gains.S_p: K2* S_p is not symmetric positive definite"
+
+    def _config(self, tmp_path, **gains):
+        # k2* has one sign per input, so -I leaves K2* S_p indefinite
+        data = lyapunov_mimo_dict("lyapunov_direct", S_p=-np.eye(2))
+        if gains:
+            data["gains"] = gains
+        path = tmp_path / "s_p.json"
+        path.write_text(json.dumps(data))
+        return data, path
+
+    def test_validate_and_run_exit_1(self, tmp_path, capsys):
+        _, path = self._config(tmp_path)
+        out = tmp_path / "out"
+        for argv in (["validate", str(path)],
+                     ["run", str(path), "--out", str(out)]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.err.splitlines() == [f"invalid: {self.NOT_SPD}"]
+            assert captured.out == ""
+        assert not out.exists()
+        with pytest.raises(ConfigError) as info:
+            load_config(str(path))
+        assert info.value.errors == [self.NOT_SPD]
+
+    def test_batch_member_is_invalid(self, tmp_path, capsys):
+        data, _ = self._config(tmp_path)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"configs": [data]}))
+        assert main(["batch", str(spec)]) == 1
+        [row] = json.loads(capsys.readouterr().out)
+        assert row["status"] == "invalid"
+        assert row["errors"] == [self.NOT_SPD]
+
+    def test_missing_s_p_is_invalid(self, tmp_path, capsys):
+        _, path = self._config(tmp_path, sign_k2=1.0)
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "invalid: gains.S_p: multi-input direct scheme needs S_p"]
+
+    def test_the_runner_still_raises(self, tmp_path):
+        from mrac import GainError, LyapunovDirectGains, run_lyapunov_scenario
+        cfg = config_from_dict(lyapunov_mimo_dict("lyapunov_direct"))
+        b = cfg.built
+        with pytest.raises(GainError,
+                           match=r"^K2\* S_p is not symmetric positive "):
+            run_lyapunov_scenario(b.plant, b.reference, b.signal, "direct",
+                                  LyapunovDirectGains(S_p=-np.eye(2)), None,
+                                  b.init, 20)
 
 
 def test_no_module_imports_dataclasses():

@@ -19,7 +19,7 @@ from mrac.cli import main, write_gnuplot_dat, write_trace_csv
 from mrac.scenario import (benchmark_config, config_from_dict, run_scenario,
                            summary_dict)
 from test_lockstep import member
-from test_scenario_cli import SCHEME_CASES, mimo_dict
+from test_scenario_cli import SCHEME_CASES, lyapunov_mimo_dict, mimo_dict
 
 # one chunk (128 rows) less one row and exactly; one block (1024 rows), one
 # block and a lone last row, one block and two rows; two blocks
@@ -104,12 +104,15 @@ def test_two_inputs(scheme, horizon, tmp_path):
     _same_bytes(dict(mimo_dict(scheme), horizon=horizon), tmp_path)
 
 
-@pytest.mark.parametrize("scheme", ["direct_gradient", "indirect_gradient"])
+@pytest.mark.parametrize("scheme", ["direct_gradient", "indirect_gradient",
+                                    "lyapunov_direct", "lyapunov_indirect"])
 def test_the_block_size_changes_no_byte(scheme, tmp_path, monkeypatch):
     # the direct V series sums its M = 2 terms in numpy: a BLAS product
     # gives the rows at its tail other last bits, so that a row's V would
-    # take the bits of its place in its block
-    data = dict(mimo_dict(scheme), horizon=99)
+    # take the bits of its place in its block; the Lyapunov runners take
+    # the V of each block the run's sink gives them whole
+    data = dict(mimo_dict(scheme) if scheme.endswith("_gradient")
+                else lyapunov_mimo_dict(scheme), horizon=99)
     runs = []
     for rows in (4096, 7):
         monkeypatch.setattr(mrac._rows, "BLOCK", rows)
