@@ -10,11 +10,17 @@ those lines, then a ``cli`` digest over the bytes the command line writes:
 the seed-0 ``paper-run`` input (stdout, trace CSV and ``summary.json``) and
 ``mrac batch`` on the seed-0 ``mimo-sweep`` and ``ct-schemes`` inputs
 (stdout). Outputs go to a temporary directory that is removed afterwards.
+Last comes a ``riding`` digest over runs whose projection acts, which no
+pool member's does: four discrete n=3, M=2 indirect members, each firing
+on bounds of its own, run alone and as one lockstep group, and a
+continuous-time ``indirect_gradient`` and a ``lyapunov_indirect`` member
+that ride their bounds. Their horizons are fixed.
 
     python scripts/fingerprint.py [--horizon N]
 
-``--horizon N`` cuts every run to N steps; by default each member runs its
-own horizon. Compare two checkouts by diffing their outputs.
+``--horizon N`` cuts every pool and command-line run to N steps; by
+default each member runs its own horizon. Compare two checkouts by diffing
+their outputs.
 """
 
 import argparse
@@ -29,11 +35,14 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
+import numpy as np  # noqa: E402
+
 import workloads  # noqa: E402
+from mrac import benchmark_config, random_matchable_instance  # noqa: E402
 from mrac.cli import main as cli  # noqa: E402
 from mrac.errors import ToolkitError  # noqa: E402
-from mrac.scenario import (config_from_dict, run_scenario,  # noqa: E402
-                           summary_dict)
+from mrac.scenario import (config_from_dict, run_lockstep,  # noqa: E402
+                           run_scenario, summary_dict)
 
 RECORDS = ("t", "x", "x_m", "e", "u", "eps", "m", "theta", "rho", "x_hat",
            "V", "dV", "proj_fired", "proj_g2", "proj_f2")
@@ -51,11 +60,18 @@ def _add(digest, name, value):
 
 
 def member_digest(data):
-    digest = hashlib.sha256()
     try:
         run = run_scenario(config_from_dict(data))
     except ToolkitError as exc:
-        _add(digest, "error", f"{type(exc).__name__}: {exc}")
+        run = exc
+    return run_digest(run)
+
+
+def run_digest(run):
+    """The digest of a ScenarioRun, or of the ToolkitError in its place."""
+    digest = hashlib.sha256()
+    if isinstance(run, ToolkitError):
+        _add(digest, "error", f"{type(run).__name__}: {run}")
         return digest.hexdigest()
     trace = run.trace
     for name in RECORDS:
@@ -110,6 +126,62 @@ def cli_digest(horizon):
     return digest.hexdigest()
 
 
+def _discrete_rider(seed, k2_upper):
+    """An n=3, M=2 discrete indirect member on instance ``seed`` whose
+    bound, ``k2_upper`` |k2*|, excludes theta2*, so that its projection
+    fires; 300 steps span three 128-row chunks alone and ten 32-row ones
+    in a group of four."""
+    plant, ref, _, K2 = random_matchable_instance(3, 2, seed, "discrete")
+    k2 = np.diag(K2)
+    data = benchmark_config().to_dict()
+    data.update(
+        name=f"rider-s{seed}", scheme="indirect_gradient", horizon=300,
+        plant={"A": plant.A.tolist(), "B": plant.B.tolist()},
+        reference={"A_m": ref.A_m.tolist(), "B_m": ref.B_m.tolist()},
+        signal={"kind": "sum_of_sinusoids", "amplitudes": [[1.0], [0.8]],
+                "frequencies": [[0.13], [0.29]]},
+        gains={"Gamma": 1.0}, init={"theta_scale": 1.15},
+        projection={"signs": np.sign(k2).tolist(),
+                    "k2_upper": (k2_upper * np.abs(k2)).tolist()})
+    return data
+
+
+def _ct_riders():
+    """A continuous-time ``indirect_gradient`` and a ``lyapunov_indirect``
+    member on the plant x' = A x + b u matched to A_m by k1* = [-1.5, -1],
+    k2* = 0.5, each started at or just above a bound on theta2 that theta2*
+    = 2 reaches or breaks, so that the flow presses onto it."""
+    A_m, b_m, b = [[0.0, 1.0], [-2.0, -3.0]], [[0.0], [1.0]], [[0.0], [2.0]]
+    A = (np.array(A_m) - np.array(b) @ [[-1.5, -1.0]]).tolist()
+    base = {"time_domain": "continuous", "plant": {"A": A, "B": b},
+            "reference": {"A_m": A_m, "B_m": b_m}, "ct_step": 0.01,
+            "init": {"x0": [1.0, -0.5]}}
+    gradient = dict(
+        base, name="ct-rider", scheme="indirect_gradient", horizon=600,
+        signal={"kind": "sum_of_sinusoids", "amplitudes": [[1.0]],
+                "frequencies": [[0.5]]},
+        gains={"Gamma": 4.0}, projection={"signs": 1, "k2_upper": 0.5},
+        init={"theta0": [[-1.0], [0.2], [2.02]]})
+    lyapunov = dict(
+        base, name="lyapunov-rider", scheme="lyapunov_indirect",
+        horizon=1000, signal={"kind": "sum_of_sinusoids",
+                              "amplitudes": [[1.0]], "frequencies": [[0.7]]},
+        gains={"Gamma1": 1.0, "Gamma2": 1.0},
+        projection={"signs": 1, "k2_upper": 0.45},
+        init={"theta0": [[-3.0], [-2.0], [1.0 / 0.45]], "x0": [1.0, -0.5]})
+    return [gradient, lyapunov]
+
+
+def riding_digest():
+    """The digest of the riding runs (see the module docstring)."""
+    riders = [_discrete_rider(seed, k2_upper) for seed, k2_upper
+              in ((0, 0.9), (1, 0.95), (2, 0.88), (3, 0.92))]
+    runs = [member_digest(data) for data in riders + _ct_riders()]
+    runs += map(run_digest, run_lockstep(
+        [config_from_dict(data) for data in riders]))
+    return hashlib.sha256("\n".join(runs).encode()).hexdigest()
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--horizon", type=int, default=None,
@@ -124,6 +196,7 @@ def main(argv=None):
             print(line)
     print(f"{pool.hexdigest()}  pool")
     print(f"{cli_digest(args.horizon)}  cli")
+    print(f"{riding_digest()}  riding")
     return 0
 
 

@@ -37,18 +37,21 @@ to the runner module's ``integrate_ct`` advances z along dz/dt = [dF, dW].
 Its first stage is row i itself, and its stage evaluator writes each later
 stage's state straight into one of three stage rows. A step does only the
 RK4 arithmetic, the law's four steps, ``integrate_ct``'s finiteness check
-of the new state and the check of u and m^2.
+of the new state and the check of u and m^2. A law may carry theta2
+guards (``indirect.Guarded``), each one form for a row or a group's block
+of rows: ``run`` calls the landing once per step, ``run_ct`` the rate
+check on each rate and the clamp on each new state.
 
 Rows always carry a leading member axis: ``run`` steps the set-up runs of
 a lockstep group, B discrete laws of one layout, on one ``stack``ed law
-with L, G and z0 stacked, and a lone run is a group of one. Each product
-of a group's step is a stacked ``matmul``, which makes the same BLAS call
-per member as the lone ``.dot``, so every member's rows are byte for byte
-those of its lone run. A group of one keeps its own law and so the
-``.dot`` step, which runs twice as fast as a stacked one at B = 1. The
-divergence rule and the record store run per member: a member's records
-stop after the chunk in which it diverged, and the group runs until every
-member has diverged or reached the end.
+with L, G, z0 and the guards' signs and bounds stacked, and a lone run is
+a group of one. Each product of a group's step is a stacked ``matmul``,
+which makes the same BLAS call per member as the lone ``.dot``, so every
+member's rows are byte for byte those of its lone run. A group of one
+keeps its own law and so the ``.dot`` step, which runs twice as fast as a
+stacked one at B = 1. The divergence rule and the record store run per
+member: a member's records stop after the chunk in which it diverged, and
+the group runs until every member has diverged or reached the end.
 """
 
 from __future__ import annotations
@@ -90,6 +93,10 @@ class Layout:
     """The slices of a work row [head | F | r | u | mid | W | dF | dW] with
     ``nF`` linear states, M inputs and ``NW`` estimate entries; ``head`` and
     ``mid`` are the scheme's own columns."""
+
+    # the signs, bounds and floor of the theta2 guards, none unless the law
+    # is an ``indirect.Guarded`` one, with its ``landing`` and ``ct_guards``
+    signs = theta2_lower = floor = None
 
     def __init__(self, head, nF, M, mid, NW):
         self.nF = nF
@@ -255,15 +262,16 @@ def _group_stepper(L, G, n, M, n_ab):
 
 def stack(laws):
     """One law that steps ``laws``, which share one layout, in lockstep: a
-    copy of the first with their L, G and z0 stacked on a leading member
-    axis, whose step works on a (B, width) block of rows; the law itself
-    when it is alone."""
+    copy of the first with their L, G, z0 and the signs, bounds and floors
+    of their guards stacked on a leading member axis, whose step and guards
+    work on a (B, width) block of rows; the law itself when it is alone."""
     if len(laws) == 1:
         return laws[0]
     law = copy.copy(laws[0])
     law.cols = dict(law.cols)
-    law.L, law.G, law.z0 = (np.stack([getattr(one, name) for one in laws])
-                            for name in ("L", "G", "z0"))
+    for name in ("L", "G", "z0", "signs", "theta2_lower", "floor"):
+        if getattr(law, name) is not None:
+            setattr(law, name, np.stack([getattr(one, name) for one in laws]))
     law.step = _stepper(law.L, law.G, law.n, law.M, law.n_ab)
     return law
 
@@ -400,32 +408,34 @@ def run(members, steps: int):
     run is a group of one.
 
     Row i + 1 receives F(t + 1) = L [F, r, u] and W(t + 1) = W + G ab from
-    row i. A member's ``after_step(row, i)``, called once per row of its
-    own, returns the hook that step i of a chunk calls once it has written
-    its state into that row. Nothing in a discrete step raises, so the
-    divergence rule runs once per chunk. Returns what ended each member
+    row i; the law's landing, if any, then acts once on the whole group's
+    row i + 1, its correction into row i's ``f2`` columns, which each chunk
+    zeroes first. Nothing in a discrete step raises, so the divergence rule
+    runs once per chunk. Returns what ended each member
     (``RowBuffer.run``): None, its divergence step (the first at which an
     element of its x, u or m^2 is not finite) or its store's error.
     """
     law = stack([m.law for m in members])
     rows = RowBuffer(law, [m.store for m in members], steps)
     buf, work, probe = rows.buf, rows.work, rows.probe
-    landings = [(b, m.after_step) for b, m in enumerate(members)
-                if m.after_step is not None]
+    land = law.signs is not None and law.landing()
     views = [(law.views(work[i], work[i + 1][..., law.F]),
               work[i][..., law.W], work[i][..., law.dW],
               work[i + 1][..., law.W],
-              [land(buf[i + 1, b], i) for b, land in landings])
+              land and law.theta2(work[i + 1][..., law.W]),
+              land and work[i][..., law.f2])
              for i in range(rows.size)]
     step, add = law.step, np.add
 
     def chunk(t0, count):
+        if land:
+            buf[:count, :, law.f2] = 0.0
         for i in range(count):
-            v, W, dW, Wn, hooks = views[i]
+            v, W, dW, Wn, copies, f2 = views[i]
             step(v)
             add(W, dW, Wn)
-            for hook in hooks:
-                hook()
+            if land:
+                land(copies, f2)
         return count, first_nonfinite(buf[:count], probe)
 
     samples = Samples(lambda lo, hi: np.stack([m.r(lo, hi) for m in members],
@@ -438,16 +448,16 @@ def run_ct(member, horizon: int, h: float, method: str, integrate):
     time from its law's state ``z0`` over ``horizon`` steps of size ``h``:
     one ``integrate`` call (the runner module's ``integrate_ct``) per row
     advances z = [F, W] along the rate [dF, dW] that the law's step writes,
-    and the result, after the member's ``after_step(z)`` in place, lands in
-    row i + 1. The member's ``r(lo, hi)`` gives r of rows lo..hi at the
+    and the result, after the law's clamp (``ct_guards``) in place, lands
+    in row i + 1. The member's ``r(lo, hi)`` gives r of rows lo..hi at the
     stage times t_k, t_k + h/2 (stages 2 and 3) and t_k + h of every step,
     sampled a block of steps at a time as the rows need it. Row k is stage
     1 of step k and its record. Stages 2-4 evaluate on three rows of their
     own, reused by every step: the ``stage`` evaluator ``integrate`` passes
     to the RK4 step writes y + c k straight into a stage row's F and W,
     with y read off row k, and that row's r is set once per step. The
-    member's ``adjust(row)``, called once per row, returns the check of
-    that row's rate: it returns the rate, or refuses it by raising, or
+    law's rate check (``ct_guards``) takes each rate with the row's theta2
+    and raw theta2 rate: it returns the rate, or refuses it by raising, or
     replaces it by a changed copy.
 
     Each row meets the divergence rule before it is integrated: row 0 in
@@ -457,7 +467,9 @@ def run_ct(member, horizon: int, h: float, method: str, integrate):
     m^2 of step k is not finite, k + 1 when ``integrate`` reports a
     non-finite state after step k, else None (or its store's error).
     """
-    law, after_step, adjust = member.law, member.after_step, member.adjust
+    law = member.law
+    guard, clamp = (law.ct_guards() if law.signs is not None
+                    or law.floor is not None else (None, None))
     T1 = horizon + 1
     # r of stages 1-4 of each step
     samples = Samples(member.r, T1)
@@ -469,9 +481,9 @@ def run_ct(member, horizon: int, h: float, method: str, integrate):
 
     def operands(row):
         """The step's views of ``row``, its rate [dF, dW], its state parts F
-        and W, and the check of its rate."""
+        and W, and with a rate check its theta2 and theta2's raw rate."""
         return (law.views(row, row[law.dF]), row[dz], row[law.F], row[law.W],
-                None if adjust is None else adjust(row))
+                guard and (row[law.W][law.th2], row[law.dW][law.th2]))
 
     # each row's operands, its u and m^2, and the state parts of row i + 1
     steps = [(operands(work[i]), work[i, span], work[i + 1, law.F],
@@ -493,21 +505,21 @@ def run_ct(member, horizon: int, h: float, method: str, integrate):
         return k1
 
     def stage(i, tau, c, k):
-        v, d, F, W, check = stage_rows[i - 2]
+        v, d, F, W, theta2 = stage_rows[i - 2]
         multiply(k, c, ck)
         add(yF, ckF, F)
         add(yW, ckW, W)
         step(v)
-        return d if check is None else check(d)
+        return guard(theta2, d) if guard else d
 
     def chunk(t0, count):
         nonlocal z, k1, yF, yW
         r_stages = samples.rows(t0, t0 + count)[:, 1:]
         for i in range(count):
             k = t0 + i
-            (v, d, yF, yW, check), uspan, Fn, Wn = steps[i]
+            (v, d, yF, yW, theta2), uspan, Fn, Wn = steps[i]
             step(v)
-            k1 = d if check is None else check(d)
+            k1 = guard(theta2, d) if guard else d
             if (not all(map(isfinite, uspan.tolist())) if k
                     else first_nonfinite(buf[:1], probe)[0] is not None):
                 return i, [i]
@@ -519,8 +531,8 @@ def run_ct(member, horizon: int, h: float, method: str, integrate):
                               stage=stage)
             except NumericsError:
                 return i + 1, [i + 1]
-            if after_step is not None:
-                after_step(z)
+            if clamp:
+                clamp(z)
             Fn[...] = z[:nF]
             Wn[...] = z[nF:]
         return count, [None]

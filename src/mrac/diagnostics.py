@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _rows
 from ._rows import records, row_blocks
-from .errors import GainError
+from .errors import GainError, ModelError
 
 
 TraceSummary = namedtuple(
@@ -295,12 +295,21 @@ def _stack_gains(Gamma, M=None) -> np.ndarray:
     return G
 
 
+def _entries(value, name, size, spread=False, error=ModelError):
+    """``value`` as a vector of ``size`` floats, from any shape of that many
+    entries, or with ``spread`` from one entry for all, else ``error``."""
+    arr = np.asarray(value, dtype=float)
+    if arr.size != size and not (spread and arr.size == 1):
+        raise error(f"{name} must have shape ({size},), got {arr.shape}")
+    return np.broadcast_to(arr.reshape(-1), (size,)).copy()
+
+
 def gamma0_direct(Gamma, gamma, rho_star) -> float:
     """Contraction margin for the direct scheme: max over blocks of
     lambda_max(|rho*_j| Gamma_j) and gamma_j, computed from actual gains."""
     rho_s = np.atleast_1d(np.asarray(rho_star, dtype=float))
     M = rho_s.shape[0]
-    gam = np.broadcast_to(np.atleast_1d(np.asarray(gamma, dtype=float)), (M,))
+    gam = _entries(gamma, "gamma", M, True, GainError)
     G = _stack_gains(Gamma, M)
     worst = 0.0
     for j in range(M):
@@ -344,8 +353,7 @@ def direct_V_series(theta_series, rho_series, theta_star, rho_star,
                     Gamma, gamma, eps_series, m_series) -> LyapunovSeries:
     """Vectorized V(t), dV(t) and decrement series for a direct-scheme run."""
     rho_s = np.atleast_1d(np.asarray(rho_star, dtype=float))
-    gam = np.broadcast_to(np.atleast_1d(np.asarray(gamma, dtype=float)),
-                          rho_s.shape)
+    gam = _entries(gamma, "gamma", rho_s.shape[0], True, GainError)
     quad = _theta_error_quad(theta_series, theta_star, Gamma)
     # each full-horizon temporary goes before the next is made
     rho_err = rho_series - rho_s[None]

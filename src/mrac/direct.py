@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _rows
 from ._rows import Law, block
-from .diagnostics import (Keep, SimulationTrace, Stream, TraceSpec,
+from .diagnostics import (Keep, SimulationTrace, Stream, TraceSpec, _entries,
                           _stack_gains, direct_V_series)
 from .errors import GainError, ModelError, ToolkitError
 from .systems import (DISCRETE, PlantModel, ReferenceModel, ReferenceSignal,
@@ -38,13 +38,13 @@ def stack_controller_gains(K1, K2) -> np.ndarray:
     return np.vstack([K1, K2.T])
 
 
-def _spd_check(G, label):
-    """The ascending eigenvalues of the symmetric positive definite ``G``."""
+def _spd_check(G, label, error=GainError):
+    """The ascending eigenvalues of the SPD ``G``, else ``error``."""
     if not np.allclose(G, G.T, atol=1e-10, rtol=0.0):
-        raise GainError(f"{label} must be symmetric")
+        raise error(f"{label} must be symmetric")
     eig = np.linalg.eigvalsh(G)
     if eig[0] <= 0.0:
-        raise GainError(f"{label} must be positive definite")
+        raise error(f"{label} must be positive definite")
     return eig
 
 
@@ -90,12 +90,10 @@ class DirectGainConfig:
         M = signs.shape[0]
         if not np.all(np.abs(signs) == 1.0):
             raise GainError("sign_k2 entries must be +1 or -1")
-        lower = np.broadcast_to(
-            np.atleast_1d(np.asarray(k2_lower, dtype=float)), (M,)).copy()
+        lower = _entries(k2_lower, "k2_lower", M, True, GainError)
         if not np.all((lower > 0.0) & (lower < np.inf)):
             raise GainError("k2 lower bounds must be positive and finite")
-        gam = np.broadcast_to(
-            np.atleast_1d(np.asarray(gamma, dtype=float)), (M,)).copy()
+        gam = _entries(gamma, "gamma", M, True, GainError)
         gamma_upper = 2.0 if time_domain == DISCRETE else np.inf
         bound = (2.0 if M == 1 else 1.0) * lower
         G = _stack_gains(Gamma, M)
@@ -130,15 +128,6 @@ def _shape_theta(theta, n_w, M):
     return th.copy()
 
 
-def _entries(value, name, size, spread=False):
-    """``value`` as a vector of ``size`` floats, from any shape of that many
-    entries, or with ``spread`` from one entry for all."""
-    arr = np.asarray(value, dtype=float)
-    if arr.size != size and not (spread and arr.size == 1):
-        raise ModelError(f"{name} must have shape ({size},), got {arr.shape}")
-    return np.broadcast_to(arr.reshape(-1), (size,)).copy()
-
-
 class InitialConditions(namedtuple("InitialConditions", "x0 xm0 theta0 rho0 "
                                    "xhat0", defaults=(None,) * 5)):
     """Initial states for a scenario run; unset entries default to zero
@@ -163,11 +152,13 @@ class InitialConditions(namedtuple("InitialConditions", "x0 xm0 theta0 rho0 "
 
 def _check_run_args(plant: PlantModel, ref: ReferenceModel,
                     signal: ReferenceSignal, gains, init: InitialConditions,
-                    horizon: int, projection=None):
+                    horizon: int, projection=None, h=1.0, method="rk4"):
     """The check every runner makes before its first step: the models,
     signal, ``gains`` (any scheme's; a Lyapunov one has no time domain),
-    ``projection`` and ``init`` all fit the plant's n and M. Returns the
-    resolved initial states (``InitialConditions.resolved``)."""
+    ``projection`` and ``init`` all fit the plant's n and M, and in
+    continuous time the step ``h`` is positive and finite and ``method``
+    an integrator. Returns the resolved initial states
+    (``InitialConditions.resolved``)."""
     if plant.time_domain != ref.time_domain:
         raise ModelError("plant and reference model time domains differ")
     if getattr(gains, "time_domain", plant.time_domain) != plant.time_domain:
@@ -179,6 +170,10 @@ def _check_run_args(plant: PlantModel, ref: ReferenceModel,
         raise ModelError(f"signal dimension {signal.dimension} != input count {M}")
     if horizon < 1:
         raise ModelError("horizon must be at least 1")
+    if plant.time_domain != DISCRETE and not 0.0 < h < np.inf:
+        raise ModelError(f"h must be positive and finite, got {h!r}")
+    if plant.time_domain != DISCRETE and method not in ("rk4", "euler"):
+        raise ModelError(f"method must be 'rk4' or 'euler', got {method!r}")
     for name, want in gains.shapes(n, M).items():
         got = np.shape(getattr(gains, name))
         if got != want:
@@ -270,14 +265,11 @@ def _direct_law(A, B, Am, Bm, gains, enforce, P, rho, x0, xm0) -> Law:
     return law
 
 
-# a run set up on its law (see ``_rows``): store(records, t0, stop), which
-# receives its rows' records (its sink's, see ``_set_up``), the hooks its
-# runner calls (None: none), finish(diverged_at), which makes its trace,
-# and r(lo, hi), r at its rows lo..hi. In discrete time ``after_step`` is
-# the landing of an enabled projection
-# (``ProjectionConfig.landing``) and ``adjust`` is None; in continuous time
-# they are the guards of ``_rows.run_ct``
-Member = namedtuple("Member", "law store after_step adjust finish r")
+# a run set up on its law (see ``_rows``), which carries any theta2 guards
+# its runner calls: store(records, t0, stop), which receives its rows'
+# records (its sink's, see ``_set_up``), finish(diverged_at), which makes
+# its trace, and r(lo, hi), r at its rows lo..hi
+Member = namedtuple("Member", "law store finish r")
 
 
 def _sampler(signal: ReferenceSignal, domain: str, h: float):
@@ -299,11 +291,10 @@ def _sampler(signal: ReferenceSignal, domain: str, h: float):
     return r
 
 
-def _set_up(law, signal, spec, stream=None, extra=None, after_step=None,
-            adjust=None, check=None):
+def _set_up(law, signal, spec, stream=None, extra=None, check=None):
     """The run of ``law`` on ``signal`` whose trace ``spec`` describes,
-    with its hooks and its sink (``Stream``) of the records of ``law.cols``
-    and ``extra`` ({name: row shape}) to the consumers ``stream``, the last
+    with its sink (``Stream``) of the records of ``law.cols`` and
+    ``extra`` ({name: row shape}) to the consumers ``stream``, the last
     of which reduces the rows; without them, to a ``Keep``, so that the
     run's trace holds its rows. ``check(records, t0)`` completes or checks
     each chunk's records before the sink receives them."""
@@ -315,17 +306,17 @@ def _set_up(law, signal, spec, stream=None, extra=None, after_step=None,
         check(rows, t0)
         out.store(rows, t0, stop)
 
-    return Member(law, out.store if check is None else store, after_step,
-                  adjust, out.finish, _sampler(signal, spec.time_domain,
-                                               spec.dt))
+    return Member(law, out.store if check is None else store, out.finish,
+                  _sampler(signal, spec.time_domain, spec.dt))
 
 
 def _direct_member(plant, ref, signal, gains, init, horizon, h,
-                   match=SOLVE, stream=None) -> Member:
+                   match=SOLVE, stream=None, method="rk4") -> Member:
     """A direct run with step size ``h`` (1 in discrete time) set up,
-    ``stream`` as for ``_set_up``."""
-    x0, xm0, theta0, rho0, _ = _check_run_args(plant, ref, signal, gains,
-                                               init, horizon)
+    ``stream`` as for ``_set_up``, ``method`` the integrator of a
+    continuous-time one."""
+    x0, xm0, theta0, rho0, _ = _check_run_args(
+        plant, ref, signal, gains, init, horizon, None, h, method)
     match = _diagonal_match(_matching(plant, ref, match))
     n, M = plant.n, plant.n_inputs
     enforce = gains.enforce_diagonal_k2 and M > 1
@@ -386,5 +377,6 @@ def run_direct_scenario(plant: PlantModel, ref: ReferenceModel,
     """
     domain = plant.time_domain
     run = _direct_member(plant, ref, signal, gains, init, horizon,
-                         1.0 if domain == DISCRETE else h, match, stream)
+                         1.0 if domain == DISCRETE else h, match, stream,
+                         method)
     return _drive(run, domain, horizon, h, method, integrate_ct)

@@ -21,13 +21,13 @@ each is followed literally).
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import lt, mul
 
 import numpy as np
 
-from . import _rows
-from ._rows import Law, block, row_blocks
-from .diagnostics import (SimulationTrace, TraceSpec, _stack_gains,
+from ._rows import Law, Layout, block, row_blocks
+from .diagnostics import (SimulationTrace, TraceSpec, _entries, _stack_gains,
                           indirect_V_series)
 from .direct import (SOLVE, InitialConditions, Member, _check_blocks,
                      _check_run_args, _diagonal_match, _drive, _matching,
@@ -45,7 +45,8 @@ class ProjectionConfig:
 
     ``enabled=False`` keeps the raw gradient law; controller recovery then
     raises on sub-threshold estimates instead of being protected. Each
-    theta2 rule lives here once: below, in the floors and in ``_ct_guards``.
+    theta2 rule lives here once: below, in the floors and in the guards a
+    law carries (``Guarded``).
     """
 
     def __init__(self, theta2_lower, signs, enabled: bool = True):
@@ -54,8 +55,8 @@ class ProjectionConfig:
         M = self.signs.shape[0]
         if not np.all(np.abs(self.signs) == 1.0):
             raise ProjectionError("projection signs must be +1 or -1")
-        lower = np.broadcast_to(
-            np.atleast_1d(np.asarray(theta2_lower, dtype=float)), (M,)).copy()
+        lower = _entries(theta2_lower, "theta2_lower", M, True,
+                         ProjectionError)
         if np.any(lower <= 0.0) or not np.all(np.isfinite(lower)):
             raise ProjectionError(
                 "theta2 lower bounds must be positive and finite")
@@ -94,59 +95,99 @@ class ProjectionConfig:
                                >= self.theta2_lower - 1e-12))
                    for lo, hi in row_blocks(theta.shape[0]))
 
-    def landing(self, law, f2):
-        """The discrete landing, a run's ``after_step`` (see ``_rows.run``):
-        step i of a chunk lands a theta2 it left outside the bound on it, in
-        every copy ``law.theta2`` names, gradient then correction, with the
-        correction in ``f2[i]``, an array of a chunk's rows."""
-        signs, lower = self.signs, self.theta2_lower
-        signs_l, lower_l = signs.tolist(), lower.tolist()
-
-        def after_step(row, i):
-            copies = law.theta2(row[law.W])
-            first, out = copies[0], f2[i]
-
-            def land():
-                if any(map(lt, map(mul, signs_l, first.tolist()), lower_l)):
-                    cand = first.copy()
-                    out[...] = np.where(signs * cand < lower,
-                                        signs * lower - cand, 0.0)
-                    for th2 in copies:
-                        th2 += out
-
-            return land
-
-        return after_step
-
     def rate(self, theta2, g2):
         """The continuous-time correction of theta2's raw rate ``g2``: -g2
         where ``_nulls`` holds, else 0."""
         return np.where(_nulls(self.signs, theta2, self.theta2_lower, g2),
                         -g2, 0.0)
 
-    def clamp(self, at):
-        """``clamp(z)``: snap each theta2 of z, at the flat positions ``at``
-        (copies x M), back onto the signed bound where integration landed
-        it a hair inside."""
-        at_l = np.asarray(at).ravel().tolist()
-        copies = len(at_l) // self.n_inputs
-        signs_l = self.signs.tolist() * copies
-        lower_l = self.theta2_lower.tolist() * copies
-        bound_l = (self.signs * self.theta2_lower).tolist() * copies
-
-        def clamp(z):
-            for p, t, s, lo, b in zip(at_l, z.take(at_l).tolist(), signs_l,
-                                      lower_l, bound_l):
-                if s * t < lo:
-                    z[p] = b
-
-        return clamp
-
 
 def _nulls(s, theta2, lower, g2):
     """Whether the continuous-time projection nulls theta2's rate ``g2``: on
     (or past) the bound, up to 1e-12, and outward. Floats or arrays."""
     return (s * theta2 <= lower + 1e-12) & (s * g2 < 0.0)
+
+
+def _scalars(block: bool):
+    """The reader of the entries of a row's view, or with ``block`` of a
+    (B, ...) block's, as one flat list of floats."""
+    if block:
+        return lambda v: list(chain.from_iterable(v.tolist()))
+    return np.ndarray.tolist
+
+
+class Guarded(Layout):
+    """A layout whose law carries theta2 guards: theta2 is ``th2`` of W and
+    of dW, its copies ``theta2_at`` of W (copies x M, or M). ``signs`` and
+    ``theta2_lower`` are an enabled projection's, ``floor`` a
+    continuous-time stage's invertibility floor, each (M,), or (B, M) in a
+    group's law (``_rows.stack``). Each guard takes a row's views or a (B,
+    ...) block's, and tests its rule on Python scalars before it acts."""
+
+    rate = ProjectionConfig.rate  # on the law's own signs and bounds
+
+    def landing(self):
+        """``land(copies, f2)`` (see ``_rows.run``): a theta2 that step i
+        left outside the bound in ``copies``, those of row i + 1, lands on
+        it, gradient then correction, and the correction goes into row i's
+        proj_f2 columns ``f2``."""
+        s, lower = self.signs, self.theta2_lower
+        s_l, lower_l = s.ravel().tolist(), lower.ravel().tolist()
+        flat = _scalars(s.ndim > 1)
+
+        def land(copies, f2):
+            t = copies[0]
+            if any(map(lt, map(mul, s_l, flat(t)), lower_l)):
+                f2[...] = out = np.where(s * t < lower, s * lower - t, 0.0)
+                for th2 in copies:
+                    th2 += out
+
+        return land
+
+    def ct_guards(self):
+        """``(guard, clamp)`` (see ``_rows.run_ct``). ``guard((theta2, g2),
+        dz)`` raises SingularGainError at a |theta2| below the floor, and
+        returns the rate dz, or a copy of it in which the projection nulls
+        theta2's outward rate ``g2`` on the bound (``rate``), so that the
+        row keeps the raw rate. ``clamp(z)`` snaps each copy of theta2 in z
+        = [F, W] that integration left a hair inside the bound onto it,
+        None without a projection."""
+        s, lower, floor = self.signs, self.theta2_lower, self.floor
+        # theta2's positions in z = [F, W] and in its rate [dF, dW]
+        at = self.nF + self.theta2_at.reshape(-1, self.theta2_at.shape[-1])
+        flat = _scalars((floor if s is None else s).ndim > 1)
+        s_l = lower_l = clamp = None
+        if s is not None:
+            s_l, lower_l = s.ravel().tolist(), lower.ravel().tolist()
+            sc, lc = s[..., None, :], lower[..., None, :]
+            at_l = at.ravel()
+            # the sign and bound of each entry of z at ``at``
+            s_at, lower_at = (np.broadcast_to(v, v.shape[:-2] + at.shape)
+                              .ravel().tolist() for v in (sc, lc))
+
+            def clamp(z):
+                if any(map(lt, map(mul, s_at, flat(z.take(at_l, -1))),
+                           lower_at)):
+                    t = z[..., at]
+                    z[..., at] = np.where(sc * t < lc, sc * lc, t)
+        floor_l = [] if floor is None else floor.ravel().tolist()
+
+        def guard(views, dz):
+            theta2, g2 = views
+            t2 = flat(theta2)
+            if any(map(lt, map(abs, t2), floor_l)):
+                raise SingularGainError(f"theta2 diagonal {theta2} below "
+                                        "the invertibility threshold")
+            if s_l and any(map(_nulls, s_l, t2, lower_l, flat(g2))):
+                dz = dz.copy()
+                dz[..., at] += self.rate(theta2, g2)[..., None, :]
+            return dz
+
+        return guard, clamp
+
+
+class _IndirectLaw(Law, Guarded):
+    """The indirect gradient law, with its theta2 guards."""
 
 
 def _active(projection: ProjectionConfig | None):
@@ -171,22 +212,14 @@ def _floor(projection: ProjectionConfig | None, M: int, stage=False):
     return floor - 1e-15
 
 
-def _start(law, projection: ProjectionConfig | None, theta0):
-    """``projection`` when enabled, after its start check on ``theta0``,
-    else None; with it theta2's raw rate is recorded as proj_g2."""
+def _carry(law: Guarded, projection: ProjectionConfig | None, floor=None):
+    """``projection`` when enabled, else None; ``law`` then carries its
+    signs and bounds, and the stage ``floor`` (see ``Guarded``)."""
     proj = _active(projection)
+    law.floor = floor
     if proj is not None:
-        proj.check_start(theta0)
-        law.cols["proj_g2"] = np.arange(law.dW.start, law.dW.stop)[law.th2]
+        law.signs, law.theta2_lower = proj.signs, proj.theta2_lower
     return proj
-
-
-def _projection_records(law, M):
-    """The records of theta2's raw rate (proj_g2, zero without an enabled
-    projection) and its correction (proj_f2) that a run's records add to
-    ``law.cols``: {name: row shape}."""
-    return {name: (M,) for name in ("proj_g2", "proj_f2")
-            if name not in law.cols}
 
 
 def _check_floor(theta2, projection: ProjectionConfig | None, t0: int = 0):
@@ -301,7 +334,8 @@ def _indirect_law(A, B, Am, Bm, gains, P, x0, xm0, xhat0) -> Law:
         WT[1 + j, j * C:(j + 1) * C] = P[j]
         Kx[j, :n] = P[j, :n]
         Kx[j, n + j] = 1.0
-    law = Law(L, G, F, W, M, xi_in_m=M > 1, xi_in_ab=False, rho=False)
+    law = _IndirectLaw(L, G, F, W, M, xi_in_m=M > 1, xi_in_ab=False,
+                       rho=False)
     law.cols["x_hat"] = law.F0 + n * cxh + np.arange(n)
     # theta2 in row 1 + j and in row 0 of W^T, and their positions in W
     law.theta2 = lambda W: (W[..., law.th2], W[..., n:MC:C + 1])
@@ -310,14 +344,12 @@ def _indirect_law(A, B, Am, Bm, gains, P, x0, xm0, xhat0) -> Law:
 
 
 def _indirect_member(plant, ref, signal, gains, projection, init, horizon,
-                     h, match=SOLVE, stream=None) -> Member:
-    """An indirect run with step size ``h`` (1 in discrete time) set up,
-    ``stream`` as for ``direct._direct_member``. The store of a discrete
-    run raises SingularGainError at a theta2 below the invertibility
-    threshold, and the guards of a continuous-time one (``_ct_guards``) at
-    a stage's."""
-    x0, xm0, theta0, _, xhat0 = _check_run_args(plant, ref, signal, gains,
-                                                init, horizon, projection)
+                     h, match=SOLVE, stream=None, method="rk4") -> Member:
+    """An indirect run with step size ``h`` (1 in discrete time) set up
+    (``_projected``), ``stream`` and ``method`` as for
+    ``direct._direct_member``."""
+    x0, xm0, theta0, _, xhat0 = _check_run_args(
+        plant, ref, signal, gains, init, horizon, projection, h, method)
     match = _diagonal_match(_matching(plant, ref, match))
     n, M = plant.n, plant.n_inputs
     P = theta0.T.copy()
@@ -336,52 +368,50 @@ def _indirect_member(plant, ref, signal, gains, projection, init, horizon,
 
     spec = TraceSpec("indirect_gradient", plant.time_domain, horizon, h,
                      V_series)
-    if plant.time_domain != DISCRETE:
-        return _projected_ct(law, signal, projection, theta0, spec, stream,
-                             _floor(projection, M, stage=True))
-    proj = _start(law, projection, theta0)
-    # the landing's corrections of a chunk's steps
-    f2 = np.zeros((_rows.CHUNK + 1, M))
-
-    def check(rows, t0):
-        steps = rows["theta"].shape[0]
-        rows["proj_f2"] = f2[:steps].copy()
-        f2[...] = 0.0
-        if "proj_g2" not in rows:
-            rows["proj_g2"] = np.zeros((steps, M))
-        if t0 + steps == horizon + 1:
-            # no update follows the final step
-            rows["proj_g2"][-1] = rows["proj_f2"][-1] = 0.0
-        # a step checks theta2 before its divergence probe, so the
-        # divergence row is checked too
-        _check_floor(_theta2(rows["theta"]), projection, t0)
-
-    return _set_up(law, signal, spec, stream, _projection_records(law, M),
-                   after_step=proj and proj.landing(law, f2), check=check)
+    return _projected(law, signal, projection, theta0, spec, stream,
+                      None if plant.time_domain == DISCRETE
+                      else _floor(projection, M, stage=True))
 
 
-def _projected_ct(law, signal, projection, theta0, spec, stream,
-                  floor=None) -> Member:
-    """A continuous-time run of ``law`` from its ``z0`` under
-    ``projection`` set up, the one path of both indirect schemes:
-    ``_start``, the guards ``_ct_guards`` with ``floor``, and proj_f2, the
-    projection's correction of each recorded rate, set in each chunk's
-    records; ``spec`` makes its trace and ``stream`` is as for
-    ``direct._set_up``."""
-    proj = _start(law, projection, theta0)
+def _projected(law, signal, projection, theta0, spec, stream,
+               floor=None) -> Member:
+    """A run of ``law`` from its ``z0`` under ``projection`` set up, the
+    one path of both indirect schemes: the law carries an enabled
+    projection, checked on ``theta0``, and the stage ``floor`` (``_carry``);
+    the records add theta2's raw rate and its correction (proj_g2, proj_f2;
+    zero without one), a record column of a discrete row, set in each chunk
+    in continuous time. A discrete store raises SingularGainError at a
+    theta2 below the invertibility threshold. ``spec`` makes the trace;
+    ``stream`` is as for ``direct._set_up``."""
+    proj = _carry(law, projection, floor)
     M = theta0.shape[1]
+    discrete = spec.time_domain == DISCRETE
+    if proj is not None:
+        proj.check_start(theta0)
+        law.cols["proj_g2"] = np.arange(law.dW.start, law.dW.stop)[law.th2]
+        if discrete:
+            law.f2 = slice(law.width, law.width + M)
+            law.cols["proj_f2"] = np.arange(law.width, law.width + M)
+            law.width += M
 
     def check(rows, t0):
         steps = rows["theta"].shape[0]
         if proj is None:
             rows["proj_g2"] = rows["proj_f2"] = np.zeros((steps, M))
-        else:
+        elif not discrete:
             rows["proj_f2"] = proj.rate(_theta2(rows["theta"]),
                                         rows["proj_g2"])
+        if discrete:
+            if t0 + steps == spec.horizon + 1:
+                # no update follows the final step
+                rows["proj_g2"][-1] = rows["proj_f2"][-1] = 0.0
+            # a step checks theta2 before its divergence probe, so the
+            # divergence row is checked too
+            _check_floor(_theta2(rows["theta"]), projection, t0)
 
-    after_step, adjust = _ct_guards(law, proj, floor)
-    return _set_up(law, signal, spec, stream, _projection_records(law, M),
-                   after_step=after_step, adjust=adjust, check=check)
+    return _set_up(law, signal, spec, stream,
+                   {name: (M,) for name in ("proj_g2", "proj_f2")
+                    if name not in law.cols}, check)
 
 
 def run_indirect_scenario(plant: PlantModel, ref: ReferenceModel,
@@ -397,46 +427,6 @@ def run_indirect_scenario(plant: PlantModel, ref: ReferenceModel,
     domain = plant.time_domain
     run = _indirect_member(plant, ref, signal, gains, projection, init,
                            horizon, 1.0 if domain == DISCRETE else h, match,
-                           stream)
+                           stream, method)
     return _drive(run, domain, horizon, h, method, integrate_ct)
 
-
-def _ct_guards(law, projection, floor=None):
-    """``after_step`` and ``adjust`` of a continuous-time run (see
-    ``_rows.run_ct``) of a law whose theta2 is ``law.th2`` of W, every copy
-    at ``law.theta2_at``: a row with |theta2| below ``floor`` raises, and a
-    ``projection`` nulls theta2's outward rate on the bound and snaps every
-    copy of theta2 in z onto the bound after each step. Both are None when
-    there is neither."""
-    if projection is None and floor is None:
-        return None, None
-    floor_l = [] if floor is None else floor.tolist()
-    clamp = None
-    if projection is not None:
-        # theta2's positions in z = [F, W] and in its rate [dF, dW]
-        at = law.nF + law.theta2_at
-        clamp = projection.clamp(at)
-        signs_l, lower_l = (projection.signs.tolist(),
-                            projection.theta2_lower.tolist())
-
-    def adjust(row):
-        theta2, g2 = row[law.W][law.th2], row[law.dW][law.th2]
-
-        def check(dz):
-            t2 = theta2.tolist()
-            for t, lo in zip(t2, floor_l):
-                if abs(t) < lo:
-                    raise SingularGainError(
-                        f"theta2 diagonal {theta2} below the invertibility "
-                        "threshold")
-            if projection is not None and any(
-                    map(_nulls, signs_l, t2, lower_l, g2.tolist())):
-                # a copy, so that the row keeps recording the unadjusted
-                # rate
-                dz = dz.copy()
-                dz[at] += projection.rate(theta2, g2)
-            return dz
-
-        return check
-
-    return clamp, adjust

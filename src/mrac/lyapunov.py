@@ -19,7 +19,7 @@ from .diagnostics import SimulationTrace, TraceSpec, value_series
 from .direct import (SOLVE, InitialConditions, _check_run_args, _drive,
                      _matching, _set_up, _spd_check)
 from .errors import GainError, ModelError
-from .indirect import (ProjectionConfig, _active, _ct_guards, _projected_ct,
+from .indirect import (Guarded, ProjectionConfig, _carry, _projected,
                        theta_star_indirect)
 # the benchmark's tracer wraps solve_matching here by name
 from .systems import (CONTINUOUS, PlantModel, ReferenceModel,  # noqa: F401
@@ -46,10 +46,7 @@ def solve_lyapunov_ct(A_m, Q) -> LyapunovCertificate:
     n = A.shape[0]
     if Qm.shape != (n, n):
         raise ModelError(f"Q must be {n} x {n}, got {Qm.shape}")
-    if not np.allclose(Qm, Qm.T, atol=1e-10, rtol=0.0):
-        raise ModelError("Q must be symmetric")
-    if np.min(np.linalg.eigvalsh(Qm)) <= 0.0:
-        raise ModelError("Q must be positive definite")
+    _spd_check(Qm, "Q", ModelError)
     if not is_hurwitz(A):
         raise ModelError("A_m is not Hurwitz; the Lyapunov equation has no P > 0")
     eye = np.eye(n)
@@ -188,7 +185,7 @@ def build_lyapunov_loop(plant: PlantModel, ref: ReferenceModel,
 
         # d theta = outer(Gd omega, -w): w = S_p^T B_m^T P e, Gd = I
         # (multi-input), or w = sign(k2) e^T P b_m, Gd = diag(Gamma, gamma)
-        Gd, keep, adjust = np.eye(C), 1.0, None
+        Gd, keep, guard = np.eye(C), 1.0, None
         if gains.S_p is not None:
             Wp = gains.S_p.T @ Bm.T @ P
         else:
@@ -244,13 +241,13 @@ def build_lyapunov_loop(plant: PlantModel, ref: ReferenceModel,
         Wcdot = Wc.dot
         # scratch: w, Gamma1 w, -diag(Gamma2) w and Gamma1 x; the rate of
         # theta2's off-diagonal entries is never written and stays zero
-        law = _rows.Layout(0, nF, M, 3 * M + n, C * M)
+        law = Guarded(0, nF, M, 3 * M + n, C * M)
         R, U, W, dW = law.R, law.U, law.W, law.dW
         nM = n * M
         # the Theta2 diagonal, which closes W (and dW)
         law.th2 = th2 = slice(nM, None, M + 1)
         law.theta2_at = np.arange(C * M)[th2]
-        adjust = _ct_guards(law, _active(projection))[1]
+        guard = _carry(law, projection) and law.ct_guards()[0]
 
         def views(row, dF):
             mid, x, T, dT = row[U.stop:W.start], row[X0:nF], row[W], row[dW]
@@ -326,7 +323,8 @@ def build_lyapunov_loop(plant: PlantModel, ref: ReferenceModel,
         row[law.R] = signal.at(tau)
         step(views(row, row[law.dF]))
         dz = row[law.dF.start:]
-        return dz if adjust is None else adjust(row)(dz)
+        return (guard((row[W][law.th2], row[dW][law.th2]), dz) if guard
+                else dz)
 
     return LyapunovLoop(ct=cert, law=law, rhs=rhs, pack=pack, V=V,
                         V_series=V_series)
@@ -347,12 +345,12 @@ def run_lyapunov_scenario(plant: PlantModel, ref: ReferenceModel,
     run diverges as the gradient runs do (see ``_rows``), at the first step
     at which an element of x or u is not finite, or after a step whose
     integration is not finite. The indirect scheme's projection acts as the
-    gradient one's, without a floor (``indirect._projected_ct``).
+    gradient one's, without a floor (``indirect._projected``).
     ``cert`` and ``match`` are as for ``build_lyapunov_loop``, ``stream``
     as for the gradient runners.
     """
-    x0, xm0, theta0, _, xhat0 = _check_run_args(plant, ref, signal, gains,
-                                                init, horizon, projection)
+    x0, xm0, theta0, _, xhat0 = _check_run_args(
+        plant, ref, signal, gains, init, horizon, projection, h, method)
     loop = build_lyapunov_loop(plant, ref, signal, mode, gains, projection,
                                cert, match)
     law, n = loop.law, plant.n
@@ -366,7 +364,7 @@ def run_lyapunov_scenario(plant: PlantModel, ref: ReferenceModel,
     spec = TraceSpec(f"lyapunov_{mode}", CONTINUOUS, horizon, h,
                      V_series if loop.V_series is not None else None)
     if mode == "indirect":
-        run = _projected_ct(law, signal, projection, theta0, spec, stream)
+        run = _projected(law, signal, projection, theta0, spec, stream)
     else:
         run = _set_up(law, signal, spec, stream)
     return _drive(run, CONTINUOUS, horizon, h, method, integrate_ct)

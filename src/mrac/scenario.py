@@ -24,8 +24,9 @@ import numpy as np
 # check_delta_V, direct_V_series, indirect_V_series and tracking_metrics
 # stay module attributes: the benchmark's tracer wraps them here by name
 from .diagnostics import (Keep, Reduction, SimulationTrace,  # noqa: F401
-                          _stack_gains, check_delta_V, direct_V_series,
-                          first_violation, indirect_V_series, tracking_metrics)
+                          _entries, _stack_gains, check_delta_V,
+                          direct_V_series, first_violation, indirect_V_series,
+                          tracking_metrics)
 from . import _rows
 from .direct import (DirectGainConfig, InitialConditions, _direct_member,
                      _matching, run_direct_scenario, stack_controller_gains)
@@ -506,10 +507,7 @@ def build_gains(scheme: str, gains: dict, n: int, M: int, time_domain: str):
             from .indirect import IndirectGainConfig
             return IndirectGainConfig(Gamma=Gamma, time_domain=time_domain)
         return DirectGainConfig(
-            Gamma=Gamma,
-            gamma=np.atleast_1d(np.asarray(gains["gamma"], float)),
-            sign_k2=np.atleast_1d(np.asarray(gains["sign_k2"], float)),
-            k2_lower=np.atleast_1d(np.asarray(gains["k2_lower"], float)),
+            Gamma, gains["gamma"], gains["sign_k2"], gains["k2_lower"],
             time_domain=time_domain,
             enforce_diagonal_k2=gains["enforce_diagonal_k2"])
     from .lyapunov import LyapunovDirectGains, LyapunovIndirectGains
@@ -530,12 +528,12 @@ def build_projection(projection: dict, M: int) -> ProjectionConfig:
     """The projection of an M-input plant from a checked section."""
     from .indirect import ProjectionConfig
     # one sign for every input, or one per input
-    signs = np.broadcast_to(np.asarray(projection["signs"], float), (M,))
+    signs = _entries(projection["signs"], "signs", M, True)
     if "theta2_lower" in projection:
-        return ProjectionConfig(projection["theta2_lower"], signs.copy(),
+        return ProjectionConfig(projection["theta2_lower"], signs,
                                 projection["enabled"])
-    return ProjectionConfig.from_k2_upper(projection["k2_upper"],
-                                          signs.copy(), projection["enabled"])
+    return ProjectionConfig.from_k2_upper(projection["k2_upper"], signs,
+                                          projection["enabled"])
 
 
 def resolve_init(init: dict, scheme: str, match) -> InitialConditions:

@@ -372,7 +372,7 @@ class TestOneIntegrationPerStep:
 class TestTheta2Positions:
     @pytest.mark.parametrize("M", [1, 2])
     def test_indirect_positions_name_every_theta2_copy(self, M):
-        from mrac.indirect import _ct_guards, _floor, _indirect_law
+        from mrac.indirect import _carry, _floor, _indirect_law
         plant, ref, K1s, K2s = random_matchable_instance(3, M, 4, "continuous")
         gains = IndirectGainConfig(Gamma=np.stack([np.eye(3 + M)] * M),
                                    time_domain="continuous")
@@ -397,7 +397,8 @@ class TestTheta2Positions:
         signs = np.sign(np.diag(K2s))
         lower = 0.5 * np.abs(np.diag(K2s))
         proj = ProjectionConfig(theta2_lower=lower, signs=signs)
-        clamp, _ = _ct_guards(law, proj, _floor(proj, M, stage=True))
+        _carry(law, proj, _floor(proj, M, stage=True))
+        _, clamp = law.ct_guards()
         z = np.random.default_rng(M).normal(size=law.z0.shape[0])
         at = law.nF + law.theta2_at
         # the first copies inside the bound, the second outside it
@@ -410,7 +411,6 @@ class TestTheta2Positions:
 
     @pytest.mark.parametrize("M", [1, 2])
     def test_lyapunov_positions_name_the_theta2_diagonal(self, M):
-        from mrac.indirect import _ct_guards
         from mrac.lyapunov import build_lyapunov_loop
         plant, ref, K1s, K2s = random_matchable_instance(3, M, 5, "continuous")
         signal = ReferenceSignal.constant(np.ones(M))
@@ -430,12 +430,69 @@ class TestTheta2Positions:
         # and so do the guards, through law.th2
         assert np.array_equal(row[law.W][law.th2], np.diag(T2))
 
-        # the runner's after_step, the projection's clamp on this law
-        clamp = _ct_guards(law, proj)[0]
+        # the runner's clamp, which the law carries with the projection
+        _, clamp = law.ct_guards()
         before = z.copy()
         clamp(z)
         assert z[at[0]] == 1.5
         assert np.array_equal(np.delete(z, at[:1]), np.delete(before, at[:1]))
+
+
+    def test_the_guards_take_a_block_of_members(self):
+        # a stacked law's clamp and rate check act on a (2, ...) block of
+        # two members with bounds of their own as each member's law acts
+        # on its own row
+        from mrac import SingularGainError, _rows
+        from mrac.indirect import _carry, _floor, _indirect_law
+        M = 2
+        plant, ref, K1s, K2s = random_matchable_instance(3, M, 4, "continuous")
+        gains = IndirectGainConfig(Gamma=np.stack([np.eye(3 + M)] * M),
+                                   time_domain="continuous")
+        P = theta_star_indirect(K1s, K2s).T.copy()
+        signs = np.sign(np.diag(K2s))
+        laws = []
+        for scale in (0.5, 0.8):
+            law = _indirect_law(plant.A, plant.B, ref.A_m, ref.B_m, gains, P,
+                                np.zeros(3), np.zeros(3), np.zeros(3))
+            proj = ProjectionConfig(scale * np.abs(np.diag(K2s)), signs)
+            _carry(law, proj, _floor(proj, M, stage=True))
+            laws.append(law)
+        group = _rows.stack(laws)
+        lower = np.stack([law.theta2_lower for law in laws])
+        at = group.nF + group.theta2_at
+        rng = np.random.default_rng(4)
+        # the first copies inside the bound, the second outside it
+        z = rng.normal(size=(2, group.z0.shape[-1]))
+        z[:, at] = (signs * lower)[:, None, :] * np.array([[0.9], [1.5]])
+        clamped = z.copy()
+        group.ct_guards()[1](clamped)
+        assert not np.array_equal(clamped, z)
+        rows = np.zeros((2, group.width))
+        # theta2 on the bound, its rate outward for input 0 only
+        rows[:, group.W] = z[:, group.nF:]
+        rows[:, group.W.start + group.theta2_at] = (signs * lower)[:, None]
+        rows[:, group.dW] = rng.normal(size=(2, group.dW.stop
+                                             - group.dW.start))
+        rows[:, group.dW.start + group.theta2_at] = signs * [-1.0, 1.0]
+        dz = slice(group.dF.start, group.dW.stop)
+
+        def views(row):
+            return row[..., group.W][..., group.th2], \
+                row[..., group.dW][..., group.th2]
+
+        rates = group.ct_guards()[0](views(rows), rows[:, dz])
+        assert np.any(rates != rows[:, dz])
+        for b, law in enumerate(laws):
+            alone = z[b].copy()
+            law.ct_guards()[1](alone)
+            assert np.array_equal(clamped[b], alone)
+            guard = law.ct_guards()[0]
+            assert np.array_equal(rates[b], guard(views(rows[b]),
+                                                  rows[b, dz]))
+        # a member below its floor stops the block
+        rows[1, group.W.start + group.theta2_at[0]] = 0.1 * lower[1]
+        with pytest.raises(SingularGainError):
+            group.ct_guards()[0](views(rows), rows[:, dz])
 
 
 class TestDivergenceOnTheInputs:

@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,8 +12,11 @@ from mrac import (GainError, IndirectGainConfig, InitialConditions,
                   check_delta_V, indirect_V_series, integrate_ct,
                   run_indirect_scenario, solve_matching,
                   stack_controller_gains, theta_star_indirect)
+from mrac.indirect import Guarded, _carry
+from mrac.scenario import config_from_dict, run_lockstep, run_scenario
 from ct_oracle import projection_rate
 from conftest import K1_TRUE, K2_TRUE, ct_instance, mimo_indirect_case
+from test_lockstep import member
 
 THETA1_TRUE = np.array([-0.95, -2.2])  # k1*/k2*
 THETA2_TRUE = 2.0  # 1/k2*
@@ -76,23 +78,24 @@ class TestEpsilon:
 
 
 class TestProjection:
-    """The projection landing by hand, in the oracle and in
-    ``ProjectionConfig.landing``, the runners' hook, which must agree with
-    it; the runner's use of it is checked in
+    """The projection landing by hand, in the oracle and in the landing a
+    law carries (``Guarded.landing``), which must agree with it; the
+    runner's use of it is checked in
     ``TestScenario.test_projection_fires_and_invariants_hold``."""
 
     def _gains(self):
         return IndirectGainConfig(Gamma=np.eye(2), time_domain="discrete")
 
     def _landed(self, proj, theta, eps, frame):
-        # the oracle's step, and the hook landing its gradient step's theta2
-        # in a row holding two copies of it
+        # the oracle's step, and the law's landing of its gradient step's
+        # theta2 in a row holding two copies of it
         nxt, g2, f2 = indirect_step(self._gains(), proj, np.array(theta),
                                     eps, frame)
         row = np.full(2, theta[1][0] + g2[0])
-        law = SimpleNamespace(W=slice(0, 2), theta2=lambda W: (W[:1], W[1:]))
+        law = Guarded(0, 0, 1, 0, 2)
+        _carry(law, proj)
         f2_rec = np.zeros((3, 1))
-        proj.landing(law, f2_rec)(row, 1)()
+        law.landing()((row[:1], row[1:]), f2_rec[1])
         assert np.array_equal(row, [nxt[1, 0]] * 2)
         assert np.array_equal(f2_rec, [[0.0], f2, [0.0]])
         return nxt, g2, f2
@@ -151,6 +154,52 @@ class TestProjection:
                                time_domain="discrete")
         with pytest.raises(GainError, match="spectral bound"):
             IndirectGainConfig(Gamma=2.5 * np.eye(3), time_domain="discrete")
+
+
+class TestLandingAcrossChunks:
+    """The landing on a lone run's rows (128-row chunks) and on a group of
+    four's blocks (32-row chunks): step 127 ends a chunk in both, and its
+    row i + 1 carries over as the next chunk's row 0."""
+
+    def _traces(self, members):
+        # the first member alone, then in a group with the others
+        cfgs = [config_from_dict(data) for data in members]
+        grouped = next(run_lockstep(cfgs))
+        return run_scenario(cfgs[0]).trace, grouped.trace, cfgs[0]
+
+    def test_a_step_that_ends_a_chunk_lands_as_the_oracle(self):
+        members = [member(s, "indirect_gradient", k2_upper=0.9)
+                   for s in (0, 4, 6, 7)]
+        lone, grouped, cfg = self._traces(members)
+        b = cfg.built
+        records, _ = replay_indirect(b.plant, b.reference, b.signal, b.gains,
+                                     b.projection, b.init, cfg.horizon)
+        # the oracle lands theta2_2 on its bound at step 127
+        fired = records[127]["proj_f2"] != 0.0
+        landed = b.projection.signs * np.diag(records[128]["theta"][-2:])
+        assert fired.tolist() == [False, True]
+        assert abs(landed[1] - b.projection.theta2_lower[1]) <= 4e-16
+        for trace in (lone, grouped):
+            assert trace.proj_fired[127]
+            assert np.max(np.abs(trace.proj_f2[127]
+                                 - records[127]["proj_f2"])) <= 1e-12
+            assert np.max(np.abs(trace.theta[128]
+                                 - records[128]["theta"])) <= 1e-12
+
+    def test_no_correction_outlives_its_chunk(self):
+        # theta2* inside the bound and theta2 starting just above it: the
+        # projection fires at step 4 only, and the rows that reuse step 4's
+        # buffer row (steps 132 and 260 alone, 36, 68, ... in the group)
+        # record no correction
+        once = member(6, "indirect_gradient", k2_upper=1.0005 / 0.9,
+                      name="once")
+        once["init"] = {"theta_scale": 0.9}
+        members = [once] + [member(s, "indirect_gradient", k2_upper=0.9)
+                            for s in (0, 4, 7)]
+        for trace in self._traces(members)[:2]:
+            assert np.flatnonzero(trace.proj_fired).tolist() == [4]
+            assert np.any(trace.proj_f2[4] != 0.0)
+            assert not np.any(trace.proj_f2[5:])
 
 
 class TestControlRecovery:

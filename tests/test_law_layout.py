@@ -162,8 +162,7 @@ def test_filter_columns_match_the_bank(scheme):
             rec[name][t0:t0 + block.shape[0]] = block
 
     # a lone run is a group of one
-    assert _rows.run([Member(law, store, None, None, None,
-                             lambda lo, hi: r[lo:hi])],
+    assert _rows.run([Member(law, store, None, lambda lo, hi: r[lo:hi])],
                      DISCRETE_HORIZON + 1) == [None]
     bank = ChannelFilterBank(ref, C)
     for t in range(DISCRETE_HORIZON + 1):

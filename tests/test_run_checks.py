@@ -8,7 +8,8 @@ import pytest
 from mrac import (DirectGainConfig, GainError, IndirectGainConfig,
                   InitialConditions, LyapunovDirectGains,
                   LyapunovIndirectGains, ModelError, PlantModel,
-                  ReferenceSignal, random_matchable_instance,
+                  ProjectionConfig, ProjectionError, ReferenceSignal,
+                  direct_V_series, gamma0_direct, random_matchable_instance,
                   run_direct_scenario, run_indirect_scenario,
                   run_lyapunov_scenario)
 from mrac.scenario import benchmark_config, run_scenario
@@ -98,6 +99,65 @@ def test_initial_states_must_fit(M, init, message):
                              sign_k2=[1.0] * M, k2_lower=1.0)
     with pytest.raises(ModelError, match=message):
         run_direct_scenario(plant, ref, sig, gains, init, 10)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: DirectGainConfig(0.1 * np.eye(4), gamma=[1, 1, 1],
+                              sign_k2=[1, 1], k2_lower=[0.5, 0.5]),
+     GainError, r"^gamma must have shape \(2,\), got \(3,\)$"),
+    (lambda: DirectGainConfig(0.1 * np.eye(4), gamma=1.0, sign_k2=[1, 1],
+                              k2_lower=[0.5, 0.5, 0.5]),
+     GainError, r"^k2_lower must have shape \(2,\), got \(3,\)$"),
+    (lambda: ProjectionConfig([0.1, 0.2, 0.3], [1, 1]),
+     ProjectionError, r"^theta2_lower must have shape \(2,\), got \(3,\)$"),
+    (lambda: gamma0_direct(np.eye(3), [1, 1, 1], [1, 2]),
+     GainError, r"^gamma must have shape \(2,\), got \(3,\)$"),
+    (lambda: direct_V_series(np.zeros((3, 3, 2)), np.zeros((3, 2)),
+                             np.zeros((3, 2)), [1, 2], np.eye(3), [1, 1, 1],
+                             np.zeros((3, 1)), np.ones(3)),
+     GainError, r"^gamma must have shape \(2,\), got \(3,\)$")],
+    ids=["DirectGainConfig.gamma", "DirectGainConfig.k2_lower",
+         "ProjectionConfig.theta2_lower", "gamma0_direct", "direct_V_series"])
+def test_a_per_input_vector_of_another_size_is_named(make, error, message):
+    # one entry or one per input; numpy's broadcast error used to escape
+    with pytest.raises(error, match=message):
+        make()
+
+
+@pytest.mark.parametrize("h, method, message", [
+    (0.0, "rk4", r"^h must be positive and finite, got 0\.0$"),
+    (float("nan"), "rk4", r"^h must be positive and finite, got nan$"),
+    (float("inf"), "rk4", r"^h must be positive and finite, got inf$"),
+    (0.01, "foo", r"^method must be 'rk4' or 'euler', got 'foo'$")],
+    ids=["zero", "nan", "inf", "method"])
+@pytest.mark.parametrize("scheme", ["direct", "indirect", "lyapunov"])
+def test_a_continuous_step_and_method_are_checked_first(scheme, h, method,
+                                                        message):
+    # each used to fail inside the first step, or report a divergence at
+    # step 0, after set-up
+    plant, ref, sig = instance(M=1, time_domain="continuous")
+    domain = "continuous"
+    if scheme == "direct":
+        run = run_direct_scenario
+        args = (DirectGainConfig(np.eye(3), 1.0, [1.0], 1.0, domain),)
+    elif scheme == "indirect":
+        run = run_indirect_scenario
+        args = (IndirectGainConfig(np.eye(3), domain), None)
+    else:
+        run = run_lyapunov_scenario
+        args = ("indirect", LyapunovIndirectGains(np.eye(2), np.eye(1)), None)
+    with pytest.raises(ModelError, match=message):
+        run(plant, ref, sig, *args, InitialConditions(), 10, h=h,
+            method=method)
+    # a discrete run has no step size or integrator to check
+    if scheme != "lyapunov":
+        plant, ref, sig = instance(M=1)
+        args = ((DirectGainConfig(0.1 * np.eye(3), 1.0, [1.0], 1.0),)
+                if scheme == "direct" else (IndirectGainConfig(np.eye(3)),
+                                            None))
+        init = InitialConditions(theta0=[[0.0], [0.0], [1.0]])
+        assert run(plant, ref, sig, *args, init, 10, h=h,
+                   method=method).steps == 11
 
 
 def test_one_rho0_entry_stands_for_every_input():
