@@ -23,8 +23,9 @@ from .diagnostics import SimulationTrace, feed
 from .errors import ConfigError, ToolkitError
 from .scenario import (MEMORY_BUDGET_BYTES, PATH_CHARS, ScenarioRun,
                        benchmark_config, blocked_dir, config_from_dict,
-                       load_config, lockstep_key, run_lockstep, run_scenario,
-                       serialize_config, streamed_bytes, summary_dict)
+                       load_config, lockstep_key, read_document, run_lockstep,
+                       run_scenario, serialize_config, streamed_bytes,
+                       summary_dict)
 
 TRACE_COLUMNS_DOC = ("t, x_1..x_n, xm_1..xm_n, e_1..e_n, u_1..u_M, "
                      "eps_1..eps_n, m, V, dV, proj_fired")
@@ -332,18 +333,14 @@ def _set_dotted(data: dict, dotted: str, value) -> None:
 def _document(item, where: str, errors: list):
     """A config object of a batch spec, given inline or as a path to a JSON
     file; None, with the problem added to ``errors``, when it is neither."""
-    if isinstance(item, str):
-        try:
-            with open(item, "r", encoding="utf-8") as fh:
-                item = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            errors.append(f"{where}: {exc}")
-            return None
-    if not isinstance(item, dict):
-        errors.append(f"{where}: expected a config object or a path, "
-                      f"got {item!r}")
-        return None
-    return item
+    try:
+        item = read_document(item) if isinstance(item, str) else item
+        if isinstance(item, dict):
+            return item
+        problem = f"expected a config object or a path, got {item!r}"
+    except ConfigError as exc:
+        [problem] = exc.errors
+    errors.append(f"{where}: {problem}")
 
 
 def expand_batch_spec(spec) -> list[dict]:
@@ -456,10 +453,7 @@ def _clashes(loaded, out_dir) -> dict:
 def cmd_batch(args) -> int:
     errors = []
     try:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            members = expand_batch_spec(json.load(fh))
-    except (OSError, json.JSONDecodeError) as exc:
-        errors = [f"invalid batch spec: {exc}"]
+        members = expand_batch_spec(read_document(args.spec))
     except ConfigError as exc:
         errors = [f"invalid batch spec: {err}" for err in exc.errors]
     errors += [f"invalid: {err}" for err in _out_errors(args.out)]

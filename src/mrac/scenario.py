@@ -90,22 +90,28 @@ def blocked_dir(path: str) -> Optional[str]:
     return None if os.path.isdir(head) else head
 
 
+def read_document(source, unreadable: str = "", text: bool = False):
+    """The JSON value of the UTF-8 file at the path ``source``, byte-order
+    mark or not, or, when ``text``, of a str that starts "{" after blanks. A
+    failure is one ConfigError line; ``unreadable`` heads a read failure."""
+    if not (text and isinstance(source, str) and source.lstrip()[:1] == "{"):
+        try:
+            with open(os.fspath(source), "rb") as fh:
+                source = fh.read().decode("utf-8-sig")
+        except (OSError, ValueError) as exc:  # a NUL in the path, not UTF-8
+            raise ConfigError([f"{unreadable}{exc}"])
+    try:
+        return json.loads(source)
+    except json.JSONDecodeError as exc:
+        raise ConfigError([f"parse error at line {exc.lineno}, column "
+                           f"{exc.colno}: {exc.msg}"])
+    except (RecursionError, ValueError) as exc:  # too deep, too many digits
+        raise ConfigError([f"parse error: {exc}"])
+
+
 def load_config(source) -> ScenarioConfig:
     """Parse and fully validate a scenario from a path or a JSON string."""
-    text = source
-    if isinstance(source, os.PathLike) or (
-            isinstance(source, str) and "{" not in source):
-        try:
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ConfigError([f"cannot read config file: {exc}"])
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            [f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
-        )
+    data = read_document(source, "cannot read config file: ", text=True)
     if not isinstance(data, dict):
         raise ConfigError(["config document must be a JSON object"])
     return config_from_dict(data)
@@ -127,6 +133,16 @@ def _floats(value) -> np.ndarray:
 
 # the characters that make a string a path rather than a file name
 PATH_CHARS = tuple(filter(None, ("/", os.sep, os.altsep, "\0")))
+# the longest name whose longest file, <name>.summary.json, fits in the 255
+# bytes a file name may have on common filesystems, in bytes of UTF-8
+NAME_BYTES = 255 - len(".summary.json")
+
+
+def _surrogate(text: str) -> bool:
+    """Whether ``text`` holds a lone surrogate, which JSON can spell but
+    which has no UTF-8 bytes to name a file or a directory with."""
+    return any("\ud800" <= c <= "\udfff" for c in text)
+
 
 # what a value of each scalar kind must be, and its test; JSON true/false
 # load as bool, which Python counts as an int
@@ -138,9 +154,10 @@ _KINDS = {
     "bool": ("true or false", lambda v: isinstance(v, bool)),
     "name": ("a file name", lambda v: isinstance(v, str)
              and v not in ("", ".", "..")
-             and not any(c in v for c in PATH_CHARS)),
+             and not any(c in v for c in PATH_CHARS) and not _surrogate(v)),
     "dir": ("a directory path or null", lambda v: v is None
-            or isinstance(v, str) and v != "" and "\0" not in v),
+            or isinstance(v, str) and v != "" and "\0" not in v
+            and not _surrogate(v)),
     "section": ("an object", lambda v: isinstance(v, dict)),
 }
 _NO_DEFAULT = object()
@@ -378,6 +395,11 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     scheme = data.get("scheme")
     cfg, _ = _walk("", _TOP, data, scheme if scheme in SCHEMES else None,
                    None, errors)
+    size = len(cfg.get("name", "").encode())
+    if size > NAME_BYTES:
+        errors.append(f"name: {size} bytes of UTF-8, above the limit of "
+                      f"{NAME_BYTES} that keeps <name>.summary.json within a "
+                      f"255-byte file name")
     scheme, time_domain = cfg.get("scheme"), cfg.get("time_domain")
     if scheme in _LYAPUNOV and time_domain == DISCRETE:
         errors.append(f"scheme {scheme} requires time_domain 'continuous'")

@@ -1,4 +1,4 @@
-"""Mutated configs never escape the CLI as a traceback.
+"""Mutated configs and raw documents never escape the CLI as a traceback.
 
 Each example starts from a valid config of one scheme and domain and
 applies one to three mutations: delete a key, swap in a value of the wrong
@@ -6,6 +6,12 @@ type, change a list's length or a matrix's shape, or swap in NaN, an
 infinity or a finite number up to 1e308 in magnitude. ``validate`` must exit
 0, or exit 1 with only ``invalid:`` lines; a config that validates must
 ``run`` to exit 0, 2 or 3.
+
+A fixed set of raw documents (UTF-16 and byte-order-marked copies of each
+valid config, bytes that are not UTF-8, nesting 100,000 deep, a name too
+long for its files) goes to ``validate``, ``run`` and ``batch``, the last
+both as the spec and as a member: each exits 0 or 1 with only ``invalid``
+lines on stderr, and a copy with a byte-order mark exits 0.
 """
 
 import contextlib
@@ -106,3 +112,34 @@ def test_mutated_configs_fail_cleanly(base, data):
         assert err == []
         code, _, err = _cli(["run", path, "--strict", "--out", tmp])
         assert code in (0, 2, 3), err
+
+
+# (label, the JSON value written, its encoding), or (label, bytes, None)
+# for bytes written as they are, whatever the role of the document
+RAW = ([(f"{base}-utf-16", BASES[base], "utf-16") for base in sorted(BASES)]
+       + [(f"{base}-bom", BASES[base], "utf-8-sig") for base in sorted(BASES)]
+       + [("not-utf-8", b'{"name": "\xff\xfe"}', None),
+          ("deep", b"[" * 100_000, None),
+          ("long-name", dict(BASES["direct-discrete"], name="x" * 243),
+           "utf-8")])
+
+
+@pytest.mark.parametrize("doc,encoding", [raw[1:] for raw in RAW],
+                         ids=[raw[0] for raw in RAW])
+def test_raw_documents_fail_cleanly(doc, encoding, tmp_path):
+    def write(name, value):
+        path = tmp_path / name
+        path.write_bytes(value if encoding is None
+                         else json.dumps(value).encode(encoding))
+        return str(path)
+
+    config = write("cfg.json", doc)
+    spec = write("spec.json", doc if encoding is None else {"configs": [doc]})
+    members = tmp_path / "members.json"
+    members.write_text(json.dumps({"configs": [config]}))
+    out = ["--out", str(tmp_path / "out")]
+    for argv in (["validate", config], ["run", config] + out,
+                 ["batch", spec] + out, ["batch", str(members)] + out):
+        code, _, err = _cli(argv)
+        assert code == 0 if encoding == "utf-8-sig" else code in (0, 1)
+        assert all(line.startswith("invalid") for line in err), err

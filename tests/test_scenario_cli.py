@@ -1023,6 +1023,195 @@ class TestSchema:
         assert [row["errors"] for row in rows] == [
             ["name: expected a file name, got 5"]] * 2
 
+    @staticmethod
+    def _sized_name(size):
+        # two-byte characters, so that bytes of UTF-8 count, not characters
+        return "\u00e9" * (size // 2) + "x" * (size % 2)
+
+    def test_a_name_whose_files_fit_runs(self, tmp_path, capsys):
+        # <name>.summary.json of a 242-byte name is 255 bytes long
+        name = self._sized_name(242)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(bench_dict(horizon=20, name=name)))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert sorted(os.listdir(out)) == [name + ".summary.json",
+                                           name + ".trace.csv"]
+
+    def test_a_name_too_long_for_its_files_is_invalid(self, tmp_path,
+                                                      capsys):
+        # a 245-byte name used to write its trace, then end in an OSError
+        # traceback opening its summary
+        name = self._sized_name(243)
+        want = ("name: 243 bytes of UTF-8, above the limit of 242 that keeps "
+                "<name>.summary.json within a 255-byte file name")
+        self._assert_errors(tmp_path, capsys,
+                            bench_dict(horizon=20, name=name), [want])
+        # as a batch member its row is invalid, and the others still run
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"configs": [
+            bench_dict(horizon=20, name="a"), bench_dict(horizon=20, name=name),
+            bench_dict(horizon=20, name="b")]}))
+        out = tmp_path / "out"
+        assert main(["batch", str(spec), "--out", str(out)]) == 1
+        rows = json.loads(capsys.readouterr().out)
+        assert [row["status"] for row in rows] == ["ok", "invalid", "ok"]
+        assert rows[1]["errors"] == [want]
+        assert sorted(os.listdir(out)) == [
+            "a.summary.json", "a.trace.csv", "b.summary.json", "b.trace.csv"]
+
+    def test_a_lone_surrogate_names_no_file(self, tmp_path, capsys):
+        # JSON spells "\ud800", which has no UTF-8 bytes: both used to
+        # validate, then end in a UnicodeEncodeError traceback
+        self._assert_errors(tmp_path, capsys,
+                            bench_dict(horizon=20, name="x\ud800"),
+                            ["name: expected a file name, got 'x\\ud800'"])
+        self._assert_errors(
+            tmp_path, capsys, edited(bench_dict(horizon=20), "output",
+                                     dir="x\ud800"),
+            ["output.dir: expected a directory path or null, got "
+             "'x\\ud800'"])
+
+
+class TestInputDocuments:
+    """Configs, batch specs, batch members and sweep bases are read by one
+    reader: UTF-8 with or without a byte-order mark, and every document
+    that cannot be read is an ``invalid`` line, never a traceback."""
+
+    BAD = {
+        "utf-16": json.dumps(bench_dict(horizon=20)).encode("utf-16"),
+        "not-utf-8": b'{"name": "\xff"}',
+        "deep": b"[" * 100_000,
+        "digits": b'{"horizon": ' + b"1" * 5000 + b"}",
+    }
+
+    @pytest.fixture
+    def ran(self, monkeypatch):
+        import mrac.cli as cli_mod
+        ran = []
+        monkeypatch.setattr(cli_mod, "run_scenario",
+                            lambda *args: ran.append(args))
+        monkeypatch.setattr(cli_mod, "run_lockstep",
+                            lambda *args: ran.append(args))
+        return ran
+
+    @staticmethod
+    def _argv(role, path, tmp_path):
+        out = ["--out", str(tmp_path / "out")]
+        if role in ("validate", "run"):
+            return [role, path] + (out if role == "run" else [])
+        if role == "spec":
+            return ["batch", path] + out
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(
+            {"configs": [path]} if role == "member"
+            else {"base": path, "sweep": {"gains.gamma": [0.5, 1.0]}}))
+        return ["batch", str(spec)] + out
+
+    @pytest.mark.parametrize("role", ["validate", "run", "spec", "member",
+                                      "base"])
+    @pytest.mark.parametrize("kind", sorted(BAD) + ["missing", "directory"])
+    def test_an_unreadable_document_is_invalid(self, tmp_path, capsys, ran,
+                                               role, kind):
+        # a UTF-16 or non-UTF-8 file used to end in a UnicodeDecodeError
+        # traceback, deep nesting in a RecursionError one and an integer
+        # of more digits than int() takes in a ValueError one
+        path = tmp_path / "doc.json"
+        if kind in self.BAD:
+            path.write_bytes(self.BAD[kind])
+        elif kind == "directory":
+            path.mkdir()
+        assert main(self._argv(role, str(path), tmp_path)) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1
+        assert lines[0].startswith("invalid")
+        assert ran == [] and not (tmp_path / "out").exists()
+
+    def test_the_reader_names_each_failure(self, tmp_path):
+        path = tmp_path / "doc.json"
+        for content, want in [
+                (self.BAD["utf-16"], "cannot read config file: 'utf-8' "
+                 "codec can't decode byte 0xff in position 0"),
+                (self.BAD["deep"], "parse error: maximum recursion depth "
+                 "exceeded"),
+                (b'{"a": 1,}', "parse error at line 1, column 9: Expecting "
+                 "property name enclosed in double quotes")]:
+            path.write_bytes(content)
+            with pytest.raises(ConfigError) as info:
+                load_config(str(path))
+            [error] = info.value.errors
+            assert error.startswith(want)
+
+    def test_a_spec_parse_error_has_its_position(self, tmp_path, capsys):
+        # a batch spec's or member's JSON error now reads as load_config's
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"configs": [\n  1,,\n]}')
+        assert main(["batch", str(spec)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "invalid batch spec: parse error at line 2, column 5: Expecting "
+            "value"]
+        member = tmp_path / "member.json"
+        member.write_text("{")
+        spec.write_text(json.dumps({"configs": [str(member)]}))
+        assert main(["batch", str(spec)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "invalid batch spec: configs[0]: parse error at line 1, column "
+            "2: Expecting property name enclosed in double quotes"]
+
+    def test_a_byte_order_mark_or_a_brace_in_the_path_changes_nothing(
+            self, tmp_path, capsys):
+        # a UTF-8 byte-order mark used to be refused, and any path holding
+        # a "{" was read as JSON text
+        text = json.dumps(bench_dict(horizon=300))
+        plain = tmp_path / "plain.json"
+        plain.write_text(text, encoding="utf-8")
+        bom = tmp_path / "bom.json"
+        bom.write_text(text, encoding="utf-8-sig")
+        (tmp_path / "a{b}").mkdir()
+        brace = tmp_path / "a{b}" / "plain.json"
+        brace.write_text(text, encoding="utf-8")
+        got = []
+        for i, path in enumerate([plain, bom, brace]):
+            out = tmp_path / f"out{i}"
+            assert main(["validate", str(path)]) == 0
+            assert main(["run", str(path), "--out", str(out)]) == 0
+            spec = tmp_path / f"spec{i}.json"
+            spec.write_text(json.dumps({"configs": [str(path)]}),
+                            encoding="utf-8-sig" if path == bom else "utf-8")
+            assert main(["batch", str(spec)]) == 0
+            files = {name: (out / name).read_bytes()
+                     for name in sorted(os.listdir(out))}
+            got.append((capsys.readouterr(), files))
+        assert len(got[0][1]) == 2 and got[0] == got[1] == got[2]
+        assert load_config(str(brace)) == load_config(text)
+
+    def test_only_a_str_that_starts_with_a_brace_is_json_text(self, tmp_path):
+        text = json.dumps(bench_dict(horizon=20))
+        assert load_config(" \n\t" + text) == load_config(text)
+        with pytest.raises(ConfigError) as info:
+            load_config("x" + text)
+        [error] = info.value.errors
+        assert error.startswith("cannot read config file: [Errno")
+
+    def test_member_and_base_strings_stay_paths(self, tmp_path, capsys):
+        # JSON text given where a path goes is not read as a config; a
+        # path with a NUL used to end in a ValueError traceback
+        text = json.dumps({"name": "inline"})
+        spec = tmp_path / "spec.json"
+        for path, want in [(text, "[Errno 2]"), ("a\0b", "embedded null")]:
+            for doc, where in [({"configs": [path]}, "configs[0]"),
+                               ({"base": path, "sweep": {}}, "base")]:
+                spec.write_text(json.dumps(doc))
+                assert main(["batch", str(spec)]) == 1
+                [line] = capsys.readouterr().err.splitlines()
+                assert line.startswith(f"invalid batch spec: {where}: {want}")
+        with pytest.raises(ConfigError) as info:
+            load_config("a\0b")
+        assert info.value.errors == [
+            "cannot read config file: embedded null byte"]
+
 
 class TestBatchExitRule:
     """1 if any member is invalid or failed, else 2 if any diverged, else
