@@ -42,16 +42,17 @@ guards (``indirect.Guarded``), each one form for a row or a group's block
 of rows: ``run`` calls the landing once per step, ``run_ct`` the rate
 check on each rate and the clamp on each new state.
 
-Rows always carry a leading member axis: ``run`` steps the set-up runs of
-a lockstep group, B discrete laws of one layout, on one ``stack``ed law
-with L, G, z0 and the guards' signs and bounds stacked, and a lone run is
-a group of one. Each product of a group's step is a stacked ``matmul``,
-which makes the same BLAS call per member as the lone ``.dot``, so every
-member's rows are byte for byte those of its lone run. A group of one
-keeps its own law and so the ``.dot`` step, which runs twice as fast as a
-stacked one at B = 1. The divergence rule and the record store run per
-member: a member's records stop after the chunk in which it diverged, and
-the group runs until every member has diverged or reached the end.
+Rows always carry a leading member axis, and every law's ``views`` take a
+lone (width,) row or a group's (B, width) block (``forms``): ``run`` steps
+the set-up runs of a lockstep group, B discrete laws of one layout, on the
+law the first one ``stack``s of them all, and a lone run is a group of
+one. Each product of a group's step is a stacked ``matmul``, which makes
+the same BLAS call per member as the lone ``.dot``, so every member's rows
+are byte for byte those of its lone run. A group of one keeps its own law
+and so the ``.dot`` step, which runs twice as fast as a stacked one at B =
+1. The divergence rule and the record store run per member: a member's
+records stop after the chunk in which it diverged, and the group runs
+until every member has diverged or reached the end.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import NumericsError, ToolkitError
+from .errors import ModelError, NumericsError, ToolkitError
 
 # rows per chunk: long enough to amortize the per-chunk record copies,
 # short enough that the views and the buffer stay small
@@ -89,14 +90,27 @@ def row_blocks(steps: int):
         lo = hi
 
 
+def forms(lead):
+    """``(dot, col)`` for a law's ``views`` of rows of leading shape
+    ``lead``: ``dot(a)``, the product by the matrix or vector ``a``, and
+    ``col(v)``, the vector operand v. A lone row's are ``a.dot`` and v; a
+    (B, width) block's a stacked ``matmul`` by a, a vector taken as a row,
+    and v's columns."""
+    if not lead:
+        return (lambda a: a.dot), (lambda v: v)
+    return (lambda a: partial(np.matmul, a if a.ndim > len(lead) + 1
+                              else a[..., None, :])), (lambda v: v[..., None])
+
+
 class Layout:
     """The slices of a work row [head | F | r | u | mid | W | dF | dW] with
     ``nF`` linear states, M inputs and ``NW`` estimate entries; ``head`` and
-    ``mid`` are the scheme's own columns."""
+    ``mid`` are the scheme's own columns. A law on it steps a row by
+    ``step(views(row, dF))``; each class of the law names in ``stacked``
+    the arrays it adds that the step, the state ``z0`` or the guards read,
+    and ``form`` is what else the step reads."""
 
-    # the signs, bounds and floor of the theta2 guards, none unless the law
-    # is an ``indirect.Guarded`` one, with its ``landing`` and ``ct_guards``
-    signs = theta2_lower = floor = None
+    form = None
 
     def __init__(self, head, nF, M, mid, NW):
         self.nF = nF
@@ -107,6 +121,38 @@ class Layout:
         self.dF = slice(self.W.stop, self.W.stop + nF)
         self.dW = slice(self.dF.stop, self.dF.stop + NW)
         self.width = self.dW.stop
+
+    def landing(self):
+        """The discrete theta2 landing (``indirect.Guarded``): none."""
+        return None
+
+    def ct_guards(self):
+        """The theta2 guard and clamp (``indirect.Guarded``): none."""
+        return None, None
+
+    def stack(self, others):
+        """One law that steps this law and ``others`` in lockstep: a copy of
+        this one with the arrays its classes name in ``stacked`` stacked on
+        a leading member axis and its step rebuilt on them; this law itself
+        without ``others``. Laws of another class, form, width or set of
+        those arrays raise ModelError."""
+        if not others:
+            return self
+        laws = [self, *others]
+        names = [name for cls in type(self).__mro__
+                 for name in vars(cls).get("stacked", ())]
+        if len({(type(law), law.form, law.width,
+                 tuple(getattr(law, name) is None for name in names))
+                for law in laws}) > 1:
+            raise ModelError("laws of different forms do not stack")
+        group = copy.copy(self)
+        group.cols = dict(self.cols)
+        for name in names:
+            if getattr(self, name) is not None:
+                setattr(group, name,
+                        np.stack([getattr(law, name) for law in laws]))
+        group.step = group.stepper()
+        return group
 
 
 class Law(Layout):
@@ -120,6 +166,8 @@ class Law(Layout):
     before reading, and u = theta^T omega. Without it, [Theta1^T | I]
     follows W^T and u = Theta2^{-1} (Theta1^T x + r).
     """
+
+    stacked = ("L", "G", "z0")
 
     def __init__(self, L, G, F, W, M, xi_in_m, xi_in_ab, rho):
         self.L, self.G = L, G
@@ -145,13 +193,18 @@ class Law(Layout):
         # theta2_j in row 1 + j of W^T
         self.th2 = slice(K + n, W.shape[0], K + C + 1)
         self.n_ab = (M if xi_in_ab else 0) + M * C
-        self.step = _stepper(L, G, n, M, self.n_ab)
+        self.step = self.stepper()
+
+    def stepper(self):
+        """The law's step on its own L and G (see ``_stepper``)."""
+        return _stepper(self.L, self.G, self.n, self.M, self.n_ab)
 
     def views(self, row, dF):
         """The operands ``step`` takes from ``row``, writing F's image into
         ``dF``. Of a group's (B, width) block of rows, each operand gains
-        the leading member axis, vectors become columns and each product a
-        batched ``matmul`` (see ``stack``)."""
+        the leading member axis, and products and vectors take their block
+        forms (``forms``); eps and m^2 stay flat operands of the
+        normalization's vector form."""
         n, M, C, K, F0 = self.n, self.M, self.C, self.K, self.F0
         lead = row.shape[:-1]
         W, W1 = row[..., self.W], self.W.start + K
@@ -174,17 +227,11 @@ class Law(Layout):
         om, u = row[..., F0 + n * (K - 1):self.U.start], row[..., self.U]
         eps, dW = row[..., :n], row[..., self.dW]
         lin = row[..., F0:self.U.stop]
-        if not lead:
-            return (refresh, gains.dot, om, u, th2, WT.dot, FT, XE, H.dot, H,
-                    row[self.m2:self.m2 + 1], eps, AB.dot, dW, lin, dF)
-        # a group's products are stacked matmuls over columns, and m^2 and
-        # eps are flat operands of the normalization's vector form
-        matmul = np.matmul
-        return (refresh, partial(matmul, gains), om[..., None], u[..., None],
-                None if th2 is None else th2[..., None], partial(matmul, WT),
-                FT, XE, partial(matmul, H[..., None, :]), H[..., None],
-                row[..., self.m2], eps, partial(matmul, AB), dW[..., None],
-                lin[..., None], dF[..., None])
+        dot, col = forms(lead)
+        m2 = row[..., self.m2] if lead else row[self.m2:self.m2 + 1]
+        return (refresh, dot(gains), col(om), col(u),
+                None if th2 is None else col(th2), dot(WT), FT, XE, dot(H),
+                col(H), m2, eps, dot(AB), col(dW), col(lin), col(dF))
 
 
 def _stepper(L, G, n, M, n_ab):
@@ -258,22 +305,6 @@ def _group_stepper(L, G, n, M, n_ab):
         Ldot(lin, dF)
 
     return step
-
-
-def stack(laws):
-    """One law that steps ``laws``, which share one layout, in lockstep: a
-    copy of the first with their L, G, z0 and the signs, bounds and floors
-    of their guards stacked on a leading member axis, whose step and guards
-    work on a (B, width) block of rows; the law itself when it is alone."""
-    if len(laws) == 1:
-        return laws[0]
-    law = copy.copy(laws[0])
-    law.cols = dict(law.cols)
-    for name in ("L", "G", "z0", "signs", "theta2_lower", "floor"):
-        if getattr(law, name) is not None:
-            setattr(law, name, np.stack([getattr(one, name) for one in laws]))
-    law.step = _stepper(law.L, law.G, law.n, law.M, law.n_ab)
-    return law
 
 
 def shapes(cols, **extra):
@@ -403,9 +434,9 @@ class RowBuffer:
 
 def run(members, steps: int):
     """Step the set-up discrete runs ``members`` (``direct.Member``), whose
-    laws share one layout, in lockstep over ``steps`` rows on one
-    ``stack``ed law, each member's r sampled by its ``r(lo, hi)``; a lone
-    run is a group of one.
+    laws share one layout, in lockstep over ``steps`` rows on the law that
+    the first member's law stacks of them all (``Layout.stack``), each
+    member's r sampled by its ``r(lo, hi)``; a lone run is a group of one.
 
     Row i + 1 receives F(t + 1) = L [F, r, u] and W(t + 1) = W + G ab from
     row i; the law's landing, if any, then acts once on the whole group's
@@ -415,10 +446,10 @@ def run(members, steps: int):
     (``RowBuffer.run``): None, its divergence step (the first at which an
     element of its x, u or m^2 is not finite) or its store's error.
     """
-    law = stack([m.law for m in members])
+    law = members[0].law.stack([m.law for m in members[1:]])
     rows = RowBuffer(law, [m.store for m in members], steps)
     buf, work, probe = rows.buf, rows.work, rows.probe
-    land = law.signs is not None and law.landing()
+    land = law.landing()
     views = [(law.views(work[i], work[i + 1][..., law.F]),
               work[i][..., law.W], work[i][..., law.dW],
               work[i + 1][..., law.W],
@@ -468,8 +499,7 @@ def run_ct(member, horizon: int, h: float, method: str, integrate):
     non-finite state after step k, else None (or its store's error).
     """
     law = member.law
-    guard, clamp = (law.ct_guards() if law.signs is not None
-                    or law.floor is not None else (None, None))
+    guard, clamp = law.ct_guards()
     T1 = horizon + 1
     # r of stages 1-4 of each step
     samples = Samples(member.r, T1)

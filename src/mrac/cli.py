@@ -22,7 +22,7 @@ import numpy as np
 from .diagnostics import SimulationTrace, feed
 from .errors import ConfigError, ToolkitError
 from .scenario import (MEMORY_BUDGET_BYTES, PATH_CHARS, ScenarioRun,
-                       benchmark_config, blocked_dir, config_from_dict,
+                       benchmark_config, config_from_dict, dir_problem,
                        load_config, lockstep_key, read_document, run_lockstep,
                        run_scenario, serialize_config, streamed_bytes,
                        summary_dict)
@@ -203,12 +203,16 @@ def _directory(cfg, out_dir: str | None):
 def _row_files(cfg, out_dir: str | None) -> dict:
     """The RowFiles into which a run of ``cfg`` streams its trace and its
     gnuplot layout (see ``run_scenario``), by kind, in ``out_dir`` or its
-    output.dir, which is made here; none without a directory."""
+    output.dir, which is made here when the run writes a file; none without
+    a directory. An OSError names the directory's source."""
     directory = _directory(cfg, out_dir)
     kinds = ([] if directory is None else
              [kind for kind in ("trace", "gnuplot") if cfg.output[kind]])
-    if kinds:
-        os.makedirs(directory, exist_ok=True)
+    if directory is not None and (kinds or cfg.output["summary"]):
+        try:
+            os.makedirs(directory, exist_ok=True)
+        except OSError as exc:
+            raise OSError(f"{'--out' if out_dir else 'output.dir'}: {exc}")
     n, M = cfg.built.plant.n, cfg.built.plant.n_inputs
     return {kind: _trace_file(directory, n, M) if kind == "trace"
             else _gnuplot_file(directory, n) for kind in kinds}
@@ -222,7 +226,6 @@ def _emit_outputs(run: ScenarioRun, files: dict, out_dir: str | None,
     directory = _directory(cfg, out_dir)
     if directory is None:
         return
-    os.makedirs(directory, exist_ok=True)
     base = os.path.join(directory, cfg.name)
     if "trace" in files:
         write_trace_csv(files["trace"], base + ".trace.csv")
@@ -246,10 +249,10 @@ def cmd_validate(args) -> int:
 
 
 def _out_errors(path) -> list[str]:
-    """The ``--out`` problem, as a list: a directory that cannot be made
-    because an existing part of ``path`` is not a directory."""
-    head = None if path is None else blocked_dir(path)
-    return [] if head is None else [f"--out: {head} is not a directory"]
+    """The ``--out`` problem, as a list: a directory that cannot be made at
+    ``path`` (``dir_problem``)."""
+    problem = None if path is None else dir_problem(path)
+    return [] if problem is None else [f"--out: {problem}"]
 
 
 def cmd_run(args) -> int:
@@ -263,7 +266,11 @@ def cmd_run(args) -> int:
         for err in errors:
             print(f"invalid: {err}", file=sys.stderr)
         return 1
-    files = _row_files(cfg, args.out)
+    try:
+        files = _row_files(cfg, args.out)
+    except OSError as exc:
+        print(f"invalid: {exc}", file=sys.stderr)
+        return 1
     try:
         with _discarded_on_error(files.values()):
             run = run_scenario(cfg, list(files.values()))
@@ -302,24 +309,33 @@ def _row(idx, data, run, files, out_dir) -> dict:
 
 
 def _batch_unit(payload):
-    """The rows of one unit of a batch: a lone member, which runs through
-    ``run_scenario``, or a lockstep group (``run_lockstep``); each member
-    streams its rows to its files."""
+    """The rows, by index, of one unit of a batch: a lone member, which runs
+    through ``run_scenario``, or a lockstep group (``run_lockstep``); each
+    member streams its rows to its files, and one whose directory cannot be
+    made fails without running."""
     unit, out_dir = payload
-    files = [_row_files(cfg, out_dir) for _, _, cfg in unit]
-    with _discarded_on_error([rows for member in files
-                              for rows in member.values()]):
+    rows, files = {}, []
+    for idx, data, cfg in unit:
+        try:
+            files.append(_row_files(cfg, out_dir))
+        except OSError as exc:
+            rows[idx] = _error_row(idx, data, "failed", [str(exc)])
+    unit = [item for item in unit if item[0] not in rows]
+    with _discarded_on_error([kind for member in files
+                              for kind in member.values()]):
         if len(unit) == 1:
             [(idx, data, cfg)] = unit
             try:
                 run = run_scenario(cfg, list(files[0].values()))
             except ToolkitError as exc:
                 run = exc
-            return [_row(idx, data, run, files[0], out_dir)]
-        runs = run_lockstep([cfg for _, _, cfg in unit],
-                            [list(member.values()) for member in files])
-        return [_row(idx, data, run, member, out_dir)
-                for (idx, data, _), run, member in zip(unit, runs, files)]
+            rows[idx] = _row(idx, data, run, files[0], out_dir)
+        elif unit:
+            runs = run_lockstep([cfg for _, _, cfg in unit],
+                                [list(member.values()) for member in files])
+            rows.update((idx, _row(idx, data, run, member, out_dir)) for
+                        (idx, data, _), run, member in zip(unit, runs, files))
+    return rows
 
 
 def _set_dotted(data: dict, dotted: str, value) -> None:
@@ -337,33 +353,43 @@ def _document(item, where: str, errors: list):
         item = read_document(item) if isinstance(item, str) else item
         if isinstance(item, dict):
             return item
-        problem = f"expected a config object or a path, got {item!r}"
+        problem = f"expected a config object or a path, got {_kind(item)}"
     except ConfigError as exc:
         [problem] = exc.errors
     errors.append(f"{where}: {problem}")
+
+
+def _kind(value) -> str:
+    """The JSON type of ``value``, which an error line names in its place."""
+    return {dict: "an object", list: "an array", str: "a string",
+            bool: "a boolean", type(None): "null"}.get(type(value), "a number")
 
 
 def expand_batch_spec(spec) -> list[dict]:
     """Either an explicit config list or a base config plus a sweep grid;
     a ConfigError lists every problem of the spec."""
     if not isinstance(spec, dict) or not ("configs" in spec or "base" in spec):
+        got = (_kind(spec) if not isinstance(spec, dict)
+               else "a scenario config (run it with 'mrac run')"
+               if "scheme" in spec else "an object with neither")
         raise ConfigError([f"expected an object with 'configs' or 'base', "
-                           f"got {spec!r}"])
+                           f"got {got}"])
     errors: list[str] = []
     if "configs" in spec:
         items = spec["configs"]
         if not isinstance(items, list):
-            raise ConfigError([f"configs: expected a list, got {items!r}"])
+            raise ConfigError([f"configs: expected a list, got "
+                               f"{_kind(items)}"])
         members = [_document(item, f"configs[{i}]", errors)
                    for i, item in enumerate(items)]
     else:
         base = _document(spec["base"], "base", errors)
         sweep = spec.get("sweep", {})
         if not isinstance(sweep, dict):
-            errors.append(f"sweep: expected an object, got {sweep!r}")
+            errors.append(f"sweep: expected an object, got {_kind(sweep)}")
         else:
             errors.extend(f"sweep.{key}: expected a list of values, got "
-                          f"{grid!r}" for key, grid in sweep.items()
+                          f"{_kind(grid)}" for key, grid in sweep.items()
                           if not isinstance(grid, list))
     if errors:
         raise ConfigError(errors)
@@ -481,18 +507,13 @@ def cmd_batch(args) -> int:
         # imported here: it costs every other invocation several ms
         import concurrent.futures
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            done = zip(payloads, pool.map(_batch_unit, payloads))
-            for (unit, _), unit_rows in done:
-                rows.update((idx, row) for (idx, _, _), row
-                            in zip(unit, unit_rows))
+            for unit_rows in pool.map(_batch_unit, payloads):
+                rows.update(unit_rows)
     else:
         # each unit's configs and data go once its rows are made
         payloads.reverse()
         while payloads:
-            unit, out_dir = payloads.pop()
-            unit_rows = _batch_unit((unit, out_dir))
-            rows.update((idx, row) for (idx, _, _), row
-                        in zip(unit, unit_rows))
+            rows.update(_batch_unit(payloads.pop()))
     rows = [rows[idx] for idx in range(count)]
     print(json.dumps(rows, indent=2, sort_keys=True))
     statuses = {row["status"] for row in rows}

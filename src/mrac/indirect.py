@@ -121,17 +121,21 @@ class Guarded(Layout):
     of dW, its copies ``theta2_at`` of W (copies x M, or M). ``signs`` and
     ``theta2_lower`` are an enabled projection's, ``floor`` a
     continuous-time stage's invertibility floor, each (M,), or (B, M) in a
-    group's law (``_rows.stack``). Each guard takes a row's views or a (B,
-    ...) block's, and tests its rule on Python scalars before it acts."""
+    group's law (``stack``). Each guard takes a row's views or a (B, ...)
+    block's, and tests its rule on Python scalars before it acts."""
 
+    stacked = ("signs", "theta2_lower", "floor")
+    signs = theta2_lower = floor = None
     rate = ProjectionConfig.rate  # on the law's own signs and bounds
 
     def landing(self):
-        """``land(copies, f2)`` (see ``_rows.run``): a theta2 that step i
-        left outside the bound in ``copies``, those of row i + 1, lands on
-        it, gradient then correction, and the correction goes into row i's
-        proj_f2 columns ``f2``."""
+        """``land(copies, f2)`` (see ``_rows.run``), if projected: a theta2
+        that step i left outside the bound in ``copies``, those of row i +
+        1, lands on it, gradient then correction, and the correction goes
+        into row i's proj_f2 columns ``f2``."""
         s, lower = self.signs, self.theta2_lower
+        if s is None:
+            return None
         s_l, lower_l = s.ravel().tolist(), lower.ravel().tolist()
         flat = _scalars(s.ndim > 1)
 
@@ -151,8 +155,10 @@ class Guarded(Layout):
         theta2's outward rate ``g2`` on the bound (``rate``), so that the
         row keeps the raw rate. ``clamp(z)`` snaps each copy of theta2 in z
         = [F, W] that integration left a hair inside the bound onto it,
-        None without a projection."""
+        None without a projection; both None without a floor either."""
         s, lower, floor = self.signs, self.theta2_lower, self.floor
+        if s is None and floor is None:
+            return None, None
         # theta2's positions in z = [F, W] and in its rate [dF, dW]
         at = self.nF + self.theta2_at.reshape(-1, self.theta2_at.shape[-1])
         flat = _scalars((floor if s is None else s).ndim > 1)

@@ -14,7 +14,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from . import _rows
+from ._rows import Layout, forms
 from .diagnostics import SimulationTrace, TraceSpec, value_series
 from .direct import (SOLVE, InitialConditions, _check_run_args, _drive,
                      _matching, _set_up, _spd_check)
@@ -128,206 +128,251 @@ class LyapunovIndirectGains:
         return {"Gamma1": (side, side), "Gamma2": (M, M)}
 
 
-# one Lyapunov scheme's closed loop: the certificate ``ct``, the scheme on a
-# work row (``law``, a ``_rows.Layout`` with ``step``, ``views`` and record
-# columns ``cols`` by trace field), the joint rhs, ``pack``, and V of a packed
-# state and ``V_series(x, x_m, xhat, theta)`` of records (None unmatchable)
-LyapunovLoop = namedtuple("LyapunovLoop", "ct law rhs pack V V_series")
+class _Scheme(Layout):
+    """A Lyapunov scheme's law on the work row (see ``_rows``): the linear
+    states [x_m, x] or [x_m, xhat, x], then r and u, so that [x, r] is
+    contiguous, ``mid`` scratch columns and theta = [T1; T2^T] row by row.
+    ``L`` advances every linear state given r and u; ``ct`` is A_m's
+    certificate, ``match`` the matching solution and ``V_series(x, x_m,
+    xhat, theta)`` V of records, both None unmatchable; the runner sets
+    ``z0`` (``pack``). As a gradient law's, its step takes the ``views`` of
+    a row or of a group's block of rows (``_rows.forms``)."""
+
+    stacked = ("L", "z0")
+    z0 = V_series = None
+
+    def __init__(self, plant, ref, signal, cert, match, nF, mid):
+        n, M = plant.n, plant.n_inputs
+        self.n, self.M, self.C, self.X0 = n, M, n + M, nF - n
+        super().__init__(0, nF, M, mid, self.C * M)
+        self.ct = (solve_lyapunov_ct(ref.A_m, np.eye(n)) if cert is None
+                   else cert)
+        self.signal = signal
+        match = _matching(plant, ref, match)
+        self.match = match if match is not None and match.matchable() else None
+        self.L = L = np.zeros((nF, nF + 2 * M))
+        X0 = self.X0
+        for c in range(0, X0, n):  # x_m, and xhat driven by r
+            L[c:c + n, c:c + n] = ref.A_m
+            L[c:c + n, nF:nF + M] = ref.B_m
+        L[X0:, X0:nF] = plant.A
+        L[X0:, nF + M:] = plant.B
+        self.cols = {"x": np.arange(X0, nF), "x_m": np.arange(n),
+                     "u": np.arange(self.U.start, self.U.stop),
+                     "theta": self.W.start + np.arange(self.C * M).reshape(
+                         self.C, M)}
+
+    def pack(self, x, xm, T1, T2, xh=None):
+        """z = [F, W] of x, x_m, xhat (indirect) and theta = [T1; T2^T]."""
+        n, M = self.n, self.M
+        row = np.zeros(self.width)
+        for name, value in (("x", x), ("x_m", xm), ("x_hat", xh)):
+            if name in self.cols and value is not None:
+                row[self.cols[name]] = value
+        row[self.cols["theta"]] = np.vstack([np.reshape(T1, (n, M)),
+                                             np.reshape(T2, (M, M)).T
+                                             * self.keep])
+        return np.concatenate([row[self.F], row[self.W]])
+
+    def rhs(self, tau, z):
+        """The rate at z, with r read at tau, after the rate check."""
+        row = np.zeros(self.width)
+        row[self.F], row[self.W] = z[:self.nF], z[self.nF:]
+        row[self.R] = self.signal.at(tau)
+        self.step(self.views(row, row[self.dF]))
+        dz = row[self.dF.start:]
+        guard = self.ct_guards()[0]
+        return (guard((row[self.W][self.th2], row[self.dW][self.th2]), dz)
+                if guard else dz)
+
+    def V(self, z):
+        """V of a packed state z (matchable only)."""
+        n, nF = self.n, self.nF
+        # xhat is z[n:2n] in the indirect layout; the direct V ignores it
+        return float(self.V_series(z[None, self.X0:nF], z[None, :n],
+                                   z[None, n:2 * n],
+                                   z[nF:].reshape(1, self.C, self.M))[0])
+
+
+class LyapunovDirect(_Scheme):
+    """d theta = outer(Gd omega, -w): w = S_p^T B_m^T P e, Gd = I (form
+    "S_p", every multi-input scheme's), or w = sign(k2) e^T P b_m, Gd =
+    diag(Gamma, gamma) (form "Gamma"); ``Wn`` reads w off [x_m, x].
+    Scratch: Gd omega, then w."""
+
+    stacked = ("Gd", "Wn")
+    keep = 1.0
+
+    def __init__(self, plant, ref, signal, gains, cert=None, match=SOLVE):
+        n, M = plant.n, plant.n_inputs
+        super().__init__(plant, ref, signal, cert, match, 2 * n, n + 2 * M)
+        Msinv = gains.premise(M, self.match)
+        P, Bm = self.ct.P, ref.B_m
+        self.Gd = np.eye(n + M)
+        self.form = "Gamma" if gains.S_p is None else "S_p"
+        if gains.S_p is not None:
+            Wp = gains.S_p.T @ Bm.T @ P
+        else:
+            Wp = gains.sign_k2 * (P @ Bm[:, 0])[None, :]
+            self.Gd[:n, :n] = gains.Gamma
+            self.Gd[n, n] = gains.gamma
+        self.Wn = np.hstack([Wp, -Wp])
+        self.step = self.stepper()
+        if self.match is None:
+            return
+        K1s, K2sT = self.match.K1, self.match.K2.T
+        if gains.S_p is None:
+            Ginv = np.linalg.inv(gains.Gamma)
+            k2s = abs(self.match.k2)
+
+        def V_series(x, xm, xh, theta):
+            e = x - xm
+            base = np.einsum("ti,ij,tj->t", e, P, e)
+            d1 = theta[:, :n] - K1s
+            d2 = theta[:, n:] - K2sT  # (K2 - K2*)^T
+            if gains.S_p is not None:
+                return (base + np.einsum("tia,ab,tib->t", d1, Msinv, d1)
+                        + np.einsum("tja,ab,tjb->t", d2, Msinv, d2))
+            t1 = np.einsum("ti,ij,tj->t", d1[:, :, 0], Ginv, d1[:, :, 0])
+            return base + (t1 + d2[:, 0, 0] ** 2 / gains.gamma) / k2s
+
+        self.V_series = V_series
+
+    def stepper(self):
+        """The step on the law's own (or stacked) L, Gd and Wn."""
+        dot = forms(self.L.shape[:-2])[0]
+        Ldot, Gddot, Wndot = dot(self.L), dot(self.Gd), dot(self.Wn)
+        scale = np.multiply
+
+        def step(v):
+            thetaTdot, om, u, gv, Fw, wv, lin, dF, gcol, wrow, dtheta = v
+            thetaTdot(om, u)
+            Gddot(om, gv)
+            Wndot(Fw, wv)
+            Ldot(lin, dF)
+            scale(gcol, wrow, dtheta)
+
+        return step
+
+    def views(self, row, dF):
+        """The operands ``step`` takes from ``row``, F's rate into ``dF``."""
+        U, W, C, M = self.U, self.W, self.C, self.M
+        lead = row.shape[:-1]
+        dot, col = forms(lead)
+        gv, wv = row[..., U.stop:U.stop + C], row[..., U.stop + C:W.start]
+        theta = row[..., W].reshape(lead + (C, M))
+        return (dot(theta.swapaxes(-1, -2)), col(row[..., self.X0:U.start]),
+                col(row[..., U]), col(gv), col(row[..., :self.nF]), col(wv),
+                col(row[..., :U.stop]), col(dF), gv[..., :, None],
+                wv[..., None, :], row[..., self.dW].reshape(lead + (C, M)))
+
+
+class LyapunovIndirect(_Scheme, Guarded):
+    """u = Theta2^{-1} (Theta1^T x + r) makes the estimator input Theta2 u -
+    Theta1^T x equal r up to rounding, so xhat is driven by r. With w =
+    B_m^T P e_x, which ``Wc`` reads off [x_m, xhat, x], d Theta1 =
+    outer(Gamma1 x, w) (form "standard") or outer(x, Gamma1 w) (form
+    "transposed"), and d theta2 = -diag(Gamma2) w u. Scratch: w, Gamma1 w,
+    -diag(Gamma2) w and Gamma1 x; the rate of theta2's off-diagonal entries
+    stays zero. The law carries ``projection``'s guards (``Guarded``)."""
+
+    stacked = ("G1", "Wc", "negG2")
+
+    def __init__(self, plant, ref, signal, gains, projection=None, cert=None,
+                 match=SOLVE):
+        n, M = plant.n, plant.n_inputs
+        super().__init__(plant, ref, signal, cert, match, 3 * n, n + 3 * M)
+        P = self.ct.P
+        self.form, self.keep = gains.theta1_law, np.eye(M)
+        self.G1, self.negG2 = gains.Gamma1, -np.diag(gains.Gamma2)
+        Wp = ref.B_m.T @ P
+        self.Wc = np.hstack([np.zeros((M, n)), Wp, -Wp])
+        # the Theta2 diagonal, which closes W (and dW)
+        self.th2 = slice(n * M, None, M + 1)
+        self.theta2_at = np.arange((n + M) * M)[self.th2]
+        self.cols["x_hat"] = np.arange(n, 2 * n)
+        _carry(self, projection)
+        self.step = self.stepper()
+        if self.match is None:
+            return
+        theta_star = theta_star_indirect(self.match.K1, self.match.K2)
+        G1inv = np.linalg.inv(gains.Gamma1)
+        G2inv = np.linalg.inv(gains.Gamma2)
+        t1 = "tia,ij,tja->t" if self.form == "standard" else "tia,ab,tib->t"
+
+        def V_series(x, xm, xh, theta):
+            e = xh - x
+            d = theta - theta_star
+            d1, d2 = d[:, :n], d[:, n:]  # d2 = (Theta2 - Theta2*)^T
+            return (np.einsum("ti,ij,tj->t", e, P, e)
+                    + np.einsum(t1, d1, G1inv, d1)
+                    + np.einsum("tai,ij,taj->t", d2, G2inv, d2))
+
+        self.V_series = V_series
+
+    def stepper(self):
+        """The step on the law's own (or stacked) L, Gamma1, Wc and
+        -diag(Gamma2)."""
+        dot = forms(self.L.shape[:-2])[0]
+        Ldot, G1dot, Wcdot = dot(self.L), dot(self.G1), dot(self.Wc)
+        negG2, standard = self.negG2, self.form == "standard"
+        scale, add, div = np.multiply, np.add, np.divide
+
+        def step(v):
+            (T1Tdot, xc, uc, u, rw, theta2, Fw, wc, wv, lin, dF, d1c, d1col,
+             wrow, g1c, xcol, g1row, dT1, g, g2) = v
+            T1Tdot(xc, uc)
+            add(u, rw, u)
+            div(u, theta2, u)
+            Wcdot(Fw, wc)
+            Ldot(lin, dF)
+            if standard:
+                G1dot(xc, d1c)
+                scale(d1col, wrow, dT1)
+            else:
+                G1dot(wc, g1c)
+                scale(xcol, g1row, dT1)
+            scale(negG2, wv, g)
+            scale(g, u, g2)
+
+        return step
+
+    def views(self, row, dF):
+        """The operands ``step`` takes from ``row``, F's rate into ``dF``."""
+        n, M, U = self.n, self.M, self.U
+        lead = row.shape[:-1]
+        dot, col = forms(lead)
+        x, u, T, dT = (row[..., s] for s in (slice(self.X0, self.nF), U,
+                                             self.W, self.dW))
+        wv, g1, g, d1 = np.split(row[..., U.stop:self.W.start],
+                                 [M, 2 * M, 3 * M], axis=-1)
+        T1, dT1 = (v[..., :n * M].reshape(lead + (n, M)) for v in (T, dT))
+        return (dot(T1.swapaxes(-1, -2)), col(x), col(u), u, row[..., self.R],
+                T[..., self.th2], col(row[..., :self.nF]), col(wv), wv,
+                col(row[..., :U.stop]), col(dF), col(d1), d1[..., :, None],
+                wv[..., None, :], col(g1), x[..., :, None], g1[..., None, :],
+                dT1, g, dT[..., self.th2])
 
 
 def build_lyapunov_loop(plant: PlantModel, ref: ReferenceModel,
                         signal: ReferenceSignal, mode: str, gains,
                         projection: ProjectionConfig | None = None,
                         cert: LyapunovCertificate | None = None,
-                        match=SOLVE) -> LyapunovLoop:
-    """Assemble the joint closed loop for simulation or for single-step
-    probing (h-refinement checks use ``rhs`` directly). ``cert`` is the
-    certificate of A_m, solved here with Q = I when not given; ``match``
-    is the scenario's matching solution, as for the gradient runners.
-
-    ``pack(x, xm, T1, T2, xh=None)`` gives z: the linear states [x_m, x]
-    (direct) or [x_m, xhat, x] (indirect), then theta = [T1; T2^T] row by
-    row, of K1, K2 or of Theta1 and a diagonal Theta2 (multi-input).
-    The work row (see ``_rows``) holds the linear states, then r and u, so
-    that [x, r] is contiguous, then the scheme's scratch and theta; one
-    constant matrix advances every linear state given r and u, and the
-    estimate rates are outer products of two short vectors. In the indirect
-    scheme u = Theta2^{-1} (Theta1^T x + r) makes the estimator input
-    Theta2 u - Theta1^T x equal r up to rounding, so xhat is driven by r.
-    """
+                        match=SOLVE):
+    """The law of the Lyapunov scheme ``mode``, ``LyapunovDirect`` or
+    ``LyapunovIndirect``: the joint closed loop for simulation or for
+    single-step probing (h-refinement checks use its ``rhs`` directly).
+    ``cert`` is the certificate of A_m, solved here with Q = I when not
+    given; ``match`` is the scenario's matching solution, as for the
+    gradient runners."""
     if plant.time_domain != CONTINUOUS or ref.time_domain != CONTINUOUS:
         raise ModelError("Lyapunov schemes are continuous-time only")
-    if mode not in ("direct", "indirect"):
-        raise ModelError(f"unknown Lyapunov mode {mode!r}")
-    n, M = plant.n, plant.n_inputs
-    C = n + M
-    if cert is None:
-        cert = solve_lyapunov_ct(ref.A_m, np.eye(n))
-    P = cert.P
-    A, B, Am, Bm = plant.A, plant.B, ref.A_m, ref.B_m
-    match = _matching(plant, ref, match)
-    matchable = match is not None and match.matchable()
-
-    nF = 2 * n if mode == "direct" else 3 * n  # linear states
-    X0 = nF - n  # x is the last linear state
-    # one constant map advances every linear state, given r and u
-    L = np.zeros((nF, nF + 2 * M))
-    for c in range(0, X0, n):  # x_m, and xhat driven by r
-        L[c:c + n, c:c + n] = Am
-        L[c:c + n, nF:nF + M] = Bm
-    L[X0:, X0:nF] = A
-    L[X0:, nF + M:] = B
-    Ldot = L.dot
-    scale, add, div = np.multiply, np.add, np.divide
-
     if mode == "direct":
-        Msinv = gains.premise(M, match)
-
-        # d theta = outer(Gd omega, -w): w = S_p^T B_m^T P e, Gd = I
-        # (multi-input), or w = sign(k2) e^T P b_m, Gd = diag(Gamma, gamma)
-        Gd, keep, guard = np.eye(C), 1.0, None
-        if gains.S_p is not None:
-            Wp = gains.S_p.T @ Bm.T @ P
-        else:
-            Wp = gains.sign_k2 * (P @ Bm[:, 0])[None, :]
-            Gd[:n, :n] = gains.Gamma
-            Gd[n, n] = gains.gamma
-        Wn = np.hstack([Wp, -Wp])  # on [x_m, x]
-        Gddot, Wndot = Gd.dot, Wn.dot
-        # scratch: Gd omega, then w
-        law = _rows.Layout(0, nF, M, C + M, C * M)
-        U, W, dW = law.U, law.W, law.dW
-
-        def views(row, dF):
-            gv, wv = row[U.stop:U.stop + C], row[U.stop + C:W.start]
-            return (row[U], row[X0:U.start], row[:U.stop], gv, gv[:, None],
-                    wv, wv[None, :], row[:nF], row[W].reshape(C, M), dF,
-                    row[dW].reshape(C, M))
-
-        def step(v):
-            u, om, lin, gv, gcol, wv, wrow, Fw, theta, dF, dtheta = v
-            om.dot(theta, u)
-            Gddot(om, gv)
-            Wndot(Fw, wv)
-            Ldot(lin, dF)
-            scale(gcol, wrow, dtheta)
-
-        V_series = None
-        if matchable:
-            K1s, K2sT = match.K1, match.K2.T
-            if gains.S_p is None:
-                Ginv = np.linalg.inv(gains.Gamma)
-                k2s = abs(match.k2)
-
-            def V_series(x, xm, xh, theta):
-                e = x - xm
-                base = np.einsum("ti,ij,tj->t", e, P, e)
-                d1 = theta[:, :n] - K1s
-                d2 = theta[:, n:] - K2sT  # (K2 - K2*)^T
-                if gains.S_p is not None:
-                    return (base + np.einsum("tia,ab,tib->t", d1, Msinv, d1)
-                            + np.einsum("tja,ab,tjb->t", d2, Msinv, d2))
-                t1 = np.einsum("ti,ij,tj->t", d1[:, :, 0], Ginv, d1[:, :, 0])
-                return base + (t1 + d2[:, 0, 0] ** 2 / gains.gamma) / k2s
-
-    else:
-        G1 = gains.Gamma1
-        G1dot = G1.dot
-        standard = gains.theta1_law == "standard"
-        negG2 = -np.diag(gains.Gamma2)
-        keep = np.eye(M)
-        Wp = Bm.T @ P
-        Wc = np.hstack([np.zeros((M, n)), Wp, -Wp])  # on [x_m, xhat, x]
-        Wcdot = Wc.dot
-        # scratch: w, Gamma1 w, -diag(Gamma2) w and Gamma1 x; the rate of
-        # theta2's off-diagonal entries is never written and stays zero
-        law = Guarded(0, nF, M, 3 * M + n, C * M)
-        R, U, W, dW = law.R, law.U, law.W, law.dW
-        nM = n * M
-        # the Theta2 diagonal, which closes W (and dW)
-        law.th2 = th2 = slice(nM, None, M + 1)
-        law.theta2_at = np.arange(C * M)[th2]
-        guard = _carry(law, projection) and law.ct_guards()[0]
-
-        def views(row, dF):
-            mid, x, T, dT = row[U.stop:W.start], row[X0:nF], row[W], row[dW]
-            wv, g1, g, d1 = mid[:M], mid[M:2 * M], mid[2 * M:3 * M], mid[3 * M:]
-            return (row[R], row[U], row[:U.stop], wv, wv[None, :], g1,
-                    g1[None, :], g, d1, d1[:, None], x[:, None], x, row[:nF],
-                    T[:nM].reshape(n, M), T[th2], dF,
-                    dT[:nM].reshape(n, M), dT[th2])
-
-        def step(v):
-            (rw, u, lin, wv, wrow, g1, g1row, g, d1, d1col, xcol, x, Fw, T1,
-             theta2, dF, dT1, g2) = v
-            x.dot(T1, u)
-            add(u, rw, u)
-            div(u, theta2, u)
-            Wcdot(Fw, wv)
-            Ldot(lin, dF)
-            if standard:
-                G1dot(x, d1)
-                scale(d1col, wrow, dT1)
-            else:
-                G1dot(wv, g1)
-                scale(xcol, g1row, dT1)
-            scale(negG2, wv, g)
-            scale(g, u, g2)
-
-        V_series = None
-        if matchable:
-            theta_star = theta_star_indirect(match.K1, match.K2)
-            G1inv = np.linalg.inv(gains.Gamma1)
-            G2inv = np.linalg.inv(gains.Gamma2)
-
-            def V_series(x, xm, xh, theta):
-                e = xh - x
-                base = np.einsum("ti,ij,tj->t", e, P, e)
-                d = theta - theta_star
-                d1, d2 = d[:, :n], d[:, n:]  # d2 = (Theta2 - Theta2*)^T
-                if standard:
-                    t1 = np.einsum("tia,ij,tja->t", d1, G1inv, d1)
-                else:
-                    t1 = np.einsum("tia,ab,tib->t", d1, G1inv, d1)
-                return (base + t1
-                        + np.einsum("tai,ij,taj->t", d2, G2inv, d2))
-
-    V = None
-    if V_series is not None:
-        def V(z):
-            # xhat is z[n:2n] in the indirect layout; the direct V ignores it
-            return float(V_series(z[None, X0:nF], z[None, :n],
-                                  z[None, n:2 * n],
-                                  z[nF:].reshape(1, C, M))[0])
-
-    law.step, law.views = step, views
-    law.cols = {"x": np.arange(X0, nF), "x_m": np.arange(n),
-                "u": np.arange(U.start, U.stop),
-                "theta": W.start + np.arange(C * M).reshape(C, M)}
+        return LyapunovDirect(plant, ref, signal, gains, cert, match)
     if mode == "indirect":
-        law.cols["x_hat"] = np.arange(n, 2 * n)
-
-    def pack(x, xm, T1, T2, xh=None):
-        row = np.zeros(law.width)
-        for name, value in (("x", x), ("x_m", xm), ("x_hat", xh)):
-            if name in law.cols and value is not None:
-                row[law.cols[name]] = value
-        row[law.cols["theta"]] = np.vstack([np.reshape(T1, (n, M)),
-                                            np.reshape(T2, (M, M)).T * keep])
-        return np.concatenate([row[law.F], row[W]])
-
-    def rhs(tau, z):
-        # the field at z on a fresh row, with r read at tau
-        row = np.zeros(law.width)
-        row[:nF], row[W] = z[:nF], z[nF:]
-        row[law.R] = signal.at(tau)
-        step(views(row, row[law.dF]))
-        dz = row[law.dF.start:]
-        return (guard((row[W][law.th2], row[dW][law.th2]), dz) if guard
-                else dz)
-
-    return LyapunovLoop(ct=cert, law=law, rhs=rhs, pack=pack, V=V,
-                        V_series=V_series)
+        return LyapunovIndirect(plant, ref, signal, gains, projection, cert,
+                                match)
+    raise ModelError(f"unknown Lyapunov mode {mode!r}")
 
 
 def run_lyapunov_scenario(plant: PlantModel, ref: ReferenceModel,
@@ -351,18 +396,18 @@ def run_lyapunov_scenario(plant: PlantModel, ref: ReferenceModel,
     """
     x0, xm0, theta0, _, xhat0 = _check_run_args(
         plant, ref, signal, gains, init, horizon, projection, h, method)
-    loop = build_lyapunov_loop(plant, ref, signal, mode, gains, projection,
-                               cert, match)
-    law, n = loop.law, plant.n
-    law.z0 = loop.pack(x0, xm0, theta0[:n], theta0[n:].T, xhat0)
+    law = build_lyapunov_loop(plant, ref, signal, mode, gains, projection,
+                              cert, match)
+    n = plant.n
+    law.z0 = law.pack(x0, xm0, theta0[:n], theta0[n:].T, xhat0)
 
     def V_series(rec):
         # a run's sink gives V a block of rows at a time
-        return value_series(loop.V_series(rec["x"], rec["x_m"],
-                                          rec.get("x_hat"), rec["theta"]))
+        return value_series(law.V_series(rec["x"], rec["x_m"],
+                                         rec.get("x_hat"), rec["theta"]))
 
     spec = TraceSpec(f"lyapunov_{mode}", CONTINUOUS, horizon, h,
-                     V_series if loop.V_series is not None else None)
+                     V_series if law.V_series is not None else None)
     if mode == "indirect":
         run = _projected(law, signal, projection, theta0, spec, stream)
     else:

@@ -81,13 +81,18 @@ def memory_estimate(horizon: int, n: int, M: int, time_domain: str) -> int:
     return 8 * (horizon + 1) * ((n + M) * M + 5 * n + 3 * M + 6 + stages * M)
 
 
-def blocked_dir(path: str) -> Optional[str]:
-    """The nearest existing ancestor of ``path``, itself included, when it
-    is not a directory, so that ``path`` cannot be made as one; else None."""
+def dir_problem(path: str) -> Optional[str]:
+    """Why no directory can be made at ``path``, else None: a component
+    longer than the 255 bytes of a file name, or the nearest existing
+    ancestor, ``path`` itself included, when it is not a directory."""
+    size = max(map(len, os.fsencode(path).split(os.fsencode(os.sep))))
+    if size > 255:
+        return (f"a path component of {size} bytes, above the limit of 255 "
+                f"of a file name")
     head = os.path.abspath(path)
     while not os.path.exists(head):
         head = os.path.dirname(head)
-    return None if os.path.isdir(head) else head
+    return None if os.path.isdir(head) else f"{head} is not a directory"
 
 
 def read_document(source, unreadable: str = "", text: bool = False):
@@ -491,8 +496,8 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         except ToolkitError as exc:
             errors.append(f"init: {exc}")
     directory = cfg.get("output", {}).get("dir")
-    if directory is not None and (head := blocked_dir(directory)):
-        errors.append(f"output.dir: {head} is not a directory")
+    if directory is not None and (problem := dir_problem(directory)):
+        errors.append(f"output.dir: {problem}")
 
     if errors:
         raise ConfigError(errors)

@@ -417,16 +417,15 @@ class TestTheta2Positions:
         gains = LyapunovIndirectGains(Gamma1=np.eye(3), Gamma2=np.eye(M))
         signs, lower = np.ones(M), np.full(M, 1.5)
         proj = ProjectionConfig(theta2_lower=lower, signs=signs)
-        loop = build_lyapunov_loop(plant, ref, signal, "indirect", gains, proj)
-        law = loop.law
+        law = build_lyapunov_loop(plant, ref, signal, "indirect", gains, proj)
         T2 = np.diag(1.0 + np.arange(M))
-        z = loop.pack(np.ones(3), np.ones(3), np.ones((3, M)), T2, np.ones(3))
+        z = law.pack(np.ones(3), np.ones(3), np.ones((3, M)), T2, np.ones(3))
         at = law.nF + law.theta2_at
         assert np.array_equal(z[at], np.diag(T2))
-        # the step reads theta2 (its views' entry 14) at the same positions
+        # the step reads theta2 (its views' entry 5) at the same positions
         row = np.zeros(law.width)
         row[law.W] = z[law.nF:]
-        assert np.array_equal(law.views(row, row[law.dF])[14], np.diag(T2))
+        assert np.array_equal(law.views(row, row[law.dF])[5], np.diag(T2))
         # and so do the guards, through law.th2
         assert np.array_equal(row[law.W][law.th2], np.diag(T2))
 
@@ -442,7 +441,7 @@ class TestTheta2Positions:
         # a stacked law's clamp and rate check act on a (2, ...) block of
         # two members with bounds of their own as each member's law acts
         # on its own row
-        from mrac import SingularGainError, _rows
+        from mrac import SingularGainError
         from mrac.indirect import _carry, _floor, _indirect_law
         M = 2
         plant, ref, K1s, K2s = random_matchable_instance(3, M, 4, "continuous")
@@ -457,7 +456,7 @@ class TestTheta2Positions:
             proj = ProjectionConfig(scale * np.abs(np.diag(K2s)), signs)
             _carry(law, proj, _floor(proj, M, stage=True))
             laws.append(law)
-        group = _rows.stack(laws)
+        group = laws[0].stack(laws[1:])
         lower = np.stack([law.theta2_lower for law in laws])
         at = group.nF + group.theta2_at
         rng = np.random.default_rng(4)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import mrac.cli as cli_mod
-from mrac import ToolkitError, _rows, random_matchable_instance
+from mrac import ToolkitError, random_matchable_instance
 from mrac.cli import LOCKSTEP_MIN, batch_units, main, worker_count
 from mrac.scenario import (_member, benchmark_config, config_from_dict,
                            lockstep_key, run_lockstep, run_scenario,
@@ -132,7 +132,7 @@ def test_records_equal_run_scenario(group):
     if len(cfgs) == 1:
         # a group of one keeps its own law, and so the lone .dot step
         law = _member(cfgs[0]).law
-        assert _rows.stack([law]) is law
+        assert law.stack([]) is law
     runs = list(run_lockstep(cfgs))
     assert len(runs) == len(cfgs)
     for cfg, grouped in zip(cfgs, runs):

@@ -154,6 +154,19 @@ class TestScenarios:
                                       gains, None, init, 300, h=0.01)
         assert np.max(np.abs(trace.e)) <= 1e-10
 
+    def test_an_unprojected_indirect_law_carries_no_guards(self):
+        # from the true parameters it tracks exactly, as the direct law does
+        plant, ref = ct_instance()
+        sol = solve_matching(plant, ref)
+        gains = LyapunovIndirectGains(Gamma1=np.eye(2), Gamma2=[[1.0]])
+        law = build_lyapunov_loop(plant, ref, self._sig(), "indirect", gains)
+        assert law.ct_guards() == (None, None) and law.landing() is None
+        init = InitialConditions(theta0=theta_star_indirect(sol.K1, sol.K2))
+        trace = run_lyapunov_scenario(plant, ref, self._sig(), "indirect",
+                                      gains, None, init, 300, h=0.01)
+        assert np.max(np.abs(trace.e)) <= 1e-10
+        assert not np.any(trace.proj_g2) and not np.any(trace.proj_f2)
+
     def test_direct_v_nonincreasing_and_certificate(self):
         plant, ref = ct_instance()
         gains = LyapunovDirectGains(Gamma=np.eye(2), gamma=1.0, sign_k2=1.0)
@@ -270,3 +283,98 @@ class TestScenarios:
         with pytest.raises(ModelError, match="^projection dimension "):
             run_indirect_scenario(plant, ref, self._sig(), gradient, proj,
                                   init, 50)
+
+
+class TestStackedLaws:
+    """Lyapunov laws of one form stack into a group's law, whose step and
+    guards act on a (B, width) block of rows as each member's law acts on
+    its own row, byte for byte."""
+
+    FORMS = {"direct-Gamma": (1, "direct"), "direct-S_p": (2, "direct"),
+             "indirect-standard": (2, "indirect"),
+             "indirect-transposed": (2, "indirect")}
+
+    def _laws(self, form, seeds=range(3), M=None):
+        """One law of ``form`` per seed, each of its own n=3 plant, gains
+        and projection, from a random state; ``M`` inputs, else the
+        form's."""
+        M, mode = M or self.FORMS[form][0], self.FORMS[form][1]
+        laws = []
+        for seed in seeds:
+            plant, ref, _, K2s = random_matchable_instance(
+                3, M, seed, time_domain="continuous")
+            k2, scale, proj = np.diag(K2s), 1.0 + 0.5 * seed, None
+            if form == "direct-Gamma":
+                gains = LyapunovDirectGains(Gamma=scale * np.eye(3),
+                                            gamma=scale,
+                                            sign_k2=float(np.sign(k2[0])))
+            elif form == "direct-S_p":
+                gains = LyapunovDirectGains(S_p=scale * np.diag(1.0 / k2))
+            else:
+                theta1_law = form.split("-")[1]
+                gains = LyapunovIndirectGains(
+                    Gamma1=scale * np.eye(3 if theta1_law == "standard"
+                                          else M),
+                    Gamma2=np.diag(scale + np.arange(M)),
+                    theta1_law=theta1_law)
+                proj = ProjectionConfig((0.3 + 0.1 * seed) / np.abs(k2),
+                                        np.sign(k2))
+            law = build_lyapunov_loop(plant, ref, ReferenceSignal.constant(
+                np.ones(M)), mode, gains, proj)
+            law.z0 = np.random.default_rng(seed).normal(
+                size=law.nF + law.W.stop - law.W.start)
+            laws.append(law)
+        return laws
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_a_block_step_is_each_lone_step(self, form):
+        laws = self._laws(form)
+        group = laws[0].stack(laws[1:])
+        assert group.z0.shape == (3, laws[0].z0.shape[0])
+        rows = np.random.default_rng(9).normal(size=(3, group.width))
+        block = rows.copy()
+        group.step(group.views(block, block[:, group.dF]))
+        assert not np.array_equal(block, rows)
+        for b, law in enumerate(laws):
+            row = rows[b].copy()
+            law.step(law.views(row, row[law.dF]))
+            assert row.tobytes() == block[b].tobytes()
+
+    @pytest.mark.parametrize("form", ["indirect-standard",
+                                      "indirect-transposed"])
+    def test_the_guards_act_on_a_block(self, form):
+        laws = self._laws(form)
+        group = laws[0].stack(laws[1:])
+        s, lower = group.signs, group.theta2_lower
+        W, dW, th2 = group.W, group.dW, group.th2
+        dz = slice(group.dF.start, group.dW.stop)
+        rows = np.random.default_rng(5).normal(size=(3, group.width))
+        # theta2 on its bound, its rate outward for input 0 only
+        rows[:, W][:, th2] = s * lower
+        rows[:, dW][:, th2] = s * [-1.0, 1.0]
+        guard, clamp = group.ct_guards()
+        rates = guard((rows[:, W][:, th2], rows[:, dW][:, th2]), rows[:, dz])
+        assert np.any(rates != rows[:, dz])
+        # theta2 a hair inside its bound for input 1 only
+        z = rows[:, np.r_[group.F, W]]
+        z[:, group.nF + group.theta2_at] = s * lower * [1.5, 0.9]
+        clamped = z.copy()
+        clamp(clamped)
+        assert not np.array_equal(clamped, z)
+        for b, law in enumerate(laws):
+            row = rows[b]
+            guard, clamp = law.ct_guards()
+            alone = guard((row[W][th2], row[dW][th2]), row[dz])
+            assert alone.tobytes() == rates[b].tobytes()
+            alone = z[b].copy()
+            clamp(alone)
+            assert alone.tobytes() == clamped[b].tobytes()
+
+    @pytest.mark.parametrize("forms", [("direct-Gamma", "direct-S_p"),
+                                       ("indirect-standard",
+                                        "indirect-transposed")])
+    def test_laws_of_different_forms_do_not_stack(self, forms):
+        # one input: the S_p law has the Gamma law's shapes
+        first, other = (self._laws(form, [0], M=1)[0] for form in forms)
+        with pytest.raises(ModelError, match="do not stack"):
+            first.stack([other])

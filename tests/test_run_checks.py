@@ -8,10 +8,12 @@ import pytest
 from mrac import (DirectGainConfig, GainError, IndirectGainConfig,
                   InitialConditions, LyapunovDirectGains,
                   LyapunovIndirectGains, ModelError, PlantModel,
-                  ProjectionConfig, ProjectionError, ReferenceSignal,
-                  direct_V_series, gamma0_direct, random_matchable_instance,
-                  run_direct_scenario, run_indirect_scenario,
-                  run_lyapunov_scenario)
+                  ProjectionConfig, ProjectionError, ReferenceModel,
+                  ReferenceSignal, direct_V_series, gamma0_direct,
+                  random_matchable_instance, run_direct_scenario,
+                  run_indirect_scenario, run_lyapunov_scenario,
+                  solve_lyapunov_ct, solve_matching)
+from mrac.lyapunov import build_lyapunov_loop
 from mrac.scenario import benchmark_config, run_scenario
 
 
@@ -120,6 +122,62 @@ def test_initial_states_must_fit(M, init, message):
          "ProjectionConfig.theta2_lower", "gamma0_direct", "direct_V_series"])
 def test_a_per_input_vector_of_another_size_is_named(make, error, message):
     # one entry or one per input; numpy's broadcast error used to escape
+    with pytest.raises(error, match=message):
+        make()
+
+
+def _run_direct(horizon=10, time_domain="discrete"):
+    plant, ref, sig = instance(M=1)
+    gains = DirectGainConfig(Gamma=0.1 * np.eye(3), gamma=1.0, sign_k2=1.0,
+                             k2_lower=1.0, time_domain=time_domain)
+    run_direct_scenario(plant, ref, sig, gains, InitialConditions(), horizon)
+
+
+def _lyapunov_mode(mode):
+    plant, ref, sig = instance(M=1, time_domain="continuous")
+    gains = LyapunovDirectGains(Gamma=np.eye(2), gamma=1.0, sign_k2=1.0)
+    build_lyapunov_loop(plant, ref, sig, mode, gains)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: IndirectGainConfig(np.ones((2, 3))), GainError,
+     r"^Gamma must stack to \(M, n_w, n_w\), got \(1, 2, 3\)$"),
+    (lambda: IndirectGainConfig(np.stack([np.eye(2)] * 2)), GainError,
+     r"^Gamma block size 2 too small for M=2$"),
+    (lambda: _run_direct(time_domain="continuous"), ModelError,
+     r"^gain config was validated for a different time domain$"),
+    (lambda: _run_direct(horizon=0), ModelError,
+     r"^horizon must be at least 1$"),
+    (lambda: ProjectionConfig(1.0, [0.5]), ProjectionError,
+     r"^projection signs must be \+1 or -1$"),
+    (lambda: ProjectionConfig.from_k2_upper(0.0, [1.0]), ProjectionError,
+     r"^k2 upper bounds must be positive$"),
+    (lambda: LyapunovIndirectGains(np.eye(2), [[1.0]], "sideways"),
+     GainError, r"^unknown theta1 law 'sideways'$"),
+    (lambda: LyapunovIndirectGains(np.eye(2), [[-1.0]]), GainError,
+     r"^Gamma2 diagonal must be positive$"),
+    (lambda: _lyapunov_mode("sideways"), ModelError,
+     r"^unknown Lyapunov mode 'sideways'$"),
+    (lambda: LyapunovDirectGains(Gamma=np.eye(2)), GainError,
+     r"^need either S_p or the \(Gamma, gamma, sign_k2\) triple$"),
+    (lambda: PlantModel(np.zeros((2, 2, 2)), [1.0, 1.0]), ModelError,
+     r"^A must be a matrix, got ndim=3$"),
+    (lambda: PlantModel(np.eye(2), [1.0, 1.0], "sideways"), ModelError,
+     r"^unknown time domain 'sideways'$"),
+    (lambda: ReferenceModel(np.zeros((2, 3)), [1.0, 1.0]), ModelError,
+     r"^A_m must be square with n >= 1, got \(2, 3\)$"),
+    (lambda: solve_matching(instance(M=1)[0], instance(M=2)[1]), ModelError,
+     r"^input dimensions differ: plant M=1, reference M=2$"),
+    (lambda: solve_lyapunov_ct(np.zeros((2, 3)), np.eye(2)), ModelError,
+     r"^A_m must be square, got \(2, 3\)$"),
+    (lambda: ReferenceSignal.from_samples([]), ModelError,
+     r"^custom signal needs at least one sample$")],
+    ids=["Gamma-stack", "Gamma-block", "time-domain", "horizon",
+         "projection-signs", "k2_upper", "theta1_law", "Gamma2",
+         "lyapunov-mode", "lyapunov-gains", "PlantModel-ndim",
+         "PlantModel-domain", "ReferenceModel-square", "solve_matching",
+         "solve_lyapunov_ct", "from_samples"])
+def test_each_rejection_names_its_rule(make, error, message):
     with pytest.raises(error, match=message):
         make()
 

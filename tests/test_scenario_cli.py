@@ -517,10 +517,24 @@ class TestCli:
         missing = str(tmp_path / "missing.json")
         blocked = str(good / "out")
         for doc, out, want in [
-                (5, None, ["invalid batch spec: expected an object"]),
+                (5, None, ["invalid batch spec: expected an object with "
+                           "'configs' or 'base', got a number"]),
+                # a config, a number as a member and an object as configs
+                # used to be spelled out whole, each on one line
+                (bench_dict(), None, [
+                    "invalid batch spec: expected an object with 'configs' "
+                    "or 'base', got a scenario config (run it with 'mrac "
+                    "run')"]),
                 ({"configs": [123, missing]}, None,
-                 ["invalid batch spec: configs[0]: expected a config",
+                 ["invalid batch spec: configs[0]: expected a config object "
+                  "or a path, got a number",
                   "invalid batch spec: configs[1]: [Errno 2]"]),
+                ({"configs": {"a": bench_dict()}}, None,
+                 ["invalid batch spec: configs: expected a list, got an "
+                  "object"]),
+                ({"base": str(good), "sweep": 5}, None,
+                 ["invalid batch spec: sweep: expected an object, got a "
+                  "number"]),
                 ({"base": missing, "sweep": {"gains.Gamma": 5}}, blocked,
                  ["invalid batch spec: base: [Errno 2]",
                   "invalid batch spec: sweep.gains.Gamma: expected a list",
@@ -533,6 +547,7 @@ class TestCli:
             lines = captured.err.splitlines()
             assert captured.out == "" and len(lines) == len(want)
             assert all(map(str.startswith, lines, want))
+            assert max(map(len, lines)) < 160
         assert main(["run", str(good), "--out", blocked]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -1074,6 +1089,105 @@ class TestSchema:
              "'x\\ud800'"])
 
 
+@pytest.fixture
+def ran(monkeypatch):
+    """The calls of the CLI's runners, which run nothing."""
+    import mrac.cli as cli_mod
+    ran = []
+    monkeypatch.setattr(cli_mod, "run_scenario",
+                        lambda *args: ran.append(args))
+    monkeypatch.setattr(cli_mod, "run_lockstep",
+                        lambda *args: ran.append(args))
+    return ran
+
+
+class TestOutputDirectories:
+    """A directory that cannot be made at --out or output.dir is one line:
+    a path component longer than a file name is invalid before anything
+    runs, and any other OSError making it fails the run or the member."""
+
+    TOO_LONG = ("a path component of 256 bytes, above the limit of 255 of a "
+                "file name")
+
+    def test_a_component_of_255_bytes_runs(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(bench_dict(horizon=20)))
+        out = tmp_path / ("d" * 255)
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert sorted(os.listdir(out)) == [
+            "second-order-benchmark.summary.json",
+            "second-order-benchmark.trace.csv"]
+
+    @pytest.mark.parametrize("role", ["run --out", "batch --out",
+                                      "validate output.dir", "run output.dir",
+                                      "member output.dir"])
+    def test_a_component_of_256_bytes_is_invalid(self, tmp_path, capsys, ran,
+                                                 role):
+        # used to pass validation, then end in an OSError traceback from
+        # os.makedirs
+        long = str(tmp_path / ("d" * 256) / "out")
+        verb, where = role.split()
+        data = bench_dict(horizon=20)
+        if where == "output.dir":
+            data = edited(data, "output", dir=long)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        if verb in ("batch", "member"):
+            spec = tmp_path / "spec.json"
+            spec.write_text(json.dumps({"configs": [str(path)]}))
+            verb, path = "batch", spec
+        argv = [verb, str(path)] + (["--out", long] if where == "--out"
+                                    else [])
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        if role == "member output.dir":
+            [row] = json.loads(captured.out)
+            assert captured.err == "" and row["status"] == "invalid"
+            assert row["errors"] == [f"output.dir: {self.TOO_LONG}"]
+        else:
+            assert captured.out == ""
+            assert captured.err == f"invalid: {where}: {self.TOO_LONG}\n"
+        assert ran == [] and not os.path.exists(long)
+
+    def test_a_directory_that_cannot_be_made_is_one_line(self, tmp_path,
+                                                         capsys, monkeypatch):
+        denied, real = str(tmp_path / "denied"), os.makedirs
+
+        def makedirs(path, *args, **kwargs):
+            if path == denied:
+                raise PermissionError(13, "Permission denied", path)
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "makedirs", makedirs)
+        why = f"[Errno 13] Permission denied: {denied!r}"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(bench_dict(horizon=20)))
+        assert main(["run", str(cfg), "--out", denied]) == 1
+        assert capsys.readouterr() == ("", f"invalid: --out: {why}\n")
+        cfg.write_text(json.dumps(edited(bench_dict(horizon=20), "output",
+                                         dir=denied)))
+        assert main(["run", str(cfg)]) == 1
+        assert capsys.readouterr() == ("", f"invalid: output.dir: {why}\n")
+        # the member fails and the others run
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"configs": [
+            bench_dict(horizon=20, name="a"), str(cfg),
+            edited(bench_dict(horizon=20, name="b"), "output",
+                   dir=str(tmp_path / "b"))]}))
+        assert main(["batch", str(spec)]) == 1
+        captured = capsys.readouterr()
+        rows = json.loads(captured.out)
+        assert captured.err == ""
+        assert [row["status"] for row in rows] == ["ok", "failed", "ok"]
+        assert rows[1]["errors"] == [f"output.dir: {why}"]
+        assert sorted(os.listdir(tmp_path / "b")) == ["b.summary.json",
+                                                      "b.trace.csv"]
+        assert main(["batch", str(spec), "--out", denied]) == 1
+        rows = json.loads(capsys.readouterr().out)
+        assert [row["errors"] for row in rows] == [[f"--out: {why}"]] * 3
+
+
 class TestInputDocuments:
     """Configs, batch specs, batch members and sweep bases are read by one
     reader: UTF-8 with or without a byte-order mark, and every document
@@ -1085,16 +1199,6 @@ class TestInputDocuments:
         "deep": b"[" * 100_000,
         "digits": b'{"horizon": ' + b"1" * 5000 + b"}",
     }
-
-    @pytest.fixture
-    def ran(self, monkeypatch):
-        import mrac.cli as cli_mod
-        ran = []
-        monkeypatch.setattr(cli_mod, "run_scenario",
-                            lambda *args: ran.append(args))
-        monkeypatch.setattr(cli_mod, "run_lockstep",
-                            lambda *args: ran.append(args))
-        return ran
 
     @staticmethod
     def _argv(role, path, tmp_path):
@@ -1137,7 +1241,8 @@ class TestInputDocuments:
                 (self.BAD["deep"], "parse error: maximum recursion depth "
                  "exceeded"),
                 (b'{"a": 1,}', "parse error at line 1, column 9: Expecting "
-                 "property name enclosed in double quotes")]:
+                 "property name enclosed in double quotes"),
+                (b"[1, 2]", "config document must be a JSON object")]:
             path.write_bytes(content)
             with pytest.raises(ConfigError) as info:
                 load_config(str(path))

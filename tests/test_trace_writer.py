@@ -135,6 +135,23 @@ def test_writers_match_the_per_value_loops(name, tmp_path):
         assert got.count(b"\n") == trace.steps + 1
 
 
+def test_a_writer_steps_past_a_temporary_name_in_use(tmp_path,
+                                                     monkeypatch):
+    # the temporary name of a file being written is taken afresh when a
+    # file of that name exists, which is left as it was
+    import itertools
+    from mrac.cli import RowFile
+    monkeypatch.setattr(RowFile, "serial", itertools.count())
+    taken = tmp_path / f".mrac-{os.getpid()}-0.part"
+    taken.write_bytes(b"taken")
+    trace = benchmark_trace()
+    write_trace_csv(trace, tmp_path / "new")
+    trace_oracle.write_trace_csv(trace, tmp_path / "old")
+    assert (tmp_path / "new").read_bytes() == (tmp_path / "old").read_bytes()
+    assert taken.read_bytes() == b"taken"
+    assert sorted(os.listdir(tmp_path)) == [taken.name, "new", "old"]
+
+
 def test_writer_memory_does_not_grow_with_the_horizon(tmp_path):
     data = benchmark_config().to_dict()
     data["horizon"] = 20000
