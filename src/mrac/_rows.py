@@ -42,24 +42,31 @@ guards (``indirect.Guarded``), each one form for a row or a group's block
 of rows: ``run`` calls the landing once per step, ``run_ct`` the rate
 check on each rate and the clamp on each new state.
 
-Rows always carry a leading member axis, and every law's ``views`` take a
-lone (width,) row or a group's (B, width) block (``forms``): ``run`` steps
-the set-up runs of a lockstep group, B discrete laws of one layout, on the
-law the first one ``stack``s of them all, and a lone run is a group of
-one. Each product of a group's step is a stacked ``matmul``, which makes
-the same BLAS call per member as the lone ``.dot``, so every member's rows
-are byte for byte those of its lone run. A group of one keeps its own law
-and so the ``.dot`` step, which runs twice as fast as a stacked one at B =
-1. The divergence rule and the record store run per member: a member's
-records stop after the chunk in which it diverged, and the group runs
-until every member has diverged or reached the end.
+Rows always carry a leading member axis: ``run`` steps the set-up runs of
+a lockstep group, B discrete laws of one layout, on the law the first one
+``stack``s of them all, and a lone run is a group of one. Every law has
+one step, which takes the ``views`` of a lone (width,) row or of a group's
+(B, width) block, and only ``forms`` knows which it has. A lone row's
+products are the arrays' ``.dot`` methods, a block's a stacked ``matmul``,
+which makes the same BLAS call per member, so every member's rows are byte
+for byte those of its lone run. A product that feeds back into the rows
+it reads goes straight into a lone row, and into a scratch array that is
+then copied into a block (numpy would first copy an output whose extent
+overlaps an input's). The gradient step's one statement of each form is
+m^2, which a lone row forms in Python floats. A group of one keeps its own
+law and so the ``.dot`` step, which runs twice as fast as a stacked one at
+B = 1. The divergence rule and the record store run per member: a
+member's records stop after the chunk in which it diverged, and the group
+runs until every member has diverged or reached the end.
 """
 
 from __future__ import annotations
 
 import copy
 import math
+from collections import namedtuple
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -90,16 +97,36 @@ def row_blocks(steps: int):
         lo = hi
 
 
+# a law's operands of rows of one form (see ``forms``)
+Forms = namedtuple("Forms", "dot col into flat")
+
+
+def _kept():
+    """A lone row's landing of a product: the product is in the row."""
+
+
 def forms(lead):
-    """``(dot, col)`` for a law's ``views`` of rows of leading shape
-    ``lead``: ``dot(a)``, the product by the matrix or vector ``a``, and
-    ``col(v)``, the vector operand v. A lone row's are ``a.dot`` and v; a
-    (B, width) block's a stacked ``matmul`` by a, a vector taken as a row,
-    and v's columns."""
+    """The ``Forms`` of a law's ``views`` of rows of leading shape
+    ``lead``: ``dot(a)``, the product by the matrix or vector ``a``;
+    ``col(v)``, the vector operand v; ``into(v)``, the target of a product
+    that lands in the view v, and its landing, called once the product is
+    in the target; and ``flat(v)``, v's entries as one list of floats. A
+    lone row's are ``a.dot``, v, (v, a landing that does nothing) and
+    ``v.tolist()``; a (B, width) block's a stacked ``matmul`` by a, with a
+    vector taken as a row, v's columns, a scratch array that its landing
+    copies into v, and v's rows joined."""
     if not lead:
-        return (lambda a: a.dot), (lambda v: v)
-    return (lambda a: partial(np.matmul, a if a.ndim > len(lead) + 1
-                              else a[..., None, :])), (lambda v: v[..., None])
+        return Forms(lambda a: a.dot, lambda v: v, lambda v: (v, _kept),
+                     np.ndarray.tolist)
+
+    def into(v):
+        out = np.empty(v.shape)
+        return out, partial(v.__setitem__, Ellipsis, out)
+
+    return Forms(lambda a: partial(np.matmul, a if a.ndim > len(lead) + 1
+                                   else a[..., None, :]),
+                 lambda v: v[..., None], into,
+                 lambda v: list(chain.from_iterable(v.tolist())))
 
 
 class Layout:
@@ -196,27 +223,71 @@ class Law(Layout):
         self.step = self.stepper()
 
     def stepper(self):
-        """The law's step on its own L and G (see ``_stepper``)."""
-        return _stepper(self.L, self.G, self.n, self.M, self.n_ab)
+        """The law's step on its own L and G, or on a group's, stacked on a
+        member axis (``stack``): u, eps, Xi and m^2 into the row, L [F, r,
+        u] into dF and G ab into dW, of the ``views`` of a row or of a
+        block of rows (``forms``)."""
+        lead = self.L.shape[:-2]
+        dot, col = forms(lead)[:2]
+        # the arrays' .dot methods skip the __array_function__ dispatch of
+        # np.dot; a stacked matmul makes the same BLAS call per member
+        Ldot, Gdot = dot(self.L), dot(self.G)
+        scale, div, add = np.multiply, np.divide, np.add
+        epsb = np.empty(lead + (self.n,))
+        epsc, ab = col(epsb), col(np.empty(lead + (self.n_ab,)))
+        # a block's H^T H and -1 / m^2, with flat views, which numpy's
+        # ufuncs loop over faster
+        h2, inv = np.empty(lead + (1, 1)), np.empty(lead + (1,))
+        h2f, invf, lone = h2.reshape(lead), inv.reshape(lead), not lead
+
+        def step(v):
+            (refresh, Kdot, om, u, u_land, th2, WTdot, FT, XE, XE_land, Hdot,
+             H, m2, eps, ABdot, dW, lin, dF) = v
+            if refresh is not None:
+                theta, rho, rt, rt_land = refresh
+                scale(theta, rho, rt)
+                rt_land()
+            Kdot(om, u)
+            if th2 is not None:
+                div(u, th2, u)
+            u_land()
+            WTdot(FT, XE)
+            XE_land()
+            if lone:  # Python floats step a lone row 1 us faster
+                m = 1.0 + float(Hdot(H))
+                m2[()] = m
+                m = -1.0 / m
+            else:
+                Hdot(H, h2)
+                add(h2f, 1.0, m2)
+                div(-1.0, m2, invf)
+                m = inv
+            scale(eps, m, epsb)
+            ABdot(epsc, ab)
+            Gdot(ab, dW)
+            Ldot(lin, dF)
+
+        return step
 
     def views(self, row, dF):
         """The operands ``step`` takes from ``row``, writing F's image into
-        ``dF``. Of a group's (B, width) block of rows, each operand gains
-        the leading member axis, and products and vectors take their block
-        forms (``forms``); eps and m^2 stay flat operands of the
-        normalization's vector form."""
+        ``dF``: of a group's (B, width) block of rows, each operand gains
+        the leading member axis, and products, vectors and the targets of
+        u, [eps, Xi] and the refresh of rho_j theta_j take their block
+        forms (``forms``)."""
         n, M, C, K, F0 = self.n, self.M, self.C, self.K, self.F0
         lead = row.shape[:-1]
+        dot, col, into, _ = forms(lead)
         W, W1 = row[..., self.W], self.W.start + K
         # theta_j is row 1 + j of W^T from column jC on; the row runs past W
         theta = row[..., W1:W1 + M * (K + C)].reshape(
             lead + (M, K + C))[..., :C]
         if self.rho:
             refresh = (theta, W[..., M * C:M * C + M, None],
-                       W[..., :M * C].reshape(lead + (M, C)))
+                       *into(W[..., :M * C].reshape(lead + (M, C))))
             gains, th2 = theta, None
         else:
-            refresh, th2 = None, W[..., self.th2]
+            refresh, th2 = None, col(W[..., self.th2])
             gains = W[..., (M + 1) * K:].reshape(lead + (M, C))
         H = row[..., n if self.xi_in_m else F0:F0 + n * M * C]
         AB = row[..., n if self.xi_in_ab else F0:F0 + n * M * C].reshape(
@@ -225,86 +296,11 @@ class Law(Layout):
         FT = row[..., self.F].reshape(lead + (K, n))
         XE = row[..., :F0].reshape(lead + (M + 1, n))
         om, u = row[..., F0 + n * (K - 1):self.U.start], row[..., self.U]
-        eps, dW = row[..., :n], row[..., self.dW]
         lin = row[..., F0:self.U.stop]
-        dot, col = forms(lead)
-        m2 = row[..., self.m2] if lead else row[self.m2:self.m2 + 1]
-        return (refresh, dot(gains), col(om), col(u),
-                None if th2 is None else col(th2), dot(WT), FT, XE, dot(H),
-                col(H), m2, eps, dot(AB), col(dW), col(lin), col(dF))
-
-
-def _stepper(L, G, n, M, n_ab):
-    """One step of a law: u, eps, Xi and m^2 into the row, L [F, r, u] into
-    dF and G ab into dW. With L and G stacked on a leading member axis, the
-    step of a lockstep group (``_group_stepper``)."""
-    if L.ndim == 3:
-        return _group_stepper(L, G, n, M, n_ab)
-    epsb = np.empty(n)
-    ab = np.empty(n_ab)
-    # the arrays' .dot methods skip the __array_function__ dispatch of np.dot
-    Ldot, Gdot, scale, div = L.dot, G.dot, np.multiply, np.divide
-
-    def step(v):
-        (refresh, Kdot, om, u, th2, WTdot, FT, XE, Hdot, H, m2w, eps, ABdot,
-         dW, lin, dF) = v
-        if refresh is not None:
-            scale(*refresh)
-        Kdot(om, u)
-        if th2 is not None:
-            div(u, th2, u)
-        WTdot(FT, XE)
-        m2 = 1.0 + float(Hdot(H))
-        m2w[0] = m2
-        scale(eps, -1.0 / m2, epsb)
-        ABdot(epsb, ab)
-        Gdot(ab, dW)
-        Ldot(lin, dF)
-
-    return step
-
-
-def _group_stepper(L, G, n, M, n_ab):
-    """The step of a lockstep group on (B, width) blocks of rows: the
-    operations of the lone step on every member, batched, with m^2 in
-    vector form."""
-    B = L.shape[0]
-    # a stacked matmul makes the same BLAS call per member as .dot
-    Ldot, Gdot = partial(np.matmul, L), partial(np.matmul, G)
-    scale, div, add = np.multiply, np.divide, np.add
-    epsb, ab = np.empty((B, n, 1)), np.empty((B, n_ab, 1))
-    # numpy copies an output that may overlap an input first, and a view of
-    # one region of a block of rows may overlap a view of any other; the
-    # products the rows feed back into go to these arrays instead, then
-    # into the rows
-    rt, us = np.empty((B, M, n + M)), np.empty((B, M, 1))
-    xe = np.empty((B, M + 1, n))
-    # H^T H and -1 / m^2, and flat views, which numpy's ufuncs loop over
-    # faster
-    h2, inv = np.empty((B, 1, 1)), np.empty((B, 1))
-    h2_, inv_, epsb_ = h2.reshape(B), inv.reshape(B), epsb.reshape(B, n)
-
-    def step(v):
-        (refresh, Kdot, om, u, th2, WTdot, FT, XE, Hdot, H, m2w, eps, ABdot,
-         dW, lin, dF) = v
-        if refresh is not None:
-            scale(refresh[0], refresh[1], rt)
-            refresh[2][...] = rt
-        Kdot(om, us)
-        if th2 is not None:
-            div(us, th2, us)
-        u[...] = us
-        WTdot(FT, xe)
-        XE[...] = xe
-        Hdot(H, h2)
-        add(h2_, 1.0, m2w)
-        div(-1.0, m2w, inv_)
-        scale(eps, inv, epsb_)
-        ABdot(epsb, ab)
-        Gdot(ab, dW)
-        Ldot(lin, dF)
-
-    return step
+        return (refresh, dot(gains), col(om), *into(col(u)), th2, dot(WT),
+                FT, *into(XE), dot(H), col(H), row[..., self.m2],
+                row[..., :n], dot(AB), col(row[..., self.dW]), col(lin),
+                col(dF))
 
 
 def shapes(cols, **extra):

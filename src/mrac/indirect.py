@@ -21,12 +21,11 @@ each is followed literally).
 
 from __future__ import annotations
 
-from itertools import chain
 from operator import lt, mul
 
 import numpy as np
 
-from ._rows import Law, Layout, block, row_blocks
+from ._rows import Law, Layout, block, forms, row_blocks
 from .diagnostics import (SimulationTrace, TraceSpec, _entries, _stack_gains,
                           indirect_V_series)
 from .direct import (SOLVE, InitialConditions, Member, _check_blocks,
@@ -108,14 +107,6 @@ def _nulls(s, theta2, lower, g2):
     return (s * theta2 <= lower + 1e-12) & (s * g2 < 0.0)
 
 
-def _scalars(block: bool):
-    """The reader of the entries of a row's view, or with ``block`` of a
-    (B, ...) block's, as one flat list of floats."""
-    if block:
-        return lambda v: list(chain.from_iterable(v.tolist()))
-    return np.ndarray.tolist
-
-
 class Guarded(Layout):
     """A layout whose law carries theta2 guards: theta2 is ``th2`` of W and
     of dW, its copies ``theta2_at`` of W (copies x M, or M). ``signs`` and
@@ -137,7 +128,7 @@ class Guarded(Layout):
         if s is None:
             return None
         s_l, lower_l = s.ravel().tolist(), lower.ravel().tolist()
-        flat = _scalars(s.ndim > 1)
+        flat = forms(s.shape[:-1]).flat
 
         def land(copies, f2):
             t = copies[0]
@@ -161,7 +152,7 @@ class Guarded(Layout):
             return None, None
         # theta2's positions in z = [F, W] and in its rate [dF, dW]
         at = self.nF + self.theta2_at.reshape(-1, self.theta2_at.shape[-1])
-        flat = _scalars((floor if s is None else s).ndim > 1)
+        flat = forms((floor if s is None else s).shape[:-1]).flat
         s_l = lower_l = clamp = None
         if s is not None:
             s_l, lower_l = s.ravel().tolist(), lower.ravel().tolist()

@@ -240,7 +240,7 @@ class LyapunovDirect(_Scheme):
 
     def stepper(self):
         """The step on the law's own (or stacked) L, Gd and Wn."""
-        dot = forms(self.L.shape[:-2])[0]
+        dot = forms(self.L.shape[:-2]).dot
         Ldot, Gddot, Wndot = dot(self.L), dot(self.Gd), dot(self.Wn)
         scale = np.multiply
 
@@ -258,7 +258,7 @@ class LyapunovDirect(_Scheme):
         """The operands ``step`` takes from ``row``, F's rate into ``dF``."""
         U, W, C, M = self.U, self.W, self.C, self.M
         lead = row.shape[:-1]
-        dot, col = forms(lead)
+        dot, col = forms(lead)[:2]
         gv, wv = row[..., U.stop:U.stop + C], row[..., U.stop + C:W.start]
         theta = row[..., W].reshape(lead + (C, M))
         return (dot(theta.swapaxes(-1, -2)), col(row[..., self.X0:U.start]),
@@ -313,7 +313,7 @@ class LyapunovIndirect(_Scheme, Guarded):
     def stepper(self):
         """The step on the law's own (or stacked) L, Gamma1, Wc and
         -diag(Gamma2)."""
-        dot = forms(self.L.shape[:-2])[0]
+        dot = forms(self.L.shape[:-2]).dot
         Ldot, G1dot, Wcdot = dot(self.L), dot(self.G1), dot(self.Wc)
         negG2, standard = self.negG2, self.form == "standard"
         scale, add, div = np.multiply, np.add, np.divide
@@ -341,7 +341,7 @@ class LyapunovIndirect(_Scheme, Guarded):
         """The operands ``step`` takes from ``row``, F's rate into ``dF``."""
         n, M, U = self.n, self.M, self.U
         lead = row.shape[:-1]
-        dot, col = forms(lead)
+        dot, col = forms(lead)[:2]
         x, u, T, dT = (row[..., s] for s in (slice(self.X0, self.nF), U,
                                              self.W, self.dW))
         wv, g1, g, d1 = np.split(row[..., U.stop:self.W.start],

@@ -82,9 +82,13 @@ def memory_estimate(horizon: int, n: int, M: int, time_domain: str) -> int:
 
 
 def dir_problem(path: str) -> Optional[str]:
-    """Why no directory can be made at ``path``, else None: a component
-    longer than the 255 bytes of a file name, or the nearest existing
-    ancestor, ``path`` itself included, when it is not a directory."""
+    """Why no directory can be made at ``path``, else None: a value that
+    output.dir refuses (an empty path, a NUL or a lone surrogate), a
+    component longer than the 255 bytes of a file name, or the nearest
+    existing ancestor, ``path`` itself included, when it is not a
+    directory."""
+    if not _KINDS["dir"][1](path):
+        return f"expected a directory path, got {path!r}"
     size = max(map(len, os.fsencode(path).split(os.fsencode(os.sep))))
     if size > 255:
         return (f"a path component of {size} bytes, above the limit of 255 "
@@ -747,10 +751,11 @@ def _member(cfg: ScenarioConfig, stream=None):
 
 def run_lockstep(cfgs: list, outputs=None):
     """Run the configs ``cfgs``, which share one ``lockstep_key``, in
-    lockstep: each member keeps the law, sink, hooks and finish of its
-    lone run, and ``_rows.run``, which steps every discrete run, steps them
-    all on one stacked law, so that each run is byte for byte the one
-    ``run_scenario`` makes. ``outputs``, when given, holds each config's
+    lockstep: each member keeps the law, sink and finish of its lone run,
+    and ``_rows.run``, which steps every discrete run, steps them all on
+    the law the first member's law stacks of them all, its guards
+    included, so that each run is byte for byte the one ``run_scenario``
+    makes. ``outputs``, when given, holds each config's
     consumers of its trace's rows, as for ``run_scenario``. Yields, in
     order, the post-checked ScenarioRun of each config, or the ToolkitError
     its run found. A member is finished only when it is taken, and keeps

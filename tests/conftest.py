@@ -85,3 +85,19 @@ def mimo_indirect_case(seed):
     return dict(plant=plant, ref=ref, signal=sig, gains=gains, init=init,
                 projection=proj, K1_true=K1s, K2_true=K2s,
                 theta_star=theta_star)
+
+
+def assert_block_step_is_each_lone_step(laws):
+    """Stack ``laws`` into a group's law and step a (B, width) block of
+    random rows on it: the whole of each row is byte for byte the row its
+    member's own law steps alone."""
+    group = laws[0].stack(laws[1:])
+    assert group.z0.shape == (len(laws), laws[0].z0.shape[0])
+    rows = np.random.default_rng(9).normal(size=(len(laws), group.width))
+    block = rows.copy()
+    group.step(group.views(block, block[:, group.dF]))
+    assert not np.array_equal(block, rows)
+    for b, law in enumerate(laws):
+        row = rows[b].copy()
+        law.step(law.views(row, row[law.dF]))
+        assert row.tobytes() == block[b].tobytes()

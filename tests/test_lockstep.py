@@ -9,8 +9,14 @@ import numpy as np
 import pytest
 
 import mrac.cli as cli_mod
-from mrac import ToolkitError, random_matchable_instance
+from conftest import assert_block_step_is_each_lone_step
+from mrac import (DirectGainConfig, IndirectGainConfig, InitialConditions,
+                  ProjectionConfig, ReferenceSignal, ToolkitError,
+                  random_matchable_instance, stack_controller_gains,
+                  theta_star_indirect)
 from mrac.cli import LOCKSTEP_MIN, batch_units, main, worker_count
+from mrac.direct import _direct_member
+from mrac.indirect import _indirect_member
 from mrac.scenario import (_member, benchmark_config, config_from_dict,
                            lockstep_key, run_lockstep, run_scenario,
                            streamed_bytes)
@@ -79,6 +85,56 @@ def batch(tmp_path, capsys, members, tag, *flags):
     spec.write_text(json.dumps({"configs": members}))
     code = main(["batch", str(spec), "--out", str(tmp_path / tag), *flags])
     return code, capsys.readouterr().out
+
+
+class TestStackedLaws:
+    """Gradient laws of one form stack into a group's law, whose one step
+    acts on a (B, width) block of rows as each member's law acts on its own
+    row, byte for byte, as ``test_lyapunov.TestStackedLaws`` pins for the
+    Lyapunov laws."""
+
+    # inputs, scheme, and K2 enforcement (direct) or a projection (indirect)
+    FORMS = {"direct-M1": (1, "direct", False),
+             "direct-M2-K2": (2, "direct", True),
+             "indirect-M1": (1, "indirect", False),
+             "indirect-M2-projected": (2, "indirect", True)}
+
+    def _laws(self, form, seeds=range(3)):
+        """One discrete law of ``form`` per seed, each of its own n=3 plant
+        and gains."""
+        M, scheme, option = self.FORMS[form]
+        laws = []
+        for seed in seeds:
+            plant, ref, K1s, K2s = random_matchable_instance(3, M, seed)
+            k2, scale = np.diag(K2s), 0.5 + 0.2 * seed
+            signal = ReferenceSignal.constant(np.ones(M))
+            if scheme == "direct":
+                k2a = 0.5 * np.abs(k2)
+                gains = DirectGainConfig(
+                    Gamma=np.stack([scale * k2a[j] * np.eye(3 + M)
+                                    for j in range(M)]),
+                    gamma=np.full(M, scale), sign_k2=np.sign(k2),
+                    k2_lower=k2a, enforce_diagonal_k2=option)
+                init = InitialConditions(
+                    theta0=1.15 * stack_controller_gains(K1s, K2s),
+                    rho0=1.15 / k2)
+                run = _direct_member(plant, ref, signal, gains, init, 10, 1.0)
+            else:
+                gains = IndirectGainConfig(
+                    Gamma=np.stack([scale * np.eye(3 + M)] * M))
+                proj = (ProjectionConfig.from_k2_upper(2.0 * np.abs(k2),
+                                                       np.sign(k2))
+                        if option else None)
+                init = InitialConditions(
+                    theta0=1.15 * theta_star_indirect(K1s, K2s))
+                run = _indirect_member(plant, ref, signal, gains, proj, init,
+                                       10, 1.0)
+            laws.append(run.law)
+        return laws
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_a_block_step_is_each_lone_step(self, form):
+        assert_block_step_is_each_lone_step(self._laws(form))
 
 
 def test_grouped_rows_and_traces_equal_lone_runs(tmp_path, capsys,

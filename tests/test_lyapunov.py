@@ -10,7 +10,7 @@ from mrac import (GainError, InitialConditions, LyapunovDirectGains,
                   run_lyapunov_scenario, solve_lyapunov_ct, solve_matching,
                   stack_controller_gains, theta_star_indirect)
 from mrac.lyapunov import build_lyapunov_loop
-from conftest import ct_instance
+from conftest import assert_block_step_is_each_lone_step, ct_instance
 
 a = np.array
 
@@ -328,17 +328,7 @@ class TestStackedLaws:
 
     @pytest.mark.parametrize("form", FORMS)
     def test_a_block_step_is_each_lone_step(self, form):
-        laws = self._laws(form)
-        group = laws[0].stack(laws[1:])
-        assert group.z0.shape == (3, laws[0].z0.shape[0])
-        rows = np.random.default_rng(9).normal(size=(3, group.width))
-        block = rows.copy()
-        group.step(group.views(block, block[:, group.dF]))
-        assert not np.array_equal(block, rows)
-        for b, law in enumerate(laws):
-            row = rows[b].copy()
-            law.step(law.views(row, row[law.dF]))
-            assert row.tobytes() == block[b].tobytes()
+        assert_block_step_is_each_lone_step(self._laws(form))
 
     @pytest.mark.parametrize("form", ["indirect-standard",
                                       "indirect-transposed"])

@@ -1150,6 +1150,33 @@ class TestOutputDirectories:
             assert captured.err == f"invalid: {where}: {self.TOO_LONG}\n"
         assert ran == [] and not os.path.exists(long)
 
+    @pytest.mark.parametrize("verb", ["run", "batch"])
+    @pytest.mark.parametrize("out", ["", "x\ud800", "x\0y"],
+                             ids=["empty", "surrogate", "nul"])
+    def test_an_out_that_output_dir_refuses_is_invalid(
+            self, tmp_path, capsys, monkeypatch, ran, verb, out):
+        # an empty --out used to write nothing and exit 0, a lone surrogate
+        # to end in a UnicodeEncodeError traceback and a NUL in a
+        # ValueError one
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(edited(bench_dict(horizon=20), "output",
+                                          dir=out)))
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"invalid: output.dir: expected a directory path or null, got "
+            f"{out!r}\n")
+        path.write_text(json.dumps(bench_dict(horizon=20)))
+        if verb == "batch":
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps({"configs": [str(tmp_path /
+                                                        "cfg.json")]}))
+        assert main([verb, str(path), "--out", out]) == 1
+        assert capsys.readouterr() == (
+            "", f"invalid: --out: expected a directory path, got {out!r}\n")
+        assert ran == [] and sorted(os.listdir(tmp_path)) == sorted(
+            {"cfg.json", path.name})
+
     def test_a_directory_that_cannot_be_made_is_one_line(self, tmp_path,
                                                          capsys, monkeypatch):
         denied, real = str(tmp_path / "denied"), os.makedirs
