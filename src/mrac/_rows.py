@@ -24,11 +24,14 @@ it as
 * dF and dW receive L [F, r, u] and G ab, with ab the gradient of the
   terms ab reads, weighted by -eps / m^2.
 
-Rows live in a ``RowBuffer`` that the whole run reuses; the views of every
-row are made once, r is sampled a block of rows at a time as the rows need
-it (``Samples``), and the record columns of each chunk of finished rows go
-to each member's store, its sink (``diagnostics.Stream``, which gives them
-to the run's consumers a block at a time). Both runners share it and one
+Rows live in a ``RowBuffer`` that the whole run reuses, and which keeps
+the run's clock: the views of every row are made once, the rows run a
+``row_blocks`` block at a time, each member's r sampled once per block by
+the runner, and each block is cut into chunks that end at its end; the
+record columns of each chunk of finished rows go to each member's store,
+its sink (``diagnostics.Stream``, which gives them to the run's consumers
+a block at a time). A runner reads a run's horizon and step h off its
+trace's spec (``direct.Member``). Both runners share the buffer and one
 divergence rule (``first_nonfinite``: the first step at which an element
 of x, u or m^2 is not finite). They differ only in how row i's state
 reaches row i + 1: in discrete time (``run``) L [F, r, u] lands there as
@@ -187,20 +190,20 @@ class Law(Layout):
     over ab, the initial state ``z0 = [F, W]`` and the record columns
     ``cols`` of a row, keyed by trace field ("m2" holds m^2).
 
-    ``xi_in_m`` and ``xi_in_ab`` add Xi to the normalizer's and to the
-    gradient's terms, which are S otherwise. With ``rho``, row 0 of W^T
-    carries rho_j at q_j's column and rho_j theta_j, which ``step`` refreshes
-    before reading, and u = theta^T omega. Without it, [Theta1^T | I]
-    follows W^T and u = Theta2^{-1} (Theta1^T x + r).
+    ``xi_in_m`` adds Xi to the normalizer's terms, which are S otherwise.
+    With ``rho``, Xi joins the gradient's terms too, row 0 of W^T carries
+    rho_j at q_j's column and rho_j theta_j, which ``step`` refreshes
+    before reading, and u = theta^T omega. Without it, the gradient's terms
+    are S, [Theta1^T | I] follows W^T and u = Theta2^{-1} (Theta1^T x + r).
     """
 
     stacked = ("L", "G", "z0")
 
-    def __init__(self, L, G, F, W, M, xi_in_m, xi_in_ab, rho):
+    def __init__(self, L, G, F, W, M, xi_in_m, rho):
         self.L, self.G = L, G
         self.K, self.n = F.shape
         self.M, self.C = M, self.n + M
-        self.xi_in_m, self.xi_in_ab, self.rho = xi_in_m, xi_in_ab, rho
+        self.xi_in_m, self.rho = xi_in_m, rho
         n, K, C = self.n, self.K, self.C
         self.nK = n * K
         self.z0 = np.concatenate([F.ravel(), W])
@@ -219,7 +222,7 @@ class Law(Layout):
         }
         # theta2_j in row 1 + j of W^T
         self.th2 = slice(K + n, W.shape[0], K + C + 1)
-        self.n_ab = (M if xi_in_ab else 0) + M * C
+        self.n_ab = (M if rho else 0) + M * C
         self.step = self.stepper()
 
     def stepper(self):
@@ -290,7 +293,7 @@ class Law(Layout):
             refresh, th2 = None, col(W[..., self.th2])
             gains = W[..., (M + 1) * K:].reshape(lead + (M, C))
         H = row[..., n if self.xi_in_m else F0:F0 + n * M * C]
-        AB = row[..., n if self.xi_in_ab else F0:F0 + n * M * C].reshape(
+        AB = row[..., n if self.rho else F0:F0 + n * M * C].reshape(
             lead + (-1, n))
         WT = W[..., :(M + 1) * K].reshape(lead + (M + 1, K))
         FT = row[..., self.F].reshape(lead + (K, n))
@@ -313,29 +316,6 @@ def records(shapes, steps: int):
     """Zeroed record arrays of ``steps`` rows of ``shapes``, keyed by trace
     field."""
     return {name: np.zeros((steps,) + shape) for name, shape in shapes.items()}
-
-
-class Samples:
-    """r at the rows of a run of ``steps`` rows, sampled by ``sample(lo,
-    hi)`` a block of ``row_blocks(steps)`` at a time as the rows ask for
-    it: every sample keeps the bits of sampling the whole run by those
-    blocks, and only the blocks in use are held. ``rows(lo, hi)`` may start
-    one row before the call before it did (a chunk rereads the row it
-    carries over), never earlier."""
-
-    def __init__(self, sample, steps: int):
-        self.sample, self.blocks = sample, row_blocks(steps)
-        self.held = []  # (lo, hi, samples) of each block in use, in order
-
-    def rows(self, lo, hi):
-        self.held = [block for block in self.held if block[1] >= lo]
-        while not self.held or self.held[-1][1] < hi:
-            start, stop = next(self.blocks)
-            self.held.append((start, stop, self.sample(start, stop)))
-        parts = [values[max(lo, start) - start:min(hi, stop) - start]
-                 for start, stop, values in self.held
-                 if start < hi and stop > lo]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def first_nonfinite(rows, at):
@@ -370,7 +350,7 @@ class RowBuffer:
         self.work = self.buf if law.z0.ndim > 1 else self.buf[:, 0]
         self.size = self.buf.shape[0] - 1
         self.steps = steps
-        self.R, self.cols, self.stores = law.R, law.cols, stores
+        self.cols, self.stores = law.cols, stores
         self.buf[0, :, law.F] = law.z0[..., :law.nF]
         self.buf[0, :, law.W] = law.z0[..., law.nF:]
         self.probe = np.hstack([law.cols[name] for name in ("x", "u", "m2")
@@ -396,43 +376,42 @@ class RowBuffer:
             except ToolkitError as exc:
                 ended[b] = exc
 
-    def run(self, r, chunk):
-        """Step the rows, r filled into every row before its chunk runs:
-        ``r(lo, hi)`` gives r at rows lo..hi (rows x B x M), ``chunk(t0,
-        count)`` steps rows 0..count-1 (steps t0..t0+count-1) and returns
-        how many it finished and, per member, the row of its divergence
-        step or None (``first_nonfinite``). ``store`` then receives the
-        finished rows of the members that had not ended before the chunk.
-        The rows run until every member has ended or reached the end.
-        Returns what ended each member: None (it reached the end), its
-        divergence step, or the ToolkitError its store raised."""
-        T1 = self.steps
-        buf, R = self.buf, self.R
-        buf[0, :, R] = r(0, 1)[0]
+    def run(self, sample, chunk):
+        """Step the rows a ``row_blocks`` block at a time: ``sample(lo,
+        hi)``, called once per block, gives the samples of r of its rows
+        lo..hi, one entry per row, and the block is cut into chunks of at
+        most ``size`` rows that end at its end. ``chunk(t0, count, r)``
+        fills its rows 0..count-1 (steps t0..t0+count-1) from their samples
+        ``r``, steps them and returns how many it finished and, per member,
+        the row of its divergence step or None (``first_nonfinite``).
+        ``store`` then receives the finished rows of the members that had
+        not ended before the chunk. The rows run until every member has
+        ended or reached the end. Returns what ended each member: None (it
+        reached the end), its divergence step, or the ToolkitError its
+        store raised."""
+        buf = self.buf
         ended = [None] * buf.shape[1]
         live = list(range(buf.shape[1]))
-        t0 = 0
         with np.errstate(all="ignore"):
-            while t0 < T1:
-                count = min(self.size, T1 - t0)
-                stop = min(t0 + count + 1, T1)
-                if stop > t0 + 1:
-                    buf[1:stop - t0, :, R] = r(t0 + 1, stop)
-                reached, bad = chunk(t0, count)
-                self.store(buf[:reached], t0, live, bad, ended)
-                live = [b for b in live if ended[b] is None]
-                if not live:
-                    break
-                buf[0] = buf[count]
-                t0 += count
+            for lo, hi in row_blocks(self.steps):
+                r = sample(lo, hi)
+                for t0 in range(lo, hi, self.size):
+                    count = min(self.size, hi - t0)
+                    reached, bad = chunk(t0, count, r[t0 - lo:t0 - lo + count])
+                    self.store(buf[:reached], t0, live, bad, ended)
+                    live = [b for b in live if ended[b] is None]
+                    if not live:
+                        return ended
+                    buf[0] = buf[count]
         return ended
 
 
-def run(members, steps: int):
+def run(members):
     """Step the set-up discrete runs ``members`` (``direct.Member``), whose
-    laws share one layout, in lockstep over ``steps`` rows on the law that
-    the first member's law stacks of them all (``Layout.stack``), each
-    member's r sampled by its ``r(lo, hi)``; a lone run is a group of one.
+    laws share one layout and whose traces one horizon, in lockstep over
+    its rows on the law that the first member's law stacks of them all
+    (``Layout.stack``), each member's r sampled from its signal at the
+    steps of a block of rows at a time; a lone run is a group of one.
 
     Row i + 1 receives F(t + 1) = L [F, r, u] and W(t + 1) = W + G ab from
     row i; the law's landing, if any, then acts once on the whole group's
@@ -443,7 +422,8 @@ def run(members, steps: int):
     element of its x, u or m^2 is not finite) or its store's error.
     """
     law = members[0].law.stack([m.law for m in members[1:]])
-    rows = RowBuffer(law, [m.store for m in members], steps)
+    rows = RowBuffer(law, [m.store for m in members],
+                     members[0].spec.horizon + 1)
     buf, work, probe = rows.buf, rows.work, rows.probe
     land = law.landing()
     views = [(law.views(work[i], work[i + 1][..., law.F]),
@@ -454,7 +434,12 @@ def run(members, steps: int):
              for i in range(rows.size)]
     step, add = law.step, np.add
 
-    def chunk(t0, count):
+    def sample(lo, hi):
+        t = np.arange(lo, hi, dtype=float)
+        return np.stack([m.signal.sample(t) for m in members], axis=1)
+
+    def chunk(t0, count, r):
+        buf[:count, :, law.R] = r
         if land:
             buf[:count, :, law.f2] = 0.0
         for i in range(count):
@@ -465,27 +450,26 @@ def run(members, steps: int):
                 land(copies, f2)
         return count, first_nonfinite(buf[:count], probe)
 
-    samples = Samples(lambda lo, hi: np.stack([m.r(lo, hi) for m in members],
-                                              axis=1), steps)
-    return rows.run(samples.rows, chunk)
+    return rows.run(sample, chunk)
 
 
-def run_ct(member, horizon: int, h: float, method: str, integrate):
+def run_ct(member, method: str, integrate):
     """Step the set-up run ``member`` (``direct.Member``) in continuous
-    time from its law's state ``z0`` over ``horizon`` steps of size ``h``:
-    one ``integrate`` call (the runner module's ``integrate_ct``) per row
-    advances z = [F, W] along the rate [dF, dW] that the law's step writes,
-    and the result, after the law's clamp (``ct_guards``) in place, lands
-    in row i + 1. The member's ``r(lo, hi)`` gives r of rows lo..hi at the
-    stage times t_k, t_k + h/2 (stages 2 and 3) and t_k + h of every step,
-    sampled a block of steps at a time as the rows need it. Row k is stage
-    1 of step k and its record. Stages 2-4 evaluate on three rows of their
-    own, reused by every step: the ``stage`` evaluator ``integrate`` passes
-    to the RK4 step writes y + c k straight into a stage row's F and W,
-    with y read off row k, and that row's r is set once per step. The
-    law's rate check (``ct_guards``) takes each rate with the row's theta2
-    and raw theta2 rate: it returns the rate, or refuses it by raising, or
-    replaces it by a changed copy.
+    time from its law's state ``z0`` over the horizon and step h of its
+    trace's spec: one ``integrate`` call (the runner module's
+    ``integrate_ct``) per row advances z = [F, W] along the rate [dF, dW]
+    that the law's step writes, and the result, after the law's clamp
+    (``ct_guards``) in place, lands in row i + 1. The member's signal is
+    sampled a block of steps at a time at the stage times t_k, t_k + h/2
+    (stages 2 and 3) and t_k + h of every step k; this is the only code
+    that reads that layout. Row k is stage 1 of step k and its record.
+    Stages 2-4 evaluate on three rows of their own, reused by every step:
+    the ``stage`` evaluator ``integrate`` passes to the RK4 step writes y +
+    c k straight into a stage row's F and W, with y read off row k, and
+    that row's r is set once per step. The law's rate check
+    (``ct_guards``) takes each rate with the row's theta2 and raw theta2
+    rate: it returns the rate, or refuses it by raising, or replaces it by
+    a changed copy.
 
     Each row meets the divergence rule before it is integrated: row 0 in
     full, every later row on u and m^2 only, since its x is part of a state
@@ -494,12 +478,9 @@ def run_ct(member, horizon: int, h: float, method: str, integrate):
     m^2 of step k is not finite, k + 1 when ``integrate`` reports a
     non-finite state after step k, else None (or its store's error).
     """
-    law = member.law
+    law, horizon, h = member.law, member.spec.horizon, member.spec.dt
     guard, clamp = law.ct_guards()
-    T1 = horizon + 1
-    # r of stages 1-4 of each step
-    samples = Samples(member.r, T1)
-    rows = RowBuffer(law, [member.store], T1)
+    rows = RowBuffer(law, [member.store], horizon + 1)
     buf, work, probe, nF = rows.buf, rows.work, rows.probe, law.nF
     dz = slice(law.dF.start, law.dW.stop)
     # m^2, when the law has it, is the column after u
@@ -538,9 +519,18 @@ def run_ct(member, horizon: int, h: float, method: str, integrate):
         step(v)
         return guard(theta2, d) if guard else d
 
-    def chunk(t0, count):
+    def sample(lo, hi):
+        """r at the four stage times of each step lo..hi: (steps, 4, M). A
+        step near the float range overflows the stage times (``RowBuffer``
+        ignores it); r then reads NaN and the run diverges."""
+        t = np.arange(lo, hi) * h
+        mid = t + 0.5 * h
+        times = np.stack([t, mid, mid, t + h], axis=1)
+        return member.signal.sample(times.ravel()).reshape(hi - lo, 4, -1)
+
+    def chunk(t0, count, r):
         nonlocal z, k1, yF, yW
-        r_stages = samples.rows(t0, t0 + count)[:, 1:]
+        work[:count, law.R] = r[:, 0]
         for i in range(count):
             k = t0 + i
             (v, d, yF, yW, theta2), uspan, Fn, Wn = steps[i]
@@ -551,7 +541,7 @@ def run_ct(member, horizon: int, h: float, method: str, integrate):
                 return i, [i]
             if k == horizon:
                 break
-            stage_r[...] = r_stages[i]
+            stage_r[...] = r[i, 1:]
             try:
                 z = integrate(first, z, h, t=k * h, method=method,
                               stage=stage)
@@ -563,7 +553,7 @@ def run_ct(member, horizon: int, h: float, method: str, integrate):
             Wn[...] = z[nF:]
         return count, [None]
 
-    return rows.run(lambda lo, hi: samples.rows(lo, hi)[:, :1], chunk)
+    return rows.run(sample, chunk)
 
 
 def block(T, n, row_col, col_col, mat):

@@ -528,11 +528,11 @@ def cmd_example(args) -> int:
               file=sys.stderr)
         return 1
     text = serialize_config(benchmark_config(two_tone=args.two_tone))
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # a NUL or a lone surrogate
             print(f"invalid: --out: {exc}", file=sys.stderr)
             return 1
     else:

@@ -168,6 +168,8 @@ def _check_run_args(plant: PlantModel, ref: ReferenceModel,
     n, M = plant.n, plant.n_inputs
     if signal.dimension != M:
         raise ModelError(f"signal dimension {signal.dimension} != input count {M}")
+    if isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)):
+        raise ModelError(f"horizon must be an integer, got {horizon!r}")
     if horizon < 1:
         raise ModelError("horizon must be at least 1")
     if plant.time_domain != DISCRETE and not 0.0 < h < np.inf:
@@ -260,7 +262,7 @@ def _direct_law(A, B, Am, Bm, gains, enforce, P, rho, x0, xm0) -> Law:
     for j in range(M):
         WT[1 + j, MC + j] = 1.0
         WT[1 + j, j * C:(j + 1) * C] = P[j]
-    law = Law(L, G, F, WT.ravel(), M, xi_in_m=True, xi_in_ab=True, rho=True)
+    law = Law(L, G, F, WT.ravel(), M, xi_in_m=True, rho=True)
     law.cols["rho"] = law.W.start + MC + np.arange(M)
     return law
 
@@ -268,27 +270,9 @@ def _direct_law(A, B, Am, Bm, gains, enforce, P, rho, x0, xm0) -> Law:
 # a run set up on its law (see ``_rows``), which carries any theta2 guards
 # its runner calls: store(records, t0, stop), which receives its rows'
 # records (its sink's, see ``_set_up``), finish(diverged_at), which makes
-# its trace, and r(lo, hi), r at its rows lo..hi
-Member = namedtuple("Member", "law store finish r")
-
-
-def _sampler(signal: ReferenceSignal, domain: str, h: float):
-    """``r(lo, hi)``: r at the rows lo..hi of a run, each row a step, in
-    discrete time, else each row the four stage times t_k, t_k + h/2 (twice)
-    and t_k + h of step k."""
-    if domain == DISCRETE:
-        return lambda lo, hi: signal.sample(np.arange(lo, hi, dtype=float))
-
-    def r(lo, hi):
-        # a step near the float range overflows the stage times; r then
-        # reads NaN and the run diverges
-        with np.errstate(over="ignore"):
-            t = np.arange(lo, hi) * h
-            mid = t + 0.5 * h
-            times = np.stack([t, mid, mid, t + h], axis=1)
-        return signal.sample(times.ravel()).reshape(hi - lo, 4, -1)
-
-    return r
+# its trace, its reference signal, and its trace's TraceSpec, whose horizon,
+# time domain and step dt its runner steps it by
+Member = namedtuple("Member", "law store finish signal spec")
 
 
 def _set_up(law, signal, spec, stream=None, extra=None, check=None):
@@ -307,7 +291,7 @@ def _set_up(law, signal, spec, stream=None, extra=None, check=None):
         out.store(rows, t0, stop)
 
     return Member(law, out.store if check is None else store, out.finish,
-                  _sampler(signal, spec.time_domain, spec.dt))
+                  signal, spec)
 
 
 def _direct_member(plant, ref, signal, gains, init, horizon, h,
@@ -341,15 +325,15 @@ def _direct_member(plant, ref, signal, gains, init, horizon, h,
     return _set_up(law, signal, spec, stream)
 
 
-def _drive(run: Member, domain, horizon, h, method, integrate):
-    """The trace of the set-up run ``run`` in time domain ``domain``:
-    stepped alone by ``_rows.run`` in discrete time, else by
-    ``_rows.run_ct`` with ``integrate``, the runner module's
-    ``integrate_ct``. The error its store found is raised."""
-    if domain == DISCRETE:
-        [ended] = _rows.run([run], horizon + 1)
+def _drive(run: Member, method, integrate):
+    """The trace of the set-up run ``run``: stepped alone by ``_rows.run``
+    in discrete time, else by ``_rows.run_ct`` with ``integrate``, the
+    runner module's ``integrate_ct``. The error its store found is
+    raised."""
+    if run.spec.time_domain == DISCRETE:
+        [ended] = _rows.run([run])
     else:
-        [ended] = _rows.run_ct(run, horizon, h, method, integrate)
+        [ended] = _rows.run_ct(run, method, integrate)
     if isinstance(ended, ToolkitError):
         raise ended
     return run.finish(ended)
@@ -375,8 +359,7 @@ def run_direct_scenario(plant: PlantModel, ref: ReferenceModel,
     reduces them and makes the trace returned; without them, the trace
     holds every row (``diagnostics.Keep``).
     """
-    domain = plant.time_domain
     run = _direct_member(plant, ref, signal, gains, init, horizon,
-                         1.0 if domain == DISCRETE else h, match, stream,
-                         method)
-    return _drive(run, domain, horizon, h, method, integrate_ct)
+                         1.0 if plant.time_domain == DISCRETE else h, match,
+                         stream, method)
+    return _drive(run, method, integrate_ct)

@@ -331,8 +331,7 @@ def _indirect_law(A, B, Am, Bm, gains, P, x0, xm0, xhat0) -> Law:
         WT[1 + j, j * C:(j + 1) * C] = P[j]
         Kx[j, :n] = P[j, :n]
         Kx[j, n + j] = 1.0
-    law = _IndirectLaw(L, G, F, W, M, xi_in_m=M > 1, xi_in_ab=False,
-                       rho=False)
+    law = _IndirectLaw(L, G, F, W, M, xi_in_m=M > 1, rho=False)
     law.cols["x_hat"] = law.F0 + n * cxh + np.arange(n)
     # theta2 in row 1 + j and in row 0 of W^T, and their positions in W
     law.theta2 = lambda W: (W[..., law.th2], W[..., n:MC:C + 1])
@@ -421,9 +420,8 @@ def run_indirect_scenario(plant: PlantModel, ref: ReferenceModel,
     ``match`` and ``stream`` as in the direct case, with the estimator
     advanced on the same pre-update estimates. A theta2 below the
     invertibility threshold raises SingularGainError."""
-    domain = plant.time_domain
     run = _indirect_member(plant, ref, signal, gains, projection, init,
-                           horizon, 1.0 if domain == DISCRETE else h, match,
-                           stream, method)
-    return _drive(run, domain, horizon, h, method, integrate_ct)
+                           horizon, 1.0 if plant.time_domain == DISCRETE
+                           else h, match, stream, method)
+    return _drive(run, method, integrate_ct)
 

@@ -412,4 +412,4 @@ def run_lyapunov_scenario(plant: PlantModel, ref: ReferenceModel,
         run = _projected(law, signal, projection, theta0, spec, stream)
     else:
         run = _set_up(law, signal, spec, stream)
-    return _drive(run, CONTINUOUS, horizon, h, method, integrate_ct)
+    return _drive(run, method, integrate_ct)

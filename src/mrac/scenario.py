@@ -765,7 +765,7 @@ def run_lockstep(cfgs: list, outputs=None):
                for b, cfg in enumerate(cfgs)]
     members = [_member(cfg, stream) for cfg, (_, stream)
                in zip(cfgs, streams)]
-    ended = _rows.run(members, cfgs[0].horizon + 1)
+    ended = _rows.run(members)
     for cfg, (checks, _), outcome in zip(cfgs, streams, ended):
         finish = members.pop(0).finish
         yield (outcome if isinstance(outcome, ToolkitError)

@@ -15,6 +15,7 @@ from mrac import (DirectGainConfig, IndirectGainConfig, InitialConditions,
                   run_direct_scenario, run_indirect_scenario,
                   stack_controller_gains, theta_star_indirect)
 from mrac import _rows
+from mrac.diagnostics import TraceSpec
 from mrac.direct import Member, _direct_law
 from mrac.indirect import _indirect_law
 from test_ct_fused import assert_records_match
@@ -162,8 +163,8 @@ def test_filter_columns_match_the_bank(scheme):
             rec[name][t0:t0 + block.shape[0]] = block
 
     # a lone run is a group of one
-    assert _rows.run([Member(law, store, None, lambda lo, hi: r[lo:hi])],
-                     DISCRETE_HORIZON + 1) == [None]
+    spec = TraceSpec(scheme, "discrete", DISCRETE_HORIZON, 1.0, None)
+    assert _rows.run([Member(law, store, None, sig, spec)]) == [None]
     bank = ChannelFilterBank(ref, C)
     for t in range(DISCRETE_HORIZON + 1):
         assert np.max(np.abs(rec["S"][t] - bank.S)) <= 1e-12, t

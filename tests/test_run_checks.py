@@ -130,7 +130,8 @@ def _run_direct(horizon=10, time_domain="discrete"):
     plant, ref, sig = instance(M=1)
     gains = DirectGainConfig(Gamma=0.1 * np.eye(3), gamma=1.0, sign_k2=1.0,
                              k2_lower=1.0, time_domain=time_domain)
-    run_direct_scenario(plant, ref, sig, gains, InitialConditions(), horizon)
+    return run_direct_scenario(plant, ref, sig, gains, InitialConditions(),
+                               horizon)
 
 
 def _lyapunov_mode(mode):
@@ -148,6 +149,14 @@ def _lyapunov_mode(mode):
      r"^gain config was validated for a different time domain$"),
     (lambda: _run_direct(horizon=0), ModelError,
      r"^horizon must be at least 1$"),
+    (lambda: _run_direct(horizon=10.5), ModelError,
+     r"^horizon must be an integer, got 10\.5$"),
+    (lambda: _run_direct(horizon="10"), ModelError,
+     r"^horizon must be an integer, got '10'$"),
+    (lambda: _run_direct(horizon=None), ModelError,
+     r"^horizon must be an integer, got None$"),
+    (lambda: _run_direct(horizon=True), ModelError,
+     r"^horizon must be an integer, got True$"),
     (lambda: ProjectionConfig(1.0, [0.5]), ProjectionError,
      r"^projection signs must be \+1 or -1$"),
     (lambda: ProjectionConfig.from_k2_upper(0.0, [1.0]), ProjectionError,
@@ -173,6 +182,7 @@ def _lyapunov_mode(mode):
     (lambda: ReferenceSignal.from_samples([]), ModelError,
      r"^custom signal needs at least one sample$")],
     ids=["Gamma-stack", "Gamma-block", "time-domain", "horizon",
+         "horizon-float", "horizon-str", "horizon-None", "horizon-bool",
          "projection-signs", "k2_upper", "theta1_law", "Gamma2",
          "lyapunov-mode", "lyapunov-gains", "PlantModel-ndim",
          "PlantModel-domain", "ReferenceModel-square", "solve_matching",
@@ -180,6 +190,10 @@ def _lyapunov_mode(mode):
 def test_each_rejection_names_its_rule(make, error, message):
     with pytest.raises(error, match=message):
         make()
+
+
+def test_a_numpy_integer_horizon_runs():
+    assert _run_direct(horizon=np.int64(10)).steps == 11
 
 
 @pytest.mark.parametrize("h, method, message", [

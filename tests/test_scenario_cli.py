@@ -387,15 +387,24 @@ class TestCli:
         assert main(["validate", str(out)]) == 0
         assert capsys.readouterr().out.strip().endswith("ok")
 
-    @pytest.mark.parametrize("where", ["a directory", "under a missing one"])
-    def test_example_out_that_cannot_be_written_is_invalid(self, tmp_path,
-                                                           capsys, where):
-        # it used to escape as IsADirectoryError or FileNotFoundError
-        out = tmp_path if where == "a directory" else tmp_path / "no" / "x"
-        assert main(["example", "--paper", "--out", str(out)]) == 1
+    @pytest.mark.parametrize("where", ["a directory", "under a missing one",
+                                       "empty", "a NUL", "a lone surrogate"])
+    def test_example_out_that_cannot_be_written_is_invalid(
+            self, tmp_path, capsys, monkeypatch, where):
+        # the first two used to escape as IsADirectoryError or
+        # FileNotFoundError; an empty path printed the config to stdout, a
+        # NUL ended in a ValueError and a lone surrogate in a
+        # UnicodeEncodeError
+        monkeypatch.chdir(tmp_path)
+        out = {"a directory": str(tmp_path),
+               "under a missing one": str(tmp_path / "no" / "x"),
+               "empty": "", "a NUL": "x\0y",
+               "a lone surrogate": "x\ud800"}[where]
+        assert main(["example", "--paper", "--out", out]) == 1
         captured = capsys.readouterr()
         [err] = captured.err.splitlines()
-        assert err.startswith("invalid: --out: ") and str(out) in err
+        assert err.startswith("invalid: --out: ")
+        assert out in err or where in ("a NUL", "a lone surrogate")
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 

@@ -9,6 +9,7 @@ import contextlib
 import io
 import json
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,8 +17,9 @@ import pytest
 import mrac._rows
 import mrac.diagnostics
 from mrac.cli import main, write_gnuplot_dat, write_trace_csv
-from mrac.scenario import (benchmark_config, config_from_dict, run_scenario,
-                           summary_dict)
+from mrac.scenario import (benchmark_config, config_from_dict, run_lockstep,
+                           run_scenario, summary_dict)
+from mrac.systems import ReferenceSignal
 from test_lockstep import member
 from test_scenario_cli import SCHEME_CASES, lyapunov_mimo_dict, mimo_dict
 
@@ -114,11 +116,55 @@ def test_the_block_size_changes_no_byte(scheme, tmp_path, monkeypatch):
     data = dict(mimo_dict(scheme) if scheme.endswith("_gradient")
                 else lyapunov_mimo_dict(scheme), horizon=99)
     runs = []
-    for rows in (4096, 7):
-        monkeypatch.setattr(mrac._rows, "BLOCK", rows)
-        (tmp_path / str(rows)).mkdir()
-        runs.append(_streamed(data, tmp_path / str(rows)))
-    assert runs[0] == runs[1]
+    # (CHUNK, BLOCK): chunks that a block cuts, or not
+    for sizes in ((128, 4096), (128, 7), (9, 8), (5, 16)):
+        for name, rows in zip(("CHUNK", "BLOCK"), sizes):
+            monkeypatch.setattr(mrac._rows, name, rows)
+        where = tmp_path / "-".join(map(str, sizes))
+        where.mkdir()
+        runs.append(_streamed(data, where))
+    assert all(run == runs[0] for run in runs[1:])
+
+
+@pytest.mark.parametrize("case", ["lone", "group", "continuous"])
+def test_a_chunk_keeps_to_its_block_which_samples_r_once(case, monkeypatch):
+    # RowBuffer.run samples each member's r once per row_blocks block and
+    # cuts the block into chunks that end at its end: at 9-row chunks and
+    # 8-row blocks, a lone run's chunks are its blocks, of 8 rows and 9
+    # last, and a group of three steps chunks of 3 rows, the last of each
+    # block shorter
+    for name, rows in (("CHUNK", 9), ("BLOCK", 8)):
+        monkeypatch.setattr(mrac._rows, name, rows)
+    spans, sampled = [], Counter()
+    store, sample = mrac._rows.RowBuffer.store, ReferenceSignal.sample
+
+    def stored(self, rows, t0, *args):
+        spans.append((t0, t0 + rows.shape[0]))
+        return store(self, rows, t0, *args)
+
+    def counted(self, times):
+        sampled[id(self)] += 1
+        return sample(self, times)
+
+    monkeypatch.setattr(mrac._rows.RowBuffer, "store", stored)
+    monkeypatch.setattr(ReferenceSignal, "sample", counted)
+    horizon = 4 * 8  # 33 rows: four blocks, a lone last row in the fourth
+    if case == "group":
+        runs = list(run_lockstep([config_from_dict(dict(
+            member(seed, "direct_gradient"), horizon=horizon))
+            for seed in range(3)]))
+    else:
+        data = SCHEME_CASES["direct-discrete" if case == "lone"
+                            else "indirect-continuous"]
+        runs = [run_scenario(config_from_dict(dict(data, horizon=horizon)))]
+    assert [run.trace.steps for run in runs] == [horizon + 1] * len(runs)
+    blocks = list(mrac._rows.row_blocks(horizon + 1))
+    assert blocks[-1] == (24, 33)
+    assert list(sampled.values()) == [len(blocks)] * len(runs)
+    assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]]
+    assert spans[-1][1] == horizon + 1
+    for lo, hi in spans:
+        assert any(start <= lo < hi <= stop for start, stop in blocks), spans
 
 
 class Spy:
