@@ -26,24 +26,23 @@ it as
 
 Rows live in a ``RowBuffer`` that the whole run reuses, and which keeps
 the run's clock: the views of every row are made once, the rows run a
-``row_blocks`` block at a time, each member's r sampled once per block by
-the runner, and each block is cut into chunks that end at its end; the
-record columns of each chunk of finished rows go to each member's store,
-its sink (``diagnostics.Stream``, which gives them to the run's consumers
-a block at a time). A runner reads a run's horizon and step h off its
+``row_blocks`` block at a time, each member's r sampled once per block,
+and each block is cut into chunks that end at its end. A member's store,
+its sink (``diagnostics.Stream``), receives only the record columns of its
+finished rows, in order. A runner reads a run's horizon and step h off its
 trace's spec (``direct.Member``). Both runners share the buffer and one
 divergence rule (``first_nonfinite``: the first step at which an element
 of x, u or m^2 is not finite). They differ only in how row i's state
 reaches row i + 1: in discrete time (``run``) L [F, r, u] lands there as
 F(t + 1) and W(t + 1) = W + G ab; in continuous time (``run_ct``) one call
-to the runner module's ``integrate_ct`` advances z along dz/dt = [dF, dW].
-Its first stage is row i itself, and its stage evaluator writes each later
-stage's state straight into one of three stage rows. A step does only the
-RK4 arithmetic, the law's four steps, ``integrate_ct``'s finiteness check
-of the new state and the check of u and m^2. A law may carry theta2
-guards (``indirect.Guarded``), each one form for a row or a group's block
-of rows: ``run`` calls the landing once per step, ``run_ct`` the rate
-check on each rate and the clamp on each new state.
+to the runner module's ``integrate_ct`` advances z along dz/dt = [dF, dW],
+its first stage row i itself, each later stage written straight into one
+of three stage rows. Every theta2 rule is a guard of the law
+(``indirect.Guarded``), one form for a row or a group's block of rows,
+which writes a projection's correction into the row's ``f2`` columns:
+``run`` calls the landing once per step and the floor check once per
+chunk, ``run_ct`` the rate check on each rate and the clamp on each new
+state.
 
 Rows always carry a leading member axis: ``run`` steps the set-up runs of
 a lockstep group, B discrete laws of one layout, on the law the first one
@@ -58,9 +57,8 @@ then copied into a block (numpy would first copy an output whose extent
 overlaps an input's). The gradient step's one statement of each form is
 m^2, which a lone row forms in Python floats. A group of one keeps its own
 law and so the ``.dot`` step, which runs twice as fast as a stacked one at
-B = 1. The divergence rule and the record store run per member: a
-member's records stop after the chunk in which it diverged, and the group
-runs until every member has diverged or reached the end.
+B = 1. Each member ends on its own, diverged or failed, and the group runs
+until every member has ended or reached the end (``RowBuffer.run``).
 """
 
 from __future__ import annotations
@@ -73,7 +71,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import ModelError, NumericsError, ToolkitError
+from .errors import ModelError, NumericsError, SingularGainError, ToolkitError
 
 # rows per chunk: long enough to amortize the per-chunk record copies,
 # short enough that the views and the buffer stay small
@@ -141,6 +139,9 @@ class Layout:
     and ``form`` is what else the step reads."""
 
     form = None
+    # the columns of theta2's correction after dW, and the discrete floor
+    # check (``indirect.Guarded``): none
+    f2, floor_check = slice(0), None
 
     def __init__(self, head, nF, M, mid, NW):
         self.nF = nF
@@ -359,22 +360,21 @@ class RowBuffer:
     def store(self, rows, t0, live, bad, ended):
         """Give the record columns of the finished ``rows`` (steps t0
         onward) of each member in ``live`` to its store, with one gather per
-        record for the whole group: ``store(records, t0, stop)``, with the
-        rows up to the member's divergence row in ``bad`` (that row
-        included; None: none) and ``stop``, the count of them that precede
-        it. Sets ``ended`` of a member that diverged to its divergence step,
-        and of one whose store raised a ToolkitError to that error."""
+        record for the whole group: ``store(records)``, with the rows before
+        the member's divergence row in ``bad`` (None: all of them; a
+        ToolkitError: none, the store is not called). Sets ``ended`` of a
+        member that diverged to its divergence step, and of one that failed
+        to its error."""
         blocks = {name: rows[..., at] for name, at in self.cols.items()}
         for b in live:
-            keep = stop = rows.shape[0]
-            if bad[b] is not None:
-                keep, stop = min(keep, bad[b] + 1), min(keep, bad[b])
-                ended[b] = t0 + bad[b]
-            try:
-                self.stores[b]({name: block[:keep, b]
-                                for name, block in blocks.items()}, t0, stop)
-            except ToolkitError as exc:
-                ended[b] = exc
+            stop = bad[b]
+            if isinstance(stop, ToolkitError):
+                ended[b] = stop
+                continue
+            if stop is not None:
+                ended[b] = t0 + stop
+            self.stores[b]({name: block[:stop, b]
+                            for name, block in blocks.items()})
 
     def run(self, sample, chunk):
         """Step the rows a ``row_blocks`` block at a time: ``sample(lo,
@@ -383,12 +383,12 @@ class RowBuffer:
         most ``size`` rows that end at its end. ``chunk(t0, count, r)``
         fills its rows 0..count-1 (steps t0..t0+count-1) from their samples
         ``r``, steps them and returns how many it finished and, per member,
-        the row of its divergence step or None (``first_nonfinite``).
-        ``store`` then receives the finished rows of the members that had
-        not ended before the chunk. The rows run until every member has
+        how the chunk ended it: the row of its divergence step
+        (``first_nonfinite``), the ToolkitError its law's guards found, or
+        None. ``store`` then receives the finished rows of the members that
+        had not ended before the chunk. The rows run until every member has
         ended or reached the end. Returns what ended each member: None (it
-        reached the end), its divergence step, or the ToolkitError its
-        store raised."""
+        reached the end), its divergence step, or its error."""
         buf = self.buf
         ended = [None] * buf.shape[1]
         live = list(range(buf.shape[1]))
@@ -416,21 +416,22 @@ def run(members):
     Row i + 1 receives F(t + 1) = L [F, r, u] and W(t + 1) = W + G ab from
     row i; the law's landing, if any, then acts once on the whole group's
     row i + 1, its correction into row i's ``f2`` columns, which each chunk
-    zeroes first. Nothing in a discrete step raises, so the divergence rule
-    runs once per chunk. Returns what ended each member
-    (``RowBuffer.run``): None, its divergence step (the first at which an
-    element of its x, u or m^2 is not finite) or its store's error.
+    zeroes first, as the final row's dW, since no update follows it.
+    Nothing in a discrete step raises, so the divergence rule, and then the
+    law's floor check on each member's rows up to its divergence row, run
+    once per chunk. Returns what ended each member (``RowBuffer.run``).
     """
     law = members[0].law.stack([m.law for m in members[1:]])
     rows = RowBuffer(law, [m.store for m in members],
                      members[0].spec.horizon + 1)
     buf, work, probe = rows.buf, rows.work, rows.probe
-    land = law.landing()
+    land, check = law.landing(), law.floor_check
+    theta2 = check and buf[..., law.W][..., law.th2]
     views = [(law.views(work[i], work[i + 1][..., law.F]),
               work[i][..., law.W], work[i][..., law.dW],
               work[i + 1][..., law.W],
               land and law.theta2(work[i + 1][..., law.W]),
-              land and work[i][..., law.f2])
+              work[i][..., law.f2])
              for i in range(rows.size)]
     step, add = law.step, np.add
 
@@ -440,15 +441,19 @@ def run(members):
 
     def chunk(t0, count, r):
         buf[:count, :, law.R] = r
-        if land:
-            buf[:count, :, law.f2] = 0.0
+        buf[:count, :, law.f2] = 0.0
         for i in range(count):
             v, W, dW, Wn, copies, f2 = views[i]
             step(v)
             add(W, dW, Wn)
             if land:
                 land(copies, f2)
-        return count, first_nonfinite(buf[:count], probe)
+        if t0 + count == rows.steps:  # dW and f2 close the row
+            buf[count - 1, :, law.dW.start:] = 0.0
+        bad = first_nonfinite(buf[:count], probe)
+        if check:
+            check(theta2[:count], bad, t0)
+        return count, bad
 
     return rows.run(sample, chunk)
 
@@ -467,16 +472,17 @@ def run_ct(member, method: str, integrate):
     the ``stage`` evaluator ``integrate`` passes to the RK4 step writes y +
     c k straight into a stage row's F and W, with y read off row k, and
     that row's r is set once per step. The law's rate check
-    (``ct_guards``) takes each rate with the row's theta2 and raw theta2
-    rate: it returns the rate, or refuses it by raising, or replaces it by
-    a changed copy.
+    (``ct_guards``) takes each rate with the row's theta2, raw theta2 rate
+    and ``f2`` columns, which each chunk zeroes first: it returns the rate,
+    or refuses it by raising, or replaces it by a changed copy.
 
     Each row meets the divergence rule before it is integrated: row 0 in
     full, every later row on u and m^2 only, since its x is part of a state
     that ``integrate`` found finite. Returns, as ``run`` does for a group
     of one, the list of what ended the run: k when an element of x, u or
     m^2 of step k is not finite, k + 1 when ``integrate`` reports a
-    non-finite state after step k, else None (or its store's error).
+    non-finite state after step k, the rate check's SingularGainError "at
+    step k" when it refused a rate of step k, else None.
     """
     law, horizon, h = member.law, member.spec.horizon, member.spec.dt
     guard, clamp = law.ct_guards()
@@ -488,9 +494,11 @@ def run_ct(member, method: str, integrate):
 
     def operands(row):
         """The step's views of ``row``, its rate [dF, dW], its state parts F
-        and W, and with a rate check its theta2 and theta2's raw rate."""
+        and W, and with a rate check its theta2, theta2's raw rate and
+        f2."""
         return (law.views(row, row[law.dF]), row[dz], row[law.F], row[law.W],
-                guard and (row[law.W][law.th2], row[law.dW][law.th2]))
+                guard and (row[law.W][law.th2], row[law.dW][law.th2],
+                           row[law.f2]))
 
     # each row's operands, its u and m^2, and the state parts of row i + 1
     steps = [(operands(work[i]), work[i, span], work[i + 1, law.F],
@@ -531,26 +539,30 @@ def run_ct(member, method: str, integrate):
     def chunk(t0, count, r):
         nonlocal z, k1, yF, yW
         work[:count, law.R] = r[:, 0]
-        for i in range(count):
-            k = t0 + i
-            (v, d, yF, yW, theta2), uspan, Fn, Wn = steps[i]
-            step(v)
-            k1 = guard(theta2, d) if guard else d
-            if (not all(map(isfinite, uspan.tolist())) if k
-                    else first_nonfinite(buf[:1], probe)[0] is not None):
-                return i, [i]
-            if k == horizon:
-                break
-            stage_r[...] = r[i, 1:]
-            try:
-                z = integrate(first, z, h, t=k * h, method=method,
-                              stage=stage)
-            except NumericsError:
-                return i + 1, [i + 1]
-            if clamp:
-                clamp(z)
-            Fn[...] = z[:nF]
-            Wn[...] = z[nF:]
+        work[:count, law.f2] = 0.0
+        try:
+            for i in range(count):
+                k = t0 + i
+                (v, d, yF, yW, theta2), uspan, Fn, Wn = steps[i]
+                step(v)
+                k1 = guard(theta2, d) if guard else d
+                if (not all(map(isfinite, uspan.tolist())) if k
+                        else first_nonfinite(buf[:1], probe)[0] is not None):
+                    return i, [i]
+                if k == horizon:
+                    break
+                stage_r[...] = r[i, 1:]
+                try:
+                    z = integrate(first, z, h, t=k * h, method=method,
+                                  stage=stage)
+                except NumericsError:
+                    return i + 1, [i + 1]
+                if clamp:
+                    clamp(z)
+                Fn[...] = z[:nF]
+                Wn[...] = z[nF:]
+        except SingularGainError as exc:
+            return i, [SingularGainError(f"{exc} at step {k}")]
         return count, [None]
 
     return rows.run(sample, chunk)

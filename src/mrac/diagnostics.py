@@ -463,8 +463,9 @@ class Stream:
     whose V completes the block's last dV; since a block of BLOCK rows is
     made only once two more rows are stored (the last block takes a lone
     last row), the blocks are those of ``row_blocks`` over the run's
-    steps, ended early or not. The run holds a fixed number of rows beside
-    what its reduction keeps."""
+    steps, ended early or not. ``store`` receives the run's finished rows
+    in order; a record of ``shapes`` absent from them stays zero. The run
+    holds a fixed number of rows beside what its reduction keeps."""
 
     def __init__(self, shapes: dict, spec: TraceSpec, consumers):
         self.spec, self.consumers = spec, consumers
@@ -472,10 +473,11 @@ class Stream:
                                        spec.horizon + 1))
         self.stored = self.lo = 0  # rows stored, and the step of the first
 
-    def store(self, rows: dict, t0: int, stop: int) -> None:
+    def store(self, rows: dict) -> None:
+        stop = self.stored + rows["x"].shape[0]
         for name, block in rows.items():
-            self.rec[name][self.stored:self.stored + stop] = block[:stop]
-        self.stored += stop
+            self.rec[name][self.stored:stop] = block
+        self.stored = stop
         while self.stored >= _rows.BLOCK + 2:
             self._block(_rows.BLOCK)
 

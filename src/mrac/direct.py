@@ -268,30 +268,23 @@ def _direct_law(A, B, Am, Bm, gains, enforce, P, rho, x0, xm0) -> Law:
 
 
 # a run set up on its law (see ``_rows``), which carries any theta2 guards
-# its runner calls: store(records, t0, stop), which receives its rows'
-# records (its sink's, see ``_set_up``), finish(diverged_at), which makes
-# its trace, its reference signal, and its trace's TraceSpec, whose horizon,
-# time domain and step dt its runner steps it by
+# its runner calls: store(records), which receives its finished rows'
+# records in order (its sink's, see ``_set_up``), finish(diverged_at),
+# which makes its trace, its reference signal, and its trace's TraceSpec,
+# whose horizon, time domain and step dt its runner steps it by
 Member = namedtuple("Member", "law store finish signal spec")
 
 
-def _set_up(law, signal, spec, stream=None, extra=None, check=None):
+def _set_up(law, signal, spec, stream=None, extra=None):
     """The run of ``law`` on ``signal`` whose trace ``spec`` describes,
     with its sink (``Stream``) of the records of ``law.cols`` and
-    ``extra`` ({name: row shape}) to the consumers ``stream``, the last
-    of which reduces the rows; without them, to a ``Keep``, so that the
-    run's trace holds its rows. ``check(records, t0)`` completes or checks
-    each chunk's records before the sink receives them."""
+    ``extra`` ({name: row shape}, which stay zero) to the consumers
+    ``stream``, the last of which reduces the rows; without them, to a
+    ``Keep``, so that the run's trace holds its rows."""
     shapes = _rows.shapes(law.cols, **(extra or {}))
     out = Stream(shapes, spec, [Keep(spec.horizon + 1)] if stream is None
                  else stream)
-
-    def store(rows, t0, stop):
-        check(rows, t0)
-        out.store(rows, t0, stop)
-
-    return Member(law, out.store if check is None else store, out.finish,
-                  signal, spec)
+    return Member(law, out.store, out.finish, signal, spec)
 
 
 def _direct_member(plant, ref, signal, gains, init, horizon, h,
@@ -328,7 +321,7 @@ def _direct_member(plant, ref, signal, gains, init, horizon, h,
 def _drive(run: Member, method, integrate):
     """The trace of the set-up run ``run``: stepped alone by ``_rows.run``
     in discrete time, else by ``_rows.run_ct`` with ``integrate``, the
-    runner module's ``integrate_ct``. The error its store found is
+    runner module's ``integrate_ct``. The error its law's guards found is
     raised."""
     if run.spec.time_domain == DISCRETE:
         [ended] = _rows.run([run])

@@ -109,11 +109,12 @@ def _nulls(s, theta2, lower, g2):
 
 class Guarded(Layout):
     """A layout whose law carries theta2 guards: theta2 is ``th2`` of W and
-    of dW, its copies ``theta2_at`` of W (copies x M, or M). ``signs`` and
-    ``theta2_lower`` are an enabled projection's, ``floor`` a
-    continuous-time stage's invertibility floor, each (M,), or (B, M) in a
-    group's law (``stack``). Each guard takes a row's views or a (B, ...)
-    block's, and tests its rule on Python scalars before it acts."""
+    of dW, its copies ``theta2_at`` of W (copies x M, or M), and an enabled
+    projection's correction goes into the ``f2`` columns (``_carry``).
+    ``signs`` and ``theta2_lower`` are an enabled projection's, ``floor``
+    the run's invertibility floor, each (M,), or (B, M) in a group's law
+    (``stack``). Each guard takes a row's views or a (B, ...) block's, and
+    tests its rule on Python scalars before it acts."""
 
     stacked = ("signs", "theta2_lower", "floor")
     signs = theta2_lower = floor = None
@@ -139,14 +140,26 @@ class Guarded(Layout):
 
         return land
 
+    def floor_check(self, theta2, bad, t0):
+        """The discrete floor check (see ``_rows.run``): of a chunk's
+        (count, B, M) theta2 of steps t0 onward, a member's first row up to
+        its divergence row in ``bad``, that row included, with an entry
+        below its floor puts the SingularGainError (``_below``) in ``bad``."""
+        if self.floor is not None and np.any(np.abs(theta2) < self.floor):
+            floors = np.atleast_2d(self.floor)
+            for b, at in enumerate(bad):
+                bad[b] = _below(theta2[:None if at is None else at + 1, b],
+                                floors[b], t0) or at
+
     def ct_guards(self):
-        """``(guard, clamp)`` (see ``_rows.run_ct``). ``guard((theta2, g2),
-        dz)`` raises SingularGainError at a |theta2| below the floor, and
-        returns the rate dz, or a copy of it in which the projection nulls
-        theta2's outward rate ``g2`` on the bound (``rate``), so that the
-        row keeps the raw rate. ``clamp(z)`` snaps each copy of theta2 in z
-        = [F, W] that integration left a hair inside the bound onto it,
-        None without a projection; both None without a floor either."""
+        """``(guard, clamp)`` (see ``_rows.run_ct``). ``guard((theta2, g2,
+        f2), dz)`` raises SingularGainError at a |theta2| below the floor,
+        and returns the rate dz, or a copy of it in which the projection
+        nulls theta2's outward rate ``g2`` on the bound (``rate``), that
+        correction written into ``f2``, so that the row keeps the raw rate.
+        ``clamp(z)`` snaps each copy of theta2 in z = [F, W] that
+        integration left a hair inside the bound onto it, None without a
+        projection; both None without a floor either."""
         s, lower, floor = self.signs, self.theta2_lower, self.floor
         if s is None and floor is None:
             return None, None
@@ -170,14 +183,15 @@ class Guarded(Layout):
         floor_l = [] if floor is None else floor.ravel().tolist()
 
         def guard(views, dz):
-            theta2, g2 = views
+            theta2, g2, f2 = views
             t2 = flat(theta2)
             if any(map(lt, map(abs, t2), floor_l)):
                 raise SingularGainError(f"theta2 diagonal {theta2} below "
                                         "the invertibility threshold")
             if s_l and any(map(_nulls, s_l, t2, lower_l, flat(g2))):
                 dz = dz.copy()
-                dz[..., at] += self.rate(theta2, g2)[..., None, :]
+                f2[...] = out = self.rate(theta2, g2)
+                dz[..., at] += out[..., None, :]
             return dz
 
         return guard, clamp
@@ -211,22 +225,24 @@ def _floor(projection: ProjectionConfig | None, M: int, stage=False):
 
 def _carry(law: Guarded, projection: ProjectionConfig | None, floor=None):
     """``projection`` when enabled, else None; ``law`` then carries its
-    signs and bounds, and the stage ``floor`` (see ``Guarded``)."""
+    signs and bounds, with its ``f2`` columns after the row's, and the
+    run's ``floor`` (see ``Guarded``)."""
     proj = _active(projection)
     law.floor = floor
     if proj is not None:
         law.signs, law.theta2_lower = proj.signs, proj.theta2_lower
+        law.f2 = slice(law.width, law.width + proj.n_inputs)
+        law.width = law.f2.stop
     return proj
 
 
-def _check_floor(theta2, projection: ProjectionConfig | None, t0: int = 0):
-    """Raise SingularGainError at the first step of ``theta2`` (steps x M,
-    of steps t0 onward) with an entry below the invertibility floor
-    (``_floor``)."""
-    low = np.flatnonzero(np.any(
-        np.abs(theta2) < _floor(projection, theta2.shape[1]), axis=1))
+def _below(theta2, floor, t0: int = 0):
+    """The SingularGainError of the first step of ``theta2`` (steps x M, of
+    steps t0 onward) with an entry below the invertibility ``floor``
+    (``_floor``), else None."""
+    low = np.flatnonzero(np.any(np.abs(theta2) < floor, axis=1))
     if low.size:
-        raise SingularGainError(
+        return SingularGainError(
             f"theta2 diagonal {theta2[low[0]]} below the invertibility "
             f"threshold at step {t0 + low[0]}")
 
@@ -364,50 +380,25 @@ def _indirect_member(plant, ref, signal, gains, projection, init, horizon,
 
     spec = TraceSpec("indirect_gradient", plant.time_domain, horizon, h,
                      V_series)
-    return _projected(law, signal, projection, theta0, spec, stream,
-                      None if plant.time_domain == DISCRETE
-                      else _floor(projection, M, stage=True))
+    _carry(law, projection,
+           _floor(projection, M, stage=plant.time_domain != DISCRETE))
+    return _projected(law, signal, projection, theta0, spec, stream)
 
 
-def _projected(law, signal, projection, theta0, spec, stream,
-               floor=None) -> Member:
-    """A run of ``law`` from its ``z0`` under ``projection`` set up, the
-    one path of both indirect schemes: the law carries an enabled
-    projection, checked on ``theta0``, and the stage ``floor`` (``_carry``);
-    the records add theta2's raw rate and its correction (proj_g2, proj_f2;
-    zero without one), a record column of a discrete row, set in each chunk
-    in continuous time. A discrete store raises SingularGainError at a
-    theta2 below the invertibility threshold. ``spec`` makes the trace;
-    ``stream`` is as for ``direct._set_up``."""
-    proj = _carry(law, projection, floor)
+def _projected(law, signal, projection, theta0, spec, stream) -> Member:
+    """A run of ``law``, which carries ``projection`` (``_carry``), from its
+    ``z0`` set up, the one path of both indirect schemes: an enabled
+    projection is checked on ``theta0``, and the records add theta2's raw
+    rate and its correction (proj_g2, proj_f2: the row's columns, else
+    zero). ``spec`` and ``stream`` are as for ``direct._set_up``."""
     M = theta0.shape[1]
-    discrete = spec.time_domain == DISCRETE
-    if proj is not None:
-        proj.check_start(theta0)
+    if _active(projection):
+        projection.check_start(theta0)
         law.cols["proj_g2"] = np.arange(law.dW.start, law.dW.stop)[law.th2]
-        if discrete:
-            law.f2 = slice(law.width, law.width + M)
-            law.cols["proj_f2"] = np.arange(law.width, law.width + M)
-            law.width += M
-
-    def check(rows, t0):
-        steps = rows["theta"].shape[0]
-        if proj is None:
-            rows["proj_g2"] = rows["proj_f2"] = np.zeros((steps, M))
-        elif not discrete:
-            rows["proj_f2"] = proj.rate(_theta2(rows["theta"]),
-                                        rows["proj_g2"])
-        if discrete:
-            if t0 + steps == spec.horizon + 1:
-                # no update follows the final step
-                rows["proj_g2"][-1] = rows["proj_f2"][-1] = 0.0
-            # a step checks theta2 before its divergence probe, so the
-            # divergence row is checked too
-            _check_floor(_theta2(rows["theta"]), projection, t0)
-
+        law.cols["proj_f2"] = np.arange(law.f2.start, law.f2.stop)
     return _set_up(law, signal, spec, stream,
                    {name: (M,) for name in ("proj_g2", "proj_f2")
-                    if name not in law.cols}, check)
+                    if name not in law.cols})
 
 
 def run_indirect_scenario(plant: PlantModel, ref: ReferenceModel,

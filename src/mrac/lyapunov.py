@@ -180,10 +180,10 @@ class _Scheme(Layout):
         row[self.F], row[self.W] = z[:self.nF], z[self.nF:]
         row[self.R] = self.signal.at(tau)
         self.step(self.views(row, row[self.dF]))
-        dz = row[self.dF.start:]
+        dz = row[self.dF.start:self.dW.stop]
         guard = self.ct_guards()[0]
-        return (guard((row[self.W][self.th2], row[self.dW][self.th2]), dz)
-                if guard else dz)
+        return (guard((row[self.W][self.th2], row[self.dW][self.th2],
+                       row[self.f2]), dz) if guard else dz)
 
     def V(self, z):
         """V of a packed state z (matchable only)."""

@@ -489,14 +489,15 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     # enabled projection's start check, the gradient law's floor
     proj, init = built.get("projection"), built.get("init")
     if init is not None and scheme in _INDIRECT:
-        from .indirect import _check_floor, _theta2
+        from .indirect import _below, _floor, _theta2
         n, M = dims
         theta0 = init.resolved(n, n + M, M)[2]
         try:
             if proj is not None and proj.enabled:
                 proj.check_start(theta0)
-            if scheme == "indirect_gradient":
-                _check_floor(_theta2(theta0)[None], proj)
+            if scheme == "indirect_gradient" and (
+                    low := _below(_theta2(theta0)[None], _floor(proj, M))):
+                raise low
         except ToolkitError as exc:
             errors.append(f"init: {exc}")
     directory = cfg.get("output", {}).get("dir")
@@ -773,19 +774,17 @@ def run_lockstep(cfgs: list, outputs=None):
 
 
 def summary_dict(run: ScenarioRun) -> dict:
-    """Flat summary block written next to the trace (and used by batch rows)."""
-    tr = run.trace
-    metrics = tr.metrics
-    s = tr.summary
-    return {
+    """Flat summary block written next to the trace (and used by batch
+    rows), strict JSON: a non-finite float reads "inf", "-inf" or "nan"."""
+    s, tr = run.trace.summary, run.trace
+    summary = {
         "name": run.config.name,
         "scheme": run.config.scheme,
         "time_domain": run.config.time_domain,
         "steps": s.steps,
         "diverged": s.diverged,
-        "sup_e": s.sup_e if math.isfinite(s.sup_e) else "inf",
-        "last_window_max_e": metrics.last_window_max
-        if math.isfinite(metrics.last_window_max) else "inf",
+        "sup_e": s.sup_e,
+        "last_window_max_e": tr.metrics.last_window_max,
         "sum_eps2_over_m2": s.sum_eps2_over_m2,
         "sum_dtheta_sq": s.sum_dtheta_sq,
         "tail_frac_eps": s.tail_frac_eps,
@@ -794,6 +793,9 @@ def summary_dict(run: ScenarioRun) -> dict:
         "invariants": run.invariants,
         "exit_status": run.exit_status,
     }
+    return {key: str(value) if isinstance(value, float)
+            and not math.isfinite(value) else value
+            for key, value in summary.items()}
 
 
 def benchmark_config(two_tone: bool = False) -> ScenarioConfig:

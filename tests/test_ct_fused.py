@@ -1,6 +1,10 @@
 """The fused continuous-time runners against the unfused algebra, and the
 order of the integration they step through."""
 
+import importlib.util
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -11,6 +15,7 @@ from mrac import (DirectGainConfig, IndirectGainConfig, InitialConditions,
                   run_direct_scenario, run_indirect_scenario,
                   run_lyapunov_scenario, solve_matching,
                   stack_controller_gains, theta_star_indirect)
+from mrac.indirect import _theta2
 from mrac.scenario import config_from_dict, run_scenario
 from conftest import ct_instance
 
@@ -164,10 +169,10 @@ class TestFusedGradient:
 
     def test_singular_gain_step_matches_oracle(self, monkeypatch):
         # with the projection off, theta2 leaves through its bound; the run
-        # must raise during the same step
+        # must raise during the same step, and name it
         import mrac.indirect
         args = riding_case(enabled=False)
-        steps = []
+        steps, errors, inside = [], [], []
         for module, run in ((mrac.indirect, run_indirect_scenario),
                             (ct_oracle, ct_oracle.replay_indirect_ct)):
             calls = []
@@ -175,13 +180,49 @@ class TestFusedGradient:
 
             def counted(*a, **kw):
                 calls.append(1)
-                return real(*a, **kw)
+                try:
+                    return real(*a, **kw)
+                except SingularGainError:
+                    inside.append(module)
+                    raise
 
             monkeypatch.setattr(module, "integrate_ct", counted)
-            with pytest.raises(SingularGainError):
+            with pytest.raises(SingularGainError) as caught:
                 run(*args, 2000, h=0.01)
             steps.append(len(calls))
+            errors.append(str(caught.value))
         assert steps[0] == steps[1] > 1
+        # step N calls integrate_ct for the (N + 1)th time, after its own
+        # rate check, and refuses a rate of one of its later stages inside it
+        N = steps[1] - (ct_oracle in inside)
+        assert errors[0].endswith(f"threshold at step {N}")
+        assert errors[0] == f"{errors[1]} at step {N}"
+
+
+def _ct_riders():
+    """The continuous-time members of ``scripts/fingerprint.py`` whose
+    projection rides its bound."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "fingerprint_script", os.path.join(root, "scripts", "fingerprint.py"))
+    script = importlib.util.module_from_spec(spec)
+    path = list(sys.path)
+    try:
+        spec.loader.exec_module(script)
+    finally:
+        sys.path[:] = path
+    return script._ct_riders()
+
+
+@pytest.mark.parametrize("data", _ct_riders(), ids=lambda data: data["name"])
+def test_the_rate_check_records_the_projection_rate(data):
+    # the correction the rate check writes into the row is the projection's
+    # rate of the recorded theta2 and raw rate, bit for bit
+    run = run_scenario(config_from_dict(data))
+    trace, projection = run.trace, run.config.built.projection
+    assert trace.proj_fired.sum() > 100
+    want = projection.rate(_theta2(trace.theta), trace.proj_g2)
+    assert trace.proj_f2.tobytes() == want.tobytes()
 
 
 class TestFusedLyapunov:
@@ -477,10 +518,12 @@ class TestTheta2Positions:
 
         def views(row):
             return row[..., group.W][..., group.th2], \
-                row[..., group.dW][..., group.th2]
+                row[..., group.dW][..., group.th2], row[..., group.f2]
 
         rates = group.ct_guards()[0](views(rows), rows[:, dz])
         assert np.any(rates != rows[:, dz])
+        # the correction -g2 of input 0 goes into the rows' f2 columns
+        assert rows[:, group.f2].tolist() == [[signs[0], 0.0]] * 2
         for b, law in enumerate(laws):
             alone = z[b].copy()
             law.ct_guards()[1](alone)

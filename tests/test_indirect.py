@@ -10,9 +10,10 @@ from mrac import (GainError, IndirectGainConfig, InitialConditions,
                   PlantModel, ProjectionConfig, ProjectionError,
                   ReferenceModel, ReferenceSignal, SingularGainError,
                   check_delta_V, indirect_V_series, integrate_ct,
-                  run_indirect_scenario, solve_matching,
-                  stack_controller_gains, theta_star_indirect)
-from mrac.indirect import Guarded, _carry
+                  random_matchable_instance, run_indirect_scenario,
+                  solve_matching, stack_controller_gains,
+                  theta_star_indirect)
+from mrac.indirect import Guarded, _carry, _indirect_law
 from mrac.scenario import config_from_dict, run_lockstep, run_scenario
 from ct_oracle import projection_rate
 from conftest import K1_TRUE, K2_TRUE, ct_instance, mimo_indirect_case
@@ -154,6 +155,63 @@ class TestProjection:
                                time_domain="discrete")
         with pytest.raises(GainError, match="spectral bound"):
             IndirectGainConfig(Gamma=2.5 * np.eye(3), time_domain="discrete")
+
+
+class TestFloorCheck:
+    """The discrete floor check a law carries (``Guarded.floor_check``),
+    which ``_rows.run`` calls once per chunk on the chunk's (count, B, M)
+    block of theta2, with each member's divergence row: a theta2 below its
+    floor by that row, that row included, ends the member in
+    SingularGainError."""
+
+    FLOORS = np.array([[0.5, 0.25], [0.4, 0.2]])
+
+    def _check(self, B):
+        # a lone law carries (M,) floors, a group of two its (2, M) stack
+        plant, ref, _, _ = random_matchable_instance(3, 2, 0, "discrete")
+        gains = IndirectGainConfig(Gamma=np.stack([np.eye(5)] * 2),
+                                   time_domain="discrete")
+        laws = []
+        for floor in self.FLOORS[:B]:
+            law = _indirect_law(plant.A, plant.B, ref.A_m, ref.B_m, gains,
+                                np.ones((2, 5)), np.zeros(3), np.zeros(3),
+                                np.zeros(3))
+            _carry(law, None, floor)
+            laws.append(law)
+        return laws[0].stack(laws[1:]).floor_check
+
+    @pytest.mark.parametrize("B", [1, 2])
+    def test_a_theta2_below_the_floor_by_the_divergence_row(self, B):
+        check = self._check(B)
+        for low, diverged in ((3, 3), (4, 3), (5, None)):
+            # every member diverges at row ``diverged`` of steps 128 onward,
+            # its theta2_2 below its floor at row ``low``
+            theta2 = np.ones((6, B, 2))
+            theta2[low, :, 1] = 0.9 * self.FLOORS[:B, 1]
+            bad = [diverged] * B
+            check(theta2, bad, 128)
+            if diverged is not None and low > diverged:
+                assert bad == [diverged] * B
+                continue
+            for b, error in enumerate(bad):
+                assert isinstance(error, SingularGainError)
+                assert str(error) == (
+                    f"theta2 diagonal {theta2[low, b]} below the "
+                    f"invertibility threshold at step {128 + low}")
+
+    def test_each_member_of_a_block_by_its_own_rows(self):
+        # member 0 falls below its floor at its divergence row, member 1 one
+        # row later, and member 1's theta2_1 sits between the two floors
+        check = self._check(2)
+        theta2 = np.ones((6, 2, 2))
+        theta2[3, 0, 0] = 0.45
+        theta2[4, 1, 1] = 0.1
+        theta2[:, 1, 0] = 0.45
+        bad = [3, 3]
+        check(theta2, bad, 0)
+        assert isinstance(bad[0], SingularGainError)
+        assert str(bad[0]).endswith("at step 3")
+        assert bad[1] == 3
 
 
 class TestLandingAcrossChunks:

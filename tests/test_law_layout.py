@@ -158,9 +158,13 @@ def test_filter_columns_match_the_bank(scheme):
     rec = _rows.records(_rows.shapes(law.cols), DISCRETE_HORIZON + 1)
     r = sig.sample(np.arange(DISCRETE_HORIZON + 1, dtype=float))
 
-    def store(rows, t0, stop):
+    stored = [0]  # a member's store receives its rows in order
+
+    def store(rows):
+        t0 = stored[0]
         for name, block in rows.items():
             rec[name][t0:t0 + block.shape[0]] = block
+        stored[0] += rows["x"].shape[0]
 
     # a lone run is a group of one
     spec = TraceSpec(scheme, "discrete", DISCRETE_HORIZON, 1.0, None)

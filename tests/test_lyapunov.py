@@ -343,8 +343,11 @@ class TestStackedLaws:
         rows[:, W][:, th2] = s * lower
         rows[:, dW][:, th2] = s * [-1.0, 1.0]
         guard, clamp = group.ct_guards()
-        rates = guard((rows[:, W][:, th2], rows[:, dW][:, th2]), rows[:, dz])
+        rates = guard((rows[:, W][:, th2], rows[:, dW][:, th2],
+                       rows[:, group.f2]), rows[:, dz])
         assert np.any(rates != rows[:, dz])
+        # the correction -g2 of input 0 goes into the rows' f2 columns
+        assert np.array_equal(rows[:, group.f2], s * [1.0, 0.0])
         # theta2 a hair inside its bound for input 1 only
         z = rows[:, np.r_[group.F, W]]
         z[:, group.nF + group.theta2_at] = s * lower * [1.5, 0.9]
@@ -354,7 +357,7 @@ class TestStackedLaws:
         for b, law in enumerate(laws):
             row = rows[b]
             guard, clamp = law.ct_guards()
-            alone = guard((row[W][th2], row[dW][th2]), row[dz])
+            alone = guard((row[W][th2], row[dW][th2], row[law.f2]), row[dz])
             assert alone.tobytes() == rates[b].tobytes()
             alone = z[b].copy()
             clamp(alone)

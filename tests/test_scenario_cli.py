@@ -909,6 +909,39 @@ class TestCli:
         cfg.write_text(json.dumps(data))
         assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
 
+    def test_summaries_are_strict_json(self, tmp_path, capsys):
+        # from 400 times the true parameters the run diverges at step 116,
+        # with an infinite sum_eps2_over_m2 and a NaN tail_frac_eps, which
+        # strict JSON (RFC 8259) has no literal for
+        data = bench_dict(init={"theta_scale": 400, "rho_scale": 1.25},
+                          horizon=300)
+        cfg, spec = tmp_path / "cfg.json", tmp_path / "spec.json"
+        cfg.write_text(json.dumps(data))
+        spec.write_text(json.dumps({"configs": [data]}))
+
+        def strict(text):
+            def refuse(constant):
+                raise ValueError(f"{constant} is not JSON")
+            return json.loads(text, parse_constant=refuse)
+
+        assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        summary = strict(capsys.readouterr().out)
+        assert summary["steps"] == 116
+        assert summary["sum_eps2_over_m2"] == "inf"
+        assert summary["tail_frac_eps"] == "nan"
+        path = tmp_path / "run" / f"{data['name']}.summary.json"
+        assert strict(path.read_text()) == summary
+        assert main(["batch", str(spec)]) == 2
+        [row] = strict(capsys.readouterr().out)
+        assert row == dict(summary, status="diverged")
+        # every float of the block takes the one spelling
+        run = run_scenario(config_from_dict(data))
+        trace = run.trace._replace(summary=run.trace.summary._replace(
+            final_V=-np.inf, sum_dtheta_sq=np.nan))
+        spelled = summary_dict(run._replace(trace=trace))
+        assert (spelled["final_V"], spelled["sum_dtheta_sq"]) == ("-inf",
+                                                                  "nan")
+
     def test_strict_invariant_exit_code(self, tmp_path, monkeypatch, capsys):
         import mrac.cli as cli_mod
         cfg_path = tmp_path / "bench.json"

@@ -16,6 +16,7 @@ import pytest
 
 import mrac._rows
 import mrac.diagnostics
+from mrac import SingularGainError, ToolkitError, run_indirect_scenario
 from mrac.cli import main, write_gnuplot_dat, write_trace_csv
 from mrac.scenario import (benchmark_config, config_from_dict, run_lockstep,
                            run_scenario, summary_dict)
@@ -321,3 +322,96 @@ def test_a_failing_run_leaves_no_file(tmp_path):
         assert main(["run", str(path), "--out", str(out)]) == 2
     assert err.getvalue().startswith("run failed: ")
     assert os.listdir(out) == []
+
+
+@pytest.fixture
+def sinks(monkeypatch):
+    """The records each run's sink (``Stream``) is given, one list of
+    stores per sink, the sinks in the order they are made."""
+    given = {}
+    Stream = mrac.diagnostics.Stream
+    init, store = Stream.__init__, Stream.store
+
+    def made(self, *args):
+        init(self, *args)
+        given[self] = []
+
+    def stored(self, rows):
+        given[self].append({name: block.copy()
+                            for name, block in rows.items()})
+        return store(self, rows)
+
+    monkeypatch.setattr(Stream, "__init__", made)
+    monkeypatch.setattr(Stream, "store", stored)
+    return given
+
+
+def _received(stores):
+    """The records of a sink's stores, joined in the order given."""
+    return {name: np.concatenate([rows[name] for rows in stores])
+            for name in stores[0]}
+
+
+def _whole(received, trace):
+    """Assert that a sink received each row of ``trace`` once, in order,
+    and no other: the rows before its divergence row, if any."""
+    assert received["x"].shape[0] == trace.steps
+    for name in ("x", "u", "theta"):
+        assert received[name].tobytes() == getattr(trace, name).tobytes()
+    assert np.all(np.isfinite(received["u"]))
+
+
+def test_a_lone_sink_receives_each_row_before_the_divergence_once(sinks):
+    # the diverging member of _group alone, and the failing one, which
+    # raises at step 1054, in the 128-row chunk of steps 1024 onward
+    members = _group()
+    run = run_scenario(config_from_dict(members[1]))
+    assert run.trace.diverged_at == 1050
+    [stores] = sinks.values()
+    _whole(_received(stores), run.trace)
+    sinks.clear()
+    with pytest.raises(ToolkitError, match="at step 1054$"):
+        run_scenario(config_from_dict(members[2]))
+    [stores] = sinks.values()
+    assert _received(stores)["x"].shape[0] == 1024
+
+
+def test_each_sink_of_a_group_receives_its_own_rows_once(sinks):
+    # a group of four steps 32-row chunks: the failing member's sink
+    # receives nothing of the chunk of steps 1024..1055 that failed
+    members = [config_from_dict(data) for data in _group()]
+    runs = list(run_lockstep(members))
+    grouped = [_received(stores) for stores in sinks.values()]
+    assert len(grouped) == 4 and isinstance(runs[2], ToolkitError)
+    assert [run.trace.steps for run in runs[:2] + runs[3:]] == [1101, 1050,
+                                                               1101]
+    for run, received in zip(runs[:2] + runs[3:], grouped[:2] + grouped[3:]):
+        _whole(received, run.trace)
+    assert grouped[2]["x"].shape[0] == 1024
+    # the rows are those each member's lone run gives its sink
+    for cfg, received in zip(members, grouped):
+        sinks.clear()
+        try:
+            run_scenario(cfg)
+        except ToolkitError:
+            pass
+        [stores] = sinks.values()
+        alone = _received(stores)
+        assert all(alone[name].tobytes() == received[name].tobytes()
+                   for name in received)
+
+
+def test_a_continuous_sink_receives_each_row_once(sinks):
+    # a clean run over several chunks, and one whose rate check refuses a
+    # rate of step 395, in the 128-row chunk of steps 384 onward
+    from test_ct_fused import riding_case
+    data = dict(SCHEME_CASES["indirect-continuous"], horizon=300)
+    run = run_scenario(config_from_dict(data))
+    [stores] = sinks.values()
+    assert len(stores) == 3
+    _whole(_received(stores), run.trace)
+    sinks.clear()
+    with pytest.raises(SingularGainError, match="at step 395$"):
+        run_indirect_scenario(*riding_case(enabled=False), 2000, h=0.01)
+    [stores] = sinks.values()
+    assert _received(stores)["x"].shape[0] == 384
