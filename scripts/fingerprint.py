@@ -20,7 +20,10 @@ that ride their bounds. Their horizons are fixed.
 
 ``--horizon N`` cuts every pool and command-line run to N steps; by
 default each member runs its own horizon. Compare two checkouts by diffing
-their outputs.
+their outputs. The expected outputs live beside this tool:
+``fingerprint-1100.txt`` (``--horizon 1100``) and ``fingerprint-full.txt``
+(the full horizons); CI diffs a fresh run against each. A change that moves
+a byte of a run regenerates them and says so.
 """
 
 import argparse

@@ -136,9 +136,12 @@ class Layout:
     ``mid`` are the scheme's own columns. A law on it steps a row by
     ``step(views(row, dF))``; each class of the law names in ``stacked``
     the arrays it adds that the step, the state ``z0`` or the guards read,
-    and ``form`` is what else the step reads."""
+    and ``form`` is what else the step reads. ``value(rec)`` is the law's V
+    of a block of records (None: no matching solution), and ``gamma0`` the
+    constant of its bound dV <= -(2 - gamma0) eps^2 / m^2 (NaN: none)."""
 
-    form = None
+    form = value = None
+    gamma0 = math.nan
     # the columns of theta2's correction after dW, and the discrete floor
     # check (``indirect.Guarded``): none
     f2, floor_check = slice(0), None

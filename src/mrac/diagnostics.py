@@ -2,9 +2,9 @@
 tracking metrics, the per-run trace container, and the sink a run's
 records go to as it proceeds.
 
-Parameter-error Lyapunov values need the true matching gains, so runners
-fill the V and dV columns only when the scenario is matchable; otherwise
-those columns are NaN and the summary reports None for them.
+Parameter-error Lyapunov values need the true matching gains, so a run's
+law carries V (``_rows.Layout``) only when the scenario is matchable;
+otherwise the trace has no V series and the summary reports None for V.
 
 Every quantity of a trace is computed a block of rows at a time, by one
 set of block functions: the trace rows of a block of records
@@ -227,7 +227,7 @@ class Reduction:
                                last_window_max=self.last_window,
                                settling_index=settle)
 
-    def kept(self) -> dict:
+    def kept(self, gamma0) -> dict:
         """The trace fields the reduction keeps of the rows added: none."""
         return {}
 
@@ -236,13 +236,13 @@ class Keep(Reduction):
     """The reduction of a run that keeps the rows it is given: each array
     field of their trace in one array of ``steps`` rows, made when the
     first block comes, and their V series, whose decrement is the
-    reduction's own (``dec``). Its |dtheta|^2 series is made of the kept
-    theta when the summary is, so that it is not held while the run
-    steps."""
+    reduction's own (``dec``) and whose gamma0 ``kept`` is given. Its
+    |dtheta|^2 series is made of the kept theta when the summary is, so
+    that it is not held while the run steps."""
 
     def __init__(self, steps: int):
         super().__init__(steps)
-        self.arrays, self.gamma0, self.dtheta = {}, None, None
+        self.arrays, self.dtheta = {}, None
 
     def add(self, rows: SimulationTrace, lo: int, end=None) -> None:
         super().add(rows, lo, end)
@@ -252,21 +252,18 @@ class Keep(Reduction):
                     self.arrays[name] = np.empty(
                         self.dec.shape + values.shape[1:], values.dtype)
                 self.arrays[name][lo:lo + values.shape[0]] = values
-        if rows.series is not None:
-            self.gamma0 = rows.series.gamma0
 
     def summary(self, diverged: bool) -> TraceSummary:
         self.dtheta = np.empty(max(self.steps - 1, 0))
         _squared_steps(self.arrays["theta"][:self.steps], self.dtheta)
         return super().summary(diverged)
 
-    def kept(self) -> dict:
+    def kept(self, gamma0) -> dict:
         rows = {name: values[:self.steps]
                 for name, values in self.arrays.items()}
         if "V" in rows:
             rows["series"] = LyapunovSeries(rows["V"], rows["dV"],
-                                            self.dec[:self.steps],
-                                            self.gamma0)
+                                            self.dec[:self.steps], gamma0)
         return rows
 
 
@@ -339,24 +336,23 @@ def _theta_error_quad(theta_series, theta_star, Gamma) -> np.ndarray:
     return quad.T
 
 
-def value_series(V, decrement=None, gamma0: float = math.nan) -> LyapunovSeries:
-    """V with its increments; the decrement is NaN where it is not given."""
+def value_series(V, decrement, gamma0: float) -> LyapunovSeries:
+    """V with its increments, the decrement and the constant gamma0."""
     dV = np.full(V.shape[0], np.nan)
     np.subtract(V[1:], V[:-1], out=dV[:-1])
-    if decrement is None:
-        decrement = np.full(V.shape[0], np.nan)
     return LyapunovSeries(V=V, dV=dV, decrement=decrement, gamma0=gamma0)
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def direct_V_series(theta_series, rho_series, theta_star, rho_star,
-                    Gamma, gamma, eps_series, m_series) -> LyapunovSeries:
-    """Vectorized V(t), dV(t) and decrement series for a direct-scheme run."""
+def _gradient_V(rec, theta_star, Gamma, rho_star=None, gamma=None):
+    """V of each of the records ``rec`` of a gradient run, by their theta,
+    and with ``rho_star`` (the direct scheme) by their rho too."""
+    quad = _theta_error_quad(rec["theta"], theta_star, Gamma)
+    if rho_star is None:
+        return np.sum(quad, axis=1)
     rho_s = np.atleast_1d(np.asarray(rho_star, dtype=float))
     gam = _entries(gamma, "gamma", rho_s.shape[0], True, GainError)
-    quad = _theta_error_quad(theta_series, theta_star, Gamma)
     # each full-horizon temporary goes before the next is made
-    rho_err = rho_series - rho_s[None]
+    rho_err = rec["rho"] - rho_s[None]
     rho_err **= 2
     rho_err /= gam[None]
     # a sum of scaled columns: a BLAS product gives the rows at its tail
@@ -365,20 +361,26 @@ def direct_V_series(theta_series, rho_series, theta_star, rho_star,
     V = np.sum(quad, axis=1)
     del quad
     V += np.sum(rho_err, axis=1)
-    del rho_err
-    dec = decrement_series(eps_series, m_series)
-    return value_series(V, dec, gamma0_direct(Gamma, gamma, rho_star))
+    return V
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def direct_V_series(theta_series, rho_series, theta_star, rho_star,
+                    Gamma, gamma, eps_series, m_series) -> LyapunovSeries:
+    """Vectorized V(t), dV(t) and decrement series for a direct-scheme run."""
+    V = _gradient_V({"theta": theta_series, "rho": rho_series}, theta_star,
+                    Gamma, rho_star, gamma)
+    return value_series(V, decrement_series(eps_series, m_series),
+                        gamma0_direct(Gamma, gamma, rho_star))
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def indirect_V_series(theta_series, theta_star, Gamma,
                       eps_series, m_series) -> LyapunovSeries:
     """Vectorized V(t), dV(t) and decrement series for an indirect-scheme run."""
-    quad = _theta_error_quad(theta_series, theta_star, Gamma)
-    V = np.sum(quad, axis=1)
-    del quad
-    dec = decrement_series(eps_series, m_series)
-    return value_series(V, dec, gamma1_indirect(Gamma))
+    V = _gradient_V({"theta": theta_series}, theta_star, Gamma)
+    return value_series(V, decrement_series(eps_series, m_series),
+                        gamma1_indirect(Gamma))
 
 
 def first_violation(dV, decrement, gamma0: float, tolerance: float):
@@ -418,18 +420,17 @@ def tracking_metrics(trace: SimulationTrace,
     return _reduced(trace, settle_threshold).metrics(trace.diverged)
 
 
-# what makes a run's trace of its records: the scheme, time domain, horizon
-# and step, and ``V_series(rec)``, the LyapunovSeries of the records ``rec``
-# (None when V is not defined)
-TraceSpec = namedtuple("TraceSpec", "scheme time_domain horizon dt V_series")
+# the scheme, time domain, horizon and step of a run's trace
+TraceSpec = namedtuple("TraceSpec", "scheme time_domain horizon dt")
 
 
-def trace_rows(spec: TraceSpec, rec: dict, lo: int) -> SimulationTrace:
+def trace_rows(spec: TraceSpec, law, rec: dict, lo: int) -> SimulationTrace:
     """The trace rows of the records ``rec`` of the steps lo onward, keyed
     by trace field, with proj_fired where proj_f2 is not zero. ``m2`` holds
     m^2, and m takes its place in ``rec``, its record left as it is (a
     row may be made into trace rows twice); without it eps and m are NaN.
-    The V series' last dV is NaN: it needs the next row's V."""
+    The V series is ``law``'s (``_rows.Layout``); its last dV, which needs
+    the next row's V, is NaN."""
     steps = rec["x"].shape[0]
     if "m2" in rec:
         rec["m"] = np.sqrt(rec.pop("m2"))
@@ -441,8 +442,10 @@ def trace_rows(spec: TraceSpec, rec: dict, lo: int) -> SimulationTrace:
     # finite records can still square or subtract to inf; that is their
     # value
     with np.errstate(over="ignore", invalid="ignore"):
-        series = (spec.V_series(rec) if steps and spec.V_series is not None
-                  else None)
+        series = (value_series(law.value(rec),
+                               decrement_series(rec["eps"], rec["m"]),
+                               law.gamma0)
+                  if steps and law.value is not None else None)
         rec["e"] = rec["x"] - rec["x_m"]
     t = np.arange(lo, lo + steps, dtype=float)
     t *= spec.dt
@@ -454,23 +457,25 @@ def trace_rows(spec: TraceSpec, rec: dict, lo: int) -> SimulationTrace:
 
 
 class Stream:
-    """The sink of a run (a store of ``_rows.RowBuffer``): the records of
-    ``shapes`` are made into trace rows of ``spec`` (``trace_rows``) a
-    block of ``row_blocks`` at a time as the run proceeds, and each block
-    goes, in one call each, to ``consumers``, the last of which reduces
-    the rows (a ``Reduction``, or a ``Keep``, whose rows the run's trace
-    then holds). A block's trace rows are made with the next stored row,
-    whose V completes the block's last dV; since a block of BLOCK rows is
-    made only once two more rows are stored (the last block takes a lone
-    last row), the blocks are those of ``row_blocks`` over the run's
-    steps, ended early or not. ``store`` receives the run's finished rows
-    in order; a record of ``shapes`` absent from them stays zero. The run
-    holds a fixed number of rows beside what its reduction keeps."""
+    """The sink of a run of ``law`` (a store of ``_rows.RowBuffer``): the
+    records of its columns and of ``extra`` ({name: row shape}) are made
+    into trace rows of ``spec`` and ``law`` (``trace_rows``) a block of
+    ``row_blocks`` at a time as the run proceeds, and each block goes, in
+    one call each, to ``consumers``, the last of which reduces the rows (a
+    ``Reduction``, or a ``Keep``, whose rows the run's trace then holds).
+    A block's trace rows are made with the next stored row, whose V
+    completes the block's last dV; since a block of BLOCK rows is made
+    only once two more rows are stored (the last block takes a lone last
+    row), the blocks are those of ``row_blocks`` over the run's steps,
+    ended early or not. ``store`` receives the run's finished rows in
+    order; a record absent from them stays zero. The run holds a fixed
+    number of rows beside what its reduction keeps."""
 
-    def __init__(self, shapes: dict, spec: TraceSpec, consumers):
-        self.spec, self.consumers = spec, consumers
-        self.rec = records(shapes, min(_rows.BLOCK + _rows.CHUNK + 1,
-                                       spec.horizon + 1))
+    def __init__(self, law, spec: TraceSpec, consumers, extra=None):
+        self.law, self.spec, self.consumers = law, spec, consumers
+        self.rec = records(_rows.shapes(law.cols, **(extra or {})),
+                           min(_rows.BLOCK + _rows.CHUNK + 1,
+                               spec.horizon + 1))
         self.stored = self.lo = 0  # rows stored, and the step of the first
 
     def store(self, rows: dict) -> None:
@@ -487,8 +492,9 @@ class Stream:
         the next stored row unless they end the run's ``end`` steps; the
         rows stored after them then move to the front."""
         lo, made = self.lo, k + (end is None)
-        rows = trace_rows(self.spec, {name: values[:made] for name, values
-                                      in self.rec.items()}, lo).rows(0, k)
+        rows = trace_rows(self.spec, self.law, {
+            name: values[:made] for name, values in self.rec.items()},
+            lo).rows(0, k)
         for consumer in self.consumers:
             consumer.add(rows, lo, end)
         self.stored -= k
@@ -507,4 +513,5 @@ class Stream:
             scheme=spec.scheme, time_domain=spec.time_domain,
             horizon=spec.horizon, dt=spec.dt, diverged=diverged,
             diverged_at=diverged_at, summary=reduction.summary(diverged),
-            metrics=reduction.metrics(diverged), **reduction.kept())
+            metrics=reduction.metrics(diverged),
+            **reduction.kept(self.law.gamma0))

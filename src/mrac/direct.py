@@ -17,13 +17,16 @@ integrated jointly to avoid order-of-integration artifacts).
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import partial
 
 import numpy as np
 
 from . import _rows
 from ._rows import Law, block
-from .diagnostics import (Keep, SimulationTrace, Stream, TraceSpec, _entries,
-                          _stack_gains, direct_V_series)
+# the benchmark's tracer wraps direct_V_series here by name
+from .diagnostics import (Keep, SimulationTrace, Stream,  # noqa: F401
+                          TraceSpec, _entries, _gradient_V, _stack_gains,
+                          direct_V_series, gamma0_direct)
 from .errors import GainError, ModelError, ToolkitError
 from .systems import (DISCRETE, PlantModel, ReferenceModel, ReferenceSignal,
                       integrate_ct, solve_matching)
@@ -80,12 +83,14 @@ class DirectGainConfig:
     block. Continuous time only needs positive definiteness and a finite
     gamma > 0. k2_lower must be positive and finite in both. Gamma is kept
     as the (M, n_w, n_w) stack, gamma, sign_k2 and k2_lower as (M,) arrays.
+    A multi-input law keeps K2 diagonal when enforced (``diagonal``).
     """
 
     def __init__(self, Gamma, gamma, sign_k2, k2_lower,
                  time_domain: str = DISCRETE, enforce_diagonal_k2: bool = True):
         self.time_domain = time_domain
         self.enforce_diagonal_k2 = enforce_diagonal_k2
+        self.diagonal = "k2_diag_ok" if enforce_diagonal_k2 else None
         signs = np.atleast_1d(np.asarray(sign_k2, dtype=float))
         M = signs.shape[0]
         if not np.all(np.abs(signs) == 1.0):
@@ -117,6 +122,11 @@ class DirectGainConfig:
     def shapes(self, n: int, M: int) -> dict:
         """The shape each gain must have on an n-state, M-input plant."""
         return {"sign_k2": (M,), "Gamma": (M, n + M, n + M)}
+
+    def member(self, b, horizon: int, stream=None):
+        """The discrete run of a config's built parts ``b``, set up."""
+        return _direct_member(b.plant, b.reference, b.signal, self, b.init,
+                              horizon, 1.0, b.match, stream)
 
 
 def _shape_theta(theta, n_w, M):
@@ -268,10 +278,11 @@ def _direct_law(A, B, Am, Bm, gains, enforce, P, rho, x0, xm0) -> Law:
 
 
 # a run set up on its law (see ``_rows``), which carries any theta2 guards
-# its runner calls: store(records), which receives its finished rows'
-# records in order (its sink's, see ``_set_up``), finish(diverged_at),
-# which makes its trace, its reference signal, and its trace's TraceSpec,
-# whose horizon, time domain and step dt its runner steps it by
+# its runner calls and its trace's V: store(records), which receives its
+# finished rows' records in order (its sink's, see ``_set_up``),
+# finish(diverged_at), which makes its trace, its reference signal, and its
+# trace's TraceSpec, whose horizon, time domain and step dt its runner
+# steps it by
 Member = namedtuple("Member", "law store finish signal spec")
 
 
@@ -281,9 +292,8 @@ def _set_up(law, signal, spec, stream=None, extra=None):
     ``extra`` ({name: row shape}, which stay zero) to the consumers
     ``stream``, the last of which reduces the rows; without them, to a
     ``Keep``, so that the run's trace holds its rows."""
-    shapes = _rows.shapes(law.cols, **(extra or {}))
-    out = Stream(shapes, spec, [Keep(spec.horizon + 1)] if stream is None
-                 else stream)
+    out = Stream(law, spec, [Keep(spec.horizon + 1)] if stream is None
+                 else stream, extra)
     return Member(law, out.store, out.finish, signal, spec)
 
 
@@ -296,25 +306,19 @@ def _direct_member(plant, ref, signal, gains, init, horizon, h,
         plant, ref, signal, gains, init, horizon, None, h, method)
     match = _diagonal_match(_matching(plant, ref, match))
     n, M = plant.n, plant.n_inputs
-    enforce = gains.enforce_diagonal_k2 and M > 1
+    enforce = gains.diagonal is not None and M > 1
     P = theta0.T.copy()  # rows are theta_j
     if enforce:
         P[:, n:] *= np.eye(M)
     law = _direct_law(plant.A, plant.B, ref.A_m, ref.B_m, gains, enforce, P,
                       rho0, x0, xm0)
-
-    V_series = None
     if match is not None:
-        theta_star = stack_controller_gains(match.K1, match.K2)
         rho_star = 1.0 / np.diag(match.K2)
-
-        def V_series(rec):
-            return direct_V_series(rec["theta"], rec["rho"], theta_star,
-                                   rho_star, gains.Gamma, gains.gamma,
-                                   rec["eps"], rec["m"])
-
-    spec = TraceSpec("direct_gradient", plant.time_domain, horizon, h,
-                     V_series)
+        law.value = partial(
+            _gradient_V, theta_star=stack_controller_gains(match.K1, match.K2),
+            Gamma=gains.Gamma, rho_star=rho_star, gamma=gains.gamma)
+        law.gamma0 = gamma0_direct(gains.Gamma, gains.gamma, rho_star)
+    spec = TraceSpec("direct_gradient", plant.time_domain, horizon, h)
     return _set_up(law, signal, spec, stream)
 
 

@@ -21,13 +21,16 @@ each is followed literally).
 
 from __future__ import annotations
 
+from functools import partial
 from operator import lt, mul
 
 import numpy as np
 
 from ._rows import Law, Layout, block, forms, row_blocks
-from .diagnostics import (SimulationTrace, TraceSpec, _entries, _stack_gains,
-                          indirect_V_series)
+# the benchmark's tracer wraps indirect_V_series here by name
+from .diagnostics import (SimulationTrace, TraceSpec,  # noqa: F401
+                          _entries, _gradient_V, _stack_gains,
+                          gamma1_indirect, indirect_V_series)
 from .direct import (SOLVE, InitialConditions, Member, _check_blocks,
                      _check_run_args, _diagonal_match, _drive, _matching,
                      _set_up, stack_controller_gains)
@@ -254,8 +257,10 @@ class IndirectGainConfig:
     Each Gamma_j must be symmetric positive definite and block diagonal
     with a diagonal trailing M x M block (the structure the projection
     argument needs); discrete time additionally requires every eigenvalue
-    below 2.
+    below 2. A multi-input law keeps Theta2 diagonal (``diagonal``).
     """
+
+    diagonal = "theta2_diag_ok"
 
     def __init__(self, Gamma, time_domain: str = DISCRETE):
         self.time_domain = time_domain
@@ -273,6 +278,12 @@ class IndirectGainConfig:
     def shapes(self, n: int, M: int) -> dict:
         """The shape each gain must have on an n-state, M-input plant."""
         return {"Gamma": (M, n + M, n + M)}
+
+    def member(self, b, horizon: int, stream=None):
+        """The discrete run of a config's built parts ``b``, set up."""
+        return _indirect_member(b.plant, b.reference, b.signal, self,
+                                b.projection, b.init, horizon, 1.0, b.match,
+                                stream)
 
 
 def theta_star_indirect(K1, K2) -> np.ndarray:
@@ -369,17 +380,12 @@ def _indirect_member(plant, ref, signal, gains, projection, init, horizon,
         P[:, n:] *= np.eye(M)
     law = _indirect_law(plant.A, plant.B, ref.A_m, ref.B_m, gains, P, x0, xm0,
                         xhat0)
-
-    V_series = None
     if match is not None:
-        theta_star = theta_star_indirect(match.K1, match.K2)
-
-        def V_series(rec):
-            return indirect_V_series(rec["theta"], theta_star, gains.Gamma,
-                                     rec["eps"], rec["m"])
-
-    spec = TraceSpec("indirect_gradient", plant.time_domain, horizon, h,
-                     V_series)
+        law.value = partial(
+            _gradient_V, theta_star=theta_star_indirect(match.K1, match.K2),
+            Gamma=gains.Gamma)
+        law.gamma0 = gamma1_indirect(gains.Gamma)
+    spec = TraceSpec("indirect_gradient", plant.time_domain, horizon, h)
     _carry(law, projection,
            _floor(projection, M, stage=plant.time_domain != DISCRETE))
     return _projected(law, signal, projection, theta0, spec, stream)

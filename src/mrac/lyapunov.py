@@ -15,7 +15,7 @@ from collections import namedtuple
 import numpy as np
 
 from ._rows import Layout, forms
-from .diagnostics import SimulationTrace, TraceSpec, value_series
+from .diagnostics import SimulationTrace, TraceSpec
 from .direct import (SOLVE, InitialConditions, _check_run_args, _drive,
                      _matching, _set_up, _spd_check)
 from .errors import GainError, ModelError
@@ -66,6 +66,8 @@ class LyapunovDirectGains:
     """Single-input: (Gamma, gamma, sign_k2). Multi-input: S_p. The matrix
     given is kept as a 2-D array, every other value as given."""
 
+    diagonal = None  # no block of theta is kept diagonal
+
     def __init__(self, Gamma=None, gamma=None, sign_k2=None, S_p=None):
         self.Gamma, self.gamma, self.sign_k2, self.S_p = Gamma, gamma, sign_k2, S_p
         if S_p is not None:
@@ -107,8 +109,11 @@ class LyapunovIndirectGains:
 
     theta1_law selects between the two stated Theta1 updates: "standard"
     (Gamma1 acts on the state side, n x n) and "transposed" (Gamma1 acts on
-    the input side, M x M).
+    the input side, M x M). A multi-input law keeps Theta2 diagonal
+    (``diagonal``).
     """
+
+    diagonal = "theta2_diag_ok"
 
     def __init__(self, Gamma1, Gamma2, theta1_law: str = "standard"):
         self.Gamma1 = np.atleast_2d(np.asarray(Gamma1, dtype=float))
@@ -133,13 +138,13 @@ class _Scheme(Layout):
     states [x_m, x] or [x_m, xhat, x], then r and u, so that [x, r] is
     contiguous, ``mid`` scratch columns and theta = [T1; T2^T] row by row.
     ``L`` advances every linear state given r and u; ``ct`` is A_m's
-    certificate, ``match`` the matching solution and ``V_series(x, x_m,
-    xhat, theta)`` V of records, both None unmatchable; the runner sets
-    ``z0`` (``pack``). As a gradient law's, its step takes the ``views`` of
-    a row or of a group's block of rows (``_rows.forms``)."""
+    certificate, ``match`` the matching solution and ``value(rec)`` V of a
+    block of records (``_rows.Layout``), both None unmatchable; the runner
+    sets ``z0`` (``pack``). As a gradient law's, its step takes the
+    ``views`` of a row or of a group's block of rows (``_rows.forms``)."""
 
     stacked = ("L", "z0")
-    z0 = V_series = None
+    z0 = None
 
     def __init__(self, plant, ref, signal, cert, match, nF, mid):
         n, M = plant.n, plant.n_inputs
@@ -187,11 +192,10 @@ class _Scheme(Layout):
 
     def V(self, z):
         """V of a packed state z (matchable only)."""
-        n, nF = self.n, self.nF
-        # xhat is z[n:2n] in the indirect layout; the direct V ignores it
-        return float(self.V_series(z[None, self.X0:nF], z[None, :n],
-                                   z[None, n:2 * n],
-                                   z[nF:].reshape(1, self.C, self.M))[0])
+        row = np.zeros(self.width)
+        row[self.F], row[self.W] = z[:self.nF], z[self.nF:]
+        return float(self.value({name: row[None, at]
+                                 for name, at in self.cols.items()})[0])
 
 
 class LyapunovDirect(_Scheme):
@@ -225,18 +229,18 @@ class LyapunovDirect(_Scheme):
             Ginv = np.linalg.inv(gains.Gamma)
             k2s = abs(self.match.k2)
 
-        def V_series(x, xm, xh, theta):
-            e = x - xm
+        def value(rec):
+            e = rec["x"] - rec["x_m"]
             base = np.einsum("ti,ij,tj->t", e, P, e)
-            d1 = theta[:, :n] - K1s
-            d2 = theta[:, n:] - K2sT  # (K2 - K2*)^T
+            d1 = rec["theta"][:, :n] - K1s
+            d2 = rec["theta"][:, n:] - K2sT  # (K2 - K2*)^T
             if gains.S_p is not None:
                 return (base + np.einsum("tia,ab,tib->t", d1, Msinv, d1)
                         + np.einsum("tja,ab,tjb->t", d2, Msinv, d2))
             t1 = np.einsum("ti,ij,tj->t", d1[:, :, 0], Ginv, d1[:, :, 0])
             return base + (t1 + d2[:, 0, 0] ** 2 / gains.gamma) / k2s
 
-        self.V_series = V_series
+        self.value = value
 
     def stepper(self):
         """The step on the law's own (or stacked) L, Gd and Wn."""
@@ -300,15 +304,15 @@ class LyapunovIndirect(_Scheme, Guarded):
         G2inv = np.linalg.inv(gains.Gamma2)
         t1 = "tia,ij,tja->t" if self.form == "standard" else "tia,ab,tib->t"
 
-        def V_series(x, xm, xh, theta):
-            e = xh - x
-            d = theta - theta_star
+        def value(rec):
+            e = rec["x_hat"] - rec["x"]
+            d = rec["theta"] - theta_star
             d1, d2 = d[:, :n], d[:, n:]  # d2 = (Theta2 - Theta2*)^T
             return (np.einsum("ti,ij,tj->t", e, P, e)
                     + np.einsum(t1, d1, G1inv, d1)
                     + np.einsum("tai,ij,taj->t", d2, G2inv, d2))
 
-        self.V_series = V_series
+        self.value = value
 
     def stepper(self):
         """The step on the law's own (or stacked) L, Gamma1, Wc and
@@ -400,14 +404,7 @@ def run_lyapunov_scenario(plant: PlantModel, ref: ReferenceModel,
                               cert, match)
     n = plant.n
     law.z0 = law.pack(x0, xm0, theta0[:n], theta0[n:].T, xhat0)
-
-    def V_series(rec):
-        # a run's sink gives V a block of rows at a time
-        return value_series(law.V_series(rec["x"], rec["x_m"],
-                                         rec.get("x_hat"), rec["theta"]))
-
-    spec = TraceSpec(f"lyapunov_{mode}", CONTINUOUS, horizon, h,
-                     V_series if law.V_series is not None else None)
+    spec = TraceSpec(f"lyapunov_{mode}", CONTINUOUS, horizon, h)
     if mode == "indirect":
         run = _projected(law, signal, projection, theta0, spec, stream)
     else:

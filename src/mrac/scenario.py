@@ -28,8 +28,8 @@ from .diagnostics import (Keep, Reduction, SimulationTrace,  # noqa: F401
                           direct_V_series, first_violation, indirect_V_series,
                           tracking_metrics)
 from . import _rows
-from .direct import (DirectGainConfig, InitialConditions, _direct_member,
-                     _matching, run_direct_scenario, stack_controller_gains)
+from .direct import (DirectGainConfig, InitialConditions, _matching,
+                     run_direct_scenario, stack_controller_gains)
 from .errors import ConfigError, GainError, ModelError, ToolkitError
 # the benchmark's tracer wraps solve_matching here by name
 from .systems import (CONTINUOUS, DISCRETE, PlantModel,  # noqa: F401
@@ -607,12 +607,7 @@ class Invariants:
         self.discrete = cfg.time_domain == DISCRETE
         # only the indirect schemes build a projection
         self.proj = proj if proj is not None and proj.enabled else None
-        # the multi-input laws keep Theta2, and K2 when enforced, diagonal
-        diag_key = ("k2_diag_ok" if cfg.scheme == "direct_gradient"
-                    else "theta2_diag_ok" if cfg.scheme in _INDIRECT else None)
-        self.diag = (diag_key if diag_key and M > 1
-                     and getattr(b.gains, "enforce_diagonal_k2", True)
-                     else None)
+        self.diag = b.gains.diagonal if M > 1 else None
         self.n, self.off = n, 1.0 - np.eye(M)
         self.steps, self.has_V = 0, False
         self.v_ok = self.proj_ok = self.diag_ok = True
@@ -717,9 +712,9 @@ def _checked(cfg: ScenarioConfig, trace: SimulationTrace,
 def lockstep_key(cfg: ScenarioConfig):
     """What the configs of one lockstep group share (see ``run_lockstep``):
     the scheme, n, M, the horizon and, indirect, whether the projection is
-    enabled; None for a config that always runs alone (continuous time and
-    the Lyapunov schemes)."""
-    if cfg.time_domain != DISCRETE or cfg.scheme not in _GRADIENT:
+    enabled; None for a config that always runs alone: a continuous-time
+    one, as every Lyapunov config is."""
+    if cfg.time_domain != DISCRETE:
         return None
     b = cfg.built
     return (cfg.scheme, b.plant.n, b.plant.n_inputs, cfg.horizon,
@@ -737,19 +732,6 @@ def streamed_bytes(cfg: ScenarioConfig) -> int:
         b.plant.n_inputs, cfg.time_domain)
 
 
-def _member(cfg: ScenarioConfig, stream=None):
-    """The discrete gradient run of ``cfg``, set up (``direct.Member``),
-    its rows streamed to ``stream`` (see ``direct._set_up``)."""
-    b = cfg.built
-    if cfg.scheme == "direct_gradient":
-        return _direct_member(b.plant, b.reference, b.signal, b.gains, b.init,
-                              cfg.horizon, 1.0, b.match, stream)
-    from .indirect import _indirect_member
-    return _indirect_member(b.plant, b.reference, b.signal, b.gains,
-                            b.projection, b.init, cfg.horizon, 1.0, b.match,
-                            stream)
-
-
 def run_lockstep(cfgs: list, outputs=None):
     """Run the configs ``cfgs``, which share one ``lockstep_key``, in
     lockstep: each member keeps the law, sink and finish of its lone run,
@@ -764,8 +746,8 @@ def run_lockstep(cfgs: list, outputs=None):
     one finished trace at a time."""
     streams = [_consumers(cfg, None if outputs is None else outputs[b])
                for b, cfg in enumerate(cfgs)]
-    members = [_member(cfg, stream) for cfg, (_, stream)
-               in zip(cfgs, streams)]
+    members = [cfg.built.gains.member(cfg.built, cfg.horizon, stream)
+               for cfg, (_, stream) in zip(cfgs, streams)]
     ended = _rows.run(members)
     for cfg, (checks, _), outcome in zip(cfgs, streams, ended):
         finish = members.pop(0).finish

@@ -167,7 +167,7 @@ def test_filter_columns_match_the_bank(scheme):
         stored[0] += rows["x"].shape[0]
 
     # a lone run is a group of one
-    spec = TraceSpec(scheme, "discrete", DISCRETE_HORIZON, 1.0, None)
+    spec = TraceSpec(scheme, "discrete", DISCRETE_HORIZON, 1.0)
     assert _rows.run([Member(law, store, None, sig, spec)]) == [None]
     bank = ChannelFilterBank(ref, C)
     for t in range(DISCRETE_HORIZON + 1):

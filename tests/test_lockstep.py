@@ -17,7 +17,7 @@ from mrac import (DirectGainConfig, IndirectGainConfig, InitialConditions,
 from mrac.cli import LOCKSTEP_MIN, batch_units, main, worker_count
 from mrac.direct import _direct_member
 from mrac.indirect import _indirect_member
-from mrac.scenario import (_member, benchmark_config, config_from_dict,
+from mrac.scenario import (benchmark_config, config_from_dict,
                            lockstep_key, run_lockstep, run_scenario,
                            streamed_bytes)
 
@@ -187,7 +187,7 @@ def test_records_equal_run_scenario(group):
     cfgs = [config_from_dict(data) for data in spec_members()[group]]
     if len(cfgs) == 1:
         # a group of one keeps its own law, and so the lone .dot step
-        law = _member(cfgs[0]).law
+        law = cfgs[0].built.gains.member(cfgs[0].built, cfgs[0].horizon).law
         assert law.stack([]) is law
     runs = list(run_lockstep(cfgs))
     assert len(runs) == len(cfgs)

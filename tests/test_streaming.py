@@ -194,9 +194,9 @@ def test_streamed_blocks_are_the_row_blocks(horizon, jump, monkeypatch):
         monkeypatch.setattr(mrac._rows, name, rows)
     made, trace_rows = [], mrac.diagnostics.trace_rows
 
-    def recorded(spec, rec, lo):
+    def recorded(spec, law, rec, lo):
         made.append((lo, lo + rec["x"].shape[0]))
-        return trace_rows(spec, rec, lo)
+        return trace_rows(spec, law, rec, lo)
 
     monkeypatch.setattr(mrac.diagnostics, "trace_rows", recorded)
     data = dict(SCHEME_CASES["direct-discrete"], horizon=horizon)
