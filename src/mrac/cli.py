@@ -8,7 +8,6 @@ if any diverged, else 0.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import gc
 import itertools
@@ -16,16 +15,20 @@ import json
 import os
 import re
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .diagnostics import SimulationTrace, feed
 from .errors import ConfigError, ToolkitError
 from .scenario import (MEMORY_BUDGET_BYTES, PATH_CHARS, ScenarioRun,
                        benchmark_config, config_from_dict, dir_problem,
                        load_config, lockstep_key, read_document, run_lockstep,
                        run_scenario, serialize_config, streamed_bytes,
                        summary_dict)
+
+if TYPE_CHECKING:
+    import argparse
+    from .diagnostics import SimulationTrace
 
 TRACE_COLUMNS_DOC = ("t, x_1..x_n, xm_1..xm_n, e_1..e_n, u_1..u_M, "
                      "eps_1..eps_n, m, V, dV, proj_fired")
@@ -170,6 +173,7 @@ def _gnuplot_file(directory, n: int) -> RowFile:
 
 def _filled(rows: RowFile, trace: SimulationTrace) -> RowFile:
     """``rows`` with the rows of ``trace`` written."""
+    from .diagnostics import feed
     with _discarded_on_error([rows]):
         feed(trace, rows)
     return rows
@@ -541,6 +545,7 @@ def cmd_example(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
     parser = argparse.ArgumentParser(
         prog="mrac",
         description="Adaptive state-tracking scenarios: validate, run, and "

@@ -26,7 +26,8 @@ import numpy as np
 
 from . import _rows
 from ._rows import records, row_blocks
-from .errors import GainError, ModelError
+from .errors import GainError
+from .gains import _entries, _stack_gains
 
 
 TraceSummary = namedtuple(
@@ -278,27 +279,6 @@ def summarize(trace: SimulationTrace) -> TraceSummary:
     """Recompute the summary block from the per-step records (see
     ``Reduction``)."""
     return _reduced(trace).summary(trace.diverged)
-
-
-def _stack_gains(Gamma, M=None) -> np.ndarray:
-    """A gradient law's gain ``Gamma`` as a new (M, n_w, n_w) stack of its
-    blocks: a 2-D Gamma is every block (one when ``M`` is None), a stack is
-    itself. GainError when it does not stack to M square blocks."""
-    G = np.array(Gamma, dtype=float)
-    if G.ndim == 2:
-        G = np.repeat(G[None], 1 if M is None else M, axis=0)
-    if G.ndim != 3 or G.shape[1] != G.shape[2] or M not in (None, G.shape[0]):
-        raise GainError(f"Gamma must stack to (M, n_w, n_w), got {G.shape}")
-    return G
-
-
-def _entries(value, name, size, spread=False, error=ModelError):
-    """``value`` as a vector of ``size`` floats, from any shape of that many
-    entries, or with ``spread`` from one entry for all, else ``error``."""
-    arr = np.asarray(value, dtype=float)
-    if arr.size != size and not (spread and arr.size == 1):
-        raise error(f"{name} must have shape ({size},), got {arr.shape}")
-    return np.broadcast_to(arr.reshape(-1), (size,)).copy()
 
 
 def gamma0_direct(Gamma, gamma, rho_star) -> float:

@@ -18,146 +18,25 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import _rows
-from ._rows import Law, block
-# the benchmark's tracer wraps direct_V_series here by name
-from .diagnostics import (Keep, SimulationTrace, Stream,  # noqa: F401
-                          TraceSpec, _entries, _gradient_V, _stack_gains,
-                          direct_V_series, gamma0_direct)
+from . import _lazy
 from .errors import GainError, ModelError, ToolkitError
+# the gains and initial conditions of gains.py stay importable from here
+from .gains import (DirectGainConfig, InitialConditions,  # noqa: F401
+                    _check_blocks, _shape_theta, _spd_check,
+                    stack_controller_gains)
 from .systems import (DISCRETE, PlantModel, ReferenceModel, ReferenceSignal,
                       integrate_ct, solve_matching)
 
+if TYPE_CHECKING:
+    from .diagnostics import SimulationTrace
 
-def stack_controller_gains(K1, K2) -> np.ndarray:
-    """Stack (K1, K2) into the (n+M, M) parameter layout used throughout."""
-    K1 = np.asarray(K1, dtype=float)
-    K2 = np.atleast_2d(np.asarray(K2, dtype=float))
-    if K1.ndim == 1:
-        K1 = K1.reshape(-1, 1)
-    return np.vstack([K1, K2.T])
-
-
-def _spd_check(G, label, error=GainError):
-    """The ascending eigenvalues of the SPD ``G``, else ``error``."""
-    if not np.allclose(G, G.T, atol=1e-10, rtol=0.0):
-        raise error(f"{label} must be symmetric")
-    eig = np.linalg.eigvalsh(G)
-    if eig[0] <= 0.0:
-        raise error(f"{label} must be positive definite")
-    return eig
-
-
-def _check_blocks(G, upper, too_large, trailing=None):
-    """Check the gain blocks Gamma_j of a gradient law's (M, n_w, n_w)
-    stack ``G``, n = n_w - M >= 1: each symmetric positive definite, its
-    largest eigenvalue below ``upper``, or its entry j (else the GainError
-    is ``too_large(j, lam)``), and, when ``trailing`` names its trailing M x M
-    block, block diagonal with that block diagonal."""
-    M, n_w = G.shape[:2]
-    n = n_w - M
-    if n < 1:
-        raise GainError(f"Gamma block size {n_w} too small for M={M}")
-    upper = np.broadcast_to(upper, (M,))
-    for j, Gj in enumerate(G):
-        lam = _spd_check(Gj, f"Gamma[{j}]")[-1]
-        if lam >= upper[j]:
-            raise GainError(too_large(j, lam))
-        if trailing and (np.any(Gj[:n, n:])
-                         or np.any(Gj[n:, n:] * (1.0 - np.eye(M)))):
-            raise GainError(f"Gamma[{j}] must be block diagonal with a "
-                            f"diagonal {trailing}")
-
-
-class DirectGainConfig:
-    """Adaptation gains plus the sign/bound priors they are validated against.
-
-    Discrete single-input: 0 < Gamma = Gamma^T < 2 k2_lower I and
-    0 < gamma < 2. Discrete multi-input: each block satisfies the
-    conservative 0 < Gamma_j < k2_lower_j I (with the factor-of-two slack
-    left on the table) and 0 < gamma_j < 2; with diagonal enforcement on,
-    Gamma_j must additionally be block diagonal with a diagonal lower
-    block. Continuous time only needs positive definiteness and a finite
-    gamma > 0. k2_lower must be positive and finite in both. Gamma is kept
-    as the (M, n_w, n_w) stack, gamma, sign_k2 and k2_lower as (M,) arrays.
-    A multi-input law keeps K2 diagonal when enforced (``diagonal``).
-    """
-
-    def __init__(self, Gamma, gamma, sign_k2, k2_lower,
-                 time_domain: str = DISCRETE, enforce_diagonal_k2: bool = True):
-        self.time_domain = time_domain
-        self.enforce_diagonal_k2 = enforce_diagonal_k2
-        self.diagonal = "k2_diag_ok" if enforce_diagonal_k2 else None
-        signs = np.atleast_1d(np.asarray(sign_k2, dtype=float))
-        M = signs.shape[0]
-        if not np.all(np.abs(signs) == 1.0):
-            raise GainError("sign_k2 entries must be +1 or -1")
-        lower = _entries(k2_lower, "k2_lower", M, True, GainError)
-        if not np.all((lower > 0.0) & (lower < np.inf)):
-            raise GainError("k2 lower bounds must be positive and finite")
-        gam = _entries(gamma, "gamma", M, True, GainError)
-        gamma_upper = 2.0 if time_domain == DISCRETE else np.inf
-        bound = (2.0 if M == 1 else 1.0) * lower
-        G = _stack_gains(Gamma, M)
-        _check_blocks(
-            G, bound if time_domain == DISCRETE else np.inf, lambda j, lam: (
-                f"{'Gamma' if M == 1 else f'Gamma[{j}]'} violates the "
-                f"{'2*' if M == 1 else ''}k2_lower bound: largest eigenvalue "
-                f"{lam:.6g} >= {bound[j]:.6g}"),
-            "K2 block when diagonal enforcement is on"
-            if M > 1 and enforce_diagonal_k2 else None)
-        for j in range(M):
-            if not 0.0 < gam[j] < gamma_upper:
-                raise GainError(f"gamma[{j}]={gam[j]:.6g} outside "
-                                f"(0, {gamma_upper:g})")
-        self.Gamma, self.gamma, self.sign_k2, self.k2_lower = G, gam, signs, lower
-
-    @property
-    def n_inputs(self) -> int:
-        return self.sign_k2.shape[0]
-
-    def shapes(self, n: int, M: int) -> dict:
-        """The shape each gain must have on an n-state, M-input plant."""
-        return {"sign_k2": (M,), "Gamma": (M, n + M, n + M)}
-
-    def member(self, b, horizon: int, stream=None):
-        """The discrete run of a config's built parts ``b``, set up."""
-        return _direct_member(b.plant, b.reference, b.signal, self, b.init,
-                              horizon, 1.0, b.match, stream)
-
-
-def _shape_theta(theta, n_w, M):
-    th = np.asarray(theta, dtype=float)
-    if th.ndim == 1:
-        th = th.reshape(-1, 1)
-    if th.shape != (n_w, M):
-        raise ModelError(f"theta must have shape ({n_w}, {M}), got {th.shape}")
-    return th.copy()
-
-
-class InitialConditions(namedtuple("InitialConditions", "x0 xm0 theta0 rho0 "
-                                   "xhat0", defaults=(None,) * 5)):
-    """Initial states for a scenario run; unset entries default to zero
-    (and the estimator state defaults to the plant state)."""
-
-    __slots__ = ()
-
-    def resolved(self, n: int, n_w: int, M: int):
-        """(x0, xm0, theta0, rho0, xhat0) as arrays of shapes (n,), (n,),
-        (n_w, M), (M,) and (n,); one rho0 entry stands for every input. An
-        entry of another size raises ModelError."""
-        x0 = np.zeros(n) if self.x0 is None else _entries(self.x0, "x0", n)
-        xm0 = np.zeros(n) if self.xm0 is None else _entries(self.xm0, "xm0", n)
-        theta0 = (np.zeros((n_w, M)) if self.theta0 is None
-                  else _shape_theta(self.theta0, n_w, M))
-        rho0 = (np.zeros(M) if self.rho0 is None
-                else _entries(self.rho0, "rho0", M, spread=True))
-        xhat0 = (x0.copy() if self.xhat0 is None
-                 else _entries(self.xhat0, "xhat0", n))
-        return x0, xm0, theta0, rho0, xhat0
+# _rows and diagnostics are imported when a run starts, so that loading a
+# config compiles neither; the benchmark's tracer wraps direct_V_series here
+__getattr__ = _lazy(__name__, {"direct_V_series": "diagnostics"})
 
 
 def _check_run_args(plant: PlantModel, ref: ReferenceModel,
@@ -233,6 +112,7 @@ def _direct_law(A, B, Am, Bm, gains, enforce, P, rho, x0, xm0) -> Law:
     x_m + sum_j rho_j Xi_j off F, row 1 + j reads Xi_j = S_j theta_j - q_j,
     so rho_j sits in row 0 at -q_j's column.
     """
+    from ._rows import Law, block
     n, M = B.shape
     C = n + M
     MC = M * C
@@ -292,6 +172,7 @@ def _set_up(law, signal, spec, stream=None, extra=None):
     ``extra`` ({name: row shape}, which stay zero) to the consumers
     ``stream``, the last of which reduces the rows; without them, to a
     ``Keep``, so that the run's trace holds its rows."""
+    from .diagnostics import Keep, Stream
     out = Stream(law, spec, [Keep(spec.horizon + 1)] if stream is None
                  else stream, extra)
     return Member(law, out.store, out.finish, signal, spec)
@@ -302,6 +183,7 @@ def _direct_member(plant, ref, signal, gains, init, horizon, h,
     """A direct run with step size ``h`` (1 in discrete time) set up,
     ``stream`` as for ``_set_up``, ``method`` the integrator of a
     continuous-time one."""
+    from .diagnostics import TraceSpec, _gradient_V, gamma0_direct
     x0, xm0, theta0, rho0, _ = _check_run_args(
         plant, ref, signal, gains, init, horizon, None, h, method)
     match = _diagonal_match(_matching(plant, ref, match))
@@ -327,6 +209,7 @@ def _drive(run: Member, method, integrate):
     in discrete time, else by ``_rows.run_ct`` with ``integrate``, the
     runner module's ``integrate_ct``. The error its law's guards found is
     raised."""
+    from . import _rows
     if run.spec.time_domain == DISCRETE:
         [ended] = _rows.run([run])
     else:

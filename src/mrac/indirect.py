@@ -26,88 +26,21 @@ from operator import lt, mul
 
 import numpy as np
 
-from ._rows import Law, Layout, block, forms, row_blocks
+from ._rows import Law, Layout, block, forms
 # the benchmark's tracer wraps indirect_V_series here by name
 from .diagnostics import (SimulationTrace, TraceSpec,  # noqa: F401
-                          _entries, _gradient_V, _stack_gains,
-                          gamma1_indirect, indirect_V_series)
-from .direct import (SOLVE, InitialConditions, Member, _check_blocks,
-                     _check_run_args, _diagonal_match, _drive, _matching,
-                     _set_up, stack_controller_gains)
-from .errors import ProjectionError, SingularGainError
+                          _gradient_V, gamma1_indirect, indirect_V_series)
+from .direct import (SOLVE, InitialConditions, Member, _check_run_args,
+                     _diagonal_match, _drive, _matching, _set_up)
+from .errors import SingularGainError
+# the projection and the indirect gains of gains.py stay importable from here
+from .gains import (IndirectGainConfig, ProjectionConfig,  # noqa: F401
+                    _active, _below, _floor, _nulls, _theta2,
+                    theta_star_indirect)
 # solve_matching stays a module attribute: the benchmark's tracer wraps it
 # here by name
 from .systems import (DISCRETE, PlantModel, ReferenceModel,  # noqa: F401
                       ReferenceSignal, integrate_ct, solve_matching)
-
-
-class ProjectionConfig:
-    """Sign priors and the lower bound theta2_lower = 1 / k2_upper, both
-    kept as (M,) arrays: signs of entries +-1, positive bounds.
-
-    ``enabled=False`` keeps the raw gradient law; controller recovery then
-    raises on sub-threshold estimates instead of being protected. Each
-    theta2 rule lives here once: below, in the floors and in the guards a
-    law carries (``Guarded``).
-    """
-
-    def __init__(self, theta2_lower, signs, enabled: bool = True):
-        self.enabled = enabled
-        self.signs = np.atleast_1d(np.asarray(signs, dtype=float))
-        M = self.signs.shape[0]
-        if not np.all(np.abs(self.signs) == 1.0):
-            raise ProjectionError("projection signs must be +1 or -1")
-        lower = _entries(theta2_lower, "theta2_lower", M, True,
-                         ProjectionError)
-        if np.any(lower <= 0.0) or not np.all(np.isfinite(lower)):
-            raise ProjectionError(
-                "theta2 lower bounds must be positive and finite")
-        self.theta2_lower = lower
-
-    @classmethod
-    def from_k2_upper(cls, k2_upper, signs, enabled: bool = True) -> "ProjectionConfig":
-        """Build the bound from an upper bound on |k2*| (lower = 1/upper)."""
-        upper = np.atleast_1d(np.asarray(k2_upper, dtype=float))
-        if np.any(upper <= 0.0):
-            raise ProjectionError("k2 upper bounds must be positive")
-        # a subnormal bound has no finite reciprocal; __init__ rejects it
-        with np.errstate(over="ignore"):
-            lower = 1.0 / upper
-        return cls(theta2_lower=lower, signs=signs, enabled=enabled)
-
-    @property
-    def n_inputs(self) -> int:
-        return self.signs.shape[0]
-
-    def check_start(self, theta):
-        """Reject initial estimates ``theta`` ((n+M, M) column layout) whose
-        theta2 diagonal is outside the bound."""
-        for j, t2 in enumerate(_theta2(theta)):
-            if self.signs[j] * t2 < self.theta2_lower[j]:
-                raise ProjectionError(
-                    f"initial theta2[{j}]={t2:.6g} violates sign/lower-bound "
-                    f"(need sign {self.signs[j]:+.0f}, magnitude >= "
-                    f"{self.theta2_lower[j]:.6g})")
-
-    def holds(self, theta) -> bool:
-        """The run invariant: the theta2 diagonal of every record of
-        ``theta`` (steps x (n+M) x M) inside its bound, up to 1e-12; tested
-        a block of records at a time."""
-        return all(bool(np.all(self.signs * _theta2(theta[lo:hi])
-                               >= self.theta2_lower - 1e-12))
-                   for lo, hi in row_blocks(theta.shape[0]))
-
-    def rate(self, theta2, g2):
-        """The continuous-time correction of theta2's raw rate ``g2``: -g2
-        where ``_nulls`` holds, else 0."""
-        return np.where(_nulls(self.signs, theta2, self.theta2_lower, g2),
-                        -g2, 0.0)
-
-
-def _nulls(s, theta2, lower, g2):
-    """Whether the continuous-time projection nulls theta2's rate ``g2``: on
-    (or past) the bound, up to 1e-12, and outward. Floats or arrays."""
-    return (s * theta2 <= lower + 1e-12) & (s * g2 < 0.0)
 
 
 class Guarded(Layout):
@@ -204,28 +137,6 @@ class _IndirectLaw(Law, Guarded):
     """The indirect gradient law, with its theta2 guards."""
 
 
-def _active(projection: ProjectionConfig | None):
-    """``projection`` when it is enabled, else None."""
-    return projection if projection and projection.enabled else None
-
-
-def _theta2(theta):
-    """The theta2 diagonal of estimates ``theta`` (..., n+M, M)."""
-    M = theta.shape[-1]
-    return np.diagonal(theta[..., -M:, :], axis1=-2, axis2=-1)
-
-
-def _floor(projection: ProjectionConfig | None, M: int, stage=False):
-    """The invertibility floor of |theta2|, less 1e-15: theta2_lower under a
-    projection, enabled or not, else 1e-12; half theta2_lower at the
-    integration stages of an enabled one, which may sit a hair inside."""
-    floor = (np.full(M, 1e-12) if projection is None
-             else projection.theta2_lower)
-    if stage and _active(projection):
-        floor = 0.5 * floor
-    return floor - 1e-15
-
-
 def _carry(law: Guarded, projection: ProjectionConfig | None, floor=None):
     """``projection`` when enabled, else None; ``law`` then carries its
     signs and bounds, with its ``f2`` columns after the row's, and the
@@ -237,64 +148,6 @@ def _carry(law: Guarded, projection: ProjectionConfig | None, floor=None):
         law.f2 = slice(law.width, law.width + proj.n_inputs)
         law.width = law.f2.stop
     return proj
-
-
-def _below(theta2, floor, t0: int = 0):
-    """The SingularGainError of the first step of ``theta2`` (steps x M, of
-    steps t0 onward) with an entry below the invertibility ``floor``
-    (``_floor``), else None."""
-    low = np.flatnonzero(np.any(np.abs(theta2) < floor, axis=1))
-    if low.size:
-        return SingularGainError(
-            f"theta2 diagonal {theta2[low[0]]} below the invertibility "
-            f"threshold at step {t0 + low[0]}")
-
-
-class IndirectGainConfig:
-    """Gain blocks for the indirect law, kept as the (M, n_w, n_w) stack
-    Gamma; a single block is the stack of one, M = 1.
-
-    Each Gamma_j must be symmetric positive definite and block diagonal
-    with a diagonal trailing M x M block (the structure the projection
-    argument needs); discrete time additionally requires every eigenvalue
-    below 2. A multi-input law keeps Theta2 diagonal (``diagonal``).
-    """
-
-    diagonal = "theta2_diag_ok"
-
-    def __init__(self, Gamma, time_domain: str = DISCRETE):
-        self.time_domain = time_domain
-        G = _stack_gains(Gamma)
-        _check_blocks(G, 2.0 if time_domain == DISCRETE else np.inf,
-                      lambda j, lam: (
-                          f"Gamma[{j}] violates the spectral bound 2: "
-                          f"largest eigenvalue {lam:.6g}"), "trailing block")
-        self.Gamma = G
-
-    @property
-    def n_inputs(self) -> int:
-        return self.Gamma.shape[0]
-
-    def shapes(self, n: int, M: int) -> dict:
-        """The shape each gain must have on an n-state, M-input plant."""
-        return {"Gamma": (M, n + M, n + M)}
-
-    def member(self, b, horizon: int, stream=None):
-        """The discrete run of a config's built parts ``b``, set up."""
-        return _indirect_member(b.plant, b.reference, b.signal, self,
-                                b.projection, b.init, horizon, 1.0, b.match,
-                                stream)
-
-
-def theta_star_indirect(K1, K2) -> np.ndarray:
-    """True plant parametrization from matching gains:
-    Theta1* = K1 (K2^{-1})^T, Theta2* = K2^{-1}."""
-    K1 = np.asarray(K1, dtype=float)
-    K2 = np.atleast_2d(np.asarray(K2, dtype=float))
-    if K1.ndim == 1:
-        K1 = K1.reshape(-1, 1)
-    K2inv = np.linalg.inv(K2)
-    return stack_controller_gains(K1 @ K2inv.T, K2inv)
 
 
 def _indirect_law(A, B, Am, Bm, gains, P, x0, xm0, xhat0) -> Law:

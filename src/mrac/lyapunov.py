@@ -10,127 +10,21 @@ one fixed-step scheme.
 
 from __future__ import annotations
 
-from collections import namedtuple
-
 import numpy as np
 
 from ._rows import Layout, forms
 from .diagnostics import SimulationTrace, TraceSpec
 from .direct import (SOLVE, InitialConditions, _check_run_args, _drive,
-                     _matching, _set_up, _spd_check)
-from .errors import GainError, ModelError
-from .indirect import (Guarded, ProjectionConfig, _carry, _projected,
-                       theta_star_indirect)
+                     _matching, _set_up)
+from .errors import ModelError
+# the Lyapunov gains and certificate of gains.py stay importable from here
+from .gains import (LyapunovCertificate, LyapunovDirectGains,  # noqa: F401
+                    LyapunovIndirectGains, ProjectionConfig, solve_lyapunov_ct,
+                    theta_star_indirect)
+from .indirect import Guarded, _carry, _projected
 # the benchmark's tracer wraps solve_matching here by name
 from .systems import (CONTINUOUS, PlantModel, ReferenceModel,  # noqa: F401
-                      ReferenceSignal, integrate_ct, is_hurwitz, solve_matching)
-
-
-# P = P^T > 0 together with the Q it was solved for and the defect norm
-LyapunovCertificate = namedtuple("LyapunovCertificate", "P Q residual")
-
-
-# a barely Hurwitz A_m gives a P that overflows; its residual then reads
-# inf or nan and the solve is rejected
-@np.errstate(over="ignore", invalid="ignore")
-def solve_lyapunov_ct(A_m, Q) -> LyapunovCertificate:
-    """Solve P A_m + A_m^T P = -Q by Kronecker vectorization.
-
-    Desk-scale systems make the dense (n^2 x n^2) solve perfectly adequate.
-    A_m must be Hurwitz and Q symmetric positive definite.
-    """
-    A = np.asarray(A_m, dtype=float)
-    Qm = np.asarray(Q, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ModelError(f"A_m must be square, got {A.shape}")
-    n = A.shape[0]
-    if Qm.shape != (n, n):
-        raise ModelError(f"Q must be {n} x {n}, got {Qm.shape}")
-    _spd_check(Qm, "Q", ModelError)
-    if not is_hurwitz(A):
-        raise ModelError("A_m is not Hurwitz; the Lyapunov equation has no P > 0")
-    eye = np.eye(n)
-    coeff = np.kron(A.T, eye) + np.kron(eye, A.T)
-    vecP = np.linalg.solve(coeff, -Qm.reshape(-1))
-    P = vecP.reshape(n, n)
-    P = 0.5 * (P + P.T)
-    residual = float(np.linalg.norm(P @ A + A.T @ P + Qm))
-    if not residual <= 1e-9:
-        raise ModelError(f"Lyapunov solve residual {residual:.3g} above 1e-9")
-    if np.min(np.linalg.eigvalsh(P)) <= 0.0:
-        raise ModelError("computed P is not positive definite")
-    return LyapunovCertificate(P=P, Q=Qm.copy(), residual=residual)
-
-
-class LyapunovDirectGains:
-    """Single-input: (Gamma, gamma, sign_k2). Multi-input: S_p. The matrix
-    given is kept as a 2-D array, every other value as given."""
-
-    diagonal = None  # no block of theta is kept diagonal
-
-    def __init__(self, Gamma=None, gamma=None, sign_k2=None, S_p=None):
-        self.Gamma, self.gamma, self.sign_k2, self.S_p = Gamma, gamma, sign_k2, S_p
-        if S_p is not None:
-            self.S_p = np.atleast_2d(np.asarray(S_p, float))
-            return
-        if Gamma is None or gamma is None or sign_k2 is None:
-            raise GainError("need either S_p or the (Gamma, gamma, sign_k2) triple")
-        self.Gamma = np.atleast_2d(np.asarray(Gamma, dtype=float))
-        _spd_check(self.Gamma, "Gamma")
-        if not 0.0 < gamma < np.inf:
-            raise GainError("gamma must be positive and finite")
-        if abs(sign_k2) != 1.0:
-            raise GainError("sign_k2 must be +1 or -1")
-
-    def shapes(self, n: int, M: int) -> dict:
-        """The shape each gain must have on an n-state, M-input plant."""
-        return {"Gamma": (n, n)} if self.S_p is None else {"S_p": (M, M)}
-
-    def premise(self, M: int, match):
-        """(K2* S_p)^-1 on an M-input plant of matching solution ``match``
-        (None: none), None without S_p or a matchable plant; GainError
-        unless S_p is given when M > 1 and K2* S_p is then SPD."""
-        if self.S_p is None:
-            if M > 1:
-                raise GainError("multi-input direct scheme needs S_p")
-            return None
-        if match is None or not match.matchable():
-            return None
-        Ms = match.K2 @ self.S_p
-        if not np.allclose(Ms, Ms.T, atol=1e-9, rtol=0.0) or \
-                np.min(np.linalg.eigvalsh(0.5 * (Ms + Ms.T))) <= 0.0:
-            raise GainError("K2* S_p is not symmetric positive definite")
-        return np.linalg.inv(Ms)
-
-
-class LyapunovIndirectGains:
-    """Gamma1 drives the Theta1 law, Gamma2 (diagonal) the Theta2 law, both
-    kept as 2-D arrays.
-
-    theta1_law selects between the two stated Theta1 updates: "standard"
-    (Gamma1 acts on the state side, n x n) and "transposed" (Gamma1 acts on
-    the input side, M x M). A multi-input law keeps Theta2 diagonal
-    (``diagonal``).
-    """
-
-    diagonal = "theta2_diag_ok"
-
-    def __init__(self, Gamma1, Gamma2, theta1_law: str = "standard"):
-        self.Gamma1 = np.atleast_2d(np.asarray(Gamma1, dtype=float))
-        self.Gamma2 = G2 = np.atleast_2d(np.asarray(Gamma2, dtype=float))
-        self.theta1_law = theta1_law
-        if theta1_law not in ("standard", "transposed"):
-            raise GainError(f"unknown theta1 law {theta1_law!r}")
-        _spd_check(self.Gamma1, "Gamma1")
-        if np.any(G2 * (1.0 - np.eye(G2.shape[0]))):
-            raise GainError("Gamma2 must be diagonal")
-        if np.any(np.diag(G2) <= 0.0):
-            raise GainError("Gamma2 diagonal must be positive")
-
-    def shapes(self, n: int, M: int) -> dict:
-        """The shape each gain must have on an n-state, M-input plant."""
-        side = M if self.theta1_law == "transposed" else n
-        return {"Gamma1": (side, side), "Gamma2": (M, M)}
+                      ReferenceSignal, integrate_ct, solve_matching)
 
 
 class _Scheme(Layout):

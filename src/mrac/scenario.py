@@ -16,39 +16,33 @@ import os
 import sys
 from collections import namedtuple
 from copy import deepcopy
-from importlib import import_module
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 import numpy as np
 
-# check_delta_V, direct_V_series, indirect_V_series and tracking_metrics
-# stay module attributes: the benchmark's tracer wraps them here by name
-from .diagnostics import (Keep, Reduction, SimulationTrace,  # noqa: F401
-                          _entries, _stack_gains, check_delta_V,
-                          direct_V_series, first_violation, indirect_V_series,
-                          tracking_metrics)
-from . import _rows
-from .direct import (DirectGainConfig, InitialConditions, _matching,
-                     run_direct_scenario, stack_controller_gains)
+from . import _lazy
+from .direct import _matching
 from .errors import ConfigError, GainError, ModelError, ToolkitError
+from .gains import (DirectGainConfig, IndirectGainConfig, InitialConditions,
+                    LyapunovDirectGains, LyapunovIndirectGains,
+                    ProjectionConfig, _below, _entries, _floor, _stack_gains,
+                    _theta2, solve_lyapunov_ct, stack_controller_gains,
+                    theta_star_indirect)
 # the benchmark's tracer wraps solve_matching here by name
 from .systems import (CONTINUOUS, DISCRETE, PlantModel,  # noqa: F401
                       ReferenceModel, ReferenceSignal, solve_matching)
 
-# the runners whose modules are imported only when a config names their
-# scheme; run_scenario reads every runner as a module attribute, so a
-# caller may replace it here (the benchmark's tracer does)
-_LAZY_RUNNERS = {"run_indirect_scenario": "indirect",
-                 "run_lyapunov_scenario": "lyapunov"}
+if TYPE_CHECKING:
+    from .diagnostics import SimulationTrace
 
-
-def __getattr__(name):
-    if name not in _LAZY_RUNNERS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{_LAZY_RUNNERS[name]}", __package__),
-                    name)
-    globals()[name] = value
-    return value
+# the runners, and the diagnostics that the benchmark's tracer wraps here by
+# name, load when a run starts; run_scenario reads every runner as a module
+# attribute, so a caller may replace it here (the tracer does)
+__getattr__ = _lazy(__name__, {
+    "run_direct_scenario": "direct", "run_indirect_scenario": "indirect",
+    "run_lyapunov_scenario": "lyapunov", "check_delta_V": "diagnostics",
+    "direct_V_series": "diagnostics", "indirect_V_series": "diagnostics",
+    "tracking_metrics": "diagnostics"})
 
 SCHEMES = ("direct_gradient", "indirect_gradient",
            "lyapunov_direct", "lyapunov_indirect")
@@ -123,6 +117,9 @@ def load_config(source) -> ScenarioConfig:
     data = read_document(source, "cannot read config file: ", text=True)
     if not isinstance(data, dict):
         raise ConfigError(["config document must be a JSON object"])
+    if "scheme" not in data and ("configs" in data or "base" in data):
+        raise ConfigError(["expected a scenario config, got a batch spec "
+                           "(run it with 'mrac batch')"])
     return config_from_dict(data)
 
 
@@ -464,7 +461,6 @@ def config_from_dict(data: dict) -> ScenarioConfig:
                 f"budget")
     if passed.get("gains") and scheme in _LYAPUNOV and ref \
             and time_domain == CONTINUOUS:
-        from .lyapunov import solve_lyapunov_ct
         # with Q = I when the config gives none
         Q = cfg["gains"].get("Q")
         try:
@@ -489,7 +485,6 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     # enabled projection's start check, the gradient law's floor
     proj, init = built.get("projection"), built.get("init")
     if init is not None and scheme in _INDIRECT:
-        from .indirect import _below, _floor, _theta2
         n, M = dims
         theta0 = init.resolved(n, n + M, M)[2]
         try:
@@ -536,13 +531,11 @@ def build_gains(scheme: str, gains: dict, n: int, M: int, time_domain: str):
         # a number, an (n_w, n_w) matrix or an (M, n_w, n_w) stack
         Gamma = _stack_gains(_times_eye(gains["Gamma"], n_w), M)
         if scheme == "indirect_gradient":
-            from .indirect import IndirectGainConfig
             return IndirectGainConfig(Gamma=Gamma, time_domain=time_domain)
         return DirectGainConfig(
             Gamma, gains["gamma"], gains["sign_k2"], gains["k2_lower"],
             time_domain=time_domain,
             enforce_diagonal_k2=gains["enforce_diagonal_k2"])
-    from .lyapunov import LyapunovDirectGains, LyapunovIndirectGains
     if scheme == "lyapunov_indirect":
         side = M if gains["theta1_law"] == "transposed" else n
         return LyapunovIndirectGains(Gamma1=_times_eye(gains["Gamma1"], side),
@@ -558,7 +551,6 @@ def build_gains(scheme: str, gains: dict, n: int, M: int, time_domain: str):
 
 def build_projection(projection: dict, M: int) -> ProjectionConfig:
     """The projection of an M-input plant from a checked section."""
-    from .indirect import ProjectionConfig
     # one sign for every input, or one per input
     signs = _entries(projection["signs"], "signs", M, True)
     if "theta2_lower" in projection:
@@ -586,7 +578,6 @@ def resolve_init(init: dict, scheme: str, match) -> InitialConditions:
         elif scheme in ("direct_gradient", "lyapunov_direct"):
             star = stack_controller_gains(match.K1, match.K2)
         else:
-            from .indirect import theta_star_indirect
             star = theta_star_indirect(match.K1, match.K2)
         init[f"{name}0"] = float(init.pop(f"{name}_scale")) * star
     return InitialConditions(**init)
@@ -625,6 +616,7 @@ class Invariants:
             if k > 0 and self.discrete and self.first is None:
                 # the per-step bound dV <= -(2 - gamma0) sum eps^2 / m^2 is
                 # a property of the discrete gradient laws only
+                from .diagnostics import first_violation
                 series = rows.series
                 first = first_violation(series.dV[:k], series.decrement[:k],
                                         series.gamma0, 1e-10)
@@ -658,6 +650,7 @@ def _consumers(cfg: ScenarioConfig, outputs):
     stream to: the checks, ``outputs`` and the run's reduction, or, with no
     outputs (None), the checks and a ``Keep``, so that the run's trace
     holds its rows."""
+    from .diagnostics import Keep, Reduction
     checks, steps = Invariants(cfg), cfg.horizon + 1
     return checks, ([checks, Keep(steps)] if outputs is None
                     else [checks, *outputs, Reduction(steps)])
@@ -676,11 +669,12 @@ def run_scenario(cfg: ScenarioConfig, outputs=None) -> ScenarioRun:
     checks, stream = _consumers(cfg, outputs)
     options = dict(h=float(cfg.ct_step), method=cfg.integrator, match=b.match,
                    stream=stream)
-    # the other runners are module attributes imported on first use
+    # the runners are module attributes imported on first use
     module = sys.modules[__name__]
     if cfg.scheme == "direct_gradient":
-        trace = run_direct_scenario(b.plant, b.reference, b.signal, b.gains,
-                                    b.init, cfg.horizon, **options)
+        trace = module.run_direct_scenario(
+            b.plant, b.reference, b.signal, b.gains, b.init, cfg.horizon,
+            **options)
     elif cfg.scheme == "indirect_gradient":
         trace = module.run_indirect_scenario(
             b.plant, b.reference, b.signal, b.gains, b.projection, b.init,
@@ -726,6 +720,7 @@ def streamed_bytes(cfg: ScenarioConfig) -> int:
     (``run_scenario`` with ``outputs``): the decrement and |dtheta|^2
     series of its summary, 16 (T+1), and a fixed number of rows, bounded by
     ``memory_estimate`` of STREAMED_ROWS blocks of rows and chunks."""
+    from . import _rows
     b = cfg.built
     return 16 * (cfg.horizon + 1) + memory_estimate(
         STREAMED_ROWS * (_rows.BLOCK + _rows.CHUNK) - 1, b.plant.n,
@@ -744,6 +739,7 @@ def run_lockstep(cfgs: list, outputs=None):
     its run found. A member is finished only when it is taken, and keeps
     nothing of the group alive, so that a caller that drops each run holds
     one finished trace at a time."""
+    from . import _rows
     streams = [_consumers(cfg, None if outputs is None else outputs[b])
                for b, cfg in enumerate(cfgs)]
     members = [cfg.built.gains.member(cfg.built, cfg.horizon, stream)

@@ -338,7 +338,7 @@ class TestBuiltOnce:
     @pytest.mark.parametrize("case", sorted(SCHEME_CASES))
     def test_one_matching_and_lyapunov_solve_per_run(self, monkeypatch,
                                                      case, scaled):
-        import mrac.lyapunov
+        import mrac.gains
         import mrac.systems
         calls = {"solve_matching": 0, "solve_lyapunov_ct": 0}
 
@@ -351,9 +351,11 @@ class TestBuiltOnce:
         for module in ("scenario", "direct", "indirect", "lyapunov"):
             monkeypatch.setattr(f"mrac.{module}.solve_matching",
                                 counted(mrac.systems.solve_matching))
-        # validation imports it from mrac.lyapunov when it runs
-        monkeypatch.setattr("mrac.lyapunov.solve_lyapunov_ct",
-                            counted(mrac.lyapunov.solve_lyapunov_ct))
+        # validation solves through mrac.scenario's name, a run through
+        # mrac.lyapunov's when it is given no certificate
+        for module in ("scenario", "lyapunov"):
+            monkeypatch.setattr(f"mrac.{module}.solve_lyapunov_ct",
+                                counted(mrac.gains.solve_lyapunov_ct))
         data = _scheme_case(case) if scaled else _scheme_case(
             case, theta0=THETA0)
         run = run_scenario(config_from_dict(data))
@@ -561,6 +563,26 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"invalid: --out: {good} is not a directory\n"
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_a_batch_spec_is_not_a_config(self, tmp_path, capsys, command):
+        # it used to list "configs: unknown key" and seven missing fields
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(bench_dict(horizon=20)))
+        spec = tmp_path / "spec.json"
+        for doc in ({"configs": [str(good)]},
+                    {"base": str(good), "sweep": {"seed": [1, 2]}}):
+            spec.write_text(json.dumps(doc))
+            assert main([command, str(spec)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "invalid: expected a scenario config, got a batch spec (run "
+                "it with 'mrac batch')\n")
+        # a config with a stray key is still a config
+        spec.write_text(json.dumps(dict(bench_dict(horizon=20), configs=[])))
+        assert main([command, str(spec)]) == 1
+        assert capsys.readouterr().err == "invalid: configs: unknown key\n"
 
     def test_an_unreadable_spec_does_not_hide_the_flag_errors(self, tmp_path,
                                                               capsys):
@@ -1452,6 +1474,40 @@ def test_discrete_direct_run_compiles_one_scheme(tmp_path):
     loaded = set(ast.literal_eval(proc.stdout.splitlines()[-1]))
     assert "mrac.direct" in loaded
     assert not loaded & {"mrac.indirect", "mrac.lyapunov"}
+
+
+def test_validation_compiles_no_stepping_module(tmp_path):
+    # every scheme's config, the indirect ones with an enabled projection,
+    # is validated by config_from_dict and by mrac validate, and neither
+    # imports the stepping modules; nor does importing load_config argparse
+    paths = []
+    for case in sorted(SCHEME_CASES):
+        paths.append(tmp_path / f"{case}.json")
+        paths[-1].write_text(json.dumps(_scheme_case(case)))
+    probe = "\n".join([
+        "import json, sys",
+        "from mrac.cli import load_config",
+        "seen = ['argparse' in sys.modules]",
+        "from mrac.cli import main",
+        "from mrac.scenario import config_from_dict",
+        "stepping = ('mrac._rows', 'mrac.diagnostics', 'mrac.indirect',"
+        " 'mrac.lyapunov')",
+        "for path in sys.argv[1:]:",
+        "    with open(path) as fh:",
+        "        config_from_dict(json.load(fh))",
+        "    seen.append([m for m in stepping if m in sys.modules])",
+        "    seen.append([main(['validate', path])]"
+        " + [m for m in stepping if m in sys.modules])",
+        "print(seen)"])
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", probe,
+                           *map(str, paths)],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[:-1] == ["ok"] * len(paths)
+    assert ast.literal_eval(proc.stdout.splitlines()[-1]) == [False] + [
+        [], [0]] * len(paths)
 
 
 def test_orjson_is_imported_only_to_write_a_trace(tmp_path):
