@@ -125,15 +125,6 @@ def decrement_series(eps: np.ndarray, m: np.ndarray) -> np.ndarray:
     return dec
 
 
-def _squared_steps(theta: np.ndarray, out: np.ndarray) -> None:
-    """|theta(t + 1) - theta(t)|^2 of the consecutive rows of ``theta``
-    into ``out``, a block of rows at a time."""
-    for lo, hi in row_blocks(out.shape[0]):
-        step = theta[lo + 1:hi + 1] - theta[lo:hi]
-        step **= 2
-        np.sum(step, axis=(1, 2), out=out[lo:hi])
-
-
 class Reduction:
     """The summary and tracking metrics of a trace of ``steps`` rows, a
     consumer of its rows (see ``feed``): sup norms, the tracking window
@@ -142,12 +133,10 @@ class Reduction:
     every step kept whole (16 B/step), since the summary's sums and tail
     fractions are pairwise sums over the whole run. A trace that ends
     early (divergence) reduces to the rows it has, and reports no
-    tracking window. ``dec`` is the decrement series when the trace keeps
-    it whole already, in its V series."""
+    tracking window."""
 
-    def __init__(self, steps: int, settle: Optional[float] = None,
-                 dec: Optional[np.ndarray] = None):
-        self.dec = np.empty(steps) if dec is None else dec
+    def __init__(self, steps: int, settle: Optional[float] = None):
+        self.dec = np.empty(steps)
         self.dtheta = np.empty(max(steps - 1, 0))
         self.window = steps - max(1, int(math.ceil(TAIL_FRAC * steps)))
         self.settle, self.unsettled = settle, None
@@ -179,11 +168,15 @@ class Reduction:
             self.dec[lo:lo + k] = rows.series.decrement
         elif self.m_finite:
             self.dec[lo:lo + k] = decrement_series(rows.eps, rows.m)
-        if k and self.dtheta is not None:
+        if k:
+            # |theta(t + 1) - theta(t)|^2 of the block's steps and of the
+            # step into it from the last row before it
             pair = (rows.theta if self.theta is None
                     else np.concatenate([self.theta, rows.theta]))
-            _squared_steps(pair,
-                           self.dtheta[lo + k - pair.shape[0]:lo + k - 1])
+            step = pair[1:] - pair[:-1]
+            step **= 2
+            np.sum(step, axis=(1, 2),
+                   out=self.dtheta[lo + k - pair.shape[0]:lo + k - 1])
             self.theta = rows.theta[-1:].copy()
         if rows.V is not None:
             self.final_V = float(rows.V[-1])
@@ -237,13 +230,11 @@ class Keep(Reduction):
     """The reduction of a run that keeps the rows it is given: each array
     field of their trace in one array of ``steps`` rows, made when the
     first block comes, and their V series, whose decrement is the
-    reduction's own (``dec``) and whose gamma0 ``kept`` is given. Its
-    |dtheta|^2 series is made of the kept theta when the summary is, so
-    that it is not held while the run steps."""
+    reduction's own (``dec``) and whose gamma0 ``kept`` is given."""
 
     def __init__(self, steps: int):
         super().__init__(steps)
-        self.arrays, self.dtheta = {}, None
+        self.arrays = {}
 
     def add(self, rows: SimulationTrace, lo: int, end=None) -> None:
         super().add(rows, lo, end)
@@ -253,11 +244,6 @@ class Keep(Reduction):
                     self.arrays[name] = np.empty(
                         self.dec.shape + values.shape[1:], values.dtype)
                 self.arrays[name][lo:lo + values.shape[0]] = values
-
-    def summary(self, diverged: bool) -> TraceSummary:
-        self.dtheta = np.empty(max(self.steps - 1, 0))
-        _squared_steps(self.arrays["theta"][:self.steps], self.dtheta)
-        return super().summary(diverged)
 
     def kept(self, gamma0) -> dict:
         rows = {name: values[:self.steps]
@@ -269,8 +255,7 @@ class Keep(Reduction):
 
 
 def _reduced(trace: SimulationTrace, settle=None) -> Reduction:
-    reduction = Reduction(trace.steps, settle, None if trace.series is None
-                          else trace.series.decrement)
+    reduction = Reduction(trace.steps, settle)
     feed(trace, reduction)
     return reduction
 
@@ -291,7 +276,7 @@ def gamma0_direct(Gamma, gamma, rho_star) -> float:
     worst = 0.0
     for j in range(M):
         lam = float(np.max(np.linalg.eigvalsh(abs(rho_s[j]) * G[j])))
-        worst = max(worst, lam, gam[j])
+        worst = max(worst, lam, float(gam[j]))
     return worst
 
 

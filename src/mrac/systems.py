@@ -279,8 +279,12 @@ def random_matchable_instance(n: int, n_inputs: int, seed: int,
 
     K2* is diagonal with entries bounded away from zero, the reference model
     is comfortably stable, and the plant is constructed from the drawn gains
-    so the matching equations hold exactly (up to rounding).
+    so the matching equations hold exactly (up to rounding). It needs
+    n >= 1 and 1 <= n_inputs <= n, since B has full column rank.
     """
+    if not 1 <= n_inputs <= n:
+        raise ModelError("random_matchable_instance needs n >= 1 and "
+                         f"1 <= n_inputs <= n, got n={n}, n_inputs={n_inputs}")
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=(n, n))
     if time_domain == DISCRETE:

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -7,7 +8,10 @@ from mrac import (InitialConditions, LyapunovSeries, SimulationTrace,
                   check_delta_V, direct_V_series, gamma0_direct,
                   indirect_V_series, run_direct_scenario, summarize,
                   tracking_metrics)
+from mrac.scenario import config_from_dict, run_scenario
 from conftest import K1_TRUE, K2_TRUE
+from test_lockstep import member
+from test_scenario_cli import SCHEME_CASES
 
 
 def synth_trace(e_rows, diverged=False):
@@ -168,10 +172,45 @@ class TestTrackingMetrics:
         assert metrics.settling_index is None
 
 
+def assert_same_fields(got, want):
+    """``got`` and ``want`` (namedtuples of one type) agree field by field,
+    a float bit for bit, so that a NaN equals itself and 0.0 is not -0.0."""
+    assert type(got) is type(want)
+    for name, a, b in zip(want._fields, got, want):
+        assert type(a) is type(b), name
+        if isinstance(b, float):
+            assert struct.pack("<d", a) == struct.pack("<d", b), name
+        else:
+            assert a == b, name
+
+
+# the runs whose post-hoc reductions are checked: each scheme case, a run
+# diverging mid-block (r jumps at step 1099, so m^2 overflows at 1100),
+# and a run whose projection fires
+REDUCED_RUNS = {
+    **SCHEME_CASES,
+    "diverging-mid-block": dict(
+        SCHEME_CASES["direct-discrete"], horizon=2048,
+        signal={"kind": "custom", "samples": [[0.3]] * 1099 + [[1e306]]}),
+    "firing-projection": dict(member(0, "indirect_gradient", k2_upper=0.9),
+                              horizon=1100),
+}
+
+
 class TestSummary:
     def test_summary_matches_recomputation(self, bench_run):
-        assert bench_run.summary == summarize(bench_run)
-        assert bench_run.summary == bench_run.summarize()
+        assert_same_fields(summarize(bench_run), bench_run.summary)
+        assert_same_fields(bench_run.summarize(), bench_run.summary)
+
+    @pytest.mark.parametrize("case", sorted(REDUCED_RUNS))
+    def test_a_post_hoc_reduction_is_the_run_s_own(self, case):
+        trace = run_scenario(config_from_dict(REDUCED_RUNS[case])).trace
+        if case == "diverging-mid-block":
+            assert trace.diverged_at == 1100
+        if case == "firing-projection":
+            assert trace.proj_fired.any()
+        assert_same_fields(summarize(trace), trace.summary)
+        assert_same_fields(tracking_metrics(trace), trace.metrics)
 
     def test_record_count(self, bench_run):
         assert bench_run.steps == bench_run.horizon + 1

@@ -7,8 +7,9 @@ import json
 import numpy as np
 import pytest
 
-from mrac import (SimulationTrace, direct_V_series, indirect_V_series,
-                  stack_controller_gains, theta_star_indirect)
+from mrac import (SimulationTrace, direct_V_series, gamma0_direct,
+                  indirect_V_series, stack_controller_gains,
+                  theta_star_indirect)
 from mrac.lyapunov import build_lyapunov_loop
 from mrac.scenario import Invariants, config_from_dict, run_scenario
 from test_scenario_cli import SCHEME_CASES, lyapunov_mimo_dict, mimo_dict
@@ -104,6 +105,21 @@ def test_gradient_series_is_the_public_reference(case):
     # a numpy scalar and a float of one value digest differently
     assert type(got.gamma0) is type(want.gamma0)
     assert got.gamma0 == want.gamma0
+
+
+@pytest.mark.parametrize("gamma, want", [(0.2, 1.0), ([1.5], 1.5)],
+                         ids=["eigenvalue-largest", "gamma-largest"])
+def test_gamma0_direct_is_a_float(gamma, want):
+    # lambda_max(|rho*| Gamma) = 2 * 0.5 = 1 against gamma
+    got = gamma0_direct(0.5 * np.eye(3), gamma, [2.0])
+    assert type(got) is float and got == want
+
+
+def test_the_bundled_benchmark_s_gamma0_is_a_float():
+    # gamma = 1.5 is its largest term
+    cfg = config_from_dict(dict(SCHEME_CASES["direct-discrete"], horizon=20))
+    gamma0 = run_scenario(cfg).trace.series.gamma0
+    assert type(gamma0) is float and gamma0 == 1.5
 
 
 LYAPUNOV_CASES = {

@@ -65,6 +65,13 @@ class TestMatching:
         with pytest.raises(ModelError, match="rank"):
             PlantModel(A=np.eye(2), B=np.zeros((2, 1)))
 
+    @pytest.mark.parametrize("n, n_inputs", [(2, 3), (3, 4), (1, 2), (0, 1)])
+    def test_a_random_instance_needs_no_more_inputs_than_states(
+            self, n, n_inputs):
+        with pytest.raises(ModelError, match=r"1 <= n_inputs <= n, got "
+                           rf"n={n}, n_inputs={n_inputs}$"):
+            random_matchable_instance(n, n_inputs, 0)
+
     def test_unmatchable_still_returns_gains(self):
         # second row of A_m is unreachable through B, K2 stays regular
         plant = PlantModel(A=np.zeros((2, 2)), B=[[1.0], [0.0]])
