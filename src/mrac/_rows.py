@@ -38,11 +38,11 @@ F(t + 1) and W(t + 1) = W + G ab; in continuous time (``run_ct``) one call
 to the runner module's ``integrate_ct`` advances z along dz/dt = [dF, dW],
 its first stage row i itself, each later stage written straight into one
 of three stage rows. Every theta2 rule is a guard of the law
-(``indirect.Guarded``), one form for a row or a group's block of rows,
-which writes a projection's correction into the row's ``f2`` columns:
-``run`` calls the landing once per step and the floor check once per
-chunk, ``run_ct`` the rate check on each rate and the clamp on each new
-state.
+(``Layout.landing``, ``floor_check`` and ``ct_guards``), one form for a
+row or a group's block of rows, which writes a projection's correction
+into the row's ``f2`` columns: ``run`` calls the landing once per step
+and, for a law with a floor, the floor check once per chunk, ``run_ct``
+the rate check on each rate and the clamp on each new state.
 
 Rows always carry a leading member axis: ``run`` steps the set-up runs of
 a lockstep group, B discrete laws of one layout, on the law the first one
@@ -68,10 +68,12 @@ import math
 from collections import namedtuple
 from functools import partial
 from itertools import chain
+from operator import gt, lt, mul
 
 import numpy as np
 
 from .errors import ModelError, NumericsError, SingularGainError, ToolkitError
+from .gains import ProjectionConfig, _below
 
 # rows per chunk: long enough to amortize the per-chunk record copies,
 # short enough that the views and the buffer stay small
@@ -138,13 +140,23 @@ class Layout:
     the arrays it adds that the step, the state ``z0`` or the guards read,
     and ``form`` is what else the step reads. ``value(rec)`` is the law's V
     of a block of records (None: no matching solution), and ``gamma0`` the
-    constant of its bound dV <= -(2 - gamma0) eps^2 / m^2 (NaN: none)."""
+    constant of its bound dV <= -(2 - gamma0) eps^2 / m^2 (NaN: none).
+
+    The theta2 guards act on a law that carries a projection or a floor
+    (``indirect._carry``): theta2 is ``th2`` of W and of dW, its copies
+    ``theta2_at`` of W (copies x M, or M), and an enabled projection's
+    correction goes into the ``f2`` columns after dW. ``signs`` and
+    ``theta2_lower`` are its signs and bounds, ``floor`` the run's
+    invertibility floor, each (M,), or (B, M) in a group's law. Each guard
+    takes a row's views or a (B, ...) block's, and tests its rule on
+    Python scalars before it acts."""
 
     form = value = None
     gamma0 = math.nan
-    # the columns of theta2's correction after dW, and the discrete floor
-    # check (``indirect.Guarded``): none
-    f2, floor_check = slice(0), None
+    stacked = ("signs", "theta2_lower", "floor")
+    signs = theta2_lower = floor = None
+    f2 = slice(0)
+    rate = ProjectionConfig.rate  # on the law's own signs and bounds
 
     def __init__(self, head, nF, M, mid, NW):
         self.nF = nF
@@ -157,12 +169,96 @@ class Layout:
         self.width = self.dW.stop
 
     def landing(self):
-        """The discrete theta2 landing (``indirect.Guarded``): none."""
-        return None
+        """``land(copies, f2)`` (see ``run``), if projected: a theta2 that
+        step i left outside the bound in ``copies``, those of row i + 1,
+        lands on it, gradient then correction, and the correction goes into
+        row i's proj_f2 columns ``f2``."""
+        s, lower = self.signs, self.theta2_lower
+        if s is None:
+            return None
+        s_l, lower_l = s.ravel().tolist(), lower.ravel().tolist()
+        flat = forms(s.shape[:-1]).flat
+
+        def land(copies, f2):
+            t = copies[0]
+            if any(map(lt, map(mul, s_l, flat(t)), lower_l)):
+                f2[...] = out = np.where(s * t < lower, s * lower - t, 0.0)
+                for th2 in copies:
+                    th2 += out
+
+        return land
+
+    def floor_check(self, theta2, bad, t0):
+        """The discrete floor check of a law with a floor (see ``run``): of
+        a chunk's (count, B, M) theta2 of steps t0 onward, a member's first
+        row up to its divergence row in ``bad``, that row included, with an
+        entry below its floor puts the SingularGainError (``_below``) in
+        ``bad``."""
+        if np.any(np.abs(theta2) < self.floor):
+            floors = np.atleast_2d(self.floor)
+            for b, at in enumerate(bad):
+                bad[b] = _below(theta2[:None if at is None else at + 1, b],
+                                floors[b], t0) or at
 
     def ct_guards(self):
-        """The theta2 guard and clamp (``indirect.Guarded``): none."""
-        return None, None
+        """``(guard, clamp)`` (see ``run_ct``), both None without a
+        projection or a floor. ``guard((theta2, g2, f2), dz)`` raises
+        SingularGainError at a |theta2| below the floor, and returns the
+        rate dz, or a copy of it in which the projection nulls theta2's
+        outward rate ``g2`` on the bound (``rate``), that correction
+        written into ``f2``, so that the row keeps the raw rate. It returns
+        dz after one pass over Python floats when every s theta2 > lower +
+        1e-12, off the bound and so above the floor (``gains._floor``), or,
+        without a projection, when no |theta2| is below the floor.
+        ``clamp(z)`` snaps each copy of theta2 in z = [F, W] that
+        integration left a hair inside the bound onto it, None without a
+        projection."""
+        s, lower, floor = self.signs, self.theta2_lower, self.floor
+        if s is None and floor is None:
+            return None, None
+        # theta2's positions in z = [F, W] and in its rate [dF, dW]
+        at = self.nF + self.theta2_at.reshape(-1, self.theta2_at.shape[-1])
+        flat = forms((floor if s is None else s).shape[:-1]).flat
+        clamp = None
+        if s is None:
+            floor_l = floor.ravel().tolist()
+
+            def clear(t2):
+                return not any(map(lt, map(abs, t2), floor_l))
+        else:
+            s_l = s.ravel().tolist()
+            off_l = (lower + 1e-12).ravel().tolist()
+            sc, lc = s[..., None, :], lower[..., None, :]
+            at_l = at.ravel()
+            # the sign and bound of each entry of z at ``at``
+            s_at, lower_at = (np.broadcast_to(v, v.shape[:-2] + at.shape)
+                              .ravel().tolist() for v in (sc, lc))
+
+            def clear(t2):
+                return all(map(gt, map(mul, s_l, t2), off_l))
+
+            def clamp(z):
+                if any(map(lt, map(mul, s_at, flat(z.take(at_l, -1))),
+                           lower_at)):
+                    t = z[..., at]
+                    z[..., at] = np.where(sc * t < lc, sc * lc, t)
+
+        def guard(views, dz):
+            theta2, g2, f2 = views
+            if clear(flat(theta2)):
+                return dz
+            if floor is not None and np.any(np.abs(theta2) < floor):
+                raise SingularGainError(f"theta2 diagonal {theta2} below "
+                                        "the invertibility threshold")
+            # only a projected law gets here
+            out = self.rate(theta2, g2)
+            if out.any():
+                dz = dz.copy()
+                f2[...] = out
+                dz[..., at] += out[..., None, :]
+            return dz
+
+        return guard, clamp
 
     def stack(self, others):
         """One law that steps this law and ``others`` in lockstep: a copy of
@@ -420,16 +516,17 @@ def run(members):
     row i; the law's landing, if any, then acts once on the whole group's
     row i + 1, its correction into row i's ``f2`` columns, which each chunk
     zeroes first, as the final row's dW, since no update follows it.
-    Nothing in a discrete step raises, so the divergence rule, and then the
-    law's floor check on each member's rows up to its divergence row, run
-    once per chunk. Returns what ended each member (``RowBuffer.run``).
+    Nothing in a discrete step raises, so the divergence rule, and then a
+    floored law's floor check on each member's rows up to its divergence
+    row, run once per chunk. Returns what ended each member
+    (``RowBuffer.run``).
     """
     law = members[0].law.stack([m.law for m in members[1:]])
     rows = RowBuffer(law, [m.store for m in members],
                      members[0].spec.horizon + 1)
     buf, work, probe = rows.buf, rows.work, rows.probe
-    land, check = law.landing(), law.floor_check
-    theta2 = check and buf[..., law.W][..., law.th2]
+    land, floored = law.landing(), law.floor is not None
+    theta2 = floored and buf[..., law.W][..., law.th2]
     views = [(law.views(work[i], work[i + 1][..., law.F]),
               work[i][..., law.W], work[i][..., law.dW],
               work[i + 1][..., law.W],
@@ -454,8 +551,8 @@ def run(members):
         if t0 + count == rows.steps:  # dW and f2 close the row
             buf[count - 1, :, law.dW.start:] = 0.0
         bad = first_nonfinite(buf[:count], probe)
-        if check:
-            check(theta2[:count], bad, t0)
+        if floored:
+            law.floor_check(theta2[:count], bad, t0)
         return count, bad
 
     return rows.run(sample, chunk)

@@ -170,8 +170,8 @@ class ProjectionConfig:
 
     ``enabled=False`` keeps the raw gradient law; controller recovery then
     raises on sub-threshold estimates instead of being protected. Each
-    theta2 rule lives here once: below, in the floors and in the guards a
-    law carries (``indirect.Guarded``).
+    theta2 rule lives here once: below, in the floors, and in the guards a
+    law carries (``_rows.Layout``), which read this class's ``rate``.
     """
 
     def __init__(self, theta2_lower, signs, enabled: bool = True):
@@ -223,15 +223,11 @@ class ProjectionConfig:
 
     def rate(self, theta2, g2):
         """The continuous-time correction of theta2's raw rate ``g2``: -g2
-        where ``_nulls`` holds, else 0."""
-        return np.where(_nulls(self.signs, theta2, self.theta2_lower, g2),
-                        -g2, 0.0)
-
-
-def _nulls(s, theta2, lower, g2):
-    """Whether the continuous-time projection nulls theta2's rate ``g2``: on
-    (or past) the bound, up to 1e-12, and outward. Floats or arrays."""
-    return (s * theta2 <= lower + 1e-12) & (s * g2 < 0.0)
+        where theta2 is on (or past) the bound, up to 1e-12, and ``g2``
+        points outward, else 0."""
+        s = self.signs
+        return np.where((s * theta2 <= self.theta2_lower + 1e-12)
+                        & (s * g2 < 0.0), -g2, 0.0)
 
 
 def _active(projection: ProjectionConfig | None):

@@ -22,125 +22,28 @@ each is followed literally).
 from __future__ import annotations
 
 from functools import partial
-from operator import lt, mul
 
 import numpy as np
 
-from ._rows import Law, Layout, block, forms
+from ._rows import Law, Layout, block
 # the benchmark's tracer wraps indirect_V_series here by name
 from .diagnostics import (SimulationTrace, TraceSpec,  # noqa: F401
                           _gradient_V, gamma1_indirect, indirect_V_series)
 from .direct import (SOLVE, InitialConditions, Member, _check_run_args,
                      _diagonal_match, _drive, _matching, _set_up)
-from .errors import SingularGainError
 # the projection and the indirect gains of gains.py stay importable from here
 from .gains import (IndirectGainConfig, ProjectionConfig,  # noqa: F401
-                    _active, _below, _floor, _nulls, _theta2,
-                    theta_star_indirect)
+                    _active, _floor, _theta2, theta_star_indirect)
 # solve_matching stays a module attribute: the benchmark's tracer wraps it
 # here by name
 from .systems import (DISCRETE, PlantModel, ReferenceModel,  # noqa: F401
                       ReferenceSignal, integrate_ct, solve_matching)
 
 
-class Guarded(Layout):
-    """A layout whose law carries theta2 guards: theta2 is ``th2`` of W and
-    of dW, its copies ``theta2_at`` of W (copies x M, or M), and an enabled
-    projection's correction goes into the ``f2`` columns (``_carry``).
-    ``signs`` and ``theta2_lower`` are an enabled projection's, ``floor``
-    the run's invertibility floor, each (M,), or (B, M) in a group's law
-    (``stack``). Each guard takes a row's views or a (B, ...) block's, and
-    tests its rule on Python scalars before it acts."""
-
-    stacked = ("signs", "theta2_lower", "floor")
-    signs = theta2_lower = floor = None
-    rate = ProjectionConfig.rate  # on the law's own signs and bounds
-
-    def landing(self):
-        """``land(copies, f2)`` (see ``_rows.run``), if projected: a theta2
-        that step i left outside the bound in ``copies``, those of row i +
-        1, lands on it, gradient then correction, and the correction goes
-        into row i's proj_f2 columns ``f2``."""
-        s, lower = self.signs, self.theta2_lower
-        if s is None:
-            return None
-        s_l, lower_l = s.ravel().tolist(), lower.ravel().tolist()
-        flat = forms(s.shape[:-1]).flat
-
-        def land(copies, f2):
-            t = copies[0]
-            if any(map(lt, map(mul, s_l, flat(t)), lower_l)):
-                f2[...] = out = np.where(s * t < lower, s * lower - t, 0.0)
-                for th2 in copies:
-                    th2 += out
-
-        return land
-
-    def floor_check(self, theta2, bad, t0):
-        """The discrete floor check (see ``_rows.run``): of a chunk's
-        (count, B, M) theta2 of steps t0 onward, a member's first row up to
-        its divergence row in ``bad``, that row included, with an entry
-        below its floor puts the SingularGainError (``_below``) in ``bad``."""
-        if self.floor is not None and np.any(np.abs(theta2) < self.floor):
-            floors = np.atleast_2d(self.floor)
-            for b, at in enumerate(bad):
-                bad[b] = _below(theta2[:None if at is None else at + 1, b],
-                                floors[b], t0) or at
-
-    def ct_guards(self):
-        """``(guard, clamp)`` (see ``_rows.run_ct``). ``guard((theta2, g2,
-        f2), dz)`` raises SingularGainError at a |theta2| below the floor,
-        and returns the rate dz, or a copy of it in which the projection
-        nulls theta2's outward rate ``g2`` on the bound (``rate``), that
-        correction written into ``f2``, so that the row keeps the raw rate.
-        ``clamp(z)`` snaps each copy of theta2 in z = [F, W] that
-        integration left a hair inside the bound onto it, None without a
-        projection; both None without a floor either."""
-        s, lower, floor = self.signs, self.theta2_lower, self.floor
-        if s is None and floor is None:
-            return None, None
-        # theta2's positions in z = [F, W] and in its rate [dF, dW]
-        at = self.nF + self.theta2_at.reshape(-1, self.theta2_at.shape[-1])
-        flat = forms((floor if s is None else s).shape[:-1]).flat
-        s_l = lower_l = clamp = None
-        if s is not None:
-            s_l, lower_l = s.ravel().tolist(), lower.ravel().tolist()
-            sc, lc = s[..., None, :], lower[..., None, :]
-            at_l = at.ravel()
-            # the sign and bound of each entry of z at ``at``
-            s_at, lower_at = (np.broadcast_to(v, v.shape[:-2] + at.shape)
-                              .ravel().tolist() for v in (sc, lc))
-
-            def clamp(z):
-                if any(map(lt, map(mul, s_at, flat(z.take(at_l, -1))),
-                           lower_at)):
-                    t = z[..., at]
-                    z[..., at] = np.where(sc * t < lc, sc * lc, t)
-        floor_l = [] if floor is None else floor.ravel().tolist()
-
-        def guard(views, dz):
-            theta2, g2, f2 = views
-            t2 = flat(theta2)
-            if any(map(lt, map(abs, t2), floor_l)):
-                raise SingularGainError(f"theta2 diagonal {theta2} below "
-                                        "the invertibility threshold")
-            if s_l and any(map(_nulls, s_l, t2, lower_l, flat(g2))):
-                dz = dz.copy()
-                f2[...] = out = self.rate(theta2, g2)
-                dz[..., at] += out[..., None, :]
-            return dz
-
-        return guard, clamp
-
-
-class _IndirectLaw(Law, Guarded):
-    """The indirect gradient law, with its theta2 guards."""
-
-
-def _carry(law: Guarded, projection: ProjectionConfig | None, floor=None):
+def _carry(law: Layout, projection: ProjectionConfig | None, floor=None):
     """``projection`` when enabled, else None; ``law`` then carries its
     signs and bounds, with its ``f2`` columns after the row's, and the
-    run's ``floor`` (see ``Guarded``)."""
+    run's ``floor``, for its theta2 guards (see ``_rows.Layout``)."""
     proj = _active(projection)
     law.floor = floor
     if proj is not None:
@@ -211,7 +114,7 @@ def _indirect_law(A, B, Am, Bm, gains, P, x0, xm0, xhat0) -> Law:
         WT[1 + j, j * C:(j + 1) * C] = P[j]
         Kx[j, :n] = P[j, :n]
         Kx[j, n + j] = 1.0
-    law = _IndirectLaw(L, G, F, W, M, xi_in_m=M > 1, rho=False)
+    law = Law(L, G, F, W, M, xi_in_m=M > 1, rho=False)
     law.cols["x_hat"] = law.F0 + n * cxh + np.arange(n)
     # theta2 in row 1 + j and in row 0 of W^T, and their positions in W
     law.theta2 = lambda W: (W[..., law.th2], W[..., n:MC:C + 1])

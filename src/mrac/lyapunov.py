@@ -21,7 +21,7 @@ from .errors import ModelError
 from .gains import (LyapunovCertificate, LyapunovDirectGains,  # noqa: F401
                     LyapunovIndirectGains, ProjectionConfig, solve_lyapunov_ct,
                     theta_star_indirect)
-from .indirect import Guarded, _carry, _projected
+from .indirect import _carry, _projected
 # the benchmark's tracer wraps solve_matching here by name
 from .systems import (CONTINUOUS, PlantModel, ReferenceModel,  # noqa: F401
                       ReferenceSignal, integrate_ct, solve_matching)
@@ -165,14 +165,15 @@ class LyapunovDirect(_Scheme):
                 wv[..., None, :], row[..., self.dW].reshape(lead + (C, M)))
 
 
-class LyapunovIndirect(_Scheme, Guarded):
+class LyapunovIndirect(_Scheme):
     """u = Theta2^{-1} (Theta1^T x + r) makes the estimator input Theta2 u -
     Theta1^T x equal r up to rounding, so xhat is driven by r. With w =
     B_m^T P e_x, which ``Wc`` reads off [x_m, xhat, x], d Theta1 =
     outer(Gamma1 x, w) (form "standard") or outer(x, Gamma1 w) (form
     "transposed"), and d theta2 = -diag(Gamma2) w u. Scratch: w, Gamma1 w,
     -diag(Gamma2) w and Gamma1 x; the rate of theta2's off-diagonal entries
-    stays zero. The law carries ``projection``'s guards (``Guarded``)."""
+    stays zero. The law carries ``projection``'s theta2 guards
+    (``_rows.Layout``)."""
 
     stacked = ("G1", "Wc", "negG2")
 

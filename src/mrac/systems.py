@@ -192,7 +192,10 @@ def integrate_ct(rhs, state, h: float, t: float = 0.0, method: str = "rk4",
         out = euler_step(rhs, t, y, h)
     else:
         raise ValueError(f"unknown integration method {method!r}")
-    if not np.isfinite(out).all():
+    # one count in C: ndarray.all goes through numpy's Python-level
+    # _methods, and out.dot(out) warns of an overflow on a finite state
+    # past about 1.3e154
+    if np.count_nonzero(np.isfinite(out)) != out.size:
         raise NumericsError("non-finite state after integration step")
     return out
 

@@ -2,11 +2,14 @@
 order of the integration they step through."""
 
 import importlib.util
+import math
 import os
 import sys
+from operator import lt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ct_oracle
 from mrac import (DirectGainConfig, IndirectGainConfig, InitialConditions,
@@ -535,6 +538,152 @@ class TestTheta2Positions:
         rows[1, group.W.start + group.theta2_at[0]] = 0.1 * lower[1]
         with pytest.raises(SingularGainError):
             group.ct_guards()[0](views(rows), rows[:, dz])
+
+
+def _two_pass_guard(law):
+    """The continuous-time rate check of ``law`` in two full passes, the
+    reference for ``Layout.ct_guards``' one-pass decision: the floor tested
+    on every entry, then the projection's nulling rule on every entry, both
+    over Python floats."""
+    s, lower, floor = law.signs, law.theta2_lower, law.floor
+    at = law.nF + law.theta2_at.reshape(-1, law.theta2_at.shape[-1])
+    floor_l = [] if floor is None else floor.ravel().tolist()
+    s_l = lower_l = None
+    if s is not None:
+        s_l, lower_l = s.ravel().tolist(), lower.ravel().tolist()
+
+    def nulls(s, theta2, lower, g2):
+        return (s * theta2 <= lower + 1e-12) & (s * g2 < 0.0)
+
+    def guard(views, dz):
+        theta2, g2, f2 = views
+        t2 = theta2.ravel().tolist()
+        if any(map(lt, map(abs, t2), floor_l)):
+            raise SingularGainError(f"theta2 diagonal {theta2} below "
+                                    "the invertibility threshold")
+        if s_l and any(map(nulls, s_l, t2, lower_l, g2.ravel().tolist())):
+            dz = dz.copy()
+            f2[...] = out = np.where(nulls(s, theta2, lower, g2), -g2, 0.0)
+            dz[..., at] += out[..., None, :]
+        return dz
+
+    return guard
+
+
+def _guarded_laws(kind, M, B):
+    """A law of ``kind`` with M inputs carrying its theta2 guards, alone (B
+    = 1) or the stack of B such laws with bounds of their own: "projected"
+    an indirect gradient law with a projection and its stage floor,
+    "floored" one with a disabled projection, and so only the floor, and
+    "lyapunov" a Lyapunov indirect law with a projection and no floor."""
+    from mrac.indirect import _carry, _floor, _indirect_law
+    from mrac.lyapunov import build_lyapunov_loop
+    plant, ref, K1s, K2s = random_matchable_instance(3, M, 4, "continuous")
+    signs = np.sign(np.diag(K2s))
+    laws = []
+    for b in range(B):
+        proj = ProjectionConfig((0.5 + 0.3 * b) * np.abs(np.diag(K2s)),
+                                signs, enabled=kind != "floored")
+        if kind == "lyapunov":
+            gains = LyapunovIndirectGains(Gamma1=np.eye(3), Gamma2=np.eye(M))
+            laws.append(build_lyapunov_loop(
+                plant, ref, ReferenceSignal.constant(np.ones(M)), "indirect",
+                gains, proj))
+            continue
+        gains = IndirectGainConfig(Gamma=np.stack([np.eye(3 + M)] * M),
+                                   time_domain="continuous")
+        law = _indirect_law(plant.A, plant.B, ref.A_m, ref.B_m, gains,
+                            theta_star_indirect(K1s, K2s).T.copy(),
+                            np.zeros(3), np.zeros(3), np.zeros(3))
+        _carry(law, proj, _floor(proj, M, stage=True))
+        laws.append(law)
+    # the bound of every entry, also where the law carries none, and the
+    # signs
+    bounds = np.stack([(0.5 + 0.3 * b) * np.abs(np.diag(K2s))
+                       for b in range(B)])
+    return laws[0].stack(laws[1:]), bounds[0] if B == 1 else bounds, signs
+
+
+# the magnitudes an entry of theta2 takes, from its bound ``l`` and floor
+# ``f``: on the bound, 1e-12 either side of it, one ulp either side of l +
+# 1e-12 and on it, on the floor and one ulp below it, inside, zero, NaN
+# and infinite
+_EDGES = (lambda l, f: l, lambda l, f: l + 1e-12, lambda l, f: l - 1e-12,
+          lambda l, f: math.nextafter(l + 1e-12, math.inf),
+          lambda l, f: math.nextafter(l + 1e-12, -math.inf),
+          lambda l, f: f, lambda l, f: math.nextafter(f, -math.inf),
+          lambda l, f: 0.5 * f, lambda l, f: 2.0 * l, lambda l, f: 0.0,
+          lambda l, f: math.nan, lambda l, f: math.inf)
+# theta2's raw rate: outward or inward once s is applied, zero, NaN
+_RATES = (-1.0, -1e-300, -0.0, 0.0, 0.5, math.nan)
+_GUARDED = [(kind, M, B) for kind in ("projected", "floored", "lyapunov")
+            for M in (1, 2) for B in (1, 2)]
+
+
+class TestOnePassGuard:
+    """``Layout.ct_guards``' rate check decides on one pass over Python
+    floats and tests the rules entry by entry only when that pass fails;
+    it returns the same rate, writes the same f2 and raises the same
+    SingularGainError as the two passes it replaced, on a lone row and on
+    a (B, M) block of laws with a projection and a floor, a floor alone, or
+    a projection alone."""
+
+    LAWS = {}
+
+    def _law(self, kind, M, B):
+        if (kind, M, B) not in self.LAWS:
+            self.LAWS[kind, M, B] = _guarded_laws(kind, M, B)
+        return self.LAWS[kind, M, B]
+
+    def _agree(self, kind, M, B, picks):
+        law, bounds, signs = self._law(kind, M, B)
+        shape = bounds.shape
+        floors = (law.floor if law.floor is not None
+                  else np.zeros(shape))
+        theta2, g2 = np.empty(shape), np.empty(shape)
+        for i, (edge, flip, rate) in enumerate(picks):
+            j = i % M
+            s = signs[j] * (-1.0 if flip else 1.0)
+            theta2.flat[i] = s * _EDGES[edge](bounds.flat[i], floors.flat[i])
+            g2.flat[i] = signs[j] * rate
+        dz = np.random.default_rng(len(picks)).normal(
+            size=shape[:-1] + (law.dW.stop - law.dF.start,))
+        results = []
+        for guard in (law.ct_guards()[0], _two_pass_guard(law)):
+            f2, before = np.zeros(shape), dz.copy()
+            try:
+                out = guard((theta2, g2, f2), dz)
+            except SingularGainError as exc:
+                results.append(str(exc))
+                continue
+            assert np.array_equal(dz, before)
+            results.append((out is dz, out.tobytes(), f2.tobytes()))
+        assert results[0] == results[1]
+        return results[0]
+
+    @pytest.mark.parametrize("kind, M, B", _GUARDED)
+    def test_every_edge_on_every_entry(self, kind, M, B):
+        seen = set()
+        for edge in range(len(_EDGES)):
+            for flip in (False, True):
+                for rate in range(len(_RATES)):
+                    got = self._agree(kind, M, B, [(edge, flip, _RATES[rate])]
+                                      * (B * M))
+                    seen.add(type(got))
+        # every law raises on some entry but the Lyapunov law, which has
+        # no floor, and every law returns a rate on some other
+        assert seen == ({tuple} if kind == "lyapunov" else {str, tuple})
+
+    @pytest.mark.parametrize("kind, M, B", _GUARDED)
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(st.data())
+    def test_mixed_entries(self, kind, M, B, data):
+        picks = data.draw(st.lists(
+            st.tuples(st.integers(0, len(_EDGES) - 1), st.booleans(),
+                      st.sampled_from(_RATES)),
+            min_size=B * M, max_size=B * M))
+        self._agree(kind, M, B, picks)
 
 
 class TestDivergenceOnTheInputs:

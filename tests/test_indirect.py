@@ -13,7 +13,8 @@ from mrac import (GainError, IndirectGainConfig, InitialConditions,
                   random_matchable_instance, run_indirect_scenario,
                   solve_matching, stack_controller_gains,
                   theta_star_indirect)
-from mrac.indirect import Guarded, _carry, _indirect_law
+from mrac._rows import Layout
+from mrac.indirect import _carry, _indirect_law
 from mrac.scenario import config_from_dict, run_lockstep, run_scenario
 from ct_oracle import projection_rate
 from conftest import K1_TRUE, K2_TRUE, ct_instance, mimo_indirect_case
@@ -80,7 +81,7 @@ class TestEpsilon:
 
 class TestProjection:
     """The projection landing by hand, in the oracle and in the landing a
-    law carries (``Guarded.landing``), which must agree with it; the
+    law carries (``Layout.landing``), which must agree with it; the
     runner's use of it is checked in
     ``TestScenario.test_projection_fires_and_invariants_hold``."""
 
@@ -93,7 +94,7 @@ class TestProjection:
         nxt, g2, f2 = indirect_step(self._gains(), proj, np.array(theta),
                                     eps, frame)
         row = np.full(2, theta[1][0] + g2[0])
-        law = Guarded(0, 0, 1, 0, 2)
+        law = Layout(0, 0, 1, 0, 2)
         _carry(law, proj)
         f2_rec = np.zeros((3, 1))
         law.landing()((row[:1], row[1:]), f2_rec[1])
@@ -158,7 +159,7 @@ class TestProjection:
 
 
 class TestFloorCheck:
-    """The discrete floor check a law carries (``Guarded.floor_check``),
+    """The discrete floor check a law carries (``Layout.floor_check``),
     which ``_rows.run`` calls once per chunk on the chunk's (count, B, M)
     block of theta2, with each member's divergence row: a theta2 below its
     floor by that row, that row included, ends the member in

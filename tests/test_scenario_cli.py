@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -1151,6 +1152,131 @@ class TestSchema:
                                      dir="x\ud800"),
             ["output.dir: expected a directory path or null, got "
              "'x\\ud800'"])
+
+
+class TestSweepChecks:
+    """A sweep is checked and sized before ``cli._sweep`` makes a member: a
+    key whose path runs through a value of the base that is not an object,
+    a key inside another swept key, and a batch above BATCH_MEMBERS_MAX
+    are one ``invalid batch spec`` line each, with exit 1."""
+
+    GAINS = {"Gamma": 0.5, "gamma": 1.0, "k2_lower": 0.5, "sign_k2": 1.0}
+
+    @pytest.fixture
+    def unbuilt(self, monkeypatch):
+        """No sweep is expanded, and no member of a config list read."""
+        import mrac.cli as cli_mod
+        read = cli_mod._document
+
+        def refused(base, sweep):
+            raise AssertionError("a sweep was expanded")
+
+        def document(item, where, errors):
+            assert where == "base", "a member was read"
+            return read(item, where, errors)
+
+        monkeypatch.setattr(cli_mod, "_sweep", refused)
+        monkeypatch.setattr(cli_mod, "_document", document)
+
+    @staticmethod
+    def _refused(tmp_path, capsys, spec, want):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["batch", str(path), "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert captured.err.splitlines() == [f"invalid batch spec: {line}"
+                                             for line in want]
+
+    @pytest.mark.parametrize("overrides, sweep, want", [
+        # each ended in a TypeError traceback from cli._set_dotted
+        ({"gains": 1.0}, {"gains.Gamma": [0.5]},
+         ["sweep.gains.Gamma: gains is a number, not an object"]),
+        ({}, {"plant.A.x": [1.0]},
+         ["sweep.plant.A.x: plant.A is an array, not an object"]),
+        ({}, {"output.trace.x": [1]},
+         ["sweep.output.trace.x: output.trace is a boolean, not an object"]),
+        # the member named gamma=0.5 ran with the swept gains' gamma, 1.0
+        ({}, {"gains": [GAINS], "gains.gamma": [0.5, 1.0]},
+         ["sweep.gains.gamma: inside the swept key gains"]),
+        # every such key is listed, each once
+        ({}, {"name.x": [1], "x.y.z": [1], "x.y": [2], "seed": [1]},
+         ["sweep.name.x: name is a string, not an object",
+          "sweep.x.y.z: inside the swept key x.y"]),
+    ])
+    def test_a_key_no_member_can_take_is_refused(self, tmp_path, capsys,
+                                                 unbuilt, overrides, sweep,
+                                                 want):
+        self._refused(tmp_path, capsys, {
+            "base": bench_dict(horizon=20, **overrides), "sweep": sweep},
+            want)
+
+    def test_a_refusal_has_no_traceback(self, tmp_path):
+        # as the command line runs it, with every warning an error
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"base": bench_dict(gains=1.0),
+                                    "sweep": {"gains.Gamma": [0.5, 1.0]}}))
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "mrac", "batch", str(spec)],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == ("invalid batch spec: sweep.gains.Gamma: gains "
+                               "is a number, not an object\n")
+
+    def test_a_null_on_the_path_counts_as_absent(self, tmp_path, capsys):
+        # projection: null ended in the same traceback
+        base = bench_dict(horizon=20, projection=None, **INDIRECT)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"base": base, "sweep": {
+            "projection.signs": [[1.0]], "projection.k2_upper": [[1.0]]}}))
+        assert main(["batch", str(spec), "--out", str(tmp_path)]) == 0
+        [row] = json.loads(capsys.readouterr().out)
+        assert row["status"] == "ok"
+        assert row["invariants"]["projection_ok"] is True
+
+    def test_each_swept_gain_is_its_own(self, tmp_path, capsys):
+        base = bench_dict(horizon=200, gains=self.GAINS)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"base": base,
+                                    "sweep": {"gains.gamma": [0.5, 1.0]}}))
+        assert main(["batch", str(spec), "--out", str(tmp_path)]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        for row, gamma in zip(rows, (0.5, 1.0)):
+            alone = run_scenario(config_from_dict(
+                edited(dict(base), "gains", gamma=gamma)))
+            assert row["sum_eps2_over_m2"] == summary_dict(
+                alone)["sum_eps2_over_m2"]
+        assert rows[0]["sum_eps2_over_m2"] != rows[1]["sum_eps2_over_m2"]
+
+    def test_a_batch_above_the_cap_is_refused_unbuilt(self, tmp_path, capsys,
+                                                      unbuilt):
+        from mrac.cli import BATCH_MEMBERS_MAX
+        values = list(range(1000))
+        start = time.perf_counter()
+        self._refused(tmp_path, capsys, {"base": bench_dict(), "sweep": {
+            "seed": values, "horizon": values, "ct_step": values}},
+            [f"sweep: {1000 ** 3} members, above the {BATCH_MEMBERS_MAX} "
+             "a batch may have"])
+        assert time.perf_counter() - start < 1.0
+        self._refused(tmp_path, capsys,
+                      {"configs": [{}] * (BATCH_MEMBERS_MAX + 1)},
+                      [f"configs: {BATCH_MEMBERS_MAX + 1} members, above the "
+                       f"{BATCH_MEMBERS_MAX} a batch may have"])
+
+    def test_a_batch_at_the_cap_is_expanded(self, tmp_path, capsys,
+                                            monkeypatch):
+        import mrac.cli as cli_mod
+        assert cli_mod.BATCH_MEMBERS_MAX == MEMORY_BUDGET_BYTES // (12 << 10)
+        made = []
+        monkeypatch.setattr(cli_mod, "_sweep",
+                            lambda base, sweep: made.append(sweep) or [])
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"base": bench_dict(), "sweep": {
+            "seed": list(range(cli_mod.BATCH_MEMBERS_MAX))}}))
+        assert main(["batch", str(spec)]) == 0
+        assert capsys.readouterr().out == "[]\n" and len(made) == 1
 
 
 @pytest.fixture

@@ -220,6 +220,25 @@ class TestIntegrator:
         with pytest.raises(NumericsError):
             integrate_ct(lambda t, y: y * np.inf, np.array([1.0]), 0.1)
 
+    @pytest.mark.parametrize("method", ["rk4", "euler"])
+    def test_a_finite_state_whose_squares_overflow_integrates(self, method):
+        # 1e200 squared is not finite, but the state is, and it integrates
+        # without a numpy warning (tier-1 turns warnings into errors)
+        y = np.full(4, 1e200)
+        out = integrate_ct(lambda t, y: -y, y, 0.1, method=method)
+        assert np.all(np.isfinite(out)) and np.all(out < y)
+
+    @pytest.mark.parametrize("method", ["rk4", "euler"])
+    @pytest.mark.parametrize("shape", [(3,), (2, 2)])
+    def test_a_nan_still_aborts(self, method, shape):
+        def rhs(t, y):
+            out = np.zeros_like(y)
+            out.flat[1] = np.nan
+            return out
+
+        with pytest.raises(NumericsError, match="non-finite state"):
+            integrate_ct(rhs, np.ones(shape), 0.1, method=method)
+
 
 def _forced_linear(seed):
     """A random forced linear system dy/dt = A y + b sin(t), a state and a
