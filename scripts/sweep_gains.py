@@ -5,9 +5,7 @@ the contraction margin trades against tail tracking error.
     python scripts/sweep_gains.py
 """
 
-import numpy as np
-
-from mrac import gamma0_direct, tracking_metrics
+from mrac import tracking_metrics
 from mrac.scenario import benchmark_config, config_from_dict, run_lockstep
 
 GAMMAS = (0.25, 0.5, 1.0, 1.5, 1.9)
@@ -26,7 +24,7 @@ def main():
     for gamma, run in zip(GAMMAS, runs):
         if isinstance(run, Exception):
             raise run
-        g0 = gamma0_direct(0.5 * np.eye(3), gamma, [2.0])
+        g0 = run.trace.series.gamma0
         metrics = tracking_metrics(run.trace)
         print(f"{gamma:>6.2f} {g0:>7.2f} {2.0 - g0:>7.2f} "
               f"{run.trace.summary.sup_e:>10.3g} "

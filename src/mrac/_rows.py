@@ -27,11 +27,11 @@ it as
 Rows live in a ``RowBuffer`` that the whole run reuses, and which keeps
 the run's clock: the views of every row are made once, the rows run a
 ``row_blocks`` block at a time, each member's r sampled once per block,
-and each block is cut into chunks that end at its end. A member's store,
-its sink (``diagnostics.Stream``), receives only the record columns of its
-finished rows, in order. A runner reads a run's horizon and step h off its
-trace's spec (``direct.Member``). Both runners share the buffer and one
-divergence rule (``first_nonfinite``: the first step at which an element
+and each block is cut into chunks that end at its end. A member is its
+set-up run (``diagnostics.Stream``): the runner steps its law, samples its
+signal, reads its horizon and step h off its trace's spec, and gives only
+the record columns of its finished rows, in order, to its store. Both
+runners share the buffer and one divergence rule (``first_nonfinite``: the first step at which an element
 of x, u or m^2 is not finite). They differ only in how row i's state
 reaches row i + 1: in discrete time (``run``) L [F, r, u] lands there as
 F(t + 1) and W(t + 1) = W + G ab; in continuous time (``run_ct``) one call
@@ -406,18 +406,6 @@ class Law(Layout):
                 col(dF))
 
 
-def shapes(cols, **extra):
-    """The shape of one row of each record of the columns ``cols`` and of
-    the ``extra`` records, keyed by trace field."""
-    return {**{name: np.shape(at) for name, at in cols.items()}, **extra}
-
-
-def records(shapes, steps: int):
-    """Zeroed record arrays of ``steps`` rows of ``shapes``, keyed by trace
-    field."""
-    return {name: np.zeros((steps,) + shape) for name, shape in shapes.items()}
-
-
 def first_nonfinite(rows, at):
     """Of a (steps, B, width) block of rows, the first step of each member
     with a non-finite element in the columns ``at``, or None: the
@@ -506,10 +494,10 @@ class RowBuffer:
 
 
 def run(members):
-    """Step the set-up discrete runs ``members`` (``direct.Member``), whose
-    laws share one layout and whose traces one horizon, in lockstep over
-    its rows on the law that the first member's law stacks of them all
-    (``Layout.stack``), each member's r sampled from its signal at the
+    """Step the set-up discrete runs ``members`` (``diagnostics.Stream``),
+    whose laws share one layout and whose traces one horizon, in lockstep
+    over its rows on the law that the first member's law stacks of them
+    all (``Layout.stack``), each member's r sampled from its signal at the
     steps of a block of rows at a time; a lone run is a group of one.
 
     Row i + 1 receives F(t + 1) = L [F, r, u] and W(t + 1) = W + G ab from
@@ -559,7 +547,7 @@ def run(members):
 
 
 def run_ct(member, method: str, integrate):
-    """Step the set-up run ``member`` (``direct.Member``) in continuous
+    """Step the set-up run ``member`` (``diagnostics.Stream``) in continuous
     time from its law's state ``z0`` over the horizon and step h of its
     trace's spec: one ``integrate`` call (the runner module's
     ``integrate_ct``) per row advances z = [F, W] along the rate [dF, dW]

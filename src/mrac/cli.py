@@ -1,14 +1,15 @@
 """Command-line surface: validate, run, batch, example.
 
 Exit codes: 0 success, 1 validation error, 2 divergence or ``run failed``
-(e.g. SingularGainError), 3 invariant violation under --strict. ``batch``
-prints every row, then exits 1 if any member is invalid or failed, else 2
-if any diverged, else 0.
+(a SingularGainError, or a file that cannot be moved into place), 3
+invariant violation under --strict. ``batch`` prints every row, then exits
+1 if any member is invalid or failed, else 2 if any diverged, else 0.
 """
 
 from __future__ import annotations
 
 import contextlib
+import errno
 import gc
 import itertools
 import json
@@ -98,18 +99,18 @@ def _write_rows(fh, columns, sep: str, flags=None) -> None:
 
 
 class RowFile:
-    """A file of a run's rows, a consumer of its trace's rows (see
-    ``diagnostics.feed``): ``header``, then the rows it is given, written
-    as they come under a temporary name in ``directory``, each block
-    appended, so that no file stays open between blocks. ``columns(rows)``
-    gives the columns of a block of rows and ``flags(rows)``, when given,
-    the 1/0 flag that ends each row (see ``_write_rows``). ``close(path)``
-    renames the file to ``path``; ``discard`` removes it, so that a run
-    that does not finish leaves no file."""
+    """A file written under a temporary name in ``directory`` and moved
+    into place by ``close(path)``: ``header``, then, as a consumer of a
+    trace's rows (see ``diagnostics.feed``), the rows it is given, each
+    block appended as it comes, so that no file stays open between blocks.
+    ``columns(rows)`` gives the columns of a block of rows and
+    ``flags(rows)``, when given, the 1/0 flag that ends each row (see
+    ``_write_rows``). ``discard`` removes the file unless it was moved, so
+    that a run that does not finish leaves no file."""
 
     serial = itertools.count()
 
-    def __init__(self, directory, header: str, sep: str, columns,
+    def __init__(self, directory, header: str, sep=None, columns=None,
                  flags=None):
         while True:
             self.temp = os.path.join(
@@ -137,17 +138,6 @@ class RowFile:
             os.remove(self.temp)
 
 
-@contextlib.contextmanager
-def _discarded_on_error(files):
-    """Discard each of the RowFiles ``files`` when the block raises."""
-    try:
-        yield
-    except BaseException:
-        for rows in files:
-            rows.discard()
-        raise
-
-
 def _trace_columns(rows: SimulationTrace) -> list:
     # stride-0 stand-ins for the optional columns
     nan = np.broadcast_to(np.nan, rows.steps)
@@ -166,80 +156,114 @@ def _trace_file(directory, n: int, M: int) -> RowFile:
                    _trace_columns, _fired)
 
 
-def _gnuplot_file(directory, n: int) -> RowFile:
+def _gnuplot_file(directory, n: int, M=None) -> RowFile:
     return RowFile(directory, "# t " + " ".join(
         f"e_{i+1}" for i in range(n)) + "\n", " ", lambda rows: [rows.t,
                                                                 rows.e])
 
 
-def _filled(rows: RowFile, trace: SimulationTrace) -> RowFile:
-    """``rows`` with the rows of ``trace`` written."""
+def _moved(trace, path: str, make) -> None:
+    """Move ``trace``, a RowFile, to ``path``, or a SimulationTrace's rows,
+    written into the RowFile ``make(directory, n, M)``, which a failure
+    removes."""
+    if isinstance(trace, RowFile):
+        return trace.close(path)
     from .diagnostics import feed
-    with _discarded_on_error([rows]):
+    rows = make(os.path.dirname(path) or ".", trace.x.shape[1],
+                trace.u.shape[1])
+    try:
         feed(trace, rows)
-    return rows
+        rows.close(path)
+    finally:
+        rows.discard()
 
 
 def write_trace_csv(trace, path: str) -> None:
     """One row per recorded step, fixed column order, shortest round-trip
     float formatting (bit-exact across identical runs), to ``path``.
     ``trace`` is a SimulationTrace, or the RowFile into which a streamed
-    run wrote these rows as it went (``_row_files``)."""
-    if not isinstance(trace, RowFile):
-        trace = _filled(_trace_file(os.path.dirname(path) or ".",
-                                    trace.x.shape[1], trace.u.shape[1]),
-                        trace)
-    trace.close(path)
+    run wrote these rows as it went (``RunFiles``)."""
+    _moved(trace, path, _trace_file)
 
 
 def write_gnuplot_dat(trace, path: str) -> None:
     """Whitespace-separated (t, e_1..e_n) layout for external plotting;
     ``trace`` as for ``write_trace_csv``."""
-    if not isinstance(trace, RowFile):
-        trace = _filled(_gnuplot_file(os.path.dirname(path) or ".",
-                                      trace.x.shape[1]), trace)
-    trace.close(path)
+    _moved(trace, path, _gnuplot_file)
 
 
-def _directory(cfg, out_dir: str | None):
-    return out_dir or cfg.output["dir"]
+# each output kind's file after a run's base path dir/name, and the row
+# files a run streams into
+SUFFIXES = {"trace": ".trace.csv", "summary": ".summary.json",
+            "gnuplot": ".dat"}
+ROW_FILES = {"trace": _trace_file, "gnuplot": _gnuplot_file}
 
 
-def _row_files(cfg, out_dir: str | None) -> dict:
-    """The RowFiles into which a run of ``cfg`` streams its trace and its
-    gnuplot layout (see ``run_scenario``), by kind, in ``out_dir`` or its
-    output.dir, which is made here when the run writes a file; none without
-    a directory. An OSError names the directory's source."""
-    directory = _directory(cfg, out_dir)
-    kinds = ([] if directory is None else
-             [kind for kind in ("trace", "gnuplot") if cfg.output[kind]])
-    if directory is not None and (kinds or cfg.output["summary"]):
+def _base(cfg, out_dir: str | None):
+    """dir/name, after which a run of ``cfg`` writes its files, dir being
+    ``out_dir`` or its output.dir; None when it writes none."""
+    directory = out_dir or cfg.output["dir"]
+    if directory is None or not any(map(cfg.output.get, SUFFIXES)):
+        return None
+    return os.path.join(directory, cfg.name)
+
+
+class RunFiles(contextlib.AbstractContextManager):
+    """The files of a run of ``cfg`` (``_base``) and their directory, made
+    here; an OSError names the directory's source. The run streams its
+    trace and gnuplot layout into the RowFiles ``rows`` (see
+    ``run_scenario``), and ``commit`` moves its files into place. As a
+    context manager, it removes on exit every file not moved, so that a
+    run that fails leaves none."""
+
+    def __init__(self, cfg, out_dir: str | None):
+        self.directory = out_dir or cfg.output["dir"]
+        self.source = "--out" if out_dir else "output.dir"
+        base = _base(cfg, out_dir)
+        self.paths = {} if base is None else {
+            kind: base + suffix for kind, suffix in SUFFIXES.items()
+            if cfg.output[kind]}
+        self.files = {}
+        n, M = cfg.built.plant.n, cfg.built.plant.n_inputs
         try:
-            os.makedirs(directory, exist_ok=True)
+            if self.paths:
+                os.makedirs(self.directory, exist_ok=True)
+            for kind, make in ROW_FILES.items():
+                if kind in self.paths:
+                    self.files[kind] = make(self.directory, n, M)
         except OSError as exc:
-            raise OSError(f"{'--out' if out_dir else 'output.dir'}: {exc}")
-    n, M = cfg.built.plant.n, cfg.built.plant.n_inputs
-    return {kind: _trace_file(directory, n, M) if kind == "trace"
-            else _gnuplot_file(directory, n) for kind in kinds}
+            self.__exit__()
+            raise OSError(f"{self.source}: {exc}")
+        self.rows = list(self.files.values())
 
+    def __exit__(self, *exc_info):
+        for rows in self.files.values():
+            rows.discard()
 
-def _emit_outputs(run: ScenarioRun, files: dict, out_dir: str | None,
-                  summary) -> None:
-    """Move the row files ``files`` of ``run`` into place and write its
-    summary."""
-    cfg = run.config
-    directory = _directory(cfg, out_dir)
-    if directory is None:
-        return
-    base = os.path.join(directory, cfg.name)
-    if "trace" in files:
-        write_trace_csv(files["trace"], base + ".trace.csv")
-    if cfg.output["summary"]:
-        with open(base + ".summary.json", "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    if "gnuplot" in files:
-        write_gnuplot_dat(files["gnuplot"], base + ".dat")
+    def commit(self, run: ScenarioRun) -> dict:
+        """The summary of the finished ``run`` (``summary_dict``), once its
+        files, the summary written under a temporary name too, are in
+        place. No file moves unless every destination can take one: an
+        OSError names the destination that refused its file."""
+        summary = summary_dict(run)
+        path = self.paths.get("summary")
+        try:
+            if path:
+                self.files["summary"] = RowFile(self.directory, json.dumps(
+                    summary, indent=2, sort_keys=True) + "\n")
+            for path in self.paths.values():
+                if os.path.isdir(path) and not os.path.islink(path):
+                    raise IsADirectoryError(errno.EISDIR,
+                                            os.strerror(errno.EISDIR))
+            for kind, path in self.paths.items():
+                if kind == "trace":
+                    write_trace_csv(self.files[kind], path)
+                else:
+                    self.files[kind].close(path)
+        except OSError as exc:
+            raise OSError(f"{self.source}: "
+                          f"{OSError(exc.errno, exc.strerror, path)}")
+        return summary
 
 
 def cmd_validate(args) -> int:
@@ -272,16 +296,15 @@ def cmd_run(args) -> int:
             print(f"invalid: {err}", file=sys.stderr)
         return 1
     try:
-        files = _row_files(cfg, args.out)
+        files = RunFiles(cfg, args.out)
     except OSError as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return 1
     try:
-        with _discarded_on_error(files.values()):
-            run = run_scenario(cfg, list(files.values()))
-            summary = summary_dict(run)
-            _emit_outputs(run, files, args.out, summary)
-    except ToolkitError as exc:
+        with files:
+            run = run_scenario(cfg, files.rows)
+            summary = files.commit(run)
+    except (ToolkitError, OSError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 2
     print(json.dumps(summary, indent=2, sort_keys=True))
@@ -299,16 +322,16 @@ def _error_row(idx, data, status, errors) -> dict:
             "errors": errors}
 
 
-def _row(idx, data, run, files, out_dir) -> dict:
+def _row(idx, data, run, files: RunFiles) -> dict:
     """The batch row of member ``idx``, given as ``data``, from its
-    post-checked ``run`` or the ToolkitError its run raised; writes the
-    member's outputs, its streamed row files ``files`` among them."""
-    if isinstance(run, ToolkitError):
-        for rows in files.values():
-            rows.discard()
+    post-checked ``run``, whose files ``files`` it commits, or from the
+    error its run raised."""
+    if isinstance(run, Exception):
         return _error_row(idx, data, "failed", [str(run)])
-    row = summary_dict(run)
-    _emit_outputs(run, files, out_dir, row)
+    try:
+        row = files.commit(run)
+    except OSError as exc:
+        return _error_row(idx, data, "failed", [str(exc)])
     row["status"] = "diverged" if run.trace.diverged else "ok"
     return row
 
@@ -316,30 +339,29 @@ def _row(idx, data, run, files, out_dir) -> dict:
 def _batch_unit(payload):
     """The rows, by index, of one unit of a batch: a lone member, which runs
     through ``run_scenario``, or a lockstep group (``run_lockstep``); each
-    member streams its rows to its files, and one whose directory cannot be
-    made fails without running."""
+    member streams its rows to its files (``RunFiles``), and one whose
+    files cannot be made fails without running."""
     unit, out_dir = payload
-    rows, files = {}, []
-    for idx, data, cfg in unit:
-        try:
-            files.append(_row_files(cfg, out_dir))
-        except OSError as exc:
-            rows[idx] = _error_row(idx, data, "failed", [str(exc)])
-    unit = [item for item in unit if item[0] not in rows]
-    with _discarded_on_error([kind for member in files
-                              for kind in member.values()]):
+    rows, files = {}, {}
+    with contextlib.ExitStack() as made:
+        for idx, data, cfg in unit:
+            try:
+                files[idx] = made.enter_context(RunFiles(cfg, out_dir))
+            except OSError as exc:
+                rows[idx] = _error_row(idx, data, "failed", [str(exc)])
+        unit = [item for item in unit if item[0] in files]
         if len(unit) == 1:
             [(idx, data, cfg)] = unit
             try:
-                run = run_scenario(cfg, list(files[0].values()))
-            except ToolkitError as exc:
+                run = run_scenario(cfg, files[idx].rows)
+            except (ToolkitError, OSError) as exc:
                 run = exc
-            rows[idx] = _row(idx, data, run, files[0], out_dir)
+            rows[idx] = _row(idx, data, run, files[idx])
         elif unit:
             runs = run_lockstep([cfg for _, _, cfg in unit],
-                                [list(member.values()) for member in files])
-            rows.update((idx, _row(idx, data, run, member, out_dir)) for
-                        (idx, data, _), run, member in zip(unit, runs, files))
+                                [files[idx].rows for idx, _, _ in unit])
+            rows.update((idx, _row(idx, data, run, files[idx]))
+                        for (idx, data, _), run in zip(unit, runs))
     return rows
 
 
@@ -519,11 +541,10 @@ def _clashes(loaded, out_dir) -> dict:
     clashes with none."""
     rows, firsts = {}, {}
     for idx, data, cfg in loaded:
-        directory = _directory(cfg, out_dir)
-        if directory is None or not any(cfg.output[kind] for kind
-                                        in ("trace", "summary", "gnuplot")):
+        base = _base(cfg, out_dir)
+        if base is None:
             continue
-        base = os.path.realpath(os.path.join(directory, cfg.name))
+        base = os.path.realpath(base)
         first = firsts.setdefault(base, idx)
         if first != idx:
             rows[idx] = _error_row(idx, data, "invalid", [

@@ -16,7 +16,6 @@ integrated jointly to avoid order-of-integration artifacts).
 
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import partial
 from typing import TYPE_CHECKING
 
@@ -32,7 +31,7 @@ from .systems import (DISCRETE, PlantModel, ReferenceModel, ReferenceSignal,
                       integrate_ct, solve_matching)
 
 if TYPE_CHECKING:
-    from .diagnostics import SimulationTrace
+    from .diagnostics import SimulationTrace, Stream
 
 # _rows and diagnostics are imported when a run starts, so that loading a
 # config compiles neither; the benchmark's tracer wraps direct_V_series here
@@ -157,33 +156,12 @@ def _direct_law(A, B, Am, Bm, gains, enforce, P, rho, x0, xm0) -> Law:
     return law
 
 
-# a run set up on its law (see ``_rows``), which carries any theta2 guards
-# its runner calls and its trace's V: store(records), which receives its
-# finished rows' records in order (its sink's, see ``_set_up``),
-# finish(diverged_at), which makes its trace, its reference signal, and its
-# trace's TraceSpec, whose horizon, time domain and step dt its runner
-# steps it by
-Member = namedtuple("Member", "law store finish signal spec")
-
-
-def _set_up(law, signal, spec, stream=None, extra=None):
-    """The run of ``law`` on ``signal`` whose trace ``spec`` describes,
-    with its sink (``Stream``) of the records of ``law.cols`` and
-    ``extra`` ({name: row shape}, which stay zero) to the consumers
-    ``stream``, the last of which reduces the rows; without them, to a
-    ``Keep``, so that the run's trace holds its rows."""
-    from .diagnostics import Keep, Stream
-    out = Stream(law, spec, [Keep(spec.horizon + 1)] if stream is None
-                 else stream, extra)
-    return Member(law, out.store, out.finish, signal, spec)
-
-
 def _direct_member(plant, ref, signal, gains, init, horizon, h,
-                   match=SOLVE, stream=None, method="rk4") -> Member:
-    """A direct run with step size ``h`` (1 in discrete time) set up,
-    ``stream`` as for ``_set_up``, ``method`` the integrator of a
-    continuous-time one."""
-    from .diagnostics import TraceSpec, _gradient_V, gamma0_direct
+                   match=SOLVE, stream=None, method="rk4") -> Stream:
+    """A direct run with step size ``h`` (1 in discrete time) set up, its
+    rows going to the consumers ``stream`` (``diagnostics.Stream``),
+    ``method`` the integrator of a continuous-time one."""
+    from .diagnostics import Stream, TraceSpec, _gradient_V, gamma0_direct
     x0, xm0, theta0, rho0, _ = _check_run_args(
         plant, ref, signal, gains, init, horizon, None, h, method)
     match = _diagonal_match(_matching(plant, ref, match))
@@ -201,10 +179,10 @@ def _direct_member(plant, ref, signal, gains, init, horizon, h,
             Gamma=gains.Gamma, rho_star=rho_star, gamma=gains.gamma)
         law.gamma0 = gamma0_direct(gains.Gamma, gains.gamma, rho_star)
     spec = TraceSpec("direct_gradient", plant.time_domain, horizon, h)
-    return _set_up(law, signal, spec, stream)
+    return Stream(law, signal, spec, stream)
 
 
-def _drive(run: Member, method, integrate):
+def _drive(run: Stream, method, integrate):
     """The trace of the set-up run ``run``: stepped alone by ``_rows.run``
     in discrete time, else by ``_rows.run_ct`` with ``integrate``, the
     runner module's ``integrate_ct``. The error its law's guards found is

@@ -27,10 +27,10 @@ import numpy as np
 
 from ._rows import Law, Layout, block
 # the benchmark's tracer wraps indirect_V_series here by name
-from .diagnostics import (SimulationTrace, TraceSpec,  # noqa: F401
+from .diagnostics import (SimulationTrace, Stream, TraceSpec,  # noqa: F401
                           _gradient_V, gamma1_indirect, indirect_V_series)
-from .direct import (SOLVE, InitialConditions, Member, _check_run_args,
-                     _diagonal_match, _drive, _matching, _set_up)
+from .direct import (SOLVE, InitialConditions, _check_run_args,
+                     _diagonal_match, _drive, _matching)
 # the projection and the indirect gains of gains.py stay importable from here
 from .gains import (IndirectGainConfig, ProjectionConfig,  # noqa: F401
                     _active, _floor, _theta2, theta_star_indirect)
@@ -123,7 +123,7 @@ def _indirect_law(A, B, Am, Bm, gains, P, x0, xm0, xhat0) -> Law:
 
 
 def _indirect_member(plant, ref, signal, gains, projection, init, horizon,
-                     h, match=SOLVE, stream=None, method="rk4") -> Member:
+                     h, match=SOLVE, stream=None, method="rk4") -> Stream:
     """An indirect run with step size ``h`` (1 in discrete time) set up
     (``_projected``), ``stream`` and ``method`` as for
     ``direct._direct_member``."""
@@ -147,20 +147,21 @@ def _indirect_member(plant, ref, signal, gains, projection, init, horizon,
     return _projected(law, signal, projection, theta0, spec, stream)
 
 
-def _projected(law, signal, projection, theta0, spec, stream) -> Member:
-    """A run of ``law``, which carries ``projection`` (``_carry``), from its
-    ``z0`` set up, the one path of both indirect schemes: an enabled
-    projection is checked on ``theta0``, and the records add theta2's raw
-    rate and its correction (proj_g2, proj_f2: the row's columns, else
-    zero). ``spec`` and ``stream`` are as for ``direct._set_up``."""
+def _projected(law, signal, projection, theta0, spec, stream) -> Stream:
+    """The run of ``law``, which carries ``projection`` (``_carry``), on
+    ``signal`` from its ``z0`` set up (``diagnostics.Stream``, of ``spec``
+    and the consumers ``stream``), the one path of both indirect schemes:
+    an enabled projection is checked on ``theta0``, and the records add
+    theta2's raw rate and its correction (proj_g2, proj_f2: the row's
+    columns, else zero)."""
     M = theta0.shape[1]
     if _active(projection):
         projection.check_start(theta0)
         law.cols["proj_g2"] = np.arange(law.dW.start, law.dW.stop)[law.th2]
         law.cols["proj_f2"] = np.arange(law.f2.start, law.f2.stop)
-    return _set_up(law, signal, spec, stream,
-                   {name: (M,) for name in ("proj_g2", "proj_f2")
-                    if name not in law.cols})
+    return Stream(law, signal, spec, stream,
+                  {name: (M,) for name in ("proj_g2", "proj_f2")
+                   if name not in law.cols})
 
 
 def run_indirect_scenario(plant: PlantModel, ref: ReferenceModel,

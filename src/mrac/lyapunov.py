@@ -13,9 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from ._rows import Layout, forms
-from .diagnostics import SimulationTrace, TraceSpec
+from .diagnostics import SimulationTrace, Stream, TraceSpec
 from .direct import (SOLVE, InitialConditions, _check_run_args, _drive,
-                     _matching, _set_up)
+                     _matching)
 from .errors import ModelError
 # the Lyapunov gains and certificate of gains.py stay importable from here
 from .gains import (LyapunovCertificate, LyapunovDirectGains,  # noqa: F401
@@ -303,5 +303,5 @@ def run_lyapunov_scenario(plant: PlantModel, ref: ReferenceModel,
     if mode == "indirect":
         run = _projected(law, signal, projection, theta0, spec, stream)
     else:
-        run = _set_up(law, signal, spec, stream)
+        run = Stream(law, signal, spec, stream)
     return _drive(run, method, integrate_ct)

@@ -3,6 +3,8 @@ against its oracle in both domains, the divergence rule on a run that grows
 past 1e155, and the filter columns of a discrete run against the reference
 filter bank."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from mrac import (DirectGainConfig, IndirectGainConfig, InitialConditions,
                   stack_controller_gains, theta_star_indirect)
 from mrac import _rows
 from mrac.diagnostics import TraceSpec
-from mrac.direct import Member, _direct_law
+from mrac.direct import _direct_law
 from mrac.indirect import _indirect_law
 from test_ct_fused import assert_records_match
 
@@ -155,7 +157,8 @@ def test_filter_columns_match_the_bank(scheme):
     C = n + M
     F = law.F.start + np.arange(law.nK).reshape(law.K, n)
     law.cols = dict(law.cols, S=F[:M * C].T, q=F[M * C:M * C + M].T)
-    rec = _rows.records(_rows.shapes(law.cols), DISCRETE_HORIZON + 1)
+    rec = {name: np.zeros((DISCRETE_HORIZON + 1,) + np.shape(at))
+           for name, at in law.cols.items()}
     r = sig.sample(np.arange(DISCRETE_HORIZON + 1, dtype=float))
 
     stored = [0]  # a member's store receives its rows in order
@@ -166,9 +169,11 @@ def test_filter_columns_match_the_bank(scheme):
             rec[name][t0:t0 + block.shape[0]] = block
         stored[0] += rows["x"].shape[0]
 
-    # a lone run is a group of one
+    # a lone run is a group of one; the runner reads the set-up run's law,
+    # store, signal and spec
     spec = TraceSpec(scheme, "discrete", DISCRETE_HORIZON, 1.0)
-    assert _rows.run([Member(law, store, None, sig, spec)]) == [None]
+    run = SimpleNamespace(law=law, store=store, signal=sig, spec=spec)
+    assert _rows.run([run]) == [None]
     bank = ChannelFilterBank(ref, C)
     for t in range(DISCRETE_HORIZON + 1):
         assert np.max(np.abs(rec["S"][t] - bank.S)) <= 1e-12, t
