@@ -16,23 +16,20 @@ on bounds of its own, run alone and as one lockstep group, and a
 continuous-time ``indirect_gradient`` and a ``lyapunov_indirect`` member
 that ride their bounds. Their horizons are fixed.
 
-    python scripts/fingerprint.py [--horizon N]
+    OPENBLAS_CORETYPE=Haswell python scripts/fingerprint.py [--horizon N]
 
 ``--horizon N`` cuts every pool and command-line run to N steps; by
 default each member runs its own horizon. Compare two checkouts by diffing
-their outputs. The first line names the OpenBLAS kernel and build that
-numpy loaded (``blas``): the digests hold for one kernel, since another
-kernel gives products other last bits. The expected outputs live in
-``fingerprints/`` beside this tool, two per kernel: ``KERNEL-1100.txt``
-(``--horizon 1100``) and ``KERNEL-full.txt`` (the full horizons). CI diffs
-a fresh run's digests against those of the kernel its first line names. A
-change that moves a byte of a run regenerates them all, one run per kernel
-with ``OPENBLAS_CORETYPE`` set, and says so.
+their outputs. The expected outputs live beside this tool:
+``fingerprint-1100.txt`` (``--horizon 1100``) and ``fingerprint-full.txt``
+(the full horizons); CI diffs a fresh run against each. They hold for
+OpenBLAS's Haswell kernel, which ``OPENBLAS_CORETYPE`` forces on any x86
+CPU with AVX2: another kernel gives products other last bits, and so other
+digests. A change that moves a byte of a run regenerates them and says so.
 """
 
 import argparse
 import contextlib
-import ctypes
 import hashlib
 import io
 import json
@@ -190,43 +187,11 @@ def riding_digest():
     return hashlib.sha256("\n".join(runs).encode()).hexdigest()
 
 
-# the OpenBLAS functions that name the kernel in use and the build, by the
-# names of numpy's wheels, newest first
-CORENAME = ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
-            "openblas_get_corename")
-CONFIG = ("scipy_openblas_get_config64_", "openblas_get_config64_",
-          "openblas_get_config")
-
-
-def blas():
-    """The kernel and the build of the OpenBLAS that numpy loaded, read
-    from the library mapped into this process; "unknown" for either when
-    no function of ``CORENAME`` or ``CONFIG`` resolves."""
-    found = {CORENAME: "unknown", CONFIG: "unknown"}
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = {line.split()[-1] for line in fh
-                     if "openblas" in line.lower()}
-    except OSError:
-        paths = set()
-    for path in sorted(paths):
-        lib = ctypes.CDLL(path)
-        for names in found:
-            for name in names:
-                fn = getattr(lib, name, None)
-                if fn is not None:
-                    fn.restype = ctypes.c_char_p
-                    found[names] = " ".join(fn().decode().split())
-                    break
-    return found[CORENAME], found[CONFIG]
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--horizon", type=int, default=None,
                         help="cut every run to this many steps")
     args = parser.parse_args(argv)
-    print("# blas {} build {}".format(*blas()))
     pool = hashlib.sha256()
     for workload in workloads.WORKLOADS:
         for data in workloads.pool_members(workload):

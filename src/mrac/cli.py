@@ -9,7 +9,6 @@ invariant violation under --strict. ``batch`` prints every row, then exits
 from __future__ import annotations
 
 import contextlib
-import errno
 import gc
 import itertools
 import json
@@ -98,29 +97,42 @@ def _write_rows(fh, columns, sep: str, flags=None) -> None:
         fh.write(text + b"\n")
 
 
-class RowFile:
-    """A file written under a temporary name in ``directory`` and moved
-    into place by ``close(path)``: ``header``, then, as a consumer of a
-    trace's rows (see ``diagnostics.feed``), the rows it is given, each
-    block appended as it comes, so that no file stays open between blocks.
-    ``columns(rows)`` gives the columns of a block of rows and
-    ``flags(rows)``, when given, the 1/0 flag that ends each row (see
-    ``_write_rows``). ``discard`` removes the file unless it was moved, so
-    that a run that does not finish leaves no file."""
+class TempFile:
+    """``text`` written under a temporary name in ``directory``.
+    ``close(path)`` moves the file to ``path``; ``discard`` removes it
+    unless it was moved, so that a run that does not finish leaves no
+    file."""
 
     serial = itertools.count()
 
-    def __init__(self, directory, header: str, sep=None, columns=None,
-                 flags=None):
-        while True:
+    def __init__(self, directory, text: str):
+        while True:  # past any name in use
             self.temp = os.path.join(
                 directory, f".mrac-{os.getpid()}-{next(self.serial)}.part")
-            try:
-                with open(self.temp, "xb") as fh:
-                    fh.write(header.encode())
-                break
-            except FileExistsError:
-                continue
+            with contextlib.suppress(FileExistsError), \
+                    open(self.temp, "xb") as fh:
+                fh.write(text.encode())
+                return
+
+    def close(self, path: str) -> None:
+        os.replace(self.temp, path)
+
+    def discard(self) -> None:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(self.temp)
+
+
+class RowFile(TempFile):
+    """A TempFile of a run's rows, a consumer of its trace's rows (see
+    ``diagnostics.feed``): ``header``, then the rows it is given, each
+    block appended as it comes, so that no file stays open between blocks.
+    ``columns(rows)`` gives the columns of a block of rows and
+    ``flags(rows)``, when given, the 1/0 flag that ends each row (see
+    ``_write_rows``)."""
+
+    def __init__(self, directory, header: str, sep: str, columns,
+                 flags=None):
+        super().__init__(directory, header)
         self.sep, self.columns, self.flags = sep, columns, flags
         self.steps = 0  # rows written
 
@@ -129,13 +141,6 @@ class RowFile:
             _write_rows(fh, self.columns(rows), self.sep,
                         self.flags and self.flags(rows))
         self.steps += rows.steps
-
-    def close(self, path: str) -> None:
-        os.replace(self.temp, path)
-
-    def discard(self) -> None:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(self.temp)
 
 
 def _trace_columns(rows: SimulationTrace) -> list:
@@ -156,7 +161,7 @@ def _trace_file(directory, n: int, M: int) -> RowFile:
                    _trace_columns, _fired)
 
 
-def _gnuplot_file(directory, n: int, M=None) -> RowFile:
+def _gnuplot_file(directory, n: int) -> RowFile:
     return RowFile(directory, "# t " + " ".join(
         f"e_{i+1}" for i in range(n)) + "\n", " ", lambda rows: [rows.t,
                                                                 rows.e])
@@ -164,13 +169,11 @@ def _gnuplot_file(directory, n: int, M=None) -> RowFile:
 
 def _moved(trace, path: str, make) -> None:
     """Move ``trace``, a RowFile, to ``path``, or a SimulationTrace's rows,
-    written into the RowFile ``make(directory, n, M)``, which a failure
-    removes."""
+    written into the RowFile ``make(directory)``, removed on a failure."""
     if isinstance(trace, RowFile):
         return trace.close(path)
     from .diagnostics import feed
-    rows = make(os.path.dirname(path) or ".", trace.x.shape[1],
-                trace.u.shape[1])
+    rows = make(os.path.dirname(path) or ".")
     try:
         feed(trace, rows)
         rows.close(path)
@@ -183,20 +186,20 @@ def write_trace_csv(trace, path: str) -> None:
     float formatting (bit-exact across identical runs), to ``path``.
     ``trace`` is a SimulationTrace, or the RowFile into which a streamed
     run wrote these rows as it went (``RunFiles``)."""
-    _moved(trace, path, _trace_file)
+    _moved(trace, path, lambda directory: _trace_file(
+        directory, trace.x.shape[1], trace.u.shape[1]))
 
 
 def write_gnuplot_dat(trace, path: str) -> None:
     """Whitespace-separated (t, e_1..e_n) layout for external plotting;
     ``trace`` as for ``write_trace_csv``."""
-    _moved(trace, path, _gnuplot_file)
+    _moved(trace, path, lambda directory: _gnuplot_file(
+        directory, trace.x.shape[1]))
 
 
-# each output kind's file after a run's base path dir/name, and the row
-# files a run streams into
+# each output kind's file after a run's base path dir/name
 SUFFIXES = {"trace": ".trace.csv", "summary": ".summary.json",
             "gnuplot": ".dat"}
-ROW_FILES = {"trace": _trace_file, "gnuplot": _gnuplot_file}
 
 
 def _base(cfg, out_dir: str | None):
@@ -223,44 +226,44 @@ class RunFiles(contextlib.AbstractContextManager):
         self.paths = {} if base is None else {
             kind: base + suffix for kind, suffix in SUFFIXES.items()
             if cfg.output[kind]}
-        self.files = {}
-        n, M = cfg.built.plant.n, cfg.built.plant.n_inputs
+        self.files, n = {}, cfg.built.plant.n
         try:
             if self.paths:
                 os.makedirs(self.directory, exist_ok=True)
-            for kind, make in ROW_FILES.items():
-                if kind in self.paths:
-                    self.files[kind] = make(self.directory, n, M)
+            if "trace" in self.paths:
+                self.files["trace"] = _trace_file(self.directory, n,
+                                                  cfg.built.plant.n_inputs)
+            if "gnuplot" in self.paths:
+                self.files["gnuplot"] = _gnuplot_file(self.directory, n)
         except OSError as exc:
             self.__exit__()
             raise OSError(f"{self.source}: {exc}")
         self.rows = list(self.files.values())
 
     def __exit__(self, *exc_info):
-        for rows in self.files.values():
-            rows.discard()
+        for file in self.files.values():
+            file.discard()
 
     def commit(self, run: ScenarioRun) -> dict:
         """The summary of the finished ``run`` (``summary_dict``), once its
-        files, the summary written under a temporary name too, are in
-        place. No file moves unless every destination can take one: an
-        OSError names the destination that refused its file."""
+        files, the summary too, are moved into place. A file that cannot be
+        removes those already moved, so that a run leaves all of its files
+        or none, and raises an OSError that names its destination."""
         summary = summary_dict(run)
-        path = self.paths.get("summary")
+        moves = {"trace": write_trace_csv, "summary": TempFile.close,
+                 "gnuplot": write_gnuplot_dat}
+        moved, path = [], self.paths.get("summary")
         try:
             if path:
-                self.files["summary"] = RowFile(self.directory, json.dumps(
+                self.files["summary"] = TempFile(self.directory, json.dumps(
                     summary, indent=2, sort_keys=True) + "\n")
-            for path in self.paths.values():
-                if os.path.isdir(path) and not os.path.islink(path):
-                    raise IsADirectoryError(errno.EISDIR,
-                                            os.strerror(errno.EISDIR))
             for kind, path in self.paths.items():
-                if kind == "trace":
-                    write_trace_csv(self.files[kind], path)
-                else:
-                    self.files[kind].close(path)
+                moves[kind](self.files[kind], path)
+                moved.append(path)
         except OSError as exc:
+            for done in moved:
+                with contextlib.suppress(OSError):
+                    os.remove(done)
             raise OSError(f"{self.source}: "
                           f"{OSError(exc.errno, exc.strerror, path)}")
         return summary

@@ -1412,9 +1412,10 @@ class TestOutputDirectories:
 
 class TestBlockedOutputs:
     """A member's files move into place together or not at all: a
-    directory in the way of one of them fails the run, or the member, in
-    one line that names it, and leaves none of its files, temporary or
-    moved; the other members of a batch write theirs."""
+    destination that refuses its file, a directory in the way of it among
+    others, fails the run, or the member, in one line that names it, and
+    leaves none of its files, temporary or moved; the other members of a
+    batch write theirs."""
 
     SUFFIXES = (".trace.csv", ".summary.json", ".dat")
 
@@ -1442,6 +1443,27 @@ class TestBlockedOutputs:
         assert main(["run", str(cfg), "--out", out]) == 2
         assert capsys.readouterr() == ("", f"run failed: {line}\n")
         assert os.listdir(out) == [os.path.basename(path)]
+
+    def test_a_refused_move_takes_back_the_files_moved(self, tmp_path,
+                                                      capsys, monkeypatch):
+        # the last file is refused for another reason than a directory in
+        # its way, once the trace and the summary are in place
+        cfg, out = tmp_path / "cfg.json", str(tmp_path / "out")
+        cfg.write_text(json.dumps(self.member("x")))
+        path, replace = os.path.join(out, "x.dat"), os.replace
+
+        def refuse(src, dst):
+            if os.fspath(dst) == path:
+                raise PermissionError(errno.EACCES,
+                                      os.strerror(errno.EACCES), src)
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", refuse)
+        assert main(["run", str(cfg), "--out", out]) == 2
+        line = (f"--out: [Errno {errno.EACCES}] "
+                f"{os.strerror(errno.EACCES)}: {path!r}")
+        assert capsys.readouterr() == ("", f"run failed: {line}\n")
+        assert os.listdir(out) == []
 
     @pytest.mark.parametrize("others", [1, 3], ids=["lone", "lockstep"])
     @pytest.mark.parametrize("suffix", SUFFIXES)
