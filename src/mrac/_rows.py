@@ -25,21 +25,21 @@ it as
   terms ab reads, weighted by -eps / m^2.
 
 Rows live in a ``RowBuffer`` that the whole run reuses, and which keeps
-the run's clock: the views of every row are made once, the rows run a
-``row_blocks`` block at a time, each member's r sampled once per block,
-and each block is cut into chunks that end at its end. A member is its
-set-up run (``diagnostics.Stream``): the runner steps its law, samples its
-signal, reads its horizon and step h off its trace's spec, and gives only
-the record columns of its finished rows, in order, to its store. Both
-runners share the buffer and one divergence rule (``first_nonfinite``: the first step at which an element
-of x, u or m^2 is not finite). They differ only in how row i's state
-reaches row i + 1: in discrete time (``run``) L [F, r, u] lands there as
-F(t + 1) and W(t + 1) = W + G ab; in continuous time (``run_ct``) one call
-to the runner module's ``integrate_ct`` advances z along dz/dt = [dF, dW],
-its first stage row i itself, each later stage written straight into one
-of three stage rows. Every theta2 rule is a guard of the law
-(``Layout.landing``, ``floor_check`` and ``ct_guards``), one form for a
-row or a group's block of rows, which writes a projection's correction
+the run's clock: the rows run a ``row_blocks`` block at a time, each
+member's r sampled once per block, and each block is cut into chunks that
+end at its end. A member is its set-up run (``diagnostics.Stream``): the
+runner steps its law, samples its signal, reads its horizon and step h off
+its trace's spec, and gives only the record columns of its finished rows,
+in order, to its store. Both runners share the buffer, one divergence rule
+(``first_nonfinite``: the first step at which an element of x, u or m^2 is
+not finite) and views of the rows their law steps made once per run. In
+discrete time (``run``) the law steps the buffer's rows, and L [F, r, u]
+lands in row i + 1 as F(t + 1) and W(t + 1) = W + G ab; in continuous
+time (``run_ct``) it steps four stage rows, one per stage of the call to
+the runner module's ``integrate_ct`` that advances z along dz/dt = [dF,
+dW], and row i is a copy of stage 1's. Every theta2 rule is a guard of the
+law (``Layout.landing``, ``floor_check`` and ``ct_guards``), one form for
+a row or a group's block of rows, which writes a projection's correction
 into the row's ``f2`` columns: ``run`` calls the landing once per step
 and, for a law with a floor, the floor check once per chunk, ``run_ct``
 the rate check on each rate and the clamp on each new state.
@@ -450,8 +450,8 @@ class RowBuffer:
         record for the whole group: ``store(records)``, with the rows before
         the member's divergence row in ``bad`` (None: all of them; a
         ToolkitError: none, the store is not called). Sets ``ended`` of a
-        member that diverged to its divergence step, and of one that failed
-        to its error."""
+        member that diverged to its divergence step, and of one that failed,
+        or whose store raised an OSError, to its error."""
         blocks = {name: rows[..., at] for name, at in self.cols.items()}
         for b in live:
             stop = bad[b]
@@ -460,8 +460,11 @@ class RowBuffer:
                 continue
             if stop is not None:
                 ended[b] = t0 + stop
-            self.stores[b]({name: block[:stop, b]
-                            for name, block in blocks.items()})
+            try:
+                self.stores[b]({name: block[:stop, b]
+                                for name, block in blocks.items()})
+            except OSError as exc:
+                ended[b] = exc
 
     def run(self, sample, chunk):
         """Step the rows a ``row_blocks`` block at a time: ``sample(lo,
@@ -550,25 +553,24 @@ def run_ct(member, method: str, integrate):
     """Step the set-up run ``member`` (``diagnostics.Stream``) in continuous
     time from its law's state ``z0`` over the horizon and step h of its
     trace's spec: one ``integrate`` call (the runner module's
-    ``integrate_ct``) per row advances z = [F, W] along the rate [dF, dW]
-    that the law's step writes, and the result, after the law's clamp
-    (``ct_guards``) in place, lands in row i + 1. The member's signal is
-    sampled a block of steps at a time at the stage times t_k, t_k + h/2
-    (stages 2 and 3) and t_k + h of every step k; this is the only code
-    that reads that layout. Row k is stage 1 of step k and its record.
-    Stages 2-4 evaluate on three rows of their own, reused by every step:
+    ``integrate_ct``) per step advances z = [F, W] along the rate [dF, dW]
+    that the law's step writes, the law's clamp (``ct_guards``) then acting
+    on the result in place. The member's signal is sampled a block of steps
+    at a time at the stage times t_k, t_k + h/2 (stages 2 and 3) and t_k +
+    h of every step k; this is the only code that reads that layout. The
+    four stages evaluate on four stage rows, reused by every step, which
+    writes z and its four samples of r into them, zeroes row 0's ``f2``
+    columns, steps row 0 (stage 1) and copies it into row k as its record;
     the ``stage`` evaluator ``integrate`` passes to the RK4 step writes y +
-    c k straight into a stage row's F and W, with y read off row k, and
-    that row's r is set once per step. The law's rate check
-    (``ct_guards``) takes each rate with the row's theta2, raw theta2 rate
-    and ``f2`` columns, which each chunk zeroes first: it returns the rate,
-    or refuses it by raising, or replaces it by a changed copy.
+    c k, y read off row 0, straight into row 1, 2 or 3. The law's rate
+    check (``ct_guards``) takes each rate with its row's theta2, raw theta2
+    rate and ``f2`` columns, and returns it, or a changed copy, or raises.
 
-    Each row meets the divergence rule before it is integrated: row 0 in
-    full, every later row on u and m^2 only, since its x is part of a state
-    that ``integrate`` found finite. Returns, as ``run`` does for a group
-    of one, the list of what ended the run: k when an element of x, u or
-    m^2 of step k is not finite, k + 1 when ``integrate`` reports a
+    Each record meets the divergence rule before its step is integrated:
+    row 0 in full, every later row on u and m^2 only, since its x is part
+    of a state that ``integrate`` found finite. Returns, as ``run`` does for
+    a group of one, the list of what ended the run: k when an element of x,
+    u or m^2 of step k is not finite, k + 1 when ``integrate`` reports a
     non-finite state after step k, the rate check's SingularGainError "at
     step k" when it refused a rate of step k, else None.
     """
@@ -577,38 +579,27 @@ def run_ct(member, method: str, integrate):
     rows = RowBuffer(law, [member.store], horizon + 1)
     buf, work, probe, nF = rows.buf, rows.work, rows.probe, law.nF
     dz = slice(law.dF.start, law.dW.stop)
-    # m^2, when the law has it, is the column after u
-    span = slice(law.U.start, law.U.stop + ("m2" in law.cols))
-
-    def operands(row):
-        """The step's views of ``row``, its rate [dF, dW], its state parts F
-        and W, and with a rate check its theta2, theta2's raw rate and
-        f2."""
-        return (law.views(row, row[law.dF]), row[dz], row[law.F], row[law.W],
-                guard and (row[law.W][law.th2], row[law.dW][law.th2],
-                           row[law.f2]))
-
-    # each row's operands, its u and m^2, and the state parts of row i + 1
-    steps = [(operands(work[i]), work[i, span], work[i + 1, law.F],
-              work[i + 1, law.W]) for i in range(rows.size)]
-    stage_buf = np.zeros((3, law.width))
-    stage_r = stage_buf[:, law.R]
-    stage_rows = [operands(row) for row in stage_buf]
+    # the stage rows' step views, rates [dF, dW], F, W, rate check's theta2,
+    # raw theta2 rate and f2, and r; row 0's f2, u and m^2 (if any)
+    stages = np.zeros((4, law.width))
+    ops = [(law.views(row, row[law.dF]), row[dz], row[law.F], row[law.W],
+            guard and (row[law.W][law.th2], row[law.dW][law.th2], row[law.f2]))
+           for row in stages]
+    (v0, d0, yF, yW, theta2_0), row0 = ops[0], stages[0]
+    r4, f2_0 = stages[:, law.R], row0[law.f2]
+    uspan = row0[law.U.start:law.U.stop + ("m2" in law.cols)]
     # c k of the stage being evaluated, whole and in its F and W parts
     z = law.z0
     ck = np.empty(z.shape[0])
     ckF, ckW = ck[:nF], ck[nF:]
     step, multiply, add, isfinite = law.step, np.multiply, np.add, math.isfinite
-
-    # the step being integrated: its state z, its rate k1 and the state
-    # parts yF, yW of its row
-    k1 = yF = yW = None
+    k1 = None  # the rate of the step being integrated
 
     def first(tau, y):
         return k1
 
     def stage(i, tau, c, k):
-        v, d, F, W, theta2 = stage_rows[i - 2]
+        v, d, F, W, theta2 = ops[i - 1]
         multiply(k, c, ck)
         add(yF, ckF, F)
         add(yW, ckW, W)
@@ -625,21 +616,22 @@ def run_ct(member, method: str, integrate):
         return member.signal.sample(times.ravel()).reshape(hi - lo, 4, -1)
 
     def chunk(t0, count, r):
-        nonlocal z, k1, yF, yW
-        work[:count, law.R] = r[:, 0]
-        work[:count, law.f2] = 0.0
+        nonlocal z, k1
         try:
             for i in range(count):
                 k = t0 + i
-                (v, d, yF, yW, theta2), uspan, Fn, Wn = steps[i]
-                step(v)
-                k1 = guard(theta2, d) if guard else d
+                yF[...] = z[:nF]
+                yW[...] = z[nF:]
+                r4[...] = r[i]
+                f2_0[...] = 0.0
+                step(v0)
+                k1 = guard(theta2_0, d0) if guard else d0
+                work[i] = row0
                 if (not all(map(isfinite, uspan.tolist())) if k
                         else first_nonfinite(buf[:1], probe)[0] is not None):
                     return i, [i]
                 if k == horizon:
                     break
-                stage_r[...] = r[i, 1:]
                 try:
                     z = integrate(first, z, h, t=k * h, method=method,
                                   stage=stage)
@@ -647,8 +639,6 @@ def run_ct(member, method: str, integrate):
                     return i + 1, [i + 1]
                 if clamp:
                     clamp(z)
-                Fn[...] = z[:nF]
-                Wn[...] = z[nF:]
         except SingularGainError as exc:
             return i, [SingularGainError(f"{exc} at step {k}")]
         return count, [None]

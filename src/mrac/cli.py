@@ -441,21 +441,24 @@ def _kind(value) -> str:
 def expand_batch_spec(spec) -> list[dict]:
     """Either an explicit config list or a base config plus a sweep grid,
     sized before a member is read or made; a ConfigError lists every
-    problem of the spec."""
+    problem of the spec, a key it does not read among them."""
     if not isinstance(spec, dict) or not ("configs" in spec or "base" in spec):
         got = (_kind(spec) if not isinstance(spec, dict)
                else "a scenario config (run it with 'mrac run')"
                if "scheme" in spec else "an object with neither")
         raise ConfigError([f"expected an object with 'configs' or 'base', "
                            f"got {got}"])
-    errors: list[str] = []
+    read = ("configs",) if "configs" in spec else ("base", "sweep")
+    errors = [f"{key}: cannot be combined with configs"
+              if key in ("base", "sweep") else f"{key}: unknown key"
+              for key in spec if key not in read]
     if "configs" in spec:
         items = spec["configs"]
         if not isinstance(items, list):
-            raise ConfigError([f"configs: expected a list, got "
-                               f"{_kind(items)}"])
-        if errors := _oversized("configs", len(items)):
-            raise ConfigError(errors)
+            raise ConfigError(errors + [f"configs: expected a list, got "
+                                        f"{_kind(items)}"])
+        if oversized := _oversized("configs", len(items)):
+            raise ConfigError(errors + oversized)
         members = [_document(item, f"configs[{i}]", errors)
                    for i, item in enumerate(items)]
     else:

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import _lazy
-from .errors import GainError, ModelError, ToolkitError
+from .errors import GainError, ModelError
 # the gains and initial conditions of gains.py stay importable from here
 from .gains import (DirectGainConfig, InitialConditions,  # noqa: F401
                     _check_blocks, _shape_theta, _spd_check,
@@ -185,14 +185,14 @@ def _direct_member(plant, ref, signal, gains, init, horizon, h,
 def _drive(run: Stream, method, integrate):
     """The trace of the set-up run ``run``: stepped alone by ``_rows.run``
     in discrete time, else by ``_rows.run_ct`` with ``integrate``, the
-    runner module's ``integrate_ct``. The error its law's guards found is
-    raised."""
+    runner module's ``integrate_ct``. The error that ended it, one its
+    law's guards found or the OSError its store raised, is raised."""
     from . import _rows
     if run.spec.time_domain == DISCRETE:
         [ended] = _rows.run([run])
     else:
         [ended] = _rows.run_ct(run, method, integrate)
-    if isinstance(ended, ToolkitError):
+    if isinstance(ended, Exception):
         raise ended
     return run.finish(ended)
 

@@ -733,10 +733,11 @@ def run_lockstep(cfgs: list, outputs=None):
     and ``_rows.run``, which steps every discrete run, steps them all on
     the law the first member's law stacks of them all, its guards
     included, so that each run is byte for byte the one ``run_scenario``
-    makes. ``outputs``, when given, holds each config's
-    consumers of its trace's rows, as for ``run_scenario``. Yields, in
-    order, the post-checked ScenarioRun of each config, or the ToolkitError
-    its run found. A member is finished only when it is taken, and keeps
+    makes. ``outputs``, when given, holds each config's consumers of its
+    trace's rows, as for ``run_scenario``. Yields, in order, the
+    post-checked ScenarioRun of each config, or the ToolkitError its run
+    found or the OSError its consumers raised, as it ran or finished, which
+    ends it alone. A member is finished only when it is taken, and keeps
     nothing of the group alive, so that a caller that drops each run holds
     one finished trace at a time."""
     from . import _rows
@@ -747,8 +748,12 @@ def run_lockstep(cfgs: list, outputs=None):
     ended = _rows.run(members)
     for cfg, (checks, _), outcome in zip(cfgs, streams, ended):
         finish = members.pop(0).finish
-        yield (outcome if isinstance(outcome, ToolkitError)
-               else _checked(cfg, finish(outcome), checks))
+        if not isinstance(outcome, Exception):
+            try:
+                outcome = _checked(cfg, finish(outcome), checks)
+            except OSError as exc:
+                outcome = exc
+        yield outcome
 
 
 def summary_dict(run: ScenarioRun) -> dict:

@@ -1283,6 +1283,27 @@ class TestSweepChecks:
         assert main(["batch", str(spec)]) == 0
         assert capsys.readouterr().out == "[]\n" and len(made) == 1
 
+    @pytest.mark.parametrize("spec, want", [
+        ({"base": bench_dict(horizon=20),
+          "sweeps": {"gains.gamma": [0.5, 1.0]}}, ["sweeps: unknown key"]),
+        ({"configs": [bench_dict(horizon=20)],
+          "sweep": {"gains.gamma": [0.5, 1.0]}},
+         ["sweep: cannot be combined with configs"]),
+        ({"base": bench_dict(horizon=20), "configs": [bench_dict(horizon=20)]},
+         ["base: cannot be combined with configs"]),
+        ({"configs": 5, "base": 5, "sweep": 5, "sweeps": 5},
+         ["base: cannot be combined with configs",
+          "sweep: cannot be combined with configs", "sweeps: unknown key",
+          "configs: expected a list, got a number"]),
+    ], ids=["misspelt-sweep", "configs-and-sweep", "configs-and-base",
+            "every-line"])
+    def test_a_key_the_spec_does_not_read_is_refused(self, tmp_path, capsys,
+                                                    ran, spec, want):
+        # the first three each ran one member and exited 0, leaving the
+        # sweep or the base unread
+        self._refused(tmp_path, capsys, spec, want)
+        assert ran == []
+
 
 @pytest.fixture
 def ran(monkeypatch):
@@ -1484,6 +1505,52 @@ class TestBlockedOutputs:
         assert sorted(os.listdir(out)) == sorted(
             [os.path.basename(path)]
             + [name + s for name in names for s in self.SUFFIXES])
+
+
+class TestFailedWrites:
+    """A lockstep member whose row file cannot be written, while it runs or
+    as it finishes, fails alone: its row is ``failed`` with the error line,
+    the other members of its group write their files, the batch exits 1,
+    and no temporary file is left."""
+
+    @pytest.mark.parametrize("failing, member", [(3, 2), (10, 1)],
+                             ids=["first-block", "last-block"])
+    def test_a_member_that_cannot_write_fails_alone(self, tmp_path, capsys,
+                                                    monkeypatch, failing,
+                                                    member):
+        # the bundled config at 3,001 rows gives each member of one group
+        # of four three blocks, the last in its finish: the third write is
+        # member 2's first block, the tenth member 1's last. Both used to
+        # end the batch in a traceback from diagnostics.Stream._block
+        import mrac.cli as cli_mod
+        add, writes, lines = cli_mod.RowFile.add, [], []
+
+        def add_or_fail(self, rows, lo, end=None):
+            writes.append(self.temp)
+            if len(writes) == failing:  # as a removed directory gives
+                exc = FileNotFoundError(errno.ENOENT,
+                                        os.strerror(errno.ENOENT), self.temp)
+                lines.append(str(exc))
+                raise exc
+            add(self, rows, lo, end)
+
+        monkeypatch.setattr(cli_mod.RowFile, "add", add_or_fail)
+        spec, out = tmp_path / "spec.json", tmp_path / "out"
+        spec.write_text(json.dumps({
+            "base": bench_dict(horizon=3000),
+            "sweep": {"init.theta_scale": [1.1, 1.2, 1.3, 1.4]}}))
+        assert main(["batch", str(spec), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        rows = json.loads(captured.out)
+        names = [row["name"] for row in rows]
+        assert rows[member] == {"name": names[member], "status": "failed",
+                                "errors": lines}
+        assert [row["status"] for b, row in enumerate(rows)
+                if b != member] == ["ok"] * 3
+        assert sorted(os.listdir(out)) == sorted(
+            name + suffix for b, name in enumerate(names) if b != member
+            for suffix in (".trace.csv", ".summary.json"))
 
 
 class TestInputDocuments:

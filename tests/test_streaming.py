@@ -168,6 +168,28 @@ def test_a_chunk_keeps_to_its_block_which_samples_r_once(case, monkeypatch):
         assert any(start <= lo < hi <= stop for start, stop in blocks), spans
 
 
+@pytest.mark.parametrize("chunk", [128, 8])
+@pytest.mark.parametrize("case", sorted(SCHEME_CASES))
+def test_a_continuous_run_makes_the_views_of_four_rows(case, chunk,
+                                                       monkeypatch):
+    # the four RK4 stages of every continuous-time step run on four stage
+    # rows, whose step views a run makes once, whatever its horizon and
+    # chunk size; a discrete run makes those of each row of its buffer
+    from mrac.lyapunov import LyapunovDirect, LyapunovIndirect
+    monkeypatch.setattr(mrac._rows, "CHUNK", chunk)
+    calls = []
+    for cls in (mrac._rows.Law, LyapunovDirect, LyapunovIndirect):
+        def counted(self, row, dF, views=cls.views):
+            calls.append(row.shape)
+            return views(self, row, dF)
+
+        monkeypatch.setattr(cls, "views", counted)
+    data = SCHEME_CASES[case]
+    run = run_scenario(config_from_dict(dict(data, horizon=1000)))
+    assert run.trace.steps == 1001
+    assert len(calls) == (chunk if data["time_domain"] == "discrete" else 4)
+
+
 class Spy:
     """A consumer that records the (lo, hi) of each block of rows it is
     given, the block's V and dV as given, and its dV itself."""
