@@ -50,15 +50,17 @@ a lockstep group, B discrete laws of one layout, on the law the first one
 one step, which takes the ``views`` of a lone (width,) row or of a group's
 (B, width) block, and only ``forms`` knows which it has. A lone row's
 products are the arrays' ``.dot`` methods, a block's a stacked ``matmul``,
-which makes the same BLAS call per member, so every member's rows are byte
-for byte those of its lone run. A product that feeds back into the rows
-it reads goes straight into a lone row, and into a scratch array that is
-then copied into a block (numpy would first copy an output whose extent
-overlaps an input's). The gradient step's one statement of each form is
-m^2, which a lone row forms in Python floats. A group of one keeps its own
-law and so the ``.dot`` step, which runs twice as fast as a stacked one at
-B = 1. Each member ends on its own, diverged or failed, and the group runs
-until every member has ended or reached the end (``RowBuffer.run``).
+which makes the same BLAS call per member on a row that starts 16-byte
+aligned, as a lone row does (``Layout``), so every member's rows are byte
+for byte those of its lone run on every BLAS kernel. A product that feeds
+back into the rows it reads goes straight into a lone row, and into a
+scratch array that is then copied into a block (numpy would first copy an
+output whose extent overlaps an input's). The gradient step's one
+statement of each form is m^2, which a lone row forms in Python floats. A
+group of one keeps its own law and so the ``.dot`` step, which runs twice
+as fast as a stacked one at B = 1. Each member ends on its own, diverged
+or failed, and the group runs until every member has ended or reached the
+end (``RowBuffer.run``).
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ from operator import gt, lt, mul
 import numpy as np
 
 from .errors import ModelError, NumericsError, SingularGainError, ToolkitError
-from .gains import ProjectionConfig, _below
+from .gains import ProjectionConfig, _active, _below
 
 # rows per chunk: long enough to amortize the per-chunk record copies,
 # short enough that the views and the buffer stay small
@@ -142,11 +144,15 @@ class Layout:
     of a block of records (None: no matching solution), and ``gamma0`` the
     constant of its bound dV <= -(2 - gamma0) eps^2 / m^2 (NaN: none).
 
-    The theta2 guards act on a law that carries a projection or a floor
-    (``indirect._carry``): theta2 is ``th2`` of W and of dW, its copies
+    The width is even, so that every row of a buffer or of a group's block
+    starts 16-byte aligned, as a lone row does: some BLAS kernels sum a
+    product whose operand is misaligned in another order.
+
+    An indirect law carries its projection and floor (``carry``), which
+    the theta2 guards act on: theta2 is ``th2`` of W and of dW, its copies
     ``theta2_at`` of W (copies x M, or M), and an enabled projection's
-    correction goes into the ``f2`` columns after dW. ``signs`` and
-    ``theta2_lower`` are its signs and bounds, ``floor`` the run's
+    correction goes into the ``f2`` columns that close the row. ``signs``
+    and ``theta2_lower`` are its signs and bounds, ``floor`` the run's
     invertibility floor, each (M,), or (B, M) in a group's law. Each guard
     takes a row's views or a (B, ...) block's, and tests its rule on
     Python scalars before it acts."""
@@ -166,7 +172,24 @@ class Layout:
         self.W = slice(self.U.stop + mid, self.U.stop + mid + NW)
         self.dF = slice(self.W.stop, self.W.stop + nF)
         self.dW = slice(self.dF.stop, self.dF.stop + NW)
-        self.width = self.dW.stop
+        self.width = self.dW.stop + self.dW.stop % 2
+
+    def carry(self, projection, floor=None):
+        """Carry ``projection`` and the run's invertibility ``floor`` for
+        the theta2 guards. M ``f2`` columns close the row, whose width
+        stays even, and the records proj_g2 and proj_f2 read theta2's raw
+        rate and those columns; an enabled projection's signs and bounds
+        go to ``signs`` and ``theta2_lower``. Without one, nothing writes
+        ``f2``, and both records read its zeros."""
+        M = self.R.stop - self.R.start
+        self.floor, self.f2 = floor, slice(self.width, self.width + M)
+        self.width = self.f2.stop + self.f2.stop % 2
+        at = np.arange(self.width)
+        self.cols["proj_g2"] = self.cols["proj_f2"] = at[self.f2]
+        if _active(projection):
+            self.signs = projection.signs
+            self.theta2_lower = projection.theta2_lower
+            self.cols["proj_g2"] = at[self.dW][self.th2]
 
     def landing(self):
         """``land(copies, f2)`` (see ``run``), if projected: a theta2 that

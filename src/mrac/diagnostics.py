@@ -426,29 +426,25 @@ class Stream:
     describes: its runner (``_rows.run``, ``_rows.run_ct``) steps ``law``
     over the horizon and step of ``spec``, samples ``signal`` and gives the
     run's finished rows, in order, to ``store``; ``finish`` makes its trace.
-    The records of the law's columns and of ``extra`` ({name: row shape},
-    absent from the rows, so they stay zero) are made into trace rows of
-    ``spec`` and ``law`` (``trace_rows``) a block of ``row_blocks`` at a
-    time as the run proceeds, and each block goes, in one call each, to
-    ``consumers``, the last of which reduces the rows (a ``Reduction``, or
-    a ``Keep``, whose rows the run's trace then holds; without consumers,
-    a ``Keep`` alone). A block's trace rows are made with the next stored
-    row, whose V completes the block's last dV; since a block of BLOCK rows
-    is made only once two more rows are stored (the last block takes a
-    lone last row), the blocks are those of ``row_blocks`` over the run's
-    steps, ended early or not. The run holds a fixed number of rows beside
+    The records of the law's columns are made into trace rows of ``spec``
+    and ``law`` (``trace_rows``) a block of ``row_blocks`` at a time as the
+    run proceeds, and each block goes, in one call each, to ``consumers``,
+    the last of which reduces the rows (a ``Reduction``, or a ``Keep``,
+    whose rows the run's trace then holds; without consumers, a ``Keep``
+    alone). A block's trace rows are made with the next stored row, whose
+    V completes the block's last dV; since a block of BLOCK rows is made
+    only once two more rows are stored (the last block takes a lone last
+    row), the blocks are those of ``row_blocks`` over the run's steps,
+    ended early or not. The run holds a fixed number of rows beside
     what its reduction keeps."""
 
-    def __init__(self, law, signal, spec: TraceSpec, consumers=None,
-                 extra=None):
+    def __init__(self, law, signal, spec: TraceSpec, consumers=None):
         self.law, self.signal, self.spec = law, signal, spec
         self.consumers = ([Keep(spec.horizon + 1)] if consumers is None
                           else consumers)
-        shapes = {name: np.shape(at) for name, at in law.cols.items()}
-        shapes.update(extra or {})
         steps = min(_rows.BLOCK + _rows.CHUNK + 1, spec.horizon + 1)
-        self.rec = {name: np.zeros((steps,) + shape)
-                    for name, shape in shapes.items()}
+        self.rec = {name: np.zeros((steps,) + np.shape(at))
+                    for name, at in law.cols.items()}
         self.stored = self.lo = 0  # rows stored, and the step of the first
 
     def store(self, rows: dict) -> None:

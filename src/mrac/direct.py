@@ -25,7 +25,6 @@ from . import _lazy
 from .errors import GainError, ModelError
 # the gains and initial conditions of gains.py stay importable from here
 from .gains import (DirectGainConfig, InitialConditions,  # noqa: F401
-                    _check_blocks, _shape_theta, _spd_check,
                     stack_controller_gains)
 from .systems import (DISCRETE, PlantModel, ReferenceModel, ReferenceSignal,
                       integrate_ct, solve_matching)

@@ -284,10 +284,6 @@ class IndirectGainConfig:
                           f"largest eigenvalue {lam:.6g}"), "trailing block")
         self.Gamma = G
 
-    @property
-    def n_inputs(self) -> int:
-        return self.Gamma.shape[0]
-
     def shapes(self, n: int, M: int) -> dict:
         """The shape each gain must have on an n-state, M-input plant."""
         return {"Gamma": (M, n + M, n + M)}

@@ -25,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from ._rows import Law, Layout, block
+from ._rows import Law, block
 # the benchmark's tracer wraps indirect_V_series here by name
 from .diagnostics import (SimulationTrace, Stream, TraceSpec,  # noqa: F401
                           _gradient_V, gamma1_indirect, indirect_V_series)
@@ -33,24 +33,11 @@ from .direct import (SOLVE, InitialConditions, _check_run_args,
                      _diagonal_match, _drive, _matching)
 # the projection and the indirect gains of gains.py stay importable from here
 from .gains import (IndirectGainConfig, ProjectionConfig,  # noqa: F401
-                    _active, _floor, _theta2, theta_star_indirect)
+                    _active, _floor, theta_star_indirect)
 # solve_matching stays a module attribute: the benchmark's tracer wraps it
 # here by name
 from .systems import (DISCRETE, PlantModel, ReferenceModel,  # noqa: F401
                       ReferenceSignal, integrate_ct, solve_matching)
-
-
-def _carry(law: Layout, projection: ProjectionConfig | None, floor=None):
-    """``projection`` when enabled, else None; ``law`` then carries its
-    signs and bounds, with its ``f2`` columns after the row's, and the
-    run's ``floor``, for its theta2 guards (see ``_rows.Layout``)."""
-    proj = _active(projection)
-    law.floor = floor
-    if proj is not None:
-        law.signs, law.theta2_lower = proj.signs, proj.theta2_lower
-        law.f2 = slice(law.width, law.width + proj.n_inputs)
-        law.width = law.f2.stop
-    return proj
 
 
 def _indirect_law(A, B, Am, Bm, gains, P, x0, xm0, xhat0) -> Law:
@@ -125,8 +112,9 @@ def _indirect_law(A, B, Am, Bm, gains, P, x0, xm0, xhat0) -> Law:
 def _indirect_member(plant, ref, signal, gains, projection, init, horizon,
                      h, match=SOLVE, stream=None, method="rk4") -> Stream:
     """An indirect run with step size ``h`` (1 in discrete time) set up
-    (``_projected``), ``stream`` and ``method`` as for
-    ``direct._direct_member``."""
+    (``diagnostics.Stream``), ``stream`` and ``method`` as for
+    ``direct._direct_member``; an enabled projection is checked on the
+    initial estimates, and the law carries it (``_rows.Layout.carry``)."""
     x0, xm0, theta0, _, xhat0 = _check_run_args(
         plant, ref, signal, gains, init, horizon, projection, h, method)
     match = _diagonal_match(_matching(plant, ref, match))
@@ -141,27 +129,12 @@ def _indirect_member(plant, ref, signal, gains, projection, init, horizon,
             _gradient_V, theta_star=theta_star_indirect(match.K1, match.K2),
             Gamma=gains.Gamma)
         law.gamma0 = gamma1_indirect(gains.Gamma)
-    spec = TraceSpec("indirect_gradient", plant.time_domain, horizon, h)
-    _carry(law, projection,
-           _floor(projection, M, stage=plant.time_domain != DISCRETE))
-    return _projected(law, signal, projection, theta0, spec, stream)
-
-
-def _projected(law, signal, projection, theta0, spec, stream) -> Stream:
-    """The run of ``law``, which carries ``projection`` (``_carry``), on
-    ``signal`` from its ``z0`` set up (``diagnostics.Stream``, of ``spec``
-    and the consumers ``stream``), the one path of both indirect schemes:
-    an enabled projection is checked on ``theta0``, and the records add
-    theta2's raw rate and its correction (proj_g2, proj_f2: the row's
-    columns, else zero)."""
-    M = theta0.shape[1]
     if _active(projection):
         projection.check_start(theta0)
-        law.cols["proj_g2"] = np.arange(law.dW.start, law.dW.stop)[law.th2]
-        law.cols["proj_f2"] = np.arange(law.f2.start, law.f2.stop)
-    return Stream(law, signal, spec, stream,
-                  {name: (M,) for name in ("proj_g2", "proj_f2")
-                   if name not in law.cols})
+    law.carry(projection,
+              _floor(projection, M, stage=plant.time_domain != DISCRETE))
+    spec = TraceSpec("indirect_gradient", plant.time_domain, horizon, h)
+    return Stream(law, signal, spec, stream)
 
 
 def run_indirect_scenario(plant: PlantModel, ref: ReferenceModel,

@@ -19,9 +19,8 @@ from .direct import (SOLVE, InitialConditions, _check_run_args, _drive,
 from .errors import ModelError
 # the Lyapunov gains and certificate of gains.py stay importable from here
 from .gains import (LyapunovCertificate, LyapunovDirectGains,  # noqa: F401
-                    LyapunovIndirectGains, ProjectionConfig, solve_lyapunov_ct,
-                    theta_star_indirect)
-from .indirect import _carry, _projected
+                    LyapunovIndirectGains, ProjectionConfig, _active,
+                    solve_lyapunov_ct, theta_star_indirect)
 # the benchmark's tracer wraps solve_matching here by name
 from .systems import (CONTINUOUS, PlantModel, ReferenceModel,  # noqa: F401
                       ReferenceSignal, integrate_ct, solve_matching)
@@ -190,7 +189,7 @@ class LyapunovIndirect(_Scheme):
         self.th2 = slice(n * M, None, M + 1)
         self.theta2_at = np.arange((n + M) * M)[self.th2]
         self.cols["x_hat"] = np.arange(n, 2 * n)
-        _carry(self, projection)
+        self.carry(projection)
         self.step = self.stepper()
         if self.match is None:
             return
@@ -289,7 +288,8 @@ def run_lyapunov_scenario(plant: PlantModel, ref: ReferenceModel,
     run diverges as the gradient runs do (see ``_rows``), at the first step
     at which an element of x or u is not finite, or after a step whose
     integration is not finite. The indirect scheme's projection acts as the
-    gradient one's, without a floor (``indirect._projected``).
+    gradient one's, without a floor (``_rows.Layout.carry``), and an enabled
+    one is checked on the initial estimates.
     ``cert`` and ``match`` are as for ``build_lyapunov_loop``, ``stream``
     as for the gradient runners.
     """
@@ -300,8 +300,6 @@ def run_lyapunov_scenario(plant: PlantModel, ref: ReferenceModel,
     n = plant.n
     law.z0 = law.pack(x0, xm0, theta0[:n], theta0[n:].T, xhat0)
     spec = TraceSpec(f"lyapunov_{mode}", CONTINUOUS, horizon, h)
-    if mode == "indirect":
-        run = _projected(law, signal, projection, theta0, spec, stream)
-    else:
-        run = Stream(law, signal, spec, stream)
-    return _drive(run, method, integrate_ct)
+    if mode == "indirect" and _active(projection):
+        projection.check_start(theta0)
+    return _drive(Stream(law, signal, spec, stream), method, integrate_ct)

@@ -18,7 +18,7 @@ from mrac import (DirectGainConfig, IndirectGainConfig, InitialConditions,
                   run_direct_scenario, run_indirect_scenario,
                   run_lyapunov_scenario, solve_matching,
                   stack_controller_gains, theta_star_indirect)
-from mrac.indirect import _theta2
+from mrac.gains import _theta2
 from mrac.scenario import config_from_dict, run_scenario
 from conftest import ct_instance
 
@@ -416,7 +416,7 @@ class TestOneIntegrationPerStep:
 class TestTheta2Positions:
     @pytest.mark.parametrize("M", [1, 2])
     def test_indirect_positions_name_every_theta2_copy(self, M):
-        from mrac.indirect import _carry, _floor, _indirect_law
+        from mrac.indirect import _floor, _indirect_law
         plant, ref, K1s, K2s = random_matchable_instance(3, M, 4, "continuous")
         gains = IndirectGainConfig(Gamma=np.stack([np.eye(3 + M)] * M),
                                    time_domain="continuous")
@@ -441,7 +441,7 @@ class TestTheta2Positions:
         signs = np.sign(np.diag(K2s))
         lower = 0.5 * np.abs(np.diag(K2s))
         proj = ProjectionConfig(theta2_lower=lower, signs=signs)
-        _carry(law, proj, _floor(proj, M, stage=True))
+        law.carry(proj, _floor(proj, M, stage=True))
         _, clamp = law.ct_guards()
         z = np.random.default_rng(M).normal(size=law.z0.shape[0])
         at = law.nF + law.theta2_at
@@ -486,7 +486,7 @@ class TestTheta2Positions:
         # two members with bounds of their own as each member's law acts
         # on its own row
         from mrac import SingularGainError
-        from mrac.indirect import _carry, _floor, _indirect_law
+        from mrac.indirect import _floor, _indirect_law
         M = 2
         plant, ref, K1s, K2s = random_matchable_instance(3, M, 4, "continuous")
         gains = IndirectGainConfig(Gamma=np.stack([np.eye(3 + M)] * M),
@@ -498,7 +498,7 @@ class TestTheta2Positions:
             law = _indirect_law(plant.A, plant.B, ref.A_m, ref.B_m, gains, P,
                                 np.zeros(3), np.zeros(3), np.zeros(3))
             proj = ProjectionConfig(scale * np.abs(np.diag(K2s)), signs)
-            _carry(law, proj, _floor(proj, M, stage=True))
+            law.carry(proj, _floor(proj, M, stage=True))
             laws.append(law)
         group = laws[0].stack(laws[1:])
         lower = np.stack([law.theta2_lower for law in laws])
@@ -576,7 +576,7 @@ def _guarded_laws(kind, M, B):
     an indirect gradient law with a projection and its stage floor,
     "floored" one with a disabled projection, and so only the floor, and
     "lyapunov" a Lyapunov indirect law with a projection and no floor."""
-    from mrac.indirect import _carry, _floor, _indirect_law
+    from mrac.indirect import _floor, _indirect_law
     from mrac.lyapunov import build_lyapunov_loop
     plant, ref, K1s, K2s = random_matchable_instance(3, M, 4, "continuous")
     signs = np.sign(np.diag(K2s))
@@ -595,7 +595,7 @@ def _guarded_laws(kind, M, B):
         law = _indirect_law(plant.A, plant.B, ref.A_m, ref.B_m, gains,
                             theta_star_indirect(K1s, K2s).T.copy(),
                             np.zeros(3), np.zeros(3), np.zeros(3))
-        _carry(law, proj, _floor(proj, M, stage=True))
+        law.carry(proj, _floor(proj, M, stage=True))
         laws.append(law)
     # the bound of every entry, also where the law carries none, and the
     # signs

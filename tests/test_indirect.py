@@ -14,7 +14,7 @@ from mrac import (GainError, IndirectGainConfig, InitialConditions,
                   solve_matching, stack_controller_gains,
                   theta_star_indirect)
 from mrac._rows import Layout
-from mrac.indirect import _carry, _indirect_law
+from mrac.indirect import _indirect_law
 from mrac.scenario import config_from_dict, run_lockstep, run_scenario
 from ct_oracle import projection_rate
 from conftest import K1_TRUE, K2_TRUE, ct_instance, mimo_indirect_case
@@ -95,7 +95,8 @@ class TestProjection:
                                     eps, frame)
         row = np.full(2, theta[1][0] + g2[0])
         law = Layout(0, 0, 1, 0, 2)
-        _carry(law, proj)
+        law.cols, law.th2 = {}, slice(1)
+        law.carry(proj)
         f2_rec = np.zeros((3, 1))
         law.landing()((row[:1], row[1:]), f2_rec[1])
         assert np.array_equal(row, [nxt[1, 0]] * 2)
@@ -177,7 +178,7 @@ class TestFloorCheck:
             law = _indirect_law(plant.A, plant.B, ref.A_m, ref.B_m, gains,
                                 np.ones((2, 5)), np.zeros(3), np.zeros(3),
                                 np.zeros(3))
-            _carry(law, None, floor)
+            law.carry(None, floor)
             laws.append(law)
         return laws[0].stack(laws[1:]).floor_check
 

@@ -1,7 +1,11 @@
 """The shared row layout of the gradient laws on more shapes: each runner
 against its oracle in both domains, the divergence rule on a run that grows
-past 1e155, and the filter columns of a discrete run against the reference
-filter bank."""
+past 1e155, the filter columns of a discrete run against the reference
+filter bank, and the projection's records, which every indirect law reads
+off its own row."""
+
+import ast
+import os
 
 from types import SimpleNamespace
 
@@ -12,14 +16,16 @@ import ct_oracle
 from discrete_oracle import (ChannelFilterBank, assert_replayed,
                              replay_direct, replay_indirect)
 from mrac import (DirectGainConfig, IndirectGainConfig, InitialConditions,
-                  PlantModel, ProjectionConfig, ReferenceModel,
-                  ReferenceSignal, random_matchable_instance,
-                  run_direct_scenario, run_indirect_scenario,
+                  LyapunovIndirectGains, PlantModel, ProjectionConfig,
+                  ReferenceModel, ReferenceSignal, build_lyapunov_loop,
+                  random_matchable_instance, run_direct_scenario,
+                  run_indirect_scenario, run_lyapunov_scenario,
                   stack_controller_gains, theta_star_indirect)
 from mrac import _rows
 from mrac.diagnostics import TraceSpec
 from mrac.direct import _direct_law
-from mrac.indirect import _indirect_law
+from mrac.gains import _theta2
+from mrac.indirect import _indirect_law, _indirect_member
 from test_ct_fused import assert_records_match
 
 SHAPES = [(1, 1), (4, 1), (4, 3)]
@@ -182,3 +188,75 @@ def test_filter_columns_match_the_bank(scheme):
         omega = (np.concatenate([x, r[t]]) if scheme == "direct"
                  else np.concatenate([-x, rec["u"][t]]))
         bank.advance(omega, rec["theta"][t])
+
+
+def indirect_run(scheme, domain, projection):
+    """An n=3, M=2 indirect law (``scheme`` "gradient" or "lyapunov") under
+    ``projection`` ("enabled", "disabled" or None), and its trace."""
+    plant, ref, sig, gains, proj, init = indirect_case(3, 2, domain)
+    proj = {"enabled": proj, None: None,
+            "disabled": ProjectionConfig(proj.theta2_lower, proj.signs,
+                                         enabled=False)}[projection]
+    horizon = DISCRETE_HORIZON if domain == "discrete" else CT_HORIZON
+    if scheme == "gradient":
+        law = _indirect_member(plant, ref, sig, gains, proj, init, horizon,
+                               1.0 if domain == "discrete" else 0.01).law
+        return law, run_indirect_scenario(plant, ref, sig, gains, proj, init,
+                                          horizon)
+    gains = LyapunovIndirectGains(Gamma1=np.eye(3), Gamma2=np.eye(2))
+    return (build_lyapunov_loop(plant, ref, sig, "indirect", gains, proj),
+            run_lyapunov_scenario(plant, ref, sig, "indirect", gains, proj,
+                                  init, horizon))
+
+
+@pytest.mark.parametrize("projection", [None, "disabled"])
+@pytest.mark.parametrize("scheme, domain", [("gradient", "discrete"),
+                                            ("gradient", "continuous"),
+                                            ("lyapunov", "continuous")])
+def test_an_unprojected_law_records_zero_projection_columns(scheme, domain,
+                                                            projection):
+    # the records are the law's f2 columns, which closes its row and which
+    # nothing writes without an enabled projection
+    law, trace = indirect_run(scheme, domain, projection)
+    f2 = np.arange(law.f2.start, law.f2.stop)
+    assert law.f2.stop <= law.width and law.width % 2 == 0
+    for name in ("proj_g2", "proj_f2"):
+        assert np.array_equal(law.cols[name], f2)
+        record = getattr(trace, name)
+        assert record.shape == (len(trace.e), 2) and not record.any()
+    assert law.landing() is None
+
+
+@pytest.mark.parametrize("scheme, domain", [("gradient", "discrete"),
+                                            ("gradient", "continuous"),
+                                            ("lyapunov", "continuous")])
+def test_a_projected_law_records_the_raw_theta2_rate(scheme, domain):
+    law, trace = indirect_run(scheme, domain, "enabled")
+    assert np.array_equal(law.cols["proj_g2"],
+                          np.arange(law.dW.start, law.dW.stop)[law.th2])
+    assert np.array_equal(law.cols["proj_f2"],
+                          np.arange(law.f2.start, law.f2.stop))
+    assert trace.proj_g2.any()
+    if domain == "discrete":
+        # theta2(t + 1) = (theta2 + g2) + f2, the raw step then its
+        # correction, byte for byte
+        theta2 = _theta2(trace.theta)
+        assert np.array_equal(theta2[1:], (theta2[:-1] + trace.proj_g2[:-1])
+                              + trace.proj_f2[:-1])
+
+
+def test_the_lyapunov_module_imports_no_gradient_indirect_code():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "src", "mrac",
+                        "lyapunov.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    # each module named and each name imported from one, dotted
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            imported |= {module} | {f"{module}.{alias.name}".lstrip(".")
+                                    for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    assert imported.isdisjoint({"indirect", "mrac.indirect"})

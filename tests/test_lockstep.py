@@ -3,6 +3,10 @@ stepped together on one stacked law (``scenario.run_lockstep``) give each
 member the row, trace and records of its lone run, byte for byte."""
 
 import json
+import os
+import platform
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -135,6 +139,32 @@ class TestStackedLaws:
     @pytest.mark.parametrize("form", FORMS)
     def test_a_block_step_is_each_lone_step(self, form):
         assert_block_step_is_each_lone_step(self._laws(form))
+
+
+# the block-step checks of the M = 1 direct laws, whose rows are the
+# narrowest, in a process of their own
+SSE_PROBE = """
+import test_lockstep, test_lyapunov
+from conftest import assert_block_step_is_each_lone_step
+for case, form in ((test_lockstep, "direct-M1"),
+                   (test_lyapunov, "direct-Gamma")):
+    assert_block_step_is_each_lone_step(case.TestStackedLaws()._laws(form))
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE forces a kernel on x86-64 only")
+def test_a_block_step_is_each_lone_step_on_an_sse_kernel():
+    # Prescott's kernels sum a product whose first operand element sits
+    # off a 16-byte boundary in another order; every row of a block must
+    # start aligned, as a lone row does, for its bytes to be the lone ones
+    here = os.path.dirname(__file__)
+    path = os.pathsep.join([os.path.join(here, os.pardir, "src"), here])
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", SSE_PROBE], capture_output=True,
+        text=True, timeout=60,
+        env=dict(os.environ, OPENBLAS_CORETYPE="Prescott", PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_grouped_rows_and_traces_equal_lone_runs(tmp_path, capsys,
