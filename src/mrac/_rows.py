@@ -22,12 +22,14 @@ it as
   product, with the estimates in place: theta_j is row 1 + j from column
   jC on. A law may keep further copies of the estimates after W^T.
 * dF and dW receive L [F, r, u] and G ab, with ab the gradient of the
-  terms ab reads, weighted by -eps / m^2.
+  terms ab reads, weighted by -eps / m^2. ``linear_map`` lays out every
+  law's L, a Lyapunov law's too.
 
 Rows live in a ``RowBuffer`` that the whole run reuses, and which keeps
 the run's clock: the rows run a ``row_blocks`` block at a time, each
 member's r sampled once per block, and each block is cut into chunks that
-end at its end. A member is its set-up run (``diagnostics.Stream``): the
+end at its end. A member is its set-up run (``diagnostics.Stream``), which
+every runner checks (``_check_run_args``) and drives (``_drive``): the
 runner steps its law, samples its signal, reads its horizon and step h off
 its trace's spec, and gives only the record columns of its finished rows,
 in order, to its store. Both runners share the buffer, one divergence rule
@@ -74,8 +76,10 @@ from operator import gt, lt, mul
 
 import numpy as np
 
-from .errors import ModelError, NumericsError, SingularGainError, ToolkitError
+from .errors import (GainError, ModelError, NumericsError, SingularGainError,
+                     ToolkitError)
 from .gains import ProjectionConfig, _active, _below
+from .systems import DISCRETE
 
 # rows per chunk: long enough to amortize the per-chunk record copies,
 # short enough that the views and the buffer stay small
@@ -306,6 +310,21 @@ class Layout:
                         np.stack([getattr(law, name) for law in laws]))
         group.step = group.stepper()
         return group
+
+
+def linear_map(n: int, K: int, M: int, states) -> np.ndarray:
+    """L, the constant map of a law's K linear states, n floats each, from
+    [F, r, u] to their image or rate: ``states`` lists, per state k, (k,
+    A, [(column of [F, r, u], value), ...]), with the n x n matrix A on
+    state k's own block and each (n,) value, or (n, c) block of c columns,
+    at its column. Every other entry is zero."""
+    L = np.zeros((n * K, n * K + 2 * M))
+    for k, A, inputs in states:
+        rows = L[k * n:(k + 1) * n]
+        rows[:, k * n:(k + 1) * n] = A
+        for col, value in inputs:
+            rows[:, col:col + np.size(value) // n] = np.reshape(value, (n, -1))
+    return L
 
 
 class Law(Layout):
@@ -669,6 +688,52 @@ def run_ct(member, method: str, integrate):
     return rows.run(sample, chunk)
 
 
-def block(T, n, row_col, col_col, mat):
-    """Place an n x n block at F-column coordinates (row_col, col_col)."""
-    T[row_col * n:(row_col + 1) * n, col_col * n:(col_col + 1) * n] = mat
+def _check_run_args(plant, ref, signal, gains, init, horizon: int,
+                    projection=None, h=1.0, method="rk4"):
+    """The check every runner makes before it sets up its member: the
+    models, signal, ``gains`` (any scheme's; a Lyapunov one has no time
+    domain), ``projection`` and ``init`` all fit the plant's n and M, and
+    in continuous time the step ``h`` is positive and finite and
+    ``method`` an integrator. Returns the resolved initial states
+    (``InitialConditions.resolved``)."""
+    if plant.time_domain != ref.time_domain:
+        raise ModelError("plant and reference model time domains differ")
+    if getattr(gains, "time_domain", plant.time_domain) != plant.time_domain:
+        raise ModelError("gain config was validated for a different time domain")
+    if plant.n != ref.n or plant.n_inputs != ref.n_inputs:
+        raise ModelError("plant and reference model dimensions differ")
+    n, M = plant.n, plant.n_inputs
+    if signal.dimension != M:
+        raise ModelError(f"signal dimension {signal.dimension} != input count {M}")
+    if isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)):
+        raise ModelError(f"horizon must be an integer, got {horizon!r}")
+    if horizon < 1:
+        raise ModelError("horizon must be at least 1")
+    if plant.time_domain != DISCRETE and not 0.0 < h < np.inf:
+        raise ModelError(f"h must be positive and finite, got {h!r}")
+    if plant.time_domain != DISCRETE and method not in ("rk4", "euler"):
+        raise ModelError(f"method must be 'rk4' or 'euler', got {method!r}")
+    for name, want in gains.shapes(n, M).items():
+        got = np.shape(getattr(gains, name))
+        if got != want:
+            raise GainError(f"{name} must have shape {want} on a plant with "
+                            f"n={n}, M={M}, got {got}")
+    if projection is not None and projection.n_inputs != M:
+        raise ModelError("projection dimension disagrees with the input count: "
+                         f"signs must have shape ({M},), got "
+                         f"{projection.signs.shape}")
+    return init.resolved(n, n + M, M)
+
+
+def _drive(member, method, integrate):
+    """The trace of the set-up run ``member`` (``diagnostics.Stream``),
+    stepped alone by ``run`` in discrete time, else by ``run_ct`` with
+    ``integrate``, the runner module's ``integrate_ct``. The error that
+    ended it, its law's guards' or its store's OSError, is raised."""
+    if member.spec.time_domain == DISCRETE:
+        [ended] = run([member])
+    else:
+        [ended] = run_ct(member, method, integrate)
+    if isinstance(ended, Exception):
+        raise ended
+    return member.finish(ended)

@@ -1,9 +1,10 @@
 """Command-line surface: validate, run, batch, example.
 
-Exit codes: 0 success, 1 validation error, 2 divergence or ``run failed``
-(a SingularGainError, or a file that cannot be moved into place), 3
-invariant violation under --strict. ``batch`` prints every row, then exits
-1 if any member is invalid or failed, else 2 if any diverged, else 0.
+Exit codes: 0 success, 1 validation error or a malformed command line, 2
+divergence or ``run failed`` (a SingularGainError, or a file that cannot be
+moved into place), 3 invariant violation under --strict. ``batch`` prints
+every row, then exits 1 if any member is invalid or failed, else 2 if any
+diverged, else 0.
 """
 
 from __future__ import annotations
@@ -499,11 +500,20 @@ def _sweep(base: dict, sweep: dict) -> list[dict]:
     return runs
 
 
+def usable_cpus():
+    """The CPUs this process may run on, which taskset or a CPU set may
+    cut below the host's count; None when unknown."""
+    if hasattr(os, "process_cpu_count"):  # Python 3.13
+        return os.process_cpu_count()
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count())
+
+
 def worker_count(jobs: int, units: int) -> int:
     """Pool size for a batch: never more workers than units (lockstep
-    groups and lone members, see ``batch_units``) or CPUs, since the fork
-    start method launches every worker up front."""
-    return max(1, min(jobs, units, os.cpu_count() or 1))
+    groups and lone members, see ``batch_units``) or usable CPUs, since
+    the fork start method launches every worker up front."""
+    return max(1, min(jobs, units, usable_cpus() or 1))
 
 
 # the fewest same-shape discrete gradient members that run in lockstep. A
@@ -624,7 +634,14 @@ def cmd_example(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     import argparse
-    parser = argparse.ArgumentParser(
+
+    class Parser(argparse.ArgumentParser):
+        # a malformed command line exits 1, not 2 (a diverged run's code)
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
+    parser = Parser(
         prog="mrac",
         description="Adaptive state-tracking scenarios: validate, run, and "
                     "batch-execute; traces land as CSV "

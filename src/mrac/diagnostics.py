@@ -286,21 +286,6 @@ def gamma1_indirect(Gamma) -> float:
                for Gj in _stack_gains(Gamma))
 
 
-def _theta_error_quad(theta_series, theta_star, Gamma) -> np.ndarray:
-    # theta_series (T, n_w, M), Gamma's blocks (M, n_w, n_w) -> (T, M)
-    # quadratic forms in their inverses, a block of steps at a time, into
-    # the (M, T) layout of a whole-series einsum: the products that read
-    # them take their BLAS call from it
-    T, n_w, M = theta_series.shape
-    Ginv = np.linalg.inv(_stack_gains(Gamma, M))
-    theta_star = np.asarray(theta_star, float).reshape(n_w, M)
-    quad = np.empty((M, T))
-    for lo, hi in row_blocks(T):
-        E = (theta_series[lo:hi] - theta_star[None]).transpose(2, 0, 1)
-        quad[:, lo:hi] = np.einsum("mtw,mtw->mt", np.matmul(E, Ginv), E)
-    return quad.T
-
-
 def value_series(V, decrement, gamma0: float) -> LyapunovSeries:
     """V with its increments, the decrement and the constant gamma0."""
     dV = np.full(V.shape[0], np.nan)
@@ -308,33 +293,52 @@ def value_series(V, decrement, gamma0: float) -> LyapunovSeries:
     return LyapunovSeries(V=V, dV=dV, decrement=decrement, gamma0=gamma0)
 
 
-def _gradient_V(rec, theta_star, Gamma, rho_star=None, gamma=None):
-    """V of each of the records ``rec`` of a gradient run, by their theta,
-    and with ``rho_star`` (the direct scheme) by their rho too."""
-    quad = _theta_error_quad(rec["theta"], theta_star, Gamma)
-    if rho_star is None:
-        return np.sum(quad, axis=1)
-    rho_s = np.atleast_1d(np.asarray(rho_star, dtype=float))
-    gam = _entries(gamma, "gamma", rho_s.shape[0], True, GainError)
-    # each full-horizon temporary goes before the next is made
-    rho_err = rec["rho"] - rho_s[None]
-    rho_err **= 2
-    rho_err /= gam[None]
-    # a sum of scaled columns: a BLAS product gives the rows at its tail
-    # other last bits, so that a row's V would depend on its block
-    quad *= np.abs(rho_s)
-    V = np.sum(quad, axis=1)
-    del quad
-    V += np.sum(rho_err, axis=1)
-    return V
+def gradient_value(theta_star, Gamma, rho_star=None, gamma=None):
+    """A gradient law's V of a block of records, by their theta, and with
+    ``rho_star`` (the direct scheme) by their rho too, with Gamma's block
+    inverses, theta* ((n_w, M)), |rho*| and gamma made once per law."""
+    theta_star = np.asarray(theta_star, float)
+    M = theta_star.shape[1]
+    Ginv = np.linalg.inv(_stack_gains(Gamma, M))
+    if rho_star is not None:
+        rho_s = np.atleast_1d(np.asarray(rho_star, dtype=float))
+        gam = _entries(gamma, "gamma", rho_s.shape[0], True, GainError)
+        rho_abs = np.abs(rho_s)
+
+    def value(rec):
+        # the (T, M) quadratic forms of theta's errors, a block of steps at
+        # a time, in the (M, T) layout of a whole-series einsum: the
+        # products that read them take their BLAS call from it
+        theta = rec["theta"]
+        quad = np.empty((M, theta.shape[0]))
+        for lo, hi in row_blocks(theta.shape[0]):
+            E = (theta[lo:hi] - theta_star[None]).transpose(2, 0, 1)
+            quad[:, lo:hi] = np.einsum("mtw,mtw->mt", np.matmul(E, Ginv), E)
+        quad = quad.T
+        if rho_star is None:
+            return np.sum(quad, axis=1)
+        # each full-horizon temporary goes before the next is made
+        rho_err = rec["rho"] - rho_s[None]
+        rho_err **= 2
+        rho_err /= gam[None]
+        # a sum of scaled columns: a BLAS product gives the rows at its tail
+        # other last bits, so that a row's V would depend on its block
+        quad *= rho_abs
+        V = np.sum(quad, axis=1)
+        del quad
+        V += np.sum(rho_err, axis=1)
+        return V
+
+    return value
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def direct_V_series(theta_series, rho_series, theta_star, rho_star,
                     Gamma, gamma, eps_series, m_series) -> LyapunovSeries:
     """Vectorized V(t), dV(t) and decrement series for a direct-scheme run."""
-    V = _gradient_V({"theta": theta_series, "rho": rho_series}, theta_star,
-                    Gamma, rho_star, gamma)
+    V = gradient_value(np.reshape(theta_star, np.shape(theta_series)[1:]),
+                       Gamma, rho_star, gamma)({"theta": theta_series,
+                                                "rho": rho_series})
     return value_series(V, decrement_series(eps_series, m_series),
                         gamma0_direct(Gamma, gamma, rho_star))
 
@@ -343,7 +347,8 @@ def direct_V_series(theta_series, rho_series, theta_star, rho_star,
 def indirect_V_series(theta_series, theta_star, Gamma,
                       eps_series, m_series) -> LyapunovSeries:
     """Vectorized V(t), dV(t) and decrement series for an indirect-scheme run."""
-    V = _gradient_V({"theta": theta_series}, theta_star, Gamma)
+    V = gradient_value(np.reshape(theta_star, np.shape(theta_series)[1:]),
+                       Gamma)({"theta": theta_series})
     return value_series(V, decrement_series(eps_series, m_series),
                         gamma1_indirect(Gamma))
 

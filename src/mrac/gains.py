@@ -128,9 +128,9 @@ class DirectGainConfig:
 
     def member(self, b, horizon: int, stream=None):
         """The discrete run of a config's built parts ``b``, set up."""
-        from .direct import _direct_member
-        return _direct_member(b.plant, b.reference, b.signal, self, b.init,
-                              horizon, 1.0, b.match, stream)
+        from . import direct
+        return direct._direct_member(b.plant, b.reference, b.signal, self,
+                                     b.init, horizon, 1.0, b.match, stream)
 
 
 def _shape_theta(theta, n_w, M):
@@ -290,10 +290,10 @@ class IndirectGainConfig:
 
     def member(self, b, horizon: int, stream=None):
         """The discrete run of a config's built parts ``b``, set up."""
-        from .indirect import _indirect_member
-        return _indirect_member(b.plant, b.reference, b.signal, self,
-                                b.projection, b.init, horizon, 1.0, b.match,
-                                stream)
+        from . import indirect
+        return indirect._indirect_member(b.plant, b.reference, b.signal,
+                                         self, b.projection, b.init, horizon,
+                                         1.0, b.match, stream)
 
 
 def theta_star_indirect(K1, K2) -> np.ndarray:

@@ -21,23 +21,19 @@ each is followed literally).
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
-from ._rows import Law, block
+from ._rows import Law, _check_run_args, _drive, linear_map
 # the benchmark's tracer wraps indirect_V_series here by name
 from .diagnostics import (SimulationTrace, Stream, TraceSpec,  # noqa: F401
-                          _gradient_V, gamma1_indirect, indirect_V_series)
-from .direct import (SOLVE, InitialConditions, _check_run_args,
-                     _diagonal_match, _drive, _matching)
+                          gamma1_indirect, gradient_value, indirect_V_series)
 # the projection and the indirect gains of gains.py stay importable from here
-from .gains import (IndirectGainConfig, ProjectionConfig,  # noqa: F401
-                    _active, _floor, theta_star_indirect)
-# solve_matching stays a module attribute: the benchmark's tracer wraps it
-# here by name
-from .systems import (DISCRETE, PlantModel, ReferenceModel,  # noqa: F401
-                      ReferenceSignal, integrate_ct, solve_matching)
+from .gains import (IndirectGainConfig, InitialConditions,  # noqa: F401
+                    ProjectionConfig, _active, _floor, theta_star_indirect)
+# the benchmark's tracer wraps solve_matching here by name
+from .systems import (DISCRETE, SOLVE, PlantModel,  # noqa: F401
+                      ReferenceModel, ReferenceSignal, _matching,
+                      integrate_ct, solve_matching)
 
 
 def _indirect_law(A, B, Am, Bm, gains, P, x0, xm0, xhat0) -> Law:
@@ -56,25 +52,16 @@ def _indirect_law(A, B, Am, Bm, gains, P, x0, xm0, xhat0) -> Law:
     MC = M * C
     K = MC + M + 3  # F columns
     cxm, cxh, cx = MC + M, MC + M + 1, MC + M + 2
-    nK = n * K
+    nK = n * K  # r's column of [F, r, u], u's M on
 
-    # one constant map advances every linear state, given r and u
-    L = np.zeros((nK, nK + 2 * M))
-    for j in range(M):
-        for c in range(C):
-            k = j * C + c
-            block(L, n, k, k, Am)
-            if c < n:
-                L[k * n:(k + 1) * n, cx * n + c] = -Bm[:, j]
-            else:
-                L[k * n:(k + 1) * n, nK + M + c - n] = Bm[:, j]
-        block(L, n, MC + j, MC + j, Am)
-        L[(MC + j) * n:(MC + j + 1) * n, nK + j] = Bm[:, j]
-    for c in (cxm, cxh):
-        block(L, n, c, c, Am)
-        L[c * n:(c + 1) * n, nK:nK + M] = Bm
-    block(L, n, cx, cx, A)
-    L[cx * n:, nK + M:] = B
+    # L: S_(j,c) is driven by -x_c or u_(c-n), q_j, x_m and xhat by r, x by u
+    L = linear_map(n, K, M, [
+        *((j * C + c, Am, [(cx * n + c, -Bm[:, j]) if c < n
+                           else (nK + M + c - n, Bm[:, j])])
+          for j in range(M) for c in range(C)),
+        *((MC + j, Am, [(nK + j, Bm[:, j])]) for j in range(M)),
+        *((c, Am, [(nK, Bm)]) for c in (cxm, cxh)),
+        (cx, A, [(nK + M, B)])])
 
     # S^T (-eps / m^2) -> the step of every copy of theta, with the
     # diagonal-Theta2 mask folded in
@@ -117,7 +104,7 @@ def _indirect_member(plant, ref, signal, gains, projection, init, horizon,
     initial estimates, and the law carries it (``_rows.Layout.carry``)."""
     x0, xm0, theta0, _, xhat0 = _check_run_args(
         plant, ref, signal, gains, init, horizon, projection, h, method)
-    match = _diagonal_match(_matching(plant, ref, match))
+    match = _matching(plant, ref, match, diagonal=True)
     n, M = plant.n, plant.n_inputs
     P = theta0.T.copy()
     if M > 1:
@@ -125,9 +112,8 @@ def _indirect_member(plant, ref, signal, gains, projection, init, horizon,
     law = _indirect_law(plant.A, plant.B, ref.A_m, ref.B_m, gains, P, x0, xm0,
                         xhat0)
     if match is not None:
-        law.value = partial(
-            _gradient_V, theta_star=theta_star_indirect(match.K1, match.K2),
-            Gamma=gains.Gamma)
+        law.value = gradient_value(theta_star_indirect(match.K1, match.K2),
+                                   gains.Gamma)
         law.gamma0 = gamma1_indirect(gains.Gamma)
     if _active(projection):
         projection.check_start(theta0)

@@ -12,18 +12,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._rows import Layout, forms
+from ._rows import Layout, _check_run_args, _drive, forms, linear_map
 from .diagnostics import SimulationTrace, Stream, TraceSpec
-from .direct import (SOLVE, InitialConditions, _check_run_args, _drive,
-                     _matching)
 from .errors import ModelError
 # the Lyapunov gains and certificate of gains.py stay importable from here
-from .gains import (LyapunovCertificate, LyapunovDirectGains,  # noqa: F401
-                    LyapunovIndirectGains, ProjectionConfig, _active,
-                    solve_lyapunov_ct, theta_star_indirect)
+from .gains import (InitialConditions, LyapunovCertificate,  # noqa: F401
+                    LyapunovDirectGains, LyapunovIndirectGains,
+                    ProjectionConfig, _active, solve_lyapunov_ct,
+                    theta_star_indirect)
 # the benchmark's tracer wraps solve_matching here by name
-from .systems import (CONTINUOUS, PlantModel, ReferenceModel,  # noqa: F401
-                      ReferenceSignal, integrate_ct, solve_matching)
+from .systems import (CONTINUOUS, SOLVE, PlantModel,  # noqa: F401
+                      ReferenceModel, ReferenceSignal, _matching,
+                      integrate_ct, solve_matching)
 
 
 class _Scheme(Layout):
@@ -46,16 +46,12 @@ class _Scheme(Layout):
         self.ct = (solve_lyapunov_ct(ref.A_m, np.eye(n)) if cert is None
                    else cert)
         self.signal = signal
-        match = _matching(plant, ref, match)
-        self.match = match if match is not None and match.matchable() else None
-        self.L = L = np.zeros((nF, nF + 2 * M))
-        X0 = self.X0
-        for c in range(0, X0, n):  # x_m, and xhat driven by r
-            L[c:c + n, c:c + n] = ref.A_m
-            L[c:c + n, nF:nF + M] = ref.B_m
-        L[X0:, X0:nF] = plant.A
-        L[X0:, nF + M:] = plant.B
-        self.cols = {"x": np.arange(X0, nF), "x_m": np.arange(n),
+        self.match = _matching(plant, ref, match)
+        K = nF // n  # x_m, and xhat, driven by r; x by u
+        self.L = linear_map(n, K, M, [
+            *((k, ref.A_m, [(nF, ref.B_m)]) for k in range(K - 1)),
+            (K - 1, plant.A, [(nF + M, plant.B)])])
+        self.cols = {"x": np.arange(self.X0, nF), "x_m": np.arange(n),
                      "u": np.arange(self.U.start, self.U.stop),
                      "theta": self.W.start + np.arange(self.C * M).reshape(
                          self.C, M)}
@@ -297,8 +293,7 @@ def run_lyapunov_scenario(plant: PlantModel, ref: ReferenceModel,
         plant, ref, signal, gains, init, horizon, projection, h, method)
     law = build_lyapunov_loop(plant, ref, signal, mode, gains, projection,
                               cert, match)
-    n = plant.n
-    law.z0 = law.pack(x0, xm0, theta0[:n], theta0[n:].T, xhat0)
+    law.z0 = law.pack(x0, xm0, theta0[:plant.n], theta0[plant.n:].T, xhat0)
     spec = TraceSpec(f"lyapunov_{mode}", CONTINUOUS, horizon, h)
     if mode == "indirect" and _active(projection):
         projection.check_start(theta0)

@@ -3,9 +3,9 @@
 A scenario is one JSON document (nested sections, matrices as row-major
 arrays of arrays). ``load_config`` reports every validation problem it can
 find, not just the first, and builds the domain objects a run needs, the
-matching solution among them, once. The loaded config carries them for
-``run_scenario``; its fields hold plain Python values, which round-trip
-losslessly through ``serialize_config``.
+matching solution among them, once, importing no scheme module. The loaded
+config carries them for ``run_scenario``; its fields hold plain Python
+values, which round-trip losslessly through ``serialize_config``.
 """
 
 from __future__ import annotations
@@ -21,16 +21,16 @@ from typing import TYPE_CHECKING, Any, Optional
 import numpy as np
 
 from . import _lazy
-from .direct import _matching
 from .errors import ConfigError, GainError, ModelError, ToolkitError
 from .gains import (DirectGainConfig, IndirectGainConfig, InitialConditions,
                     LyapunovDirectGains, LyapunovIndirectGains,
                     ProjectionConfig, _below, _entries, _floor, _stack_gains,
                     _theta2, solve_lyapunov_ct, stack_controller_gains,
                     theta_star_indirect)
-# the benchmark's tracer wraps solve_matching here by name
-from .systems import (CONTINUOUS, DISCRETE, PlantModel,  # noqa: F401
-                      ReferenceModel, ReferenceSignal, solve_matching)
+# validation solves the matching equations through this module's name,
+# which the benchmark's tracer wraps
+from .systems import (CONTINUOUS, DISCRETE, PlantModel, ReferenceModel,
+                      ReferenceSignal, solve_matching)
 
 if TYPE_CHECKING:
     from .diagnostics import SimulationTrace
@@ -470,7 +470,10 @@ def config_from_dict(data: dict) -> ScenarioConfig:
             errors.append(f"gains.Q{' (default I)' if Q is None else ''}: "
                           f"{exc}")
     if plant and ref:
-        match = built["match"] = _matching(plant, ref)
+        try:
+            match = built["match"] = solve_matching(plant, ref)
+        except ModelError:  # a singular K2
+            match = built["match"] = None
         if scheme == "lyapunov_direct" and "gains" in built:
             try:
                 built["gains"].premise(plant.n_inputs, match)

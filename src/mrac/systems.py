@@ -146,6 +146,29 @@ def solve_matching(plant: PlantModel, ref: ReferenceModel) -> MatchingSolution:
     return MatchingSolution(K1=K1T.T.copy(), K2=K2, residual=float(residual))
 
 
+# the matching solution a runner solves itself when it is given none
+SOLVE = object()
+
+
+def _matching(plant, ref, match=SOLVE, diagonal=False):
+    """A runner's ``match``, or when it is ``SOLVE`` the one solved here,
+    if it is matchable and, with ``diagonal``, has the diagonal, invertible
+    K2* of a gradient law's rho* = 1/k2*: the solution its V needs; else
+    None, as when ``solve_matching`` raises (validation solves itself)."""
+    if match is SOLVE:
+        try:
+            match = solve_matching(plant, ref)
+        except ModelError:  # a singular K2
+            return None
+    if match is None or not match.matchable():
+        return None
+    K2d = np.diag(match.K2)
+    if diagonal and (np.any(np.abs(K2d) < 1e-12)
+                     or np.max(np.abs(match.K2 - np.diag(K2d))) > 1e-9):
+        return None
+    return match
+
+
 def rk4_step(rhs, t: float, y: np.ndarray, h: float, stage=None) -> np.ndarray:
     """Classical fourth-order step of dy/dt = rhs(t, y).
 

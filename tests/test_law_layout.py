@@ -245,18 +245,34 @@ def test_a_projected_law_records_the_raw_theta2_rate(scheme, domain):
                               + trace.proj_f2[:-1])
 
 
-def test_the_lyapunov_module_imports_no_gradient_indirect_code():
+def _imported(module):
+    """Each module that ``mrac.<module>`` imports and each name it imports
+    from one, dotted."""
     path = os.path.join(os.path.dirname(__file__), os.pardir, "src", "mrac",
-                        "lyapunov.py")
+                        f"{module}.py")
     with open(path, encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
-    # each module named and each name imported from one, dotted
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            imported |= {module} | {f"{module}.{alias.name}".lstrip(".")
-                                    for alias in node.names}
+            name = node.module or ""
+            imported |= {name} | {f"{name}.{alias.name}".lstrip(".")
+                                  for alias in node.names}
         elif isinstance(node, ast.Import):
             imported |= {alias.name for alias in node.names}
-    assert imported.isdisjoint({"indirect", "mrac.indirect"})
+    return imported
+
+
+def test_the_lyapunov_module_imports_no_gradient_indirect_code():
+    assert _imported("lyapunov").isdisjoint({"indirect", "mrac.indirect"})
+
+
+SCHEME_MODULES = ("direct", "indirect", "lyapunov")
+
+
+@pytest.mark.parametrize("module", SCHEME_MODULES)
+def test_no_scheme_module_imports_another(module):
+    # the run set-up they share lives in _rows and systems
+    others = {name for other in SCHEME_MODULES if other != module
+              for name in (other, f"mrac.{other}")}
+    assert _imported(module).isdisjoint(others)

@@ -312,7 +312,7 @@ def test_jobs_send_whole_groups_and_print_the_same_bytes(tmp_path, capsys,
                          for i, data in enumerate(members)])
     assert [len(unit) for unit in units] == [4, 1, 1]
     with monkeypatch.context() as patch:
-        patch.setattr("os.cpu_count", lambda: 8)
+        patch.setattr("mrac.cli.usable_cpus", lambda: 8)
         assert worker_count(8, len(units)) == 3
     code1, out1 = batch(tmp_path, capsys, members, "one", "--jobs", "1")
     code2, out2 = batch(tmp_path, capsys, members, "two", "--jobs", "2")

@@ -366,6 +366,22 @@ class TestBuiltOnce:
         assert calls == {"solve_matching": 1,
                          "solve_lyapunov_ct": int(case.startswith("lyap"))}
 
+    @pytest.mark.parametrize("case", sorted(SCHEME_CASES))
+    def test_validation_solves_through_the_scenario_name(self, monkeypatch,
+                                                         case):
+        # the one live wrap point of the benchmark's tracer on the solve
+        import mrac.systems
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return mrac.systems.solve_matching(*args)
+
+        monkeypatch.setattr("mrac.scenario.solve_matching", counted)
+        cfg = config_from_dict(_scheme_case(case))
+        assert len(calls) == 1
+        assert cfg.built.match.matchable()
+
     @pytest.mark.parametrize("plant, B_m", [
         ({"A": [[0.0, 0.0], [0.0, 0.0]], "B": [[1.0], [0.0]]}, [[1.0], [0.0]]),
         (None, [[0.0], [0.0]]),  # K2* = 0: solve_matching raises
@@ -383,6 +399,29 @@ class TestBuiltOnce:
 
 
 class TestCli:
+    @pytest.mark.parametrize("argv, message", [
+        (["batch", "spec.json", "--jobs", "x"],
+         "argument --jobs: invalid int value: 'x'"),
+        (["run"], "the following arguments are required: config"),
+        (["run", "cfg.json", "--bogus"], "unrecognized arguments: --bogus"),
+    ], ids=["jobs-not-an-int", "no-config", "unknown-flag"])
+    def test_a_malformed_command_line_exits_1(self, capsys, argv, message):
+        # argparse's own code, 2, is the one a diverged run exits with
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: mrac ")
+        assert captured.err.endswith(f" error: {message}\n")
+        assert "Traceback" not in captured.err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["run", "--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: mrac run ")
+
     def test_example_emits_loadable_config(self, tmp_path, capsys):
         out = tmp_path / "bench.json"
         assert main(["example", "--paper", "--out", str(out)]) == 0
@@ -1764,8 +1803,8 @@ def test_validation_compiles_no_stepping_module(tmp_path):
         "seen = ['argparse' in sys.modules]",
         "from mrac.cli import main",
         "from mrac.scenario import config_from_dict",
-        "stepping = ('mrac._rows', 'mrac.diagnostics', 'mrac.indirect',"
-        " 'mrac.lyapunov')",
+        "stepping = ('mrac._rows', 'mrac.diagnostics', 'mrac.direct',"
+        " 'mrac.indirect', 'mrac.lyapunov')",
         "for path in sys.argv[1:]:",
         "    with open(path) as fh:",
         "        config_from_dict(json.load(fh))",
@@ -2008,14 +2047,27 @@ class TestBatch:
                 f"{name}.summary.json", f"{name}.trace.csv"]
 
     def test_worker_count_is_clamped(self, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 4)
+        monkeypatch.setattr("mrac.cli.usable_cpus", lambda: 4)
         assert worker_count(10**6, 3) == 3
         assert worker_count(10**6, 100) == 4
         assert worker_count(2, 100) == 2
         assert worker_count(0, 5) == 1
         assert worker_count(8, 0) == 1
-        monkeypatch.setattr("os.cpu_count", lambda: None)
+        monkeypatch.setattr("mrac.cli.usable_cpus", lambda: None)
         assert worker_count(10**6, 100) == 1
+
+    @pytest.mark.skipif(not (hasattr(os, "process_cpu_count")
+                             or hasattr(os, "sched_getaffinity")),
+                        reason="no count of the CPUs a process may use")
+    def test_worker_count_counts_the_cpus_the_process_may_use(
+            self, monkeypatch):
+        # one CPU of an eight-CPU host, as under taskset or a CPU set
+        monkeypatch.setattr("os.cpu_count", lambda: 8)
+        for name, one in (("process_cpu_count", lambda: 1),
+                          ("sched_getaffinity", lambda pid: {1})):
+            if hasattr(os, name):
+                monkeypatch.setattr(os, name, one)
+        assert worker_count(4, 8) == 1
 
     def test_example_needs_the_flag(self, capsys):
         assert main(["example"]) == 1
